@@ -536,7 +536,14 @@ func BenchmarkTrawlHarvest(b *testing.B) {
 
 // BenchmarkDriveWindow measures one driven descriptor-fetch window over a
 // published population: the simnet hot path underneath both the trawl and
-// the deanonymisation experiments.
+// the deanonymisation experiments. observed=all simulates every ring
+// directory, as the deanonymisation networks do; observed=fleet restricts
+// the network to an attacker-sized ninth of the ring, as each trawl step
+// does (simnet.Config.Observed). Every iteration drives the first window
+// of a freshly published network, built with the timer stopped, after two
+// collections have emptied simnet's window-buffer pools (as happens
+// between trawl steps), so B/op and allocs/op are the same in every
+// iteration and do not depend on b.N.
 func BenchmarkDriveWindow(b *testing.B) {
 	e := benchSetup(b)
 	fleet := relaynet.DefaultFleetConfig(6)
@@ -550,20 +557,37 @@ func BenchmarkDriveWindow(b *testing.B) {
 		b.Fatal(err)
 	}
 	doc := h.All()[0]
-	cfg := simnet.DefaultConfig(6)
-	cfg.Clients = 1000
-	net, err := simnet.NewNetwork(doc, e.geoDB, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	now := doc.ValidAfter
-	net.PublishAll(e.pop, now)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, _ := net.DriveWindow(context.Background(), e.pop, now, 2*time.Hour, nil)
-		if st.TotalRequests == 0 {
-			b.Fatal("no traffic driven")
+	var attacker []onion.Fingerprint
+	for i, fp := range doc.Ring().Fingerprints() {
+		if i%9 == 0 {
+			attacker = append(attacker, fp)
 		}
+	}
+	for _, bc := range []struct {
+		name     string
+		observed []onion.Fingerprint
+	}{{"observed=all", nil}, {"observed=fleet", attacker}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := simnet.DefaultConfig(6)
+			cfg.Clients = 1000
+			cfg.Observed = bc.observed
+			now := doc.ValidAfter
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				net, err := simnet.NewNetwork(doc, e.geoDB, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				net.PublishAll(e.pop, now)
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
+				st, _ := net.DriveWindow(context.Background(), e.pop, now, 2*time.Hour, nil)
+				if st.TotalRequests == 0 {
+					b.Fatal("no traffic driven")
+				}
+			}
+		})
 	}
 }
 

@@ -245,7 +245,10 @@ func (t *Trawler) Owns(fp onion.Fingerprint) bool { return t.allFPs[fp] }
 // Run executes the attack: for each step it rotates the fleet, lets the
 // authority publish a consensus, re-publishes all service descriptors
 // onto the resulting ring, optionally drives client traffic, and reads
-// the attacker directories.
+// the attacker directories. Each step's network is restricted to the
+// attacker directories (simnet.Config.Observed): it publishes to, probes
+// and logs only what the read-out sees, which leaves every harvest field
+// exactly as a full-ring simulation would.
 //
 // The step is the cancellation unit: ctx is observed at every step
 // boundary (and inside the step through the traffic drive). A cancelled
@@ -374,12 +377,10 @@ func (t *Trawler) Run(
 			return nil, fmt.Errorf("trawl: step %d: consensus has no HSDir-flagged relays", step)
 		}
 
-		cfg := t.cfg.ClientConfig
-		cfg.Seed = cfg.Seed*1000003 + int64(step) // fresh but deterministic per step
-		cfg.Workers = t.cfg.Workers
-		cfg.SecretTable = t.cfg.SecretTable
-		cfg.CompactLogs = t.cfg.CompactLogs
-		net, err := simnet.NewNetwork(doc, db, cfg)
+		// The step reads only the attacker-operated directories, so its
+		// network publishes to, probes and logs only those.
+		attacker := t.attackerDirs(hsdirs)
+		net, err := simnet.NewNetwork(doc, db, t.stepConfig(step, attacker))
 		if err != nil {
 			return nil, fmt.Errorf("trawl: step %d: %w", step, err)
 		}
@@ -397,25 +398,7 @@ func (t *Trawler) Run(
 			}
 		}
 
-		// Read out every attacker-operated directory, fanned out across
-		// workers; per-shard partials merge into the harvest in shard
-		// order, and every harvest field is a set union or a sum, so the
-		// read-out is identical at every worker count.
-		attacker := make([]onion.Fingerprint, 0, 2*len(t.fleet))
-		for _, fp := range hsdirs {
-			if t.allFPs[fp] {
-				attacker = append(attacker, fp)
-			}
-		}
-		shards := make([]readout, parallel.NumChunks(t.cfg.Workers, len(attacker)))
-		parallel.Chunks(t.cfg.Workers, len(attacker), func(shard, lo, hi int) {
-			out := &shards[shard]
-			out.init()
-			for _, fp := range attacker[lo:hi] {
-				t.readDirectory(net, fp, out)
-			}
-		})
-		t.mergeReadouts(h, publishedIDs, requestedPublished, shards)
+		t.mergeReadouts(h, publishedIDs, requestedPublished, t.readStep(net, attacker))
 		h.StepCoverage = append(h.StepCoverage, float64(len(attacker))/float64(len(hsdirs)))
 
 		// Snapshot after the step's accumulators are complete. The final
@@ -435,6 +418,46 @@ func (t *Trawler) Run(
 		h.CollectedFraction = float64(len(h.Addresses)) / float64(len(published))
 	}
 	return h, nil
+}
+
+// attackerDirs returns the attacker-operated relays among a step's
+// HSDirs, in consensus order.
+func (t *Trawler) attackerDirs(hsdirs []onion.Fingerprint) []onion.Fingerprint {
+	out := make([]onion.Fingerprint, 0, 2*len(t.fleet))
+	for _, fp := range hsdirs {
+		if t.allFPs[fp] {
+			out = append(out, fp)
+		}
+	}
+	return out
+}
+
+// stepConfig is the network configuration of one step, restricted to the
+// observed directories (nil: every directory).
+func (t *Trawler) stepConfig(step int, observed []onion.Fingerprint) simnet.Config {
+	cfg := t.cfg.ClientConfig
+	cfg.Seed = cfg.Seed*1000003 + int64(step) // fresh but deterministic per step
+	cfg.Workers = t.cfg.Workers
+	cfg.SecretTable = t.cfg.SecretTable
+	cfg.CompactLogs = t.cfg.CompactLogs
+	cfg.Observed = observed
+	return cfg
+}
+
+// readStep reads out every attacker-operated directory of a step's
+// network, fanned out across workers; per-shard partials merge into the
+// harvest in shard order, and every harvest field is a set union or a
+// sum, so the read-out is identical at every worker count.
+func (t *Trawler) readStep(net *simnet.Network, attacker []onion.Fingerprint) []readout {
+	shards := make([]readout, parallel.NumChunks(t.cfg.Workers, len(attacker)))
+	parallel.Chunks(t.cfg.Workers, len(attacker), func(shard, lo, hi int) {
+		out := &shards[shard]
+		out.init()
+		for _, fp := range attacker[lo:hi] {
+			t.readDirectory(net, fp, out)
+		}
+	})
+	return shards
 }
 
 // mergeReadouts folds the per-shard read-out partials into the harvest

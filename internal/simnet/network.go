@@ -38,7 +38,8 @@ type Network struct {
 	doc        *consensus.Document
 	ring       *hsdir.Ring
 	ringFPs    []onion.Fingerprint // ring.Fingerprints(), cached
-	dirs       []*hsdir.Directory  // dirs[i] serves ringFPs[i]
+	dirs       []*hsdir.Directory  // dirs[i] serves ringFPs[i]; nil when unobserved
+	restricted bool                // Config.Observed was set
 	guards     []onion.Fingerprint
 	pool       *guardPool
 	dirFailure float64
@@ -95,6 +96,17 @@ type Config struct {
 	// (the streaming pipeline's per-window retirement). All aggregate
 	// log queries are unchanged; only raw Requests() reads become nil.
 	CompactLogs bool
+	// Observed restricts the network to the directories its caller
+	// reads (the trawl passes its step's attacker HSDirs); nil observes
+	// every directory. An unobserved ring position holds no store:
+	// Directory reports false for it, publishes skip it, and a request it
+	// would answer is neither probed nor logged. Every observed
+	// directory's store and log are exactly those of an unrestricted
+	// network. TotalRequests and PhantomRequests are unchanged, but
+	// ResolvedHits counts hits at observed directories only. A restricted
+	// network takes no fetch or upload observers. Fingerprints that are
+	// not on the HSDir ring are ignored.
+	Observed []onion.Fingerprint
 }
 
 // DefaultConfig returns a client population sized for tests and examples.
@@ -140,13 +152,25 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		workers:    cfg.Workers,
 		maxSkew:    cfg.MaxSkew,
 		secrets:    cfg.SecretTable,
+		restricted: cfg.Observed != nil,
 	}
 	n.ringFPs = n.ring.Fingerprints()
 	n.dirs = make([]*hsdir.Directory, len(n.ringFPs))
-	for i, fp := range n.ringFPs {
-		n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
+	observe := func(i int32) {
+		n.dirs[i] = hsdir.NewDirectory(n.ringFPs[i], 24*time.Hour)
 		if cfg.CompactLogs {
 			n.dirs[i].Log().Compact()
+		}
+	}
+	if n.restricted {
+		for _, fp := range cfg.Observed {
+			if i, ok := doc.HSDirRingPos(fp); ok && n.dirs[i] == nil {
+				observe(i)
+			}
+		}
+	} else {
+		for i := range n.dirs {
+			observe(int32(i))
 		}
 	}
 	if cfg.WeightedGuards {
@@ -179,17 +203,19 @@ func (n *Network) Ring() *hsdir.Ring { return n.ring }
 
 // Directory returns the descriptor store of the relay with fingerprint
 // fp, resolved through the consensus document's cached ring-position
-// table.
+// table. It reports false for relays off the ring and for unobserved
+// directories of a restricted network.
 func (n *Network) Directory(fp onion.Fingerprint) (*hsdir.Directory, bool) {
-	if i, ok := n.doc.HSDirRingPos(fp); ok {
+	if i, ok := n.doc.HSDirRingPos(fp); ok && n.dirs[i] != nil {
 		return n.dirs[i], true
 	}
 	return nil, false
 }
 
 // Directories returns all descriptor stores in ring order: Directories()[i]
-// serves Ring().Fingerprints()[i]. The slice aliases the network; callers
-// must not mutate it.
+// serves Ring().Fingerprints()[i], and is nil at the unobserved positions
+// of a restricted network. The slice aliases the network; callers must
+// not mutate it.
 func (n *Network) Directories() []*hsdir.Directory { return n.dirs }
 
 // GuardPool returns the Guard-flagged fingerprints. The slice aliases the
@@ -249,6 +275,9 @@ func (n *Network) publishService(svc *hspop.Service, now time.Time, sc *publishS
 		}
 		sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
 		for _, pos := range sc.pos {
+			if n.dirs[pos] == nil {
+				continue // unobserved (restricted networks have no upload observers)
+			}
 			n.dirs[pos].Publish(desc, now)
 			if len(n.uploadObservers) > 0 {
 				ev := UploadEvent{
@@ -279,7 +308,8 @@ func (n *Network) publishService(svc *hspop.Service, now time.Time, sc *publishS
 // sweep. Observer-tapped networks (the service-deanon tap) draw a guard
 // pick from the network RNG per upload and must announce events in
 // service order, so they take the sequential path, as does Workers==1
-// (no goroutines, no staging).
+// (no goroutines, no staging). On a restricted network both paths place
+// descriptors on observed directories only.
 func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 	svcs := pop.WithDescriptor()
 	shards := parallel.NumChunks(n.workers, len(svcs))
@@ -342,6 +372,9 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 				}
 				sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
 				for _, pos := range sc.pos {
+					if n.dirs[pos] == nil {
+						continue // unobserved: stage nothing
+					}
 					pls = append(pls, pos)
 					dix = append(dix, di)
 					cnt[pos]++
@@ -414,11 +447,20 @@ type fetchScratch struct {
 
 	// Responsible-set memo: 4-way direct-mapped by the descriptor ID's
 	// low bits (uniform SHA-1 output), so the two live replicas of a
-	// service and the hot phantom IDs rarely evict each other.
+	// service and the hot phantom IDs rarely evict each other. respObs
+	// notes whether the set holds an observed directory.
 	respKey [4]onion.DescriptorID
 	respOK  [4]bool
+	respObs [4]bool
 	respLen [4]int
 	respVal [4][onion.SpreadPerReplica]int32
+
+	// skipUnobserved stops a fetch whose responsible set holds no
+	// observed directory before it draws anything more. Only DriveWindow
+	// sets it: there every request draws from its own reseeded RNG, so a
+	// skipped request's draws cannot shift any other request. The
+	// shared-RNG fetches (FetchDescriptor, FetchRawID) keep every draw.
+	skipUnobserved bool
 }
 
 // fetchRec is the compact, pointer-free record a fetch worker writes:
@@ -433,7 +475,7 @@ type fetchRec struct {
 	// lastDir is the ring position of the last directory tried (the
 	// event's Dir field); answered is the position of the directory that
 	// actually took the request, -1 when every responsible directory was
-	// unreachable.
+	// unreachable or the one that answered is unobserved.
 	lastDir  int32
 	answered int32
 	attempts int32
@@ -463,7 +505,9 @@ func (n *Network) event(rec *fetchRec) FetchEvent {
 // fetches (DriveWindow is the concurrency-safe path: it executes an
 // entire window's fetches on per-request RNGs against read-only
 // stores). Expired descriptors read as absent but are reaped by the
-// next Publish or Expire rather than on the fetch itself.
+// next Publish or Expire rather than on the fetch itself. On a restricted
+// network a fetch answered by an unobserved directory reports Found
+// false and is logged nowhere.
 func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.Time) FetchEvent {
 	var sc fetchScratch
 	rec := n.fetchDescriptor(n.rng, c, permID, now, &sc)
@@ -513,19 +557,30 @@ func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.Perman
 //
 //torhs:hotpath
 func (n *Network) fetchByID(rng *rand.Rand, c *Client, descID onion.DescriptorID, now time.Time, sc *fetchScratch) fetchRec {
-	rec := fetchRec{
-		descID:   descID,
-		guard:    c.gs.pickPool(n.pool, rng, now),
-		atNanos:  now.UnixNano(),
-		clientID: int32(c.ID),
-		answered: -1,
-	}
+	// The responsible set draws nothing from rng, so resolving it before
+	// the guard pick leaves the draw sequence unchanged.
 	slot := descID[len(descID)-1] & 3
 	if !sc.respOK[slot] || sc.respKey[slot] != descID {
 		sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
 		sc.respKey[slot], sc.respOK[slot] = descID, true
 		sc.respLen[slot] = copy(sc.respVal[slot][:], sc.pos)
+		sc.respObs[slot] = false
+		for _, pos := range sc.pos {
+			if n.dirs[pos] != nil {
+				sc.respObs[slot] = true
+			}
+		}
 	}
+	rec := fetchRec{
+		descID:   descID,
+		atNanos:  now.UnixNano(),
+		clientID: int32(c.ID),
+		answered: -1,
+	}
+	if sc.skipUnobserved && !sc.respObs[slot] {
+		return rec // no observed directory could answer it
+	}
+	rec.guard = c.gs.pickPool(n.pool, rng, now)
 	k := sc.respLen[slot]
 	// Contact the responsible directories in random order, falling back
 	// on unreachable ones, as the Tor client does. The permutation
@@ -548,8 +603,10 @@ func (n *Network) fetchByID(rng *rand.Rand, c *Client, descID onion.DescriptorID
 		if n.dirFailure > 0 && rng.Float64() < n.dirFailure {
 			continue // this directory was unreachable; try the next
 		}
-		_, rec.found = n.dirs[pos].Probe(descID, now)
-		rec.answered = pos
+		if d := n.dirs[pos]; d != nil {
+			_, rec.found = d.Probe(descID, now)
+			rec.answered = pos
+		}
 		return rec
 	}
 	// Every responsible directory was unreachable.
@@ -634,7 +691,9 @@ func (n *Network) ensureSecrets(start, end time.Time) {
 // each popular service's expected rate, plus phantom requests for
 // never-published descriptor IDs at the configured fraction. The observer
 // callback (optional) sees every fetch event — this is where the
-// signature attack taps in.
+// signature attack taps in. A restricted network rejects a non-nil
+// observer: it skips the requests no observed directory is responsible
+// for, so it has no complete event stream to replay.
 //
 // Execution is three-phase so cfg.Workers never changes the outcome:
 // the traffic plan is drawn sequentially from the network RNG; the
@@ -667,33 +726,33 @@ func (n *Network) DriveWindow(
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
+	if n.restricted && observer != nil {
+		return out, errors.New("simnet: a restricted network takes no fetch observer")
+	}
 
-	// Phase 1: draw the plan sequentially from the network RNG. The RNG
-	// draws must complete once started (a partial draw would desync the
-	// sequential stream), so cancellation is observed between services,
-	// before the plan seed is drawn and any state below is touched.
-	planPtr := grabSlice[planEntry](&planPool, 4096)
-	defer planPool.Put(planPtr)
-	plan := *planPtr
+	// Phase 1: draw the plan sequentially from the network RNG, one
+	// Poisson count per popular service first, so the plan is sized
+	// exactly. The RNG draws must complete once started (a partial draw
+	// would desync the sequential stream), so cancellation is observed
+	// between services, before the plan seed is drawn and any state
+	// below is touched.
+	svcs := pop.PopularServices()
+	perSvcPtr := grabSlice[int32](&i32Pool, len(svcs))
+	defer i32Pool.Put(perSvcPtr)
+	perSvc := (*perSvcPtr)[:len(svcs)]
 	realTotal := 0
-	for _, svc := range pop.PopularServices() {
+	for i, svc := range svcs {
 		if err := ctx.Err(); err != nil {
-			*planPtr = plan
 			return out, err
 		}
-		c := stats.Poisson(n.rng, svc.ExpectedRequests)
-		for k := 0; k < c; k++ {
-			plan = append(plan, planEntry{permID: svc.PermID})
-		}
-		realTotal += c
+		perSvc[i] = int32(stats.Poisson(n.rng, svc.ExpectedRequests))
+		realTotal += int(perSvc[i])
 	}
+	planPtr := planPool.Get().(*[]planEntry)
+	defer planPool.Put(planPtr)
+	plan := buildPlan(planPtr, svcs, perSvc, phantomRequests(pop, realTotal))
 
 	// Phantom pool: never-published descriptor IDs, power-law weighted.
-	phantomFrac := pop.Config.PhantomRequestFraction
-	phantomTotal := 0
-	if phantomFrac > 0 {
-		phantomTotal = int(float64(realTotal) * phantomFrac / (1 - phantomFrac))
-	}
 	nPhantomIDs := pop.Config.ScaledPhantomIDs()
 	phantomPtr := grabSlice[onion.DescriptorID](&idsPool, nPhantomIDs)
 	defer idsPool.Put(phantomPtr)
@@ -702,10 +761,6 @@ func (n *Network) DriveWindow(
 		f := onion.RandomFingerprint(n.rng)
 		copy(phantomIDs[i][:], f[:])
 	}
-	for k := 0; k < phantomTotal; k++ {
-		plan = append(plan, planEntry{phantom: true})
-	}
-	*planPtr = plan // pool the (possibly grown) backing array, not the stale header
 	planSeed := n.rng.Int63()
 	end := start.Add(window)
 	n.warmGuardSets(start, end)
@@ -744,8 +799,13 @@ func (n *Network) DriveWindow(
 	defer i32Pool.Put(countsPtr)
 	counts := *countsPtr
 	shardStats := make([]TrafficStats, shards)
+	// A restricted network skips the requests that no observed directory
+	// is responsible for. That needs the per-request RNGs to be the only
+	// source of each request's draws, which holds only while no guard
+	// rotates mid-window (the same condition as the fan-out).
+	skip := n.restricted && window < minGuardLifetime
 	parallel.Chunks(shards, len(plan), func(shard, lo, hi int) {
-		var sc fetchScratch
+		sc := fetchScratch{skipUnobserved: skip}
 		rng := parallel.NewRNG(0)
 		cnt := counts[shard*nd : (shard+1)*nd]
 		st := &shardStats[shard]
@@ -822,6 +882,40 @@ func (n *Network) DriveWindow(
 		})
 	}
 	return out, nil
+}
+
+// phantomRequests is the number of phantom requests that accompany
+// realTotal real ones at the population's phantom fraction.
+func phantomRequests(pop *hspop.Population, realTotal int) int {
+	frac := pop.Config.PhantomRequestFraction
+	if frac <= 0 {
+		return 0
+	}
+	return int(float64(realTotal) * frac / (1 - frac))
+}
+
+// buildPlan lays out a window's request plan in the pooled buffer at
+// planPtr: counts[i] entries for svcs[i], in service order, then the
+// phantom entries. The buffer grows at most once, to exactly the plan's
+// length.
+func buildPlan(planPtr *[]planEntry, svcs []*hspop.Service, counts []int32, phantomTotal int) []planEntry {
+	total := phantomTotal
+	for _, c := range counts {
+		total += int(c)
+	}
+	if cap(*planPtr) < total {
+		*planPtr = make([]planEntry, 0, total)
+	}
+	plan := (*planPtr)[:0]
+	for i, svc := range svcs {
+		for k := int32(0); k < counts[i]; k++ {
+			plan = append(plan, planEntry{permID: svc.PermID})
+		}
+	}
+	for k := 0; k < phantomTotal; k++ {
+		plan = append(plan, planEntry{phantom: true})
+	}
+	return plan
 }
 
 // mergeWindowStats folds the per-shard traffic tallies of a driven

@@ -82,8 +82,13 @@ func (n *Network) Host(addr onion.Address) (*Host, bool) {
 	return h, ok
 }
 
-// OnUpload registers an observer for descriptor-upload events.
+// OnUpload registers an observer for descriptor-upload events. It panics
+// on a restricted network (Config.Observed), which publishes to observed
+// directories only and so cannot announce every upload.
 func (n *Network) OnUpload(fn func(UploadEvent)) {
+	if n.restricted {
+		panic("simnet: OnUpload on a restricted network")
+	}
 	n.uploadObservers = append(n.uploadObservers, fn)
 }
 

@@ -12,8 +12,9 @@ import (
 )
 
 // driveOnce builds a fresh network at the given worker count, drives one
-// window, and returns the stats plus the observed event stream.
-func driveOnce(t *testing.T, seed int64, workers int) (TrafficStats, []FetchEvent) {
+// window, and returns the stats, the observed event stream and the
+// network.
+func driveOnce(t *testing.T, seed int64, workers int) (TrafficStats, []FetchEvent, *Network) {
 	t.Helper()
 	fleet := relaynet.DefaultFleetConfig(seed)
 	fleet.Days = 1
@@ -48,21 +49,26 @@ func driveOnce(t *testing.T, seed int64, workers int) (TrafficStats, []FetchEven
 	stats, _ := net.DriveWindow(context.Background(), pop, now, 2*time.Hour, func(ev FetchEvent) {
 		events = append(events, ev)
 	})
-	return stats, events
+	return stats, events, net
 }
 
 // TestDriveWindowIdenticalAcrossWorkerCounts asserts the three-phase
 // drive (sequential plan, concurrent fetch, ordered replay) delivers the
-// same stats and the same observer event stream at every worker count.
+// same stats, the same observer event stream, and the same store and
+// request log at every directory, at every worker count.
 func TestDriveWindowIdenticalAcrossWorkerCounts(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
-	baseStats, baseEvents := driveOnce(t, 21, 1)
+	baseStats, baseEvents, baseNet := driveOnce(t, 21, 1)
 	if baseStats.TotalRequests == 0 {
 		t.Fatal("no traffic driven")
 	}
+	baseDirs := make([]dirState, len(baseNet.Directories()))
+	for i, d := range baseNet.Directories() {
+		baseDirs[i] = stateOf(d)
+	}
 	for _, workers := range []int{2, 3, 4, 8} {
-		stats, events := driveOnce(t, 21, workers)
+		stats, events, net := driveOnce(t, 21, workers)
 		if stats != baseStats {
 			t.Fatalf("stats differ at workers=%d: %+v vs %+v", workers, stats, baseStats)
 		}
@@ -76,6 +82,11 @@ func TestDriveWindowIdenticalAcrossWorkerCounts(t *testing.T) {
 				a.DescID != b.DescID || a.Found != b.Found || a.Attempts != b.Attempts ||
 				!a.At.Equal(b.At) {
 				t.Fatalf("event %d differs at workers=%d:\n%+v\nvs\n%+v", i, workers, a, b)
+			}
+		}
+		for i, d := range net.Directories() {
+			if diff := diffDir(baseDirs[i], stateOf(d)); diff != "" {
+				t.Fatalf("directory %d differs at workers=%d: %s", i, workers, diff)
 			}
 		}
 	}
