@@ -440,16 +440,15 @@ func BenchmarkFullStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingStudy runs the full study with the streaming
-// pipeline armed — compact request logs, the windowed consensus ring,
-// demand-sized population arenas — and holds it to a working-set
-// budget: the peak live heap sampled across the run must stay under
-// streamPeakBudget. The bytes/op and allocs/op columns (b.ReportAllocs)
-// track total allocation churn; the reported "peak-live-MB" metric is
-// the bounded-RSS number the streaming tentpole exists to pin. The
-// budget is deliberately generous (the bench-scale working set measures
-// ~tens of MB): it catches a kernel silently re-materialising the time
-// axis, not allocator noise.
+// BenchmarkStreamingStudy runs the full study — compact request logs,
+// the windowed consensus ring, chunked population arenas — and holds it
+// to a working-set budget: the peak live heap sampled across the run
+// must stay under streamPeakBudget. The bytes/op and allocs/op columns
+// (b.ReportAllocs) track total allocation churn; the reported
+// "peak-live-MB" metric is the bounded-RSS number the streamed time
+// axis exists to pin. The budget is deliberately generous (the
+// bench-scale working set measures ~tens of MB): it catches a kernel
+// silently re-materialising the time axis, not allocator noise.
 func BenchmarkStreamingStudy(b *testing.B) {
 	const streamPeakBudget = 512 << 20 // bytes of live heap
 	b.ReportAllocs()
@@ -478,9 +477,7 @@ func BenchmarkStreamingStudy(b *testing.B) {
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := benchStudyConfig(int64(i), 0)
-		cfg.Stream = true
-		study, err := experiments.NewStudy(cfg)
+		study, err := experiments.NewStudy(benchStudyConfig(int64(i), 0))
 		if err != nil {
 			b.Fatal(err)
 		}

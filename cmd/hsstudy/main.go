@@ -19,11 +19,10 @@
 // resumed output is byte-identical to an uninterrupted run. Snapshots
 // are removed when the study completes.
 //
-// Streaming: -stream folds the window-consuming kernels online through
-// a sliding ring of at most -window-ring live consensus documents
-// instead of materializing their full time axis; output bytes are
-// identical, peak live heap is bounded by the ring. The
-// paper-scale-x100 preset turns it on by default.
+// Every study streams its time axis: the tracking sweep folds consensus
+// windows through a small sliding ring re-derived from the seed, and the
+// trawl folds request logs into per-descriptor-ID counts as they arrive,
+// so peak live heap does not grow with the window count.
 //
 // Store hygiene: -gc (with -out) sweeps orphaned objects — documents no
 // longer reachable from any key or index entry — and exits.
@@ -34,7 +33,7 @@
 //	hsstudy -gc -out DIR
 //	hsstudy [-scenario NAME] [-seed N] [-experiment NAME[,NAME...]]
 //	        [-format text|json|md|csv] [-out DIR [-cache]]
-//	        [-checkpoint-every N] [-resume] [-stream] [-window-ring K]
+//	        [-checkpoint-every N] [-resume]
 //	        [-cpuprofile FILE] [-memprofile FILE] [overrides]
 //
 // Profiling: -cpuprofile captures the whole study run, -memprofile the
@@ -87,8 +86,6 @@ func run(args []string, w io.Writer) error {
 		useCache = fs.Bool("cache", false, "serve experiments already persisted in the -out store instead of executing them")
 		ckptN    = fs.Int("checkpoint-every", 0, "snapshot long-running pipelines into the -out store every N windows (0 = off)")
 		resume   = fs.Bool("resume", false, "fold pipelines forward from the latest valid checkpoint in the -out store")
-		stream   = fs.Bool("stream", false, "fold window-consuming kernels online through a bounded sliding ring (identical output, bounded peak heap)")
-		ring     = fs.Int("window-ring", 0, "max live consensus documents per streaming kernel (0 = default ring); only with -stream")
 		gcRun    = fs.Bool("gc", false, "sweep orphaned objects from the -out store, print the stats, and exit")
 
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the study to this file (inspect with go tool pprof)")
@@ -117,16 +114,9 @@ func run(args []string, w io.Writer) error {
 	}
 	cfg := experiments.ConfigFromSpec(spec, *seed)
 	cfg.Workers = *workers
-	cfg.WindowRing = *ring
 	overridden := false
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "stream":
-			// Streaming changes the working set, never the output bytes,
-			// so it is not a preset override: the run still produces (and
-			// serves) the preset's canonical result.
-			cfg.Stream = *stream
-			return
 		case "scale":
 			cfg.Scale = *scale
 		case "clients":
@@ -162,9 +152,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if (*ckptN > 0 || *resume) && *outDir == "" {
 		return errors.New("-checkpoint-every/-resume require -out DIR (the store holding the snapshots)")
-	}
-	if *ring < 0 {
-		return fmt.Errorf("-window-ring %d negative", *ring)
 	}
 	var store *resultstore.Store
 	if *outDir != "" {

@@ -168,26 +168,6 @@ func TestCLIHelpIsNotAnError(t *testing.T) {
 	}
 }
 
-// TestCLIStreamMatchesMaterialized: -stream renders the exact bytes of
-// the default materialized run (the CLI face of the streaming
-// equivalence contract), and -window-ring rejects negative sizes.
-func TestCLIStreamMatchesMaterialized(t *testing.T) {
-	var mat, streamed bytes.Buffer
-	if err := run(cliArgs(), &mat); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(cliArgs("-stream", "-window-ring", "2"), &streamed); err != nil {
-		t.Fatal(err)
-	}
-	if streamed.String() != mat.String() {
-		t.Fatalf("-stream output differs from materialized run:\n--- materialized ---\n%s\n--- streamed ---\n%s",
-			mat.String(), streamed.String())
-	}
-	if err := run(cliArgs("-stream", "-window-ring", "-1"), new(bytes.Buffer)); err == nil {
-		t.Fatal("negative -window-ring accepted")
-	}
-}
-
 // TestCLIGC: -gc sweeps orphans out of the -out store, reports the
 // stats, and requires the store flag.
 func TestCLIGC(t *testing.T) {

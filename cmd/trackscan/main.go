@@ -55,7 +55,9 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return runDemo(w, *seed, spec, *saveDir, *csvPath)
+	scCfg := tracking.DefaultScenarioConfig(*seed)
+	scCfg.Days = spec.TrackingWindow(scCfg.Days)
+	return runDemo(w, scCfg, *saveDir, *csvPath)
 }
 
 func writeCSV(path string, rep *tracking.Report) error {
@@ -73,9 +75,8 @@ func writeCSV(path string, rep *tracking.Report) error {
 	return f.Close()
 }
 
-func runDemo(w io.Writer, seed int64, spec scenario.Spec, saveDir, csvPath string) error {
-	scCfg := tracking.DefaultScenarioConfig(seed)
-	scCfg.Days = spec.TrackingWindow(scCfg.Days)
+// runDemo builds the scenario history and analyses its whole window.
+func runDemo(w io.Writer, scCfg tracking.ScenarioConfig, saveDir, csvPath string) error {
 	sc, err := tracking.BuildScenario(scCfg)
 	if err != nil {
 		return err
@@ -84,7 +85,7 @@ func runDemo(w io.Writer, seed int64, spec scenario.Spec, saveDir, csvPath strin
 	if err != nil {
 		return err
 	}
-	rep, err := an.Analyze(context.Background(), sc.History, sc.Target, sc.Start, sc.Start.Add(3650*24*time.Hour))
+	rep, err := an.Analyze(context.Background(), sc.History, sc.Target, sc.Start, sc.End)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"torhs/internal/core/tracking"
 )
 
 func TestFlagParsing(t *testing.T) {
@@ -72,5 +74,21 @@ func TestSaveAndArchiveRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(archived.String(), "Section VII: tracking detection for "+target) {
 		t.Fatalf("archive analysis missing target section:\n%s", archived.String())
+	}
+}
+
+// TestDemoAnalysesWholeLongWindow: the demo analyses every day of a
+// scenario longer than ten years, not a fixed-length prefix of it.
+func TestDemoAnalysesWholeLongWindow(t *testing.T) {
+	cfg := tracking.DefaultScenarioConfig(3)
+	cfg.Days = 3700
+	cfg.InitialRelays = 40
+	cfg.FinalRelays = 40
+	var buf bytes.Buffer
+	if err := runDemo(&buf, cfg, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if want := "(3700 consensuses,"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("output missing %q:\n%s", want, buf.String())
 	}
 }

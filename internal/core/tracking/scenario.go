@@ -71,6 +71,10 @@ type Scenario struct {
 	TakeoverRelayIDs []relay.ID
 	// Start is day 0's consensus instant.
 	Start time.Time
+	// End closes the analysis window [Start, End]: Start plus Days
+	// days, one day past the last consensus, so the window holds every
+	// document of the history.
+	End time.Time
 }
 
 // minedLead is how many days before its responsibility a tracker mines
@@ -126,6 +130,7 @@ func newScenarioRun(cfg ScenarioConfig) (*Scenario, *relaynet.Sim, relaynet.DayH
 		Target:        targetKey.PermanentID(),
 		TargetAddress: onion.AddressFromKey(targetKey),
 		Start:         fleet.Start,
+		End:           fleet.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour),
 	}
 
 	dayTime := func(day int) time.Time {

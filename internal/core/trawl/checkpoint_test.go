@@ -3,13 +3,14 @@ package trawl
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
 	"torhs/internal/fault"
 	"torhs/internal/geo"
+	"torhs/internal/hsdir"
 	"torhs/internal/hspop"
+	"torhs/internal/onion"
 	"torhs/internal/relaynet"
 	"torhs/internal/resultstore"
 )
@@ -80,36 +81,6 @@ type ctxSet struct{ set *resultstore.CheckpointSet }
 func (c ctxSet) Save(_ context.Context, w int, s any) error         { return c.set.Save(w, s) }
 func (c ctxSet) Latest(_ context.Context, s any) (int, bool, error) { return c.set.Latest(s) }
 
-// harvestsEqual compares every output-bearing field, including the
-// request log in append order.
-func harvestsEqual(t *testing.T, a, b *Harvest) {
-	t.Helper()
-	if !reflect.DeepEqual(a.Addresses, b.Addresses) {
-		t.Error("Addresses diverged")
-	}
-	if !reflect.DeepEqual(a.PermIDs, b.PermIDs) {
-		t.Error("PermIDs diverged")
-	}
-	if a.DescriptorsSeen != b.DescriptorsSeen {
-		t.Errorf("DescriptorsSeen %d != %d", a.DescriptorsSeen, b.DescriptorsSeen)
-	}
-	if !reflect.DeepEqual(a.StepCoverage, b.StepCoverage) {
-		t.Errorf("StepCoverage %v != %v", a.StepCoverage, b.StepCoverage)
-	}
-	if a.PublishedIDsSeen != b.PublishedIDsSeen || a.RequestedPublishedIDs != b.RequestedPublishedIDs {
-		t.Error("published/requested ID counts diverged")
-	}
-	if a.CollectedFraction != b.CollectedFraction {
-		t.Error("CollectedFraction diverged")
-	}
-	if !reflect.DeepEqual(a.Log.Requests(), b.Log.Requests()) {
-		t.Error("request logs diverged")
-	}
-	if !a.Start.Equal(b.Start) || !a.End.Equal(b.End) {
-		t.Error("window diverged")
-	}
-}
-
 func TestCheckpointedRunMatchesPlain(t *testing.T) {
 	ref, err := ckptRun(t, nil)
 	if err != nil {
@@ -120,7 +91,7 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	harvestsEqual(t, ref, got)
+	assertHarvestsEqual(t, ref, got)
 }
 
 func TestCrashAtStepResumesByteIdentical(t *testing.T) {
@@ -164,7 +135,46 @@ func TestCrashAtStepResumesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	harvestsEqual(t, ref, got)
+	assertHarvestsEqual(t, ref, got)
+}
+
+// rawSnapshot is a trawl checkpoint as runs wrote it before compact
+// logs: the merged log as raw request records, no compact aggregate.
+type rawSnapshot struct {
+	Step            int
+	Addresses       map[onion.Address]bool
+	DescriptorsSeen int
+	StepCoverage    []float64
+	Requests        []hsdir.Request
+}
+
+// TestResumeIgnoresRawSnapshot: a raw-form snapshot would decode into a
+// Snapshot with an empty log, so resuming must not restore it. The run
+// starts over from step 0 and matches an uninterrupted run.
+func TestResumeIgnoresRawSnapshot(t *testing.T) {
+	ref, err := ckptRun(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := testCkptSet(t)
+	var addr onion.Address
+	if err := set.Save(3, rawSnapshot{
+		Step:            3,
+		Addresses:       map[onion.Address]bool{addr: true},
+		DescriptorsSeen: 1,
+		StepCoverage:    []float64{0.5, 0.5, 0.5, 0.5},
+		Requests:        []hsdir.Request{{DescID: onion.DescriptorID{1}, Found: true}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ckptRun(t, func(c *Config) {
+		c.Checkpoint = ctxSet{set}
+		c.Resume = true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertHarvestsEqual(t, ref, got)
 }
 
 func TestCheckpointEveryNCadence(t *testing.T) {

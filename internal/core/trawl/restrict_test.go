@@ -12,59 +12,48 @@ import (
 
 // TestStepReadoutSameOnRestrictedNetwork pins the trawl's use of
 // simnet.Config.Observed: one step read out from a network restricted to
-// the attacker directories equals the read-out from a full-ring network,
-// in raw and compact log modes.
+// the attacker directories equals the read-out from a full-ring network.
 func TestStepReadoutSameOnRestrictedNetwork(t *testing.T) {
-	for _, compact := range []bool{false, true} {
-		tr, sim, pop, db, start := setupTrawl(t, 61, 1, true)
-		tr.cfg.CompactLogs = compact
-		tr.cfg.Workers = 2
-		tr.rotate(0)
-		doc := sim.Authority().Publish(start)
-		attacker := tr.attackerDirs(doc.HSDirs())
-		if len(attacker) == 0 {
-			t.Fatal("no attacker directories on the ring")
+	tr, sim, pop, db, start := setupTrawl(t, 61, 1, true)
+	tr.cfg.Workers = 2
+	tr.rotate(0)
+	doc := sim.Authority().Publish(start)
+	attacker := tr.attackerDirs(doc.HSDirs())
+	if len(attacker) == 0 {
+		t.Fatal("no attacker directories on the ring")
+	}
+	readout := func(observed []onion.Fingerprint) (*Harvest, map[onion.DescriptorID]bool, map[onion.DescriptorID]bool) {
+		net, err := simnet.NewNetwork(doc, db, tr.stepConfig(0, observed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		readout := func(observed []onion.Fingerprint) (*Harvest, map[onion.DescriptorID]bool, map[onion.DescriptorID]bool) {
-			net, err := simnet.NewNetwork(doc, db, tr.stepConfig(0, observed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			net.PublishAll(pop, start)
-			if _, err := net.DriveWindow(context.Background(), pop, start, tr.cfg.StepLen, nil); err != nil {
-				t.Fatal(err)
-			}
-			h := &Harvest{
-				Addresses: make(map[onion.Address]bool),
-				PermIDs:   make(map[onion.Address]onion.PermanentID),
-				Log:       hsdir.NewRequestLog(),
-			}
-			if compact {
-				h.Log = hsdir.NewCompactLog()
-			}
-			pub, req := make(map[onion.DescriptorID]bool), make(map[onion.DescriptorID]bool)
-			tr.mergeReadouts(h, pub, req, tr.readStep(net, attacker))
-			return h, pub, req
+		net.PublishAll(pop, start)
+		if _, err := net.DriveWindow(context.Background(), pop, start, tr.cfg.StepLen, nil); err != nil {
+			t.Fatal(err)
 		}
-		full, fullPub, fullReq := readout(nil)
-		got, pub, req := readout(attacker)
-		if full.Log.Total() == 0 || len(full.Addresses) == 0 {
-			t.Fatal("empty reference read-out")
+		h := &Harvest{
+			Addresses: make(map[onion.Address]bool),
+			PermIDs:   make(map[onion.Address]onion.PermanentID),
+			Log:       hsdir.NewCompactLog(),
 		}
-		if got.DescriptorsSeen != full.DescriptorsSeen ||
-			!reflect.DeepEqual(got.Addresses, full.Addresses) ||
-			!reflect.DeepEqual(got.PermIDs, full.PermIDs) ||
-			!reflect.DeepEqual(pub, fullPub) || !reflect.DeepEqual(req, fullReq) {
-			t.Fatalf("compact=%v: restricted read-out differs from the full-ring read-out", compact)
-		}
-		if compact {
-			gc, gt, gf := got.Log.CompactState()
-			fc, ft, ff := full.Log.CompactState()
-			if !reflect.DeepEqual(gc, fc) || gt != ft || gf != ff {
-				t.Fatalf("compact merged logs differ: total %d vs %d", gt, ft)
-			}
-		} else if !reflect.DeepEqual(got.Log.Requests(), full.Log.Requests()) {
-			t.Fatal("merged request logs differ")
-		}
+		pub, req := make(map[onion.DescriptorID]bool), make(map[onion.DescriptorID]bool)
+		tr.mergeReadouts(h, pub, req, tr.readStep(net, attacker))
+		return h, pub, req
+	}
+	full, fullPub, fullReq := readout(nil)
+	got, pub, req := readout(attacker)
+	if full.Log.Total() == 0 || len(full.Addresses) == 0 {
+		t.Fatal("empty reference read-out")
+	}
+	if got.DescriptorsSeen != full.DescriptorsSeen ||
+		!reflect.DeepEqual(got.Addresses, full.Addresses) ||
+		!reflect.DeepEqual(got.PermIDs, full.PermIDs) ||
+		!reflect.DeepEqual(pub, fullPub) || !reflect.DeepEqual(req, fullReq) {
+		t.Fatal("restricted read-out differs from the full-ring read-out")
+	}
+	gc, gt, gf := got.Log.CompactState()
+	fc, ft, ff := full.Log.CompactState()
+	if !reflect.DeepEqual(gc, fc) || gt != ft || gf != ff {
+		t.Fatalf("merged logs differ: total %d vs %d", gt, ft)
 	}
 }

@@ -51,11 +51,11 @@ type Snapshot struct {
 	PermIDs         map[onion.Address]onion.PermanentID
 	DescriptorsSeen int
 	StepCoverage    []float64
-	// Requests is the merged request log in original append order (nil
-	// for compact-log runs, whose raw records were retired on arrival).
-	Requests []hsdir.Request
+	// Compact marks the compact-log form; Run does not resume from a
+	// snapshot without it.
+	Compact bool
 	// LogCounts / LogTotal / LogFound carry the merged log's aggregate
-	// state for compact-log runs (hsdir.RequestLog.CompactState form).
+	// state (hsdir.RequestLog.CompactState form).
 	LogCounts map[onion.DescriptorID]int
 	LogTotal  int
 	LogFound  int
@@ -107,14 +107,6 @@ type Config struct {
 	// Resume restores the latest valid snapshot from Checkpoint and
 	// continues from the following step instead of starting at step 0.
 	Resume bool
-	// CompactLogs runs the streaming pipeline's per-window log
-	// retirement: every per-step directory log and the merged harvest
-	// log fold requests into per-descriptor-ID counts on arrival instead
-	// of retaining raw records, bounding log memory by distinct IDs
-	// rather than request volume. All aggregate harvest outputs (and the
-	// rendered experiments) are byte-identical; only Harvest.Log's raw
-	// Requests() reads become nil.
-	CompactLogs bool
 }
 
 // DefaultConfig mirrors the paper's deployment at simulation scale.
@@ -141,7 +133,9 @@ type Harvest struct {
 	// multiplicity).
 	DescriptorsSeen int
 	// Log merges the request logs of all attacker directories across all
-	// steps (empty unless DriveTraffic).
+	// steps (empty unless DriveTraffic). It is a compact log: requests
+	// fold into per-descriptor-ID counts, so its size is bounded by the
+	// distinct IDs rather than the request volume.
 	Log *hsdir.RequestLog
 	// StepCoverage is, per step, the fraction of the consensus HSDir
 	// ring positions held by attacker relays.
@@ -270,12 +264,9 @@ func (t *Trawler) Run(
 	h := &Harvest{
 		Addresses: make(map[onion.Address]bool),
 		PermIDs:   make(map[onion.Address]onion.PermanentID),
-		Log:       hsdir.NewRequestLog(),
+		Log:       hsdir.NewCompactLog(),
 		Start:     attackStart,
 		End:       attackStart.Add(time.Duration(t.cfg.Steps) * t.cfg.StepLen),
-	}
-	if t.cfg.CompactLogs {
-		h.Log = hsdir.NewCompactLog()
 	}
 
 	published := pop.WithDescriptor()
@@ -288,7 +279,10 @@ func (t *Trawler) Run(
 		if err != nil {
 			return nil, fmt.Errorf("trawl: resume: %w", err)
 		}
-		if ok {
+		// A snapshot without the compact aggregate predates compact
+		// logs; restoring it would leave the log empty, so the run
+		// starts over from step 0 instead.
+		if ok && snap.Compact {
 			if snap.Step != w {
 				return nil, fmt.Errorf("trawl: resume: snapshot step %d under window %d", snap.Step, w)
 			}
@@ -307,15 +301,7 @@ func (t *Trawler) Run(
 			if snap.RequestedPublished != nil {
 				requestedPublished = snap.RequestedPublished
 			}
-			if snap.LogCounts != nil {
-				// Compact snapshot: the aggregate log state restores
-				// exactly (raw records were retired before the save).
-				h.Log.RestoreCompact(snap.LogCounts, snap.LogTotal, snap.LogFound)
-			} else {
-				// Requests restore in original append order, so every
-				// order-dependent downstream read is unchanged.
-				h.Log.RecordBatch(snap.Requests)
-			}
+			h.Log.RestoreCompact(snap.LogCounts, snap.LogTotal, snap.LogFound)
 		}
 	}
 	ckptEvery := t.cfg.CheckpointEvery
@@ -334,14 +320,11 @@ func (t *Trawler) Run(
 			PermIDs:            h.PermIDs,
 			DescriptorsSeen:    h.DescriptorsSeen,
 			StepCoverage:       h.StepCoverage,
+			Compact:            true,
 			PublishedIDs:       publishedIDs,
 			RequestedPublished: requestedPublished,
 		}
-		if h.Log.Compacted() {
-			snap.LogCounts, snap.LogTotal, snap.LogFound = h.Log.CompactState()
-		} else {
-			snap.Requests = h.Log.Requests()
-		}
+		snap.LogCounts, snap.LogTotal, snap.LogFound = h.Log.CompactState()
 		return snap
 	}
 	flush := func(step int) error {
@@ -383,6 +366,14 @@ func (t *Trawler) Run(
 		net, err := simnet.NewNetwork(doc, db, t.stepConfig(step, attacker))
 		if err != nil {
 			return nil, fmt.Errorf("trawl: step %d: %w", step, err)
+		}
+		// The read-out only needs per-descriptor-ID counts, so the
+		// directory logs fold requests into counts on arrival instead
+		// of retaining them.
+		for _, fp := range attacker {
+			if dir, ok := net.Directory(fp); ok {
+				dir.Log().Compact()
+			}
 		}
 		net.PublishAll(pop, now)
 
@@ -439,7 +430,6 @@ func (t *Trawler) stepConfig(step int, observed []onion.Fingerprint) simnet.Conf
 	cfg.Seed = cfg.Seed*1000003 + int64(step) // fresh but deterministic per step
 	cfg.Workers = t.cfg.Workers
 	cfg.SecretTable = t.cfg.SecretTable
-	cfg.CompactLogs = t.cfg.CompactLogs
 	cfg.Observed = observed
 	return cfg
 }
@@ -542,7 +532,7 @@ func (h *Harvest) RequestedPublishedFraction() float64 {
 // the intermediate artefact the experiments layer spills to the result
 // store so re-runs and sweeps sharing a harvest stage are cache hits.
 // Round-tripping through it reconstructs every aggregate the downstream
-// pipelines read; raw request records survive only for raw-mode logs.
+// pipelines read.
 type HarvestState struct {
 	Addresses             map[onion.Address]bool
 	PermIDs               map[onion.Address]onion.PermanentID
@@ -552,10 +542,12 @@ type HarvestState struct {
 	RequestedPublishedIDs int
 	CollectedFraction     float64
 	Start, End            time.Time
-	// Requests is the raw merged log (raw mode); Compact runs carry the
-	// aggregate state instead.
-	Requests  []hsdir.Request
-	Compact   bool
+	// Compact marks the compact-log form. A state without it predates
+	// compact logs: it carried raw request records, which this type no
+	// longer decodes, so HarvestFromState refuses it.
+	Compact bool
+	// LogCounts / LogTotal / LogFound carry the merged log's aggregate
+	// state (hsdir.RequestLog.CompactState form).
 	LogCounts map[onion.DescriptorID]int
 	LogTotal  int
 	LogFound  int
@@ -573,21 +565,20 @@ func (h *Harvest) State() *HarvestState {
 		CollectedFraction:     h.CollectedFraction,
 		Start:                 h.Start,
 		End:                   h.End,
+		Compact:               true,
 	}
-	if h.Log != nil {
-		if h.Log.Compacted() {
-			st.Compact = true
-			st.LogCounts, st.LogTotal, st.LogFound = h.Log.CompactState()
-		} else {
-			st.Requests = h.Log.Requests()
-		}
-	}
+	st.LogCounts, st.LogTotal, st.LogFound = h.Log.CompactState()
 	return st
 }
 
 // HarvestFromState reconstructs a Harvest from its serializable form.
-func HarvestFromState(st *HarvestState) *Harvest {
-	h := &Harvest{
+// ok is false for a state without the compact log aggregate, which
+// callers treat as absent.
+func HarvestFromState(st *HarvestState) (h *Harvest, ok bool) {
+	if !st.Compact {
+		return nil, false
+	}
+	h = &Harvest{
 		Addresses:             st.Addresses,
 		PermIDs:               st.PermIDs,
 		DescriptorsSeen:       st.DescriptorsSeen,
@@ -597,7 +588,7 @@ func HarvestFromState(st *HarvestState) *Harvest {
 		CollectedFraction:     st.CollectedFraction,
 		Start:                 st.Start,
 		End:                   st.End,
-		Log:                   hsdir.NewRequestLog(),
+		Log:                   hsdir.NewCompactLog(),
 	}
 	if h.Addresses == nil {
 		h.Addresses = make(map[onion.Address]bool)
@@ -605,10 +596,6 @@ func HarvestFromState(st *HarvestState) *Harvest {
 	if h.PermIDs == nil {
 		h.PermIDs = make(map[onion.Address]onion.PermanentID)
 	}
-	if st.Compact {
-		h.Log.RestoreCompact(st.LogCounts, st.LogTotal, st.LogFound)
-	} else {
-		h.Log.RecordBatch(st.Requests)
-	}
-	return h
+	h.Log.RestoreCompact(st.LogCounts, st.LogTotal, st.LogFound)
+	return h, true
 }

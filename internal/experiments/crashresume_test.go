@@ -30,7 +30,6 @@ const (
 	crashSelectEnv  = "TORHS_CRASH_SELECT"  // experiment selector
 	crashWorkersEnv = "TORHS_CRASH_WORKERS" // worker count
 	crashResumeEnv  = "TORHS_CRASH_RESUME"  // "1": resume from checkpoints
-	crashStreamEnv  = "TORHS_CRASH_STREAM"  // "1": run the streaming pipeline
 )
 
 // crashConfig is the tiny study the matrix runs: big enough that every
@@ -61,9 +60,7 @@ func TestCrashResumeChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := crashConfig(workers)
-	cfg.Stream = os.Getenv(crashStreamEnv) == "1"
-	env, err := NewEnv(cfg)
+	env, err := NewEnv(crashConfig(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,9 +92,8 @@ func parseNames(s string) []string {
 }
 
 // runChild re-execs the test binary into TestCrashResumeChild and
-// returns its exit code and combined output. extraEnv entries (KEY=V)
-// are appended to the child environment.
-func runChild(t *testing.T, dir, selector string, workers int, faultSpec string, resume bool, extraEnv ...string) (int, string) {
+// returns its exit code and combined output.
+func runChild(t *testing.T, dir, selector string, workers int, faultSpec string, resume bool) (int, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^TestCrashResumeChild$", "-test.count=1")
 	// Pin the child's GOMAXPROCS (dropping any inherited value — the
@@ -121,7 +117,6 @@ func runChild(t *testing.T, dir, selector string, workers int, faultSpec string,
 	if faultSpec != "" {
 		cmd.Env = append(cmd.Env, fault.EnvVar+"="+faultSpec)
 	}
-	cmd.Env = append(cmd.Env, extraEnv...)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
 		return 0, string(out)

@@ -2,20 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"runtime"
 	"testing"
+
+	"torhs/internal/scenario"
 )
 
-// renderAll runs a full study at the given worker count and returns the
-// rendered output.
-func renderAll(t *testing.T, seed int64, workers int) string {
+// renderSmoke runs the golden smoke study (the smoke preset at seed 42)
+// at the given worker count and returns the rendered output.
+func renderSmoke(t *testing.T, workers int) []byte {
 	t.Helper()
-	cfg := DefaultConfig(seed)
-	cfg.Scale = 0.02
-	cfg.Clients = 250
-	cfg.TrawlIPs = 12
-	cfg.TrawlSteps = 3
-	cfg.Relays = 300
+	cfg := ConfigFromSpec(scenario.MustLookup(scenario.Smoke), 42)
 	cfg.Workers = workers
 	s, err := NewStudy(cfg)
 	if err != nil {
@@ -25,12 +23,13 @@ func renderAll(t *testing.T, seed int64, workers int) string {
 	if err := s.RunAll(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
+	return buf.Bytes()
 }
 
 // TestRunAllDeterministicAcrossWorkers is the hard invariant of the
 // concurrent scheduler: the same seed must produce byte-identical
-// rendered output at any worker count. Run under -race this also
+// rendered output at any worker count, and that output is the committed
+// golden render (TestGoldenSmokeStudy). Run under -race this also
 // exercises every concurrent path in the pipeline.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	// Pin GOMAXPROCS so the Effective clamp cannot collapse the matrix
@@ -39,18 +38,14 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 
-	serial := renderAll(t, 7, 1)
-	if len(serial) == 0 {
-		t.Fatal("RunAll rendered nothing")
+	want, err := os.ReadFile(goldenSmokePath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		if out := renderAll(t, 7, workers); out != serial {
-			t.Fatalf("RunAll output differs between Workers=1 and Workers=%d:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
-				workers, serial, workers, out)
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		if got := renderSmoke(t, workers); !bytes.Equal(got, want) {
+			t.Fatalf("RunAll output at Workers=%d differs from %s (%d vs %d bytes):\n%s",
+				workers, goldenSmokePath, len(got), len(want), got)
 		}
-	}
-	// And re-running at the same worker count must be stable too.
-	if again := renderAll(t, 7, 8); again != serial {
-		t.Fatal("RunAll output not stable across repeated Workers=8 runs")
 	}
 }

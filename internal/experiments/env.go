@@ -85,12 +85,6 @@ type Env struct {
 	intSets  map[string]*resultstore.IntermediateSet
 }
 
-// streamDemandHint is the arena-demand hint streaming runs pass to the
-// population generator: allocation grows in blocks of this many services
-// instead of one full-population block, so a pipeline that only touches
-// a prefix of the landscape never pays for the whole arena up front.
-const streamDemandHint = 4096
-
 // NewEnv validates the configuration and returns an empty environment.
 // No substrate is built yet; experiments (or the accessors below) pull
 // what they need on demand.
@@ -127,13 +121,6 @@ func (e *Env) Population(ctx context.Context) (*hspop.Population, error) {
 		popCfg := hspop.PaperConfig(e.cfg.Seed)
 		popCfg.Scale = e.cfg.Scale
 		popCfg.Workers = e.cfg.Workers
-		if e.cfg.Stream {
-			// The streaming pipeline consumes the population in bounded
-			// working sets; grow the generator's arenas in demand-sized
-			// chunks instead of one full-population block. Allocation
-			// shape only — the population bytes are hint-independent.
-			popCfg.DemandHint = streamDemandHint
-		}
 		if e.cfg.BotFactor > 0 {
 			popCfg.SkynetBots = int(float64(popCfg.SkynetBots) * e.cfg.BotFactor)
 		}

@@ -11,6 +11,9 @@ import (
 	"torhs/internal/scenario"
 )
 
+// goldenSmokePath is the committed smoke-study render.
+var goldenSmokePath = filepath.Join("testdata", "golden_smoke_study.txt")
+
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_smoke_study.txt from the current pipeline")
 
 // TestGoldenSmokeStudy pins the full smoke-scenario study render to a
@@ -33,15 +36,14 @@ func TestGoldenSmokeStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join("testdata", "golden_smoke_study.txt")
 	if *updateGolden {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(goldenSmokePath, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("golden file rewritten (%d bytes) — remember to bump OutputVersion", buf.Len())
 		return
 	}
-	want, err := os.ReadFile(path)
+	want, err := os.ReadFile(goldenSmokePath)
 	if err != nil {
 		t.Fatal(err)
 	}

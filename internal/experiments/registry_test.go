@@ -11,7 +11,7 @@ import (
 )
 
 // subsetConfig is the shared small-but-complete study configuration the
-// registry tests run at (same sizes as the RunAll determinism test).
+// registry tests run at.
 func subsetConfig(seed int64, workers int) Config {
 	cfg := DefaultConfig(seed)
 	cfg.Scale = 0.02

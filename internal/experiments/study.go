@@ -64,22 +64,6 @@ type Config struct {
 	// (below-top rows still appear when labelled). 0 means
 	// DefaultPopularityTopN, the paper's 30.
 	PopularityTopN int
-	// Stream folds the window-consuming kernels online instead of
-	// materializing their full time axis: the tracking sweep consumes
-	// consensus windows through a sliding ring re-derived from seed, the
-	// trawl retires per-directory request logs into compact count
-	// summaries after each fold, and the population generator allocates
-	// in demand-sized arena chunks. Peak live heap becomes a function of
-	// the ring size rather than the window count.
-	//
-	//torhs:nocachekey streamed and materialized runs render byte-identical output (pinned by the streaming equivalence tests), so they deliberately share cache entries
-	Stream bool
-	// WindowRing bounds the streaming pipeline's sliding window ring: at
-	// most this many consensus documents stay live per kernel (<= 0 means
-	// tracking.DefaultWindowRing). Only consulted when Stream is set.
-	//
-	//torhs:nocachekey the ring size changes the working set, never the output bytes
-	WindowRing int
 }
 
 // DefaultPopularityTopN is the paper's Table II head size.
@@ -122,7 +106,6 @@ func ConfigFromSpec(sp scenario.Spec, seed int64) Config {
 		BotFactor:      sp.BotFactor,
 		TrackingDays:   sp.TrackingDays,
 		PopularityTopN: sp.PopularityTopN,
-		Stream:         sp.Stream,
 	}
 }
 
@@ -250,7 +233,11 @@ func (e *Env) runTrawl(ctx context.Context, seedOffset int64, driveTraffic bool)
 			return nil, err
 		}
 		if ok {
-			return trawl.HarvestFromState(&st), nil
+			// A state from before compact logs does not restore; the
+			// trawl re-runs and its spill replaces it.
+			if h, ok := trawl.HarvestFromState(&st); ok {
+				return h, nil
+			}
 		}
 	}
 	sim, err := e.RelaySim(seedOffset)
@@ -270,7 +257,6 @@ func (e *Env) runTrawl(ctx context.Context, seedOffset int64, driveTraffic bool)
 	tCfg.Steps = e.cfg.TrawlSteps
 	tCfg.Workers = e.cfg.Workers
 	tCfg.SecretTable = e.studySecretTable()
-	tCfg.CompactLogs = e.cfg.Stream
 	if driveTraffic {
 		tCfg.ClientConfig.Clients = e.cfg.Clients
 	} else {
@@ -597,31 +583,17 @@ func (e *Env) runTracking(ctx context.Context) (*TrackingResult, error) {
 	if rck != nil {
 		ck = rck
 	}
-	if e.cfg.Stream {
-		// Streaming path: the sweep pulls consensus windows through a
-		// sliding ring re-derived from seed — the scenario's History is
-		// never materialized, so peak live heap is bounded by the ring.
-		sc, src, err := tracking.NewScenarioSource(scCfg, e.cfg.WindowRing)
-		if err != nil {
-			return nil, err
-		}
-		end := sc.Start.Add(time.Duration(scCfg.Days) * 24 * time.Hour)
-		an.SetSecretTable(e.SecretTable(sc.Start, end))
-		rep, err := an.AnalyzeSource(ctx, src, sc.Target, ck, every, resume)
-		if err != nil {
-			return nil, err
-		}
-		return &TrackingResult{Scenario: sc, Report: rep}, nil
-	}
-	sc, err := tracking.BuildScenario(scCfg)
+	// The sweep pulls consensus windows through a sliding ring re-derived
+	// from seed: the scenario's History is never materialized, so peak
+	// live heap is bounded by the ring rather than the window length.
+	sc, src, err := tracking.NewScenarioSource(scCfg, 0)
 	if err != nil {
 		return nil, err
 	}
 	// The tracking window is disjoint from the traffic experiments', so
 	// it gets its own memoized table rather than the study-wide one.
-	end := sc.Start.Add(time.Duration(scCfg.Days) * 24 * time.Hour)
-	an.SetSecretTable(e.SecretTable(sc.Start, end))
-	rep, err := an.AnalyzeCheckpointed(ctx, sc.History, sc.Target, sc.Start, end, ck, every, resume)
+	an.SetSecretTable(e.SecretTable(sc.Start, sc.End))
+	rep, err := an.AnalyzeSource(ctx, src, sc.Target, ck, every, resume)
 	if err != nil {
 		return nil, err
 	}

@@ -132,8 +132,8 @@ func TestPublishedAndRequestedStatistics(t *testing.T) {
 }
 
 func TestRequestLogCountsAndMerge(t *testing.T) {
-	a := NewRequestLog()
-	b := NewRequestLog()
+	a := NewCompactLog()
+	b := NewCompactLog()
 	var id1, id2 onion.DescriptorID
 	id1[0], id2[0] = 1, 2
 
@@ -141,7 +141,7 @@ func TestRequestLogCountsAndMerge(t *testing.T) {
 	a.Record(Request{At: at(0), DescID: id1})
 	b.Record(Request{At: at(1), DescID: id2})
 
-	a.Merge(b)
+	a.MergeAll([]*RequestLog{b})
 	if a.Total() != 3 {
 		t.Fatalf("merged total = %d, want 3", a.Total())
 	}

@@ -18,8 +18,8 @@ type Request struct {
 }
 
 // RequestLog accumulates descriptor fetches. It is safe for concurrent
-// use and supports merging, since the trawling attack aggregates logs from
-// many attacker-operated directories.
+// use and supports merging into a compact log, since the trawling attack
+// aggregates logs from many attacker-operated directories.
 //
 // Recording is append-only: the per-descriptor-ID count map is built
 // lazily on the first aggregate query and maintained incrementally from
@@ -258,102 +258,36 @@ func (l *RequestLog) RestoreCompact(counts map[onion.DescriptorID]int, total, fo
 	}
 }
 
-// MergeAll folds every log in others into l in slice order, with one
-// snapshot pass over the sources and a single bulk append under l's
-// lock. This is the one-merge-per-step path of the trawl read-out: the
-// per-shard directory logs land in shard-then-directory order, and the
-// lazy per-ID map is invalidated once instead of once per source. The
-// source logs are left unchanged.
-//
-// Compact sources fold commutatively — per-ID count sums — which is
-// order-insensitive by construction, so merging compact logs preserves
-// the shard-merge determinism contract. If l or any source is compact,
-// l ends up compact (raw records cannot be reconstructed from counts).
+// MergeAll folds the per-descriptor-ID counts, totals and found tallies
+// of every log in others into l and leaves l compact (raw records cannot
+// be reconstructed from counts). This is the one-merge-per-step path of
+// the trawl read-out: each source is read under its own lock only, then
+// l is updated under its lock only, so the two locks are never held
+// together and there is no lock order to deadlock on. Count sums are
+// order-insensitive, so the merge preserves the shard-merge determinism
+// contract. Nil sources and l itself are skipped; the sources are left
+// unchanged.
 func (l *RequestLog) MergeAll(others []*RequestLog) {
-	need := 0
-	anyCompact := false
-	for _, o := range others {
-		if o != nil && o != l {
-			need += o.Total()
-			if o.Compacted() {
-				anyCompact = true
-			}
-		}
-	}
-	if need == 0 {
-		return
-	}
-	// Snapshot every source under its own lock only, then append under
-	// l's lock only — the two locks are never held together (same
-	// no-ordering-to-deadlock-on discipline as Merge).
-	var scratch []Request
-	var counts map[onion.DescriptorID]int
-	if anyCompact {
-		counts = make(map[onion.DescriptorID]int)
-	} else {
-		scratch = make([]Request, 0, need)
-	}
+	counts := make(map[onion.DescriptorID]int)
 	total, found := 0, 0
 	for _, o := range others {
 		if o == nil || o == l {
 			continue
 		}
 		o.mu.Lock()
-		if anyCompact {
-			for id, n := range o.countsLocked() {
-				counts[id] += n
-			}
-			total += o.totalLocked()
-		} else {
-			scratch = append(scratch, o.requests...)
+		for id, n := range o.countsLocked() {
+			counts[id] += n
 		}
+		total += o.totalLocked()
 		found += o.found
 		o.mu.Unlock()
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if anyCompact || l.compact {
-		l.compactLocked()
-		for id, n := range counts {
-			l.perID[id] += n
-		}
-		for i := range scratch {
-			l.perID[scratch[i].DescID]++
-		}
-		l.total += total + len(scratch)
-		l.found += found
-		return
+	l.compactLocked()
+	for id, n := range counts {
+		l.perID[id] += n
 	}
-	l.requests = append(l.requests, scratch...)
+	l.total += total
 	l.found += found
-	l.perID = nil // cheaper to rebuild once than to fold map into map
-}
-
-// Merge folds other's requests into l with one bulk append, taking each
-// log's lock exactly once. The other log is left unchanged. Compact
-// sources (or a compact destination) fold per-ID counts instead, leaving
-// l compact — see MergeAll.
-func (l *RequestLog) Merge(other *RequestLog) {
-	if other == nil || other == l {
-		return
-	}
-	if other.Compacted() || l.Compacted() {
-		l.MergeAll([]*RequestLog{other})
-		return
-	}
-	// Snapshot under other's lock only, so the two locks are never held
-	// together (no ordering to deadlock on). The per-ID counts need no
-	// copying: the destination rebuilds its lazy map from the merged
-	// request list on the next aggregate query.
-	other.mu.Lock()
-	requests := make([]Request, len(other.requests))
-	copy(requests, other.requests)
-	found := other.found
-	other.mu.Unlock()
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.requests = append(l.requests, requests...)
-	l.found += found
-	l.perID = nil // cheaper to rebuild once than to fold map into map
 }

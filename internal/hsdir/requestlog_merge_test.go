@@ -14,18 +14,18 @@ func idWithByte(b byte) onion.DescriptorID {
 	return id
 }
 
-// TestMergeBulkSemantics checks the single-lock bulk merge preserves the
-// per-record semantics: totals, per-ID counts, and the found tally.
+// TestMergeBulkSemantics checks the bulk merge preserves the per-record
+// semantics: totals, per-ID counts, and the found tally.
 func TestMergeBulkSemantics(t *testing.T) {
 	at := time.Date(2013, 2, 4, 0, 0, 0, 0, time.UTC)
-	src := NewRequestLog()
+	src := NewCompactLog()
 	for i := 0; i < 10; i++ {
 		src.Record(Request{At: at, DescID: idWithByte(byte(i % 3)), Found: i%2 == 0})
 	}
-	dst := NewRequestLog()
+	dst := NewCompactLog()
 	dst.Record(Request{At: at, DescID: idWithByte(0), Found: true})
 
-	dst.Merge(src)
+	dst.MergeAll([]*RequestLog{src})
 	if got := dst.Total(); got != 11 {
 		t.Fatalf("Total = %d, want 11", got)
 	}
@@ -48,10 +48,9 @@ func TestMergeBulkSemantics(t *testing.T) {
 
 // TestMergeSelfAndNilNoop guards the degenerate inputs.
 func TestMergeSelfAndNilNoop(t *testing.T) {
-	l := NewRequestLog()
+	l := NewCompactLog()
 	l.Record(Request{DescID: idWithByte(1), Found: true})
-	l.Merge(nil)
-	l.Merge(l)
+	l.MergeAll([]*RequestLog{nil, l})
 	if l.Total() != 1 || l.UniqueIDs() != 1 {
 		t.Fatalf("self/nil merge corrupted log: total=%d unique=%d", l.Total(), l.UniqueIDs())
 	}
@@ -63,17 +62,17 @@ func TestMergeSelfAndNilNoop(t *testing.T) {
 func TestMergeConcurrent(t *testing.T) {
 	const sources = 8
 	const perSource = 200
-	dst := NewRequestLog()
+	dst := NewCompactLog()
 	var wg sync.WaitGroup
 	for s := 0; s < sources; s++ {
-		src := NewRequestLog()
+		src := NewCompactLog()
 		for i := 0; i < perSource; i++ {
 			src.Record(Request{DescID: idWithByte(byte(s)), Found: true})
 		}
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			dst.Merge(src)
+			dst.MergeAll([]*RequestLog{src})
 		}()
 		go func(s int) {
 			defer wg.Done()

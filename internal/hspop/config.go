@@ -109,14 +109,6 @@ type Config struct {
 	// (<= 0 means one per CPU). The derivation draws no randomness, so
 	// the generated population is identical at every worker count.
 	Workers int
-
-	// DemandHint, when positive, is the consumer's expected working-set
-	// size in services (the streaming pipeline's per-window demand). It
-	// only sizes the generator's arena chunks — allocation then grows in
-	// demand-sized blocks instead of one full-population block — and
-	// never changes what is generated: the population is byte-identical
-	// with any hint.
-	DemandHint int
 }
 
 // PaperConfig returns the full-scale configuration calibrated to the

@@ -57,16 +57,12 @@ func Generate(ctx context.Context, cfg Config) (*Population, error) {
 			byAddr:   make(map[onion.Address]*Service, estimate),
 		},
 	}
-	// Arena chunks are demand-sized: a streaming consumer that only
-	// touches a prefix of the population should not force one
+	// Arena chunks hold at most arenaChunk services, so a consumer that
+	// only touches a prefix of the population never forces one
 	// full-population block allocation up front. Chunks are allocated on
 	// use, so the unconsumed tail costs nothing beyond its own blocks.
-	chunk := estimate
-	if cfg.DemandHint > 0 && cfg.DemandHint < chunk {
-		chunk = cfg.DemandHint
-	}
-	g.svcArena.chunk = chunk
-	g.pageArena.chunk = chunk
+	g.svcArena.chunk = min(estimate, arenaChunk)
+	g.pageArena.chunk = g.svcArena.chunk
 	g.miscPorts = g.pickMiscPorts()
 	// Phase order matters: the head must resolve addresses (first
 	// deriveIdentities) before the clones can mine the Silk Road vanity
@@ -112,10 +108,13 @@ func estimatedServices(cfg Config) int {
 	return n
 }
 
+// arenaChunk caps an arena chunk, in services.
+const arenaChunk = 4096
+
 // arena hands out pointers into pre-sized chunks so the generator
-// performs one bulk allocation per ~population instead of one per
-// service. Chunks are never reallocated once handed out, so every
-// pointer stays valid even if the population outgrows the estimate.
+// performs one bulk allocation per chunk instead of one per service.
+// Chunks are never reallocated once handed out, so every pointer stays
+// valid even if the population outgrows the estimate.
 type arena[T any] struct {
 	chunk int
 	buf   []T

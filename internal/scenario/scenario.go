@@ -32,9 +32,8 @@ const (
 	BotnetHeavy = "botnet-heavy"
 	// PaperScaleX100 stretches the paper's measurement a hundredfold
 	// along the time axis — 100x the trawl rotation steps and a
-	// 100x-longer tracking window — and runs the streaming pipeline so
-	// peak live heap stays bounded by the sliding window ring rather
-	// than growing with the axis.
+	// 100x-longer tracking window. Every study streams its time axis, so
+	// peak live heap stays bounded rather than growing with the axis.
 	PaperScaleX100 = "paper-scale-x100"
 )
 
@@ -67,11 +66,6 @@ type Spec struct {
 	// (below-top rows still appear when labelled). 0 = the experiment
 	// default (the paper's 30).
 	PopularityTopN int
-	// Stream runs the window-consuming kernels as a streaming pipeline
-	// with a bounded sliding ring instead of materializing their full
-	// time axis. Output bytes are identical either way; only the peak
-	// working set changes.
-	Stream bool
 }
 
 // TrackingWindow returns the Section VII history length in days: the
@@ -154,7 +148,7 @@ func Presets() []Spec {
 		},
 		{
 			Name:           PaperScaleX100,
-			Description:    "paper landscape stretched 100x along the time axis; streaming pipeline, bounded RSS",
+			Description:    "paper landscape stretched 100x along the time axis (1,200 trawl steps, 12,000 tracking days)",
 			Scale:          1.0,
 			Clients:        4000,
 			TrawlIPs:       58,
@@ -162,7 +156,6 @@ func Presets() []Spec {
 			Relays:         1400,
 			TrackingDays:   12000,
 			PopularityTopN: 30,
-			Stream:         true,
 		},
 		{
 			Name:           BotnetHeavy,
