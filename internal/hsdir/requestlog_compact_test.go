@@ -118,6 +118,55 @@ func TestCompactStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMergeMixedCompactAndRaw: raw directory logs and compact logs fold
+// together through the per-ID counts, leaving a raw destination compact
+// with the aggregates of one log that recorded every request.
+func TestMergeMixedCompactAndRaw(t *testing.T) {
+	reqs := compactTestRequests(4, 3000, 50)
+	ref := NewRequestLog()
+	ref.RecordBatch(reqs)
+
+	rawSrc := NewRequestLog()
+	rawSrc.RecordBatch(reqs[:1000])
+	compactSrc := NewCompactLog()
+	compactSrc.RecordBatch(reqs[1000:2000])
+	dst := NewRequestLog()
+	dst.RecordBatch(reqs[2000:])
+
+	dst.MergeAll([]*RequestLog{rawSrc, compactSrc})
+	if !dst.Compacted() {
+		t.Fatal("merge left the destination raw")
+	}
+	assertSameAggregates(t, ref, dst)
+}
+
+// TestMergeAllRawLogsCompactsDestination: even when every operand is
+// raw, MergeAll folds counts and leaves the destination compact, while
+// the raw sources keep their request records.
+func TestMergeAllRawLogsCompactsDestination(t *testing.T) {
+	reqs := compactTestRequests(3, 2000, 40)
+	ref := NewRequestLog()
+	ref.RecordBatch(reqs)
+
+	a, b := NewRequestLog(), NewRequestLog()
+	a.RecordBatch(reqs[:700])
+	b.RecordBatch(reqs[700:1500])
+	dst := NewRequestLog()
+	dst.RecordBatch(reqs[1500:])
+
+	dst.MergeAll([]*RequestLog{a, b})
+	if !dst.Compacted() {
+		t.Fatal("merge of raw logs left the destination raw")
+	}
+	assertSameAggregates(t, ref, dst)
+	if a.Compacted() || b.Compacted() {
+		t.Fatal("merge compacted its sources")
+	}
+	if len(a.Requests()) != 700 || len(b.Requests()) != 800 {
+		t.Fatalf("merge mutated its sources: %d, %d records", len(a.Requests()), len(b.Requests()))
+	}
+}
+
 // TestMergeAllCompactLogs is the trawl read-out's merge: compact
 // per-directory logs folded into a compact harvest log agree with one
 // raw log that recorded every request.

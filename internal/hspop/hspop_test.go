@@ -378,3 +378,31 @@ func TestMiscPortsAreUncommonAndBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaChunksCappedAndPointersStable: the arena allocates in blocks
+// of at most arenaChunk items and never moves an item it handed out, so
+// a population spanning several chunks keeps every pointer valid.
+func TestArenaChunksCappedAndPointersStable(t *testing.T) {
+	// Sized as Generate sizes it for a population three chunks large.
+	a := arena[int]{chunk: min(3*arenaChunk, arenaChunk)}
+	const n = 2*arenaChunk + 7
+	ptrs := make([]*int, n)
+	for i := range ptrs {
+		ptrs[i] = a.take()
+		*ptrs[i] = i
+		if c := cap(a.buf); c > arenaChunk {
+			t.Fatalf("chunk of %d items exceeds the %d cap", c, arenaChunk)
+		}
+		if first := i - (len(a.buf) - 1); &a.buf[0] != ptrs[first] {
+			t.Fatalf("chunk holding item %d moved when item %d was taken", first, i)
+		}
+	}
+	for i, p := range ptrs {
+		if *p != i {
+			t.Fatalf("item %d reads %d after later takes", i, *p)
+		}
+	}
+	if len(a.buf) != n%arenaChunk {
+		t.Fatalf("last chunk holds %d items, want %d", len(a.buf), n%arenaChunk)
+	}
+}
