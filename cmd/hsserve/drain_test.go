@@ -46,9 +46,6 @@ func TestHSServeDrainChild(t *testing.T) {
 		"-store", os.Getenv(serveStoreEnv),
 		"-addr", "127.0.0.1:0",
 		"-grace", "60s",
-		// The studies stop within a millisecond of the signal; hold the
-		// listener long enough for the parent's poller to see the 503.
-		"-drain-delay", "1s",
 	}, os.Stdout)
 	if err != nil {
 		t.Fatalf("child hsserve: %v", err)

@@ -26,9 +26,9 @@
 // jobs, cancels in-flight studies — which flush their window
 // checkpoints, so re-POSTing the same study after restart resumes
 // byte-identically — drains within a bounded grace period, and exits.
-// -drain-delay keeps the listener answering (with /readyz at 503) for
-// at least that long after the drain begins, so readiness probes see
-// the flip even when the in-flight studies stop at once.
+// The listener keeps answering, with /readyz at 503, for at least the
+// one second that /readyz advertises in Retry-After, so readiness
+// probes see the flip even when the in-flight studies stop at once.
 //
 // A pruned or corrupt object behind a live index entry degrades to 503
 // with Retry-After (the bad entry is quarantined, so the next request
@@ -36,7 +36,7 @@
 //
 // Usage:
 //
-//	hsserve -store DIR [-addr :8343] [-queue 8] [-job-timeout 10m] [-grace 20s] [-drain-delay 0s]
+//	hsserve -store DIR [-addr :8343] [-queue 8] [-job-timeout 10m] [-grace 20s]
 package main
 
 import (
@@ -49,6 +49,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -56,6 +57,11 @@ import (
 	"torhs/internal/jobs"
 	"torhs/internal/resultstore"
 )
+
+// drainHold is the least time the listener keeps answering after a
+// drain begins: the Retry-After that a draining /readyz advertises, so
+// a probe that honours it sees the 503 at least once.
+const drainHold = time.Second
 
 func main() { cli.Main("hsserve", run) }
 
@@ -67,16 +73,12 @@ func run(args []string, w io.Writer) error {
 		queue      = fs.Int("queue", 8, "study job queue depth; beyond it POST /studies sheds with 429")
 		jobTimeout = fs.Duration("job-timeout", 10*time.Minute, "per-job deadline (0 disables)")
 		grace      = fs.Duration("grace", 20*time.Second, "shutdown grace period for draining jobs and connections")
-		drainDelay = fs.Duration("drain-delay", 0, "minimum time the listener keeps answering, with /readyz at 503, after a drain begins")
 	)
 	if stop, err := cli.Parse(fs, args); stop {
 		return err
 	}
 	if *storeDir == "" {
 		return errors.New("-store DIR is required")
-	}
-	if *drainDelay < 0 {
-		return fmt.Errorf("-drain-delay %v is negative", *drainDelay)
 	}
 	if info, err := os.Stat(*storeDir); err != nil || !info.IsDir() {
 		return fmt.Errorf("store directory %q not found (populate it with hsstudy -out)", *storeDir)
@@ -105,7 +107,7 @@ func run(args []string, w io.Writer) error {
 	// work finishes; otherwise readiness is the store's.
 	mux.HandleFunc("GET /readyz", func(rw http.ResponseWriter, r *http.Request) {
 		if mgr.Draining() {
-			rw.Header().Set("Retry-After", "1")
+			rw.Header().Set("Retry-After", strconv.Itoa(int(drainHold.Seconds())))
 			http.Error(rw, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -146,12 +148,10 @@ func run(args []string, w io.Writer) error {
 	// in-flight studies are cancelled and checkpoint themselves, then
 	// the HTTP server closes — by which point every SSE stream has
 	// ended, because every job is terminal. The listener stays up for
-	// at least -drain-delay after readiness flips.
+	// at least drainHold after readiness flips.
 	drainStart := time.Now()
 	drainErr := mgr.Drain(*grace)
-	if hold := *drainDelay - time.Since(drainStart); hold > 0 {
-		time.Sleep(hold)
-	}
+	time.Sleep(drainHold - time.Since(drainStart))
 	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	shutErr := srv.Shutdown(shutCtx)

@@ -27,9 +27,6 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-bogus"}, io.Discard); err == nil {
 		t.Fatal("bogus flag accepted")
 	}
-	if err := run([]string{"-store", t.TempDir(), "-drain-delay", "-1s"}, io.Discard); err == nil {
-		t.Fatal("negative -drain-delay accepted")
-	}
 }
 
 // TestServedBytesMatchStudyOutput is the end-to-end acceptance check:

@@ -47,23 +47,7 @@ func Generate(ctx context.Context, cfg Config) (*Population, error) {
 	if cfg.PhantomRequestFraction < 0 || cfg.PhantomRequestFraction >= 1 {
 		return nil, fmt.Errorf("hspop: phantom fraction %v out of [0,1)", cfg.PhantomRequestFraction)
 	}
-	estimate := estimatedServices(cfg)
-	g := &generator{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		pop: &Population{
-			Config:   cfg,
-			Services: make([]*Service, 0, estimate),
-			byAddr:   make(map[onion.Address]*Service, estimate),
-		},
-	}
-	// Arena chunks hold at most arenaChunk services, so a consumer that
-	// only touches a prefix of the population never forces one
-	// full-population block allocation up front. Chunks are allocated on
-	// use, so the unconsumed tail costs nothing beyond its own blocks.
-	g.svcArena.chunk = min(estimate, arenaChunk)
-	g.pageArena.chunk = g.svcArena.chunk
-	g.miscPorts = g.pickMiscPorts()
+	g := newGenerator(cfg)
 	// Phase order matters: the head must resolve addresses (first
 	// deriveIdentities) before the clones can mine the Silk Road vanity
 	// prefix and dedup against the index, and the body's identities must
@@ -85,6 +69,29 @@ func Generate(ctx context.Context, cfg Config) (*Population, error) {
 		phase()
 	}
 	return g.pop, nil
+}
+
+// newGenerator sizes the population's containers from the estimated
+// service count.
+func newGenerator(cfg Config) *generator {
+	estimate := estimatedServices(cfg)
+	g := &generator{
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
+		pop: &Population{
+			Config:   cfg,
+			Services: make([]*Service, 0, estimate),
+			byAddr:   make(map[onion.Address]*Service, estimate),
+		},
+	}
+	// Arena chunks hold at most arenaChunk services, so a consumer that
+	// only touches a prefix of the population never forces one
+	// full-population block allocation up front. Chunks are allocated on
+	// use, so the unconsumed tail costs nothing beyond its own blocks.
+	g.svcArena.chunk = min(estimate, arenaChunk)
+	g.pageArena.chunk = g.svcArena.chunk
+	g.miscPorts = g.pickMiscPorts()
+	return g
 }
 
 // estimatedServices predicts the population size from the configuration,

@@ -379,17 +379,25 @@ func TestMiscPortsAreUncommonAndBounded(t *testing.T) {
 	}
 }
 
-// TestArenaChunksCappedAndPointersStable: the arena allocates in blocks
-// of at most arenaChunk items and never moves an item it handed out, so
-// a population spanning several chunks keeps every pointer valid.
+// TestArenaChunksCappedAndPointersStable: for a population several
+// chunks large, the generator's arenas allocate in blocks of at most
+// arenaChunk items and never move an item they handed out, so every
+// pointer stays valid.
 func TestArenaChunksCappedAndPointersStable(t *testing.T) {
-	// Sized as Generate sizes it for a population three chunks large.
-	a := arena[int]{chunk: min(3*arenaChunk, arenaChunk)}
+	cfg := PaperConfig(1)
+	if est := estimatedServices(cfg); est < 3*arenaChunk {
+		t.Fatalf("paper config estimates %d services, want at least %d", est, 3*arenaChunk)
+	}
+	g := newGenerator(cfg)
+	if g.svcArena.chunk != arenaChunk || g.pageArena.chunk != arenaChunk {
+		t.Fatalf("arena chunks %d services / %d pages, want %d", g.svcArena.chunk, g.pageArena.chunk, arenaChunk)
+	}
+	a := g.svcArena
 	const n = 2*arenaChunk + 7
-	ptrs := make([]*int, n)
+	ptrs := make([]*Service, n)
 	for i := range ptrs {
 		ptrs[i] = a.take()
-		*ptrs[i] = i
+		ptrs[i].Seq = i
 		if c := cap(a.buf); c > arenaChunk {
 			t.Fatalf("chunk of %d items exceeds the %d cap", c, arenaChunk)
 		}
@@ -398,8 +406,8 @@ func TestArenaChunksCappedAndPointersStable(t *testing.T) {
 		}
 	}
 	for i, p := range ptrs {
-		if *p != i {
-			t.Fatalf("item %d reads %d after later takes", i, *p)
+		if p.Seq != i {
+			t.Fatalf("item %d reads %d after later takes", i, p.Seq)
 		}
 	}
 	if len(a.buf) != n%arenaChunk {

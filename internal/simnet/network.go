@@ -91,11 +91,6 @@ type Config struct {
 	// index never recompute the same secret parts. Nil means the network
 	// builds a table per driven window on its own.
 	SecretTable *onion.SecretIDTable
-	// CompactLogs creates every per-directory request log in compact
-	// mode: raw requests retire into per-descriptor-ID counts on arrival
-	// (the streaming pipeline's per-window retirement). All aggregate
-	// log queries are unchanged; only raw Requests() reads become nil.
-	CompactLogs bool
 	// Observed restricts the network to the directories its caller
 	// reads (the trawl passes its step's attacker HSDirs); nil observes
 	// every directory. An unobserved ring position holds no store:
@@ -156,21 +151,15 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 	}
 	n.ringFPs = n.ring.Fingerprints()
 	n.dirs = make([]*hsdir.Directory, len(n.ringFPs))
-	observe := func(i int32) {
-		n.dirs[i] = hsdir.NewDirectory(n.ringFPs[i], 24*time.Hour)
-		if cfg.CompactLogs {
-			n.dirs[i].Log().Compact()
-		}
-	}
 	if n.restricted {
 		for _, fp := range cfg.Observed {
 			if i, ok := doc.HSDirRingPos(fp); ok && n.dirs[i] == nil {
-				observe(i)
+				n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
 			}
 		}
 	} else {
-		for i := range n.dirs {
-			observe(int32(i))
+		for i, fp := range n.ringFPs {
+			n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
 		}
 	}
 	if cfg.WeightedGuards {

@@ -54,18 +54,26 @@ func newRestrictFixture(t *testing.T, seed int64) restrictFixture {
 	return restrictFixture{doc: h.All()[0], db: db, pop: pop}
 }
 
-// network builds a 200-client network over the fixture.
+// network builds a 200-client network over the fixture. With compact,
+// every directory it holds folds requests into counts on arrival, as
+// the trawl's attacker directories do.
 func (f restrictFixture) network(t *testing.T, seed int64, workers int, fail float64, compact bool, observed []onion.Fingerprint) *Network {
 	t.Helper()
 	cfg := DefaultConfig(seed)
 	cfg.Clients = 200
 	cfg.Workers = workers
 	cfg.DirFailureProb = fail
-	cfg.CompactLogs = compact
 	cfg.Observed = observed
 	net, err := NewNetwork(f.doc, f.db, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if compact {
+		for _, d := range net.Directories() {
+			if d != nil {
+				d.Log().Compact()
+			}
+		}
 	}
 	return net
 }
