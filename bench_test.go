@@ -6,6 +6,7 @@ package torhs
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"runtime"
@@ -732,12 +733,12 @@ func BenchmarkLangNGramOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, order := range []int{1, 2, 3} {
+	for order := 1; order <= 4; order++ {
 		det, err := textclass.TrainLanguageDetector(order)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(map[int]string{1: "order1", 2: "order2", 3: "order3"}[order], func(b *testing.B) {
+		b.Run(fmt.Sprintf("order%d", order), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := det.Detect(text); err != nil {
 					b.Fatal(err)

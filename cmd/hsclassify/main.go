@@ -17,24 +17,23 @@ import (
 	"io"
 	"os"
 
+	"torhs/internal/cli"
 	"torhs/internal/corpus"
 	"torhs/internal/textclass"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "hsclassify:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("hsclassify", run) }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("hsclassify", flag.ContinueOnError)
 	var (
-		file  = flag.String("file", "", "read text from this file (default: stdin)")
-		eval  = flag.Bool("eval", false, "print classifier accuracy on fresh samples instead")
-		order = flag.Int("order", 3, "language detector n-gram order (1-4)")
+		file  = fs.String("file", "", "read text from this file (default: stdin)")
+		eval  = fs.Bool("eval", false, "print classifier accuracy on fresh samples instead")
+		order = fs.Int("order", 3, "language detector n-gram order (1-4)")
 	)
-	flag.Parse()
+	if stop, err := cli.Parse(fs, args); stop {
+		return err
+	}
 
 	det, err := textclass.TrainLanguageDetector(*order)
 	if err != nil {
@@ -46,7 +45,7 @@ func run() error {
 	}
 
 	if *eval {
-		return runEval(det, cls)
+		return runEval(w, det, cls)
 	}
 
 	var text []byte
@@ -63,31 +62,31 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("language: %s (margin %.3f)\n", lang, margin)
+	fmt.Fprintf(w, "language: %s (margin %.3f)\n", lang, margin)
 	if lang != corpus.LangEnglish {
-		fmt.Println("topic: skipped (the paper classified English pages only)")
+		fmt.Fprintln(w, "topic: skipped (the paper classified English pages only)")
 		return nil
 	}
 	topic, tmargin, err := cls.Classify(string(text))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("topic: %s (margin %.3f)\n", topic, tmargin)
+	fmt.Fprintf(w, "topic: %s (margin %.3f)\n", topic, tmargin)
 	return nil
 }
 
-func runEval(det *textclass.LanguageDetector, cls *textclass.TopicClassifier) error {
+func runEval(w io.Writer, det *textclass.LanguageDetector, cls *textclass.TopicClassifier) error {
 	langConf, err := textclass.EvaluateLanguageDetector(det, 25, 80, 1)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("language detector: %.1f%% accuracy over %d languages\n",
+	fmt.Fprintf(w, "language detector: %.1f%% accuracy over %d languages\n",
 		langConf.Accuracy()*100, len(corpus.Languages()))
 	topicConf, err := textclass.EvaluateTopicClassifier(cls, 20, 130, 2)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("topic classifier:  %.1f%% accuracy over %d categories\n",
+	fmt.Fprintf(w, "topic classifier:  %.1f%% accuracy over %d categories\n",
 		topicConf.Accuracy()*100, corpus.NumTopics)
 	return nil
 }

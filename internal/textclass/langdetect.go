@@ -5,10 +5,10 @@
 package textclass
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"torhs/internal/corpus"
@@ -17,60 +17,45 @@ import (
 // LanguageDetector identifies the language of a text using character
 // n-gram log-likelihoods with Laplace smoothing.
 type LanguageDetector struct {
-	order  int
-	langs  []string
-	logp   []map[string]float64
-	unseen []float64 // per-language smoothed log-probability of an unseen n-gram
+	order int
+	langs []string
+	table *nbTable[gram]
 }
+
+// gram is a character n-gram zero-padded past the detector's order; one
+// detector has one order, so padding never makes distinct n-grams equal.
+type gram [4]rune
 
 // TrainLanguageDetector builds a detector of the given n-gram order
 // (1–4) from the seed corpus. Training texts are sampled with a fixed
 // seed, so training is deterministic.
 func TrainLanguageDetector(order int) (*LanguageDetector, error) {
-	if order < 1 || order > 4 {
+	if order < 1 || order > len(gram{}) {
 		return nil, fmt.Errorf("textclass: n-gram order %d out of range [1,4]", order)
 	}
 	langs := corpus.Languages()
-	d := &LanguageDetector{
-		order:  order,
-		langs:  langs,
-		logp:   make([]map[string]float64, len(langs)),
-		unseen: make([]float64, len(langs)),
-	}
+	docs := make([][]gram, len(langs))
 	rng := rand.New(rand.NewSource(0x7a9))
 	for i, lang := range langs {
 		text, err := corpus.SampleText(rng, lang, 4000, nil, 0)
 		if err != nil {
 			return nil, fmt.Errorf("textclass: train %s: %w", lang, err)
 		}
-		counts := make(map[string]int)
-		total := 0
-		for _, g := range ngrams(text, order) {
-			counts[g]++
-			total++
-		}
-		// Laplace smoothing with V = distinct n-grams + 1.
-		v := float64(len(counts) + 1)
-		probs := make(map[string]float64, len(counts))
-		for g, c := range counts {
-			probs[g] = math.Log((float64(c) + 1) / (float64(total) + v))
-		}
-		d.logp[i] = probs
-		d.unseen[i] = math.Log(1 / (float64(total) + v))
+		docs[i] = ngrams(text, order)
 	}
-	return d, nil
+	return &LanguageDetector{order: order, langs: langs, table: trainTable(docs)}, nil
 }
 
 // ngrams extracts rune-level n-grams from text, lowercased, with spaces
 // collapsed so layout does not affect detection.
-func ngrams(text string, order int) []string {
+func ngrams(text string, order int) []gram {
 	runes := []rune(strings.ToLower(strings.Join(strings.Fields(text), " ")))
 	if len(runes) < order {
 		return nil
 	}
-	out := make([]string, 0, len(runes)-order+1)
-	for i := 0; i+order <= len(runes); i++ {
-		out = append(out, string(runes[i:i+order]))
+	out := make([]gram, len(runes)-order+1)
+	for i := range out {
+		copy(out[i][:], runes[i:i+order])
 	}
 	return out
 }
@@ -100,25 +85,11 @@ func (d *LanguageDetector) Scores(text string) ([]Score, error) {
 		return nil, fmt.Errorf("textclass: text too short for order-%d detection", d.order)
 	}
 	out := make([]Score, len(d.langs))
-	for i, lang := range d.langs {
-		sum := 0.0
-		for _, g := range grams {
-			if lp, ok := d.logp[i][g]; ok {
-				sum += lp
-			} else {
-				sum += d.unseen[i]
-			}
-		}
-		out[i] = Score{Language: lang, LogProb: sum / float64(len(grams))}
+	for i, sum := range d.table.sums(grams) {
+		out[i] = Score{Language: d.langs[i], LogProb: sum / float64(len(grams))}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].LogProb != out[b].LogProb {
-			return out[a].LogProb > out[b].LogProb
-		}
-		return out[a].Language < out[b].Language
+	slices.SortFunc(out, func(a, b Score) int {
+		return cmp.Or(cmp.Compare(b.LogProb, a.LogProb), strings.Compare(a.Language, b.Language))
 	})
 	return out, nil
 }
-
-// Order returns the detector's n-gram order.
-func (d *LanguageDetector) Order() int { return d.order }

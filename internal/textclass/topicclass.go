@@ -1,10 +1,10 @@
 package textclass
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"torhs/internal/corpus"
@@ -14,8 +14,7 @@ import (
 // English text using a multinomial naive-Bayes model over words.
 type TopicClassifier struct {
 	topics []corpus.Topic
-	logp   []map[string]float64
-	unseen []float64
+	table  *nbTable[string]
 }
 
 // TrainTopicClassifier builds the classifier from the seed lexicons. For
@@ -24,11 +23,7 @@ type TopicClassifier struct {
 // to discount the background. Training is deterministic.
 func TrainTopicClassifier() (*TopicClassifier, error) {
 	topics := corpus.AllTopics()
-	c := &TopicClassifier{
-		topics: topics,
-		logp:   make([]map[string]float64, len(topics)),
-		unseen: make([]float64, len(topics)),
-	}
+	docs := make([][]string, len(topics))
 	rng := rand.New(rand.NewSource(0x70c))
 	for i, topic := range topics {
 		keywords, err := corpus.TopicKeywords(topic)
@@ -39,21 +34,9 @@ func TrainTopicClassifier() (*TopicClassifier, error) {
 		if err != nil {
 			return nil, fmt.Errorf("textclass: train %v: %w", topic, err)
 		}
-		counts := make(map[string]int)
-		total := 0
-		for _, w := range tokenize(text) {
-			counts[w]++
-			total++
-		}
-		v := float64(len(counts) + 1)
-		probs := make(map[string]float64, len(counts))
-		for w, n := range counts {
-			probs[w] = math.Log((float64(n) + 1) / (float64(total) + v))
-		}
-		c.logp[i] = probs
-		c.unseen[i] = math.Log(1 / (float64(total) + v))
+		docs[i] = tokenize(text)
 	}
-	return c, nil
+	return &TopicClassifier{topics: topics, table: trainTable(docs)}, nil
 }
 
 // tokenize lowercases and splits a text into word tokens, stripping basic
@@ -93,22 +76,11 @@ func (c *TopicClassifier) Scores(text string) ([]TopicScore, error) {
 		return nil, fmt.Errorf("textclass: empty text")
 	}
 	out := make([]TopicScore, len(c.topics))
-	for i, topic := range c.topics {
-		sum := 0.0
-		for _, w := range tokens {
-			if lp, ok := c.logp[i][w]; ok {
-				sum += lp
-			} else {
-				sum += c.unseen[i]
-			}
-		}
-		out[i] = TopicScore{Topic: topic, LogProb: sum / float64(len(tokens))}
+	for i, sum := range c.table.sums(tokens) {
+		out[i] = TopicScore{Topic: c.topics[i], LogProb: sum / float64(len(tokens))}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].LogProb != out[b].LogProb {
-			return out[a].LogProb > out[b].LogProb
-		}
-		return out[a].Topic < out[b].Topic
+	slices.SortFunc(out, func(a, b TopicScore) int {
+		return cmp.Or(cmp.Compare(b.LogProb, a.LogProb), cmp.Compare(a.Topic, b.Topic))
 	})
 	return out, nil
 }
