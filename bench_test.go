@@ -312,7 +312,8 @@ func BenchmarkTrackingDetection(b *testing.B) {
 	to := from.Add(365 * 24 * time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := an.Analyze(context.Background(), e.scenario.History, e.scenario.Target, from, to)
+		docs := tracking.Docs(e.scenario.History.Range(from, to))
+		rep, err := an.AnalyzeSource(context.Background(), docs, e.scenario.Target, nil, 0, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -631,7 +632,8 @@ func BenchmarkTrackingNoDistanceRule(b *testing.B) {
 	to := from.Add(365 * 24 * time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := an.Analyze(context.Background(), e.scenario.History, e.scenario.Target, from, to); err != nil {
+		docs := tracking.Docs(e.scenario.History.Range(from, to))
+		if _, err := an.AnalyzeSource(context.Background(), docs, e.scenario.Target, nil, 0, false); err != nil {
 			b.Fatal(err)
 		}
 	}

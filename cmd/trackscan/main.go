@@ -27,6 +27,7 @@ import (
 	"torhs/internal/core/tracking"
 	"torhs/internal/experiments"
 	"torhs/internal/onion"
+	"torhs/internal/report"
 	"torhs/internal/scenario"
 )
 
@@ -60,6 +61,12 @@ func run(args []string, w io.Writer) error {
 	return runDemo(w, scCfg, *saveDir, *csvPath)
 }
 
+// writeReport prints the Section VII tracking section.
+func writeReport(w io.Writer, sc *tracking.Scenario, rep *tracking.Report) error {
+	s := experiments.TrackingSection(&experiments.TrackingResult{Scenario: sc, Report: rep})
+	return report.EncodeText(w, report.New(s.ID, s))
+}
+
 func writeCSV(path string, rep *tracking.Report) error {
 	if path == "" {
 		return nil
@@ -85,11 +92,13 @@ func runDemo(w io.Writer, scCfg tracking.ScenarioConfig, saveDir, csvPath string
 	if err != nil {
 		return err
 	}
-	rep, err := an.Analyze(context.Background(), sc.History, sc.Target, sc.Start, sc.End)
+	rep, err := an.AnalyzeSource(context.Background(), tracking.Docs(sc.History.Range(sc.Start, sc.End)), sc.Target, nil, 0, false)
 	if err != nil {
 		return err
 	}
-	experiments.RenderTracking(w, &experiments.TrackingResult{Scenario: sc, Report: rep})
+	if err := writeReport(w, sc, rep); err != nil {
+		return err
+	}
 
 	if saveDir != "" {
 		if err := saveHistory(saveDir, sc.History); err != nil {
@@ -174,15 +183,22 @@ func runArchive(w io.Writer, dir, target, fromStr, toStr, csvPath string) error 
 		}
 	}
 
+	docs := h.Range(from, to)
+	if len(docs) == 0 {
+		return fmt.Errorf("no consensus documents in [%v, %v] (archive covers %v .. %v)",
+			from, to, h.All()[0].ValidAfter, h.All()[h.Len()-1].ValidAfter)
+	}
 	an, err := tracking.NewAnalyzer(tracking.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	rep, err := an.Analyze(context.Background(), h, permID, from, to)
+	rep, err := an.AnalyzeSource(context.Background(), tracking.Docs(docs), permID, nil, 0, false)
 	if err != nil {
 		return err
 	}
 	sc := &tracking.Scenario{Target: permID, TargetAddress: onion.AddressFromID(permID), History: h}
-	experiments.RenderTracking(w, &experiments.TrackingResult{Scenario: sc, Report: rep})
+	if err := writeReport(w, sc, rep); err != nil {
+		return err
+	}
 	return writeCSV(csvPath, rep)
 }

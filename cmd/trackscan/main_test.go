@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -74,6 +75,13 @@ func TestSaveAndArchiveRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(archived.String(), "Section VII: tracking detection for "+target) {
 		t.Fatalf("archive analysis missing target section:\n%s", archived.String())
+	}
+
+	// A window after the last saved consensus selects nothing; the error
+	// names the empty window rather than the sweep's internals.
+	err := run([]string{"-archive", dir, "-target", target, "-from", "2100-01-01T00:00:00Z"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "no consensus documents in [2100-01-01") {
+		t.Fatalf("empty window: err = %v, want it to name the window", err)
 	}
 }
 

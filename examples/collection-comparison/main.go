@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"torhs/internal/experiments"
+	"torhs/internal/report"
 	"torhs/internal/scenario"
 	"torhs/internal/textclass"
 )
@@ -36,7 +37,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	experiments.RenderCollectionComparison(os.Stdout, cmp)
+	sec := experiments.CollectionSection(cmp)
+	if err := report.EncodeText(os.Stdout, report.New(sec.ID, sec)); err != nil {
+		return err
+	}
 	fmt.Printf("trawling advantage: %.0fx more addresses than link crawling\n\n",
 		float64(cmp.TrawlCollected)/float64(cmp.CrawlDiscovered))
 

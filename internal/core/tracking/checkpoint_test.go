@@ -53,23 +53,23 @@ func (c ctxSet) Latest(_ context.Context, s any) (int, bool, error) { return c.s
 
 func TestTrackingCheckpointedMatchesPlain(t *testing.T) {
 	sc, an, from, to := ckptScenario(t)
-	ref, err := an.Analyze(context.Background(), sc.History, sc.Target, from, to)
+	ref, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	set := trackingCkptSet(t)
-	got, err := an.AnalyzeCheckpointed(context.Background(), sc.History, sc.Target, from, to, ctxSet{set}, 10, false)
+	got, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, ctxSet{set}, 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref, got) {
-		t.Fatal("checkpointed analysis diverged from plain Analyze")
+		t.Fatal("checkpointed analysis diverged from the uncheckpointed sweep")
 	}
 }
 
 func TestTrackingCrashResumeByteIdentical(t *testing.T) {
 	sc, an, from, to := ckptScenario(t)
-	ref, err := an.Analyze(context.Background(), sc.History, sc.Target, from, to)
+	ref, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestTrackingCrashResumeByteIdentical(t *testing.T) {
 				t.Fatal("analysis did not crash at the window site")
 			}
 		}()
-		an.AnalyzeCheckpointed(context.Background(), sc.History, sc.Target, from, to, ctxSet{set}, 7, false)
+		an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, ctxSet{set}, 7, false)
 	}()
 	fault.Install(prev)
 
 	// "Process two": resume; the report must match bit for bit.
-	got, err := an.AnalyzeCheckpointed(context.Background(), sc.History, sc.Target, from, to, ctxSet{set}, 7, true)
+	got, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, ctxSet{set}, 7, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTrackingWindowFaultIsTransient(t *testing.T) {
 	prev := fault.Active()
 	fault.Install(in)
 	t.Cleanup(func() { fault.Install(prev) })
-	_, err := an.Analyze(context.Background(), sc.History, sc.Target, from, to)
+	_, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
 	if err == nil {
 		t.Fatal("analysis under an armed window fault succeeded")
 	}

@@ -57,7 +57,7 @@ func (a *Analyzer) AnalyzeSlices(
 		if i == n-1 {
 			sliceTo = to
 		}
-		rep, err := a.Analyze(ctx, h, target, sliceFrom, sliceTo)
+		rep, err := a.AnalyzeSource(ctx, Docs(h.Range(sliceFrom, sliceTo)), target, nil, 0, false)
 		if err != nil {
 			return nil, fmt.Errorf("tracking: slice %d: %w", i, err)
 		}

@@ -136,7 +136,7 @@ func TestWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := an.Analyze(context.Background(), sc.History, sc.Target, sc.Start, sc.Start.Add(120*24*time.Hour))
+	rep, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(120*24*time.Hour))), sc.Target, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestStreamingPeakHeapRegression(t *testing.T) {
 		}
 		from := sc.Start
 		to := from.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-		rep, err := an.Analyze(context.Background(), sc.History, sc.Target, from, to)
+		rep, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}

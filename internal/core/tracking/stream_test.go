@@ -108,7 +108,7 @@ func TestAnalyzeSourceStreamingMatchesMaterialized(t *testing.T) {
 	}
 	from := sc.Start
 	to := from.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-	ref, err := an.Analyze(context.Background(), sc.History, sc.Target, from, to)
+	ref, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStreamingCrashResumeByteIdentical(t *testing.T) {
 	}
 	from := sc.Start
 	to := from.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-	ref, err := an.Analyze(context.Background(), sc.History, sc.Target, from, to)
+	ref, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestStreamingCancellationExact(t *testing.T) {
 	}
 	from := sc.Start
 	to := from.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-	ref, err := an.Analyze(context.Background(), sc.History, sc.Target, from, to)
+	ref, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

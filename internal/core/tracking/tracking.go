@@ -349,12 +349,6 @@ func sortedWithFirst(first string, extra []string) []string {
 	return out
 }
 
-// Analyze sweeps the history window [from, to] and scores every relay
-// that was ever responsible for the target.
-func (a *Analyzer) Analyze(ctx context.Context, h *consensus.History, target onion.PermanentID, from, to time.Time) (*Report, error) {
-	return a.AnalyzeCheckpointed(ctx, h, target, from, to, nil, 0, false)
-}
-
 // DocSource hands out the consensus documents of one analysis window in
 // ascending ValidAfter order. It is the seam between the sweep (a pure
 // left fold, document at a time) and where the documents come from: a
@@ -375,23 +369,26 @@ type DocSource interface {
 	At(i int) (*consensus.Document, error)
 }
 
-// sliceSource adapts a materialized document slice to DocSource.
-type sliceSource struct {
-	// docs is the fully materialized window, shared read-only by shards.
-	//
-	//torhs:retained the materialized (non-streaming) window itself
-	docs []*consensus.Document
-}
+// Docs adapts a materialized document slice — typically
+// History.Range(from, to) — to DocSource. Shards share it read-only.
+type Docs []*consensus.Document
 
-func (s *sliceSource) Len() int { return len(s.docs) }
+// Len implements DocSource.
+func (d Docs) Len() int { return len(d) }
 
-func (s *sliceSource) At(i int) (*consensus.Document, error) { return s.docs[i], nil }
+// At implements DocSource.
+func (d Docs) At(i int) (*consensus.Document, error) { return d[i], nil }
 
-// AnalyzeCheckpointed is Analyze with window-level crash safety: when
-// ckpt is non-nil the sweep state is snapshotted every `every` consensus
+// AnalyzeSource sweeps every document of src and scores every relay
+// that was ever responsible for the target. It is the one sweep entry
+// point: a materialized window passes Docs(h.Range(from, to)), the
+// study streams through ScenarioSource, and the report is byte-identical
+// for the same document sequence at every worker count.
+//
+// When ckpt is non-nil the sweep state is snapshotted every `every`
 // documents (<= 0 means every document), and with resume set the sweep
 // folds forward from the latest valid snapshot instead of document
-// zero. The report is byte-identical to an uninterrupted Analyze: the
+// zero. The report is byte-identical to an uninterrupted sweep: the
 // sweep is a pure left fold over documents in ValidAfter order, and the
 // wrap-up sorts by a total order, so restored accumulator state is
 // indistinguishable from locally-computed state.
@@ -400,30 +397,7 @@ func (s *sliceSource) At(i int) (*consensus.Document, error) { return s.docs[i],
 // fold. A cancelled checkpointed sweep flushes a snapshot of its folded
 // prefix before returning ctx.Err(), so a deliberate stop loses no
 // completed documents and a resume is byte-identical to an
-// uninterrupted analysis. (The cancellation loop itself lives in
-// AnalyzeSource, this wrapper's delegate.)
-func (a *Analyzer) AnalyzeCheckpointed(
-	ctx context.Context,
-	h *consensus.History,
-	target onion.PermanentID,
-	from, to time.Time,
-	ckpt Checkpointer,
-	every int,
-	resume bool,
-) (*Report, error) {
-	docs := h.Range(from, to)
-	if len(docs) == 0 {
-		return nil, fmt.Errorf("tracking: no consensus documents in [%v, %v]", from, to)
-	}
-	return a.AnalyzeSource(ctx, &sliceSource{docs: docs}, target, ckpt, every, resume)
-}
-
-// AnalyzeSource is the sweep over an arbitrary DocSource: the streaming
-// entry point. The report is byte-identical to Analyze over a
-// materialized history yielding the same document sequence, at every
-// worker count, and the checkpoint/resume and cancellation contracts of
-// AnalyzeCheckpointed hold unchanged — the source only changes where
-// documents come from, never what is folded.
+// uninterrupted analysis.
 //
 //torhs:cancelpoint
 func (a *Analyzer) AnalyzeSource(
@@ -785,10 +759,10 @@ func mergeRelayState(dst, src *relayState) {
 	}
 }
 
-// sweep is the accumulation state of one Analyze pass over a consensus
-// range. Occurrences accumulate in one chronological global list (plus
-// the owning state per entry) and are carved into per-relay slices at
-// wrap-up, so the sweep never grows hundreds of tiny slices.
+// sweep is the accumulation state of one AnalyzeSource pass over a
+// consensus range. Occurrences accumulate in one chronological global
+// list (plus the owning state per entry) and are carved into per-relay
+// slices at wrap-up, so the sweep never grows hundreds of tiny slices.
 type sweep struct {
 	a           *Analyzer
 	states      stateTable
@@ -918,7 +892,7 @@ func (sw *sweep) restore(snap *sweepSnapshot) {
 
 // observeDoc folds one consensus document into the sweep: fingerprint
 // switches for every relay identity, and responsibility occurrences for
-// the target's descriptor IDs. This is Analyze's per-document
+// the target's descriptor IDs. This is AnalyzeSource's per-document
 // accumulator — the tracking pipeline's hot loop over a multi-month
 // History — and stays allocation-free in steady state (everything grows
 // amortized or reuses scratch).

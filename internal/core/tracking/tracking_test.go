@@ -52,7 +52,7 @@ func buildAndAnalyze(t *testing.T, seed int64) (*Scenario, *Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := an.Analyze(context.Background(), sc.History, sc.Target, sc.Start, sc.Start.Add(200*24*time.Hour))
+	rep, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(200*24*time.Hour))), sc.Target, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAnalyzeEmptyWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sc.Start.Add(-100 * 24 * time.Hour)
-	if _, err := an.Analyze(context.Background(), sc.History, sc.Target, before, before.Add(24*time.Hour)); err == nil {
+	if _, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(before, before.Add(24*time.Hour))), sc.Target, nil, 0, false); err == nil {
 		t.Fatal("empty window accepted")
 	}
 }

@@ -32,7 +32,7 @@ func TestAnalyzeIdenticalAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := an.Analyze(context.Background(), sc.History, sc.Target, from, to)
+		rep, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"io"
-
 	"torhs/internal/core/content"
 	"torhs/internal/core/deanon"
 	"torhs/internal/core/scan"
@@ -14,22 +12,12 @@ import (
 // the study output. The full study render is exactly the concatenation
 // of these documents' text encodings in registration order, which is
 // what makes subset runs byte-identical to their slice of the full run.
-// Render stays on every artefact as the text-encode shim over
-// Document.
-
-// renderDocument is the shared Render implementation: text-encode the
-// artefact's document.
-func renderDocument(w io.Writer, a Documenter) {
-	_ = report.EncodeText(w, a.Document())
-}
 
 type collectionArtefact struct{ res *CollectionComparison }
 
 func (a *collectionArtefact) Document() *report.Document {
 	return report.New(ExpCollection, CollectionSection(a.res))
 }
-
-func (a *collectionArtefact) Render(w io.Writer) { renderDocument(w, a) }
 
 type scanArtefact struct {
 	res   *scan.Result
@@ -40,23 +28,17 @@ func (a *scanArtefact) Document() *report.Document {
 	return report.New(ExpScan, Fig1Section(a.res), CertAuditSection(a.audit))
 }
 
-func (a *scanArtefact) Render(w io.Writer) { renderDocument(w, a) }
-
 type contentArtefact struct{ res *content.Result }
 
 func (a *contentArtefact) Document() *report.Document {
 	return report.New(ExpContent, TableISection(a.res), LanguagesSection(a.res), Fig2Section(a.res))
 }
 
-func (a *contentArtefact) Render(w io.Writer) { renderDocument(w, a) }
-
 type prefixArtefact struct{ clusters []PrefixCluster }
 
 func (a *prefixArtefact) Document() *report.Document {
 	return report.New(ExpPrefixAudit, PrefixAuditSection(a.clusters))
 }
-
-func (a *prefixArtefact) Render(w io.Writer) { renderDocument(w, a) }
 
 type popularityArtefact struct {
 	res *PopularityResult
@@ -69,15 +51,11 @@ func (a *popularityArtefact) Document() *report.Document {
 	return report.New(ExpPopularity, TableIISection(a.res, a.topN))
 }
 
-func (a *popularityArtefact) Render(w io.Writer) { renderDocument(w, a) }
-
 type deanonArtefact struct{ rep *deanon.Report }
 
 func (a *deanonArtefact) Document() *report.Document {
 	return report.New(ExpDeanon, Fig3Section(a.rep))
 }
-
-func (a *deanonArtefact) Render(w io.Writer) { renderDocument(w, a) }
 
 type serviceDeanonArtefact struct{ rep *deanon.ServiceReport }
 
@@ -85,12 +63,8 @@ func (a *serviceDeanonArtefact) Document() *report.Document {
 	return report.New(ExpServiceDeanon, ServiceDeanonSection(a.rep))
 }
 
-func (a *serviceDeanonArtefact) Render(w io.Writer) { renderDocument(w, a) }
-
 type trackingArtefact struct{ res *TrackingResult }
 
 func (a *trackingArtefact) Document() *report.Document {
 	return report.New(ExpTracking, TrackingSection(a.res))
 }
-
-func (a *trackingArtefact) Render(w io.Writer) { renderDocument(w, a) }

@@ -7,6 +7,7 @@ import (
 
 	"torhs/internal/corpus"
 	"torhs/internal/hspop"
+	"torhs/internal/report"
 )
 
 func newStudy(t *testing.T, seed int64) *Study {
@@ -22,6 +23,16 @@ func newStudy(t *testing.T, seed int64) *Study {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// sectionText text-encodes sections the way the study prints them.
+func sectionText(t *testing.T, sections ...*report.Section) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := report.EncodeText(&buf, report.New("", sections...)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 func TestNewStudyValidation(t *testing.T) {
@@ -46,11 +57,9 @@ func TestE1ScanShape(t *testing.T) {
 		t.Fatalf("cert audit incomplete: %+v", audit)
 	}
 
-	var buf bytes.Buffer
-	RenderFig1(&buf, res)
-	RenderCertAudit(&buf, audit)
+	text := sectionText(t, Fig1Section(res), CertAuditSection(audit))
 	for _, want := range []string{"Fig. 1", "55080-Skynet", "other", "TorHost CN"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q", want)
 		}
 	}
@@ -74,12 +83,9 @@ func TestE3E5ContentShape(t *testing.T) {
 		t.Fatalf("Adult+Drugs = %d%%, want dominant", pct[corpus.TopicAdult]+pct[corpus.TopicDrugs])
 	}
 
-	var buf bytes.Buffer
-	RenderTableI(&buf, res)
-	RenderLanguages(&buf, res)
-	RenderFig2(&buf, res)
+	text := sectionText(t, TableISection(res), LanguagesSection(res), Fig2Section(res))
 	for _, want := range []string{"Table I", "Other", "language mix", "Fig. 2", "Adult"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q", want)
 		}
 	}
@@ -128,10 +134,9 @@ func TestE6PopularityShape(t *testing.T) {
 		t.Fatalf("Skynet services in top 30 = %d, want ~10", skynetTop30)
 	}
 
-	var buf bytes.Buffer
-	RenderTableII(&buf, res, 30)
+	text := sectionText(t, TableIISection(res, 30))
 	for _, want := range []string{"Table II", "Goldnet", "SilkRoad"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q", want)
 		}
 	}
@@ -149,9 +154,8 @@ func TestE7DeanonShape(t *testing.T) {
 	if len(rep.MapPoints()) < 3 {
 		t.Fatal("client map too narrow")
 	}
-	var buf bytes.Buffer
-	RenderFig3(&buf, rep)
-	if !strings.Contains(buf.String(), "Fig. 3") {
+	text := sectionText(t, Fig3Section(rep))
+	if !strings.Contains(text, "Fig. 3") {
 		t.Fatal("render missing header")
 	}
 }
@@ -168,9 +172,8 @@ func TestServiceDeanonShape(t *testing.T) {
 	if rep.Success && rep.RevealedIP == "" {
 		t.Fatal("success without revealed IP")
 	}
-	var buf bytes.Buffer
-	RenderServiceDeanon(&buf, rep)
-	if !strings.Contains(buf.String(), "Section II-B") {
+	text := sectionText(t, ServiceDeanonSection(rep))
+	if !strings.Contains(text, "Section II-B") {
 		t.Fatal("render missing header")
 	}
 }
@@ -193,10 +196,9 @@ func TestE8TrackingShape(t *testing.T) {
 	if !full {
 		t.Fatal("full takeover episode not detected")
 	}
-	var buf bytes.Buffer
-	RenderTracking(&buf, res)
+	text := sectionText(t, TrackingSection(res))
 	for _, want := range []string{"Section VII", "FULL TAKEOVER", "tracknet"} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q", want)
 		}
 	}
@@ -233,9 +235,8 @@ func TestPrefixAuditFindsSilkroadCluster(t *testing.T) {
 	if !hasOfficial || !hasPhish {
 		t.Fatalf("cluster labels incomplete: %v", top.Labels)
 	}
-	var buf bytes.Buffer
-	RenderPrefixAudit(&buf, clusters)
-	if !strings.Contains(buf.String(), "Vanity-prefix") {
+	text := sectionText(t, PrefixAuditSection(clusters))
+	if !strings.Contains(text, "Vanity-prefix") {
 		t.Fatal("render missing header")
 	}
 }
@@ -258,9 +259,8 @@ func TestCollectionComparisonShape(t *testing.T) {
 		t.Fatalf("trawl (%.2f) not decisively above crawl (%.2f)",
 			c.TrawlFraction, c.CrawlFraction)
 	}
-	var buf bytes.Buffer
-	RenderCollectionComparison(&buf, c)
-	if !strings.Contains(buf.String(), "Collection methods") {
+	text := sectionText(t, CollectionSection(c))
+	if !strings.Contains(text, "Collection methods") {
 		t.Fatal("render missing header")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -13,44 +12,13 @@ import (
 	"torhs/internal/resultstore"
 )
 
-// Artefact is one finished experiment result that knows how to render
-// itself as the paper's tables and figures.
+// Artefact is one finished experiment result: a typed report document
+// holding the paper's tables and figures. Callers encode it with the
+// report encoders (report.EncodeText reproduces the study's printed
+// output).
 type Artefact interface {
-	Render(w io.Writer)
-}
-
-// Documenter is an Artefact whose result is a typed report document.
-// Every paper artefact implements it; the registry falls back to raw
-// text capture for print-only extensions.
-type Documenter interface {
 	Document() *report.Document
 }
-
-// ArtefactDocument returns the artefact's typed document. Artefacts
-// registered outside this package that only know how to print fall back
-// to a raw section wrapping their rendered bytes, so the document's
-// text encoding equals Render's output for every artefact.
-func ArtefactDocument(name string, a Artefact) *report.Document {
-	if d, ok := a.(Documenter); ok {
-		return d.Document()
-	}
-	var buf bytes.Buffer
-	a.Render(&buf)
-	if buf.Len() == 0 {
-		// A raw section with empty Raw would fall through to the
-		// structured text encoding (heading + trailing blank); an
-		// artefact that printed nothing must encode to nothing.
-		return report.New(name)
-	}
-	return report.New(name, report.RawSection(name, buf.String()))
-}
-
-// ArtefactFunc adapts a closure to the Artefact interface, for
-// experiments registered outside this package.
-type ArtefactFunc func(io.Writer)
-
-// Render implements Artefact.
-func (f ArtefactFunc) Render(w io.Writer) { f(w) }
 
 // Experiment is one entry in the registry: a named, dependency-declaring
 // unit of the study. Run executes against the shared substrate; results
@@ -214,18 +182,6 @@ func (r *Registry) artefact(ctx context.Context, env *Env, name string) (Artefac
 	})
 }
 
-// Run executes the named experiments — nil or empty means all — plus
-// their dependency closure, scheduling independent experiments
-// concurrently on the Env's worker budget, then renders the selected
-// artefacts (dependencies pulled in only for their results are executed
-// but not rendered) in stable render order. For a fixed seed the output
-// is byte-identical at every worker count and for every subset: each
-// experiment renders exactly the bytes it contributes to the full study.
-func (r *Registry) Run(ctx context.Context, env *Env, names []string, w io.Writer) error {
-	_, err := r.RunStudy(ctx, env, RunOptions{Names: names}, w)
-	return err
-}
-
 // OutputVersion tags the pipeline code that determines rendered output.
 // It is part of every result-store cache key, so bumping it invalidates
 // persisted artefacts when an experiment or section builder changes
@@ -327,11 +283,16 @@ func getRetry(ctx context.Context, s *resultstore.Store, k resultstore.Key) (doc
 	return doc, hash, ok, err
 }
 
-// RunStudy is Run with persistence and encoding options: it resolves
-// the selection, serves cache hits from the store, schedules only the
-// experiments that still need to execute (plus their dependency
-// closure) on the parallel DAG, persists fresh documents, and encodes
-// the selected documents to w (nil w skips encoding — store-only runs).
+// RunStudy runs the selected experiments (opts.Names; nil or empty
+// means all): it resolves the selection, serves cache hits from the
+// store, schedules only the experiments that still need to execute
+// (plus their dependency closure) on the parallel DAG, persists fresh
+// documents, and encodes the selected documents to w in stable render
+// order (nil w skips encoding — store-only runs). Dependencies pulled in
+// only for their results are executed but not encoded. For a fixed seed
+// the output is byte-identical at every worker count and for every
+// subset: each experiment encodes exactly the bytes it contributes to
+// the full study.
 //
 // Cancelling ctx stops the schedule at the kernels' checkpoint
 // boundaries and returns ctx.Err(). The stop is checkpoint-safe:
@@ -454,7 +415,7 @@ func (r *Registry) RunStudy(ctx context.Context, env *Env, opts RunOptions, w io
 				if !ok || aerr != nil {
 					continue
 				}
-				_, _ = putRetry(persistCtx, opts.Store, storeKey(env.cfg, scenario, name), ArtefactDocument(name, a))
+				_, _ = putRetry(persistCtx, opts.Store, storeKey(env.cfg, scenario, name), a.Document())
 			}
 		}
 		return nil, err
@@ -489,7 +450,7 @@ func (r *Registry) RunStudy(ctx context.Context, env *Env, opts RunOptions, w io
 			if err != nil {
 				return nil, err
 			}
-			doc = ArtefactDocument(name, a)
+			doc = a.Document()
 			if opts.Store != nil {
 				if _, err := putRetry(ctx, opts.Store, storeKey(env.cfg, scenario, name), doc); err != nil {
 					return nil, err

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"strings"
 	"testing"
+
+	"torhs/internal/report"
 )
 
 // subsetConfig is the shared small-but-complete study configuration the
@@ -23,6 +24,11 @@ func subsetConfig(seed int64, workers int) Config {
 	return cfg
 }
 
+// staticArtefact is an extension artefact with a fixed document.
+type staticArtefact struct{ doc *report.Document }
+
+func (a staticArtefact) Document() *report.Document { return a.doc }
+
 // renderSubset runs the named experiments (nil = all) on a fresh Env and
 // returns the rendered output.
 func renderSubset(t *testing.T, seed int64, workers int, names []string) string {
@@ -32,7 +38,7 @@ func renderSubset(t *testing.T, seed int64, workers int, names []string) string 
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Paper().Run(context.Background(), env, names, &buf); err != nil {
+	if _, err := Paper().RunStudy(context.Background(), env, RunOptions{Names: names}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -89,7 +95,7 @@ func TestSubsetSharesDependencyExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Paper().Run(context.Background(), env, []string{ExpContent}, io.Discard); err != nil {
+	if _, err := Paper().RunStudy(context.Background(), env, RunOptions{Names: []string{ExpContent}}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	a, err := env.Dep(ExpScan)
@@ -128,7 +134,7 @@ func TestRegistryResolve(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	r := NewRegistry()
-	ok := NewExperiment("a", "", nil, func(context.Context, *Env) (Artefact, error) { return ArtefactFunc(func(io.Writer) {}), nil })
+	ok := NewExperiment("a", "", nil, func(context.Context, *Env) (Artefact, error) { return staticArtefact{report.New("a")}, nil })
 	if err := r.Register(ok); err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +163,9 @@ func TestCustomExperiment(t *testing.T) {
 				return nil, err
 			}
 			n := dep.(*scanArtefact).res.WithDescriptor
-			return ArtefactFunc(func(w io.Writer) {
-				fmt.Fprintf(w, "== custom: descriptor count ==\n%d\n", n)
-			}), nil
+			return staticArtefact{report.New("descriptor-count",
+				report.NewSection("descriptor-count", "custom: descriptor count").
+					KVLine("%d", "withDescriptor", report.Int(n)))}, nil
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +175,7 @@ func TestCustomExperiment(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := r.Run(context.Background(), env, []string{"descriptor-count"}, &buf); err != nil {
+	if _, err := r.RunStudy(context.Background(), env, RunOptions{Names: []string{"descriptor-count"}}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -191,7 +197,7 @@ func TestRunPropagatesExperimentError(t *testing.T) {
 	if err := r.Register(NewExperiment("child", "", []string{"fail"},
 		func(context.Context, *Env) (Artefact, error) {
 			ran = true
-			return ArtefactFunc(func(io.Writer) {}), nil
+			return staticArtefact{report.New("child")}, nil
 		})); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +205,7 @@ func TestRunPropagatesExperimentError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runErr := r.Run(context.Background(), env, nil, io.Discard)
+	_, runErr := r.RunStudy(context.Background(), env, RunOptions{}, io.Discard)
 	if !errors.Is(runErr, boom) || !strings.Contains(runErr.Error(), "fail") {
 		t.Fatalf("err = %v, want wrapped boom", runErr)
 	}
@@ -218,7 +224,7 @@ func TestDepBeforeRunIsAnError(t *testing.T) {
 	}
 	// The failed probe must not poison the memo: the experiment still
 	// runs on this Env afterwards.
-	if err := Paper().Run(context.Background(), env, []string{ExpScan}, io.Discard); err != nil {
+	if _, err := Paper().RunStudy(context.Background(), env, RunOptions{Names: []string{ExpScan}}, io.Discard); err != nil {
 		t.Fatalf("scan no longer runs after an early Dep probe: %v", err)
 	}
 	if a, err := env.Dep(ExpScan); err != nil || a.(*scanArtefact).res == nil {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"torhs/internal/core/content"
@@ -19,8 +18,8 @@ import (
 // with, so the text encoding of these sections is byte-identical to the
 // historical fmt output (pinned by the golden-file and determinism
 // tests); the JSON/Markdown/CSV encodings expose the same data
-// structurally. The RenderX functions remain as thin text-encode shims
-// for callers that still want printed output.
+// structurally. Callers that want printed output text-encode a section
+// with report.EncodeText(w, report.New(s.ID, s)).
 
 // CollectionSection models the introduction's motivating gap:
 // link-graph crawling vs trawling.
@@ -34,12 +33,6 @@ func CollectionSection(c *CollectionComparison) *report.Section {
 		KVLine("  trawling attack:                 %6d addresses (%4.1f%%)",
 			"trawlCollected", report.Int(c.TrawlCollected),
 			"trawlPercent", report.Float(c.TrawlFraction*100))
-}
-
-// RenderCollectionComparison prints the introduction's motivating gap:
-// link-graph crawling vs trawling.
-func RenderCollectionComparison(w io.Writer, c *CollectionComparison) {
-	renderSection(w, CollectionSection(c))
 }
 
 // Fig1Section models the open-ports distribution (paper Fig. 1).
@@ -63,11 +56,6 @@ func Fig1Section(res *scan.Result) *report.Section {
 	return s.AddFigure(fig)
 }
 
-// RenderFig1 prints the open-ports distribution (paper Fig. 1).
-func RenderFig1(w io.Writer, res *scan.Result) {
-	renderSection(w, Fig1Section(res))
-}
-
 // CertAuditSection models the Section III HTTPS-certificate findings.
 func CertAuditSection(a *scan.CertAudit) *report.Section {
 	return report.NewSection("cert-audit", "Section III: HTTPS certificates").
@@ -78,11 +66,6 @@ func CertAuditSection(a *scan.CertAudit) *report.Section {
 			"torHostCN", report.Int(a.TorHostCN)).
 		KVLine("certificates leaking public DNS names: %d",
 			"dnsLeaks", report.Int(a.DNSLeaks))
-}
-
-// RenderCertAudit prints the Section III HTTPS-certificate findings.
-func RenderCertAudit(w io.Writer, a *scan.CertAudit) {
-	renderSection(w, CertAuditSection(a))
 }
 
 // TableISection models the HTTP/HTTPS destinations per port (paper
@@ -107,12 +90,6 @@ func TableISection(res *content.Result) *report.Section {
 			"classified", report.Int(res.Classified))
 }
 
-// RenderTableI prints the HTTP/HTTPS destinations per port (paper
-// Table I).
-func RenderTableI(w io.Writer, res *content.Result) {
-	renderSection(w, TableISection(res))
-}
-
 // LanguagesSection models the language mix of classified pages.
 func LanguagesSection(res *content.Result) *report.Section {
 	s := report.NewSection("languages", "Section IV: language mix")
@@ -132,11 +109,6 @@ func LanguagesSection(res *content.Result) *report.Section {
 		KVLine("languages found: %d", "languages", report.Int(len(ranked)))
 }
 
-// RenderLanguages prints the language mix of classified pages.
-func RenderLanguages(w io.Writer, res *content.Result) {
-	renderSection(w, LanguagesSection(res))
-}
-
 // Fig2Section models the topic distribution (paper Fig. 2).
 func Fig2Section(res *content.Result) *report.Section {
 	s := report.NewSection("fig2", "Fig. 2: topic distribution").
@@ -153,11 +125,6 @@ func Fig2Section(res *content.Result) *report.Section {
 		})
 	}
 	return s.AddFigure(fig)
-}
-
-// RenderFig2 prints the topic distribution (paper Fig. 2).
-func RenderFig2(w io.Writer, res *content.Result) {
-	renderSection(w, Fig2Section(res))
 }
 
 // TableIISection models the popularity ranking (paper Table II), topN
@@ -199,12 +166,6 @@ func TableIISection(res *PopularityResult, topN int) *report.Section {
 	return s.AddTable(tab)
 }
 
-// RenderTableII prints the popularity ranking (paper Table II), topN rows
-// plus the named below-top entries.
-func RenderTableII(w io.Writer, res *PopularityResult, topN int) {
-	renderSection(w, TableIISection(res, topN))
-}
-
 // PrefixAuditSection models vanity-prefix clusters (the paper's
 // "silkroa" phishing observation).
 func PrefixAuditSection(clusters []PrefixCluster) *report.Section {
@@ -229,12 +190,6 @@ func PrefixAuditSection(clusters []PrefixCluster) *report.Section {
 	return s
 }
 
-// RenderPrefixAudit prints vanity-prefix clusters (the paper's "silkroa"
-// phishing observation).
-func RenderPrefixAudit(w io.Writer, clusters []PrefixCluster) {
-	renderSection(w, PrefixAuditSection(clusters))
-}
-
 // Fig3Section models the deanonymised-client country map (paper Fig. 3).
 func Fig3Section(rep *deanon.Report) *report.Section {
 	s := report.NewSection("fig3", "Fig. 3: clients of a popular hidden service").
@@ -254,11 +209,6 @@ func Fig3Section(rep *deanon.Report) *report.Section {
 	return s.AddFigure(fig)
 }
 
-// RenderFig3 prints the deanonymised-client country map (paper Fig. 3).
-func RenderFig3(w io.Writer, rep *deanon.Report) {
-	renderSection(w, Fig3Section(rep))
-}
-
 // ServiceDeanonSection models the Section II-B service-side guard
 // attack outcome.
 func ServiceDeanonSection(rep *deanon.ServiceReport) *report.Section {
@@ -275,12 +225,6 @@ func ServiceDeanonSection(rep *deanon.ServiceReport) *report.Section {
 		s.TextLines("service not deanonymised in this window")
 	}
 	return s
-}
-
-// RenderServiceDeanon prints the Section II-B service-side guard attack
-// outcome.
-func RenderServiceDeanon(w io.Writer, rep *deanon.ServiceReport) {
-	renderSection(w, ServiceDeanonSection(rep))
 }
 
 // TrackingSection models the Section VII analysis.
@@ -332,15 +276,4 @@ func TrackingSection(res *TrackingResult) *report.Section {
 			"kind", report.String(kind))
 	}
 	return s
-}
-
-// RenderTracking prints the Section VII analysis.
-func RenderTracking(w io.Writer, res *TrackingResult) {
-	renderSection(w, TrackingSection(res))
-}
-
-// renderSection text-encodes one section as its own document — the shim
-// the RenderX functions share.
-func renderSection(w io.Writer, s *report.Section) {
-	_ = report.EncodeText(w, report.New(s.ID, s))
 }

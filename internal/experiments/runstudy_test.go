@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -126,7 +125,7 @@ func TestRunStudyCachedDependencyOfMissReportsExecuted(t *testing.T) {
 		t.Fatalf("executed=%v cached=%v, want both executed and nothing cached", res.Executed, res.Cached)
 	}
 	var fresh bytes.Buffer
-	if err := Paper().Run(context.Background(), newStudyEnv(t, 5), []string{ExpScan, ExpContent}, &fresh); err != nil {
+	if _, err := Paper().RunStudy(context.Background(), newStudyEnv(t, 5), RunOptions{Names: []string{ExpScan, ExpContent}}, &fresh); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != fresh.String() {
@@ -226,40 +225,8 @@ func mustCanonical(t *testing.T, d *report.Document) []byte {
 	return b
 }
 
-// TestRunStudyTextMatchesRun: RunStudy's text path and the legacy Run
-// facade emit identical bytes.
-func TestRunStudyTextMatchesRun(t *testing.T) {
-	var legacy, study bytes.Buffer
-	if err := Paper().Run(context.Background(), newStudyEnv(t, 9), []string{ExpPrefixAudit}, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Paper().RunStudy(context.Background(), newStudyEnv(t, 9), RunOptions{Names: []string{ExpPrefixAudit}}, &study); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.String() != study.String() {
-		t.Fatal("RunStudy text differs from Run")
-	}
-}
-
 func TestRunStudyRejectsUnknownFormat(t *testing.T) {
 	if _, err := Paper().RunStudy(context.Background(), newStudyEnv(t, 1), RunOptions{Format: "xml"}, nil); err == nil {
 		t.Fatal("unknown format accepted")
-	}
-}
-
-// TestArtefactDocumentFallback: a print-only extension artefact wraps
-// its rendered bytes in a raw section, so document text encoding equals
-// Render for every artefact kind.
-func TestArtefactDocumentFallback(t *testing.T) {
-	a := ArtefactFunc(func(w io.Writer) { io.WriteString(w, "plain bytes\n") })
-	doc := ArtefactDocument("custom", a)
-	if got := report.TextString(doc); got != "plain bytes\n" {
-		t.Fatalf("fallback document text = %q", got)
-	}
-	// An artefact that prints nothing must encode to nothing (a raw
-	// section with empty Raw would otherwise grow a stray blank line).
-	empty := ArtefactDocument("silent", ArtefactFunc(func(io.Writer) {}))
-	if got := report.TextString(empty); got != "" {
-		t.Fatalf("empty artefact document text = %q, want empty", got)
 	}
 }

@@ -607,5 +607,6 @@ func (e *Env) runTracking(ctx context.Context) (*TrackingResult, error) {
 // seed the output is byte-identical at every Workers value and equals
 // the concatenation of every per-experiment subset run.
 func (s *Study) RunAll(w io.Writer) error {
-	return paperRegistry.Run(context.Background(), s.env, nil, w)
+	_, err := paperRegistry.RunStudy(context.Background(), s.env, RunOptions{}, w)
+	return err
 }

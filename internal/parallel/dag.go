@@ -11,9 +11,9 @@ import (
 // DAG runs a set of keyed tasks with declared dependencies on a bounded
 // worker pool. A task starts only once every task it depends on has
 // finished successfully; tasks with no path between them run
-// concurrently, up to the worker limit. Like Group, the DAG never
-// cancels siblings and reports the first error in Add order, so error
-// surfaces are deterministic regardless of scheduling.
+// concurrently, up to the worker limit. The DAG never cancels siblings
+// and reports the first error in Add order, so error surfaces are
+// deterministic regardless of scheduling.
 //
 // Each task runs behind the fault plane's parallel.task site and a
 // retry policy: errors classified transient (errors.Is(err,

@@ -1,6 +1,7 @@
 // Package parallel provides the small worker-pool primitives the
-// experiment pipelines share: bounded fan-out over index ranges, an
-// errgroup-style task group, and deterministic per-index seed derivation.
+// experiment pipelines share: bounded fan-out over index ranges, a
+// dependency-ordered task DAG, and deterministic per-index seed
+// derivation.
 //
 // Every helper is written so that the *result* of a computation depends
 // only on the inputs, never on the worker count: callers shard work by
@@ -126,60 +127,6 @@ func Chunks(workers, n int, fn func(shard, lo, hi int)) {
 // never disagree.
 func NumChunks(workers, n int) int {
 	return Effective(workers, n)
-}
-
-// Group runs a set of tasks concurrently and collects every error, in
-// the order the tasks were added (not the order they finished). Unlike
-// x/sync/errgroup it does not cancel siblings: experiment tasks are
-// independent and short-lived, and deterministic error reporting matters
-// more than early exit.
-type Group struct {
-	limit chan struct{}
-
-	wg   sync.WaitGroup
-	mu   sync.Mutex
-	errs []error
-	next int
-}
-
-// NewGroup creates a group running at most workers tasks at once
-// (workers <= 0 means one per CPU).
-func NewGroup(workers int) *Group {
-	return &Group{limit: make(chan struct{}, Workers(workers))}
-}
-
-// Go schedules fn on the group.
-func (g *Group) Go(fn func() error) {
-	g.mu.Lock()
-	slot := g.next
-	g.next++
-	g.errs = append(g.errs, nil)
-	g.mu.Unlock()
-
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		g.limit <- struct{}{}
-		defer func() { <-g.limit }()
-		err := fn()
-		g.mu.Lock()
-		g.errs[slot] = err
-		g.mu.Unlock()
-	}()
-}
-
-// Wait blocks until every scheduled task has finished and returns the
-// first non-nil error in scheduling order (nil if all succeeded).
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, err := range g.errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SeedFor derives a statistically independent sub-seed for index idx

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -142,33 +141,6 @@ func TestForEachEveryIndexOnceAboveGOMAXPROCS(t *testing.T) {
 		if h != 1 {
 			t.Fatalf("index %d hit %d times", i, h)
 		}
-	}
-}
-
-func TestGroupReturnsFirstErrorInOrder(t *testing.T) {
-	errA := errors.New("a")
-	errB := errors.New("b")
-	release := make(chan struct{})
-	g := NewGroup(4)
-	g.Go(func() error { <-release; return errA }) // scheduled first, finishes last
-	g.Go(func() error { return errB })
-	g.Go(func() error { close(release); return nil })
-	if err := g.Wait(); err != errA {
-		t.Fatalf("Wait() = %v, want first-scheduled error %v", err, errA)
-	}
-}
-
-func TestGroupNilOnSuccess(t *testing.T) {
-	g := NewGroup(2)
-	var n int32
-	for i := 0; i < 10; i++ {
-		g.Go(func() error { atomic.AddInt32(&n, 1); return nil })
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Fatalf("ran %d tasks, want 10", n)
 	}
 }
 

@@ -70,10 +70,6 @@ func Encode(w io.Writer, d *Document, format string) error {
 func EncodeText(w io.Writer, d *Document) error {
 	bw := newErrWriter(w)
 	for _, s := range d.Sections {
-		if s.Raw != "" {
-			bw.writeString(s.Raw)
-			continue
-		}
 		if s.Title != "" {
 			bw.printf("== %s ==\n", s.Title)
 		}
@@ -131,11 +127,16 @@ func EncodeJSON(w io.Writer, d *Document) error {
 }
 
 // DecodeJSON parses a document from either the indented or the
-// canonical encoding.
+// canonical encoding. It rejects documents that break the model's
+// invariants (a null section, a node with no kind or several), so
+// every document it returns encodes in every format.
 func DecodeJSON(r io.Reader) (*Document, error) {
 	var d Document
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&d); err != nil {
+		return nil, fmt.Errorf("report: decode: %w", err)
+	}
+	if err := d.validate(); err != nil {
 		return nil, fmt.Errorf("report: decode: %w", err)
 	}
 	return &d, nil
@@ -160,17 +161,6 @@ func EncodeMarkdown(w io.Writer, d *Document) error {
 		bw.printf("# %s\n\n", d.Title)
 	}
 	for _, s := range d.Sections {
-		if s.Raw != "" {
-			raw := s.Raw
-			if !strings.HasSuffix(raw, "\n") {
-				raw += "\n"
-			}
-			// The fence must be longer than any backtick run inside the
-			// raw text, or an inner line would terminate it early.
-			fence := strings.Repeat("`", max(4, longestBacktickRun(raw)+1))
-			bw.printf("%s\n%s%s\n\n", fence, raw, fence)
-			continue
-		}
 		if s.Title != "" {
 			bw.printf("## %s\n\n", s.Title)
 		}
@@ -233,21 +223,6 @@ func encodeMarkdownNode(bw *errWriter, n Node) {
 	}
 }
 
-// longestBacktickRun returns the length of the longest consecutive
-// backtick sequence in s.
-func longestBacktickRun(s string) int {
-	longest, run := 0, 0
-	for _, r := range s {
-		if r == '`' {
-			run++
-			longest = max(longest, run)
-		} else {
-			run = 0
-		}
-	}
-	return longest
-}
-
 func defaultColumns(width int) []string {
 	if width <= 0 {
 		return nil
@@ -299,12 +274,6 @@ func EncodeCSV(w io.Writer, d *Document) error {
 		return err
 	}
 	for _, s := range d.Sections {
-		if s.Raw != "" {
-			if err := cw.Write([]string{s.ID, "raw", "0", "", "text", s.Raw}); err != nil {
-				return err
-			}
-			continue
-		}
 		for ni, n := range s.Nodes {
 			if err := encodeCSVNode(cw, s.ID, ni, n); err != nil {
 				return err
@@ -388,8 +357,7 @@ func (e *errWriter) printf(format string, args ...any) {
 	_, e.err = fmt.Fprintf(e.w, format, args...)
 }
 
-// TextString is EncodeText into a string (convenience for shims and
-// tests).
+// TextString is EncodeText into a string.
 func TextString(d *Document) string {
 	var buf bytes.Buffer
 	_ = EncodeText(&buf, d) // bytes.Buffer writes cannot fail

@@ -37,18 +37,11 @@ type Document struct {
 // table, or a prose paragraph group. In text encoding a section is
 //
 //	== Title ==\n  …nodes…  \n
-//
-// unless Raw is set, in which case the section encodes as exactly Raw
-// (the escape hatch for artefacts registered outside this package that
-// only know how to print themselves).
 type Section struct {
 	// ID is a stable slug ("fig1", "table2", …) for machine consumers.
 	ID    string `json:"id"`
 	Title string `json:"title,omitempty"`
 	Nodes []Node `json:"nodes,omitempty"`
-	// Raw, when non-empty, replaces the structured encoding: the text
-	// encoder emits it verbatim (no heading, no trailing blank line).
-	Raw string `json:"raw,omitempty"`
 }
 
 // Node is a tagged union: exactly one of the pointers is non-nil. A
@@ -172,12 +165,6 @@ func NewSection(id, title string) *Section {
 	return &Section{ID: id, Title: title}
 }
 
-// RawSection wraps pre-rendered text as a section encoding to exactly
-// those bytes.
-func RawSection(id, raw string) *Section {
-	return &Section{ID: id, Raw: raw}
-}
-
 // KVLine appends a formatted named-value line. Fields alternate
 // name, value: KVLine("total: %d", "total", Int(n)). Mis-paired
 // arguments are a builder bug and panic at construction — silently
@@ -213,6 +200,28 @@ func (s *Section) AddTable(t *Table) *Section {
 func (s *Section) AddFigure(f *Figure) *Section {
 	s.Nodes = append(s.Nodes, Node{Figure: f})
 	return s
+}
+
+// validate checks the invariants every encoder relies on: no section
+// is nil and every node sets exactly one of its kinds.
+func (d *Document) validate() error {
+	for i, s := range d.Sections {
+		if s == nil {
+			return fmt.Errorf("section %d is null", i)
+		}
+		for j, n := range s.Nodes {
+			kinds := 0
+			for _, set := range []bool{n.KV != nil, n.Text != nil, n.Table != nil, n.Figure != nil} {
+				if set {
+					kinds++
+				}
+			}
+			if kinds != 1 {
+				return fmt.Errorf("section %d (%q) node %d sets %d kinds, want exactly one", i, s.ID, j, kinds)
+			}
+		}
+	}
+	return nil
 }
 
 // Append returns a document holding the receiver's sections followed by

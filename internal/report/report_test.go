@@ -33,7 +33,7 @@ func sampleDocument() *Document {
 			{String("Other"), Int(12)},
 		},
 	})
-	return New("sample", sec, tab, RawSection("legacy", "free-form bytes\n"))
+	return New("sample", sec, tab)
 }
 
 func TestEncodeTextMatchesFormats(t *testing.T) {
@@ -48,8 +48,7 @@ func TestEncodeTextMatchesFormats(t *testing.T) {
 		"no clusters found\n" +
 		"  80        145\n" +
 		"  Other      12\n" +
-		"\n" +
-		"free-form bytes\n"
+		"\n"
 	if got != want {
 		t.Fatalf("text encoding mismatch:\n--- got ---\n%q\n--- want ---\n%q", got, want)
 	}
@@ -112,7 +111,7 @@ func TestMarkdownAndCSVCarryTheData(t *testing.T) {
 	if err := EncodeCSV(&csv, doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"## Fig. 1", "| port | count |", "| 80-http | 155 |", "free-form bytes"} {
+	for _, want := range []string{"## Fig. 1", "| port | count |", "| 80-http | 155 |"} {
 		if !strings.Contains(md.String(), want) {
 			t.Errorf("markdown missing %q:\n%s", want, md.String())
 		}
@@ -166,5 +165,24 @@ func TestDocumentAppend(t *testing.T) {
 	}
 	if len(a.Sections) != 1 {
 		t.Fatal("Append mutated the receiver")
+	}
+}
+
+// TestDecodeJSONRejectsBrokenModel: a document whose bytes parse but
+// break the model's union invariants must fail to decode — otherwise a
+// corrupt store object reaches the encoders and panics them.
+func TestDecodeJSONRejectsBrokenModel(t *testing.T) {
+	for name, in := range map[string]string{
+		"null section": `{"title":"x","sections":[null]}`,
+		"empty node":   `{"title":"x","sections":[{"id":"s","nodes":[{}]}]}`,
+		"two kinds":    `{"title":"x","sections":[{"id":"s","nodes":[{"kv":{"format":"a"},"text":{"lines":["b"]}}]}]}`,
+		"null node":    `{"title":"x","sections":[{"id":"s","nodes":[null]}]}`,
+	} {
+		if doc, err := DecodeJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", name, doc)
+		}
+	}
+	if _, err := DecodeJSON(strings.NewReader(`{"title":"x","sections":[{"id":"s","nodes":[{"text":{"lines":["ok"]}}]}]}`)); err != nil {
+		t.Fatalf("well-formed document rejected: %v", err)
 	}
 }
