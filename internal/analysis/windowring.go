@@ -15,13 +15,13 @@ import (
 // (directly, or through any composition of pointers, slices, arrays,
 // maps, channels, anonymous structs, or generic type arguments) must
 // carry an audited //torhs:retained <reason> directive explaining why
-// its retention is bounded — the sliding ring itself, the materialized
-// non-streaming path, a fixed per-step window.
+// its retention is bounded. Today's retentions are the tracking sweep's
+// sliding window ring, a per-step network's own consensus window, and the
+// experiments' fixed set of single-offset consensus memos.
 //
 // The walk deliberately does not descend into named types' underlying
 // structure: a field of type *consensus.History is the history
-// abstraction's business (and the materialized path's contract), not a
-// covert per-field document cache. Only the field's own compositional
+// abstraction's business, not a covert per-field document cache. Only the field's own compositional
 // spelling is audited, so the directive always sits next to the slice
 // or map that actually does the retaining.
 var WindowRing = &Analyzer{

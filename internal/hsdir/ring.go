@@ -130,8 +130,9 @@ func (r *Ring) ResponsibleIndicesInto(dst []int32, d onion.DescriptorID, spread 
 	return dst
 }
 
-// ResponsibleLinear is the O(n) scan variant of Responsible, kept as the
-// ablation baseline for BenchmarkRingLookup*.
+// ResponsibleLinear is the O(n) scan variant of Responsible. It is the
+// ablation baseline for BenchmarkRingLookup*, and the naive oracle that
+// simnet's tests check each driven window's phantom table against.
 func (r *Ring) ResponsibleLinear(d onion.DescriptorID, spread int) []onion.Fingerprint {
 	if len(r.fps) == 0 {
 		return nil

@@ -416,40 +416,78 @@ type FetchEvent struct {
 	At time.Time
 }
 
-// fetchScratch carries the reusable buffers and memos of one fetch
-// worker. Traffic plans list requests grouped by service, so consecutive
-// fetches usually repeat the same descriptor-ID derivations (per
-// replica) and the same responsible-set lookups; phantom requests are
-// Zipf-weighted, so their descriptor IDs repeat too. Both memos are pure
-// functions of their keys — they can never change an outcome, only skip
-// repeated SHA-1 and ring-search work.
+// respSet is one descriptor ID's resolved responsible set: the ring
+// positions of the directories that store it (fewer than
+// onion.SpreadPerReplica only on a smaller ring) and whether any of them
+// is observed. It is a pure function of the ID and the network, so
+// resolving it early or reusing it can never change an outcome.
+type respSet struct {
+	pos      [onion.SpreadPerReplica]int32
+	n        uint8
+	observed bool
+}
+
+// resolve binary-searches the ring for descID's responsible set.
+//
+//torhs:hotpath
+func (n *Network) resolve(descID onion.DescriptorID) respSet {
+	var s respSet
+	pos := n.ring.ResponsibleIndicesInto(s.pos[:0], descID, onion.SpreadPerReplica)
+	s.n = uint8(len(pos))
+	for _, p := range pos {
+		if n.dirs[p] != nil {
+			s.observed = true
+		}
+	}
+	return s
+}
+
+// phantom is one entry of a driven window's phantom table: a
+// never-published descriptor ID and its responsible set.
+type phantom struct {
+	id  onion.DescriptorID
+	set respSet
+}
+
+// phantomTable is a driven window's phantom pool, indexed by phantom
+// index. The IDs are drawn in the sequential planning phase; the sets are
+// resolved once, before the fetch loop.
+type phantomTable []phantom
+
+// resolve fills every entry's set, sharded across workers. It draws
+// nothing from any RNG.
+func (t phantomTable) resolve(n *Network, workers int) {
+	parallel.Chunks(workers, len(t), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			t[i].set = n.resolve(t[i].id)
+		}
+	})
+}
+
+// draw picks one phantom request's target: Zipf-ish, low indexes are
+// requested far more often.
+//
+//torhs:hotpath
+func (t phantomTable) draw(rng *rand.Rand) *phantom {
+	idx := int(float64(len(t)) * math.Pow(rng.Float64(), 2.2))
+	if idx >= len(t) {
+		idx = len(t) - 1
+	}
+	return &t[idx]
+}
+
+// fetchScratch is one fetch worker's service memo. Traffic plans list
+// requests grouped by service, so consecutive service fetches usually
+// repeat the same (service, time period); the memo keeps, per replica,
+// the descriptor ID and its resolved set, filled lazily. Phantom requests
+// read the window's phantomTable instead.
 type fetchScratch struct {
-	pos []int32
-
-	// Descriptor-ID memo for the current (service, period): one slot per
-	// replica, filled lazily.
-	idPermID onion.PermanentID
-	idPeriod uint32
-	idValid  bool
-	idOK     [onion.Replicas]bool
-	idVal    [onion.Replicas]onion.DescriptorID
-
-	// Responsible-set memo: 4-way direct-mapped by the descriptor ID's
-	// low bits (uniform SHA-1 output), so the two live replicas of a
-	// service and the hot phantom IDs rarely evict each other. respObs
-	// notes whether the set holds an observed directory.
-	respKey [4]onion.DescriptorID
-	respOK  [4]bool
-	respObs [4]bool
-	respLen [4]int
-	respVal [4][onion.SpreadPerReplica]int32
-
-	// skipUnobserved stops a fetch whose responsible set holds no
-	// observed directory before it draws anything more. Only DriveWindow
-	// sets it: there every request draws from its own reseeded RNG, so a
-	// skipped request's draws cannot shift any other request. The
-	// shared-RNG fetches (FetchDescriptor, FetchRawID) keep every draw.
-	skipUnobserved bool
+	permID onion.PermanentID
+	period uint32
+	valid  bool
+	ok     [onion.Replicas]bool
+	id     [onion.Replicas]onion.DescriptorID
+	set    [onion.Replicas]respSet
 }
 
 // fetchRec is the compact, pointer-free record a fetch worker writes:
@@ -499,7 +537,7 @@ func (n *Network) event(rec *fetchRec) FetchEvent {
 // false and is logged nowhere.
 func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.Time) FetchEvent {
 	var sc fetchScratch
-	rec := n.fetchDescriptor(n.rng, c, permID, now, &sc)
+	rec := n.fetchDescriptor(n.rng, c, permID, now, &sc, false)
 	if rec.answered >= 0 {
 		n.dirs[rec.answered].Log().Record(hsdir.Request{At: now, DescID: rec.descID, Found: rec.found})
 	}
@@ -510,67 +548,62 @@ func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.
 // the phantom requests to never-published descriptors). The
 // serialization contract of FetchDescriptor applies.
 func (n *Network) FetchRawID(c *Client, descID onion.DescriptorID, now time.Time) FetchEvent {
-	var sc fetchScratch
-	rec := n.fetchByID(n.rng, c, descID, now, &sc)
+	set := n.resolve(descID)
+	rec := n.fetchResolved(n.rng, c, descID, &set, now, false)
 	if rec.answered >= 0 {
 		n.dirs[rec.answered].Log().Record(hsdir.Request{At: now, DescID: rec.descID, Found: rec.found})
 	}
 	return n.event(&rec)
 }
 
-// fetchDescriptor is FetchDescriptor with the randomness source and
-// scratch buffers made explicit so DriveWindow can run fetches
-// concurrently on per-request RNGs; the caller owns request-log
-// recording.
+// fetchDescriptor is FetchDescriptor with the randomness source and the
+// service memo made explicit so DriveWindow can run fetches concurrently
+// on per-request RNGs; skip is fetchResolved's. The caller owns
+// request-log recording.
 //
 //torhs:hotpath
-func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch) fetchRec {
+func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch, skip bool) fetchRec {
 	local := c.LocalTime(now)
 	replica := uint8(rng.Intn(onion.Replicas))
 	period := onion.TimePeriod(permID, local)
-	if !sc.idValid || sc.idPermID != permID || sc.idPeriod != period {
-		sc.idPermID, sc.idPeriod, sc.idValid = permID, period, true
-		sc.idOK = [onion.Replicas]bool{}
+	if !sc.valid || sc.permID != permID || sc.period != period {
+		sc.permID, sc.period, sc.valid = permID, period, true
+		sc.ok = [onion.Replicas]bool{}
 	}
-	if !sc.idOK[replica] {
-		sc.idOK[replica] = true
+	if !sc.ok[replica] {
+		sc.ok[replica] = true
 		if n.secrets != nil {
-			sc.idVal[replica] = n.secrets.DescriptorIDForPeriod(permID, period, replica)
+			sc.id[replica] = n.secrets.DescriptorIDForPeriod(permID, period, replica)
 		} else {
-			sc.idVal[replica] = onion.DescriptorIDForPeriod(permID, period, replica)
+			sc.id[replica] = onion.DescriptorIDForPeriod(permID, period, replica)
 		}
+		sc.set[replica] = n.resolve(sc.id[replica])
 	}
-	return n.fetchByID(rng, c, sc.idVal[replica], now, sc)
+	return n.fetchResolved(rng, c, sc.id[replica], &sc.set[replica], now, skip)
 }
 
+// fetchResolved runs one fetch of descID over its resolved responsible
+// set: the guard pick, the random contact order, failover past
+// unreachable directories, and the probe. With skip set, a request that
+// no observed directory is responsible for stops before it draws
+// anything more. Only DriveWindow sets it: there every request draws from
+// its own reseeded RNG, so a skipped request's draws cannot shift any
+// other request. The shared-RNG fetches (FetchDescriptor, FetchRawID)
+// keep every draw.
 //
 //torhs:hotpath
-func (n *Network) fetchByID(rng *rand.Rand, c *Client, descID onion.DescriptorID, now time.Time, sc *fetchScratch) fetchRec {
-	// The responsible set draws nothing from rng, so resolving it before
-	// the guard pick leaves the draw sequence unchanged.
-	slot := descID[len(descID)-1] & 3
-	if !sc.respOK[slot] || sc.respKey[slot] != descID {
-		sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
-		sc.respKey[slot], sc.respOK[slot] = descID, true
-		sc.respLen[slot] = copy(sc.respVal[slot][:], sc.pos)
-		sc.respObs[slot] = false
-		for _, pos := range sc.pos {
-			if n.dirs[pos] != nil {
-				sc.respObs[slot] = true
-			}
-		}
-	}
+func (n *Network) fetchResolved(rng *rand.Rand, c *Client, descID onion.DescriptorID, set *respSet, now time.Time, skip bool) fetchRec {
 	rec := fetchRec{
 		descID:   descID,
 		atNanos:  now.UnixNano(),
 		clientID: int32(c.ID),
 		answered: -1,
 	}
-	if sc.skipUnobserved && !sc.respObs[slot] {
+	if skip && !set.observed {
 		return rec // no observed directory could answer it
 	}
 	rec.guard = c.gs.pickPool(n.pool, rng, now)
-	k := sc.respLen[slot]
+	k := int(set.n)
 	// Contact the responsible directories in random order, falling back
 	// on unreachable ones, as the Tor client does. The permutation
 	// replays math/rand.Perm's exact draw sequence into a stack buffer
@@ -586,7 +619,7 @@ func (n *Network) fetchByID(rng *rand.Rand, c *Client, descID onion.DescriptorID
 		order[j] = int32(i)
 	}
 	for _, oi := range order[:k] {
-		pos := sc.respVal[slot][oi]
+		pos := set.pos[oi]
 		rec.attempts++
 		rec.lastDir = pos
 		if n.dirFailure > 0 && rng.Float64() < n.dirFailure {
@@ -621,11 +654,11 @@ type planEntry struct {
 // stops each window from allocating and zeroing megabytes of plan,
 // record, and log-routing buffers.
 var (
-	planPool = sync.Pool{New: func() any { return new([]planEntry) }}
-	recsPool = sync.Pool{New: func() any { return new([]fetchRec) }}
-	reqsPool = sync.Pool{New: func() any { return new([]hsdir.Request) }}
-	idsPool  = sync.Pool{New: func() any { return new([]onion.DescriptorID) }}
-	i32Pool  = sync.Pool{New: func() any { return new([]int32) }}
+	planPool    = sync.Pool{New: func() any { return new([]planEntry) }}
+	recsPool    = sync.Pool{New: func() any { return new([]fetchRec) }}
+	reqsPool    = sync.Pool{New: func() any { return new([]hsdir.Request) }}
+	phantomPool = sync.Pool{New: func() any { return new([]phantom) }}
+	i32Pool     = sync.Pool{New: func() any { return new([]int32) }}
 )
 
 // grabSlice returns a zero-length slice with capacity >= n from the
@@ -743,12 +776,11 @@ func (n *Network) DriveWindow(
 
 	// Phantom pool: never-published descriptor IDs, power-law weighted.
 	nPhantomIDs := pop.Config.ScaledPhantomIDs()
-	phantomPtr := grabSlice[onion.DescriptorID](&idsPool, nPhantomIDs)
-	defer idsPool.Put(phantomPtr)
-	phantomIDs := (*phantomPtr)[:nPhantomIDs]
-	for i := range phantomIDs {
-		f := onion.RandomFingerprint(n.rng)
-		copy(phantomIDs[i][:], f[:])
+	phantomPtr := grabSlice[phantom](&phantomPool, nPhantomIDs)
+	defer phantomPool.Put(phantomPtr)
+	phantoms := phantomTable((*phantomPtr)[:nPhantomIDs])
+	for i := range phantoms {
+		phantoms[i].id = onion.DescriptorID(onion.RandomFingerprint(n.rng))
 	}
 	planSeed := n.rng.Int63()
 	end := start.Add(window)
@@ -759,16 +791,15 @@ func (n *Network) DriveWindow(
 	// its RNG from (planSeed, index) — one reseeded RNG per worker, not
 	// one allocation per request — probes the descriptor stores without
 	// taking any lock, and notes which directory answered. Every shard
-	// is fully private: its own fetch scratch (descriptor-ID and
-	// responsible-set memos), its own RNG stream, its own stats tally,
-	// and its own per-directory staging counts — zero cross-shard
-	// synchronization until the merge. Warmed guard sets are only read:
-	// warming refreshed every guard that would expire before end. A
-	// freshly refreshed guard is stable for minGuardLifetime, so for
-	// windows that long or longer the no-mid-window-rotation guarantee
-	// cannot hold and we fall back to serial execution (identical
-	// results at every Workers value either way, since the plan already
-	// fixes each request's RNG).
+	// is fully private: its own service memo, its own RNG stream, its own
+	// stats tally, and its own per-directory staging counts — zero
+	// cross-shard synchronization until the merge. Warmed guard sets are
+	// only read: warming refreshed every guard that would expire before
+	// end. A freshly refreshed guard is stable for minGuardLifetime, so
+	// for windows that long or longer the no-mid-window-rotation
+	// guarantee cannot hold and we fall back to serial execution
+	// (identical results at every Workers value either way, since the
+	// plan already fixes each request's RNG).
 	workers := n.workers
 	if window >= minGuardLifetime {
 		workers = 1
@@ -777,6 +808,10 @@ func (n *Network) DriveWindow(
 	if shards == 0 {
 		return out, nil
 	}
+	// Most requests are phantoms drawn from a small pool, so each
+	// phantom ID's responsible set is resolved once, up front, and the
+	// fetches read it from the table.
+	phantoms.resolve(n, workers)
 	recsPtr := grabSlice[fetchRec](&recsPool, len(plan))
 	defer recsPool.Put(recsPtr)
 	recs := (*recsPtr)[:len(plan)] // pointer-free: never GC-scanned
@@ -789,12 +824,13 @@ func (n *Network) DriveWindow(
 	counts := *countsPtr
 	shardStats := make([]TrafficStats, shards)
 	// A restricted network skips the requests that no observed directory
-	// is responsible for. That needs the per-request RNGs to be the only
+	// is responsible for: a skipped phantom costs its draws so far and
+	// one bit test. That needs the per-request RNGs to be the only
 	// source of each request's draws, which holds only while no guard
 	// rotates mid-window (the same condition as the fan-out).
 	skip := n.restricted && window < minGuardLifetime
 	parallel.Chunks(shards, len(plan), func(shard, lo, hi int) {
-		sc := fetchScratch{skipUnobserved: skip}
+		var sc fetchScratch
 		rng := parallel.NewRNG(0)
 		cnt := counts[shard*nd : (shard+1)*nd]
 		st := &shardStats[shard]
@@ -803,15 +839,11 @@ func (n *Network) DriveWindow(
 			at := start.Add(time.Duration(rng.Int63n(int64(window))))
 			c := n.clients[rng.Intn(len(n.clients))]
 			if plan[i].phantom {
-				// Zipf-ish: low indexes requested far more often.
-				idx := int(float64(len(phantomIDs)) * math.Pow(rng.Float64(), 2.2))
-				if idx >= len(phantomIDs) {
-					idx = len(phantomIDs) - 1
-				}
-				recs[i] = n.fetchByID(rng, c, phantomIDs[idx], at, &sc)
+				p := phantoms.draw(rng)
+				recs[i] = n.fetchResolved(rng, c, p.id, &p.set, at, skip)
 				st.PhantomRequests++
 			} else {
-				recs[i] = n.fetchDescriptor(rng, c, plan[i].permID, at, &sc)
+				recs[i] = n.fetchDescriptor(rng, c, plan[i].permID, at, &sc, skip)
 			}
 			st.TotalRequests++
 			if recs[i].found {

@@ -78,11 +78,16 @@ func (f restrictFixture) network(t *testing.T, seed int64, workers int, fail flo
 	return net
 }
 
-// run publishes every descriptor and drives two consecutive windows of
-// length window, returning the summed stats.
+// run publishes every descriptor at the consensus's start and drives two
+// consecutive windows of length window from there, returning the summed
+// stats.
 func (f restrictFixture) run(t *testing.T, net *Network, window time.Duration) TrafficStats {
+	return f.runAt(t, net, f.doc.ValidAfter, window)
+}
+
+// runAt is run from instant now.
+func (f restrictFixture) runAt(t *testing.T, net *Network, now time.Time, window time.Duration) TrafficStats {
 	t.Helper()
-	now := f.doc.ValidAfter
 	net.PublishAll(f.pop, now)
 	var sum TrafficStats
 	for w := 0; w < 2; w++ {
@@ -187,6 +192,32 @@ func TestRestrictedNetworkMatchesFullOracle(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestRestrictedNetworkAcrossTimePeriod drives windows that cross a
+// popular service's time-period boundary, so its requests switch to the
+// next period's descriptor IDs mid-window: the service memo must follow,
+// and every observed directory must still match the full-ring oracle.
+func TestRestrictedNetworkAcrossTimePeriod(t *testing.T) {
+	const seed = 53
+	f := newRestrictFixture(t, seed)
+	ring := f.doc.Ring().Fingerprints()
+	svc := f.pop.PopularServices()[0]
+	start := nextPeriodStart(svc.PermID, f.doc.ValidAfter).Add(-time.Hour)
+	const window = 2 * time.Hour
+	if onion.TimePeriod(svc.PermID, start) == onion.TimePeriod(svc.PermID, start.Add(window)) {
+		t.Fatal("the first window does not cross a time period")
+	}
+	for _, workers := range []int{1, 2} {
+		full := f.network(t, seed, workers, 0.3, false, nil)
+		fullStats := f.runAt(t, full, start, window)
+		for name, observed := range observedSubsets(ring, seed) {
+			t.Run(fmt.Sprintf("workers=%d/observed=%s", workers, name), func(t *testing.T) {
+				net := f.network(t, seed, workers, 0.3, false, observed)
+				checkRestricted(t, full, net, ring, observed, fullStats, f.runAt(t, net, start, window))
+			})
 		}
 	}
 }
@@ -303,9 +334,12 @@ func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	net.OnUpload(func(UploadEvent) {})
 }
 
-// TestFetchByIDDoesNotAllocate pins the hot path's zero-allocation
-// contract on a restricted network, for skipped and probed requests.
-func TestFetchByIDDoesNotAllocate(t *testing.T) {
+// TestFetchPathsDoNotAllocate pins the hot path's zero-allocation
+// contract on a restricted network, for skipped and probed requests, on
+// both fetch paths of a driven window: a phantom request (a table draw,
+// then fetchResolved) and a service request (fetchDescriptor and its
+// memo).
+func TestFetchPathsDoNotAllocate(t *testing.T) {
 	f := newRestrictFixture(t, 47)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"]
 	net := f.network(t, 47, 1, 0.3, false, observed)
@@ -313,18 +347,43 @@ func TestFetchByIDDoesNotAllocate(t *testing.T) {
 	net.PublishAll(f.pop, now)
 	net.warmGuardSets(now, now.Add(time.Hour))
 	rng := rand.New(rand.NewSource(1))
-	ids := make([]onion.DescriptorID, 64)
-	for i := range ids {
-		ids[i] = onion.DescriptorID(onion.RandomFingerprint(rng))
+	phantoms := make(phantomTable, 64)
+	for i := range phantoms {
+		phantoms[i].id = onion.DescriptorID(onion.RandomFingerprint(rng))
 	}
+	phantoms.resolve(net, 1)
+	svcs := f.pop.PopularServices()
 	for _, skip := range []bool{false, true} {
-		sc := fetchScratch{skipUnobserved: skip}
+		var sc fetchScratch
 		i := 0
-		if avg := testing.AllocsPerRun(500, func() {
-			net.fetchByID(rng, net.clients[i%len(net.clients)], ids[i%len(ids)], now, &sc)
-			i++
-		}); avg != 0 {
-			t.Fatalf("fetchByID (skip=%v) allocates %.1f times per call", skip, avg)
+		paths := []struct {
+			name  string
+			fetch func() fetchRec
+		}{
+			{"phantom", func() fetchRec {
+				p := phantoms.draw(rng)
+				return net.fetchResolved(rng, net.clients[i%len(net.clients)], p.id, &p.set, now, skip)
+			}},
+			// Eight requests per service, as a plan groups them.
+			{"service", func() fetchRec {
+				return net.fetchDescriptor(rng, net.clients[i%len(net.clients)], svcs[i/8%len(svcs)].PermID, now, &sc, skip)
+			}},
+		}
+		for _, p := range paths {
+			skipped, probed := 0, 0
+			if avg := testing.AllocsPerRun(500, func() {
+				if rec := p.fetch(); rec.attempts == 0 {
+					skipped++
+				} else {
+					probed++
+				}
+				i++
+			}); avg != 0 {
+				t.Fatalf("%s fetch (skip=%v) allocates %.1f times per call", p.name, skip, avg)
+			}
+			if probed == 0 || skip && skipped == 0 {
+				t.Fatalf("%s fetch (skip=%v): %d skipped, %d probed; want both kinds", p.name, skip, skipped, probed)
+			}
 		}
 	}
 }
