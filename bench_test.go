@@ -536,13 +536,14 @@ func BenchmarkTrawlHarvest(b *testing.B) {
 // BenchmarkDriveWindow measures one driven descriptor-fetch window over a
 // published population: the simnet hot path underneath both the trawl and
 // the deanonymisation experiments. observed=all simulates every ring
-// directory, as the deanonymisation networks do; observed=fleet restricts
-// the network to an attacker-sized ninth of the ring, as each trawl step
-// does (simnet.Config.Observed). Every iteration drives the first window
-// of a freshly published network, built with the timer stopped, after two
-// collections have emptied simnet's window-buffer pools (as happens
-// between trawl steps), so B/op and allocs/op are the same in every
-// iteration and do not depend on b.N.
+// directory and keeps no request log, as the deanonymisation networks
+// do; observed=fleet restricts the network to an attacker-sized ninth of
+// the ring and counts the requests those directories answer in the
+// network's log, as each trawl step does (simnet.Config.Observed). Every
+// iteration drives the first window of a freshly published network,
+// built with the timer stopped, after two collections have emptied
+// simnet's window-buffer pools (as happens between trawl steps), so B/op
+// and allocs/op are the same in every iteration and do not depend on b.N.
 func BenchmarkDriveWindow(b *testing.B) {
 	e := benchSetup(b)
 	fleet := relaynet.DefaultFleetConfig(6)

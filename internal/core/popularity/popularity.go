@@ -223,10 +223,10 @@ func Resolve(counts map[onion.DescriptorID]int, ix *Index) *Resolution {
 	return res
 }
 
-// ResolveLog joins a directory request log with the index, iterating the
-// log's per-ID counts in place instead of copying them into a map first
-// (the zero-copy sibling of Resolve over RequestLog.CountsByID). Output
-// is identical to Resolve.
+// ResolveLog joins a request log with the index, iterating the log's
+// per-ID counts in place instead of copying them into a map first (the
+// zero-copy sibling of Resolve over the counts RequestLog.CompactState
+// returns). Output is identical to Resolve.
 func ResolveLog(log *hsdir.RequestLog, ix *Index) *Resolution {
 	res := &Resolution{PerAddress: make(map[onion.Address]int)}
 	log.EachCount(func(id onion.DescriptorID, n int) {

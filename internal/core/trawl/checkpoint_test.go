@@ -8,7 +8,6 @@ import (
 
 	"torhs/internal/fault"
 	"torhs/internal/geo"
-	"torhs/internal/hsdir"
 	"torhs/internal/hspop"
 	"torhs/internal/onion"
 	"torhs/internal/relaynet"
@@ -145,7 +144,7 @@ type rawSnapshot struct {
 	Addresses       map[onion.Address]bool
 	DescriptorsSeen int
 	StepCoverage    []float64
-	Requests        []hsdir.Request
+	Requests        []rawRequest
 }
 
 // TestResumeIgnoresRawSnapshot: a raw-form snapshot would decode into a
@@ -163,7 +162,7 @@ func TestResumeIgnoresRawSnapshot(t *testing.T) {
 		Addresses:       map[onion.Address]bool{addr: true},
 		DescriptorsSeen: 1,
 		StepCoverage:    []float64{0.5, 0.5, 0.5, 0.5},
-		Requests:        []hsdir.Request{{DescID: onion.DescriptorID{1}, Found: true}},
+		Requests:        []rawRequest{{DescID: onion.DescriptorID{1}, Found: true}},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,15 @@ import (
 	"testing"
 	"time"
 
-	"torhs/internal/hsdir"
 	"torhs/internal/onion"
 	"torhs/internal/simnet"
 )
 
-// TestHarvestLogMatchesNaiveOracle checks the compact harvest log
-// against a naive read-out: every step rebuilt as a full-ring network
-// with raw directory logs, and every attacker directory's raw requests
-// counted per descriptor ID in a plain map.
+// TestHarvestLogMatchesNaiveOracle checks the harvest log against a
+// naive read-out: every step rebuilt as a full-ring network, and every
+// fetch event a fleet directory answered counted per descriptor ID in a
+// plain map. With the trawl's DirFailureProb of 0 no directory is ever
+// unreachable, so an event's Dir is the directory that answered it.
 func TestHarvestLogMatchesNaiveOracle(t *testing.T) {
 	const seed, steps = 21, 3
 	tr, sim, pop, db, start := setupTrawl(t, seed, steps, true)
@@ -27,6 +27,9 @@ func TestHarvestLogMatchesNaiveOracle(t *testing.T) {
 
 	// The oracle replays the same steps on a fresh sim and fleet.
 	tr, sim, pop, db, start = setupTrawl(t, seed, steps, true)
+	if tr.cfg.ClientConfig.DirFailureProb != 0 {
+		t.Fatal("the oracle needs every first-tried directory to answer")
+	}
 	counts := make(map[onion.DescriptorID]int)
 	total, found := 0, 0
 	for step := 0; step < steps; step++ {
@@ -38,24 +41,17 @@ func TestHarvestLogMatchesNaiveOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.PublishAll(pop, now)
-		if _, err := net.DriveWindow(context.Background(), pop, now, tr.cfg.StepLen, nil); err != nil {
+		if _, err := net.DriveWindow(context.Background(), pop, now, tr.cfg.StepLen, func(ev simnet.FetchEvent) {
+			if !tr.Owns(ev.Dir) {
+				return
+			}
+			counts[ev.DescID]++
+			total++
+			if ev.Found {
+				found++
+			}
+		}); err != nil {
 			t.Fatal(err)
-		}
-		for _, fp := range doc.HSDirs() {
-			if !tr.Owns(fp) {
-				continue
-			}
-			dir, ok := net.Directory(fp)
-			if !ok {
-				t.Fatalf("step %d: attacker directory %x missing from the full-ring network", step, fp)
-			}
-			for _, r := range dir.Log().Requests() {
-				counts[r.DescID]++
-				total++
-				if r.Found {
-					found++
-				}
-			}
 		}
 	}
 	if total == 0 {
@@ -67,8 +63,8 @@ func TestHarvestLogMatchesNaiveOracle(t *testing.T) {
 	if got, want := h.Log.FoundFraction(), float64(found)/float64(total); got != want {
 		t.Errorf("FoundFraction = %v, oracle %v", got, want)
 	}
-	if got := h.Log.CountsByID(); !reflect.DeepEqual(got, counts) {
-		t.Errorf("CountsByID diverged from the oracle: %d vs %d IDs", len(got), len(counts))
+	if got, _, _ := h.Log.CompactState(); !reflect.DeepEqual(got, counts) {
+		t.Errorf("per-ID counts diverged from the oracle: %d vs %d IDs", len(got), len(counts))
 	}
 }
 
@@ -131,6 +127,14 @@ func TestHarvestStateRoundTrip(t *testing.T) {
 	assertHarvestsEqual(t, h, back)
 }
 
+// rawRequest has the gob fields of the raw request record that
+// pre-compact logs kept and spilled.
+type rawRequest struct {
+	At     time.Time
+	DescID onion.DescriptorID
+	Found  bool
+}
+
 // rawHarvestState is the harvest intermediate as materialized runs
 // spilled it before compact logs: raw request records and no compact
 // aggregate.
@@ -139,7 +143,7 @@ type rawHarvestState struct {
 	DescriptorsSeen int
 	StepCoverage    []float64
 	Start, End      time.Time
-	Requests        []hsdir.Request
+	Requests        []rawRequest
 }
 
 // TestHarvestStateWithoutCompactIsRefused: a raw-form state decodes
@@ -151,7 +155,7 @@ func TestHarvestStateWithoutCompactIsRefused(t *testing.T) {
 		Addresses:       map[onion.Address]bool{addr: true},
 		DescriptorsSeen: 7,
 		StepCoverage:    []float64{0.5},
-		Requests:        []hsdir.Request{{DescID: onion.DescriptorID{1}, Found: true}},
+		Requests:        []rawRequest{{DescID: onion.DescriptorID{1}, Found: true}},
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(raw); err != nil {

@@ -132,10 +132,10 @@ type Harvest struct {
 	// DescriptorsSeen counts descriptor uploads captured (with replica
 	// multiplicity).
 	DescriptorsSeen int
-	// Log merges the request logs of all attacker directories across all
-	// steps (empty unless DriveTraffic). It is a compact log: requests
-	// fold into per-descriptor-ID counts, so its size is bounded by the
-	// distinct IDs rather than the request volume.
+	// Log counts, per descriptor ID, the client requests the attacker
+	// directories answered across all steps (empty unless DriveTraffic):
+	// each step's network log, merged once per step. Its size is bounded
+	// by the distinct IDs rather than the request volume.
 	Log *hsdir.RequestLog
 	// StepCoverage is, per step, the fraction of the consensus HSDir
 	// ring positions held by attacker relays.
@@ -241,8 +241,9 @@ func (t *Trawler) Owns(fp onion.Fingerprint) bool { return t.allFPs[fp] }
 // onto the resulting ring, optionally drives client traffic, and reads
 // the attacker directories. Each step's network is restricted to the
 // attacker directories (simnet.Config.Observed): it publishes to, probes
-// and logs only what the read-out sees, which leaves every harvest field
-// exactly as a full-ring simulation would.
+// and counts requests at only what the read-out sees, which leaves every
+// harvest field exactly as a full-ring simulation would. The step
+// network's request log merges into the harvest log once per step.
 //
 // The step is the cancellation unit: ctx is observed at every step
 // boundary (and inside the step through the traffic drive). A cancelled
@@ -264,7 +265,7 @@ func (t *Trawler) Run(
 	h := &Harvest{
 		Addresses: make(map[onion.Address]bool),
 		PermIDs:   make(map[onion.Address]onion.PermanentID),
-		Log:       hsdir.NewCompactLog(),
+		Log:       hsdir.NewRequestLog(),
 		Start:     attackStart,
 		End:       attackStart.Add(time.Duration(t.cfg.Steps) * t.cfg.StepLen),
 	}
@@ -361,19 +362,11 @@ func (t *Trawler) Run(
 		}
 
 		// The step reads only the attacker-operated directories, so its
-		// network publishes to, probes and logs only those.
+		// network publishes to, probes and counts requests at only those.
 		attacker := t.attackerDirs(hsdirs)
 		net, err := simnet.NewNetwork(doc, db, t.stepConfig(step, attacker))
 		if err != nil {
 			return nil, fmt.Errorf("trawl: step %d: %w", step, err)
-		}
-		// The read-out only needs per-descriptor-ID counts, so the
-		// directory logs fold requests into counts on arrival instead
-		// of retaining them.
-		for _, fp := range attacker {
-			if dir, ok := net.Directory(fp); ok {
-				dir.Log().Compact()
-			}
 		}
 		net.PublishAll(pop, now)
 
@@ -390,6 +383,7 @@ func (t *Trawler) Run(
 		}
 
 		t.mergeReadouts(h, publishedIDs, requestedPublished, t.readStep(net, attacker))
+		h.Log.MergeAll([]*hsdir.RequestLog{net.Log()})
 		h.StepCoverage = append(h.StepCoverage, float64(len(attacker))/float64(len(hsdirs)))
 
 		// Snapshot after the step's accumulators are complete. The final
@@ -453,9 +447,7 @@ func (t *Trawler) readStep(net *simnet.Network, attacker []onion.Fingerprint) []
 // mergeReadouts folds the per-shard read-out partials into the harvest
 // accumulators, iterating shards in index order — shard spans are
 // contiguous ascending directory ranges, so shard-then-directory order
-// is directory order. Every scalar is a sum, every map a set union, and
-// the request logs land through one bulk MergeAll per step, so one merge
-// per step is all the synchronization the read-out ever does.
+// is directory order. Every scalar is a sum and every map a set union.
 //
 //torhs:shardmerge shards
 //torhs:hotpath
@@ -477,7 +469,6 @@ func (t *Trawler) mergeReadouts(
 		for id := range sh.requestedPublished {
 			requestedPublished[id] = true
 		}
-		h.Log.MergeAll(sh.logs)
 	}
 }
 
@@ -487,7 +478,6 @@ type readout struct {
 	permIDs            map[onion.Address]onion.PermanentID
 	publishedIDs       map[onion.DescriptorID]bool
 	requestedPublished map[onion.DescriptorID]bool
-	logs               []*hsdir.RequestLog
 }
 
 func (r *readout) init() {
@@ -512,7 +502,6 @@ func (t *Trawler) readDirectory(net *simnet.Network, fp onion.Fingerprint, out *
 		out.publishedIDs[id] = true
 	})
 	if t.cfg.DriveTraffic {
-		out.logs = append(out.logs, dir.Log())
 		dir.EachRequestedPublishedID(func(id onion.DescriptorID) {
 			out.requestedPublished[id] = true
 		})
@@ -588,7 +577,7 @@ func HarvestFromState(st *HarvestState) (h *Harvest, ok bool) {
 		CollectedFraction:     st.CollectedFraction,
 		Start:                 st.Start,
 		End:                   st.End,
-		Log:                   hsdir.NewCompactLog(),
+		Log:                   hsdir.NewRequestLog(),
 	}
 	if h.Addresses == nil {
 		h.Addresses = make(map[onion.Address]bool)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"torhs/internal/core/trawl"
-	"torhs/internal/hsdir"
 	"torhs/internal/onion"
 	"torhs/internal/resultstore"
 )
@@ -74,7 +73,15 @@ type rawHarvestState struct {
 	Addresses       map[onion.Address]bool
 	DescriptorsSeen int
 	Start, End      time.Time
-	Requests        []hsdir.Request
+	Requests        []rawRequest
+}
+
+// rawRequest has the gob fields of the raw request record that
+// pre-compact logs kept and spilled.
+type rawRequest struct {
+	At     time.Time
+	DescID onion.DescriptorID
+	Found  bool
 }
 
 // TestRawHarvestIntermediateIsRecomputed: a raw-form harvest
@@ -95,7 +102,7 @@ func TestRawHarvestIntermediateIsRecomputed(t *testing.T) {
 	if err := ints.Put("harvest", rawHarvestState{
 		Addresses:       map[onion.Address]bool{addr: true},
 		DescriptorsSeen: 1,
-		Requests:        []hsdir.Request{{DescID: onion.DescriptorID{1}, Found: true}},
+		Requests:        []rawRequest{{DescID: onion.DescriptorID{1}, Found: true}},
 	}); err != nil {
 		t.Fatal(err)
 	}

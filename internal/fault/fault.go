@@ -165,7 +165,8 @@ func (in *Injector) Set(site Site, r Rule) error {
 	if r.Mode == ModeErr && !caps.errOK {
 		return fmt.Errorf("fault: site %s cannot surface errors (crash/slow only)", site)
 	}
-	if r.At < 0 || r.Count < 0 || r.Prob < 0 || r.Prob > 1 || r.Delay < 0 {
+	// The negated range test also rejects a NaN probability.
+	if r.At < 0 || r.Count < 0 || !(r.Prob >= 0 && r.Prob <= 1) || r.Delay < 0 {
 		return fmt.Errorf("fault: invalid rule %+v for site %s", r, site)
 	}
 	if r.Mode == ModeSlow && r.Delay == 0 {
@@ -371,7 +372,7 @@ func parseRule(s string) (Rule, error) {
 			r.Count = n
 		case '~':
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN fails both bounds
 				return Rule{}, fmt.Errorf("bad ~prob %q", val)
 			}
 			r.Prob = p

@@ -47,6 +47,9 @@ func TestParseRejects(t *testing.T) {
 		"trawl.step=explode",     // unknown mode
 		"trawl.step=err@0",       // hit indexes are 1-based
 		"trawl.step=err~1.5",     // probability out of range
+		"trawl.step=err~-0.5",    // negative probability
+		"trawl.step=err~NaN",     // not a number: would fire on every hit
+		"trawl.step=err~Inf",     // infinite probability
 		"trawl.step=err:xyz",     // bad duration
 		"seed=abc",               // bad seed
 		"trawl.step",             // missing mode

@@ -56,23 +56,22 @@ func TestProbeAllocFree(t *testing.T) {
 	}
 }
 
-// TestRecordBatchAllocFree locks in that the sharded-log merge path — one
-// bulk RecordBatch per directory per driven window — performs zero heap
-// allocations once the log has capacity: recording is a pure append, no
-// per-request map operation.
-func TestRecordBatchAllocFree(t *testing.T) {
-	batch := make([]Request, 32)
-	for i := range batch {
-		batch[i] = Request{At: at(i), DescID: onion.DescriptorID{byte(i)}, Found: i%2 == 0}
-	}
-	const runs = 100
+// TestRecordEachAllocFree locks in that folding a driven window's
+// requests into a log that already holds their IDs — the steady state of
+// a trawl step's network log — performs zero heap allocations: one lock,
+// then one count increment per request.
+func TestRecordEachAllocFree(t *testing.T) {
+	reqs := testRequests(6, 4096, 64)
 	l := NewRequestLog()
-	l.requests = make([]Request, 0, (runs+10)*len(batch))
-	allocs := testing.AllocsPerRun(runs, func() {
-		l.RecordBatch(batch)
+	recordAll(l, reqs)
+	allocs := testing.AllocsPerRun(100, func() {
+		recordAll(l, reqs)
 	})
 	if allocs != 0 {
-		t.Fatalf("RecordBatch allocates %v times per op with spare capacity, want 0", allocs)
+		t.Fatalf("RecordEach allocates %v times per window over known IDs, want 0", allocs)
+	}
+	if got, want := l.Total(), 102*len(reqs); got != want {
+		t.Fatalf("Total = %d, want %d", got, want)
 	}
 }
 

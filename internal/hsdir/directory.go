@@ -12,9 +12,9 @@ import (
 
 // Directory is the descriptor store operated by one HSDir relay.
 // Descriptors expire after TTL (24 h on the 2013 network: directories
-// responsible for the previous time period erase old descriptors). Every
-// fetch is recorded in the request log — this is exactly the vantage point
-// the paper's popularity measurement exploits.
+// responsible for the previous time period erase old descriptors). It
+// keeps no request log: the network that drives fetches against its
+// directories counts the requests it needs (simnet.Network.Log).
 //
 // The store is a pointer-free entry arena plus an open-addressed probe
 // table of int32 references keyed by the descriptor IDs' own leading
@@ -44,8 +44,6 @@ type Directory struct {
 	// atomic OR so the lock-free Probe path can record them while other
 	// probes run.
 	requested []uint32
-
-	log *RequestLog
 }
 
 // dirEntry is one arena slot: a descriptor ID ever published here and its
@@ -66,7 +64,6 @@ func NewDirectory(fp onion.Fingerprint, ttl time.Duration) *Directory {
 	return &Directory{
 		fingerprint: fp,
 		ttl:         ttl,
-		log:         NewRequestLog(),
 	}
 }
 
@@ -158,9 +155,9 @@ func (d *Directory) isRequested(i int32) bool {
 	return atomic.LoadUint32(&d.requested[i/32])&(1<<uint(i%32)) != 0
 }
 
-// Fetch looks up a descriptor by ID at instant now, recording the request
-// in the directory's own log. Expired descriptors are treated as absent
-// (and reaped).
+// Fetch looks up a descriptor by ID at instant now, marking it as
+// requested on a hit. Expired descriptors are treated as absent (and
+// reaped).
 func (d *Directory) Fetch(id onion.DescriptorID, now time.Time) (*onion.Descriptor, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -176,17 +173,15 @@ func (d *Directory) Fetch(id onion.DescriptorID, now time.Time) (*onion.Descript
 			d.markRequested(i)
 		}
 	}
-	d.log.record(Request{At: now, DescID: id, Found: found})
 	return desc, found
 }
 
 // Probe is the lock-free fetch used on the driven-traffic hot path: it
-// looks up a descriptor by ID, marks it as requested on a hit, and leaves
-// request logging to the caller (DriveWindow batches the records into the
-// per-directory logs once per window). Expired descriptors are treated as
-// absent but not reaped. Probe performs zero heap allocations and may run
-// concurrently with other Probe calls; callers must not run it
-// concurrently with Publish, Fetch, or Expire.
+// looks up a descriptor by ID and marks it as requested on a hit.
+// Expired descriptors are treated as absent but not reaped. Probe
+// performs zero heap allocations and may run concurrently with other
+// Probe calls; callers must not run it concurrently with Publish, Fetch,
+// or Expire.
 //
 //torhs:hotpath
 func (d *Directory) Probe(id onion.DescriptorID, now time.Time) (*onion.Descriptor, bool) {
@@ -254,9 +249,6 @@ func (d *Directory) Stored() int {
 	defer d.mu.Unlock()
 	return d.live
 }
-
-// Log returns the directory's request log.
-func (d *Directory) Log() *RequestLog { return d.log }
 
 // PublishedEver returns how many distinct descriptor IDs were ever stored.
 func (d *Directory) PublishedEver() int {

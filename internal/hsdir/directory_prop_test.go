@@ -19,9 +19,6 @@ type refDirectory struct {
 	store     map[onion.DescriptorID]refStored
 	published map[onion.DescriptorID]bool
 	requested map[onion.DescriptorID]bool
-	total     int
-	found     int
-	counts    map[onion.DescriptorID]int
 }
 
 type refStored struct {
@@ -35,7 +32,6 @@ func newRefDirectory(ttl time.Duration) *refDirectory {
 		store:     make(map[onion.DescriptorID]refStored),
 		published: make(map[onion.DescriptorID]bool),
 		requested: make(map[onion.DescriptorID]bool),
-		counts:    make(map[onion.DescriptorID]int),
 	}
 }
 
@@ -50,17 +46,14 @@ func (r *refDirectory) fetch(id onion.DescriptorID, now time.Time) (*onion.Descr
 		delete(r.store, id)
 		ok = false
 	}
-	r.total++
-	r.counts[id]++
 	if ok {
-		r.found++
 		r.requested[id] = true
 		return sd.desc, true
 	}
 	return nil, false
 }
 
-// probe mirrors Directory.Probe: no reap, no log record.
+// probe mirrors Directory.Probe: no reap.
 func (r *refDirectory) probe(id onion.DescriptorID, now time.Time) (*onion.Descriptor, bool) {
 	sd, ok := r.store[id]
 	if !ok || now.After(sd.expiresAt) {
@@ -99,9 +92,6 @@ func (r *refDirectory) check(t *testing.T, dir *Directory, step int) {
 	if got, want := dir.RequestedPublishedEver(), len(r.requested); got != want {
 		t.Fatalf("step %d: RequestedPublishedEver = %d, want %d", step, got, want)
 	}
-	if got, want := dir.Log().Total(), r.total; got != want {
-		t.Fatalf("step %d: log total = %d, want %d", step, got, want)
-	}
 
 	// Stored descriptor set (by ID).
 	var gotLive []onion.DescriptorID
@@ -139,17 +129,6 @@ func (r *refDirectory) check(t *testing.T, dir *Directory, step int) {
 	for _, id := range gotReq {
 		if !r.requested[id] {
 			t.Fatalf("step %d: unexpected requested ID %x", step, id)
-		}
-	}
-
-	// Per-ID request counts.
-	counts := dir.Log().CountsByID()
-	if len(counts) != len(r.counts) {
-		t.Fatalf("step %d: count map size = %d, want %d", step, len(counts), len(r.counts))
-	}
-	for id, n := range counts {
-		if r.counts[id] != n {
-			t.Fatalf("step %d: count[%x] = %d, want %d", step, id, n, r.counts[id])
 		}
 	}
 }
@@ -192,7 +171,7 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 				d := descs[rng.Intn(len(descs))]
 				dir.Publish(d, now)
 				ref.publish(d, now)
-			case op < 7: // locked fetch (logs, reaps)
+			case op < 7: // locked fetch (reaps)
 				id := pick()
 				gd, gok := dir.Fetch(id, now)
 				wd, wok := ref.fetch(id, now)
@@ -200,7 +179,7 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 					t.Fatalf("seed %d step %d: Fetch(%x) = (%v,%v), want (%v,%v)",
 						seed, step, id, gd, gok, wd, wok)
 				}
-			case op < 9: // lock-free probe (no log, no reap)
+			case op < 9: // lock-free probe (no reap)
 				id := pick()
 				gd, gok := dir.Probe(id, now)
 				wd, wok := ref.probe(id, now)

@@ -46,12 +46,6 @@ func TestFetchMissing(t *testing.T) {
 	if _, ok := dir.Fetch(id, at(0)); ok {
 		t.Fatal("fetch of absent descriptor succeeded")
 	}
-	if dir.Log().Total() != 1 {
-		t.Fatal("missing fetch not logged")
-	}
-	if dir.Log().FoundFraction() != 0 {
-		t.Fatal("found fraction should be 0")
-	}
 }
 
 func TestDescriptorExpiresAfterTTL(t *testing.T) {
@@ -123,23 +117,17 @@ func TestPublishedAndRequestedStatistics(t *testing.T) {
 	if got := dir.RequestedPublishedEver(); got != 1 {
 		t.Fatalf("RequestedPublishedEver = %d, want 1", got)
 	}
-	if got := dir.Log().Total(); got != 5 {
-		t.Fatalf("log total = %d, want 5", got)
-	}
-	if got := dir.Log().FoundFraction(); got != 0.2 {
-		t.Fatalf("found fraction = %v, want 0.2", got)
-	}
 }
 
 func TestRequestLogCountsAndMerge(t *testing.T) {
-	a := NewCompactLog()
-	b := NewCompactLog()
+	a := NewRequestLog()
+	b := NewRequestLog()
 	var id1, id2 onion.DescriptorID
 	id1[0], id2[0] = 1, 2
 
-	a.Record(Request{At: at(0), DescID: id1, Found: true})
-	a.Record(Request{At: at(0), DescID: id1})
-	b.Record(Request{At: at(1), DescID: id2})
+	a.Record(id1, true)
+	a.Record(id1, false)
+	b.Record(id2, false)
 
 	a.MergeAll([]*RequestLog{b})
 	if a.Total() != 3 {
@@ -148,23 +136,12 @@ func TestRequestLogCountsAndMerge(t *testing.T) {
 	if a.UniqueIDs() != 2 {
 		t.Fatalf("unique IDs = %d, want 2", a.UniqueIDs())
 	}
-	counts := a.CountsByID()
-	if counts[id1] != 2 || counts[id2] != 1 {
-		t.Fatalf("counts = %v", counts)
+	counts, _, found := a.CompactState()
+	if counts[id1] != 2 || counts[id2] != 1 || found != 1 {
+		t.Fatalf("counts = %v, found = %d", counts, found)
 	}
 	// Merge must not mutate the source.
 	if b.Total() != 1 {
 		t.Fatal("merge mutated source log")
-	}
-}
-
-func TestRequestsReturnsCopy(t *testing.T) {
-	l := NewRequestLog()
-	var id onion.DescriptorID
-	l.Record(Request{At: at(0), DescID: id})
-	reqs := l.Requests()
-	reqs[0].Found = true
-	if l.Requests()[0].Found {
-		t.Fatal("Requests leaked internal slice")
 	}
 }

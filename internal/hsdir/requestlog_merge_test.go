@@ -3,7 +3,6 @@ package hsdir
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"torhs/internal/onion"
 )
@@ -17,13 +16,12 @@ func idWithByte(b byte) onion.DescriptorID {
 // TestMergeBulkSemantics checks the bulk merge preserves the per-record
 // semantics: totals, per-ID counts, and the found tally.
 func TestMergeBulkSemantics(t *testing.T) {
-	at := time.Date(2013, 2, 4, 0, 0, 0, 0, time.UTC)
-	src := NewCompactLog()
+	src := NewRequestLog()
 	for i := 0; i < 10; i++ {
-		src.Record(Request{At: at, DescID: idWithByte(byte(i % 3)), Found: i%2 == 0})
+		src.Record(idWithByte(byte(i%3)), i%2 == 0)
 	}
-	dst := NewCompactLog()
-	dst.Record(Request{At: at, DescID: idWithByte(0), Found: true})
+	dst := NewRequestLog()
+	dst.Record(idWithByte(0), true)
 
 	dst.MergeAll([]*RequestLog{src})
 	if got := dst.Total(); got != 11 {
@@ -32,7 +30,7 @@ func TestMergeBulkSemantics(t *testing.T) {
 	if got := dst.UniqueIDs(); got != 3 {
 		t.Fatalf("UniqueIDs = %d, want 3", got)
 	}
-	counts := dst.CountsByID()
+	counts, _, _ := dst.CompactState()
 	if counts[idWithByte(0)] != 5 { // 4 from src (i=0,3,6,9) + 1 own
 		t.Fatalf("counts[id0] = %d, want 5", counts[idWithByte(0)])
 	}
@@ -48,8 +46,8 @@ func TestMergeBulkSemantics(t *testing.T) {
 
 // TestMergeSelfAndNilNoop guards the degenerate inputs.
 func TestMergeSelfAndNilNoop(t *testing.T) {
-	l := NewCompactLog()
-	l.Record(Request{DescID: idWithByte(1), Found: true})
+	l := NewRequestLog()
+	l.Record(idWithByte(1), true)
 	l.MergeAll([]*RequestLog{nil, l})
 	if l.Total() != 1 || l.UniqueIDs() != 1 {
 		t.Fatalf("self/nil merge corrupted log: total=%d unique=%d", l.Total(), l.UniqueIDs())
@@ -62,12 +60,12 @@ func TestMergeSelfAndNilNoop(t *testing.T) {
 func TestMergeConcurrent(t *testing.T) {
 	const sources = 8
 	const perSource = 200
-	dst := NewCompactLog()
+	dst := NewRequestLog()
 	var wg sync.WaitGroup
 	for s := 0; s < sources; s++ {
-		src := NewCompactLog()
+		src := NewRequestLog()
 		for i := 0; i < perSource; i++ {
-			src.Record(Request{DescID: idWithByte(byte(s)), Found: true})
+			src.Record(idWithByte(byte(s)), true)
 		}
 		wg.Add(2)
 		go func() {
@@ -76,7 +74,7 @@ func TestMergeConcurrent(t *testing.T) {
 		}()
 		go func(s int) {
 			defer wg.Done()
-			dst.Record(Request{DescID: idWithByte(byte(s))})
+			dst.Record(idWithByte(byte(s)), false)
 		}(s)
 	}
 	wg.Wait()

@@ -35,11 +35,14 @@ type Network struct {
 	// the per-step network does (the trawl drops both together).
 	//
 	//torhs:retained the network's own consensus window; dropped with the per-step network
-	doc        *consensus.Document
-	ring       *hsdir.Ring
-	ringFPs    []onion.Fingerprint // ring.Fingerprints(), cached
-	dirs       []*hsdir.Directory  // dirs[i] serves ringFPs[i]; nil when unobserved
-	restricted bool                // Config.Observed was set
+	doc     *consensus.Document
+	ring    *hsdir.Ring
+	ringFPs []onion.Fingerprint // ring.Fingerprints(), cached
+	dirs    []*hsdir.Directory  // dirs[i] serves ringFPs[i]; nil when unobserved
+	// log counts the requests the observed directories answered. It is
+	// non-nil exactly when Config.Observed was set (see restricted):
+	// nothing reads the counts of an unrestricted network.
+	log        *hsdir.RequestLog
 	guards     []onion.Fingerprint
 	pool       *guardPool
 	dirFailure float64
@@ -95,12 +98,15 @@ type Config struct {
 	// reads (the trawl passes its step's attacker HSDirs); nil observes
 	// every directory. An unobserved ring position holds no store:
 	// Directory reports false for it, publishes skip it, and a request it
-	// would answer is neither probed nor logged. Every observed
-	// directory's store and log are exactly those of an unrestricted
-	// network. TotalRequests and PhantomRequests are unchanged, but
-	// ResolvedHits counts hits at observed directories only. A restricted
-	// network takes no fetch or upload observers. Fingerprints that are
-	// not on the HSDir ring are ignored.
+	// would answer is neither probed nor counted. Every observed
+	// directory's store is exactly that of an unrestricted network. A
+	// restricted network also keeps one request log (Network.Log) that
+	// counts, per descriptor ID, the requests its observed directories
+	// answered; an unrestricted network keeps none. TotalRequests and
+	// PhantomRequests are unchanged, but ResolvedHits counts hits at
+	// observed directories only. A restricted network takes no fetch or
+	// upload observers. Fingerprints that are not on the HSDir ring are
+	// ignored.
 	Observed []onion.Fingerprint
 }
 
@@ -147,11 +153,11 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		workers:    cfg.Workers,
 		maxSkew:    cfg.MaxSkew,
 		secrets:    cfg.SecretTable,
-		restricted: cfg.Observed != nil,
 	}
 	n.ringFPs = n.ring.Fingerprints()
 	n.dirs = make([]*hsdir.Directory, len(n.ringFPs))
-	if n.restricted {
+	if cfg.Observed != nil {
+		n.log = hsdir.NewRequestLog()
 		for _, fp := range cfg.Observed {
 			if i, ok := doc.HSDirRingPos(fp); ok && n.dirs[i] == nil {
 				n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
@@ -200,6 +206,15 @@ func (n *Network) Directory(fp onion.Fingerprint) (*hsdir.Directory, bool) {
 	}
 	return nil, false
 }
+
+// restricted reports whether Config.Observed restricted the network,
+// which is exactly when it keeps a request log.
+func (n *Network) restricted() bool { return n.log != nil }
+
+// Log returns the request log of a restricted network: per descriptor
+// ID, the requests its observed directories answered, found or not. It
+// is nil on an unrestricted network.
+func (n *Network) Log() *hsdir.RequestLog { return n.log }
 
 // Directories returns all descriptor stores in ring order: Directories()[i]
 // serves Ring().Fingerprints()[i], and is nil at the unobserved positions
@@ -533,14 +548,13 @@ func (n *Network) event(rec *fetchRec) FetchEvent {
 // entire window's fetches on per-request RNGs against read-only
 // stores). Expired descriptors read as absent but are reaped by the
 // next Publish or Expire rather than on the fetch itself. On a restricted
-// network a fetch answered by an unobserved directory reports Found
-// false and is logged nowhere.
+// network a fetch answered by an observed directory is counted in the
+// network's log; one answered by an unobserved directory reports Found
+// false and is counted nowhere.
 func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.Time) FetchEvent {
 	var sc fetchScratch
 	rec := n.fetchDescriptor(n.rng, c, permID, now, &sc, false)
-	if rec.answered >= 0 {
-		n.dirs[rec.answered].Log().Record(hsdir.Request{At: now, DescID: rec.descID, Found: rec.found})
-	}
+	n.logAnswered(&rec)
 	return n.event(&rec)
 }
 
@@ -550,16 +564,22 @@ func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.
 func (n *Network) FetchRawID(c *Client, descID onion.DescriptorID, now time.Time) FetchEvent {
 	set := n.resolve(descID)
 	rec := n.fetchResolved(n.rng, c, descID, &set, now, false)
-	if rec.answered >= 0 {
-		n.dirs[rec.answered].Log().Record(hsdir.Request{At: now, DescID: rec.descID, Found: rec.found})
-	}
+	n.logAnswered(&rec)
 	return n.event(&rec)
+}
+
+// logAnswered counts a single fetch in the network's log when an
+// observed directory answered it.
+func (n *Network) logAnswered(rec *fetchRec) {
+	if n.restricted() && rec.answered >= 0 {
+		n.log.Record(rec.descID, rec.found)
+	}
 }
 
 // fetchDescriptor is FetchDescriptor with the randomness source and the
 // service memo made explicit so DriveWindow can run fetches concurrently
 // on per-request RNGs; skip is fetchResolved's. The caller owns
-// request-log recording.
+// request counting.
 //
 //torhs:hotpath
 func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch, skip bool) fetchRec {
@@ -651,12 +671,11 @@ type planEntry struct {
 // Window-sized scratch buffers are pooled across DriveWindow calls (and
 // across the per-step networks of a trawl): every slot is overwritten
 // before it is read, so reuse can never change an outcome — it only
-// stops each window from allocating and zeroing megabytes of plan,
-// record, and log-routing buffers.
+// stops each window from allocating and zeroing megabytes of plan and
+// record buffers.
 var (
 	planPool    = sync.Pool{New: func() any { return new([]planEntry) }}
 	recsPool    = sync.Pool{New: func() any { return new([]fetchRec) }}
-	reqsPool    = sync.Pool{New: func() any { return new([]hsdir.Request) }}
 	phantomPool = sync.Pool{New: func() any { return new([]phantom) }}
 	i32Pool     = sync.Pool{New: func() any { return new([]int32) }}
 )
@@ -720,17 +739,18 @@ func (n *Network) ensureSecrets(start, end time.Time) {
 // Execution is three-phase so cfg.Workers never changes the outcome:
 // the traffic plan is drawn sequentially from the network RNG; the
 // fetches execute concurrently, each on an RNG derived from its plan
-// index, probing the descriptor stores lock-free and recording into
-// per-worker buffers; and the events are replayed to the stats and the
-// observer sequentially in plan order, with the request records routed
-// to the per-directory logs in one batch per directory.
+// index, probing the descriptor stores lock-free and writing one record
+// per request; and the records are replayed to the stats and the
+// observer sequentially in plan order. A restricted network then folds
+// the records its observed directories answered into its log in one
+// locked pass.
 //
 // The window is the cancellation unit: ctx is checked on entry and
-// while the plan is drawn, before any descriptor store or directory log
-// mutates. Once the fetch fan-out starts the window runs to completion,
-// so a nil error means the window's effects are fully applied and a
-// ctx.Err() return means the network state is exactly as it was —
-// cancelled windows can always be replayed.
+// while the plan is drawn, before any descriptor store or the network
+// log mutates. Once the fetch fan-out starts the window runs to
+// completion, so a nil error means the window's effects are fully
+// applied and a ctx.Err() return means the network state is exactly as
+// it was — cancelled windows can always be replayed.
 //
 //torhs:cancelpoint
 func (n *Network) DriveWindow(
@@ -748,7 +768,7 @@ func (n *Network) DriveWindow(
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
-	if n.restricted && observer != nil {
+	if n.restricted() && observer != nil {
 		return out, errors.New("simnet: a restricted network takes no fetch observer")
 	}
 
@@ -791,15 +811,14 @@ func (n *Network) DriveWindow(
 	// its RNG from (planSeed, index) — one reseeded RNG per worker, not
 	// one allocation per request — probes the descriptor stores without
 	// taking any lock, and notes which directory answered. Every shard
-	// is fully private: its own service memo, its own RNG stream, its own
-	// stats tally, and its own per-directory staging counts — zero
-	// cross-shard synchronization until the merge. Warmed guard sets are
-	// only read: warming refreshed every guard that would expire before
-	// end. A freshly refreshed guard is stable for minGuardLifetime, so
-	// for windows that long or longer the no-mid-window-rotation
-	// guarantee cannot hold and we fall back to serial execution
-	// (identical results at every Workers value either way, since the
-	// plan already fixes each request's RNG).
+	// is fully private: its own service memo, its own RNG stream and its
+	// own stats tally — zero cross-shard synchronization until the
+	// merge. Warmed guard sets are only read: warming refreshed every
+	// guard that would expire before end. A freshly refreshed guard is
+	// stable for minGuardLifetime, so for windows that long or longer the
+	// no-mid-window-rotation guarantee cannot hold and we fall back to
+	// serial execution (identical results at every Workers value either
+	// way, since the plan already fixes each request's RNG).
 	workers := n.workers
 	if window >= minGuardLifetime {
 		workers = 1
@@ -815,24 +834,16 @@ func (n *Network) DriveWindow(
 	recsPtr := grabSlice[fetchRec](&recsPool, len(plan))
 	defer recsPool.Put(recsPtr)
 	recs := (*recsPtr)[:len(plan)] // pointer-free: never GC-scanned
-	nd := len(n.dirs)
-	// counts[shard*nd+d] stages shard's answered-request count for
-	// directory d; after the drive it is rewritten in place into the
-	// shard's fill cursors for the routing arena.
-	countsPtr := grabZeroed[int32](&i32Pool, shards*nd)
-	defer i32Pool.Put(countsPtr)
-	counts := *countsPtr
 	shardStats := make([]TrafficStats, shards)
 	// A restricted network skips the requests that no observed directory
 	// is responsible for: a skipped phantom costs its draws so far and
 	// one bit test. That needs the per-request RNGs to be the only
 	// source of each request's draws, which holds only while no guard
 	// rotates mid-window (the same condition as the fan-out).
-	skip := n.restricted && window < minGuardLifetime
+	skip := n.restricted() && window < minGuardLifetime
 	parallel.Chunks(shards, len(plan), func(shard, lo, hi int) {
 		var sc fetchScratch
 		rng := parallel.NewRNG(0)
-		cnt := counts[shard*nd : (shard+1)*nd]
 		st := &shardStats[shard]
 		for i := lo; i < hi; i++ {
 			rng.Seed(parallel.SeedFor(planSeed, int64(i)))
@@ -849,57 +860,23 @@ func (n *Network) DriveWindow(
 			if recs[i].found {
 				st.ResolvedHits++
 			}
-			if recs[i].answered >= 0 {
-				cnt[recs[i].answered]++
-			}
 		}
 	})
 
 	// Phase 3: merge. Stats fold in shard index order; the observer —
 	// when one is tapped in — replays the records sequentially in plan
 	// order (the records are already globally ordered: chunk spans are
-	// contiguous and ascending).
+	// contiguous and ascending). A restricted network, which takes no
+	// observer, counts the requests its observed directories answered.
 	out = mergeWindowStats(shardStats)
 	if observer != nil {
 		for i := range recs {
 			observer(n.event(&recs[i]))
 		}
 	}
-
-	// Route the window's request records to the per-directory logs: the
-	// staged per-shard counts become fill cursors into one shared arena
-	// whose directory spans are ordered shard-then-plan — which *is*
-	// plan order, so log contents are byte-identical at every worker
-	// count — then each shard copies its own records into its disjoint
-	// cursor ranges in parallel, and the per-directory RecordBatch calls
-	// (independent logs, one batch each) fan out too.
-	dirOffsPtr := grabZeroed[int32](&i32Pool, nd+1)
-	defer i32Pool.Put(dirOffsPtr)
-	dirOffs := *dirOffsPtr
-	total := shardFillCursors(counts, dirOffs, shards, nd)
-	if total > 0 {
-		arenaPtr := grabSlice[hsdir.Request](&reqsPool, int(total))
-		defer reqsPool.Put(arenaPtr)
-		arena := (*arenaPtr)[:total]
-		parallel.Chunks(shards, len(plan), func(shard, lo, hi int) {
-			cur := counts[shard*nd : (shard+1)*nd]
-			for i := lo; i < hi; i++ {
-				d := recs[i].answered
-				if d < 0 {
-					continue
-				}
-				arena[cur[d]] = hsdir.Request{
-					At:     time.Unix(0, recs[i].atNanos).UTC(),
-					DescID: recs[i].descID,
-					Found:  recs[i].found,
-				}
-				cur[d]++
-			}
-		})
-		parallel.ForEach(workers, nd, func(d int) {
-			if dirOffs[d+1] > dirOffs[d] {
-				n.dirs[d].Log().RecordBatch(arena[dirOffs[d]:dirOffs[d+1]])
-			}
+	if n.restricted() {
+		n.log.RecordEach(len(recs), func(i int) (onion.DescriptorID, bool, bool) {
+			return recs[i].descID, recs[i].found, recs[i].answered >= 0
 		})
 	}
 	return out, nil

@@ -41,8 +41,8 @@ func appendPlanOracle(n *Network, pop *hspop.Population) []planEntry {
 // oracle leaves it, and sizes a fresh buffer to exactly the plan.
 func TestBuildPlanMatchesAppendOracle(t *testing.T) {
 	f := newRestrictFixture(t, 53)
-	a := f.network(t, 53, 1, 0, false, nil)
-	b := f.network(t, 53, 1, 0, false, nil)
+	a := f.network(t, 53, 1, 0, nil)
+	b := f.network(t, 53, 1, 0, nil)
 	svcs := f.pop.PopularServices()
 	for w := 0; w < 3; w++ {
 		want := appendPlanOracle(a, f.pop)

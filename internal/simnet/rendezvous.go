@@ -86,7 +86,7 @@ func (n *Network) Host(addr onion.Address) (*Host, bool) {
 // on a restricted network (Config.Observed), which publishes to observed
 // directories only and so cannot announce every upload.
 func (n *Network) OnUpload(fn func(UploadEvent)) {
-	if n.restricted {
+	if n.restricted() {
 		panic("simnet: OnUpload on a restricted network")
 	}
 	n.uploadObservers = append(n.uploadObservers, fn)

@@ -110,7 +110,7 @@ func TestServiceMemoMatchesDirectResolution(t *testing.T) {
 	const seed = 67
 	f := newRestrictFixture(t, seed)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
-	net := f.network(t, seed, 1, 0.3, false, observed)
+	net := f.network(t, seed, 1, 0.3, observed)
 	svcs := f.pop.PopularServices()[:3]
 	start := nextPeriodStart(svcs[0].PermID, f.doc.ValidAfter).Add(-time.Hour)
 	net.PublishAll(f.pop, start)

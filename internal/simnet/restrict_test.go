@@ -54,10 +54,8 @@ func newRestrictFixture(t *testing.T, seed int64) restrictFixture {
 	return restrictFixture{doc: h.All()[0], db: db, pop: pop}
 }
 
-// network builds a 200-client network over the fixture. With compact,
-// every directory it holds folds requests into counts on arrival, as
-// the trawl's attacker directories do.
-func (f restrictFixture) network(t *testing.T, seed int64, workers int, fail float64, compact bool, observed []onion.Fingerprint) *Network {
+// network builds a 200-client network over the fixture.
+func (f restrictFixture) network(t *testing.T, seed int64, workers int, fail float64, observed []onion.Fingerprint) *Network {
 	t.Helper()
 	cfg := DefaultConfig(seed)
 	cfg.Clients = 200
@@ -68,30 +66,23 @@ func (f restrictFixture) network(t *testing.T, seed int64, workers int, fail flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if compact {
-		for _, d := range net.Directories() {
-			if d != nil {
-				d.Log().Compact()
-			}
-		}
-	}
 	return net
 }
 
 // run publishes every descriptor at the consensus's start and drives two
 // consecutive windows of length window from there, returning the summed
-// stats.
-func (f restrictFixture) run(t *testing.T, net *Network, window time.Duration) TrafficStats {
-	return f.runAt(t, net, f.doc.ValidAfter, window)
+// stats. observer (nil on a restricted network) sees every fetch.
+func (f restrictFixture) run(t *testing.T, net *Network, window time.Duration, observer func(FetchEvent)) TrafficStats {
+	return f.runAt(t, net, f.doc.ValidAfter, window, observer)
 }
 
 // runAt is run from instant now.
-func (f restrictFixture) runAt(t *testing.T, net *Network, now time.Time, window time.Duration) TrafficStats {
+func (f restrictFixture) runAt(t *testing.T, net *Network, now time.Time, window time.Duration, observer func(FetchEvent)) TrafficStats {
 	t.Helper()
 	net.PublishAll(f.pop, now)
 	var sum TrafficStats
 	for w := 0; w < 2; w++ {
-		st, err := net.DriveWindow(context.Background(), f.pop, now.Add(time.Duration(w)*window), window, nil)
+		st, err := net.DriveWindow(context.Background(), f.pop, now.Add(time.Duration(w)*window), window, observer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,16 +93,12 @@ func (f restrictFixture) runAt(t *testing.T, net *Network, now time.Time, window
 	return sum
 }
 
-// dirState is everything a reader can observe of one directory, in the
-// order its visitors deliver it.
+// dirState is everything a reader can observe of one directory's
+// store, in the order its visitors deliver it.
 type dirState struct {
 	descs     []onion.Descriptor
 	published []onion.DescriptorID
 	requested []onion.DescriptorID
-	requests  []hsdir.Request
-	counts    map[onion.DescriptorID]int
-	total     int
-	found     int
 }
 
 func stateOf(d *hsdir.Directory) dirState {
@@ -119,11 +106,6 @@ func stateOf(d *hsdir.Directory) dirState {
 	d.Each(func(desc *onion.Descriptor) { s.descs = append(s.descs, *desc) })
 	d.EachPublishedID(func(id onion.DescriptorID) { s.published = append(s.published, id) })
 	d.EachRequestedPublishedID(func(id onion.DescriptorID) { s.requested = append(s.requested, id) })
-	if d.Log().Compacted() {
-		s.counts, s.total, s.found = d.Log().CompactState()
-	} else {
-		s.requests = d.Log().Requests()
-	}
 	return s
 }
 
@@ -136,17 +118,94 @@ func diffDir(a, b dirState) string {
 		return "published-ID sequences differ"
 	case !reflect.DeepEqual(a.requested, b.requested):
 		return "requested-published-ID sequences differ"
-	case !reflect.DeepEqual(a.requests, b.requests):
-		return fmt.Sprintf("request logs differ (%d vs %d records)", len(a.requests), len(b.requests))
-	case !reflect.DeepEqual(a.counts, b.counts) || a.total != b.total || a.found != b.found:
-		return fmt.Sprintf("compact logs differ (total %d vs %d, found %d vs %d)", a.total, b.total, a.found, b.found)
 	}
 	return ""
 }
 
+// logOracle folds the fetch events of an unrestricted network into what
+// a restricted network's log must count. An event names the last
+// directory the client tried, not whether it answered: a found event was
+// answered there, while a miss was answered there or found every
+// responsible directory unreachable. So the oracle keeps two counts per
+// descriptor ID, found events and all events at observed directories,
+// which bound the log's count; at DirFailureProb 0 the first directory
+// tried always answers and the two bounds meet.
+type logOracle struct {
+	observed   map[onion.Fingerprint]bool
+	found, all map[onion.DescriptorID]int
+	nFound     int
+	nAll       int
+}
+
+func newLogOracle(observed []onion.Fingerprint) *logOracle {
+	o := &logOracle{
+		observed: make(map[onion.Fingerprint]bool, len(observed)),
+		found:    make(map[onion.DescriptorID]int),
+		all:      make(map[onion.DescriptorID]int),
+	}
+	for _, fp := range observed {
+		o.observed[fp] = true
+	}
+	return o
+}
+
+func (o *logOracle) add(ev FetchEvent) {
+	if !o.observed[ev.Dir] {
+		return
+	}
+	o.all[ev.DescID]++
+	o.nAll++
+	if ev.Found {
+		o.found[ev.DescID]++
+		o.nFound++
+	}
+}
+
+// check compares a restricted network's log with the oracle: the found
+// count always exactly, the per-ID counts and the total exactly when
+// exact and within the oracle's bounds otherwise.
+func (o *logOracle) check(t *testing.T, log *hsdir.RequestLog, exact bool) {
+	t.Helper()
+	counts, total, found := log.CompactState()
+	if found != o.nFound {
+		t.Fatalf("log counts %d found requests, oracle %d", found, o.nFound)
+	}
+	if exact {
+		if total != o.nAll || !reflect.DeepEqual(counts, o.all) {
+			t.Fatalf("log counts %d requests over %d IDs, oracle %d over %d", total, len(counts), o.nAll, len(o.all))
+		}
+		return
+	}
+	if total < o.nFound || total > o.nAll {
+		t.Fatalf("log counts %d requests, oracle bounds [%d, %d]", total, o.nFound, o.nAll)
+	}
+	for id, n := range counts {
+		if n < o.found[id] || n > o.all[id] {
+			t.Fatalf("log counts %d requests for %x, oracle bounds [%d, %d]", n, id[:4], o.found[id], o.all[id])
+		}
+	}
+	for id, n := range o.found {
+		if counts[id] < n {
+			t.Fatalf("log counts %d requests for %x, oracle saw %d found", counts[id], id[:4], n)
+		}
+	}
+}
+
+// logState is a log's full state, for comparing logs with each other.
+type logState struct {
+	counts       map[onion.DescriptorID]int
+	total, found int
+}
+
+func logStateOf(l *hsdir.RequestLog) logState {
+	var s logState
+	s.counts, s.total, s.found = l.CompactState()
+	return s
+}
+
 // observedSubsets draws the observed sets the oracle test restricts to:
 // none, one directory, about a tenth of the ring (plus one fingerprint
-// that is not on it), and the whole ring.
+// that is not on it), half the ring, and the whole ring.
 func observedSubsets(ring []onion.Fingerprint, seed int64) map[string][]onion.Fingerprint {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(len(ring))
@@ -161,6 +220,7 @@ func observedSubsets(ring []onion.Fingerprint, seed int64) map[string][]onion.Fi
 		"none":  pick(0),
 		"one":   pick(1),
 		"tenth": append(pick(len(ring)/10), onion.RandomFingerprint(rng)),
+		"half":  pick(len(ring) / 2),
 		"all":   pick(len(ring)),
 	}
 }
@@ -168,30 +228,55 @@ func observedSubsets(ring []onion.Fingerprint, seed int64) map[string][]onion.Fi
 // TestRestrictedNetworkMatchesFullOracle pins Config.Observed against the
 // unrestricted network as its oracle: from the same document, seed and
 // population, every observed directory of a restricted network ends with
-// the same store, the same requested-ID bitset and the same request log,
-// and the request totals are unchanged, across failure rates, worker
-// counts and log modes.
+// the same store and the same requested-ID bitset, the request totals
+// are unchanged, and the network's log counts what the unrestricted
+// network's event stream says its observed directories answered, across
+// failure rates and worker counts. The log is also identical at every
+// worker count.
 func TestRestrictedNetworkMatchesFullOracle(t *testing.T) {
 	const seed = 31
 	f := newRestrictFixture(t, seed)
 	ring := f.doc.Ring().Fingerprints()
 	subsets := observedSubsets(ring, seed)
+	workerCounts := []int{1, 2, 8}
 	for _, fail := range []float64{0, 0.3} {
-		for _, workers := range []int{1, 2, 8} {
-			for _, compact := range []bool{false, true} {
-				full := f.network(t, seed, workers, fail, compact, nil)
-				fullStats := f.run(t, full, 2*time.Hour)
-				if fullStats.TotalRequests == 0 {
-					t.Fatal("no traffic driven")
-				}
-				for name, observed := range subsets {
-					t.Run(fmt.Sprintf("fail=%v/workers=%d/compact=%v/observed=%s", fail, workers, compact, name), func(t *testing.T) {
-						net := f.network(t, seed, workers, fail, compact, observed)
-						st := f.run(t, net, 2*time.Hour)
-						checkRestricted(t, full, net, ring, observed, fullStats, st)
-					})
-				}
+		logs := make(map[string][]logState, len(subsets)) // per subset, per worker count
+		for _, workers := range workerCounts {
+			full := f.network(t, seed, workers, fail, nil)
+			oracles := make(map[string]*logOracle, len(subsets))
+			for name, observed := range subsets {
+				oracles[name] = newLogOracle(observed)
 			}
+			fullStats := f.run(t, full, 2*time.Hour, func(ev FetchEvent) {
+				for _, o := range oracles {
+					o.add(ev)
+				}
+			})
+			if fullStats.TotalRequests == 0 {
+				t.Fatal("no traffic driven")
+			}
+			for name, observed := range subsets {
+				t.Run(fmt.Sprintf("fail=%v/workers=%d/observed=%s", fail, workers, name), func(t *testing.T) {
+					net := f.network(t, seed, workers, fail, observed)
+					st := f.run(t, net, 2*time.Hour, nil)
+					checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name], fail == 0)
+					logs[name] = append(logs[name], logStateOf(net.Log()))
+				})
+			}
+		}
+		for name := range subsets {
+			t.Run(fmt.Sprintf("fail=%v/observed=%s/workers-agree", fail, name), func(t *testing.T) {
+				got := logs[name]
+				if len(got) != len(workerCounts) {
+					t.Fatalf("%d of %d worker counts left a log", len(got), len(workerCounts))
+				}
+				for i := 1; i < len(got); i++ {
+					if !reflect.DeepEqual(got[i], got[0]) {
+						t.Fatalf("log at workers=%d differs from workers=%d: total %d vs %d",
+							workerCounts[i], workerCounts[0], got[i].total, got[0].total)
+					}
+				}
+			})
 		}
 	}
 }
@@ -210,13 +295,23 @@ func TestRestrictedNetworkAcrossTimePeriod(t *testing.T) {
 	if onion.TimePeriod(svc.PermID, start) == onion.TimePeriod(svc.PermID, start.Add(window)) {
 		t.Fatal("the first window does not cross a time period")
 	}
+	subsets := observedSubsets(ring, seed)
 	for _, workers := range []int{1, 2} {
-		full := f.network(t, seed, workers, 0.3, false, nil)
-		fullStats := f.runAt(t, full, start, window)
-		for name, observed := range observedSubsets(ring, seed) {
+		full := f.network(t, seed, workers, 0.3, nil)
+		oracles := make(map[string]*logOracle, len(subsets))
+		for name, observed := range subsets {
+			oracles[name] = newLogOracle(observed)
+		}
+		fullStats := f.runAt(t, full, start, window, func(ev FetchEvent) {
+			for _, o := range oracles {
+				o.add(ev)
+			}
+		})
+		for name, observed := range subsets {
 			t.Run(fmt.Sprintf("workers=%d/observed=%s", workers, name), func(t *testing.T) {
-				net := f.network(t, seed, workers, 0.3, false, observed)
-				checkRestricted(t, full, net, ring, observed, fullStats, f.runAt(t, net, start, window))
+				net := f.network(t, seed, workers, 0.3, observed)
+				st := f.runAt(t, net, start, window, nil)
+				checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name], false)
 			})
 		}
 	}
@@ -230,13 +325,19 @@ func TestRestrictedNetworkLongWindow(t *testing.T) {
 	f := newRestrictFixture(t, seed)
 	ring := f.doc.Ring().Fingerprints()
 	observed := observedSubsets(ring, seed)["tenth"]
-	full := f.network(t, seed, 2, 0.3, false, nil)
-	fullStats := f.run(t, full, 3*minGuardLifetime)
-	net := f.network(t, seed, 2, 0.3, false, observed)
-	checkRestricted(t, full, net, ring, observed, fullStats, f.run(t, net, 3*minGuardLifetime))
+	full := f.network(t, seed, 2, 0.3, nil)
+	oracle := newLogOracle(observed)
+	fullStats := f.run(t, full, 3*minGuardLifetime, oracle.add)
+	net := f.network(t, seed, 2, 0.3, observed)
+	st := f.run(t, net, 3*minGuardLifetime, nil)
+	checkRestricted(t, full, net, ring, observed, fullStats, st, oracle, false)
 }
 
-func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fingerprint, fullStats, st TrafficStats) {
+// checkRestricted compares a restricted network with the unrestricted
+// one as its oracle: the request totals, every observed directory's
+// store, and the network's log against the oracle folded from the
+// unrestricted network's events.
+func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fingerprint, fullStats, st TrafficStats, oracle *logOracle, exact bool) {
 	t.Helper()
 	if st.TotalRequests != fullStats.TotalRequests || st.PhantomRequests != fullStats.PhantomRequests {
 		t.Fatalf("request totals %+v, oracle %+v", st, fullStats)
@@ -247,13 +348,16 @@ func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fi
 	if len(observed) >= len(ring) && st.ResolvedHits != fullStats.ResolvedHits {
 		t.Fatalf("all-observed network resolved %d hits, oracle %d", st.ResolvedHits, fullStats.ResolvedHits)
 	}
-	isObserved := make(map[onion.Fingerprint]bool, len(observed))
-	for _, fp := range observed {
-		isObserved[fp] = true
+	if full.Log() != nil {
+		t.Fatal("unrestricted network keeps a request log")
 	}
+	if _, _, found := net.Log().CompactState(); found != st.ResolvedHits {
+		t.Fatalf("log counts %d found requests, stats %d resolved hits", found, st.ResolvedHits)
+	}
+	oracle.check(t, net.Log(), exact)
 	for _, fp := range ring {
 		d, ok := net.Directory(fp)
-		if !isObserved[fp] {
+		if !oracle.observed[fp] {
 			if ok {
 				t.Fatalf("unobserved directory %x has a store", fp[:4])
 			}
@@ -272,48 +376,59 @@ func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fi
 // TestRestrictedSharedRNGFetchesKeepEveryDraw pins that FetchDescriptor
 // and FetchRawID draw exactly as on an unrestricted network: both
 // networks leave their shared RNG in the same state and report the same
-// guards, directories and attempts.
+// guards, directories and attempts. The restricted network counts the
+// fetches its observed directories answered, at both failure rates.
 func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 	const seed = 41
 	f := newRestrictFixture(t, seed)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
-	full := f.network(t, seed, 1, 0.3, false, nil)
-	net := f.network(t, seed, 1, 0.3, false, observed)
-	now := f.doc.ValidAfter
-	full.PublishAll(f.pop, now)
-	net.PublishAll(f.pop, now)
-	svcs := f.pop.WithDescriptor()
-	for i := 0; i < 200; i++ {
-		at := now.Add(time.Duration(i) * time.Second)
-		var a, b FetchEvent
-		if i%2 == 0 {
-			svc := svcs[i%len(svcs)]
-			a = full.FetchDescriptor(full.Clients()[i%len(full.Clients())], svc.PermID, at)
-			b = net.FetchDescriptor(net.Clients()[i%len(net.Clients())], svc.PermID, at)
-		} else {
-			id := onion.DescriptorID(onion.RandomFingerprint(rand.New(rand.NewSource(int64(i)))))
-			a = full.FetchRawID(full.Clients()[i%len(full.Clients())], id, at)
-			b = net.FetchRawID(net.Clients()[i%len(net.Clients())], id, at)
-		}
-		if a.Guard != b.Guard || a.Dir != b.Dir || a.DescID != b.DescID || a.Attempts != b.Attempts {
-			t.Fatalf("fetch %d differs:\n%+v\nvs\n%+v", i, a, b)
-		}
-		if _, ok := net.Directory(b.Dir); ok && a.Found != b.Found {
-			t.Fatalf("fetch %d answered by an observed directory: found %v, oracle %v", i, b.Found, a.Found)
-		}
-	}
-	if x, y := full.rng.Int63(), net.rng.Int63(); x != y {
-		t.Fatalf("shared RNG diverged: %d vs %d", x, y)
-	}
-	for _, fp := range observed {
-		d, ok := net.Directory(fp)
-		if !ok {
-			continue // the off-ring fingerprint
-		}
-		ref, _ := full.Directory(fp)
-		if diff := diffDir(stateOf(ref), stateOf(d)); diff != "" {
-			t.Fatalf("observed directory %x: %s", fp[:4], diff)
-		}
+	for _, fail := range []float64{0, 0.3} {
+		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
+			full := f.network(t, seed, 1, fail, nil)
+			net := f.network(t, seed, 1, fail, observed)
+			oracle := newLogOracle(observed)
+			now := f.doc.ValidAfter
+			full.PublishAll(f.pop, now)
+			net.PublishAll(f.pop, now)
+			svcs := f.pop.WithDescriptor()
+			for i := 0; i < 200; i++ {
+				at := now.Add(time.Duration(i) * time.Second)
+				var a, b FetchEvent
+				if i%2 == 0 {
+					svc := svcs[i%len(svcs)]
+					a = full.FetchDescriptor(full.Clients()[i%len(full.Clients())], svc.PermID, at)
+					b = net.FetchDescriptor(net.Clients()[i%len(net.Clients())], svc.PermID, at)
+				} else {
+					id := onion.DescriptorID(onion.RandomFingerprint(rand.New(rand.NewSource(int64(i)))))
+					a = full.FetchRawID(full.Clients()[i%len(full.Clients())], id, at)
+					b = net.FetchRawID(net.Clients()[i%len(net.Clients())], id, at)
+				}
+				if a.Guard != b.Guard || a.Dir != b.Dir || a.DescID != b.DescID || a.Attempts != b.Attempts {
+					t.Fatalf("fetch %d differs:\n%+v\nvs\n%+v", i, a, b)
+				}
+				oracle.add(a)
+				if _, ok := net.Directory(b.Dir); ok && a.Found != b.Found {
+					t.Fatalf("fetch %d answered by an observed directory: found %v, oracle %v", i, b.Found, a.Found)
+				}
+			}
+			if x, y := full.rng.Int63(), net.rng.Int63(); x != y {
+				t.Fatalf("shared RNG diverged: %d vs %d", x, y)
+			}
+			if oracle.nFound == 0 || oracle.nAll == oracle.nFound {
+				t.Fatalf("observed directories answered %d fetches, %d found; want hits and misses", oracle.nAll, oracle.nFound)
+			}
+			oracle.check(t, net.Log(), fail == 0)
+			for _, fp := range observed {
+				d, ok := net.Directory(fp)
+				if !ok {
+					continue // the off-ring fingerprint
+				}
+				ref, _ := full.Directory(fp)
+				if diff := diffDir(stateOf(ref), stateOf(d)); diff != "" {
+					t.Fatalf("observed directory %x: %s", fp[:4], diff)
+				}
+			}
+		})
 	}
 }
 
@@ -321,7 +436,7 @@ func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 // refuses the taps it cannot serve.
 func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	f := newRestrictFixture(t, 43)
-	net := f.network(t, 43, 1, 0, false, []onion.Fingerprint{})
+	net := f.network(t, 43, 1, 0, []onion.Fingerprint{})
 	now := f.doc.ValidAfter
 	if _, err := net.DriveWindow(context.Background(), f.pop, now, time.Hour, func(FetchEvent) {}); err == nil {
 		t.Fatal("restricted network accepted a fetch observer")
@@ -334,6 +449,59 @@ func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	net.OnUpload(func(UploadEvent) {})
 }
 
+// TestNetworkLogOnlyWhenRestricted pins which networks keep a request
+// log: an unrestricted network none, through driven windows and single
+// fetches alike, and a restricted network always, even when it observes
+// no directory (its log then stays empty).
+func TestNetworkLogOnlyWhenRestricted(t *testing.T) {
+	const seed = 59
+	f := newRestrictFixture(t, seed)
+	for name, observed := range map[string][]onion.Fingerprint{"unrestricted": nil, "none": {}} {
+		net := f.network(t, seed, 1, 0, observed)
+		f.run(t, net, time.Hour, nil)
+		svc := f.pop.WithDescriptor()[0]
+		net.FetchDescriptor(net.Clients()[0], svc.PermID, f.doc.ValidAfter)
+		net.FetchRawID(net.Clients()[1], onion.DescriptorID{1}, f.doc.ValidAfter)
+		switch l := net.Log(); {
+		case observed == nil && l != nil:
+			t.Fatalf("%s network keeps a log of %d requests", name, l.Total())
+		case observed != nil && l == nil:
+			t.Fatalf("%s network keeps no log", name)
+		case observed != nil && l.Total() != 0:
+			t.Fatalf("%s network logged %d requests at no directory", name, l.Total())
+		}
+	}
+}
+
+// TestCancelledWindowLeavesLogUnchanged: a window cancelled before its
+// fetch fan-out counts nothing, and replaying it counts exactly what a
+// never-cancelled window does.
+func TestCancelledWindowLeavesLogUnchanged(t *testing.T) {
+	const seed = 61
+	f := newRestrictFixture(t, seed)
+	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
+	now := f.doc.ValidAfter
+	net, ref := f.network(t, seed, 2, 0.3, observed), f.network(t, seed, 2, 0.3, observed)
+	net.PublishAll(f.pop, now)
+	ref.PublishAll(f.pop, now)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := net.DriveWindow(ctx, f.pop, now, time.Hour, nil); err == nil {
+		t.Fatal("cancelled window returned no error")
+	}
+	if n := net.Log().Total(); n != 0 {
+		t.Fatalf("cancelled window counted %d requests", n)
+	}
+	for _, n := range []*Network{net, ref} {
+		if _, err := n.DriveWindow(context.Background(), f.pop, now, time.Hour, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := logStateOf(net.Log()), logStateOf(ref.Log()); want.total == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed window counted %d requests, never-cancelled window %d", got.total, want.total)
+	}
+}
+
 // TestFetchPathsDoNotAllocate pins the hot path's zero-allocation
 // contract on a restricted network, for skipped and probed requests, on
 // both fetch paths of a driven window: a phantom request (a table draw,
@@ -342,7 +510,7 @@ func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 func TestFetchPathsDoNotAllocate(t *testing.T) {
 	f := newRestrictFixture(t, 47)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"]
-	net := f.network(t, 47, 1, 0.3, false, observed)
+	net := f.network(t, 47, 1, 0.3, observed)
 	now := f.doc.ValidAfter
 	net.PublishAll(f.pop, now)
 	net.warmGuardSets(now, now.Add(time.Hour))

@@ -54,8 +54,8 @@ func driveOnce(t *testing.T, seed int64, workers int) (TrafficStats, []FetchEven
 
 // TestDriveWindowIdenticalAcrossWorkerCounts asserts the three-phase
 // drive (sequential plan, concurrent fetch, ordered replay) delivers the
-// same stats, the same observer event stream, and the same store and
-// request log at every directory, at every worker count.
+// same stats, the same observer event stream, and the same store at
+// every directory, at every worker count.
 func TestDriveWindowIdenticalAcrossWorkerCounts(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
