@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -24,6 +25,9 @@ import (
 //	s <flags...>
 
 const headerLine = "network-status-version 3 torhs"
+
+// maxUptimeSec is the largest uptime, in seconds, a time.Duration holds.
+const maxUptimeSec = math.MaxInt64 / int64(time.Second)
 
 // Marshal writes the document in the text format.
 func (d *Document) Marshal(w io.Writer) error {
@@ -70,6 +74,11 @@ func Unmarshal(r io.Reader) (*Document, error) {
 	if err != nil {
 		return nil, fmt.Errorf("consensus: parse valid-after: %w", err)
 	}
+	// Marshal writes the instant in UTC, which RFC 3339 can hold only for
+	// years 0 to 9999; an offset can carry a parsed instant past either end.
+	if y := va.UTC().Year(); y < 0 || y > 9999 {
+		return nil, fmt.Errorf("consensus: valid-after %s is outside RFC 3339's years in UTC", va.Format(time.RFC3339))
+	}
 
 	doc := &Document{ValidAfter: va}
 	var cur *Entry
@@ -98,6 +107,9 @@ func Unmarshal(r io.Reader) (*Document, error) {
 			uptimeSec, err := strconv.ParseInt(fields[6], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("consensus: line %d: uptime: %w", lineNo, err)
+			}
+			if uptimeSec < 0 || uptimeSec > maxUptimeSec {
+				return nil, fmt.Errorf("consensus: line %d: uptime %d s out of [0, %d]", lineNo, uptimeSec, int64(maxUptimeSec))
 			}
 			rid, err := strconv.ParseInt(fields[7], 10, 64)
 			if err != nil {

@@ -216,11 +216,14 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		{"bad header", "hello\n"},
 		{"missing valid-after", headerLine + "\n"},
 		{"bad valid-after", headerLine + "\nvalid-after yesterday\n"},
+		{"valid-after past year 9999 in UTC", headerLine + "\nvalid-after 9999-12-31T23:59:59-23:59\n"},
 		{"s before r", headerLine + "\nvalid-after 2013-02-04T00:00:00Z\ns Fast\n"},
 		{"short r line", headerLine + "\nvalid-after 2013-02-04T00:00:00Z\nr onlyname\n"},
 		{"bad fingerprint", headerLine + "\nvalid-after 2013-02-04T00:00:00Z\nr n XYZ 1.2.3.4 9001 100 0 1\n"},
 		{"unknown flag", headerLine + "\nvalid-after 2013-02-04T00:00:00Z\nr n " + strings.Repeat("AB", 20) + " 1.2.3.4 9001 100 0 1\ns Turbo\n"},
 		{"junk line", headerLine + "\nvalid-after 2013-02-04T00:00:00Z\nx what\n"},
+		{"uptime overflows Duration", headerLine + "\nvalid-after 2013-02-04T00:00:00Z\nr n " + strings.Repeat("AB", 20) + " 1.2.3.4 9001 100 9223372036854775807 7\n"},
+		{"negative uptime", headerLine + "\nvalid-after 2013-02-04T00:00:00Z\nr n " + strings.Repeat("AB", 20) + " 1.2.3.4 9001 100 -1 7\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

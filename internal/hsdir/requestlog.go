@@ -46,17 +46,24 @@ func (l *RequestLog) Record(id onion.DescriptorID, found bool) {
 	l.addLocked(id, found)
 }
 
-// RecordEach counts n requests under one lock acquisition: request i is
-// for the ID req(i) returns, found as it reports, and is skipped when ok
-// is false. This is how DriveWindow folds a window's fetch records into
-// its network's log. Counting IDs the log already holds performs zero
-// heap allocations.
-func (l *RequestLog) RecordEach(n int, req func(i int) (id onion.DescriptorID, found, ok bool)) {
+// Answer is one request a directory answered, as a log counts it: the
+// requested descriptor ID and whether a live descriptor was stored under
+// it.
+type Answer struct {
+	ID    onion.DescriptorID
+	Found bool
+}
+
+// RecordEach counts every answer of every batch, batch by batch, under
+// one lock acquisition. This is how DriveWindow folds a window's
+// per-shard answers into its network's log. Counting IDs the log already
+// holds performs zero heap allocations.
+func (l *RequestLog) RecordEach(batches [][]Answer) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := 0; i < n; i++ {
-		if id, found, ok := req(i); ok {
-			l.addLocked(id, found)
+	for _, batch := range batches {
+		for _, a := range batch {
+			l.addLocked(a.ID, a.Found)
 		}
 	}
 }

@@ -8,24 +8,18 @@ import (
 	"torhs/internal/onion"
 )
 
-// testRequest is one request of a synthetic stream.
-type testRequest struct {
-	id    onion.DescriptorID
-	found bool
-}
-
 // testRequests builds a request stream with repeated descriptor IDs and
 // a mix of found/not-found hits.
-func testRequests(seed int64, n, distinct int) []testRequest {
+func testRequests(seed int64, n, distinct int) []Answer {
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]onion.DescriptorID, distinct)
 	for i := range ids {
 		f := onion.RandomFingerprint(rng)
 		copy(ids[i][:], f[:])
 	}
-	reqs := make([]testRequest, n)
+	reqs := make([]Answer, n)
 	for i := range reqs {
-		reqs[i] = testRequest{id: ids[rng.Intn(distinct)], found: rng.Intn(5) != 0}
+		reqs[i] = Answer{ID: ids[rng.Intn(distinct)], Found: rng.Intn(5) != 0}
 	}
 	return reqs
 }
@@ -36,23 +30,23 @@ type refLog struct {
 	total, found int
 }
 
-func newRefLog(reqs []testRequest) *refLog {
+func newRefLog(reqs []Answer) *refLog {
 	r := &refLog{counts: make(map[onion.DescriptorID]int)}
 	for _, q := range reqs {
-		r.counts[q.id]++
+		r.counts[q.ID]++
 		r.total++
-		if q.found {
+		if q.Found {
 			r.found++
 		}
 	}
 	return r
 }
 
-// recordAll counts reqs into l in one RecordEach call.
-func recordAll(l *RequestLog, reqs []testRequest) {
-	l.RecordEach(len(reqs), func(i int) (onion.DescriptorID, bool, bool) {
-		return reqs[i].id, reqs[i].found, true
-	})
+// recordAll counts reqs into l in one RecordEach call, split into
+// uneven batches with an empty one between them.
+func recordAll(l *RequestLog, reqs []Answer) {
+	k := len(reqs) / 3
+	l.RecordEach([][]Answer{reqs[:k], nil, reqs[k:]})
 }
 
 // assertMatchesRef requires every query of l to agree with the reference.
@@ -89,7 +83,7 @@ func TestRequestLogMatchesPlainMap(t *testing.T) {
 	reqs := testRequests(1, 5000, 60)
 	l := NewRequestLog()
 	for _, q := range reqs[:100] {
-		l.Record(q.id, q.found)
+		l.Record(q.ID, q.Found)
 	}
 	recordAll(l, reqs[100:])
 	assertMatchesRef(t, l, newRefLog(reqs))
@@ -101,25 +95,22 @@ func TestEmptyLogQueries(t *testing.T) {
 	assertMatchesRef(t, NewRequestLog(), newRefLog(nil))
 }
 
-// TestRecordEachSkipsRequests: a request RecordEach's callback reports
-// as not ok is not counted at all.
-func TestRecordEachSkipsRequests(t *testing.T) {
+// TestRecordEachCountsEveryBatch: batches of any size, empty and nil
+// ones included, count exactly as their concatenation does.
+func TestRecordEachCountsEveryBatch(t *testing.T) {
 	reqs := testRequests(2, 2000, 40)
-	l := NewRequestLog()
-	l.RecordEach(len(reqs), func(i int) (onion.DescriptorID, bool, bool) {
-		return reqs[i].id, reqs[i].found, i%3 != 0
-	})
-	var kept []testRequest
-	for i, q := range reqs {
-		if i%3 != 0 {
-			kept = append(kept, q)
-		}
+	var batches [][]Answer
+	for lo, size := 0, 1; lo < len(reqs); lo, size = lo+size, size*2 {
+		hi := min(lo+size, len(reqs))
+		batches = append(batches, reqs[lo:hi], reqs[hi:hi], nil)
 	}
-	assertMatchesRef(t, l, newRefLog(kept))
+	l := NewRequestLog()
+	l.RecordEach(batches)
+	assertMatchesRef(t, l, newRefLog(reqs))
 }
 
 func TestCompactStateRoundTrip(t *testing.T) {
-	for name, reqs := range map[string][]testRequest{
+	for name, reqs := range map[string][]Answer{
 		"empty":     nil,
 		"populated": testRequests(3, 1500, 30),
 	} {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -265,9 +266,10 @@ func (n *Network) publishService(svc *hspop.Service, now time.Time, sc *publishS
 	} else {
 		ids = onion.DescriptorIDs(svc.PermID, now)
 	}
-	// Both replica descriptors share one intro-point snapshot; the slice
-	// is never mutated after the host establishes its intro points.
-	intros := host.IntroPoints()
+	// Both replica descriptors share the host's intro-point slice
+	// without copying it: the slice is never mutated after the host
+	// establishes its intro points, and no descriptor consumer writes it.
+	intros := host.intros
 	for replica, descID := range ids {
 		desc := &onion.Descriptor{
 			DescID:      descID,
@@ -363,7 +365,7 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 			} else {
 				ids = onion.DescriptorIDs(svc.PermID, now)
 			}
-			intros := hosts[si].IntroPoints()
+			intros := hosts[si].intros // shared, as in publishService
 			for replica, descID := range ids {
 				di := int32(si*onion.Replicas + replica)
 				descs[di] = onion.Descriptor{
@@ -505,10 +507,10 @@ type fetchScratch struct {
 	set    [onion.Replicas]respSet
 }
 
-// fetchRec is the compact, pointer-free record a fetch worker writes:
-// DriveWindow buffers one per planned request (the garbage collector
-// never scans the buffer) and materialises FetchEvents from them during
-// the sequential replay.
+// fetchRec is the compact, pointer-free record of one fetch. When an
+// observer is tapped in, DriveWindow buffers one per planned request (the
+// garbage collector never scans the buffer) and materialises FetchEvents
+// from them during the sequential replay.
 type fetchRec struct {
 	descID   onion.DescriptorID
 	guard    onion.Fingerprint
@@ -662,20 +664,46 @@ type TrafficStats struct {
 	ResolvedHits    int
 }
 
-// planEntry is one planned request of a driven window.
-type planEntry struct {
-	permID  onion.PermanentID
-	phantom bool
+// planCursor walks a driven window's request plan without laying it out.
+// The plan lists offs[s+1]-offs[s] requests for each popular service s,
+// in service order, then the phantom requests from plan index
+// offs[len(offs)-1] on; offs holds the prefix offsets of the per-service
+// counts. A shard seeks once, to its first plan index, then steps forward.
+type planCursor struct {
+	offs []int32
+	s    int
+}
+
+// seekPlan returns a cursor at plan index i: on the first service whose
+// requests end after i, which skips every zero-count service before it.
+func seekPlan(offs []int32, i int) planCursor {
+	last := len(offs) - 1
+	return planCursor{offs: offs, s: sort.Search(last, func(k int) bool { return int(offs[k+1]) > i })}
+}
+
+// service returns the index of the service plan index i requests, or -1
+// when i is a phantom request. Successive calls must not decrease i.
+//
+//torhs:hotpath
+func (c *planCursor) service(i int) int {
+	last := len(c.offs) - 1
+	for c.s < last && int(c.offs[c.s+1]) <= i {
+		c.s++
+	}
+	if c.s == last {
+		return -1
+	}
+	return c.s
 }
 
 // Window-sized scratch buffers are pooled across DriveWindow calls (and
 // across the per-step networks of a trawl): every slot is overwritten
 // before it is read, so reuse can never change an outcome — it only
-// stops each window from allocating and zeroing megabytes of plan and
-// record buffers.
+// stops each window from allocating and zeroing megabytes of record,
+// answer and phantom buffers.
 var (
-	planPool    = sync.Pool{New: func() any { return new([]planEntry) }}
 	recsPool    = sync.Pool{New: func() any { return new([]fetchRec) }}
+	answersPool = sync.Pool{New: func() any { return new([][]hsdir.Answer) }}
 	phantomPool = sync.Pool{New: func() any { return new([]phantom) }}
 	i32Pool     = sync.Pool{New: func() any { return new([]int32) }}
 )
@@ -737,16 +765,18 @@ func (n *Network) ensureSecrets(start, end time.Time) {
 // for, so it has no complete event stream to replay.
 //
 // Execution is three-phase so cfg.Workers never changes the outcome:
-// the traffic plan is drawn sequentially from the network RNG; the
-// fetches execute concurrently, each on an RNG derived from its plan
-// index, probing the descriptor stores lock-free and writing one record
-// per request; and the records are replayed to the stats and the
-// observer sequentially in plan order. A restricted network then folds
-// the records its observed directories answered into its log in one
-// locked pass.
+// the per-service request counts are drawn sequentially from the network
+// RNG; the fetches execute concurrently, each on an RNG derived from its
+// plan index, probing the descriptor stores lock-free; and the shards'
+// results merge sequentially in plan order. Per-request memory is kept
+// only where something reads it: one record per request when an observer
+// is tapped in (replayed to it in plan order), and on a restricted
+// network the (ID, found) pairs its observed directories answered
+// (folded into its log in one locked pass). An unrestricted window with
+// no observer keeps only per-shard tallies.
 //
 // The window is the cancellation unit: ctx is checked on entry and
-// while the plan is drawn, before any descriptor store or the network
+// while the counts are drawn, before any descriptor store or the network
 // log mutates. Once the fetch fan-out starts the window runs to
 // completion, so a nil error means the window's effects are fully
 // applied and a ctx.Err() return means the network state is exactly as
@@ -772,27 +802,25 @@ func (n *Network) DriveWindow(
 		return out, errors.New("simnet: a restricted network takes no fetch observer")
 	}
 
-	// Phase 1: draw the plan sequentially from the network RNG, one
-	// Poisson count per popular service first, so the plan is sized
-	// exactly. The RNG draws must complete once started (a partial draw
-	// would desync the sequential stream), so cancellation is observed
-	// between services, before the plan seed is drawn and any state
-	// below is touched.
+	// Phase 1: draw one Poisson count per popular service, in service
+	// order, from the network RNG, kept as the plan's prefix offsets:
+	// offs[s] is the plan index of svcs[s]'s first request and
+	// offs[len(svcs)] that of the first phantom. The draws must complete
+	// once started (a partial draw would desync the sequential stream), so
+	// cancellation is observed between services, before the plan seed is
+	// drawn and any state below is touched.
 	svcs := pop.PopularServices()
-	perSvcPtr := grabSlice[int32](&i32Pool, len(svcs))
-	defer i32Pool.Put(perSvcPtr)
-	perSvc := (*perSvcPtr)[:len(svcs)]
-	realTotal := 0
+	offsPtr := grabZeroed[int32](&i32Pool, len(svcs)+1)
+	defer i32Pool.Put(offsPtr)
+	offs := *offsPtr
 	for i, svc := range svcs {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		perSvc[i] = int32(stats.Poisson(n.rng, svc.ExpectedRequests))
-		realTotal += int(perSvc[i])
+		offs[i+1] = offs[i] + int32(stats.Poisson(n.rng, svc.ExpectedRequests))
 	}
-	planPtr := planPool.Get().(*[]planEntry)
-	defer planPool.Put(planPtr)
-	plan := buildPlan(planPtr, svcs, perSvc, phantomRequests(pop, realTotal))
+	realTotal := int(offs[len(svcs)])
+	total := realTotal + phantomRequests(pop, realTotal)
 
 	// Phantom pool: never-published descriptor IDs, power-law weighted.
 	nPhantomIDs := pop.Config.ScaledPhantomIDs()
@@ -811,19 +839,19 @@ func (n *Network) DriveWindow(
 	// its RNG from (planSeed, index) — one reseeded RNG per worker, not
 	// one allocation per request — probes the descriptor stores without
 	// taking any lock, and notes which directory answered. Every shard
-	// is fully private: its own service memo, its own RNG stream and its
-	// own stats tally — zero cross-shard synchronization until the
-	// merge. Warmed guard sets are only read: warming refreshed every
-	// guard that would expire before end. A freshly refreshed guard is
-	// stable for minGuardLifetime, so for windows that long or longer the
-	// no-mid-window-rotation guarantee cannot hold and we fall back to
+	// is fully private: its own plan cursor, service memo, RNG stream,
+	// stats tally and answer buffer — zero cross-shard synchronization
+	// until the merge. Warmed guard sets are only read: warming refreshed
+	// every guard that would expire before end. A freshly refreshed guard
+	// is stable for minGuardLifetime, so for windows that long or longer
+	// the no-mid-window-rotation guarantee cannot hold and we fall back to
 	// serial execution (identical results at every Workers value either
-	// way, since the plan already fixes each request's RNG).
+	// way, since the plan index already fixes each request's RNG).
 	workers := n.workers
 	if window >= minGuardLifetime {
 		workers = 1
 	}
-	shards := parallel.NumChunks(workers, len(plan))
+	shards := parallel.NumChunks(workers, total)
 	if shards == 0 {
 		return out, nil
 	}
@@ -831,9 +859,20 @@ func (n *Network) DriveWindow(
 	// phantom ID's responsible set is resolved once, up front, and the
 	// fetches read it from the table.
 	phantoms.resolve(n, workers)
-	recsPtr := grabSlice[fetchRec](&recsPool, len(plan))
-	defer recsPool.Put(recsPtr)
-	recs := (*recsPtr)[:len(plan)] // pointer-free: never GC-scanned
+	var recs []fetchRec // pointer-free: never GC-scanned
+	if observer != nil {
+		recsPtr := grabSlice[fetchRec](&recsPool, total)
+		defer recsPool.Put(recsPtr)
+		recs = (*recsPtr)[:total]
+	}
+	var answers [][]hsdir.Answer
+	observedShare := 0.0
+	if n.restricted() {
+		answersPtr := grabSlice[[]hsdir.Answer](&answersPool, shards)
+		defer answersPool.Put(answersPtr)
+		answers = (*answersPtr)[:shards] // keeps each slot's pooled buffer
+		observedShare = n.observedShare()
+	}
 	shardStats := make([]TrafficStats, shards)
 	// A restricted network skips the requests that no observed directory
 	// is responsible for: a skipped phantom costs its draws so far and
@@ -841,45 +880,80 @@ func (n *Network) DriveWindow(
 	// source of each request's draws, which holds only while no guard
 	// rotates mid-window (the same condition as the fan-out).
 	skip := n.restricted() && window < minGuardLifetime
-	parallel.Chunks(shards, len(plan), func(shard, lo, hi int) {
+	parallel.Chunks(shards, total, func(shard, lo, hi int) {
 		var sc fetchScratch
 		rng := parallel.NewRNG(0)
 		st := &shardStats[shard]
+		cur := seekPlan(offs, lo)
+		var ans []hsdir.Answer
+		if answers != nil {
+			ans = presized(answers[shard], hi-lo, observedShare)
+		}
 		for i := lo; i < hi; i++ {
 			rng.Seed(parallel.SeedFor(planSeed, int64(i)))
 			at := start.Add(time.Duration(rng.Int63n(int64(window))))
 			c := n.clients[rng.Intn(len(n.clients))]
-			if plan[i].phantom {
+			var rec fetchRec
+			if s := cur.service(i); s < 0 {
 				p := phantoms.draw(rng)
-				recs[i] = n.fetchResolved(rng, c, p.id, &p.set, at, skip)
+				rec = n.fetchResolved(rng, c, p.id, &p.set, at, skip)
 				st.PhantomRequests++
 			} else {
-				recs[i] = n.fetchDescriptor(rng, c, plan[i].permID, at, &sc, skip)
+				rec = n.fetchDescriptor(rng, c, svcs[s].PermID, at, &sc, skip)
 			}
 			st.TotalRequests++
-			if recs[i].found {
+			if rec.found {
 				st.ResolvedHits++
 			}
+			if recs != nil {
+				recs[i] = rec
+			}
+			if answers != nil && rec.answered >= 0 {
+				ans = append(ans, hsdir.Answer{ID: rec.descID, Found: rec.found})
+			}
+		}
+		if answers != nil {
+			answers[shard] = ans
 		}
 	})
 
 	// Phase 3: merge. Stats fold in shard index order; the observer —
 	// when one is tapped in — replays the records sequentially in plan
-	// order (the records are already globally ordered: chunk spans are
-	// contiguous and ascending). A restricted network, which takes no
-	// observer, counts the requests its observed directories answered.
+	// order, and a restricted network, which takes no observer, counts
+	// its shards' answers in shard order (chunk spans are contiguous and
+	// ascending, so both orders are plan order).
 	out = mergeWindowStats(shardStats)
-	if observer != nil {
-		for i := range recs {
-			observer(n.event(&recs[i]))
-		}
+	for i := range recs {
+		observer(n.event(&recs[i]))
 	}
-	if n.restricted() {
-		n.log.RecordEach(len(recs), func(i int) (onion.DescriptorID, bool, bool) {
-			return recs[i].descID, recs[i].found, recs[i].answered >= 0
-		})
+	if answers != nil {
+		n.log.RecordEach(answers)
 	}
 	return out, nil
+}
+
+// observedShare is the fraction of ring positions a restricted network
+// observes: about the share of its requests an observed directory
+// answers.
+func (n *Network) observedShare() float64 {
+	observed := 0
+	for _, d := range n.dirs {
+		if d != nil {
+			observed++
+		}
+	}
+	return float64(observed) / float64(len(n.dirs))
+}
+
+// presized empties a shard's pooled answer buffer, growing it first to
+// hold the answers a span of the given length is expected to stage at
+// the observed share, with headroom for phantom popularity skew, so that
+// a fresh buffer rarely grows mid-window.
+func presized(buf []hsdir.Answer, span int, share float64) []hsdir.Answer {
+	if want := int(float64(span)*share*1.25) + 64; cap(buf) < want {
+		return make([]hsdir.Answer, 0, want)
+	}
+	return buf[:0]
 }
 
 // phantomRequests is the number of phantom requests that accompany
@@ -890,30 +964,6 @@ func phantomRequests(pop *hspop.Population, realTotal int) int {
 		return 0
 	}
 	return int(float64(realTotal) * frac / (1 - frac))
-}
-
-// buildPlan lays out a window's request plan in the pooled buffer at
-// planPtr: counts[i] entries for svcs[i], in service order, then the
-// phantom entries. The buffer grows at most once, to exactly the plan's
-// length.
-func buildPlan(planPtr *[]planEntry, svcs []*hspop.Service, counts []int32, phantomTotal int) []planEntry {
-	total := phantomTotal
-	for _, c := range counts {
-		total += int(c)
-	}
-	if cap(*planPtr) < total {
-		*planPtr = make([]planEntry, 0, total)
-	}
-	plan := (*planPtr)[:0]
-	for i, svc := range svcs {
-		for k := int32(0); k < counts[i]; k++ {
-			plan = append(plan, planEntry{permID: svc.PermID})
-		}
-	}
-	for k := 0; k < phantomTotal; k++ {
-		plan = append(plan, planEntry{phantom: true})
-	}
-	return plan
 }
 
 // mergeWindowStats folds the per-shard traffic tallies of a driven

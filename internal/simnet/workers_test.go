@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"torhs/internal/geo"
 	"torhs/internal/hspop"
@@ -89,5 +90,77 @@ func TestDriveWindowIdenticalAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("directory %d differs at workers=%d: %s", i, workers, diff)
 			}
 		}
+	}
+}
+
+// TestNilObserverMatchesCountingObserver: on an unrestricted network a
+// window with no observer, which buffers no per-request records, returns
+// the same stats and leaves the network RNG where the same window with a
+// counting observer leaves it, window after window, at every worker
+// count.
+func TestNilObserverMatchesCountingObserver(t *testing.T) {
+	old := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(old)
+	f := newRestrictFixture(t, 61)
+	now := f.doc.ValidAfter
+	for _, workers := range []int{1, 2, 8} {
+		for _, fail := range []float64{0, 0.3} {
+			counted := f.network(t, 61, workers, fail, nil)
+			plain := f.network(t, 61, workers, fail, nil)
+			counted.PublishAll(f.pop, now)
+			plain.PublishAll(f.pop, now)
+			for w := 0; w < 3; w++ {
+				at := now.Add(time.Duration(w) * 2 * time.Hour)
+				events := 0
+				want, err := counted.DriveWindow(context.Background(), f.pop, at, 2*time.Hour, func(FetchEvent) { events++ })
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := plain.DriveWindow(context.Background(), f.pop, at, 2*time.Hour, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.TotalRequests == 0 || events != want.TotalRequests {
+					t.Fatalf("workers=%d fail=%v window %d: %d events for %+v", workers, fail, w, events, want)
+				}
+				if got != want {
+					t.Fatalf("workers=%d fail=%v window %d: nil observer %+v, counting observer %+v", workers, fail, w, got, want)
+				}
+				if x, y := counted.rng.Int63(), plain.rng.Int63(); x != y {
+					t.Fatalf("workers=%d fail=%v window %d: network RNGs diverged", workers, fail, w)
+				}
+			}
+		}
+	}
+}
+
+// TestNilObserverWindowAllocBounded: an unrestricted window with no
+// observer allocates under a fixed bound however many requests it
+// drives, even with simnet's window pools emptied (as between trawl
+// steps): it keeps nothing per request. One record per request alone
+// would take several times the bound here.
+func TestNilObserverWindowAllocBounded(t *testing.T) {
+	const bound = 1 << 20
+	net, pop, now := buildNetwork(t, 5)
+	net.PublishAll(pop, now)
+	start := now.Add(time.Hour)
+	// A first window builds the secret table the measured one reuses.
+	if _, err := net.DriveWindow(context.Background(), pop, start, 2*time.Hour, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := net.DriveWindow(context.Background(), pop, start, 2*time.Hour, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records := uint64(st.TotalRequests) * uint64(unsafe.Sizeof(fetchRec{})); records < 8*bound {
+		t.Fatalf("window of %d requests too small to tell: records would take %d B", st.TotalRequests, records)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > bound {
+		t.Fatalf("nil-observer window of %d requests allocated %d B, bound %d B", st.TotalRequests, alloc, bound)
 	}
 }
