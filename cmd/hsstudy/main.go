@@ -38,7 +38,9 @@
 //
 // Profiling: -cpuprofile captures the whole study run, -memprofile the
 // retained heap at exit (after a final GC); both files feed straight
-// into go tool pprof. See README.md "Profiling" for the workflow.
+// into go tool pprof. Every CPU sample carries an experiment=NAME label,
+// so go tool pprof -tagfocus experiment=popularity keeps one
+// experiment's samples. See README.md "Profiling" for the workflow.
 //
 // The two lists below are rendered from the registry and the scenario
 // presets; TestDocCommentMatchesRegistry fails if they drift.
@@ -88,7 +90,7 @@ func run(args []string, w io.Writer) error {
 		resume   = fs.Bool("resume", false, "fold pipelines forward from the latest valid checkpoint in the -out store")
 		gcRun    = fs.Bool("gc", false, "sweep orphaned objects from the -out store, print the stats, and exit")
 
-		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the study to this file (inspect with go tool pprof)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the study to this file (inspect with go tool pprof; -tagfocus experiment=NAME keeps one experiment's samples)")
 		memProfile = fs.String("memprofile", "", "write an end-of-study heap profile to this file (inspect with go tool pprof)")
 
 		// Overrides: applied on top of the scenario preset only when set

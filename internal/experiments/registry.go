@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"strings"
 
 	"torhs/internal/fault"
@@ -384,7 +385,14 @@ func (r *Registry) RunStudy(ctx context.Context, env *Env, opts RunOptions, w io
 		res.Executed = append(res.Executed, name)
 		if err := d.Add(name, exp.Needs(), func() error {
 			emit(ProgressEvent{Experiment: name, Stage: "start"})
-			_, err := r.artefact(ctx, env, name)
+			// The profiler label follows the experiment into every
+			// goroutine it starts (parallel.Chunks workers included), so
+			// `go tool pprof -tagfocus experiment=NAME` splits a CPU
+			// profile by experiment. Labels never reach the output.
+			var err error
+			pprof.Do(ctx, pprof.Labels("experiment", name), func(ctx context.Context) {
+				_, err = r.artefact(ctx, env, name)
+			})
 			if err != nil {
 				emit(ProgressEvent{Experiment: name, Stage: "failed", Err: err.Error()})
 				return err

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -246,6 +247,39 @@ func TestNewEnvValidation(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := NewEnv(cfg); err == nil {
 			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// TestRunStudyLabelsEachExperiment pins the profiler labels: every
+// experiment runs under pprof label experiment=<its name>, a dependency
+// under its own name, not its dependent's.
+func TestRunStudyLabelsEachExperiment(t *testing.T) {
+	r := NewRegistry()
+	got := map[string]string{}
+	for _, e := range []struct {
+		name  string
+		needs []string
+	}{{"labelled-dep", nil}, {"labelled", []string{"labelled-dep"}}} {
+		name := e.name
+		if err := r.Register(NewExperiment(name, "", e.needs,
+			func(ctx context.Context, _ *Env) (Artefact, error) {
+				got[name], _ = pprof.Label(ctx, "experiment")
+				return staticArtefact{report.New(name)}, nil
+			})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env, err := NewEnv(subsetConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunStudy(context.Background(), env, RunOptions{}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"labelled-dep", "labelled"} {
+		if got[name] != name {
+			t.Errorf("experiment %q ran under label %q", name, got[name])
 		}
 	}
 }

@@ -99,17 +99,19 @@ func sign(body []byte, key onion.IdentityKey) []byte {
 
 // Decode parses a descriptor and verifies its signature and that the
 // descriptor ID is consistent with the embedded permanent key (clients
-// must verify both before trusting a fetched descriptor).
+// must verify both before trusting a fetched descriptor). It accepts
+// only what Encode can write: each keyword at most once, exactly one
+// "version 2" line, and a publication time in its canonical form.
 func Decode(r io.Reader) (*onion.Descriptor, onion.IdentityKey, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 
 	var (
-		d        onion.Descriptor
-		key      onion.IdentityKey
-		sig      []byte
-		body     bytes.Buffer
-		haveDesc bool
+		d    onion.Descriptor
+		key  onion.IdentityKey
+		sig  []byte
+		body bytes.Buffer
+		seen = map[string]bool{}
 	)
 	for sc.Scan() {
 		line := sc.Text()
@@ -117,6 +119,10 @@ func Decode(r io.Reader) (*onion.Descriptor, onion.IdentityKey, error) {
 			continue
 		}
 		keyword, rest, _ := strings.Cut(line, " ")
+		if seen[keyword] {
+			return nil, nil, fmt.Errorf("%w: repeated %q line", ErrBadDescriptor, keyword)
+		}
+		seen[keyword] = true
 		if keyword != "signature" {
 			body.WriteString(line)
 			body.WriteByte('\n')
@@ -128,7 +134,6 @@ func Decode(r io.Reader) (*onion.Descriptor, onion.IdentityKey, error) {
 				return nil, nil, fmt.Errorf("%w: descriptor-id %q", ErrBadDescriptor, rest)
 			}
 			copy(d.DescID[:], raw)
-			haveDesc = true
 		case "version":
 			if rest != "2" {
 				return nil, nil, fmt.Errorf("%w: version %q", ErrBadDescriptor, rest)
@@ -145,6 +150,11 @@ func Decode(r io.Reader) (*onion.Descriptor, onion.IdentityKey, error) {
 			t, err := time.Parse(timeLayout, rest)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%w: publication-time: %v", ErrBadDescriptor, err)
+			}
+			if t.Format(timeLayout) != rest {
+				// time.Parse also takes fractional seconds the layout
+				// does not name, which re-encoding would drop.
+				return nil, nil, fmt.Errorf("%w: publication-time %q is not in %q form", ErrBadDescriptor, rest, timeLayout)
 			}
 			d.PublishedAt = t.UTC()
 		case "protocol-versions":
@@ -172,7 +182,7 @@ func Decode(r io.Reader) (*onion.Descriptor, onion.IdentityKey, error) {
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	if !haveDesc || key == nil || sig == nil {
+	if !seen["rendezvous-service-descriptor"] || !seen["version"] || key == nil || sig == nil {
 		return nil, nil, fmt.Errorf("%w: missing required fields", ErrBadDescriptor)
 	}
 

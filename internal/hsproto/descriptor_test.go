@@ -178,3 +178,36 @@ func TestEncodeNilDescriptor(t *testing.T) {
 		t.Fatal("Encode(nil) succeeded")
 	}
 }
+
+// TestDecodeRejectsWhatEncodeCannotWrite feeds correctly signed
+// variants of a valid descriptor that Encode could never have written.
+func TestDecodeRejectsWhatEncodeCannotWrite(t *testing.T) {
+	d, key := makeDescriptor(t, 1, 0)
+	var buf bytes.Buffer
+	if err := Encode(&buf, d, key); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.String()
+	if _, _, err := Decode(bytes.NewReader(signBody([]byte(valid)))); err != nil {
+		t.Fatalf("re-signed valid descriptor rejected: %v", err)
+	}
+	lines := strings.SplitAfter(valid, "\n")
+	introLine, sigLine := lines[len(lines)-3], lines[len(lines)-2]
+	for _, tc := range []struct {
+		name string
+		in   []byte
+	}{
+		{"fractional seconds", signBody([]byte(strings.Replace(valid, "10:30:00\n", "10:30:00.5\n", 1)))},
+		{"comma fractional seconds", signBody([]byte(strings.Replace(valid, "10:30:00\n", "10:30:00,5\n", 1)))},
+		{"no version", signBody([]byte(strings.Replace(valid, "version 2\n", "", 1)))},
+		{"repeated version", signBody([]byte(strings.Replace(valid, "version 2\n", "version 2\nversion 2\n", 1)))},
+		{"repeated introduction-points", signBody([]byte(valid + introLine))},
+		{"repeated signature", []byte(valid + sigLine)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := Decode(bytes.NewReader(tc.in)); err == nil {
+				t.Fatalf("Decode accepted\n%s", tc.in)
+			}
+		})
+	}
+}

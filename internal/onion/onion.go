@@ -107,13 +107,20 @@ var (
 	ErrBadAddressCharset = errors.New("onion: address contains invalid base32 characters")
 )
 
-// ParseAddress validates s (with or without a ".onion" suffix) and returns
-// the canonical Address and its decoded permanent identifier.
+// ParseAddress validates s (with or without a ".onion" suffix, in any
+// ASCII case) and returns the canonical Address and its decoded
+// permanent identifier. The address itself must be exactly 16 ASCII
+// base32 characters: no other rune, however it case-folds, is accepted.
 func ParseAddress(s string) (Address, PermanentID, error) {
-	s = strings.ToLower(strings.TrimSuffix(strings.TrimSpace(s), ".onion"))
+	s = strings.TrimSuffix(strings.Map(asciiLower, strings.TrimSpace(s)), ".onion")
 	var id PermanentID
 	if len(s) != AddressLen {
 		return "", id, fmt.Errorf("%w: got %d", ErrBadAddressLength, len(s))
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < 'a' || c > 'z') && (c < '2' || c > '7') {
+			return "", id, fmt.Errorf("%w: %q", ErrBadAddressCharset, s)
+		}
 	}
 	raw, err := b32.DecodeString(strings.ToUpper(s))
 	if err != nil {
@@ -121,6 +128,15 @@ func ParseAddress(s string) (Address, PermanentID, error) {
 	}
 	copy(id[:], raw)
 	return Address(s), id, nil
+}
+
+// asciiLower lowercases ASCII letters only, so that no non-ASCII rune
+// (the Kelvin sign, the long s) folds into the base32 alphabet.
+func asciiLower(r rune) rune {
+	if 'A' <= r && r <= 'Z' {
+		return r + 'a' - 'A'
+	}
+	return r
 }
 
 // String returns the address with the ".onion" suffix, as a user would see

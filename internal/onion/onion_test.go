@@ -70,6 +70,11 @@ func TestParseAddressRejectsBadInput(t *testing.T) {
 		{"bad charset digit 1", "1bcdefghijklmnop"},
 		{"bad charset digit 0", "0bcdefghijklmnop"},
 		{"bad charset punct", "abcdefghijklmno!"},
+		// 16 bytes; ToUpper maps the long s to 'S'.
+		{"long s", "aaaaaaaaaaaaaa\u017f"},
+		// ToLower maps the Kelvin sign to 'k'.
+		{"kelvin sign", "aaaaaaaaaaaaaaa\u212a"},
+		{"kelvin sign with suffix", "aaaaaaaaaaaaaaa\u212a.onion"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,16 +88,18 @@ func TestParseAddressRejectsBadInput(t *testing.T) {
 func TestParseAddressAcceptsUppercaseAndSuffix(t *testing.T) {
 	k := GenerateKey(testRand())
 	addr := AddressFromKey(k)
-	upper := strings.ToUpper(string(addr)) + ".ONION"
-	// ".ONION" is not trimmed (case-sensitive suffix), so construct the
-	// realistic variant: uppercase body, lowercase suffix.
-	upper = strings.ToUpper(string(addr)) + ".onion"
-	got, _, err := ParseAddress(upper)
-	if err != nil {
-		t.Fatalf("ParseAddress(%q): %v", upper, err)
-	}
-	if got != addr {
-		t.Fatalf("ParseAddress(%q) = %q, want %q", upper, got, addr)
+	for _, in := range []string{
+		strings.ToUpper(string(addr)) + ".onion",
+		strings.ToUpper(addr.String()),
+		string(addr) + ".OnIoN",
+	} {
+		got, _, err := ParseAddress(in)
+		if err != nil {
+			t.Fatalf("ParseAddress(%q): %v", in, err)
+		}
+		if got != addr {
+			t.Fatalf("ParseAddress(%q) = %q, want %q", in, got, addr)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -479,18 +478,6 @@ func (t phantomTable) resolve(n *Network, workers int) {
 			t[i].set = n.resolve(t[i].id)
 		}
 	})
-}
-
-// draw picks one phantom request's target: Zipf-ish, low indexes are
-// requested far more often.
-//
-//torhs:hotpath
-func (t phantomTable) draw(rng *rand.Rand) *phantom {
-	idx := int(float64(len(t)) * math.Pow(rng.Float64(), 2.2))
-	if idx >= len(t) {
-		idx = len(t) - 1
-	}
-	return &t[idx]
 }
 
 // fetchScratch is one fetch worker's service memo. Traffic plans list
