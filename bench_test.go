@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"torhs/internal/consensus"
 	"torhs/internal/core/content"
 	"torhs/internal/core/deanon"
 	"torhs/internal/core/popularity"
@@ -533,19 +534,13 @@ func BenchmarkTrawlHarvest(b *testing.B) {
 	}
 }
 
-// BenchmarkDriveWindow measures one driven descriptor-fetch window over a
-// published population: the simnet hot path underneath both the trawl and
-// the deanonymisation experiments. observed=all simulates every ring
-// directory and keeps no request log, as the deanonymisation networks
-// do; observed=fleet restricts the network to an attacker-sized ninth of
-// the ring and counts the requests those directories answer in the
-// network's log, as each trawl step does (simnet.Config.Observed). Every
-// iteration drives the first window of a freshly published network,
-// built with the timer stopped, after two collections have emptied
-// simnet's window-buffer pools (as happens between trawl steps), so B/op
-// and allocs/op are the same in every iteration and do not depend on b.N.
-func BenchmarkDriveWindow(b *testing.B) {
-	e := benchSetup(b)
+// simnetBenchRuns are the two network shapes the simnet layer rows
+// measure, over the first consensus of a one-day fleet: observed=all
+// simulates every ring directory, as the deanonymisation networks do,
+// and observed=fleet restricts the network to an attacker-sized ninth of
+// the ring, as each trawl step does (simnet.Config.Observed).
+func simnetBenchRuns(b *testing.B) (*consensus.Document, []simnetBenchRun) {
+	b.Helper()
 	fleet := relaynet.DefaultFleetConfig(6)
 	fleet.Days = 1
 	sim, err := relaynet.NewSim(fleet)
@@ -563,10 +558,27 @@ func BenchmarkDriveWindow(b *testing.B) {
 			attacker = append(attacker, fp)
 		}
 	}
-	for _, bc := range []struct {
-		name     string
-		observed []onion.Fingerprint
-	}{{"observed=all", nil}, {"observed=fleet", attacker}} {
+	return doc, []simnetBenchRun{{"observed=all", nil}, {"observed=fleet", attacker}}
+}
+
+type simnetBenchRun struct {
+	name     string
+	observed []onion.Fingerprint
+}
+
+// BenchmarkDriveWindow measures one driven descriptor-fetch window over a
+// published population: the simnet hot path underneath both the trawl and
+// the deanonymisation experiments. observed=all keeps no request log;
+// observed=fleet counts the requests its directories answer in the
+// network's log (see simnetBenchRuns). Every iteration drives the first
+// window of a freshly published network, built with the timer stopped,
+// after two collections have emptied simnet's window-buffer pools (as
+// happens between trawl steps), so B/op and allocs/op are the same in
+// every iteration and do not depend on b.N.
+func BenchmarkDriveWindow(b *testing.B) {
+	e := benchSetup(b)
+	doc, runs := simnetBenchRuns(b)
+	for _, bc := range runs {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := simnet.DefaultConfig(6)
 			cfg.Clients = 1000
@@ -585,6 +597,38 @@ func BenchmarkDriveWindow(b *testing.B) {
 				st, _ := net.DriveWindow(context.Background(), e.pop, now, 2*time.Hour, nil)
 				if st.TotalRequests == 0 {
 					b.Fatal("no traffic driven")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPublishAll measures one descriptor publication sweep over the
+// population on a fresh network: host and intro-point setup, descriptor
+// ID derivation and placement on the responsible directories, which each
+// trawl step and each deanonymisation network pays once (see
+// simnetBenchRuns for the two shapes). Every iteration publishes on a
+// network built with the timer stopped, after two collections have
+// emptied simnet's pools, so B/op and allocs/op do not depend on b.N.
+func BenchmarkPublishAll(b *testing.B) {
+	e := benchSetup(b)
+	doc, runs := simnetBenchRuns(b)
+	for _, bc := range runs {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := simnet.DefaultConfig(6)
+			cfg.Clients = 1000
+			cfg.Observed = bc.observed
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				net, err := simnet.NewNetwork(doc, e.geoDB, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
+				if net.PublishAll(e.pop, doc.ValidAfter) == 0 {
+					b.Fatal("nothing published")
 				}
 			}
 		})

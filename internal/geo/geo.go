@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -85,8 +86,15 @@ func (db *DB) AllocateIP(rng *rand.Rand) (ip, country string) {
 			break
 		}
 	}
-	o1 := db.prefixes[country]
-	return fmt.Sprintf("%d.%d.%d.%d", o1, rng.Intn(256), rng.Intn(256), 1+rng.Intn(254)), country
+	// The octets are drawn in address order; the string is the one
+	// fmt.Sprintf("%d.%d.%d.%d", ...) would build, without its cost.
+	octets := [4]int{db.prefixes[country], rng.Intn(256), rng.Intn(256), 1 + rng.Intn(254)}
+	var buf [len("255.255.255.255")]byte
+	b := strconv.AppendInt(buf[:0], int64(octets[0]), 10)
+	for _, o := range octets[1:] {
+		b = strconv.AppendInt(append(b, '.'), int64(o), 10)
+	}
+	return string(b), country
 }
 
 // Lookup resolves an IP to its country code.

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -78,5 +79,42 @@ func TestCountriesSortedAndComplete(t *testing.T) {
 		if got[i-1] >= got[i] {
 			t.Fatal("countries not sorted")
 		}
+	}
+}
+
+// sprintfAllocateIP is AllocateIP written the obvious way, with
+// fmt.Sprintf: the oracle for its strconv form.
+func sprintfAllocateIP(db *DB, rng *rand.Rand) (ip, country string) {
+	r := rng.Float64() * db.total
+	acc := 0.0
+	country = db.shares[len(db.shares)-1].Code
+	for _, s := range db.shares {
+		acc += s.Weight
+		if r < acc {
+			country = s.Code
+			break
+		}
+	}
+	return fmt.Sprintf("%d.%d.%d.%d", db.prefixes[country], rng.Intn(256), rng.Intn(256), 1+rng.Intn(254)), country
+}
+
+// TestAllocateIPMatchesSprintf pins AllocateIP against the fmt oracle
+// over 10^5 draws: the same address and country every time, and the RNG
+// left in the same state.
+func TestAllocateIPMatchesSprintf(t *testing.T) {
+	db, err := NewDB(DefaultBotnetMix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for i := 0; i < 100_000; i++ {
+		ip, country := db.AllocateIP(a)
+		wantIP, wantCountry := sprintfAllocateIP(db, b)
+		if ip != wantIP || country != wantCountry {
+			t.Fatalf("draw %d: %s in %s, oracle %s in %s", i, ip, country, wantIP, wantCountry)
+		}
+	}
+	if x, y := a.Int63(), b.Int63(); x != y {
+		t.Fatal("AllocateIP left the RNG in a different state than the oracle")
 	}
 }

@@ -2,7 +2,9 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -49,14 +51,41 @@ type SubmitResponse struct {
 	Deduped bool `json:"deduped,omitempty"`
 }
 
-func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// maxSubmitBytes caps a POST /studies body; a real one is well under a
+// kilobyte.
+const maxSubmitBytes = 64 << 10
+
+// decodeSubmit decodes a POST /studies body: exactly one JSON object,
+// holding only SubmitRequest's fields and a scenario, followed by
+// nothing but white space. An empty experiment list decodes as nil
+// (all experiments), as omitting it does.
+func decodeSubmit(r io.Reader) (SubmitRequest, error) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
-		return
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return SubmitRequest{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return SubmitRequest{}, errors.New("trailing data after the request object")
 	}
 	if req.Scenario == "" {
-		http.Error(w, "scenario is required", http.StatusBadRequest)
+		return SubmitRequest{}, errors.New("scenario is required")
+	}
+	if len(req.Experiments) == 0 {
+		req.Experiments = nil
+	}
+	return req, nil
+}
+
+func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		if mbe := new(http.MaxBytesError); errors.As(err, &mbe) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), code)
 		return
 	}
 	job, deduped, err := a.m.Submit(req.Scenario, req.Seed, req.Experiments)

@@ -106,6 +106,51 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitDecoding pins POST /studies decoding: a misspelled
+// field, data after the object and an oversized body are refused, and
+// naming an experiment twice dedupes onto the job that names it once.
+func TestHTTPSubmitDecoding(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	defer close(release)
+	_, srv := newTestAPI(t, Options{Run: blockingRun(started, release)})
+	post := func(body string) (int, SubmitResponse) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/studies", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sub SubmitResponse
+		if resp.StatusCode < 300 {
+			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, sub
+	}
+	for body, want := range map[string]int{
+		`{"scenario":"smoke","experiment":["scan"]}`:                                        http.StatusBadRequest,
+		`{"scenario":"smoke","seed":5} garbage`:                                             http.StatusBadRequest,
+		`{"scenario":"smoke","seed":5} {}`:                                                  http.StatusBadRequest,
+		`{"scenario":"smoke","seed":5,"pad":"` + strings.Repeat("x", maxSubmitBytes) + `"}`: http.StatusRequestEntityTooLarge,
+	} {
+		if code, _ := post(body); code != want {
+			t.Fatalf("POST %.60s status = %d, want %d", body, code, want)
+		}
+	}
+
+	code, first := post(`{"scenario":"smoke","seed":5,"experiments":["scan"]}` + "\n")
+	if code != http.StatusAccepted {
+		t.Fatalf("POST [scan] status = %d, want 202", code)
+	}
+	<-started
+	code, dup := post(`{"scenario":"smoke","seed":5,"experiments":["scan","scan"]}`)
+	if code != http.StatusOK || !dup.Deduped || dup.ID != first.ID {
+		t.Fatalf("POST [scan scan] status = %d, response %+v; want 200 deduped onto %s", code, dup, first.ID)
+	}
+}
+
 func TestHTTPQueueFullSheds429(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})

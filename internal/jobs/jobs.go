@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -366,8 +367,9 @@ func (m *Manager) Submit(scen string, seed int64, names []string) (job *Job, ded
 			return nil, false, fmt.Errorf("jobs: unknown experiment %q", n)
 		}
 	}
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
+	// Naming an experiment twice selects it once, so the key lists each
+	// name once.
+	sorted := slices.Compact(slices.Sorted(slices.Values(names)))
 	cfg := experiments.ConfigFromSpec(spec, seed)
 	key := scen + "|" + cfg.CacheKey() + "|" + strings.Join(sorted, ",")
 

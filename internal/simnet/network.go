@@ -230,13 +230,13 @@ func (n *Network) GuardPool() []onion.Fingerprint { return n.guards }
 // Clients returns the client population.
 func (n *Network) Clients() []*Client { return n.clients }
 
-// descriptorID derives one replica ID, through the shared secret table
-// when one is available.
-func (n *Network) descriptorID(permID onion.PermanentID, at time.Time, replica uint8) onion.DescriptorID {
+// descriptorIDs derives both replica IDs at instant at, through the
+// shared secret table when one is available.
+func (n *Network) descriptorIDs(permID onion.PermanentID, at time.Time) [onion.Replicas]onion.DescriptorID {
 	if n.secrets != nil {
-		return n.secrets.DescriptorID(permID, at, replica)
+		return n.secrets.DescriptorIDsAt(permID, at)
 	}
-	return onion.ComputeDescriptorID(permID, at, replica)
+	return onion.DescriptorIDs(permID, at)
 }
 
 // publishScratch carries the reusable buffers of a publish sweep.
@@ -251,37 +251,31 @@ type publishScratch struct {
 // service deanonymisation uses).
 func (n *Network) PublishService(svc *hspop.Service, now time.Time) {
 	var sc publishScratch
-	n.publishService(svc, now, &sc)
+	n.publishService(svc, n.ensureHost(svc), now, &sc)
 }
 
-func (n *Network) publishService(svc *hspop.Service, now time.Time, sc *publishScratch) {
-	host := n.ensureHost(svc)
-	if len(host.intros) == 0 {
-		n.establishIntroPoints(host, 3)
-	}
-	var ids [onion.Replicas]onion.DescriptorID
-	if n.secrets != nil {
-		ids = n.secrets.DescriptorIDsAt(svc.PermID, now)
-	} else {
-		ids = onion.DescriptorIDs(svc.PermID, now)
-	}
-	// Both replica descriptors share the host's intro-point slice
-	// without copying it: the slice is never mutated after the host
-	// establishes its intro points, and no descriptor consumer writes it.
-	intros := host.intros
-	for replica, descID := range ids {
-		desc := &onion.Descriptor{
-			DescID:      descID,
-			Address:     svc.Address,
-			PermID:      svc.PermID,
-			Replica:     uint8(replica),
-			PublishedAt: now,
-			IntroPoints: intros,
-		}
+// publishService uploads svc's replicas from host. A replica gets a
+// Descriptor only when an observed directory stores it, and both share
+// the host's intro-point slice without copying it: the slice is never
+// mutated after the host establishes its intro points, and no
+// descriptor consumer writes it.
+func (n *Network) publishService(svc *hspop.Service, host *Host, now time.Time, sc *publishScratch) {
+	for replica, descID := range n.descriptorIDs(svc.PermID, now) {
+		var desc *onion.Descriptor
 		sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
 		for _, pos := range sc.pos {
 			if n.dirs[pos] == nil {
 				continue // unobserved (restricted networks have no upload observers)
+			}
+			if desc == nil {
+				desc = &onion.Descriptor{
+					DescID:      descID,
+					Address:     svc.Address,
+					PermID:      svc.PermID,
+					Replica:     uint8(replica),
+					PublishedAt: now,
+					IntroPoints: host.intros,
+				}
 			}
 			n.dirs[pos].Publish(desc, now)
 			if len(n.uploadObservers) > 0 {
@@ -300,51 +294,62 @@ func (n *Network) publishService(svc *hspop.Service, now time.Time, sc *publishS
 	}
 }
 
+// storedReplica is one descriptor replica a publish shard found stored
+// by at least one observed directory: its ID, the service's index in the
+// sweep, the replica, and how many placements the shard staged for it.
+type storedReplica struct {
+	id      onion.DescriptorID
+	svc     int32
+	replica uint8
+	placed  uint8
+}
+
 // PublishAll uploads descriptors for every descriptor-bearing service in
 // the population and returns the number published.
 //
-// The sweep is sharded: host and intro-point establishment draw from the
-// network RNG and stay sequential (preserving the RNG byte stream
-// exactly), then each worker derives descriptor IDs and responsible sets
-// for a contiguous span of services into private staging buffers, and a
-// merge phase applies the staged placements per directory in
-// shard-then-service order — which is service order, so every
-// directory's store sees the exact insertion sequence of a sequential
-// sweep. Observer-tapped networks (the service-deanon tap) draw a guard
-// pick from the network RNG per upload and must announce events in
-// service order, so they take the sequential path, as does Workers==1
-// (no goroutines, no staging). On a restricted network both paths place
-// descriptors on observed directories only.
+// Observer-tapped networks (the service-deanon tap) draw a guard pick
+// from the network RNG per upload, between one host's setup draws and
+// the next, and must announce events in service order, so they publish
+// one service at a time. Every other sweep first sets up all hosts and
+// intro points in one sequential pass in service order — the only RNG
+// draws of an untapped sweep (see hostsFor) — and then places the
+// descriptors. Workers==1 places them service by service; otherwise the
+// placement is sharded: each worker derives descriptor IDs and
+// responsible sets for a contiguous span of services into private
+// staging buffers, and a merge phase builds exactly one Descriptor per
+// replica that an observed directory stores and applies the staged
+// placements per directory in shard-then-service order — which is
+// service order, so every directory's store sees the exact insertion
+// sequence of a sequential sweep. On a restricted network every path
+// places descriptors on observed directories only.
 func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 	svcs := pop.WithDescriptor()
-	shards := parallel.NumChunks(n.workers, len(svcs))
-	if len(n.uploadObservers) > 0 || shards <= 1 {
-		var sc publishScratch
+	var sc publishScratch
+	if len(n.uploadObservers) > 0 {
 		for _, svc := range svcs {
-			n.publishService(svc, now, &sc)
+			n.publishService(svc, n.ensureHost(svc), now, &sc)
+		}
+		return len(svcs)
+	}
+	hosts := n.hostsFor(svcs)
+	shards := parallel.NumChunks(n.workers, len(svcs))
+	if shards <= 1 {
+		for i, svc := range svcs {
+			n.publishService(svc, hosts[i], now, &sc)
 		}
 		return len(svcs)
 	}
 
-	// Phase 1 (sequential): establish hosts and intro points in service
-	// order — the only RNG draws of an untapped publish sweep.
-	hosts := make([]*Host, len(svcs))
-	for i, svc := range svcs {
-		hosts[i] = n.ensureHost(svc)
-		if len(hosts[i].intros) == 0 {
-			n.establishIntroPoints(hosts[i], 3)
-		}
-	}
-
 	// Phase 2 (parallel): derive and stage. Each shard owns a span of
-	// services, a private responsible-set scratch, its span of the
-	// shared descriptor array, and private staging buffers + counts —
-	// zero cross-shard synchronization.
+	// services, a private responsible-set scratch, and private staging
+	// buffers + counts — zero cross-shard synchronization. The buffers
+	// are sized for the network's observed share of the ring.
 	nd := len(n.dirs)
-	descs := make([]onion.Descriptor, onion.Replicas*len(svcs))
+	share := n.observedShare()
 	type staged struct {
-		dirs    []int32 // placement target ring positions, service order
-		descIdx []int32 // parallel indexes into descs
+		dirs   []int32         // placement target ring positions, service order
+		stored []storedReplica // the placed replicas, service order
+		base   int             // index of stored[0] in the sweep's descriptors
 	}
 	stage := make([]staged, shards)
 	countsPtr := grabZeroed[int32](&i32Pool, shards*nd)
@@ -352,58 +357,68 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 	counts := *countsPtr
 	parallel.Chunks(shards, len(svcs), func(shard, lo, hi int) {
 		var sc publishScratch
-		est := (hi - lo) * onion.Replicas * onion.SpreadPerReplica
-		pls := make([]int32, 0, est)
-		dix := make([]int32, 0, est)
+		replicas := (hi - lo) * onion.Replicas
+		placements := stagingCap(replicas*onion.SpreadPerReplica, share)
+		st := staged{
+			dirs:   make([]int32, 0, placements),
+			stored: make([]storedReplica, 0, stagingCap(replicas, min(1, onion.SpreadPerReplica*share))),
+		}
 		cnt := counts[shard*nd : (shard+1)*nd]
 		for si := lo; si < hi; si++ {
-			svc := svcs[si]
-			var ids [onion.Replicas]onion.DescriptorID
-			if n.secrets != nil {
-				ids = n.secrets.DescriptorIDsAt(svc.PermID, now)
-			} else {
-				ids = onion.DescriptorIDs(svc.PermID, now)
-			}
-			intros := hosts[si].intros // shared, as in publishService
-			for replica, descID := range ids {
-				di := int32(si*onion.Replicas + replica)
-				descs[di] = onion.Descriptor{
-					DescID:      descID,
-					Address:     svc.Address,
-					PermID:      svc.PermID,
-					Replica:     uint8(replica),
-					PublishedAt: now,
-					IntroPoints: intros,
-				}
+			for replica, descID := range n.descriptorIDs(svcs[si].PermID, now) {
+				placed := uint8(0)
 				sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
 				for _, pos := range sc.pos {
 					if n.dirs[pos] == nil {
 						continue // unobserved: stage nothing
 					}
-					pls = append(pls, pos)
-					dix = append(dix, di)
+					st.dirs = append(st.dirs, pos)
 					cnt[pos]++
+					placed++
+				}
+				if placed > 0 {
+					st.stored = append(st.stored, storedReplica{id: descID, svc: int32(si), replica: uint8(replica), placed: placed})
 				}
 			}
 		}
-		stage[shard] = staged{dirs: pls, descIdx: dix}
+		stage[shard] = st
 	})
 
-	// Phase 3 (merge): cursor the staged counts into one placement arena
-	// ordered directory-major then shard-then-service, and apply each
-	// directory's span independently (each Directory has its own lock
-	// and sees its placements in exact service order).
+	// Phase 3 (merge): size the descriptors exactly, cursor the staged
+	// counts into one placement arena ordered directory-major then
+	// shard-then-service, and apply each directory's span independently
+	// (each Directory has its own lock and sees its placements in exact
+	// service order).
+	stored := 0
+	for i := range stage {
+		stage[i].base = stored
+		stored += len(stage[i].stored)
+	}
+	descs := make([]onion.Descriptor, stored)
 	dirOffsPtr := grabZeroed[int32](&i32Pool, nd+1)
 	defer i32Pool.Put(dirOffsPtr)
 	dirOffs := *dirOffsPtr
-	total := shardFillCursors(counts, dirOffs, shards, nd)
-	arena := make([]*onion.Descriptor, total)
+	arena := make([]*onion.Descriptor, shardFillCursors(counts, dirOffs, shards, nd))
 	parallel.ForEach(shards, shards, func(shard int) {
-		cur := counts[shard*nd : (shard+1)*nd]
 		st := &stage[shard]
-		for k, pos := range st.dirs {
-			arena[cur[pos]] = &descs[st.descIdx[k]]
-			cur[pos]++
+		cur := counts[shard*nd : (shard+1)*nd]
+		dirs := st.dirs
+		for k, r := range st.stored {
+			svc := svcs[r.svc]
+			desc := &descs[st.base+k]
+			*desc = onion.Descriptor{
+				DescID:      r.id,
+				Address:     svc.Address,
+				PermID:      svc.PermID,
+				Replica:     r.replica,
+				PublishedAt: now,
+				IntroPoints: hosts[r.svc].intros, // shared, as in publishService
+			}
+			for _, pos := range dirs[:r.placed] {
+				arena[cur[pos]] = desc
+				cur[pos]++
+			}
+			dirs = dirs[r.placed:]
 		}
 	})
 	parallel.ForEach(n.workers, nd, func(d int) {
@@ -480,18 +495,64 @@ func (t phantomTable) resolve(n *Network, workers int) {
 	})
 }
 
-// fetchScratch is one fetch worker's service memo. Traffic plans list
-// requests grouped by service, so consecutive service fetches usually
-// repeat the same (service, time period); the memo keeps, per replica,
-// the descriptor ID and its resolved set, filled lazily. Phantom requests
-// read the window's phantomTable instead.
-type fetchScratch struct {
-	permID onion.PermanentID
+// memoPeriods is how many time periods a fetch worker's service memo
+// keeps for the current service. A client clock skewed by up to ±72 h
+// reaches seven daily periods around the true one, so skewed and
+// unskewed clients of one service no longer evict each other's period.
+const memoPeriods = 8
+
+// periodSlot is one time period of the service memo: per replica, the
+// descriptor ID and its resolved set, filled lazily.
+type periodSlot struct {
 	period uint32
-	valid  bool
 	ok     [onion.Replicas]bool
 	id     [onion.Replicas]onion.DescriptorID
 	set    [onion.Replicas]respSet
+}
+
+// fetchScratch is one fetch worker's service memo. Traffic plans list
+// requests grouped by service, so consecutive service fetches repeat the
+// same service; the memo keeps up to memoPeriods of its time periods,
+// the oldest evicted first once all are in use, and starts over when the
+// service changes. Every slot holds a pure function of (service,
+// period, replica), so what the memo holds never changes an outcome.
+// Phantom requests read the window's phantomTable instead.
+type fetchScratch struct {
+	permID onion.PermanentID
+	slots  [memoPeriods]periodSlot
+	misses int // periods of permID taken in; the next goes to slot misses%memoPeriods
+}
+
+// lookup returns the descriptor ID of (permID, period, replica) and its
+// resolved responsible set, deriving both on a miss.
+//
+//torhs:hotpath
+func (sc *fetchScratch) lookup(n *Network, permID onion.PermanentID, period uint32, replica uint8) (onion.DescriptorID, *respSet) {
+	if sc.misses == 0 || sc.permID != permID {
+		sc.permID, sc.misses = permID, 0
+	}
+	var sl *periodSlot
+	for k := range sc.slots[:min(sc.misses, memoPeriods)] {
+		if sc.slots[k].period == period {
+			sl = &sc.slots[k]
+			break
+		}
+	}
+	if sl == nil {
+		sl = &sc.slots[sc.misses%memoPeriods]
+		sc.misses++
+		sl.period, sl.ok = period, [onion.Replicas]bool{}
+	}
+	if !sl.ok[replica] {
+		sl.ok[replica] = true
+		if n.secrets != nil {
+			sl.id[replica] = n.secrets.DescriptorIDForPeriod(permID, period, replica)
+		} else {
+			sl.id[replica] = onion.DescriptorIDForPeriod(permID, period, replica)
+		}
+		sl.set[replica] = n.resolve(sl.id[replica])
+	}
+	return sl.id[replica], &sl.set[replica]
 }
 
 // fetchRec is the compact, pointer-free record of one fetch. When an
@@ -574,21 +635,8 @@ func (n *Network) logAnswered(rec *fetchRec) {
 func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch, skip bool) fetchRec {
 	local := c.LocalTime(now)
 	replica := uint8(rng.Intn(onion.Replicas))
-	period := onion.TimePeriod(permID, local)
-	if !sc.valid || sc.permID != permID || sc.period != period {
-		sc.permID, sc.period, sc.valid = permID, period, true
-		sc.ok = [onion.Replicas]bool{}
-	}
-	if !sc.ok[replica] {
-		sc.ok[replica] = true
-		if n.secrets != nil {
-			sc.id[replica] = n.secrets.DescriptorIDForPeriod(permID, period, replica)
-		} else {
-			sc.id[replica] = onion.DescriptorIDForPeriod(permID, period, replica)
-		}
-		sc.set[replica] = n.resolve(sc.id[replica])
-	}
-	return n.fetchResolved(rng, c, sc.id[replica], &sc.set[replica], now, skip)
+	id, set := sc.lookup(n, permID, onion.TimePeriod(permID, local), replica)
+	return n.fetchResolved(rng, c, id, set, now, skip)
 }
 
 // fetchResolved runs one fetch of descID over its resolved responsible
@@ -687,12 +735,13 @@ func (c *planCursor) service(i int) int {
 // across the per-step networks of a trawl): every slot is overwritten
 // before it is read, so reuse can never change an outcome — it only
 // stops each window from allocating and zeroing megabytes of record,
-// answer and phantom buffers.
+// answer, phantom and dead-bucket buffers.
 var (
 	recsPool    = sync.Pool{New: func() any { return new([]fetchRec) }}
 	answersPool = sync.Pool{New: func() any { return new([][]hsdir.Answer) }}
 	phantomPool = sync.Pool{New: func() any { return new([]phantom) }}
 	i32Pool     = sync.Pool{New: func() any { return new([]int32) }}
+	u64Pool     = sync.Pool{New: func() any { return new([]uint64) }}
 )
 
 // grabSlice returns a zero-length slice with capacity >= n from the
@@ -761,6 +810,14 @@ func (n *Network) ensureSecrets(start, end time.Time) {
 // network the (ID, found) pairs its observed directories answered
 // (folded into its log in one locked pass). An unrestricted window with
 // no observer keeps only per-shard tallies.
+//
+// A restricted window skips every request no observed directory is
+// responsible for, right after the draws that pick its target. Most of
+// those are phantoms, and a per-window bitmap over the cut table's
+// buckets lets a phantom whose draw can only pick unobserved entries
+// stop before the table is even scanned: it is a request the window
+// would skip anyway, at the same point in its draw sequence, so the
+// bitmap moves no count and no byte of output.
 //
 // The window is the cancellation unit: ctx is checked on entry and
 // while the counts are drawn, before any descriptor store or the network
@@ -846,6 +903,23 @@ func (n *Network) DriveWindow(
 	// phantom ID's responsible set is resolved once, up front, and the
 	// fetches read it from the table.
 	phantoms.resolve(n, workers)
+	// A restricted network skips the requests that no observed directory
+	// is responsible for. That needs the per-request RNGs to be the only
+	// source of each request's draws, which holds only while no guard
+	// rotates mid-window (the same condition as the fan-out). A window
+	// that skips also marks the cut-table buckets whose draws can only
+	// pick such phantoms, so most skipped phantoms stop at their draw.
+	skip := n.restricted() && window < minGuardLifetime
+	cuts := cutsFor(len(phantoms))
+	var dead []uint64
+	if skip {
+		words := (len(cuts.first) + 63) / 64
+		deadPtr := grabSlice[uint64](&u64Pool, words)
+		defer u64Pool.Put(deadPtr)
+		dead = (*deadPtr)[:words]
+		phantoms.deadBuckets(cuts, dead)
+	}
+	ph := phantomSampler{table: phantoms, cuts: cuts, dead: dead}
 	var recs []fetchRec // pointer-free: never GC-scanned
 	if observer != nil {
 		recsPtr := grabSlice[fetchRec](&recsPool, total)
@@ -861,14 +935,9 @@ func (n *Network) DriveWindow(
 		observedShare = n.observedShare()
 	}
 	shardStats := make([]TrafficStats, shards)
-	// A restricted network skips the requests that no observed directory
-	// is responsible for: a skipped phantom costs its draws so far and
-	// one bit test. That needs the per-request RNGs to be the only
-	// source of each request's draws, which holds only while no guard
-	// rotates mid-window (the same condition as the fan-out).
-	skip := n.restricted() && window < minGuardLifetime
 	parallel.Chunks(shards, total, func(shard, lo, hi int) {
 		var sc fetchScratch
+		ph := ph // a shard-local copy keeps the shared sampler off the heap
 		rng := parallel.NewRNG(0)
 		st := &shardStats[shard]
 		cur := seekPlan(offs, lo)
@@ -878,17 +947,23 @@ func (n *Network) DriveWindow(
 		}
 		for i := lo; i < hi; i++ {
 			rng.Seed(parallel.SeedFor(planSeed, int64(i)))
-			at := start.Add(time.Duration(rng.Int63n(int64(window))))
-			c := n.clients[rng.Intn(len(n.clients))]
+			offset := time.Duration(rng.Int63n(int64(window)))
+			c := rng.Intn(len(n.clients))
+			st.TotalRequests++
 			var rec fetchRec
 			if s := cur.service(i); s < 0 {
-				p := phantoms.draw(rng)
-				rec = n.fetchResolved(rng, c, p.id, &p.set, at, skip)
 				st.PhantomRequests++
+				p := ph.draw(rng)
+				if p == nil {
+					// A dead bucket: skipped, as every phantom it can pick
+					// would be. Only a skipping window has dead buckets,
+					// and it keeps no records and stages no answer.
+					continue
+				}
+				rec = n.fetchResolved(rng, n.clients[c], p.id, &p.set, start.Add(offset), skip)
 			} else {
-				rec = n.fetchDescriptor(rng, c, svcs[s].PermID, at, &sc, skip)
+				rec = n.fetchDescriptor(rng, n.clients[c], svcs[s].PermID, start.Add(offset), &sc, skip)
 			}
-			st.TotalRequests++
 			if rec.found {
 				st.ResolvedHits++
 			}
@@ -932,12 +1007,18 @@ func (n *Network) observedShare() float64 {
 	return float64(observed) / float64(len(n.dirs))
 }
 
+// stagingCap is the capacity a staging buffer for up to n entries gets
+// when each is kept with probability share: the expected count with
+// headroom for skew (phantom popularity, ring clustering), so that a
+// fresh buffer rarely grows, and never more than n.
+func stagingCap(n int, share float64) int {
+	return min(n, int(float64(n)*share*1.25)+64)
+}
+
 // presized empties a shard's pooled answer buffer, growing it first to
-// hold the answers a span of the given length is expected to stage at
-// the observed share, with headroom for phantom popularity skew, so that
-// a fresh buffer rarely grows mid-window.
+// the stagingCap of a span of the given length at the observed share.
 func presized(buf []hsdir.Answer, span int, share float64) []hsdir.Answer {
-	if want := int(float64(span)*share*1.25) + 64; cap(buf) < want {
+	if want := stagingCap(span, share); cap(buf) < want {
 		return make([]hsdir.Answer, 0, want)
 	}
 	return buf[:0]

@@ -66,7 +66,7 @@ func newCutTable(n int) *cutTable {
 //
 //torhs:hotpath
 func (c *cutTable) lookup(u float64) (int, bool) {
-	i := int(c.first[int(u*float64(len(c.first)))])
+	i := int(c.first[c.bucket(u)])
 	for c.cuts[i] <= u {
 		i++
 	}
@@ -121,25 +121,98 @@ func findCuts(n int) *cutTable {
 	return nil
 }
 
-// draw picks one phantom request's target: index powIndex(len(t), u) for
-// one rng.Float64 draw u, so low indexes are requested far more often.
+// index returns powIndex(c.n, u) for u in [0, 1): from the table, or
+// recomputed by powIndex itself when u lies within guardBand of a cut.
 //
-// The index comes from the pool size's cut table, which returns exactly
-// what powIndex would. Away from the cuts the two cannot disagree:
-// Go's math.Pow(u, 2.2) computes Exp(0.2*Log(u)) times u squared by
-// mantissa, each step within an ulp or so, and |0.2*ln u| is at most
-// 150, so the computed power is within a relative 2^-42 of the true one
-// (the cuts themselves are closer still). A draw farther than 2^-30
-// from every cut therefore lands on the same side of each cut under
-// both. Draws within 2^-30 of a cut — a few in a hundred thousand at
-// paper scale — are recomputed with powIndex itself.
+// Away from the cuts the two cannot disagree: Go's math.Pow(u, 2.2)
+// computes Exp(0.2*Log(u)) times u squared by mantissa, each step
+// within an ulp or so, and |0.2*ln u| is at most 150, so the computed
+// power is within a relative 2^-42 of the true one (the cuts themselves
+// are closer still). A draw farther than 2^-30 from every cut therefore
+// lands on the same side of each cut under both. Draws within 2^-30 of a
+// cut — a few in a hundred thousand at paper scale — are recomputed.
 //
 //torhs:hotpath
-func (t phantomTable) draw(rng *rand.Rand) *phantom {
-	u := rng.Float64()
-	idx, ok := cutsFor(len(t)).lookup(u)
-	if !ok {
-		idx = powIndex(len(t), u)
+func (c *cutTable) index(u float64) int {
+	if idx, ok := c.lookup(u); ok {
+		return idx
 	}
-	return &t[idx]
+	return powIndex(c.n, u)
+}
+
+// bucket returns the bucket of first that draw u falls in: the b with
+// b/len(first) <= u < (b+1)/len(first).
+func (c *cutTable) bucket(u float64) int { return int(u * float64(len(c.first))) }
+
+// nearCut reports whether bucket edge e/len(first), for e in
+// [0, len(first)], lies within guardBand of a cut: whether a draw at
+// that edge would fall back to powIndex.
+func (c *cutTable) nearCut(e int) bool {
+	x := float64(e) / float64(len(c.first))
+	i := c.n // cuts at or below x
+	if e < len(c.first) {
+		i = int(c.first[e])
+	}
+	return i > 0 && x < c.cuts[i-1]*(1+guardBand) || i < c.n && x > c.cuts[i]*(1-guardBand)
+}
+
+// deadBuckets sets bit b of dead (len(dead)*64 >= len(c.first)) when
+// every draw in bucket b provably picks a phantom that no observed
+// directory is responsible for, and clears every other bit; c must be
+// the cut table of len(t).
+//
+// A draw u in bucket b has table index first[b] or more and first[b+1]
+// or less (the count of cuts at or below u grows with u; in the last
+// bucket the bound is n-1). Its powIndex fallback can differ from the
+// table only by one step across a cut within guardBand of u: inside that
+// range when the cut lies inside the bucket, and one step beyond it only
+// when the cut lies within guardBand of an edge. Buckets with such an
+// edge are never marked, so a marked bucket's draws reach only
+// unobserved phantoms.
+func (t phantomTable) deadBuckets(c *cutTable, dead []uint64) {
+	clear(dead)
+	nb := len(c.first)
+	next := 0 // the first observed phantom at or above the bucket's lowest index
+	for b := 0; b < nb; b++ {
+		lo, hi := int(c.first[b]), c.n-1
+		if b+1 < nb {
+			hi = int(c.first[b+1])
+		}
+		for next < len(t) && (next < lo || !t[next].set.observed) {
+			next++
+		}
+		if next > hi && !c.nearCut(b) && !c.nearCut(b+1) {
+			dead[b>>6] |= 1 << (b & 63)
+		}
+	}
+}
+
+// phantomSampler picks a driven window's phantom request targets: index
+// powIndex(len(table), u) for one rng.Float64 draw u, so low indexes are
+// requested far more often, through the pool size's cut table.
+//
+// On a window that skips the requests no observed directory is
+// responsible for, dead marks the cut-table buckets whose every draw
+// picks such a phantom (see deadBuckets); a draw that lands in one
+// returns nil at once, before the table is scanned. Such a request would
+// be skipped anyway, right after its draw, so the bitmap changes no
+// draw and no outcome — only how soon a skipped phantom stops.
+type phantomSampler struct {
+	table phantomTable
+	cuts  *cutTable
+	dead  []uint64 // nil unless the window skips
+}
+
+// draw consumes exactly one rng.Float64 and returns the phantom it
+// picks, or nil when the draw lies in a dead bucket.
+//
+//torhs:hotpath
+func (s *phantomSampler) draw(rng *rand.Rand) *phantom {
+	u := rng.Float64()
+	if s.dead != nil {
+		if b := s.cuts.bucket(u); s.dead[b>>6]&(1<<(b&63)) != 0 {
+			return nil
+		}
+	}
+	return &s.table[s.cuts.index(u)]
 }

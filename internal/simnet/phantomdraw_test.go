@@ -98,19 +98,102 @@ func TestPhantomCutTableMatchesPow(t *testing.T) {
 
 // TestPhantomDrawConsumesOneFloat64 pins the draw's RNG use: exactly one
 // Float64, whose value alone picks the entry, so every request's draw
-// sequence is the one the expression int(n * u^2.2) consumed.
+// sequence is the one the expression int(n * u^2.2) consumed. With a
+// dead-bucket bitmap (here: no phantom observed, so nearly every bucket
+// is dead) a draw still consumes one Float64, and returns either nil or
+// that same entry.
 func TestPhantomDrawConsumesOneFloat64(t *testing.T) {
 	for _, n := range []int{50, 23010} {
-		phantoms := make(phantomTable, n)
-		a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-		for i := 0; i < 1000; i++ {
-			p := phantoms.draw(a)
-			if want := powIndex(n, b.Float64()); p != &phantoms[want] {
-				t.Fatalf("n=%d draw %d did not pick entry %d", n, i, want)
+		s := phantomSampler{table: make(phantomTable, n), cuts: cutsFor(n)}
+		dead := make([]uint64, (len(s.cuts.first)+63)/64)
+		s.table.deadBuckets(s.cuts, dead)
+		for _, bitmap := range [][]uint64{nil, dead} {
+			s.dead = bitmap
+			a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			skipped := 0
+			for i := 0; i < 1000; i++ {
+				p := s.draw(a)
+				if want := powIndex(n, b.Float64()); p == nil && bitmap != nil {
+					skipped++
+				} else if p != &s.table[want] {
+					t.Fatalf("n=%d dead=%v draw %d did not pick entry %d", n, bitmap != nil, i, want)
+				}
+				if x, y := a.Int63(), b.Int63(); x != y {
+					t.Fatalf("n=%d dead=%v draw %d: streams diverged after one draw", n, bitmap != nil, i)
+				}
 			}
-			if x, y := a.Int63(), b.Int63(); x != y {
-				t.Fatalf("n=%d draw %d: streams diverged after one draw", n, i)
+			if bitmap != nil && skipped < 990 {
+				t.Fatalf("n=%d: only %d of 1000 draws hit a dead bucket with nothing observed", n, skipped)
 			}
+		}
+	}
+}
+
+// TestDeadBucketsReachOnlyUnobserved checks the dead-bucket bitmap
+// against the draws it lets a window skip, at the minimum, smoke, laptop
+// and paper pool sizes, over random observed patterns of several
+// densities: for every marked bucket, powIndex and the table index at
+// both edges, within 2^-29 of them inside the bucket and at 64 more
+// points across it must pick an unobserved phantom; over 10^6 random
+// draws, every draw the sampler drops must pick one too. Marks must
+// also be common where observed phantoms are rare.
+func TestDeadBucketsReachOnlyUnobserved(t *testing.T) {
+	for _, n := range phantomPoolSizes()[:4] {
+		for _, density := range []float64{0, 0.01, 0.08, 0.5, 1} {
+			t.Run(fmt.Sprintf("n=%d/observed=%v", n, density), func(t *testing.T) {
+				t.Parallel()
+				rng := rand.New(rand.NewSource(int64(n) + int64(density*1000)))
+				s := phantomSampler{table: make(phantomTable, n), cuts: cutsFor(n)}
+				for i := range s.table {
+					s.table[i].set.observed = rng.Float64() < density
+				}
+				nb := len(s.cuts.first)
+				s.dead = make([]uint64, (nb+63)/64)
+				s.table.deadBuckets(s.cuts, s.dead)
+				isDead := func(b int) bool { return s.dead[b>>6]&(1<<(b&63)) != 0 }
+				reach := func(b int, u float64) {
+					if s.cuts.bucket(u) != b {
+						return // rounded out of the bucket
+					}
+					for _, idx := range []int{powIndex(n, u), s.cuts.index(u)} {
+						if s.table[idx].set.observed {
+							t.Fatalf("dead bucket %d: draw %v picks observed phantom %d", b, u, idx)
+						}
+					}
+				}
+				marked := 0
+				for b := 0; b < nb; b++ {
+					if !isDead(b) {
+						continue
+					}
+					marked++
+					lo, hi := float64(b)/float64(nb), float64(b+1)/float64(nb)
+					for _, u := range []float64{lo, lo * (1 + 0x1p-29), math.Nextafter(hi, 0), hi * (1 - 0x1p-29)} {
+						reach(b, u)
+					}
+					for k := 0; k < 64; k++ {
+						reach(b, lo+(hi-lo)*rng.Float64())
+					}
+				}
+				if want := float64(nb) * (1 - density) * (1 - density) / 2; density < 0.1 && float64(marked) < want {
+					t.Fatalf("%d of %d buckets marked dead at observed density %v, want at least %.0f", marked, nb, density, want)
+				}
+				if density == 1 && marked != 0 {
+					t.Fatalf("%d buckets marked dead with every phantom observed", marked)
+				}
+				draws := rand.New(rand.NewSource(int64(n)))
+				oracle := rand.New(rand.NewSource(int64(n)))
+				for i := 0; i < 1_000_000; i++ {
+					p := s.draw(draws)
+					idx := powIndex(n, oracle.Float64())
+					switch {
+					case p == nil && s.table[idx].set.observed:
+						t.Fatalf("draw %d dropped, but picks observed phantom %d", i, idx)
+					case p != nil && p != &s.table[idx]:
+						t.Fatalf("draw %d picked entry %x, oracle entry %d", i, p.id[:4], idx)
+					}
+				}
+			})
 		}
 	}
 }
@@ -139,16 +222,17 @@ func TestCutsForConcurrent(t *testing.T) {
 // BenchmarkPhantomDraw compares one phantom draw at the paper's pool
 // size through the cut table with the defining math.Pow expression.
 func BenchmarkPhantomDraw(b *testing.B) {
-	phantoms := make(phantomTable, hspop.PaperConfig(1).PhantomUniqueIDs)
+	n := hspop.PaperConfig(1).PhantomUniqueIDs
+	s := phantomSampler{table: make(phantomTable, n), cuts: cutsFor(n)}
 	rng := rand.New(rand.NewSource(1))
 	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			phantoms.draw(rng)
+			s.draw(rng)
 		}
 	})
 	b.Run("pow", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = &phantoms[powIndex(len(phantoms), rng.Float64())]
+			_ = &s.table[powIndex(n, rng.Float64())]
 		}
 	})
 }

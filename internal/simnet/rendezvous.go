@@ -92,15 +92,58 @@ func (n *Network) OnUpload(fn func(UploadEvent)) {
 	n.uploadObservers = append(n.uploadObservers, fn)
 }
 
-// ensureHost materialises the Host for a service.
+// introPoints is how many introduction points a host establishes.
+const introPoints = 3
+
+// ensureHost returns the service's host, materialising it on first use.
 func (n *Network) ensureHost(svc *hspop.Service) *Host {
 	if h, ok := n.hosts[svc.Address]; ok {
 		return h
 	}
-	ip, country := n.geoDB.AllocateIP(n.rng)
-	h := &Host{Service: svc, IP: ip, Country: country}
-	n.hosts[svc.Address] = h
+	h := new(Host)
+	n.initHost(h, svc, make([]onion.Fingerprint, introPoints))
 	return h
+}
+
+// hostsFor returns the host of every service in svcs, in order. It
+// materialises the missing ones exactly as ensureHost would one service
+// at a time — the same draws in the same order — but sized for the
+// sweep: an empty hosts map is presized, and the new hosts and their
+// introduction points come from one []Host and one []onion.Fingerprint.
+func (n *Network) hostsFor(svcs []*hspop.Service) []*Host {
+	if len(n.hosts) == 0 {
+		n.hosts = make(map[onion.Address]*Host, len(svcs))
+	}
+	out := make([]*Host, len(svcs))
+	var hosts []Host
+	var intros []onion.Fingerprint
+	for i, svc := range svcs {
+		h, ok := n.hosts[svc.Address]
+		if !ok {
+			if len(hosts) == 0 {
+				// Sized for every service left, so a sweep allocates once.
+				hosts = make([]Host, len(svcs)-i)
+				intros = make([]onion.Fingerprint, introPoints*(len(svcs)-i))
+			}
+			h = &hosts[0]
+			n.initHost(h, svc, intros[:introPoints:introPoints])
+			hosts, intros = hosts[1:], intros[introPoints:]
+		}
+		out[i] = h
+	}
+	return out
+}
+
+// initHost materialises svc's host in h and registers it: its location,
+// then one introduction point per slot of intros, drawn from the network
+// RNG in that order.
+func (n *Network) initHost(h *Host, svc *hspop.Service, intros []onion.Fingerprint) {
+	ip, country := n.geoDB.AllocateIP(n.rng)
+	for i := range intros {
+		intros[i] = n.pickRelay()
+	}
+	*h = Host{Service: svc, IP: ip, Country: country, intros: intros}
+	n.hosts[svc.Address] = h
 }
 
 // pickRelay draws a random relay fingerprint from the consensus HSDir
@@ -109,14 +152,6 @@ func (n *Network) ensureHost(svc *hspop.Service) *Host {
 func (n *Network) pickRelay() onion.Fingerprint {
 	fps := n.ring.Fingerprints()
 	return fps[n.rng.Intn(len(fps))]
-}
-
-// establishIntroPoints picks k introduction points for the host.
-func (n *Network) establishIntroPoints(h *Host, k int) {
-	h.intros = make([]onion.Fingerprint, 0, k)
-	for i := 0; i < k; i++ {
-		h.intros = append(h.intros, n.pickRelay())
-	}
 }
 
 // buildCircuit assembles a guard-anchored three-hop circuit ending at

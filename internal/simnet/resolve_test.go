@@ -1,13 +1,18 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"torhs/internal/hsdir"
+	"torhs/internal/hspop"
 	"torhs/internal/onion"
+	"torhs/internal/parallel"
+	"torhs/internal/stats"
 )
 
 // TestPhantomTableMatchesNaiveOracle builds a window's phantom table on
@@ -128,6 +133,156 @@ func TestServiceMemoMatchesDirectResolution(t *testing.T) {
 			got := net.fetchDescriptor(memoRNG, c, svc.PermID, at, &sc, skip)
 			if want := net.fetchDescriptor(directRNG, c, svc.PermID, at, &direct, skip); got != want {
 				t.Fatalf("skip=%v request %d: memo %+v, direct %+v", skip, i, got, want)
+			}
+		}
+	}
+}
+
+// TestServiceMemoLookupMatchesDirect feeds one service memo runs of
+// requests, each for one service, over random time periods, replicas and
+// services — runs of up to a dozen distinct periods, so eviction runs —
+// with and without a secret table: every (ID, set) pair it returns must
+// equal DescriptorIDForPeriod plus a naive resolution.
+func TestServiceMemoLookupMatchesDirect(t *testing.T) {
+	const seed = 71
+	f := newRestrictFixture(t, seed)
+	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
+	net := f.network(t, seed, 1, 0, observed)
+	svcs := f.pop.PopularServices()[:4]
+	start := f.doc.ValidAfter
+	rng := rand.New(rand.NewSource(seed))
+	for _, secrets := range []bool{false, true} {
+		if secrets {
+			net.ensureSecrets(start, start.Add(2*time.Hour))
+		}
+		var sc fetchScratch
+		evictions := 0
+		for run := 0; run < 60; run++ {
+			svc := svcs[rng.Intn(len(svcs))]
+			base := onion.TimePeriod(svc.PermID, start) - 6
+			for k := 1 + rng.Intn(200); k > 0; k-- {
+				period, replica := base+uint32(rng.Intn(12)), uint8(rng.Intn(onion.Replicas))
+				if sc.misses >= memoPeriods && sc.permID == svc.PermID {
+					evictions++ // a full memo for this service: a miss must evict
+				}
+				id, set := sc.lookup(net, svc.PermID, period, replica)
+				if want := onion.DescriptorIDForPeriod(svc.PermID, period, replica); id != want {
+					t.Fatalf("secrets=%v run %d: memo ID %x, direct %x", secrets, run, id[:4], want[:4])
+				}
+				if want := naiveRespSet(net, id); *set != want {
+					t.Fatalf("secrets=%v run %d: memo set %+v, naive %+v", secrets, run, *set, want)
+				}
+			}
+		}
+		if evictions == 0 {
+			t.Fatalf("secrets=%v: no lookup ran against a full memo", secrets)
+		}
+	}
+}
+
+// referenceWindow replays a driven window the slow, obvious way on net:
+// it draws the plan exactly as DriveWindow does, then runs every request
+// in plan order with no fast path — no cut table, dead buckets, phantom
+// table, service memo or skip: each phantom index comes from powIndex,
+// and each ID is derived without the secret table and resolved afresh.
+// It returns the stats and the counts the observed directories' answers
+// add to a restricted network's log.
+func referenceWindow(net *Network, pop *hspop.Population, start time.Time, window time.Duration) (TrafficStats, logState) {
+	svcs := pop.PopularServices()
+	var plan []int // service index per real request, then -1 per phantom
+	for s, svc := range svcs {
+		for k := stats.Poisson(net.rng, svc.ExpectedRequests); k > 0; k-- {
+			plan = append(plan, s)
+		}
+	}
+	for k := phantomRequests(pop, len(plan)); k > 0; k-- {
+		plan = append(plan, -1)
+	}
+	ids := make([]onion.DescriptorID, pop.Config.ScaledPhantomIDs())
+	for i := range ids {
+		ids[i] = onion.DescriptorID(onion.RandomFingerprint(net.rng))
+	}
+	planSeed := net.rng.Int63()
+	end := start.Add(window)
+	net.warmGuardSets(start, end)
+	net.ensureSecrets(start, end)
+
+	var st TrafficStats
+	log := logState{counts: make(map[onion.DescriptorID]int)}
+	for i, s := range plan {
+		rng := parallel.NewRNG(parallel.SeedFor(planSeed, int64(i)))
+		at := start.Add(time.Duration(rng.Int63n(int64(window))))
+		c := net.clients[rng.Intn(len(net.clients))]
+		var id onion.DescriptorID
+		if s < 0 {
+			id = ids[powIndex(len(ids), rng.Float64())]
+			st.PhantomRequests++
+		} else {
+			perm := svcs[s].PermID
+			replica := uint8(rng.Intn(onion.Replicas))
+			id = onion.DescriptorIDForPeriod(perm, onion.TimePeriod(perm, c.LocalTime(at)), replica)
+		}
+		set := net.resolve(id) // itself checked against naiveRespSet above
+		rec := net.fetchResolved(rng, c, id, &set, at, false)
+		st.TotalRequests++
+		if rec.found {
+			st.ResolvedHits++
+		}
+		if rec.answered >= 0 {
+			log.counts[id]++
+			log.total++
+			if rec.found {
+				log.found++
+			}
+		}
+	}
+	return st, log
+}
+
+// TestRestrictedWindowMatchesReferenceLoop drives restricted windows —
+// which skip unobserved requests, most phantoms at their dead-bucket
+// test — at workers 1, 2 and 8, and replays each on a twin network with
+// referenceWindow: the stats and the log counts must be identical, for
+// several observed subsets and failure rates, over two consecutive
+// windows.
+func TestRestrictedWindowMatchesReferenceLoop(t *testing.T) {
+	const seed = 73
+	f := newRestrictFixture(t, seed)
+	subsets := observedSubsets(f.doc.Ring().Fingerprints(), seed)
+	for _, name := range []string{"none", "tenth", "half"} {
+		for _, fail := range []float64{0, 0.3} {
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("observed=%s/fail=%v/workers=%d", name, fail, workers), func(t *testing.T) {
+					net := f.network(t, seed, workers, fail, subsets[name])
+					ref := f.network(t, seed, workers, fail, subsets[name])
+					now := f.doc.ValidAfter
+					net.PublishAll(f.pop, now)
+					ref.PublishAll(f.pop, now)
+					want := logState{counts: make(map[onion.DescriptorID]int)}
+					for w := 0; w < 2; w++ {
+						at := now.Add(time.Duration(w) * time.Hour)
+						got, err := net.DriveWindow(context.Background(), f.pop, at, time.Hour, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						refStats, refLog := referenceWindow(ref, f.pop, at, time.Hour)
+						if got != refStats {
+							t.Fatalf("window %d: stats %+v, reference %+v", w, got, refStats)
+						}
+						for id, k := range refLog.counts {
+							want.counts[id] += k
+						}
+						want.total += refLog.total
+						want.found += refLog.found
+					}
+					if got := logStateOf(net.Log()); !reflect.DeepEqual(got, want) {
+						t.Fatalf("log counts %d requests (%d found) over %d IDs, reference %d (%d) over %d",
+							got.total, got.found, len(got.counts), want.total, want.found, len(want.counts))
+					}
+					if name != "none" && want.total == 0 {
+						t.Fatal("no request reached an observed directory")
+					}
+				})
 			}
 		}
 	}

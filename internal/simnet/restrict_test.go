@@ -520,6 +520,7 @@ func TestFetchPathsDoNotAllocate(t *testing.T) {
 		phantoms[i].id = onion.DescriptorID(onion.RandomFingerprint(rng))
 	}
 	phantoms.resolve(net, 1)
+	ps := phantomSampler{table: phantoms, cuts: cutsFor(len(phantoms))}
 	svcs := f.pop.PopularServices()
 	for _, skip := range []bool{false, true} {
 		var sc fetchScratch
@@ -529,7 +530,7 @@ func TestFetchPathsDoNotAllocate(t *testing.T) {
 			fetch func() fetchRec
 		}{
 			{"phantom", func() fetchRec {
-				p := phantoms.draw(rng)
+				p := ps.draw(rng)
 				return net.fetchResolved(rng, net.clients[i%len(net.clients)], p.id, &p.set, now, skip)
 			}},
 			// Eight requests per service, as a plan groups them.
