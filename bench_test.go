@@ -248,13 +248,13 @@ func table2Setup(b *testing.B) *table2Fixture {
 }
 
 // BenchmarkTable2Popularity regenerates the Table II ranking (E6):
-// build the descriptor-ID index over the resolution window, resolve the
-// request log, rank.
+// resolve the request log against every service's descriptor IDs over
+// the resolution window, rank.
 func BenchmarkTable2Popularity(b *testing.B) {
 	fx := table2Setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := popularity.BuildIndex(fx.services, fx.from, fx.to)
+		ix, err := popularity.BuildIndexTable(fx.services, fx.from, fx.to, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -744,13 +744,13 @@ func resolveFixture() (map[onion.DescriptorID]int, map[onion.Address]onion.Perma
 	return counts, services, from, to
 }
 
-// BenchmarkResolveIndexed: descriptor-ID resolution via the prebuilt
-// index.
+// BenchmarkResolveIndexed: descriptor-ID resolution through a probe set
+// over the requested IDs.
 func BenchmarkResolveIndexed(b *testing.B) {
 	counts, services, from, to := resolveFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix, err := popularity.BuildIndex(services, from, to)
+		ix, err := popularity.BuildIndexTable(services, from, to, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"torhs/internal/hsdir"
@@ -19,107 +20,29 @@ import (
 	"torhs/internal/parallel"
 )
 
-// Index precomputes descriptor-ID → onion-address mappings over a date
-// window. The mapping is stored as a dense entry array plus a compact
-// open-addressed probe table of int32 references, keyed by the IDs' own
-// leading bytes: descriptor IDs are SHA-1 outputs, already uniformly
-// distributed, so inserts and lookups need no hash function at all —
-// just a linear probe chain at ≤50% load over a table of 4-byte slots.
-// Entries reference their address by index into a shared slice, keeping
-// the (large) entry array pointer-free so the garbage collector never
-// scans it.
+// Index is a resolution plan: the known services in sorted address order
+// and the date window whose descriptor IDs can map a request back to one
+// of them. Resolution runs the join from the requested side. The log
+// holds far fewer distinct IDs than the window holds candidates
+// (services × periods × replicas), so the resolver builds a probe set
+// over the requested IDs, derives every service's window IDs in shards
+// and keeps only the hits.
 type Index struct {
-	slots   []int32 // 1-based indexes into entries; 0 = empty
-	mask    uint64
-	entries []idEntry
 	addrs   []onion.Address
+	permIDs []onion.PermanentID // permIDs[i] belongs to addrs[i]
 	from    time.Time
 	to      time.Time
+	workers int
+	table   *onion.SecretIDTable
 }
 
-// idEntry is one indexed mapping; addrIdx indexes Index.addrs.
-type idEntry struct {
-	id      onion.DescriptorID
-	addrIdx int32
-}
-
-// newIndexTable returns an empty table over the given address universe
-// with room for capacity entries at ≤50% load.
-func newIndexTable(capacity int, addrs []onion.Address) *Index {
-	size := 1 << bits.Len(uint(2*capacity))
-	if size < 16 {
-		size = 16
-	}
-	return &Index{
-		slots:   make([]int32, size),
-		mask:    uint64(size - 1),
-		entries: make([]idEntry, 0, capacity),
-		addrs:   addrs,
-	}
-}
-
-// insert adds or overwrites one mapping.
-//
-//torhs:hotpath
-func (ix *Index) insert(id onion.DescriptorID, addrIdx int32) {
-	if 2*(len(ix.entries)+1) > len(ix.slots) {
-		ix.grow()
-	}
-	slot := binary.BigEndian.Uint64(id[0:8]) & ix.mask
-	for {
-		ref := ix.slots[slot]
-		if ref == 0 {
-			ix.entries = append(ix.entries, idEntry{id: id, addrIdx: addrIdx})
-			ix.slots[slot] = int32(len(ix.entries))
-			return
-		}
-		if e := &ix.entries[ref-1]; e.id == id {
-			e.addrIdx = addrIdx
-			return
-		}
-		slot = (slot + 1) & ix.mask
-	}
-}
-
-// grow doubles the probe table and reindexes the entries.
-func (ix *Index) grow() {
-	ix.slots = make([]int32, 2*len(ix.slots))
-	ix.mask = uint64(len(ix.slots) - 1)
-	for i := range ix.entries {
-		slot := binary.BigEndian.Uint64(ix.entries[i].id[0:8]) & ix.mask
-		for ix.slots[slot] != 0 {
-			slot = (slot + 1) & ix.mask
-		}
-		ix.slots[slot] = int32(i + 1)
-	}
-}
-
-// BuildIndex derives, for every known service, all descriptor IDs valid
-// in [from, to] and indexes them, using one worker per CPU.
-func BuildIndex(services map[onion.Address]onion.PermanentID, from, to time.Time) (*Index, error) {
-	return BuildIndexWorkers(services, from, to, 0)
-}
-
-// BuildIndexWorkers is BuildIndex with an explicit worker count (<= 0:
-// one per CPU). Construction shards the services across workers; the
-// secret-id-parts of the window are precomputed once and shared by every
-// service (they depend only on the time period and replica), and each
-// shard reuses one scratch buffer for the per-service ID derivations.
-// The resulting index is identical at every worker count.
-func BuildIndexWorkers(
-	services map[onion.Address]onion.PermanentID,
-	from, to time.Time,
-	workers int,
-) (*Index, error) {
-	return BuildIndexTable(services, from, to, workers, nil)
-}
-
-// BuildIndexTable is BuildIndexWorkers with an externally shared
-// secret-id-part table (nil builds a fresh one for the window). The
-// experiments Env passes its study-wide table so index construction
-// reuses the secret parts the simulation substrate already computed;
-// periods outside the table fall back to direct derivation, so any table
-// yields an identical index.
+// BuildIndexTable prepares resolution of requests against every known
+// service's descriptor IDs valid in [from, to]. Derivation shards the
+// services across workers (<= 0: one per CPU) and shares the secret-id-
+// parts of table, which the experiments Env passes as its study-wide
+// table; nil builds one for the window. Periods outside the table fall
+// back to direct derivation, so any table and any worker count yield the
+// same resolution.
 func BuildIndexTable(
 	services map[onion.Address]onion.PermanentID,
 	from, to time.Time,
@@ -129,70 +52,144 @@ func BuildIndexTable(
 	if to.Before(from) {
 		return nil, fmt.Errorf("popularity: window end %v before start %v", to, from)
 	}
-	days := int(to.Sub(from)/(24*time.Hour)) + 1
-	perService := (days + 1) * onion.Replicas
-
-	// Deterministic shard layout: services sorted by address.
 	addrs := make([]onion.Address, 0, len(services))
 	for a := range services {
 		addrs = append(addrs, a)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-
+	permIDs := make([]onion.PermanentID, len(addrs))
+	for i, a := range addrs {
+		permIDs[i] = services[a]
+	}
 	if table == nil {
 		table = onion.NewSecretIDTable(from, to)
 	}
-	shards := make([]*Index, parallel.NumChunks(workers, len(addrs)))
-	parallel.Chunks(workers, len(addrs), func(shard, lo, hi int) {
-		t := newIndexTable((hi-lo)*perService, addrs)
-		var buf []onion.DescriptorID
-		for i := lo; i < hi; i++ {
-			buf = table.DescriptorIDsInto(buf[:0], services[addrs[i]], from, to)
-			for _, id := range buf {
-				t.insert(id, int32(i))
-			}
-		}
-		shards[shard] = t
-	})
-
-	var ix *Index
-	switch len(shards) {
-	case 0:
-		ix = newIndexTable(0, addrs)
-	case 1:
-		ix = shards[0]
-	default:
-		ix = newIndexTable(len(addrs)*perService, addrs)
-		// Merge in shard order (and within a shard in insertion order) so
-		// any (cryptographically improbable) cross-service ID collision
-		// resolves deterministically.
-		for _, t := range shards {
-			for i := range t.entries {
-				ix.insert(t.entries[i].id, t.entries[i].addrIdx)
-			}
-		}
-	}
-	ix.from, ix.to = from, to
-	return ix, nil
+	return &Index{addrs: addrs, permIDs: permIDs, from: from, to: to, workers: workers, table: table}, nil
 }
 
-// Len returns the number of indexed descriptor IDs.
-func (ix *Index) Len() int { return len(ix.entries) }
+// requested is an open-addressed set over the requested descriptor IDs
+// with their counts: a table of 8-byte slots at <= 50% load into a dense
+// entry array, probed by the IDs' own bytes (descriptor IDs are SHA-1
+// outputs, already uniformly distributed, so no hash function is
+// needed). Bytes 4..7 pick the slot and bytes 0..3 tag it, so a probe
+// rejects all but about one in 2^32 non-matching slots without reading
+// the entry array.
+type requested struct {
+	slots  []probeSlot
+	mask   uint32
+	ids    []onion.DescriptorID
+	counts []int
+}
 
-// Resolve maps one descriptor ID to its onion address.
+// probeSlot is one slot of the requested set.
+type probeSlot struct {
+	tag uint32 // bytes 0..3 of the ID
+	ref int32  // 1-based index into ids; 0 = empty
+}
+
+// probeKey returns id's tag and first slot.
+func (r *requested) probeKey(id *onion.DescriptorID) (tag, slot uint32) {
+	return binary.BigEndian.Uint32(id[0:4]), binary.BigEndian.Uint32(id[4:8]) & r.mask
+}
+
+func newRequested(capacity int) *requested {
+	size := max(16, 1<<bits.Len(uint(2*capacity)))
+	return &requested{
+		slots:  make([]probeSlot, size),
+		mask:   uint32(size - 1),
+		ids:    make([]onion.DescriptorID, 0, capacity),
+		counts: make([]int, 0, capacity),
+	}
+}
+
+// add records n requests for id, which must not be in the set yet (a
+// log or a count map holds each ID once). The capacity given to
+// newRequested must cover every add.
+//
+//torhs:orderinsensitive an entry's index depends on the add order, but the resolution reads the entries only through commutative folds and the highest-address rule, neither of which sees an index
+func (r *requested) add(id onion.DescriptorID, n int) {
+	if 2*len(r.ids) >= len(r.slots) {
+		panic("popularity: more requested IDs than the set was sized for")
+	}
+	tag, slot := r.probeKey(&id)
+	for r.slots[slot].ref != 0 {
+		slot = (slot + 1) & r.mask
+	}
+	r.ids = append(r.ids, id)
+	r.counts = append(r.counts, n)
+	r.slots[slot] = probeSlot{tag: tag, ref: int32(len(r.ids))}
+}
+
+// find returns id's entry index, or -1.
 //
 //torhs:hotpath
-func (ix *Index) Resolve(id onion.DescriptorID) (onion.Address, bool) {
-	slot := binary.BigEndian.Uint64(id[0:8]) & ix.mask
+func (r *requested) find(id *onion.DescriptorID) int {
+	tag, slot := r.probeKey(id)
 	for {
-		ref := ix.slots[slot]
-		if ref == 0 {
-			return "", false
+		s := r.slots[slot]
+		if s.ref == 0 {
+			return -1
 		}
-		if e := &ix.entries[ref-1]; e.id == id {
-			return ix.addrs[e.addrIdx], true
+		if s.tag == tag && r.ids[s.ref-1] == *id {
+			return int(s.ref - 1)
 		}
-		slot = (slot + 1) & ix.mask
+		slot = (slot + 1) & r.mask
+	}
+}
+
+// resolve joins the requested set with the index. Each shard derives the
+// window IDs of a contiguous span of services and, for every requested
+// ID it derives, raises the ID's owner to the service's address index
+// (an atomic max). An ID two services share (cryptographically
+// improbable) therefore resolves to the one with the higher
+// sorted-address index, whatever the worker count and the shards'
+// timing.
+func (ix *Index) resolve(req *requested) *Resolution {
+	owner := make([]atomic.Int32, len(req.ids))
+	for k := range owner {
+		owner[k].Store(-1)
+	}
+	if len(req.ids) > 0 {
+		// A service's periods in the window: one per day it spans, plus
+		// one for its rollover offset.
+		perService := (int(ix.to.Sub(ix.from)/(24*time.Hour)) + 2) * onion.Replicas
+		parallel.Chunks(ix.workers, len(ix.addrs), func(_, lo, hi int) {
+			buf := make([]onion.DescriptorID, 0, perService)
+			for i := lo; i < hi; i++ {
+				buf = ix.table.DescriptorIDsInto(buf[:0], ix.permIDs[i], ix.from, ix.to)
+				for j := range buf {
+					if k := req.find(&buf[j]); k >= 0 {
+						raise(&owner[k], int32(i))
+					}
+				}
+			}
+		})
+	}
+	res := &Resolution{UniqueIDs: len(req.ids)}
+	for k, n := range req.counts {
+		res.TotalRequests += n
+		if owner[k].Load() >= 0 {
+			res.ResolvedIDs++
+			res.ResolvedRequests += n
+		}
+	}
+	res.PerAddress = make(map[onion.Address]int, res.ResolvedIDs) // at most one address per resolved ID
+	for k, n := range req.counts {
+		if o := owner[k].Load(); o >= 0 {
+			res.PerAddress[ix.addrs[o]] += n
+		}
+	}
+	res.ResolvedAddresses = len(res.PerAddress)
+	return res
+}
+
+// raise sets o to v unless it already holds at least v.
+func raise(o *atomic.Int32, v int32) {
+	for {
+		cur := o.Load()
+		if cur >= v || o.CompareAndSwap(cur, v) {
+			return
+		}
 	}
 }
 
@@ -215,59 +212,41 @@ type Resolution struct {
 
 // Resolve joins per-descriptor-ID request counts with the index.
 func Resolve(counts map[onion.DescriptorID]int, ix *Index) *Resolution {
-	res := &Resolution{PerAddress: make(map[onion.Address]int)}
+	req := newRequested(len(counts))
 	for id, n := range counts {
-		res.addCount(id, n, ix)
+		req.add(id, n)
 	}
-	res.ResolvedAddresses = len(res.PerAddress)
-	return res
+	return ix.resolve(req)
 }
 
-// ResolveLog joins a request log with the index, iterating the log's
-// per-ID counts in place instead of copying them into a map first (the
-// zero-copy sibling of Resolve over the counts RequestLog.CompactState
-// returns). Output is identical to Resolve.
+// ResolveLog joins a request log with the index, reading the log's
+// per-ID counts in place instead of copying them into a map first.
+// Output is identical to Resolve over the log's counts.
 func ResolveLog(log *hsdir.RequestLog, ix *Index) *Resolution {
-	res := &Resolution{PerAddress: make(map[onion.Address]int)}
-	log.EachCount(func(id onion.DescriptorID, n int) {
-		res.addCount(id, n, ix)
-	})
-	res.ResolvedAddresses = len(res.PerAddress)
-	return res
+	req := newRequested(log.UniqueIDs())
+	log.EachCount(req.add)
+	return ix.resolve(req)
 }
 
-// addCount folds one per-descriptor-ID request count into the resolution.
-//
-//torhs:orderinsensitive every fold is a commutative accumulation (+= counters and a per-key map add), so the fold order cannot change the result
-func (res *Resolution) addCount(id onion.DescriptorID, n int, ix *Index) {
-	res.TotalRequests += n
-	res.UniqueIDs++
-	if addr, ok := ix.Resolve(id); ok {
-		res.ResolvedIDs++
-		res.ResolvedRequests += n
-		res.PerAddress[addr] += n
-	}
-}
-
-// ResolveBruteForce is the ablation baseline: no index — every requested
-// ID is checked against every service by re-deriving that service's IDs
-// over the window. Identical output to Resolve over BuildIndex, at
-// O(ids × services × days) cost.
+// ResolveBruteForce is the ablation baseline and the resolver's oracle:
+// every requested ID is checked against every service by re-deriving
+// that service's IDs over the window. Identical output to Resolve over
+// BuildIndexTable, at O(ids × services × days) cost.
 func ResolveBruteForce(
 	counts map[onion.DescriptorID]int,
 	services map[onion.Address]onion.PermanentID,
 	from, to time.Time,
 ) *Resolution {
 	res := &Resolution{PerAddress: make(map[onion.Address]int)}
-	// Check services in sorted address order: the first-match break below
-	// must not depend on map iteration order (IDs never collide across
-	// services in practice, but the baseline should be deterministic even
-	// if they did).
+	// Check services in descending address order: the first match wins,
+	// so an ID two services share (never in practice, but the baseline
+	// must be deterministic even then) resolves to the higher address, as
+	// in Resolve.
 	addrs := make([]onion.Address, 0, len(services))
 	for addr := range services {
 		addrs = append(addrs, addr)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] > addrs[j] })
 	var buf []onion.DescriptorID
 	for id, n := range counts {
 		res.TotalRequests += n

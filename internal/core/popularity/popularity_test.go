@@ -2,9 +2,12 @@ package popularity
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"torhs/internal/hsdir"
 	"torhs/internal/onion"
 )
 
@@ -23,121 +26,192 @@ func makeServices(n int, seed int64) map[onion.Address]onion.PermanentID {
 	return out
 }
 
+// build is BuildIndexTable with a fresh secret table, failing the test
+// on error.
+func build(t testing.TB, services map[onion.Address]onion.PermanentID, from, to time.Time, workers int) *Index {
+	t.Helper()
+	ix, err := BuildIndexTable(services, from, to, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// windowCounts requests every descriptor ID each service uses inside
+// [from, to], the service's i-th ID i+1 times, and returns the expected
+// per-address volume alongside.
+func windowCounts(services map[onion.Address]onion.PermanentID, from, to time.Time) (map[onion.DescriptorID]int, map[onion.Address]int) {
+	counts := make(map[onion.DescriptorID]int)
+	perAddr := make(map[onion.Address]int)
+	for addr, permID := range services {
+		for i, id := range onion.DescriptorIDsOverRange(permID, from, to) {
+			counts[id] = i + 1
+			perAddr[addr] += i + 1
+		}
+	}
+	return counts, perAddr
+}
+
+// phantoms adds n random never-derived IDs with count 2 each.
+func phantoms(counts map[onion.DescriptorID]int, n int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		counts[onion.DescriptorID(onion.RandomFingerprint(rng))] = 2
+	}
+}
+
 func TestBuildIndexValidation(t *testing.T) {
 	from, to := window()
-	if _, err := BuildIndex(nil, to, from); err == nil {
+	if _, err := BuildIndexTable(nil, to, from, 0, nil); err == nil {
 		t.Fatal("inverted window accepted")
 	}
 }
 
+// TestBuildIndexCoversWindow checks that every ID any service uses in
+// the window resolves to that service.
 func TestBuildIndexCoversWindow(t *testing.T) {
 	from, to := window()
 	services := makeServices(20, 1)
-	ix, err := BuildIndex(services, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
+	counts, perAddr := windowCounts(services, from, to)
 	// 12 days × 2 replicas × 20 services (±1 period from the offset).
-	if ix.Len() < 20*11*2 {
-		t.Fatalf("index size = %d, want >= %d", ix.Len(), 20*11*2)
+	if len(counts) < 20*11*2 {
+		t.Fatalf("window holds %d IDs, want >= %d", len(counts), 20*11*2)
 	}
-	for addr, permID := range services {
-		mid := from.Add(5 * 24 * time.Hour)
+	mid := from.Add(5 * 24 * time.Hour)
+	for _, permID := range services {
 		for _, id := range onion.DescriptorIDs(permID, mid) {
-			got, ok := ix.Resolve(id)
-			if !ok || got != addr {
-				t.Fatalf("mid-window ID not resolvable to %s", addr)
+			if _, ok := counts[id]; !ok {
+				t.Fatal("mid-window ID missing from the window's IDs")
 			}
 		}
+	}
+	res := Resolve(counts, build(t, services, from, to, 0))
+	if res.ResolvedIDs != len(counts) || res.UniqueIDs != len(counts) {
+		t.Fatalf("resolved %d of %d IDs (unique %d)", res.ResolvedIDs, len(counts), res.UniqueIDs)
+	}
+	if !reflect.DeepEqual(res.PerAddress, perAddr) {
+		t.Fatal("window IDs resolve to the wrong addresses")
 	}
 }
 
 // TestBuildIndexWorkersIdenticalAcrossCounts checks the hard invariant of
-// the sharded build: every worker count produces the same index, entry
-// for entry.
+// the sharded resolve: every worker count produces the same resolution.
 func TestBuildIndexWorkersIdenticalAcrossCounts(t *testing.T) {
 	from, to := window()
 	services := makeServices(30, 2)
-	base, err := BuildIndexWorkers(services, from, to, 1)
-	if err != nil {
-		t.Fatal(err)
+	counts, _ := windowCounts(services, from, to)
+	phantoms(counts, 40, 3)
+	base := Resolve(counts, build(t, services, from, to, 1))
+	if base.ResolvedIDs != len(counts)-40 {
+		t.Fatalf("resolved %d IDs, want %d", base.ResolvedIDs, len(counts)-40)
 	}
 	for _, workers := range []int{2, 3, 7, 0} {
-		ix, err := BuildIndexWorkers(services, from, to, workers)
-		if err != nil {
-			t.Fatal(err)
+		if got := Resolve(counts, build(t, services, from, to, workers)); !reflect.DeepEqual(got, base) {
+			t.Fatalf("workers=%d: resolution %+v, want %+v", workers, got, base)
 		}
-		if ix.Len() != base.Len() {
-			t.Fatalf("workers=%d: len %d, want %d", workers, ix.Len(), base.Len())
+	}
+}
+
+// TestBuildIndexEmptyServices covers the zero-shard path: nothing
+// resolves, but every request is still counted.
+func TestBuildIndexEmptyServices(t *testing.T) {
+	from, to := window()
+	counts, _ := windowCounts(makeServices(3, 4), from, to)
+	for _, workers := range []int{1, 2, 0} {
+		res := Resolve(counts, build(t, nil, from, to, workers))
+		if res.ResolvedIDs != 0 || res.ResolvedAddresses != 0 || res.ResolvedRequests != 0 {
+			t.Fatalf("workers=%d: empty index resolved %+v", workers, res)
 		}
-		for i := range base.entries {
-			want := base.addrs[base.entries[i].addrIdx]
-			addr, ok := ix.Resolve(base.entries[i].id)
-			if !ok || addr != want {
-				t.Fatalf("workers=%d: entry %d resolves to %q, %v; want %q",
-					workers, i, addr, ok, want)
+		if res.UniqueIDs != len(counts) {
+			t.Fatalf("workers=%d: unique IDs %d, want %d", workers, res.UniqueIDs, len(counts))
+		}
+	}
+}
+
+// TestRequestedSetFindsEveryID fills the probe set to its sized capacity
+// and checks every member is found at its entry and no other ID is.
+func TestRequestedSetFindsEveryID(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 500
+	req := newRequested(n)
+	for i := 0; i < n; i++ {
+		req.add(onion.DescriptorID(onion.RandomFingerprint(rng)), i)
+	}
+	for i, id := range req.ids {
+		if k := req.find(&id); k != i || req.counts[k] != i {
+			t.Fatalf("find(%x) = %d, want %d", id, k, i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		id := onion.DescriptorID(onion.RandomFingerprint(rng))
+		// Same tag as a member, different ID: the tag alone must not match.
+		twin := req.ids[i]
+		twin[19] ^= 1
+		for _, absent := range []onion.DescriptorID{id, twin} {
+			if k := req.find(&absent); k >= 0 {
+				t.Fatalf("absent ID %x found at %d", absent, k)
 			}
 		}
 	}
+	if k := req.find(&onion.DescriptorID{}); k >= 0 {
+		t.Fatalf("zero ID found at %d", k)
+	}
 }
 
-// TestBuildIndexEmptyServices covers the zero-shard path.
-func TestBuildIndexEmptyServices(t *testing.T) {
+// TestResolveForcedCollisions gives several addresses one permanent ID,
+// so every ID they derive collides, and checks the resolver against the
+// brute-force oracle and the later-address-wins rule at several worker
+// counts, through both Resolve and ResolveLog.
+func TestResolveForcedCollisions(t *testing.T) {
 	from, to := window()
-	ix, err := BuildIndex(nil, from, to)
-	if err != nil {
-		t.Fatal(err)
+	services := makeServices(24, 9)
+	addrs := make([]onion.Address, 0, len(services))
+	for a := range services {
+		addrs = append(addrs, a)
 	}
-	if ix.Len() != 0 {
-		t.Fatalf("empty index len = %d", ix.Len())
-	}
-	var id onion.DescriptorID
-	if _, ok := ix.Resolve(id); ok {
-		t.Fatal("empty index resolved an ID")
-	}
-}
-
-// TestIndexTableGrow forces the probe table through growth and checks
-// every mapping survives.
-func TestIndexTableGrow(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var ids []onion.DescriptorID
-	var addrs []onion.Address
-	for i := 0; i < 500; i++ {
-		f := onion.RandomFingerprint(rng)
-		k := onion.GenerateKey(rng)
-		ids = append(ids, onion.DescriptorID(f))
-		addrs = append(addrs, onion.AddressFromKey(k))
-	}
-	ix := newIndexTable(0, addrs) // starts at minimum size, must grow repeatedly
-	for i := range ids {
-		ix.insert(ids[i], int32(i))
-	}
-	if ix.Len() != len(ids) {
-		t.Fatalf("len = %d, want %d", ix.Len(), len(ids))
-	}
-	for i := range ids {
-		if got, ok := ix.Resolve(ids[i]); !ok || got != addrs[i] {
-			t.Fatalf("Resolve(%x) = %q, %v; want %q", ids[i], got, ok, addrs[i])
+	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	// Pairs in one shard and across shards at 2 and 8 workers, and one
+	// triple; the winner of each group is its last address.
+	groups := [][]int{{0, 23}, {3, 4}, {10, 11, 17}}
+	for _, g := range groups {
+		for _, i := range g[1:] {
+			services[addrs[i]] = services[addrs[g[0]]]
 		}
 	}
-	// Overwrite keeps the table size and updates the value.
-	ix.insert(ids[0], 1)
-	if ix.Len() != len(ids) {
-		t.Fatalf("overwrite changed len to %d", ix.Len())
+	counts, _ := windowCounts(services, from, to)
+	phantoms(counts, 20, 10)
+	log := hsdir.NewRequestLog()
+	for id, n := range counts {
+		for ; n > 0; n-- {
+			log.Record(id, false)
+		}
 	}
-	if got, _ := ix.Resolve(ids[0]); got != addrs[1] {
-		t.Fatalf("overwrite not visible: %q", got)
+	oracle := ResolveBruteForce(counts, services, from, to)
+	for _, g := range groups {
+		for _, i := range g[:len(g)-1] {
+			if n, ok := oracle.PerAddress[addrs[i]]; ok {
+				t.Fatalf("oracle resolved %d requests to the losing address %d", n, i)
+			}
+		}
+		if oracle.PerAddress[addrs[g[len(g)-1]]] == 0 {
+			t.Fatal("oracle resolved nothing to a group's winning address")
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		ix := build(t, services, from, to, workers)
+		if got := Resolve(counts, ix); !reflect.DeepEqual(got, oracle) {
+			t.Fatalf("workers=%d: Resolve %+v, oracle %+v", workers, got, oracle)
+		}
+		if got := ResolveLog(log, ix); !reflect.DeepEqual(got, oracle) {
+			t.Fatalf("workers=%d: ResolveLog %+v, oracle %+v", workers, got, oracle)
+		}
 	}
 }
 
 func TestResolveRoundTrip(t *testing.T) {
 	from, to := window()
 	services := makeServices(50, 2)
-	ix, err := BuildIndex(services, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, services, from, to, 0)
 
 	// Simulate requests: 10 services requested with known counts, plus
 	// phantom IDs.
@@ -185,10 +259,6 @@ func TestResolveRoundTrip(t *testing.T) {
 func TestResolveBruteForceMatchesIndexed(t *testing.T) {
 	from, to := window()
 	services := makeServices(15, 4)
-	ix, err := BuildIndex(services, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	rng := rand.New(rand.NewSource(5))
 	counts := make(map[onion.DescriptorID]int)
@@ -196,23 +266,15 @@ func TestResolveBruteForceMatchesIndexed(t *testing.T) {
 		at := from.Add(time.Duration(rng.Intn(8*24)) * time.Hour)
 		counts[onion.ComputeDescriptorID(permID, at, 0)] = 1 + rng.Intn(50)
 	}
-	for p := 0; p < 10; p++ {
-		f := onion.RandomFingerprint(rng)
-		var id onion.DescriptorID
-		copy(id[:], f[:])
-		counts[id] = 2
-	}
+	phantoms(counts, 10, 6)
 
-	fast := Resolve(counts, ix)
 	slow := ResolveBruteForce(counts, services, from, to)
-
-	if fast.ResolvedIDs != slow.ResolvedIDs || fast.ResolvedRequests != slow.ResolvedRequests ||
-		fast.ResolvedAddresses != slow.ResolvedAddresses {
-		t.Fatalf("brute force diverges: fast=%+v slow=%+v", fast, slow)
+	if slow.ResolvedIDs != len(counts)-10 {
+		t.Fatalf("oracle resolved %d IDs, want %d", slow.ResolvedIDs, len(counts)-10)
 	}
-	for addr, n := range fast.PerAddress {
-		if slow.PerAddress[addr] != n {
-			t.Fatalf("address %s: fast %d, slow %d", addr, n, slow.PerAddress[addr])
+	for _, workers := range []int{1, 2, 8} {
+		if fast := Resolve(counts, build(t, services, from, to, workers)); !reflect.DeepEqual(fast, slow) {
+			t.Fatalf("workers=%d: brute force diverges: fast=%+v slow=%+v", workers, fast, slow)
 		}
 	}
 }
@@ -282,16 +344,8 @@ func TestResolutionWindowAblation(t *testing.T) {
 		i++
 	}
 
-	narrowIx, err := BuildIndex(services, day, day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wideIx, err := BuildIndex(services, day.Add(-4*24*time.Hour), day.Add(4*24*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	narrow := Resolve(counts, narrowIx)
-	wide := Resolve(counts, wideIx)
+	narrow := Resolve(counts, build(t, services, day, day, 0))
+	wide := Resolve(counts, build(t, services, day.Add(-4*24*time.Hour), day.Add(4*24*time.Hour), 0))
 
 	if narrow.ResolvedIDs >= wide.ResolvedIDs {
 		t.Fatalf("narrow window resolved %d, wide %d — skew handling broken",
@@ -309,12 +363,12 @@ func TestResolutionWindowAblation(t *testing.T) {
 
 func TestResolveEmptyLog(t *testing.T) {
 	from, to := window()
-	ix, err := BuildIndex(makeServices(3, 6), from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := build(t, makeServices(3, 6), from, to, 0)
 	res := Resolve(nil, ix)
 	if res.TotalRequests != 0 || res.ResolvedAddresses != 0 {
 		t.Fatalf("empty log resolution = %+v", res)
+	}
+	if got := ResolveLog(hsdir.NewRequestLog(), ix); !reflect.DeepEqual(got, res) {
+		t.Fatalf("empty request log resolution = %+v", got)
 	}
 }

@@ -93,8 +93,9 @@ type Config struct {
 	// are identical at every worker count.
 	Workers int
 	// SecretTable optionally shares precomputed rend-spec
-	// secret-id-parts across every per-step network (descriptor
-	// placement and fetch-traffic derivation). The experiments Env
+	// secret-id-parts across every per-step network's fetch-traffic
+	// derivation (descriptor placement reads the population's
+	// per-period ID cache instead). The experiments Env
 	// passes one study-wide table; nil lets each step's network build
 	// its own.
 	SecretTable *onion.SecretIDTable
@@ -436,7 +437,6 @@ func (t *Trawler) readStep(net *simnet.Network, attacker []onion.Fingerprint) []
 	shards := make([]readout, parallel.NumChunks(t.cfg.Workers, len(attacker)))
 	parallel.Chunks(t.cfg.Workers, len(attacker), func(shard, lo, hi int) {
 		out := &shards[shard]
-		out.init()
 		for _, fp := range attacker[lo:hi] {
 			t.readDirectory(net, fp, out)
 		}
@@ -448,6 +448,8 @@ func (t *Trawler) readStep(net *simnet.Network, attacker []onion.Fingerprint) []
 // accumulators, iterating shards in index order — shard spans are
 // contiguous ascending directory ranges, so shard-then-directory order
 // is directory order. Every scalar is a sum and every map a set union.
+// Most descriptors a step reads belong to services an earlier step
+// already harvested, so one lookup settles each of those.
 //
 //torhs:shardmerge shards
 //torhs:hotpath
@@ -458,32 +460,31 @@ func (t *Trawler) mergeReadouts(
 ) {
 	for i := range shards {
 		sh := &shards[i]
-		h.DescriptorsSeen += sh.descriptorsSeen
-		for a, id := range sh.permIDs {
-			h.Addresses[a] = true
-			h.PermIDs[a] = id
+		h.DescriptorsSeen += len(sh.descs)
+		for _, desc := range sh.descs {
+			if _, ok := h.PermIDs[desc.Address]; !ok {
+				h.Addresses[desc.Address] = true
+				h.PermIDs[desc.Address] = desc.PermID
+			}
 		}
-		for id := range sh.publishedIDs {
+		for _, id := range sh.publishedIDs {
 			publishedIDs[id] = true
 		}
-		for id := range sh.requestedPublished {
+		for _, id := range sh.requestedPublished {
 			requestedPublished[id] = true
 		}
 	}
 }
 
-// readout is one worker's partial read of the attacker directories.
+// readout is one worker's partial read of the attacker directories, in
+// directory order: the live descriptors, the descriptor IDs ever
+// published, and those ever requested. They are lists, not sets, so a
+// repeat costs nothing here; the merge folds them into the harvest's
+// sets.
 type readout struct {
-	descriptorsSeen    int
-	permIDs            map[onion.Address]onion.PermanentID
-	publishedIDs       map[onion.DescriptorID]bool
-	requestedPublished map[onion.DescriptorID]bool
-}
-
-func (r *readout) init() {
-	r.permIDs = make(map[onion.Address]onion.PermanentID)
-	r.publishedIDs = make(map[onion.DescriptorID]bool)
-	r.requestedPublished = make(map[onion.DescriptorID]bool)
+	descs              []*onion.Descriptor
+	publishedIDs       []onion.DescriptorID
+	requestedPublished []onion.DescriptorID
 }
 
 // readDirectory harvests one attacker-operated directory into the shard
@@ -495,15 +496,14 @@ func (t *Trawler) readDirectory(net *simnet.Network, fp onion.Fingerprint, out *
 		return
 	}
 	dir.Each(func(desc *onion.Descriptor) {
-		out.descriptorsSeen++
-		out.permIDs[desc.Address] = desc.PermID
+		out.descs = append(out.descs, desc)
 	})
 	dir.EachPublishedID(func(id onion.DescriptorID) {
-		out.publishedIDs[id] = true
+		out.publishedIDs = append(out.publishedIDs, id)
 	})
 	if t.cfg.DriveTraffic {
 		dir.EachRequestedPublishedID(func(id onion.DescriptorID) {
-			out.requestedPublished[id] = true
+			out.requestedPublished = append(out.requestedPublished, id)
 		})
 	}
 }

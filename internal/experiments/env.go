@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"torhs/internal/consensus"
+	"torhs/internal/core/trawl"
 	"torhs/internal/darknet"
 	"torhs/internal/geo"
 	"torhs/internal/hspop"
@@ -205,7 +206,7 @@ func (e *Env) Consensus(offset int64) (*consensus.Document, error) {
 // the window [from, to]. Tables are pure functions of the window (no
 // inputs beyond the calendar), immutable once built, and never
 // invalidated within a run; any number of experiments may share one. The
-// simnet networks, the trawling fleet, the popularity index, and the
+// simnet networks, the trawling fleet, popularity resolution, and the
 // tracking analyzer all draw from here instead of recomputing the same
 // SHA-1 secret parts per consumer.
 func (e *Env) SecretTable(from, to time.Time) *onion.SecretIDTable {
@@ -223,12 +224,40 @@ func (e *Env) SecretTable(from, to time.Time) *onion.SecretIDTable {
 	return t
 }
 
-// studySecretTable returns the shared table covering every window the
-// traffic experiments touch: the fleet's first days plus the popularity
-// resolution window and the maximum client clock skew on either side.
+const (
+	// trawlLead is how long after the fleet start both trawls begin.
+	trawlLead = 48 * time.Hour
+	// popularityWindow is the half-width of the popularity resolution
+	// window around the trawl start (the paper resolved 28 Jan – 8 Feb).
+	popularityWindow = 7 * 24 * time.Hour
+	// deanonReach is how far before the fleet start the client
+	// deanonymisation drives traffic (deanon.Run's windows lie a day
+	// either side of its consensus).
+	deanonReach = 24 * time.Hour
+)
+
+// studySecretTable returns the shared table covering every instant whose
+// descriptor IDs the traffic experiments derive, sized from the
+// scenario's own axis: the trawls' span widened by the maximum client
+// clock skew, the popularity resolution window, and the deanonymisation
+// windows widened by the skew (they end before the trawls do). The table
+// is a pure cache, so its window changes no output, only how often a
+// derivation falls back to computing its secret part.
 func (e *Env) studySecretTable() *onion.SecretIDTable {
 	base := relaynet.DefaultFleetConfig(e.cfg.Seed).Start
-	return e.SecretTable(base.Add(-9*24*time.Hour), base.Add(13*24*time.Hour))
+	start := base.Add(trawlLead)
+	tc := trawl.DefaultConfig(e.cfg.Seed)
+	end := start.Add(time.Duration(e.cfg.TrawlSteps) * tc.StepLen)
+	skew := tc.ClientConfig.MaxSkew // every traffic network's client config
+	from := start.Add(-popularityWindow)
+	if d := base.Add(-deanonReach - skew); d.Before(from) {
+		from = d
+	}
+	to := start.Add(popularityWindow)
+	if t := end.Add(skew); t.After(to) {
+		to = t
+	}
+	return e.SecretTable(from, to)
 }
 
 // Dep returns the artefact a dependency produced earlier in this run.

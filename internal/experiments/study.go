@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"torhs/internal/core/content"
 	"torhs/internal/core/deanon"
@@ -275,7 +274,7 @@ func (e *Env) runTrawl(ctx context.Context, seedOffset int64, driveTraffic bool)
 	if err != nil {
 		return nil, err
 	}
-	start := relaynet.DefaultFleetConfig(e.cfg.Seed).Start.Add(48 * time.Hour)
+	start := relaynet.DefaultFleetConfig(e.cfg.Seed).Start.Add(trawlLead)
 	tr.Deploy(sim, start)
 	h, err := tr.Run(ctx, sim, pop, geoDB, start)
 	if err != nil {
@@ -426,9 +425,9 @@ func (e *Env) runPopularity(ctx context.Context) (*PopularityResult, error) {
 	}
 
 	// Resolve over a ±days window, as the paper does (28 Jan – 8 Feb).
-	start := relaynet.DefaultFleetConfig(e.cfg.Seed).Start.Add(48 * time.Hour)
+	start := relaynet.DefaultFleetConfig(e.cfg.Seed).Start.Add(trawlLead)
 	ix, err := popularity.BuildIndexTable(harvest.PermIDs,
-		start.Add(-7*24*time.Hour), start.Add(7*24*time.Hour), e.cfg.Workers,
+		start.Add(-popularityWindow), start.Add(popularityWindow), e.cfg.Workers,
 		e.studySecretTable())
 	if err != nil {
 		return nil, err

@@ -18,7 +18,7 @@ import (
 //
 // The store is a pointer-free entry arena plus an open-addressed probe
 // table of int32 references keyed by the descriptor IDs' own leading
-// bytes (the same scheme as the popularity index): descriptor IDs are
+// bytes (the same scheme as the popularity probe set): descriptor IDs are
 // SHA-1 outputs, already uniformly distributed, so lookups need no hash
 // function and no map. Each distinct ID ever published owns exactly one
 // arena entry for the directory's lifetime; expiry tombstones the entry

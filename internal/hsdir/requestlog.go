@@ -99,7 +99,7 @@ func (l *RequestLog) FoundFraction() float64 {
 func (l *RequestLog) EachCount(fn func(id onion.DescriptorID, n int)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//torhs:ignore detorder unordered visiting is EachCount's documented contract; deterministic consumers must fold commutatively (popularity.Resolution.addCount is the exemplar)
+	//torhs:ignore detorder unordered visiting is EachCount's documented contract; deterministic consumers must fold commutatively (popularity.requested.add is the exemplar)
 	for id, n := range l.perID {
 		fn(id, n)
 	}

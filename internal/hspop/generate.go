@@ -14,8 +14,9 @@ import (
 )
 
 // Population is a generated hidden-service landscape. Populations are
-// immutable once generated, so derived views (the popularity ordering)
-// are cached lazily and shared by every caller.
+// immutable once generated, so derived views (the descriptor-publishing
+// services, the popularity ordering, the per-period descriptor IDs) are
+// cached lazily and shared by every caller.
 type Population struct {
 	// Services lists every service, head entries first.
 	Services []*Service
@@ -24,8 +25,13 @@ type Population struct {
 
 	byAddr map[onion.Address]*Service
 
+	withDescOnce sync.Once
+	withDesc     []*Service
+
 	popularOnce sync.Once
 	popular     []*Service
+
+	ids idCache
 }
 
 // Generate builds a population from cfg. Generation is deterministic in
@@ -713,15 +719,21 @@ func (p *Population) CountByKind() map[Kind]int {
 }
 
 // WithDescriptor returns all services that publish descriptors during the
-// scan window.
+// scan window, in Services order. The list is computed once per
+// population (every publish sweep starts from it, and DescriptorIDsAt
+// indexes by it) and the returned slice aliases the cache — callers must
+// not mutate it.
 func (p *Population) WithDescriptor() []*Service {
-	out := make([]*Service, 0, len(p.Services))
-	for _, s := range p.Services {
-		if s.DescriptorAtScan {
-			out = append(out, s)
+	p.withDescOnce.Do(func() {
+		out := make([]*Service, 0, len(p.Services))
+		for _, s := range p.Services {
+			if s.DescriptorAtScan {
+				out = append(out, s)
+			}
 		}
-	}
-	return out
+		p.withDesc = out
+	})
+	return p.withDesc
 }
 
 // PopularServices returns all services with a nonzero expected request

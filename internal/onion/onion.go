@@ -323,7 +323,7 @@ func DescriptorIDsOverRangeInto(dst []DescriptorID, id PermanentID, from, to tim
 // (time-period, replica) pair intersecting a date window. The secret part
 // depends only on the period and replica — not on the service — so one
 // table serves every service when deriving descriptor IDs over a shared
-// window, halving the SHA-1 work of popularity-index construction.
+// window, halving the SHA-1 work of popularity resolution.
 type SecretIDTable struct {
 	first   uint32
 	secrets [][Replicas][sha1.Size]byte

@@ -1,10 +1,6 @@
 package resultstore
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -68,17 +64,10 @@ func (c *CheckpointSet) Save(window int, state any) error {
 	if err := fault.Hit(fault.SiteCheckpoint); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
+	data, err := encodeFrame(ckptMagic, state)
+	if err != nil {
 		return fmt.Errorf("resultstore: encode checkpoint: %w", err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	data := make([]byte, 0, len(ckptMagic)+2+2*len(sum)+buf.Len())
-	data = append(data, ckptMagic...)
-	data = append(data, ' ')
-	data = append(data, hex.EncodeToString(sum[:])...)
-	data = append(data, '\n')
-	data = append(data, buf.Bytes()...)
 	if err := writeAtomic(c.winPath(window), data); err != nil {
 		return fmt.Errorf("resultstore: write checkpoint %d: %w", window, err)
 	}
@@ -118,22 +107,7 @@ func (c *CheckpointSet) load(window int, state any) error {
 	if err != nil {
 		return err
 	}
-	header, payload, found := bytes.Cut(data, []byte{'\n'})
-	if !found {
-		return fmt.Errorf("missing header")
-	}
-	magic, wantHex, found := strings.Cut(string(header), " ")
-	if !found || magic != ckptMagic {
-		return fmt.Errorf("bad magic %q", magic)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != wantHex {
-		return fmt.Errorf("payload hash mismatch (torn write?)")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(state); err != nil {
-		return fmt.Errorf("decode: %v", err)
-	}
-	return nil
+	return decodeFrame(ckptMagic, data, state)
 }
 
 // Clear removes the whole set — called after the run completes, so

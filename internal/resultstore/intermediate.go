@@ -1,14 +1,9 @@
 package resultstore
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/gob"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"torhs/internal/fault"
 )
@@ -71,17 +66,10 @@ func (i *IntermediateSet) Put(stage string, state any) error {
 	if err := fault.Hit(fault.SiteStoreWrite); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
+	data, err := encodeFrame(intMagic, state)
+	if err != nil {
 		return fmt.Errorf("resultstore: encode intermediate %q: %w", stage, err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	data := make([]byte, 0, len(intMagic)+2+2*len(sum)+buf.Len())
-	data = append(data, intMagic...)
-	data = append(data, ' ')
-	data = append(data, hex.EncodeToString(sum[:])...)
-	data = append(data, '\n')
-	data = append(data, buf.Bytes()...)
 	if err := writeAtomic(i.stagePath(stage), data); err != nil {
 		return fmt.Errorf("resultstore: write intermediate %q: %w", stage, err)
 	}
@@ -106,34 +94,13 @@ func (i *IntermediateSet) Get(stage string, state any) (ok bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("resultstore: %w", err)
 	}
-	if err := decodeIntermediate(data, state); err != nil {
+	if err := decodeFrame(intMagic, data, state); err != nil {
 		if qerr := i.s.quarantine(path, fmt.Sprintf("invalid intermediate: %v", err)); qerr != nil {
 			return false, qerr
 		}
 		return false, nil
 	}
 	return true, nil
-}
-
-// decodeIntermediate verifies the header magic and payload hash, then
-// gob-decodes the payload into state.
-func decodeIntermediate(data []byte, state any) error {
-	header, payload, found := bytes.Cut(data, []byte{'\n'})
-	if !found {
-		return fmt.Errorf("missing header")
-	}
-	magic, wantHex, found := strings.Cut(string(header), " ")
-	if !found || magic != intMagic {
-		return fmt.Errorf("bad magic %q", magic)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != wantHex {
-		return fmt.Errorf("payload hash mismatch (torn write?)")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(state); err != nil {
-		return fmt.Errorf("decode: %v", err)
-	}
-	return nil
 }
 
 // Clear removes the whole set.

@@ -50,9 +50,10 @@ type Network struct {
 	maxSkew    time.Duration
 
 	// secrets shares the window's precomputed secret-id-parts across
-	// every descriptor-ID derivation (publish and fetch). Either injected
-	// via Config.SecretTable (the experiments Env shares one table across
-	// simnet, trawl, and tracking) or built lazily per driven window.
+	// every descriptor-ID derivation (fetches and PublishService).
+	// Either injected via Config.SecretTable (the experiments Env shares
+	// one table across simnet, trawl, and tracking) or built lazily per
+	// driven window.
 	secrets *onion.SecretIDTable
 
 	geoDB   *geo.DB
@@ -88,11 +89,12 @@ type Config struct {
 	Workers int
 	// SecretTable optionally shares precomputed rend-spec
 	// secret-id-parts across every descriptor-ID derivation the network
-	// performs. Derivations outside the table's window fall back to
-	// direct computation, so any table is correct; the experiments Env
-	// passes one study-wide table so simnet, trawl, and the popularity
-	// index never recompute the same secret parts. Nil means the network
-	// builds a table per driven window on its own.
+	// performs (PublishAll derives none: it reads the population's
+	// per-period ID cache). Derivations outside the table's window fall
+	// back to direct computation, so any table is correct; the
+	// experiments Env passes one study-wide table so simnet, trawl, and
+	// popularity resolution never recompute the same secret parts. Nil
+	// means the network builds a table per driven window on its own.
 	SecretTable *onion.SecretIDTable
 	// Observed restricts the network to the directories its caller
 	// reads (the trawl passes its step's attacker HSDirs); nil observes
@@ -251,16 +253,16 @@ type publishScratch struct {
 // service deanonymisation uses).
 func (n *Network) PublishService(svc *hspop.Service, now time.Time) {
 	var sc publishScratch
-	n.publishService(svc, n.ensureHost(svc), now, &sc)
+	n.publishService(svc, n.ensureHost(svc), n.descriptorIDs(svc.PermID, now), now, &sc)
 }
 
-// publishService uploads svc's replicas from host. A replica gets a
-// Descriptor only when an observed directory stores it, and both share
-// the host's intro-point slice without copying it: the slice is never
-// mutated after the host establishes its intro points, and no
-// descriptor consumer writes it.
-func (n *Network) publishService(svc *hspop.Service, host *Host, now time.Time, sc *publishScratch) {
-	for replica, descID := range n.descriptorIDs(svc.PermID, now) {
+// publishService uploads svc's replicas, whose descriptor IDs at now are
+// ids, from host. A replica gets a Descriptor only when an observed
+// directory stores it, and both share the host's intro-point slice
+// without copying it: the slice is never mutated after the host
+// establishes its intro points, and no descriptor consumer writes it.
+func (n *Network) publishService(svc *hspop.Service, host *Host, ids [onion.Replicas]onion.DescriptorID, now time.Time, sc *publishScratch) {
+	for replica, descID := range ids {
 		var desc *onion.Descriptor
 		sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
 		for _, pos := range sc.pos {
@@ -305,7 +307,11 @@ type storedReplica struct {
 }
 
 // PublishAll uploads descriptors for every descriptor-bearing service in
-// the population and returns the number published.
+// the population and returns the number published. Every path reads the
+// descriptor IDs from the population's per-period cache
+// (hspop.Population.DescriptorIDsAt), so a sweep derives no ID that an
+// earlier sweep in the same period — on this network or any other
+// publishing the population — already derived.
 //
 // Observer-tapped networks (the service-deanon tap) draw a guard pick
 // from the network RNG per upload, between one host's setup draws and
@@ -314,8 +320,8 @@ type storedReplica struct {
 // intro points in one sequential pass in service order — the only RNG
 // draws of an untapped sweep (see hostsFor) — and then places the
 // descriptors. Workers==1 places them service by service; otherwise the
-// placement is sharded: each worker derives descriptor IDs and
-// responsible sets for a contiguous span of services into private
+// placement is sharded: each worker resolves the responsible sets of
+// the cached IDs of a contiguous span of services into private
 // staging buffers, and a merge phase builds exactly one Descriptor per
 // replica that an observed directory stores and applies the staged
 // placements per directory in shard-then-service order — which is
@@ -324,10 +330,11 @@ type storedReplica struct {
 // places descriptors on observed directories only.
 func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 	svcs := pop.WithDescriptor()
+	ids := pop.DescriptorIDsAt(now)
 	var sc publishScratch
 	if len(n.uploadObservers) > 0 {
-		for _, svc := range svcs {
-			n.publishService(svc, n.ensureHost(svc), now, &sc)
+		for i, svc := range svcs {
+			n.publishService(svc, n.ensureHost(svc), ids.Of(i), now, &sc)
 		}
 		return len(svcs)
 	}
@@ -335,12 +342,12 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 	shards := parallel.NumChunks(n.workers, len(svcs))
 	if shards <= 1 {
 		for i, svc := range svcs {
-			n.publishService(svc, hosts[i], now, &sc)
+			n.publishService(svc, hosts[i], ids.Of(i), now, &sc)
 		}
 		return len(svcs)
 	}
 
-	// Phase 2 (parallel): derive and stage. Each shard owns a span of
+	// Phase 2 (parallel): resolve and stage. Each shard owns a span of
 	// services, a private responsible-set scratch, and private staging
 	// buffers + counts — zero cross-shard synchronization. The buffers
 	// are sized for the network's observed share of the ring.
@@ -365,7 +372,7 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 		}
 		cnt := counts[shard*nd : (shard+1)*nd]
 		for si := lo; si < hi; si++ {
-			for replica, descID := range n.descriptorIDs(svcs[si].PermID, now) {
+			for replica, descID := range ids.Of(si) {
 				placed := uint8(0)
 				sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
 				for _, pos := range sc.pos {

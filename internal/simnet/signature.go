@@ -17,7 +17,9 @@ import (
 type SignatureAttack struct {
 	mu sync.Mutex
 
-	target         onion.PermanentID
+	target onion.PermanentID
+	// targetIDs memoises the target's descriptor IDs per time period.
+	targetIDs      map[uint32][onion.Replicas]onion.DescriptorID
 	attackerDirs   map[onion.Fingerprint]bool
 	attackerGuards map[onion.Fingerprint]bool
 
@@ -51,6 +53,7 @@ type Detection struct {
 func NewSignatureAttack(target onion.PermanentID, dirs, guards []onion.Fingerprint) *SignatureAttack {
 	a := &SignatureAttack{
 		target:         target,
+		targetIDs:      make(map[uint32][onion.Replicas]onion.DescriptorID),
 		attackerDirs:   make(map[onion.Fingerprint]bool, len(dirs)),
 		attackerGuards: make(map[onion.Fingerprint]bool, len(guards)),
 	}
@@ -98,33 +101,11 @@ func (a *SignatureAttack) Observe(ev FetchEvent) {
 		a.mu.Unlock()
 		return
 	}
-	ids := onion.DescriptorIDs(a.target, ev.At)
-	match := false
-	for _, id := range ids {
-		if id == ev.DescID {
-			match = true
-			break
-		}
-	}
-	if !match {
-		// Clients with skewed clocks may request yesterday's or
-		// tomorrow's descriptor ID; check the adjacent periods too, as
-		// the attacker recognises the service's IDs over a window.
-		for _, off := range []time.Duration{-24 * time.Hour, 24 * time.Hour} {
-			for _, id := range onion.DescriptorIDs(a.target, ev.At.Add(off)) {
-				if id == ev.DescID {
-					match = true
-					break
-				}
-			}
-		}
-	}
-	if !match {
-		return
-	}
-
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if !a.isTargetIDLocked(ev.DescID, ev.At) {
+		return
+	}
 	a.signaturesSent++
 	if !a.attackerGuards[ev.Guard] {
 		return
@@ -146,6 +127,30 @@ func (a *SignatureAttack) Observe(ev FetchEvent) {
 		Guard:    ev.Guard,
 	})
 	a.countryHist = nil // invalidate the cached histogram
+}
+
+// isTargetIDLocked reports whether id is one of the target's descriptor
+// IDs in the period containing at or an adjacent one: clients with
+// skewed clocks may request yesterday's or tomorrow's ID, and the
+// attacker recognises the service's IDs over that window. Callers hold
+// a.mu.
+func (a *SignatureAttack) isTargetIDLocked(id onion.DescriptorID, at time.Time) bool {
+	p := onion.TimePeriod(a.target, at)
+	for _, q := range [...]uint32{p, p - 1, p + 1} {
+		ids, ok := a.targetIDs[q]
+		if !ok {
+			for r := range ids {
+				ids[r] = onion.DescriptorIDForPeriod(a.target, q, uint8(r))
+			}
+			a.targetIDs[q] = ids
+		}
+		for _, c := range ids {
+			if c == id {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // SignaturesSent returns how many signature-wrapped responses left
