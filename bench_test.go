@@ -534,6 +534,103 @@ func BenchmarkTrawlHarvest(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointSave measures one checkpoint save — packing the
+// state, the frame encode and the atomic write — at the sizes the
+// long-axis workload (paper-scale-x100 cut to 8 trawl steps and 240
+// tracking days) saves after every window:
+//   - trawl: the harvest half of a trawl step's snapshot, packed by
+//     Harvest.State from 24,000 collected services and 44,000 logged
+//     descriptor IDs (a seed-1 long-axis run collects 23.6k addresses
+//     from 44.3k requested IDs);
+//   - tracking: the sweep state after 239 of 240 scenario days, captured
+//     from a checkpointed AnalyzeSource (the sweep's own packing loop
+//     allocates nothing once its columns have grown).
+//
+// B/op and allocs/op do not depend on the runner; ns/op includes the
+// write's fsync.
+func BenchmarkCheckpointSave(b *testing.B) {
+	store, err := resultstore.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := store.Checkpoints(resultstore.Key{
+		Experiment: "bench-ckpt", Scenario: "bench", Params: "seed=1", CodeVersion: "bench",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("trawl", func(b *testing.B) {
+		h := benchHarvest(24000, 44000)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := set.Save(i, h.State()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("tracking", func(b *testing.B) {
+		cfg := tracking.DefaultScenarioConfig(1)
+		cfg.Days = 240
+		sc, src, err := tracking.NewScenarioSource(cfg, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		an, err := tracking.NewAnalyzer(tracking.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		var capture captureCheckpointer
+		if _, err := an.AnalyzeSource(context.Background(), src, sc.Target, &capture, src.Len()-1, false); err != nil {
+			b.Fatal(err)
+		}
+		if capture.state == nil {
+			b.Fatal("the sweep saved no snapshot")
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := set.Save(i, capture.state); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// benchHarvest builds a harvest of services collected services and ids
+// logged descriptor IDs, drawn from a fixed seed.
+func benchHarvest(services, ids int) *trawl.Harvest {
+	rng := rand.New(rand.NewSource(1))
+	h := &trawl.Harvest{
+		Addresses:    make(map[onion.Address]bool, services),
+		PermIDs:      make(map[onion.Address]onion.PermanentID, services),
+		Log:          hsdir.NewRequestLog(),
+		StepCoverage: []float64{0.11, 0.12, 0.1, 0.12, 0.11, 0.1, 0.12},
+	}
+	for i := 0; i < services; i++ {
+		var id onion.PermanentID
+		rng.Read(id[:])
+		addr := onion.AddressFromID(id)
+		h.Addresses[addr], h.PermIDs[addr] = true, id
+	}
+	for i := 0; i < ids; i++ {
+		var id onion.DescriptorID
+		rng.Read(id[:])
+		for n := 1 + rng.Intn(30); n > 0; n-- {
+			h.Log.Record(id, n%5 == 0)
+		}
+	}
+	return h
+}
+
+// captureCheckpointer keeps the last state a pipeline saved.
+type captureCheckpointer struct{ state any }
+
+func (c *captureCheckpointer) Save(_ context.Context, _ int, state any) error {
+	c.state = state
+	return nil
+}
+
+func (c *captureCheckpointer) Latest(context.Context, any) (int, bool, error) { return 0, false, nil }
+
 // simnetBenchRuns are the two network shapes the simnet layer rows
 // measure, over the first consensus of a one-day fleet: observed=all
 // simulates every ring directory, as the deanonymisation networks do,

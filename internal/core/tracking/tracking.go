@@ -220,6 +220,8 @@ type relayState struct {
 	respCount      int   // distinct responsible days
 
 	occCount, occOff, occFilled int // global occurrence-list bookkeeping
+
+	idx int // creation index: the state's position in its stateTable.all
 }
 
 // stateTable maps relay IDs to their accumulating state. Simulation IDs
@@ -286,6 +288,7 @@ func (t *stateTable) alloc(id relay.ID) *relayState {
 	st.report.RelayID = id
 	st.lastRespDay = noRespDay
 	st.firstRespDay = noRespDay
+	st.idx = len(t.all)
 	t.all = append(t.all, st)
 	return st
 }
@@ -428,13 +431,7 @@ func (a *Analyzer) AnalyzeSource(
 		}
 	}
 
-	sw := sweep{
-		a: a,
-		// Scratch buffer reused across every (document, replica) pair:
-		// the responsible set is consumed before the next
-		// ResponsibleInto call.
-		respBuf: make([]onion.Fingerprint, 0, onion.SpreadPerReplica),
-	}
+	sw := newSweep(a)
 	start := 0
 	if resume && ckpt != nil {
 		var snap sweepSnapshot
@@ -442,13 +439,18 @@ func (a *Analyzer) AnalyzeSource(
 		if err != nil {
 			return nil, fmt.Errorf("tracking: resume: %w", err)
 		}
+		// A snapshot that is not the packed form, or whose columns do
+		// not hold together, is treated as missing: the fold starts over
+		// from document zero.
 		if ok {
-			if snap.Docs != w+1 || snap.Docs >= n {
+			if rerr := sw.restore(&snap); rerr != nil {
+				sw = newSweep(a)
+			} else if snap.Docs != w+1 || snap.Docs >= n {
 				return nil, fmt.Errorf("tracking: resume: snapshot covers %d documents under window %d (have %d)",
 					snap.Docs, w, n)
+			} else {
+				start = snap.Docs
 			}
-			sw.restore(&snap)
-			start = snap.Docs
 		}
 	}
 	if every <= 0 {
@@ -516,8 +518,7 @@ func (a *Analyzer) sweepSharded(ctx context.Context, src DocSource, target onion
 			shardSrc = cloner.Clone()
 		}
 		sw := &sweeps[shard]
-		sw.a = a
-		sw.respBuf = make([]onion.Fingerprint, 0, onion.SpreadPerReplica)
+		*sw = newSweep(a)
 		for i := lo; i < hi; i++ {
 			if cerr := ctx.Err(); cerr != nil {
 				fails[shard] = shardFail{doc: i, err: cerr}
@@ -663,9 +664,9 @@ func mergeRelayState(dst, src *relayState) {
 		// The relay's first sighting was in src's range: adopt it
 		// wholesale. Slice fields transfer ownership — shard sweeps are
 		// discarded after the merge.
-		id := dst.report.RelayID
+		id, idx := dst.report.RelayID, dst.idx
 		*dst = *src
-		dst.report.RelayID = id
+		dst.report.RelayID, dst.idx = id, idx
 		return
 	}
 
@@ -774,121 +775,283 @@ type sweep struct {
 	// the report's From/To — captured during the fold so the wrap-up
 	// never needs the (possibly already recycled) documents themselves.
 	firstVA, lastVA time.Time
+	// snap's columns are reused by every snapshot.
+	snap sweepSnapshot
+}
+
+// newSweep returns an empty sweep for the analyzer.
+func newSweep(a *Analyzer) sweep {
+	return sweep{
+		a: a,
+		// Scratch buffer reused across every (document, replica) pair:
+		// the responsible set is consumed before the next
+		// ResponsibleInto call.
+		respBuf: make([]onion.Fingerprint, 0, onion.SpreadPerReplica),
+	}
 }
 
 // sweepSnapshot is the serializable form of a sweep after Docs folded
-// documents: relay states in creation order (occurrence owners become
-// indexes into that order), plus the global occurrence list. The
-// wrap-up-only fields (occOff, occFilled) are deliberately absent —
-// they are recomputed from occCount when the report is carved.
+// documents, in packed columns. Relay states appear in creation order:
+// Relays holds relayCols int64s per state, the other relay columns one
+// entry per state, and the per-state lists (distinct fingerprints, extra
+// nicknames and IPs, switch instants) are concatenated in state order
+// with their lengths in Relays. Occurrences appear in chronological
+// order: OccRows holds occCols int64s per occurrence, its owner being a
+// state's creation index. Instants are Unix seconds and nanoseconds,
+// restored in FirstVA's location. The wrap-up-only fields (occOff,
+// occFilled) are deliberately absent — they are recomputed from occCount
+// when the report is carved.
 type sweepSnapshot struct {
+	// Format is sweepFormat. A payload of any other form decodes with
+	// Format zero and is refused, so it is never half-restored.
+	Format      int
 	Docs        int
 	TotalHSDirs int
 	// FirstVA / LastVA carry the folded prefix's window bounds.
 	FirstVA, LastVA time.Time
-	Occs            []Occurrence
-	OccOwners       []int
-	States          []relaySnap
+
+	Relays     []int64
+	MaxRatios  []float64
+	LastFPs    []byte
+	FirstFPs   []byte
+	Nick0s     []string
+	IP0s       []string
+	FPs        []byte
+	ExtraNicks []string
+	ExtraIPs   []string
+	SwitchAts  []int64
+
+	OccRows   []int64
+	OccRatios []float64
+	OccFPs    []byte
 }
 
-// relaySnap serializes one relayState (gob needs exported fields).
-type relaySnap struct {
-	Report       RelayReport
-	Seen         bool
-	LastFP       onion.Fingerprint
-	FPs          []onion.Fingerprint
-	Nick0, IP0   string
-	ExtraNicks   []string
-	ExtraIPs     []string
-	SwitchAts    []time.Time
-	FirstFP      onion.Fingerprint
-	FirstSeenAt  time.Time
-	FirstRespDay int64
-	InitRun      int
-	LastRespDay  int64
-	CurRun       int
-	MaxRun       int
-	RespCount    int
-	OccCount     int
-}
+// sweepFormat marks the packed-column sweepSnapshot.
+const sweepFormat = 1
 
-// snapshot captures the sweep after docs folded documents.
+// The int64 columns of one relay state in sweepSnapshot.Relays.
+const (
+	relID = iota
+	relSeen
+	relSwitches
+	relFresh
+	relFirstSeenSec
+	relFirstSeenNsec
+	relFirstRespDay
+	relInitRun
+	relLastRespDay
+	relCurRun
+	relMaxRun
+	relRespCount
+	relOccCount
+	relFPs // len(fps); 0 while fps is nil
+	relNicks
+	relIPs
+	relSwitchAts
+	relayCols
+)
+
+// The int64 columns of one occurrence in sweepSnapshot.OccRows.
+const (
+	occOwner = iota
+	occReplica
+	occAtSec
+	occAtNsec
+	occUptime
+	occCols
+)
+
+// snapshot captures the sweep after docs folded documents, into columns
+// reused from the previous snapshot.
 func (sw *sweep) snapshot(docs int) *sweepSnapshot {
-	idx := make(map[*relayState]int, len(sw.states.all))
-	states := make([]relaySnap, len(sw.states.all))
-	for i, st := range sw.states.all {
-		idx[st] = i
-		states[i] = relaySnap{
-			Report:       st.report,
-			Seen:         st.seen,
-			LastFP:       st.lastFP,
-			FPs:          st.fps,
-			Nick0:        st.nick0,
-			IP0:          st.ip0,
-			ExtraNicks:   st.extraNicks,
-			ExtraIPs:     st.extraIPs,
-			SwitchAts:    st.switchAts,
-			FirstFP:      st.firstFP,
-			FirstSeenAt:  st.firstSeenAt,
-			FirstRespDay: st.firstRespDay,
-			InitRun:      st.initRun,
-			LastRespDay:  st.lastRespDay,
-			CurRun:       st.curRun,
-			MaxRun:       st.maxRun,
-			RespCount:    st.respCount,
-			OccCount:     st.occCount,
-		}
-	}
-	owners := make([]int, len(sw.occStates))
-	for i, st := range sw.occStates {
-		owners[i] = idx[st]
-	}
-	return &sweepSnapshot{
+	s := &sw.snap
+	*s = sweepSnapshot{
+		Format:      sweepFormat,
 		Docs:        docs,
 		TotalHSDirs: sw.totalHSDirs,
 		FirstVA:     sw.firstVA,
 		LastVA:      sw.lastVA,
-		Occs:        sw.occs,
-		OccOwners:   owners,
-		States:      states,
+		Relays:      s.Relays[:0],
+		MaxRatios:   s.MaxRatios[:0],
+		LastFPs:     s.LastFPs[:0],
+		FirstFPs:    s.FirstFPs[:0],
+		Nick0s:      s.Nick0s[:0],
+		IP0s:        s.IP0s[:0],
+		FPs:         s.FPs[:0],
+		ExtraNicks:  s.ExtraNicks[:0],
+		ExtraIPs:    s.ExtraIPs[:0],
+		SwitchAts:   s.SwitchAts[:0],
+		OccRows:     s.OccRows[:0],
+		OccRatios:   s.OccRatios[:0],
+		OccFPs:      s.OccFPs[:0],
 	}
+	for _, st := range sw.states.all {
+		seen := int64(0)
+		if st.seen {
+			seen = 1
+		}
+		s.Relays = append(s.Relays,
+			int64(st.report.RelayID), seen,
+			int64(st.report.Switches), int64(st.report.FreshFlagResponsible),
+			st.firstSeenAt.Unix(), int64(st.firstSeenAt.Nanosecond()),
+			st.firstRespDay, int64(st.initRun), st.lastRespDay,
+			int64(st.curRun), int64(st.maxRun), int64(st.respCount), int64(st.occCount),
+			int64(len(st.fps)), int64(len(st.extraNicks)), int64(len(st.extraIPs)), int64(len(st.switchAts)))
+		s.MaxRatios = append(s.MaxRatios, st.report.MaxRatio)
+		s.LastFPs = onion.AppendPacked(s.LastFPs, st.lastFP)
+		s.FirstFPs = onion.AppendPacked(s.FirstFPs, st.firstFP)
+		s.Nick0s = append(s.Nick0s, st.nick0)
+		s.IP0s = append(s.IP0s, st.ip0)
+		for _, fp := range st.fps {
+			s.FPs = onion.AppendPacked(s.FPs, fp)
+		}
+		s.ExtraNicks = append(s.ExtraNicks, st.extraNicks...)
+		s.ExtraIPs = append(s.ExtraIPs, st.extraIPs...)
+		for _, at := range st.switchAts {
+			s.SwitchAts = append(s.SwitchAts, at.Unix(), int64(at.Nanosecond()))
+		}
+	}
+	for i := range sw.occs {
+		o := &sw.occs[i]
+		s.OccRows = append(s.OccRows,
+			int64(sw.occStates[i].idx), int64(o.Replica), o.At.Unix(), int64(o.At.Nanosecond()), int64(o.Uptime))
+		s.OccRatios = append(s.OccRatios, o.Ratio)
+		s.OccFPs = onion.AppendPacked(s.OccFPs, o.Fingerprint)
+	}
+	return s
 }
 
-// restore rebuilds the sweep from a snapshot. States are recreated in
-// their original creation order, so the occurrence-owner indexes (and
-// the wrap-up's creation-order walk) line up exactly.
-func (sw *sweep) restore(snap *sweepSnapshot) {
+// restore rebuilds an empty sweep from a snapshot. States are recreated
+// in their original creation order, so the occurrence-owner indexes (and
+// the wrap-up's creation-order walk) line up exactly. It refuses a
+// snapshot that is not the packed form or whose columns do not hold
+// together — a column whose length is not a multiple of its width or
+// disagrees with the state count, per-state list lengths that do not sum
+// to their column's length, a repeated relay ID, an occurrence owner out
+// of range or owners that disagree with their state's occurrence count —
+// leaving the sweep partly filled, for the caller to discard.
+func (sw *sweep) restore(snap *sweepSnapshot) error {
+	if snap.Format != sweepFormat {
+		return fmt.Errorf("tracking: snapshot format %d, want %d", snap.Format, sweepFormat)
+	}
+	n := len(snap.Relays) / relayCols
+	lastFPs, okLast := onion.UnpackIDs[onion.Fingerprint](snap.LastFPs)
+	firstFPs, okFirst := onion.UnpackIDs[onion.Fingerprint](snap.FirstFPs)
+	fps, okFPs := onion.UnpackIDs[onion.Fingerprint](snap.FPs)
+	if len(snap.Relays)%relayCols != 0 || !okLast || !okFirst || !okFPs ||
+		len(snap.MaxRatios) != n || len(lastFPs) != n || len(firstFPs) != n ||
+		len(snap.Nick0s) != n || len(snap.IP0s) != n || len(snap.SwitchAts)%2 != 0 {
+		return fmt.Errorf("tracking: relay columns disagree on %d relay states", n)
+	}
+	nOcc := len(snap.OccRows) / occCols
+	occFPs, okOcc := onion.UnpackIDs[onion.Fingerprint](snap.OccFPs)
+	if len(snap.OccRows)%occCols != 0 || !okOcc || len(occFPs) != nOcc || len(snap.OccRatios) != nOcc {
+		return fmt.Errorf("tracking: occurrence columns disagree on %d occurrences", nOcc)
+	}
+	loc := snap.FirstVA.Location()
+	switchAts := make([]time.Time, len(snap.SwitchAts)/2)
+	for i := range switchAts {
+		sec, nsec := snap.SwitchAts[2*i], snap.SwitchAts[2*i+1]
+		if !validNsec(nsec) {
+			return fmt.Errorf("tracking: switch instant nanoseconds %d", nsec)
+		}
+		switchAts[i] = time.Unix(sec, nsec).In(loc)
+	}
+
 	sw.totalHSDirs = snap.TotalHSDirs
 	sw.firstVA = snap.FirstVA
 	sw.lastVA = snap.LastVA
-	for i := range snap.States {
-		ss := &snap.States[i]
-		st := sw.states.get(ss.Report.RelayID)
-		st.report = ss.Report
-		st.seen = ss.Seen
-		st.lastFP = ss.LastFP
-		st.fps = ss.FPs
-		st.nick0 = ss.Nick0
-		st.ip0 = ss.IP0
-		st.extraNicks = ss.ExtraNicks
-		st.extraIPs = ss.ExtraIPs
-		st.switchAts = ss.SwitchAts
-		st.firstFP = ss.FirstFP
-		st.firstSeenAt = ss.FirstSeenAt
-		st.firstRespDay = ss.FirstRespDay
-		st.initRun = ss.InitRun
-		st.lastRespDay = ss.LastRespDay
-		st.curRun = ss.CurRun
-		st.maxRun = ss.MaxRun
-		st.respCount = ss.RespCount
-		st.occCount = ss.OccCount
+	// Offsets into the concatenated per-state list columns.
+	var fpOff, nickOff, ipOff, swOff int
+	take := func(off *int, k int64, total int) (lo, hi int, ok bool) {
+		if k < 0 || int64(total-*off) < k {
+			return 0, 0, false
+		}
+		lo = *off
+		*off += int(k)
+		return lo, *off, true
 	}
-	sw.occs = snap.Occs
-	sw.occStates = make([]*relayState, len(snap.OccOwners))
-	for i, n := range snap.OccOwners {
-		sw.occStates[i] = sw.states.all[n]
+	for i := 0; i < n; i++ {
+		row := snap.Relays[i*relayCols : (i+1)*relayCols]
+		st := sw.states.get(relay.ID(row[relID]))
+		if st.idx != i {
+			return fmt.Errorf("tracking: relay %d has two states", row[relID])
+		}
+		if row[relSeen]&^1 != 0 || !validNsec(row[relFirstSeenNsec]) || row[relOccCount] < 0 {
+			return fmt.Errorf("tracking: relay %d row out of range", row[relID])
+		}
+		fLo, fHi, okF := take(&fpOff, row[relFPs], len(fps))
+		nLo, nHi, okN := take(&nickOff, row[relNicks], len(snap.ExtraNicks))
+		iLo, iHi, okI := take(&ipOff, row[relIPs], len(snap.ExtraIPs))
+		sLo, sHi, okS := take(&swOff, row[relSwitchAts], len(switchAts))
+		if !okF || !okN || !okI || !okS {
+			return fmt.Errorf("tracking: relay %d lists overrun their columns", row[relID])
+		}
+		st.seen = row[relSeen] == 1
+		st.report.Switches = int(row[relSwitches])
+		st.report.FreshFlagResponsible = int(row[relFresh])
+		st.report.MaxRatio = snap.MaxRatios[i]
+		st.firstSeenAt = time.Unix(row[relFirstSeenSec], row[relFirstSeenNsec]).In(loc)
+		st.firstRespDay = row[relFirstRespDay]
+		st.initRun = int(row[relInitRun])
+		st.lastRespDay = row[relLastRespDay]
+		st.curRun = int(row[relCurRun])
+		st.maxRun = int(row[relMaxRun])
+		st.respCount = int(row[relRespCount])
+		st.occCount = int(row[relOccCount])
+		st.lastFP = lastFPs[i]
+		st.firstFP = firstFPs[i]
+		st.nick0 = snap.Nick0s[i]
+		st.ip0 = snap.IP0s[i]
+		// Each list keeps a capacity-capped view of its column, so a
+		// later append copies instead of overwriting its neighbour; an
+		// empty list stays nil, as in a live sweep.
+		if fHi > fLo {
+			st.fps = fps[fLo:fHi:fHi]
+		}
+		if nHi > nLo {
+			st.extraNicks = snap.ExtraNicks[nLo:nHi:nHi]
+		}
+		if iHi > iLo {
+			st.extraIPs = snap.ExtraIPs[iLo:iHi:iHi]
+		}
+		if sHi > sLo {
+			st.switchAts = switchAts[sLo:sHi:sHi]
+		}
 	}
+	if fpOff != len(fps) || nickOff != len(snap.ExtraNicks) || ipOff != len(snap.ExtraIPs) || swOff != len(switchAts) {
+		return fmt.Errorf("tracking: relay list lengths do not sum to their columns")
+	}
+
+	sw.occs = make([]Occurrence, nOcc)
+	sw.occStates = make([]*relayState, nOcc)
+	owned := make([]int, n)
+	for i := range sw.occs {
+		row := snap.OccRows[i*occCols : (i+1)*occCols]
+		owner := row[occOwner]
+		if owner < 0 || owner >= int64(n) || !validNsec(row[occAtNsec]) {
+			return fmt.Errorf("tracking: occurrence %d row out of range", i)
+		}
+		owned[owner]++
+		sw.occStates[i] = sw.states.all[owner]
+		sw.occs[i] = Occurrence{
+			At:          time.Unix(row[occAtSec], row[occAtNsec]).In(loc),
+			Fingerprint: occFPs[i],
+			Replica:     int(row[occReplica]),
+			Ratio:       snap.OccRatios[i],
+			Uptime:      time.Duration(row[occUptime]),
+		}
+	}
+	for i, st := range sw.states.all {
+		if owned[i] != st.occCount {
+			return fmt.Errorf("tracking: relay %d owns %d occurrences, counts %d", st.report.RelayID, owned[i], st.occCount)
+		}
+	}
+	return nil
 }
+
+// validNsec reports whether a packed instant's nanoseconds are in range.
+func validNsec(nsec int64) bool { return nsec >= 0 && nsec < int64(time.Second) }
 
 // observeDoc folds one consensus document into the sweep: fingerprint
 // switches for every relay identity, and responsibility occurrences for

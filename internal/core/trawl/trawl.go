@@ -11,6 +11,7 @@ package trawl
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"torhs/internal/fault"
@@ -31,7 +32,8 @@ import (
 // not retain it — and the cancellation flush passes an uncancellable
 // context so the final snapshot always lands.
 type Checkpointer interface {
-	// Save snapshots state after window completed.
+	// Save snapshots state after window completed. It must not retain
+	// state after returning: Run reuses the snapshot's buffers.
 	Save(ctx context.Context, window int, state any) error
 	// Latest decodes the newest valid snapshot into state; ok is false
 	// when none exists.
@@ -46,23 +48,13 @@ type Checkpointer interface {
 type Snapshot struct {
 	// Step is the last completed step (0-based).
 	Step int
-	// Accumulators mirrored from Harvest.
-	Addresses       map[onion.Address]bool
-	PermIDs         map[onion.Address]onion.PermanentID
-	DescriptorsSeen int
-	StepCoverage    []float64
-	// Compact marks the compact-log form; Run does not resume from a
-	// snapshot without it.
-	Compact bool
-	// LogCounts / LogTotal / LogFound carry the merged log's aggregate
-	// state (hsdir.RequestLog.CompactState form).
-	LogCounts map[onion.DescriptorID]int
-	LogTotal  int
-	LogFound  int
-	// PublishedIDs / RequestedPublished are the cross-step descriptor-ID
-	// sets behind PublishedIDsSeen / RequestedPublishedIDs.
-	PublishedIDs       map[onion.DescriptorID]bool
-	RequestedPublished map[onion.DescriptorID]bool
+	// Harvest holds the harvest accumulators in the packed form harvest
+	// intermediates share.
+	Harvest HarvestState
+	// PublishedCol / RequestedCol pack the cross-step descriptor-ID sets
+	// behind PublishedIDsSeen / RequestedPublishedIDs.
+	PublishedCol []byte
+	RequestedCol []byte
 }
 
 // Config parameterises the trawling fleet. The paper used 58 Amazon EC2
@@ -281,29 +273,18 @@ func (t *Trawler) Run(
 		if err != nil {
 			return nil, fmt.Errorf("trawl: resume: %w", err)
 		}
-		// A snapshot without the compact aggregate predates compact
-		// logs; restoring it would leave the log empty, so the run
-		// starts over from step 0 instead.
-		if ok && snap.Compact {
-			if snap.Step != w {
-				return nil, fmt.Errorf("trawl: resume: snapshot step %d under window %d", snap.Step, w)
+		// A snapshot that is not the packed form, or whose columns do
+		// not hold together, is treated as missing: the run starts over
+		// from step 0.
+		if ok {
+			if restored, pub, req, uerr := snap.unpack(); uerr == nil {
+				if snap.Step != w {
+					return nil, fmt.Errorf("trawl: resume: snapshot step %d under window %d", snap.Step, w)
+				}
+				startStep = snap.Step + 1
+				restored.Start, restored.End = h.Start, h.End
+				h, publishedIDs, requestedPublished = restored, pub, req
 			}
-			startStep = snap.Step + 1
-			h.DescriptorsSeen = snap.DescriptorsSeen
-			h.StepCoverage = snap.StepCoverage
-			if snap.Addresses != nil {
-				h.Addresses = snap.Addresses
-			}
-			if snap.PermIDs != nil {
-				h.PermIDs = snap.PermIDs
-			}
-			if snap.PublishedIDs != nil {
-				publishedIDs = snap.PublishedIDs
-			}
-			if snap.RequestedPublished != nil {
-				requestedPublished = snap.RequestedPublished
-			}
-			h.Log.RestoreCompact(snap.LogCounts, snap.LogTotal, snap.LogFound)
 		}
 	}
 	ckptEvery := t.cfg.CheckpointEvery
@@ -315,19 +296,11 @@ func (t *Trawler) Run(
 	// fresh run). The cancellation flush only writes when the
 	// accumulators have advanced past it.
 	lastSaved := startStep - 1
+	// snap's columns are reused by every save.
+	var snap Snapshot
 	makeSnap := func(step int) *Snapshot {
-		snap := &Snapshot{
-			Step:               step,
-			Addresses:          h.Addresses,
-			PermIDs:            h.PermIDs,
-			DescriptorsSeen:    h.DescriptorsSeen,
-			StepCoverage:       h.StepCoverage,
-			Compact:            true,
-			PublishedIDs:       publishedIDs,
-			RequestedPublished: requestedPublished,
-		}
-		snap.LogCounts, snap.LogTotal, snap.LogFound = h.Log.CompactState()
-		return snap
+		snap.pack(step, h, publishedIDs, requestedPublished)
+		return &snap
 	}
 	flush := func(step int) error {
 		if t.cfg.Checkpoint == nil || step <= lastSaved || step < 0 {
@@ -517,36 +490,53 @@ func (h *Harvest) RequestedPublishedFraction() float64 {
 	return float64(h.RequestedPublishedIDs) / float64(h.PublishedIDsSeen)
 }
 
-// HarvestState is the serializable (gob) form of a completed Harvest —
-// the intermediate artefact the experiments layer spills to the result
-// store so re-runs and sweeps sharing a harvest stage are cache hits.
-// Round-tripping through it reconstructs every aggregate the downstream
-// pipelines read.
+// HarvestState is the serializable (gob) form of a Harvest — the
+// intermediate artefact the experiments layer spills to the result store
+// so re-runs and sweeps sharing a harvest stage are cache hits, and the
+// harvest half of every trawl Snapshot. Identifiers are packed into
+// columns (onion.AppendPacked); Addresses is not stored, because every
+// address is onion.AddressFromID of its permanent ID. Round-tripping
+// through it reconstructs every aggregate the downstream pipelines read.
 type HarvestState struct {
-	Addresses             map[onion.Address]bool
-	PermIDs               map[onion.Address]onion.PermanentID
+	// Format is harvestFormat. A payload of any other form decodes with
+	// Format zero and is refused, so it is never half-restored.
+	Format int
+	// PermIDCol packs the harvested permanent IDs, in unspecified order.
+	PermIDCol             []byte
 	DescriptorsSeen       int
 	StepCoverage          []float64
 	PublishedIDsSeen      int
 	RequestedPublishedIDs int
 	CollectedFraction     float64
 	Start, End            time.Time
-	// Compact marks the compact-log form. A state without it predates
-	// compact logs: it carried raw request records, which this type no
-	// longer decodes, so HarvestFromState refuses it.
-	Compact bool
-	// LogCounts / LogTotal / LogFound carry the merged log's aggregate
-	// state (hsdir.RequestLog.CompactState form).
-	LogCounts map[onion.DescriptorID]int
-	LogTotal  int
-	LogFound  int
+	// LogIDCol / LogCountCol / LogTotal / LogFound carry the merged
+	// log's aggregate state (hsdir.RequestLog.Pack form).
+	LogIDCol    []byte
+	LogCountCol []int
+	LogTotal    int
+	LogFound    int
 }
+
+// harvestFormat marks the packed-column HarvestState.
+const harvestFormat = 1
 
 // State captures the harvest's serializable form.
 func (h *Harvest) State() *HarvestState {
-	st := &HarvestState{
-		Addresses:             h.Addresses,
-		PermIDs:               h.PermIDs,
+	st := &HarvestState{}
+	h.pack(st)
+	return st
+}
+
+// pack writes the harvest into st, reusing st's column buffers.
+func (h *Harvest) pack(st *HarvestState) {
+	col := slices.Grow(st.PermIDCol[:0], len(h.PermIDs)*onion.PermanentIDLen)
+	//torhs:ignore detorder the packed column is a set: unpack folds it back into maps
+	for _, id := range h.PermIDs {
+		col = onion.AppendPacked(col, id)
+	}
+	*st = HarvestState{
+		Format:                harvestFormat,
+		PermIDCol:             col,
 		DescriptorsSeen:       h.DescriptorsSeen,
 		StepCoverage:          h.StepCoverage,
 		PublishedIDsSeen:      h.PublishedIDsSeen,
@@ -554,22 +544,26 @@ func (h *Harvest) State() *HarvestState {
 		CollectedFraction:     h.CollectedFraction,
 		Start:                 h.Start,
 		End:                   h.End,
-		Compact:               true,
+		LogIDCol:              st.LogIDCol[:0],
+		LogCountCol:           st.LogCountCol[:0],
 	}
-	st.LogCounts, st.LogTotal, st.LogFound = h.Log.CompactState()
-	return st
+	st.LogIDCol, st.LogCountCol, st.LogTotal, st.LogFound = h.Log.Pack(st.LogIDCol, st.LogCountCol)
 }
 
-// HarvestFromState reconstructs a Harvest from its serializable form.
-// ok is false for a state without the compact log aggregate, which
-// callers treat as absent.
-func HarvestFromState(st *HarvestState) (h *Harvest, ok bool) {
-	if !st.Compact {
-		return nil, false
+// unpack rebuilds the Harvest. It refuses a state that is not the packed
+// form or whose columns do not hold together: a column that is not whole
+// identifiers, an identifier packed twice, or a log that does not add up.
+func (st *HarvestState) unpack() (*Harvest, error) {
+	if st.Format != harvestFormat {
+		return nil, fmt.Errorf("trawl: harvest state format %d, want %d", st.Format, harvestFormat)
 	}
-	h = &Harvest{
-		Addresses:             st.Addresses,
-		PermIDs:               st.PermIDs,
+	ids, ok := onion.UnpackIDs[onion.PermanentID](st.PermIDCol)
+	if !ok {
+		return nil, fmt.Errorf("trawl: permanent-ID column of %d bytes", len(st.PermIDCol))
+	}
+	h := &Harvest{
+		Addresses:             make(map[onion.Address]bool, len(ids)),
+		PermIDs:               make(map[onion.Address]onion.PermanentID, len(ids)),
 		DescriptorsSeen:       st.DescriptorsSeen,
 		StepCoverage:          st.StepCoverage,
 		PublishedIDsSeen:      st.PublishedIDsSeen,
@@ -579,12 +573,79 @@ func HarvestFromState(st *HarvestState) (h *Harvest, ok bool) {
 		End:                   st.End,
 		Log:                   hsdir.NewRequestLog(),
 	}
-	if h.Addresses == nil {
-		h.Addresses = make(map[onion.Address]bool)
+	for _, id := range ids {
+		addr := onion.AddressFromID(id)
+		if h.Addresses[addr] {
+			return nil, fmt.Errorf("trawl: permanent ID of %s packed twice", addr)
+		}
+		h.Addresses[addr] = true
+		h.PermIDs[addr] = id
 	}
-	if h.PermIDs == nil {
-		h.PermIDs = make(map[onion.Address]onion.PermanentID)
+	if err := h.Log.Unpack(st.LogIDCol, st.LogCountCol, st.LogTotal, st.LogFound); err != nil {
+		return nil, err
 	}
-	h.Log.RestoreCompact(st.LogCounts, st.LogTotal, st.LogFound)
-	return h, true
+	return h, nil
+}
+
+// HarvestFromState reconstructs a Harvest from its serializable form.
+// ok is false for a state unpack refuses — one from before packed
+// columns, or one whose columns do not hold together — which callers
+// treat as absent.
+func HarvestFromState(st *HarvestState) (h *Harvest, ok bool) {
+	h, err := st.unpack()
+	return h, err == nil
+}
+
+// pack writes the run's accumulators after step into s, reusing s's
+// column buffers.
+func (s *Snapshot) pack(step int, h *Harvest, published, requested map[onion.DescriptorID]bool) {
+	s.Step = step
+	h.pack(&s.Harvest)
+	s.PublishedCol = packIDSet(s.PublishedCol[:0], published)
+	s.RequestedCol = packIDSet(s.RequestedCol[:0], requested)
+}
+
+// unpack restores the run's accumulators from s. It refuses what
+// HarvestState.unpack refuses, an ID set packed with a repeat or a
+// partial ID, and step coverage that does not cover Step+1 steps.
+func (s *Snapshot) unpack() (h *Harvest, published, requested map[onion.DescriptorID]bool, err error) {
+	if h, err = s.Harvest.unpack(); err != nil {
+		return nil, nil, nil, err
+	}
+	if len(h.StepCoverage) != s.Step+1 {
+		return nil, nil, nil, fmt.Errorf("trawl: %d step coverages for step %d", len(h.StepCoverage), s.Step)
+	}
+	if published, err = unpackIDSet(s.PublishedCol); err != nil {
+		return nil, nil, nil, err
+	}
+	if requested, err = unpackIDSet(s.RequestedCol); err != nil {
+		return nil, nil, nil, err
+	}
+	return h, published, requested, nil
+}
+
+// packIDSet appends the set's members to col, in unspecified order.
+func packIDSet(col []byte, set map[onion.DescriptorID]bool) []byte {
+	col = slices.Grow(col, len(set)*len(onion.DescriptorID{}))
+	//torhs:ignore detorder the packed column is a set: unpackIDSet folds it back into a map
+	for id := range set {
+		col = onion.AppendPacked(col, id)
+	}
+	return col
+}
+
+// unpackIDSet folds a column packIDSet wrote back into a set.
+func unpackIDSet(col []byte) (map[onion.DescriptorID]bool, error) {
+	ids, ok := onion.UnpackIDs[onion.DescriptorID](col)
+	if !ok {
+		return nil, fmt.Errorf("trawl: descriptor-ID column of %d bytes", len(col))
+	}
+	set := make(map[onion.DescriptorID]bool, len(ids))
+	for _, id := range ids {
+		if set[id] {
+			return nil, fmt.Errorf("trawl: descriptor ID %s packed twice", id.Hex())
+		}
+		set[id] = true
+	}
+	return set, nil
 }

@@ -128,7 +128,7 @@ func TestRawHarvestIntermediateIsRecomputed(t *testing.T) {
 	if ok, err := ints.Get("harvest", &st); err != nil || !ok {
 		t.Fatalf("harvest intermediate missing after the run: ok=%v err=%v", ok, err)
 	}
-	if !st.Compact {
-		t.Fatal("the raw harvest intermediate was not replaced by the compact form")
+	if _, ok := trawl.HarvestFromState(&st); !ok {
+		t.Fatal("the raw harvest intermediate was not replaced by the packed form")
 	}
 }

@@ -232,8 +232,9 @@ func (e *Env) runTrawl(ctx context.Context, seedOffset int64, driveTraffic bool)
 			return nil, err
 		}
 		if ok {
-			// A state from before compact logs does not restore; the
-			// trawl re-runs and its spill replaces it.
+			// A state from before packed columns, or one whose columns
+			// do not hold together, does not restore; the trawl re-runs
+			// and its spill replaces it.
 			if h, ok := trawl.HarvestFromState(&st); ok {
 				return h, nil
 			}

@@ -1,6 +1,8 @@
 package hsdir
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"torhs/internal/onion"
@@ -106,9 +108,8 @@ func (l *RequestLog) EachCount(fn func(id onion.DescriptorID, n int)) {
 }
 
 // CompactState returns a copy of the log's state — the per-ID counts,
-// the total request count, and the found count. This is the snapshot
-// form the trawl checkpoints and harvest intermediates persist: it
-// reconstructs every query exactly.
+// the total request count, and the found count — which reconstructs every
+// query exactly. Persisted snapshots use the packed form instead (Pack).
 func (l *RequestLog) CompactState() (counts map[onion.DescriptorID]int, total, found int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -119,17 +120,53 @@ func (l *RequestLog) CompactState() (counts map[onion.DescriptorID]int, total, f
 	return counts, l.total, l.found
 }
 
-// RestoreCompact replaces the log's contents with the given state. The
-// counts map is copied; the caller keeps ownership of its argument.
-func (l *RequestLog) RestoreCompact(counts map[onion.DescriptorID]int, total, found int) {
+// Pack appends the log's per-ID counts to two packed columns — ids, the
+// descriptor IDs end to end, and counts, one entry per ID in the same
+// order — and returns them with the total and found tallies. This is the
+// form trawl checkpoints and harvest intermediates persist; it is read
+// under one lock acquisition and copies no map. The order is unspecified.
+func (l *RequestLog) Pack(ids []byte, counts []int) ([]byte, []int, int, int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.total = total
-	l.found = found
-	l.perID = make(map[onion.DescriptorID]int, len(counts))
-	for id, n := range counts {
-		l.perID[id] = n
+	ids = slices.Grow(ids, len(l.perID)*len(onion.DescriptorID{}))
+	counts = slices.Grow(counts, len(l.perID))
+	//torhs:ignore detorder the packed columns are a set: Unpack folds them back into a map, and readers compare them as sets
+	for id, n := range l.perID {
+		ids = onion.AppendPacked(ids, id)
+		counts = append(counts, n)
 	}
+	return ids, counts, l.total, l.found
+}
+
+// Unpack replaces the log's contents with the packed form Pack wrote. It
+// refuses, leaving the log unchanged, columns whose lengths disagree, an
+// ID packed twice, a non-positive count, counts that do not sum to
+// total, or a found tally outside [0, total].
+func (l *RequestLog) Unpack(ids []byte, counts []int, total, found int) error {
+	idList, ok := onion.UnpackIDs[onion.DescriptorID](ids)
+	if !ok || len(idList) != len(counts) {
+		return fmt.Errorf("hsdir: packed log has %d ID bytes for %d counts", len(ids), len(counts))
+	}
+	perID := make(map[onion.DescriptorID]int, len(idList))
+	sum := 0
+	for i, id := range idList {
+		n := counts[i]
+		if n <= 0 {
+			return fmt.Errorf("hsdir: packed log count %d for %s", n, id.Hex())
+		}
+		if _, dup := perID[id]; dup {
+			return fmt.Errorf("hsdir: packed log repeats %s", id.Hex())
+		}
+		perID[id] = n
+		sum += n
+	}
+	if sum != total || found < 0 || found > total {
+		return fmt.Errorf("hsdir: packed log counts sum to %d, total %d, found %d", sum, total, found)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.perID, l.total, l.found = perID, total, found
+	return nil
 }
 
 // MergeAll folds the per-descriptor-ID counts, totals and found tallies

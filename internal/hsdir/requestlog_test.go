@@ -1,6 +1,7 @@
 package hsdir
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -109,6 +110,10 @@ func TestRecordEachCountsEveryBatch(t *testing.T) {
 	assertMatchesRef(t, l, newRefLog(reqs))
 }
 
+// TestCompactStateRoundTrip: a log survives its persisted form — Pack,
+// then Unpack into a log holding other counts — with every query and its
+// compact state intact, and the restored log shares no storage with the
+// columns it came from.
 func TestCompactStateRoundTrip(t *testing.T) {
 	for name, reqs := range map[string][]Answer{
 		"empty":     nil,
@@ -117,17 +122,52 @@ func TestCompactStateRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			src := NewRequestLog()
 			recordAll(src, reqs)
-			counts, total, found := src.CompactState()
+			ids, counts, total, found := src.Pack(nil, nil)
 			back := NewRequestLog()
-			back.Record(onion.DescriptorID{0xFF}, true) // replaced by the restore
-			back.RestoreCompact(counts, total, found)
-			assertMatchesRef(t, back, newRefLog(reqs))
-			// RestoreCompact copies: mutating the caller's map afterwards
-			// must not reach into the log.
-			for id := range counts {
-				counts[id] += 99
+			back.Record(onion.DescriptorID{0xFF}, true) // replaced by the unpack
+			if err := back.Unpack(ids, counts, total, found); err != nil {
+				t.Fatal(err)
 			}
 			assertMatchesRef(t, back, newRefLog(reqs))
+			want, _, _ := src.CompactState()
+			if got, _, _ := back.CompactState(); !maps.Equal(got, want) {
+				t.Fatalf("compact state moved: %d vs %d IDs", len(got), len(want))
+			}
+			for i := range counts {
+				counts[i] += 99
+			}
+			assertMatchesRef(t, back, newRefLog(reqs))
+		})
+	}
+}
+
+// TestUnpackRefusesBrokenColumns: Unpack refuses columns that do not
+// hold together and leaves the log unchanged.
+func TestUnpackRefusesBrokenColumns(t *testing.T) {
+	src := NewRequestLog()
+	recordAll(src, testRequests(4, 200, 10))
+	ids, counts, total, found := src.Pack(nil, nil)
+	for name, args := range map[string]struct {
+		ids          []byte
+		counts       []int
+		total, found int
+	}{
+		"partial ID":      {ids[1:], counts, total, found},
+		"short counts":    {ids, counts[1:], total, found},
+		"repeated ID":     {append(ids[:len(ids):len(ids)], ids[:20]...), append(counts[:len(counts):len(counts)], 1), total + 1, found},
+		"zero count":      {ids, append([]int{0}, counts[1:]...), total - counts[0], found},
+		"total mismatch":  {ids, counts, total + 1, found},
+		"found too large": {ids, counts, total, total + 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l := NewRequestLog()
+			l.Record(onion.DescriptorID{0xFF}, true)
+			if err := l.Unpack(args.ids, args.counts, args.total, args.found); err == nil {
+				t.Fatal("Unpack accepted broken columns")
+			}
+			if l.Total() != 1 || l.UniqueIDs() != 1 {
+				t.Fatalf("a refused Unpack changed the log: total %d, %d IDs", l.Total(), l.UniqueIDs())
+			}
 		})
 	}
 }

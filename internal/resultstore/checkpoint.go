@@ -25,14 +25,23 @@ import (
 // SHA-256 of the payload — followed by the gob-encoded snapshot (gob,
 // not JSON, because snapshots carry float64s that must round-trip
 // bit-exactly, including non-finite values, and exact time.Time
-// instants). Writes are atomic and fsync'd like every store write; a
-// snapshot that fails its integrity check at read time is quarantined
-// and the set falls back to the previous window. Save prunes all but
-// the two newest windows, and a completed run Clears its set, so
-// checkpoints never accumulate.
+// instants). The pipelines' snapshots hold packed columns, not maps or
+// per-entry structs: fixed-width IDs end to end in one []byte and
+// per-entry scalars in typed slices, which gob writes as one
+// length-prefixed run each instead of one varint per ID byte. On the
+// long-axis perfbench workload, which saves after every window, that
+// cut the median CPU per run from 5.14 to 3.37 s on 2 vCPUs (see
+// EXPERIMENTS.md). Each snapshot carries its own format marker, so a
+// payload of an older form that still decodes under this magic is
+// ignored rather than half-restored. Writes are atomic and fsync'd like
+// every store write; a snapshot that fails its integrity check at read
+// time is quarantined and the set falls back to the previous window.
+// Save prunes all but the two newest windows, and a completed run
+// Clears its set, so checkpoints never accumulate.
 
-// ckptMagic versions the checkpoint file format.
-const ckptMagic = "torhs-ckpt/1"
+// ckptMagic versions the checkpoint file format. Version 2 is the first
+// whose snapshots are packed columns.
+const ckptMagic = "torhs-ckpt/2"
 
 // CheckpointSet is the window-indexed snapshot series of one cache key.
 type CheckpointSet struct {

@@ -1,6 +1,8 @@
 package resultstore
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -247,5 +249,33 @@ func TestWriteAtomicFaultSites(t *testing.T) {
 	}
 	if _, _, ok, err := s.Get(k); err != nil || !ok {
 		t.Fatalf("Get after retried Put = ok=%v err=%v", ok, err)
+	}
+}
+
+// TestLatestFallbackStartsFromZero: a hash-valid snapshot that fails to
+// decode part-way leaves no field behind in the state Latest then fills
+// from the previous window.
+func TestLatestFallbackStartsFromZero(t *testing.T) {
+	_, c := openCkpt(t)
+	if err := c.Save(1, struct{ Window int }{1}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(testState(2)); err != nil {
+		t.Fatal(err)
+	}
+	// Claim 127 labels where two follow: Window, Counts, Ratio and At
+	// decode, then the labels run past the end of the message.
+	payload := bytes.Replace(buf.Bytes(), []byte("\x02\x01a\x01b"), []byte("\x7f\x01a\x01b"), 1)
+	if err := os.WriteFile(c.winPath(2), signFrame(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got ckptState
+	w, ok, err := c.Latest(&got)
+	if err != nil || !ok || w != 1 {
+		t.Fatalf("Latest = (%d, %v, %v), want window 1", w, ok, err)
+	}
+	if got.Window != 1 || got.Counts != nil || got.Ratio != 0 {
+		t.Fatalf("the torn window 2 left fields behind: %+v", got)
 	}
 }

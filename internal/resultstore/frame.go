@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"strings"
 )
 
@@ -14,19 +15,21 @@ import (
 // the payload — followed by the gob-encoded state.
 
 // encodeFrame gob-encodes state behind an integrity header carrying
-// magic.
+// magic. The payload is encoded after room left for the header, which is
+// filled in once the hash is known, so the frame is never copied.
 func encodeFrame(magic string, state any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(state); err != nil {
+	hdr := len(magic) + 2 + 2*sha256.Size
+	buf := bytes.NewBuffer(make([]byte, hdr, 4096))
+	if err := gob.NewEncoder(buf).Encode(state); err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	data := make([]byte, 0, len(magic)+2+2*len(sum)+buf.Len())
-	data = append(data, magic...)
-	data = append(data, ' ')
-	data = append(data, hex.EncodeToString(sum[:])...)
-	data = append(data, '\n')
-	return append(data, buf.Bytes()...), nil
+	data := buf.Bytes()
+	sum := sha256.Sum256(data[hdr:])
+	n := copy(data, magic)
+	data[n] = ' '
+	hex.Encode(data[n+1:], sum[:])
+	data[hdr-1] = '\n'
+	return data, nil
 }
 
 // decodeFrame verifies data's header magic and payload hash, then
@@ -43,6 +46,13 @@ func decodeFrame(magic string, data []byte, state any) error {
 	sum := sha256.Sum256(payload)
 	if hex.EncodeToString(sum[:]) != wantHex {
 		return fmt.Errorf("payload hash mismatch (torn write?)")
+	}
+	// gob leaves fields the payload does not carry untouched, and a
+	// payload that fails part-way has already set some, so a state
+	// reused across decodes (Latest's fallback, a retried read) is zeroed
+	// first and cannot keep values from an earlier payload.
+	if v := reflect.ValueOf(state); v.Kind() == reflect.Pointer && !v.IsNil() {
+		v.Elem().SetZero()
 	}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(state); err != nil {
 		return fmt.Errorf("decode: %v", err)

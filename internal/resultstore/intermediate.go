@@ -22,12 +22,15 @@ import (
 // Each file carries the same one-line integrity header as checkpoints
 // (format magic + SHA-256 of the payload) followed by the gob-encoded
 // artefact; gob, not JSON, for the same bit-exact float64/time.Time
-// round-trip reasons. Writes are atomic and fsync'd; a file failing its
-// integrity check at read time is quarantined and reads as a clean miss,
-// so a torn spill can only cost a recompute, never a wrong result.
+// round-trip reasons. The trawl harvest spills in the packed-column form
+// its checkpoints share (trawl.HarvestState), with its own format
+// marker. Writes are atomic and fsync'd; a file failing its integrity
+// check at read time is quarantined and reads as a clean miss, so a torn
+// spill can only cost a recompute, never a wrong result.
 
-// intMagic versions the intermediate-artefact file format.
-const intMagic = "torhs-int/1"
+// intMagic versions the intermediate-artefact file format. Version 2 is
+// the first whose harvest artefact is packed columns.
+const intMagic = "torhs-int/2"
 
 // IntermediateSet holds the stage-named intermediate artefacts of one
 // cache key.
