@@ -314,7 +314,7 @@ func BenchmarkTrackingDetection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		docs := tracking.Docs(e.scenario.History.Range(from, to))
-		rep, err := an.AnalyzeSource(context.Background(), docs, e.scenario.Target, nil, 0, false)
+		rep, err := an.Analyze(context.Background(), docs, e.scenario.Target)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -535,16 +535,12 @@ func BenchmarkTrawlHarvest(b *testing.B) {
 }
 
 // BenchmarkCheckpointSave measures one checkpoint save — packing the
-// state, the frame encode and the atomic write — at the sizes the
-// long-axis workload (paper-scale-x100 cut to 8 trawl steps and 240
-// tracking days) saves after every window:
-//   - trawl: the harvest half of a trawl step's snapshot, packed by
-//     Harvest.State from 24,000 collected services and 44,000 logged
-//     descriptor IDs (a seed-1 long-axis run collects 23.6k addresses
-//     from 44.3k requested IDs);
-//   - tracking: the sweep state after 239 of 240 scenario days, captured
-//     from a checkpointed AnalyzeSource (the sweep's own packing loop
-//     allocates nothing once its columns have grown).
+// state, the frame encode and the atomic write — at the size the
+// long-axis workload (paper-scale-x100 cut to 8 trawl steps) saves after
+// every trawl step: trawl is the harvest half of a step's snapshot,
+// packed by Harvest.State from 24,000 collected services and 44,000
+// logged descriptor IDs (a seed-1 long-axis run collects 23.6k addresses
+// from 44.3k requested IDs).
 //
 // B/op and allocs/op do not depend on the runner; ns/op includes the
 // write's fsync.
@@ -564,31 +560,6 @@ func BenchmarkCheckpointSave(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if err := set.Save(i, h.State()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("tracking", func(b *testing.B) {
-		cfg := tracking.DefaultScenarioConfig(1)
-		cfg.Days = 240
-		sc, src, err := tracking.NewScenarioSource(cfg, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		an, err := tracking.NewAnalyzer(tracking.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var capture captureCheckpointer
-		if _, err := an.AnalyzeSource(context.Background(), src, sc.Target, &capture, src.Len()-1, false); err != nil {
-			b.Fatal(err)
-		}
-		if capture.state == nil {
-			b.Fatal("the sweep saved no snapshot")
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := set.Save(i, capture.state); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -620,16 +591,6 @@ func benchHarvest(services, ids int) *trawl.Harvest {
 	}
 	return h
 }
-
-// captureCheckpointer keeps the last state a pipeline saved.
-type captureCheckpointer struct{ state any }
-
-func (c *captureCheckpointer) Save(_ context.Context, _ int, state any) error {
-	c.state = state
-	return nil
-}
-
-func (c *captureCheckpointer) Latest(context.Context, any) (int, bool, error) { return 0, false, nil }
 
 // simnetBenchRuns are the two network shapes the simnet layer rows
 // measure, over the first consensus of a one-day fleet: observed=all
@@ -775,7 +736,7 @@ func BenchmarkTrackingNoDistanceRule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		docs := tracking.Docs(e.scenario.History.Range(from, to))
-		if _, err := an.AnalyzeSource(context.Background(), docs, e.scenario.Target, nil, 0, false); err != nil {
+		if _, err := an.Analyze(context.Background(), docs, e.scenario.Target); err != nil {
 			b.Fatal(err)
 		}
 	}

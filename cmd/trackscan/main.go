@@ -92,7 +92,7 @@ func runDemo(w io.Writer, scCfg tracking.ScenarioConfig, saveDir, csvPath string
 	if err != nil {
 		return err
 	}
-	rep, err := an.AnalyzeSource(context.Background(), tracking.Docs(sc.History.Range(sc.Start, sc.End)), sc.Target, nil, 0, false)
+	rep, err := an.Analyze(context.Background(), tracking.Docs(sc.History.Range(sc.Start, sc.End)), sc.Target)
 	if err != nil {
 		return err
 	}
@@ -192,7 +192,7 @@ func runArchive(w io.Writer, dir, target, fromStr, toStr, csvPath string) error 
 	if err != nil {
 		return err
 	}
-	rep, err := an.AnalyzeSource(context.Background(), tracking.Docs(docs), permID, nil, 0, false)
+	rep, err := an.Analyze(context.Background(), tracking.Docs(docs), permID)
 	if err != nil {
 		return err
 	}

@@ -15,8 +15,8 @@ import (
 //     positions hide the context from readers and from this suite);
 //   - context.Context is never stored in a struct field: a context is
 //     scoped to a call tree, and a struct-held context silently outlives
-//     the request or study that created it (the Checkpointer interfaces
-//     take ctx per call for exactly this reason);
+//     the request or study that created it (trawl's Checkpointer
+//     takes ctx per call for exactly this reason);
 //   - every function annotated //torhs:cancelpoint — the sharded-kernel
 //     boundaries (the simnet window plan, the trawl step loop, the
 //     tracking document sweep, the hspop phase sequence) — declares a

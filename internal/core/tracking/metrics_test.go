@@ -12,7 +12,7 @@ func analyzeWith(t *testing.T, sc *Scenario, cfg Config) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(200*24*time.Hour))), sc.Target, nil, 0, false)
+	rep, err := an.Analyze(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(200*24*time.Hour))), sc.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

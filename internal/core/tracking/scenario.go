@@ -233,12 +233,10 @@ const DefaultWindowRing = 4
 // most ring live documents. Memory stays flat in cfg.Days — the
 // full History is never materialized. Reading backward past the ring
 // rebuilds the simulation from seed and replays forward (documents are
-// re-derived, not stored), which is exactly how sweep shards and
-// checkpoint resumes rewind.
+// re-derived, not stored).
 //
 // The document sequence is byte-identical to BuildScenario's archived
-// history for the same cfg. Not safe for concurrent use; sweep shards
-// each take their own replica via Clone.
+// history for the same cfg. Not safe for concurrent use.
 type ScenarioSource struct {
 	cfg  ScenarioConfig
 	ring int
@@ -272,13 +270,6 @@ func (s *ScenarioSource) Len() int { return s.cfg.Days }
 
 // Ring returns the ring capacity (the live-document bound K).
 func (s *ScenarioSource) Ring() int { return s.ring }
-
-// Clone returns an independent replica of the source positioned at day
-// zero; its simulation is rebuilt from seed on first use. Sweep shards
-// clone so each folds its own ring.
-func (s *ScenarioSource) Clone() DocSource {
-	return &ScenarioSource{cfg: s.cfg, ring: s.ring}
-}
 
 // rebuild re-derives the simulation from seed and empties the ring.
 func (s *ScenarioSource) rebuild() error {

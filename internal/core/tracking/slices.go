@@ -57,7 +57,7 @@ func (a *Analyzer) AnalyzeSlices(
 		if i == n-1 {
 			sliceTo = to
 		}
-		rep, err := a.AnalyzeSource(ctx, Docs(h.Range(sliceFrom, sliceTo)), target, nil, 0, false)
+		rep, err := a.Analyze(ctx, Docs(h.Range(sliceFrom, sliceTo)), target)
 		if err != nil {
 			return nil, fmt.Errorf("tracking: slice %d: %w", i, err)
 		}

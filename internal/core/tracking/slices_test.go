@@ -136,7 +136,7 @@ func TestWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(120*24*time.Hour))), sc.Target, nil, 0, false)
+	rep, err := an.Analyze(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(120*24*time.Hour))), sc.Target)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,9 +73,7 @@ func TestStreamingPeakHeapRegression(t *testing.T) {
 		t.Skip("year-long scenario build is not short")
 	}
 	cfg := memScenarioConfig()
-	aCfg := DefaultConfig()
-	aCfg.Workers = 1 // sequential on both sides: compare kernels, not shard counts
-	an, err := NewAnalyzer(aCfg)
+	an, err := NewAnalyzer(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func TestStreamingPeakHeapRegression(t *testing.T) {
 		}
 		from := sc.Start
 		to := from.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-		rep, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
+		rep, err := an.Analyze(context.Background(), Docs(sc.History.Range(from, to)), sc.Target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +99,7 @@ func TestStreamingPeakHeapRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := an.AnalyzeSource(context.Background(), src, sc.Target, nil, 0, false)
+		rep, err := an.Analyze(context.Background(), src, sc.Target)
 		if err != nil {
 			t.Fatal(err)
 		}

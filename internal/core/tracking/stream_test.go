@@ -3,7 +3,6 @@ package tracking
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -54,12 +53,10 @@ func TestScenarioSourceMatchesHistory(t *testing.T) {
 	}
 }
 
-// streamReport runs AnalyzeSource over a fresh ScenarioSource.
-func streamReport(t *testing.T, cfg ScenarioConfig, workers, ring int) *Report {
+// streamReport runs Analyze over a fresh ScenarioSource.
+func streamReport(t *testing.T, cfg ScenarioConfig, ring int) *Report {
 	t.Helper()
-	aCfg := DefaultConfig()
-	aCfg.Workers = workers
-	an, err := NewAnalyzer(aCfg)
+	an, err := NewAnalyzer(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +64,7 @@ func streamReport(t *testing.T, cfg ScenarioConfig, workers, ring int) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := an.AnalyzeSource(context.Background(), src, mustScenario(t, cfg).Target, nil, 0, false)
+	rep, err := an.Analyze(context.Background(), src, mustScenario(t, cfg).Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +91,8 @@ func mustScenario(t *testing.T, cfg ScenarioConfig) *Scenario {
 // TestAnalyzeSourceStreamingMatchesMaterialized is the tracking leg of
 // the streaming equivalence contract: the report from a bounded-ring
 // streaming source must equal the materialized-history report exactly,
-// at every worker count (sharded streaming clones the source per shard)
-// and at every ring size down to 1.
+// at every ring size down to 1.
 func TestAnalyzeSourceStreamingMatchesMaterialized(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-
 	cfg := DefaultScenarioConfig(32)
 	sc := mustScenario(t, cfg)
 	an, err := NewAnalyzer(DefaultConfig())
@@ -108,27 +101,24 @@ func TestAnalyzeSourceStreamingMatchesMaterialized(t *testing.T) {
 	}
 	from := sc.Start
 	to := from.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-	ref, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
+	ref, err := an.Analyze(context.Background(), Docs(sc.History.Range(from, to)), sc.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ref.Suspicious) == 0 {
 		t.Fatal("reference analysis found nothing; scenario too small to prove anything")
 	}
-	for _, tc := range []struct{ workers, ring int }{
-		{1, 1}, {1, 0}, {4, 1}, {4, 0}, {8, 2}, {0, 0},
-	} {
-		got := streamReport(t, cfg, tc.workers, tc.ring)
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("streamed report (workers=%d ring=%d) diverged from materialized analysis",
-				tc.workers, tc.ring)
+	for _, ring := range []int{1, 2, 0} {
+		if got := streamReport(t, cfg, ring); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("streamed report (ring=%d) diverged from materialized analysis", ring)
 		}
 	}
 }
 
-// TestStreamingCrashResumeByteIdentical kills a checkpointed streaming
-// sweep at the window fault site and resumes it over the same snapshot
-// set: the resumed report must equal an uninterrupted materialized run's.
+// TestStreamingCrashResumeByteIdentical kills a streaming sweep at the
+// window fault site, then folds a fresh source from document zero — all
+// a resumed study does for tracking: the report must equal an
+// uninterrupted materialized run's.
 func TestStreamingCrashResumeByteIdentical(t *testing.T) {
 	cfg := DefaultScenarioConfig(33)
 	sc := mustScenario(t, cfg)
@@ -138,13 +128,12 @@ func TestStreamingCrashResumeByteIdentical(t *testing.T) {
 	}
 	from := sc.Start
 	to := from.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-	ref, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
+	ref, err := an.Analyze(context.Background(), Docs(sc.History.Range(from, to)), sc.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := trackingCkptSet(t)
 
-	// "Process one": crash entering window 60, snapshots every 7 docs.
+	// "Process one": crash entering window 60.
 	in := fault.New(1)
 	if err := in.Set(fault.SiteTrackingWindow, fault.Rule{Mode: fault.ModeCrash, At: 60}); err != nil {
 		t.Fatal(err)
@@ -161,28 +150,19 @@ func TestStreamingCrashResumeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an.AnalyzeSource(context.Background(), src, sc.Target, ctxSet{set}, 7, false)
+		an.Analyze(context.Background(), src, sc.Target)
 	}()
 	fault.Install(prev)
 
-	// "Process two": a fresh source resumes from the snapshot; its ring
-	// replays forward from seed to the restored window.
-	_, src, err := NewScenarioSource(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := an.AnalyzeSource(context.Background(), src, sc.Target, ctxSet{set}, 7, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatal("resumed streaming analysis diverged from uninterrupted materialized run")
+	// "Process two": a fresh source refolds from seed.
+	if got := streamReport(t, cfg, 0); !reflect.DeepEqual(ref, got) {
+		t.Fatal("refolded streaming analysis diverged from uninterrupted materialized run")
 	}
 }
 
-// TestStreamingCancellationExact cancels a checkpointed streaming sweep
-// mid-fold, requires the cancellation to surface as ctx.Err() with the
-// folded prefix flushed, and requires the resumed report to be exact.
+// TestStreamingCancellationExact cancels a streaming sweep mid-fold and
+// requires the cancellation to surface as ctx.Err() before the next
+// document is pulled, and a later fold to be exact.
 func TestStreamingCancellationExact(t *testing.T) {
 	cfg := DefaultScenarioConfig(34)
 	sc := mustScenario(t, cfg)
@@ -192,11 +172,10 @@ func TestStreamingCancellationExact(t *testing.T) {
 	}
 	from := sc.Start
 	to := from.Add(time.Duration(cfg.Days) * 24 * time.Hour)
-	ref, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(from, to)), sc.Target, nil, 0, false)
+	ref, err := an.Analyze(context.Background(), Docs(sc.History.Range(from, to)), sc.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := trackingCkptSet(t)
 
 	// Cancel after window 50 folds: the source counts folds and trips the
 	// context from inside the sweep, the way a deadline lands mid-run.
@@ -207,29 +186,15 @@ func TestStreamingCancellationExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := &cancellingSource{DocSource: src, cancelAt: 50, cancel: cancel}
-	if _, err := an.AnalyzeSource(ctx, cs, sc.Target, ctxSet{set}, 5, false); err != context.Canceled {
+	if _, err := an.Analyze(ctx, cs, sc.Target); err != context.Canceled {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
-	// The cancellation flush must have landed a snapshot of the folded
-	// prefix, so the resume skips straight past it.
-	var snap sweepSnapshot
-	if _, ok, err := set.Latest(&snap); err != nil || !ok {
-		t.Fatalf("no snapshot after cancellation flush (ok=%v err=%v)", ok, err)
-	}
-	if snap.Docs < 50 {
-		t.Fatalf("cancellation flush covers %d documents, want >= 50", snap.Docs)
+	if cs.served != cs.cancelAt {
+		t.Fatalf("sweep pulled %d documents, want it to stop at the cancel after %d", cs.served, cs.cancelAt)
 	}
 
-	_, src2, err := NewScenarioSource(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := an.AnalyzeSource(context.Background(), src2, sc.Target, ctxSet{set}, 5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Fatal("post-cancellation resume diverged from uninterrupted run")
+	if got := streamReport(t, cfg, 0); !reflect.DeepEqual(ref, got) {
+		t.Fatal("fold after a cancellation diverged from uninterrupted run")
 	}
 }
 

@@ -25,21 +25,9 @@ import (
 	"torhs/internal/consensus"
 	"torhs/internal/fault"
 	"torhs/internal/onion"
-	"torhs/internal/parallel"
 	"torhs/internal/relay"
 	"torhs/internal/stats"
 )
-
-// Checkpointer persists per-window sweep snapshots so a killed analysis
-// resumes from its last folded consensus document. The contract matches
-// resultstore.CheckpointSet; the interface keeps tracking below the
-// store in the import graph. The context is per call — implementations
-// must not retain it — and the cancellation flush passes an
-// uncancellable context so the final snapshot always lands.
-type Checkpointer interface {
-	Save(ctx context.Context, window int, state any) error
-	Latest(ctx context.Context, state any) (window int, ok bool, err error)
-}
 
 // Config parameterises the detector; defaults follow the paper.
 type Config struct {
@@ -61,11 +49,10 @@ type Config struct {
 	// HSDirUptime is the flag threshold (for rule 5's minimum-uptime
 	// check).
 	HSDirUptime time.Duration
-	// Workers shards the consensus sweep across goroutines (<= 0 means
-	// one per CPU). Shards sweep contiguous document ranges and merge in
-	// shard order, so the report is identical at every worker count.
-	// Checkpointed or resumed analyses always sweep sequentially:
-	// snapshots are per-document left folds.
+	// Workers is ignored: the sweep is one sequential fold, which a
+	// streamed source cannot outrun by sharding (each shard would replay
+	// its prefix from seed). The field stays only for callers that still
+	// set it.
 	Workers int
 }
 
@@ -204,24 +191,11 @@ type relayState struct {
 	extraIPs   []string
 	switchAts  []time.Time
 
-	// Boundary fields for the sharded sweep's merge: what this state saw
-	// *first* in its document range, so the merge can stitch the seam
-	// against the preceding shard's *last* observations (fingerprint
-	// switches hiding at the boundary, responsible-day runs crossing it).
-	// mergeRelayState only ever reads them from a pristine single-shard
-	// state, never from an already-merged one.
-	firstFP      onion.Fingerprint
-	firstSeenAt  time.Time
-	firstRespDay int64 // unix day of the first responsibility, noRespDay if none
-	initRun      int   // length of the first consecutive responsible-day run
-
 	lastRespDay    int64 // unix day of the latest responsibility, noRespDay if none
 	curRun, maxRun int   // consecutive responsible days
 	respCount      int   // distinct responsible days
 
 	occCount, occOff, occFilled int // global occurrence-list bookkeeping
-
-	idx int // creation index: the state's position in its stateTable.all
 }
 
 // stateTable maps relay IDs to their accumulating state. Simulation IDs
@@ -287,8 +261,6 @@ func (t *stateTable) alloc(id relay.ID) *relayState {
 	t.used++
 	st.report.RelayID = id
 	st.lastRespDay = noRespDay
-	st.firstRespDay = noRespDay
-	st.idx = len(t.all)
 	t.all = append(t.all, st)
 	return st
 }
@@ -301,22 +273,13 @@ func (st *relayState) markResponsible(day int64) {
 	if day == st.lastRespDay {
 		return
 	}
-	cont := day == st.lastRespDay+1
-	if cont {
+	if day == st.lastRespDay+1 {
 		st.curRun++
 	} else {
 		st.curRun = 1
 	}
 	if st.curRun > st.maxRun {
 		st.maxRun = st.curRun
-	}
-	// Track the first run for the shard merge: it keeps pace with
-	// respCount exactly until the first gap, then freezes.
-	if st.respCount == 0 {
-		st.firstRespDay = day
-		st.initRun = 1
-	} else if cont && st.initRun == st.respCount {
-		st.initRun++
 	}
 	st.lastRespDay = day
 	st.respCount++
@@ -359,9 +322,6 @@ func sortedWithFirst(first string, extra []string) []string {
 // windows from seed through a bounded sliding ring (ScenarioSource).
 // Sequential access is O(1) for every implementation; rewinding a
 // streaming source replays from seed.
-//
-// Sources that must not be shared across sweep shards implement
-// Clone() DocSource; each shard then folds its own replica.
 type DocSource interface {
 	// Len returns the number of documents in the window.
 	Len() int
@@ -373,7 +333,7 @@ type DocSource interface {
 }
 
 // Docs adapts a materialized document slice — typically
-// History.Range(from, to) — to DocSource. Shards share it read-only.
+// History.Range(from, to) — to DocSource.
 type Docs []*consensus.Document
 
 // Len implements DocSource.
@@ -382,97 +342,28 @@ func (d Docs) Len() int { return len(d) }
 // At implements DocSource.
 func (d Docs) At(i int) (*consensus.Document, error) { return d[i], nil }
 
-// AnalyzeSource sweeps every document of src and scores every relay
-// that was ever responsible for the target. It is the one sweep entry
-// point: a materialized window passes Docs(h.Range(from, to)), the
-// study streams through ScenarioSource, and the report is byte-identical
-// for the same document sequence at every worker count.
+// Analyze sweeps every document of src and scores every relay that was
+// ever responsible for the target. It is the one sweep: a materialized
+// window passes Docs(h.Range(from, to)), the study streams through
+// ScenarioSource, and the report is the same for the same document
+// sequence. The sweep is a left fold over documents in ValidAfter order,
+// so a resumed study simply refolds from document zero — no more than
+// the replay a streamed source pays to reach any later document anyway.
 //
-// When ckpt is non-nil the sweep state is snapshotted every `every`
-// documents (<= 0 means every document), and with resume set the sweep
-// folds forward from the latest valid snapshot instead of document
-// zero. The report is byte-identical to an uninterrupted sweep: the
-// sweep is a pure left fold over documents in ValidAfter order, and the
-// wrap-up sorts by a total order, so restored accumulator state is
-// indistinguishable from locally-computed state.
-//
-// The document is the cancellation unit: ctx is observed before every
-// fold. A cancelled checkpointed sweep flushes a snapshot of its folded
-// prefix before returning ctx.Err(), so a deliberate stop loses no
-// completed documents and a resume is byte-identical to an
-// uninterrupted analysis.
+// The document is the cancellation unit: ctx is observed, and the
+// tracking.window fault site hit, before every fold.
 //
 //torhs:cancelpoint
-func (a *Analyzer) AnalyzeSource(
-	ctx context.Context,
-	src DocSource,
-	target onion.PermanentID,
-	ckpt Checkpointer,
-	every int,
-	resume bool,
-) (*Report, error) {
+func (a *Analyzer) Analyze(ctx context.Context, src DocSource, target onion.PermanentID) (*Report, error) {
 	n := src.Len()
 	if n == 0 {
 		return nil, fmt.Errorf("tracking: empty document source")
 	}
-
-	// Without a checkpointer the sweep is free to shard: contiguous
-	// document ranges fold in parallel and merge in shard order, which
-	// reproduces the sequential left fold exactly (verified against the
-	// sequential path by the determinism tests). Checkpointed analyses
-	// stay sequential — their snapshots are per-document prefixes.
-	if ckpt == nil {
-		if shards := parallel.NumChunks(a.cfg.Workers, n); shards > 1 {
-			sw, err := a.sweepSharded(ctx, src, target, shards)
-			if err != nil {
-				return nil, err
-			}
-			return a.report(sw, n), nil
-		}
-	}
-
 	sw := newSweep(a)
-	start := 0
-	if resume && ckpt != nil {
-		var snap sweepSnapshot
-		w, ok, err := ckpt.Latest(ctx, &snap)
-		if err != nil {
-			return nil, fmt.Errorf("tracking: resume: %w", err)
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		// A snapshot that is not the packed form, or whose columns do
-		// not hold together, is treated as missing: the fold starts over
-		// from document zero.
-		if ok {
-			if rerr := sw.restore(&snap); rerr != nil {
-				sw = newSweep(a)
-			} else if snap.Docs != w+1 || snap.Docs >= n {
-				return nil, fmt.Errorf("tracking: resume: snapshot covers %d documents under window %d (have %d)",
-					snap.Docs, w, n)
-			} else {
-				start = snap.Docs
-			}
-		}
-	}
-	if every <= 0 {
-		every = 1
-	}
-	// lastSaved is the newest document index already snapshotted (the
-	// restored prefix on resume, nothing otherwise); the cancellation
-	// flush only writes when the fold advanced past it.
-	lastSaved := start - 1
-	for i := start; i < n; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if ckpt != nil && i-1 > lastSaved {
-				// The run is already cancelled; the flush must still
-				// land, so it keeps ctx's values but not its cancel.
-				if err := ckpt.Save(context.WithoutCancel(ctx), i-1, sw.snapshot(i)); err != nil {
-					return nil, fmt.Errorf("tracking: window %d: cancel flush: %w", i-1, err)
-				}
-			}
-			return nil, cerr
-		}
-		// The document boundary is the tracking fault site: everything
-		// before it is snapshotted (or cheap to refold).
 		if err := fault.Hit(fault.SiteTrackingWindow); err != nil {
 			return nil, fmt.Errorf("tracking: window %d: %w", i, err)
 		}
@@ -481,71 +372,18 @@ func (a *Analyzer) AnalyzeSource(
 			return nil, fmt.Errorf("tracking: window %d: source: %w", i, err)
 		}
 		sw.observeDoc(doc, target)
-		// Snapshot after the document folds; the final document is not
-		// snapshotted — the report follows immediately and the caller
-		// clears the set on success.
-		if ckpt != nil && i < n-1 && (i+1)%every == 0 {
-			if err := ckpt.Save(ctx, i, sw.snapshot(i+1)); err != nil {
-				return nil, fmt.Errorf("tracking: window %d: checkpoint: %w", i, err)
-			}
-			lastSaved = i
-		}
 	}
 	return a.report(&sw, n), nil
 }
 
-// sweepSharded folds the source through per-shard private sweeps over
-// contiguous document ranges and merges them in shard order. A source
-// implementing Clone() DocSource gives each shard its own replica (a
-// streaming source replays its range from seed); other sources are
-// shared read-only. The fault site still fires once per document, and
-// every shard observes ctx at its document boundaries; when several
-// shards trip either, the error of the lowest document index wins — the
-// one the sequential sweep would have hit first (cancellation surfaces
-// as ctx.Err() whichever shard noticed it, so the report is
-// deterministic).
-func (a *Analyzer) sweepSharded(ctx context.Context, src DocSource, target onion.PermanentID, shards int) (*sweep, error) {
-	sweeps := make([]sweep, shards)
-	type shardFail struct {
-		doc int
-		err error
+// AnalyzeSource is Analyze under its former signature, kept for callers
+// outside this module. The sweep keeps no checkpoints, so it refuses
+// anything but a nil checkpointer, a zero cadence and no resume.
+func (a *Analyzer) AnalyzeSource(ctx context.Context, src DocSource, target onion.PermanentID, ckpt any, every int, resume bool) (*Report, error) {
+	if ckpt != nil || every != 0 || resume {
+		return nil, fmt.Errorf("tracking: the sweep takes no checkpointer, cadence or resume")
 	}
-	fails := make([]shardFail, shards)
-	cloner, _ := src.(interface{ Clone() DocSource })
-	parallel.Chunks(shards, src.Len(), func(shard, lo, hi int) {
-		shardSrc := src
-		if cloner != nil {
-			shardSrc = cloner.Clone()
-		}
-		sw := &sweeps[shard]
-		*sw = newSweep(a)
-		for i := lo; i < hi; i++ {
-			if cerr := ctx.Err(); cerr != nil {
-				fails[shard] = shardFail{doc: i, err: cerr}
-				return
-			}
-			if err := fault.Hit(fault.SiteTrackingWindow); err != nil {
-				fails[shard] = shardFail{doc: i, err: fmt.Errorf("tracking: window %d: %w", i, err)}
-				return
-			}
-			doc, err := shardSrc.At(i)
-			if err != nil {
-				fails[shard] = shardFail{doc: i, err: fmt.Errorf("tracking: window %d: source: %w", i, err)}
-				return
-			}
-			sw.observeDoc(doc, target)
-		}
-	})
-	failDoc, failErr := -1, error(nil)
-	for s := range fails {
-		if fails[s].err != nil && (failDoc < 0 || fails[s].doc < failDoc) {
-			failDoc, failErr = fails[s].doc, fails[s].err
-		}
-	}
-	if failErr != nil {
-		return nil, failErr
-	}
-	return mergeSweeps(sweeps), nil
+	return a.Analyze(ctx, src, target)
 }
 
 // report runs the wrap-up over a finished sweep of n documents:
@@ -620,147 +458,7 @@ func (a *Analyzer) report(sw *sweep, n int) *Report {
 	return rep
 }
 
-// mergeSweeps folds the per-shard partial sweeps into sweeps[0], in
-// shard index order. Document shards are contiguous ascending ranges, so
-// shard order is chronological order: relay states merging in src
-// creation order reproduces the sequential sweep's first-appearance
-// order, and the global occurrence list concatenates chronologically
-// with owner pointers remapped into the merged table.
-//
-//torhs:shardmerge sweeps
-//torhs:hotpath
-func mergeSweeps(sweeps []sweep) *sweep {
-	dst := &sweeps[0]
-	for i := 1; i < len(sweeps); i++ {
-		src := &sweeps[i]
-		dst.totalHSDirs += src.totalHSDirs
-		if dst.firstVA.IsZero() {
-			dst.firstVA = src.firstVA
-		}
-		if !src.lastVA.IsZero() {
-			dst.lastVA = src.lastVA
-		}
-		for _, sst := range src.states.all {
-			mergeRelayState(dst.states.get(sst.report.RelayID), sst)
-		}
-		dst.occs = append(dst.occs, src.occs...)
-		for _, sst := range src.occStates {
-			dst.occStates = append(dst.occStates, dst.states.get(sst.report.RelayID))
-		}
-	}
-	return dst
-}
-
-// mergeRelayState folds src — one relay's state over the *next*
-// contiguous document range — into dst, the same relay's state over
-// everything before it. All cross-range continuity is resolved here:
-// a fingerprint switch hiding at the seam (src first saw the relay under
-// a different fingerprint than dst last did), a responsible-day run
-// crossing it, and the boundary day counted by both ranges when the seam
-// falls inside one unix day. src must be a pristine single-range state:
-// its first* boundary fields are only meaningful there.
-func mergeRelayState(dst, src *relayState) {
-	if !dst.seen {
-		// The relay's first sighting was in src's range: adopt it
-		// wholesale. Slice fields transfer ownership — shard sweeps are
-		// discarded after the merge.
-		id, idx := dst.report.RelayID, dst.idx
-		*dst = *src
-		dst.report.RelayID, dst.idx = id, idx
-		return
-	}
-
-	dst.report.Switches += src.report.Switches
-	dst.report.FreshFlagResponsible += src.report.FreshFlagResponsible
-	if src.report.MaxRatio > dst.report.MaxRatio {
-		dst.report.MaxRatio = src.report.MaxRatio
-	}
-	dst.occCount += src.occCount
-
-	// Seam fingerprint switch, recorded at the document where src first
-	// saw the relay — exactly where the sequential sweep records it.
-	if src.firstFP != dst.lastFP {
-		dst.report.Switches++
-		dst.switchAts = append(dst.switchAts, src.firstSeenAt)
-	}
-	// Distinct fingerprint set: union, keeping the nil-means-{lastFP}
-	// encoding while the union stays a single fingerprint.
-	if dst.fps != nil || src.fps != nil || src.lastFP != dst.lastFP {
-		if dst.fps == nil {
-			dst.fps = append(make([]onion.Fingerprint, 0, 4), dst.lastFP)
-		}
-		if src.fps == nil {
-			dst.fps = appendFPAbsent(dst.fps, src.lastFP)
-		} else {
-			for _, fp := range src.fps {
-				dst.fps = appendFPAbsent(dst.fps, fp)
-			}
-		}
-	}
-	dst.switchAts = append(dst.switchAts, src.switchAts...)
-	dst.lastFP = src.lastFP
-
-	if src.nick0 != dst.nick0 {
-		dst.extraNicks = appendStrAbsent(dst.extraNicks, src.nick0)
-	}
-	for _, v := range src.extraNicks {
-		if v != dst.nick0 {
-			dst.extraNicks = appendStrAbsent(dst.extraNicks, v)
-		}
-	}
-	if src.ip0 != dst.ip0 {
-		dst.extraIPs = appendStrAbsent(dst.extraIPs, src.ip0)
-	}
-	for _, v := range src.extraIPs {
-		if v != dst.ip0 {
-			dst.extraIPs = appendStrAbsent(dst.extraIPs, v)
-		}
-	}
-
-	if src.respCount > 0 {
-		if dst.respCount == 0 {
-			dst.firstRespDay = src.firstRespDay
-			dst.initRun = src.initRun
-			dst.lastRespDay = src.lastRespDay
-			dst.curRun = src.curRun
-			dst.maxRun = src.maxRun
-			dst.respCount = src.respCount
-		} else {
-			// Days are nondecreasing across the document order, so src's
-			// first responsible day is >= dst's last. Two seams need
-			// stitching: the same unix day observed by both ranges (the
-			// sequential sweep counts it once), and a run continuing
-			// straight across the boundary (bridged = its true length).
-			bridged := 0
-			switch src.firstRespDay {
-			case dst.lastRespDay:
-				dst.respCount += src.respCount - 1
-				bridged = dst.curRun + src.initRun - 1
-			case dst.lastRespDay + 1:
-				dst.respCount += src.respCount
-				bridged = dst.curRun + src.initRun
-			default:
-				dst.respCount += src.respCount
-			}
-			if src.maxRun > dst.maxRun {
-				dst.maxRun = src.maxRun
-			}
-			if bridged > dst.maxRun {
-				dst.maxRun = bridged
-			}
-			if bridged > 0 && src.initRun == src.respCount {
-				// src was one unbroken run; the bridge extends it, so it
-				// is still the current run.
-				dst.curRun = bridged
-			} else {
-				dst.curRun = src.curRun
-			}
-			dst.lastRespDay = src.lastRespDay
-		}
-	}
-}
-
-// sweep is the accumulation state of one AnalyzeSource pass over a
+// sweep is the accumulation state of one Analyze pass over a
 // consensus range. Occurrences accumulate in one chronological global
 // list (plus the owning state per entry) and are carved into per-relay
 // slices at wrap-up, so the sweep never grows hundreds of tiny slices.
@@ -775,8 +473,6 @@ type sweep struct {
 	// the report's From/To — captured during the fold so the wrap-up
 	// never needs the (possibly already recycled) documents themselves.
 	firstVA, lastVA time.Time
-	// snap's columns are reused by every snapshot.
-	snap sweepSnapshot
 }
 
 // newSweep returns an empty sweep for the analyzer.
@@ -790,272 +486,9 @@ func newSweep(a *Analyzer) sweep {
 	}
 }
 
-// sweepSnapshot is the serializable form of a sweep after Docs folded
-// documents, in packed columns. Relay states appear in creation order:
-// Relays holds relayCols int64s per state, the other relay columns one
-// entry per state, and the per-state lists (distinct fingerprints, extra
-// nicknames and IPs, switch instants) are concatenated in state order
-// with their lengths in Relays. Occurrences appear in chronological
-// order: OccRows holds occCols int64s per occurrence, its owner being a
-// state's creation index. Instants are Unix seconds and nanoseconds,
-// restored in FirstVA's location. The wrap-up-only fields (occOff,
-// occFilled) are deliberately absent — they are recomputed from occCount
-// when the report is carved.
-type sweepSnapshot struct {
-	// Format is sweepFormat. A payload of any other form decodes with
-	// Format zero and is refused, so it is never half-restored.
-	Format      int
-	Docs        int
-	TotalHSDirs int
-	// FirstVA / LastVA carry the folded prefix's window bounds.
-	FirstVA, LastVA time.Time
-
-	Relays     []int64
-	MaxRatios  []float64
-	LastFPs    []byte
-	FirstFPs   []byte
-	Nick0s     []string
-	IP0s       []string
-	FPs        []byte
-	ExtraNicks []string
-	ExtraIPs   []string
-	SwitchAts  []int64
-
-	OccRows   []int64
-	OccRatios []float64
-	OccFPs    []byte
-}
-
-// sweepFormat marks the packed-column sweepSnapshot.
-const sweepFormat = 1
-
-// The int64 columns of one relay state in sweepSnapshot.Relays.
-const (
-	relID = iota
-	relSeen
-	relSwitches
-	relFresh
-	relFirstSeenSec
-	relFirstSeenNsec
-	relFirstRespDay
-	relInitRun
-	relLastRespDay
-	relCurRun
-	relMaxRun
-	relRespCount
-	relOccCount
-	relFPs // len(fps); 0 while fps is nil
-	relNicks
-	relIPs
-	relSwitchAts
-	relayCols
-)
-
-// The int64 columns of one occurrence in sweepSnapshot.OccRows.
-const (
-	occOwner = iota
-	occReplica
-	occAtSec
-	occAtNsec
-	occUptime
-	occCols
-)
-
-// snapshot captures the sweep after docs folded documents, into columns
-// reused from the previous snapshot.
-func (sw *sweep) snapshot(docs int) *sweepSnapshot {
-	s := &sw.snap
-	*s = sweepSnapshot{
-		Format:      sweepFormat,
-		Docs:        docs,
-		TotalHSDirs: sw.totalHSDirs,
-		FirstVA:     sw.firstVA,
-		LastVA:      sw.lastVA,
-		Relays:      s.Relays[:0],
-		MaxRatios:   s.MaxRatios[:0],
-		LastFPs:     s.LastFPs[:0],
-		FirstFPs:    s.FirstFPs[:0],
-		Nick0s:      s.Nick0s[:0],
-		IP0s:        s.IP0s[:0],
-		FPs:         s.FPs[:0],
-		ExtraNicks:  s.ExtraNicks[:0],
-		ExtraIPs:    s.ExtraIPs[:0],
-		SwitchAts:   s.SwitchAts[:0],
-		OccRows:     s.OccRows[:0],
-		OccRatios:   s.OccRatios[:0],
-		OccFPs:      s.OccFPs[:0],
-	}
-	for _, st := range sw.states.all {
-		seen := int64(0)
-		if st.seen {
-			seen = 1
-		}
-		s.Relays = append(s.Relays,
-			int64(st.report.RelayID), seen,
-			int64(st.report.Switches), int64(st.report.FreshFlagResponsible),
-			st.firstSeenAt.Unix(), int64(st.firstSeenAt.Nanosecond()),
-			st.firstRespDay, int64(st.initRun), st.lastRespDay,
-			int64(st.curRun), int64(st.maxRun), int64(st.respCount), int64(st.occCount),
-			int64(len(st.fps)), int64(len(st.extraNicks)), int64(len(st.extraIPs)), int64(len(st.switchAts)))
-		s.MaxRatios = append(s.MaxRatios, st.report.MaxRatio)
-		s.LastFPs = onion.AppendPacked(s.LastFPs, st.lastFP)
-		s.FirstFPs = onion.AppendPacked(s.FirstFPs, st.firstFP)
-		s.Nick0s = append(s.Nick0s, st.nick0)
-		s.IP0s = append(s.IP0s, st.ip0)
-		for _, fp := range st.fps {
-			s.FPs = onion.AppendPacked(s.FPs, fp)
-		}
-		s.ExtraNicks = append(s.ExtraNicks, st.extraNicks...)
-		s.ExtraIPs = append(s.ExtraIPs, st.extraIPs...)
-		for _, at := range st.switchAts {
-			s.SwitchAts = append(s.SwitchAts, at.Unix(), int64(at.Nanosecond()))
-		}
-	}
-	for i := range sw.occs {
-		o := &sw.occs[i]
-		s.OccRows = append(s.OccRows,
-			int64(sw.occStates[i].idx), int64(o.Replica), o.At.Unix(), int64(o.At.Nanosecond()), int64(o.Uptime))
-		s.OccRatios = append(s.OccRatios, o.Ratio)
-		s.OccFPs = onion.AppendPacked(s.OccFPs, o.Fingerprint)
-	}
-	return s
-}
-
-// restore rebuilds an empty sweep from a snapshot. States are recreated
-// in their original creation order, so the occurrence-owner indexes (and
-// the wrap-up's creation-order walk) line up exactly. It refuses a
-// snapshot that is not the packed form or whose columns do not hold
-// together — a column whose length is not a multiple of its width or
-// disagrees with the state count, per-state list lengths that do not sum
-// to their column's length, a repeated relay ID, an occurrence owner out
-// of range or owners that disagree with their state's occurrence count —
-// leaving the sweep partly filled, for the caller to discard.
-func (sw *sweep) restore(snap *sweepSnapshot) error {
-	if snap.Format != sweepFormat {
-		return fmt.Errorf("tracking: snapshot format %d, want %d", snap.Format, sweepFormat)
-	}
-	n := len(snap.Relays) / relayCols
-	lastFPs, okLast := onion.UnpackIDs[onion.Fingerprint](snap.LastFPs)
-	firstFPs, okFirst := onion.UnpackIDs[onion.Fingerprint](snap.FirstFPs)
-	fps, okFPs := onion.UnpackIDs[onion.Fingerprint](snap.FPs)
-	if len(snap.Relays)%relayCols != 0 || !okLast || !okFirst || !okFPs ||
-		len(snap.MaxRatios) != n || len(lastFPs) != n || len(firstFPs) != n ||
-		len(snap.Nick0s) != n || len(snap.IP0s) != n || len(snap.SwitchAts)%2 != 0 {
-		return fmt.Errorf("tracking: relay columns disagree on %d relay states", n)
-	}
-	nOcc := len(snap.OccRows) / occCols
-	occFPs, okOcc := onion.UnpackIDs[onion.Fingerprint](snap.OccFPs)
-	if len(snap.OccRows)%occCols != 0 || !okOcc || len(occFPs) != nOcc || len(snap.OccRatios) != nOcc {
-		return fmt.Errorf("tracking: occurrence columns disagree on %d occurrences", nOcc)
-	}
-	loc := snap.FirstVA.Location()
-	switchAts := make([]time.Time, len(snap.SwitchAts)/2)
-	for i := range switchAts {
-		sec, nsec := snap.SwitchAts[2*i], snap.SwitchAts[2*i+1]
-		if !validNsec(nsec) {
-			return fmt.Errorf("tracking: switch instant nanoseconds %d", nsec)
-		}
-		switchAts[i] = time.Unix(sec, nsec).In(loc)
-	}
-
-	sw.totalHSDirs = snap.TotalHSDirs
-	sw.firstVA = snap.FirstVA
-	sw.lastVA = snap.LastVA
-	// Offsets into the concatenated per-state list columns.
-	var fpOff, nickOff, ipOff, swOff int
-	take := func(off *int, k int64, total int) (lo, hi int, ok bool) {
-		if k < 0 || int64(total-*off) < k {
-			return 0, 0, false
-		}
-		lo = *off
-		*off += int(k)
-		return lo, *off, true
-	}
-	for i := 0; i < n; i++ {
-		row := snap.Relays[i*relayCols : (i+1)*relayCols]
-		st := sw.states.get(relay.ID(row[relID]))
-		if st.idx != i {
-			return fmt.Errorf("tracking: relay %d has two states", row[relID])
-		}
-		if row[relSeen]&^1 != 0 || !validNsec(row[relFirstSeenNsec]) || row[relOccCount] < 0 {
-			return fmt.Errorf("tracking: relay %d row out of range", row[relID])
-		}
-		fLo, fHi, okF := take(&fpOff, row[relFPs], len(fps))
-		nLo, nHi, okN := take(&nickOff, row[relNicks], len(snap.ExtraNicks))
-		iLo, iHi, okI := take(&ipOff, row[relIPs], len(snap.ExtraIPs))
-		sLo, sHi, okS := take(&swOff, row[relSwitchAts], len(switchAts))
-		if !okF || !okN || !okI || !okS {
-			return fmt.Errorf("tracking: relay %d lists overrun their columns", row[relID])
-		}
-		st.seen = row[relSeen] == 1
-		st.report.Switches = int(row[relSwitches])
-		st.report.FreshFlagResponsible = int(row[relFresh])
-		st.report.MaxRatio = snap.MaxRatios[i]
-		st.firstSeenAt = time.Unix(row[relFirstSeenSec], row[relFirstSeenNsec]).In(loc)
-		st.firstRespDay = row[relFirstRespDay]
-		st.initRun = int(row[relInitRun])
-		st.lastRespDay = row[relLastRespDay]
-		st.curRun = int(row[relCurRun])
-		st.maxRun = int(row[relMaxRun])
-		st.respCount = int(row[relRespCount])
-		st.occCount = int(row[relOccCount])
-		st.lastFP = lastFPs[i]
-		st.firstFP = firstFPs[i]
-		st.nick0 = snap.Nick0s[i]
-		st.ip0 = snap.IP0s[i]
-		// Each list keeps a capacity-capped view of its column, so a
-		// later append copies instead of overwriting its neighbour; an
-		// empty list stays nil, as in a live sweep.
-		if fHi > fLo {
-			st.fps = fps[fLo:fHi:fHi]
-		}
-		if nHi > nLo {
-			st.extraNicks = snap.ExtraNicks[nLo:nHi:nHi]
-		}
-		if iHi > iLo {
-			st.extraIPs = snap.ExtraIPs[iLo:iHi:iHi]
-		}
-		if sHi > sLo {
-			st.switchAts = switchAts[sLo:sHi:sHi]
-		}
-	}
-	if fpOff != len(fps) || nickOff != len(snap.ExtraNicks) || ipOff != len(snap.ExtraIPs) || swOff != len(switchAts) {
-		return fmt.Errorf("tracking: relay list lengths do not sum to their columns")
-	}
-
-	sw.occs = make([]Occurrence, nOcc)
-	sw.occStates = make([]*relayState, nOcc)
-	owned := make([]int, n)
-	for i := range sw.occs {
-		row := snap.OccRows[i*occCols : (i+1)*occCols]
-		owner := row[occOwner]
-		if owner < 0 || owner >= int64(n) || !validNsec(row[occAtNsec]) {
-			return fmt.Errorf("tracking: occurrence %d row out of range", i)
-		}
-		owned[owner]++
-		sw.occStates[i] = sw.states.all[owner]
-		sw.occs[i] = Occurrence{
-			At:          time.Unix(row[occAtSec], row[occAtNsec]).In(loc),
-			Fingerprint: occFPs[i],
-			Replica:     int(row[occReplica]),
-			Ratio:       snap.OccRatios[i],
-			Uptime:      time.Duration(row[occUptime]),
-		}
-	}
-	for i, st := range sw.states.all {
-		if owned[i] != st.occCount {
-			return fmt.Errorf("tracking: relay %d owns %d occurrences, counts %d", st.report.RelayID, owned[i], st.occCount)
-		}
-	}
-	return nil
-}
-
-// validNsec reports whether a packed instant's nanoseconds are in range.
-func validNsec(nsec int64) bool { return nsec >= 0 && nsec < int64(time.Second) }
-
 // observeDoc folds one consensus document into the sweep: fingerprint
 // switches for every relay identity, and responsibility occurrences for
-// the target's descriptor IDs. This is AnalyzeSource's per-document
+// the target's descriptor IDs. This is Analyze's per-document
 // accumulator — the tracking pipeline's hot loop over a multi-month
 // History — and stays allocation-free in steady state (everything grows
 // amortized or reuses scratch).
@@ -1089,8 +522,6 @@ func (sw *sweep) observeDoc(doc *consensus.Document, target onion.PermanentID) {
 		if !st.seen {
 			st.seen = true
 			st.lastFP = e.Fingerprint
-			st.firstFP = e.Fingerprint
-			st.firstSeenAt = doc.ValidAfter
 			st.nick0 = e.Nickname
 			st.ip0 = e.IP
 			continue

@@ -2,9 +2,11 @@ package tracking
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
+	"torhs/internal/fault"
 	"torhs/internal/relay"
 )
 
@@ -52,7 +54,7 @@ func buildAndAnalyze(t *testing.T, seed int64) (*Scenario, *Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(200*24*time.Hour))), sc.Target, nil, 0, false)
+	rep, err := an.Analyze(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(200*24*time.Hour))), sc.Target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +79,33 @@ func TestAnalyzeEmptyWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sc.Start.Add(-100 * 24 * time.Hour)
-	if _, err := an.AnalyzeSource(context.Background(), Docs(sc.History.Range(before, before.Add(24*time.Hour))), sc.Target, nil, 0, false); err == nil {
+	if _, err := an.Analyze(context.Background(), Docs(sc.History.Range(before, before.Add(24*time.Hour))), sc.Target); err == nil {
 		t.Fatal("empty window accepted")
+	}
+}
+
+func TestTrackingWindowFaultIsTransient(t *testing.T) {
+	sc, err := BuildScenario(DefaultScenarioConfig(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := NewAnalyzer(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := fault.New(1)
+	if err := in.Set(fault.SiteTrackingWindow, fault.Rule{Mode: fault.ModeErr, At: 5}); err != nil {
+		t.Fatal(err)
+	}
+	prev := fault.Active()
+	fault.Install(in)
+	t.Cleanup(func() { fault.Install(prev) })
+	_, err = an.Analyze(context.Background(), Docs(sc.History.Range(sc.Start, sc.Start.Add(120*24*time.Hour))), sc.Target)
+	if err == nil {
+		t.Fatal("analysis under an armed window fault succeeded")
+	}
+	if !errors.Is(err, fault.Transient) {
+		t.Fatalf("window fault lost its transient classification: %v", err)
 	}
 }
 

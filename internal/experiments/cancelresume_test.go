@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +37,7 @@ func cancelCells() []cancelCell {
 		{fault.SiteTrawlStep, "popularity", 2},
 		{fault.SiteTrackingWindow, "tracking", 40},
 		{fault.SiteTask, "popularity,tracking", 2},
-		{fault.SiteCheckpoint, "popularity,tracking", 3},
+		{fault.SiteCheckpoint, "collection,popularity,tracking", 3},
 	}
 }
 
@@ -55,6 +57,32 @@ func cancelStudy(ctx context.Context, store *resultstore.Store, sel string, work
 		Resume:          resume,
 	}, &buf)
 	return buf.Bytes(), err
+}
+
+// cancelStudyAt runs cancelStudy and cancels it once site has been hit
+// at times, returning the run's error (nil if it finished first). A
+// rule-less injector still counts hits, giving the caller a clock that
+// ticks at kernel boundaries.
+func cancelStudyAt(store *resultstore.Store, sel string, workers int, site fault.Site, at int) error {
+	inj := fault.New(1)
+	fault.Install(inj)
+	defer fault.Install(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cancelStudy(ctx, store, sel, workers, false)
+		done <- err
+	}()
+	for inj.Hits(site) < at {
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(200 * time.Microsecond):
+		}
+	}
+	cancel()
+	return <-done
 }
 
 // TestCancelResumeByteIdentical is the cancellation acceptance matrix:
@@ -109,34 +137,7 @@ func TestCancelResumeByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// A rule-less injector still counts hits, giving the test a
-			// clock that ticks at kernel boundaries.
-			inj := fault.New(1)
-			fault.Install(inj)
-			ctx, cancel := context.WithCancel(context.Background())
-			done := make(chan error, 1)
-			go func() {
-				_, err := cancelStudy(ctx, store, cell.sel, workers, false)
-				done <- err
-			}()
-			var runErr error
-			finished := false
-			for inj.Hits(cell.site) < cell.at {
-				select {
-				case runErr = <-done:
-					finished = true
-				case <-time.After(200 * time.Microsecond):
-				}
-				if finished {
-					break
-				}
-			}
-			cancel()
-			if !finished {
-				runErr = <-done
-			}
-			fault.Install(nil)
-
+			runErr := cancelStudyAt(store, cell.sel, workers, cell.site, cell.at)
 			if runErr == nil {
 				// The run outpaced the poll loop; the cell proves nothing
 				// about cancellation, but must not mask bad store state.
@@ -182,5 +183,53 @@ func TestCancelResumeByteIdentical(t *testing.T) {
 		if want := len(cancelCells()); cancelled != want {
 			t.Errorf("workers=%d: only %d/%d cells cancelled mid-run; matrix lost coverage", workers, cancelled, want)
 		}
+	}
+}
+
+// TestCancelledTrackingLeavesNoSnapshot pins that the tracking sweep
+// keeps no snapshots: a tracking-only study cancelled mid-sweep with a
+// checkpoint after every window leaves no checkpoint file in the store,
+// and its resume refolds to the uninterrupted run's bytes.
+func TestCancelledTrackingLeavesNoSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cancellation run is not short")
+	}
+	refStore, err := resultstore.Open(filepath.Join(t.TempDir(), "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cancelStudy(context.Background(), refStore, ExpTracking, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := filepath.Join(t.TempDir(), "store")
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cancelStudyAt(store, ExpTracking, 1, fault.SiteTrackingWindow, 40); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	var ckpts []string
+	err = filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
+		if strings.HasSuffix(path, ".ckpt") {
+			ckpts = append(ckpts, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpts) != 0 {
+		t.Fatalf("cancelled tracking sweep left checkpoint files: %v", ckpts)
+	}
+
+	got, err := cancelStudy(context.Background(), store, ExpTracking, 1, true)
+	if err != nil {
+		t.Fatalf("resume run: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed output diverged from uninterrupted run (%d vs %d bytes)", len(got), len(want))
 	}
 }

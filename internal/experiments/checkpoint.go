@@ -9,13 +9,12 @@ import (
 	"torhs/internal/resultstore"
 )
 
-// The checkpoint plane threads window-level snapshots through the
-// long-running pipelines (the trawl loops and the tracking sweep) so a
-// crashed study resumes from the latest valid snapshot instead of
-// recomputing from scratch. Snapshots are keyed exactly like persisted
-// documents — experiment name, scenario label, the Config cache key, and
-// the code version — under reserved experiment names ("ckpt-trawl-<seed
-// offset>", "ckpt-tracking") that can never collide with registered
+// The checkpoint plane threads step-level snapshots through the trawl
+// loops so a crashed study resumes from the latest valid snapshot
+// instead of recomputing from scratch. Snapshots are keyed exactly like
+// persisted documents — experiment name, scenario label, the Config
+// cache key, and the code version — under reserved experiment names
+// ("ckpt-trawl-<seed offset>") that can never collide with registered
 // experiments (registry names are comma/space-free but user-facing;
 // these are namespaced by prefix and never registered). A checkpoint is
 // therefore only ever resumed by a run with the identical inputs and
@@ -133,14 +132,13 @@ func intPutRetry(ctx context.Context, set *resultstore.IntermediateSet, stage st
 	})
 }
 
-// retryCheckpointer adapts a resultstore.CheckpointSet to the pipeline
-// Checkpointer interfaces (trawl.Checkpointer, tracking.Checkpointer)
-// with the transient-fault retry policy wrapped around every store
-// operation. The retry must live here, at the store boundary, rather
-// than at the scheduler's task boundary: artefact memos latch their
-// first (value, error) pair, so an error that escapes an experiment is
-// permanent by construction — transient store faults have to be
-// absorbed before they reach the memo.
+// retryCheckpointer adapts a resultstore.CheckpointSet to the
+// trawl.Checkpointer interface with the transient-fault retry policy
+// wrapped around every store operation. The retry must live here, at
+// the store boundary, rather than at the scheduler's task boundary:
+// artefact memos latch their first (value, error) pair, so an error
+// that escapes an experiment is permanent by construction — transient
+// store faults have to be absorbed before they reach the memo.
 type retryCheckpointer struct {
 	set *resultstore.CheckpointSet
 }

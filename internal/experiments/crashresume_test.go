@@ -142,7 +142,7 @@ func matrixCells() []crashCell {
 		{fault.SiteStoreWrite, "popularity,tracking", 2},
 		{fault.SiteStoreRename, "popularity,tracking", 2},
 		{fault.SiteStoreRead, "popularity,tracking", 2},
-		{fault.SiteCheckpoint, "popularity,tracking", 4},
+		{fault.SiteCheckpoint, "collection,popularity,tracking", 4},
 		{fault.SiteTask, "popularity,tracking", 2},
 		{fault.SiteTrawlStep, "popularity", 3},
 		{fault.SiteTrackingWindow, "tracking", 60},

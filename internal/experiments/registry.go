@@ -209,11 +209,11 @@ type RunOptions struct {
 	// executed (nor are dependencies only they would have needed), and
 	// their documents are served from the store instead.
 	UseCache bool
-	// CheckpointEvery, when > 0 and Store is set, snapshots the
-	// long-running pipelines (trawl loops, tracking sweep) every N
-	// windows so a crashed run can resume. Snapshots live in the store
-	// under reserved ckpt-* experiment names and are cleared when the
-	// run completes.
+	// CheckpointEvery, when > 0 and Store is set, snapshots the trawl
+	// loops every N steps so a crashed run can resume; the tracking
+	// sweep keeps no snapshots and refolds from its first document.
+	// Snapshots live in the store under reserved ckpt-* experiment
+	// names and are cleared when the run completes.
 	CheckpointEvery int
 	// Resume, with Store set, folds the checkpointing pipelines forward
 	// from their latest valid snapshot instead of recomputing from
@@ -301,8 +301,8 @@ func getRetry(ctx context.Context, s *resultstore.Store, k resultstore.Key) (doc
 // out, every experiment that completed before the cancellation persists
 // its full document (partial documents never reach the store — an
 // artefact either finished or left nothing), and the window snapshots
-// are NOT cleared, so a later Resume run picks up exactly where the
-// cancelled one stopped and produces byte-identical output.
+// are NOT cleared, so a later Resume run picks up where the cancelled
+// one's snapshots stop and produces byte-identical output.
 func (r *Registry) RunStudy(ctx context.Context, env *Env, opts RunOptions, w io.Writer) (*RunResult, error) {
 	format := opts.Format
 	if format == "" {

@@ -567,21 +567,9 @@ func (e *Env) runTracking(ctx context.Context) (*TrackingResult, error) {
 	if e.cfg.TrackingDays > 0 {
 		scCfg.Days = e.cfg.TrackingDays
 	}
-	tkCfg := tracking.DefaultConfig()
-	tkCfg.Workers = e.cfg.Workers
-	an, err := tracking.NewAnalyzer(tkCfg)
+	an, err := tracking.NewAnalyzer(tracking.DefaultConfig())
 	if err != nil {
 		return nil, err
-	}
-	// A typed-nil checkpointer in the interface would defeat the
-	// analyzer's nil check, so only assign when the plane is armed.
-	var ck tracking.Checkpointer
-	rck, every, resume, err := e.checkpointer("ckpt-tracking")
-	if err != nil {
-		return nil, err
-	}
-	if rck != nil {
-		ck = rck
 	}
 	// The sweep pulls consensus windows through a sliding ring re-derived
 	// from seed: the scenario's History is never materialized, so peak
@@ -593,7 +581,7 @@ func (e *Env) runTracking(ctx context.Context) (*TrackingResult, error) {
 	// The tracking window is disjoint from the traffic experiments', so
 	// it gets its own memoized table rather than the study-wide one.
 	an.SetSecretTable(e.SecretTable(sc.Start, sc.End))
-	rep, err := an.AnalyzeSource(ctx, src, sc.Target, ck, every, resume)
+	rep, err := an.Analyze(ctx, src, sc.Target)
 	if err != nil {
 		return nil, err
 	}

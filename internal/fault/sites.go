@@ -48,8 +48,8 @@ const (
 	//torhs:faultsite trawl.step
 	SiteTrawlStep Site = "trawl.step"
 
-	// SiteTrackingWindow fires at each tracking checkpoint window
-	// boundary during the consensus-history sweep.
+	// SiteTrackingWindow fires before each consensus document the
+	// tracking sweep folds.
 	//
 	//torhs:faultsite tracking.window
 	SiteTrackingWindow Site = "tracking.window"

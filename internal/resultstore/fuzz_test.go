@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"maps"
 	"testing"
 )
@@ -76,4 +77,28 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%s frame accepted as %s", magic, other)
 		}
 	}
+}
+
+// FuzzDecodeEntry fuzzes the decoder behind Open's scan and every entry
+// read (Get, Lookup, List, GC): an entry file's bytes are refused with an
+// error, never a panic, or the accepted entry re-marshals to bytes that
+// decode to an equal entry.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := decodeEntry(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(e)
+		if err != nil {
+			t.Fatalf("accepted entry does not marshal: %v\n%+v", err, e)
+		}
+		again, err := decodeEntry(out)
+		if err != nil {
+			t.Fatalf("re-marshalled entry does not decode: %v\n%s", err, out)
+		}
+		if *again != *e {
+			t.Fatalf("re-marshalling changed the entry:\nfirst:  %+v\nsecond: %+v", e, again)
+		}
+	})
 }

@@ -174,8 +174,8 @@ func (s *Store) scanAndQuarantine() error {
 			if err != nil {
 				return err
 			}
-			var e Entry
-			if err := json.Unmarshal(data, &e); err != nil {
+			e, err := decodeEntry(data)
+			if err != nil {
 				return s.quarantine(path, fmt.Sprintf("unparseable entry: %v", err))
 			}
 			if e.ContentHash == "" || !pathSafe(e.ContentHash) {
@@ -396,9 +396,18 @@ func readEntry(path string) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
+	e, err := decodeEntry(data)
+	if err != nil {
+		return nil, fmt.Errorf("resultstore: corrupt entry %s: %w", path, err)
+	}
+	return e, nil
+}
+
+// decodeEntry decodes a key or index entry file.
+func decodeEntry(data []byte) (*Entry, error) {
 	var e Entry
 	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("resultstore: corrupt entry %s: %w", path, err)
+		return nil, err
 	}
 	return &e, nil
 }

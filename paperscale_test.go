@@ -3,13 +3,10 @@ package torhs
 // Paper-scale integration test: regenerates the study at the paper's full
 // population size (39,824 services, 1,400 relays, 4,000 clients) and
 // checks the headline numbers against the paper's bands. Its three tests
-// take about 3 s together on a 2-vCPU Xeon (2.8 s measured); they are
-// gated behind an environment variable so the default suite stays fast:
-//
-//	TORHS_PAPER_SCALE=1 go test -run TestPaperScale -v .
+// take about 3 s together on a 2-vCPU Xeon (2.8 s measured), so they run
+// with the default suite.
 
 import (
-	"os"
 	"testing"
 
 	"torhs/internal/experiments"
@@ -19,9 +16,6 @@ import (
 
 func paperScaleStudy(t *testing.T) *experiments.Study {
 	t.Helper()
-	if os.Getenv("TORHS_PAPER_SCALE") == "" {
-		t.Skip("set TORHS_PAPER_SCALE=1 to run the full-scale study")
-	}
 	cfg := experiments.ConfigFromSpec(scenario.MustLookup(scenario.PaperScale), 42)
 	s, err := experiments.NewStudy(cfg)
 	if err != nil {
