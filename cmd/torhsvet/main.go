@@ -120,6 +120,14 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
+// decodeVetConfig decodes a go vet config file. Unknown fields are
+// accepted: the go command adds fields to the format over time.
+func decodeVetConfig(data []byte) (vetConfig, error) {
+	var cfg vetConfig
+	err := json.Unmarshal(data, &cfg)
+	return cfg, err
+}
+
 // unitcheck analyzes one package described by a go vet config file.
 func unitcheck(cfgFile string, jsonOut bool, stdout, stderr io.Writer) int {
 	data, err := os.ReadFile(cfgFile)
@@ -127,8 +135,8 @@ func unitcheck(cfgFile string, jsonOut bool, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "torhsvet: %v\n", err)
 		return 1
 	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	cfg, err := decodeVetConfig(data)
+	if err != nil {
 		fmt.Fprintf(stderr, "torhsvet: parsing %s: %v\n", cfgFile, err)
 		return 1
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,4 +63,31 @@ func TestFindingsExitNonzero(t *testing.T) {
 	if !strings.Contains(stderr.String(), "time.Now is nondeterministic") {
 		t.Errorf("missing expected finding in output:\n%s", stderr.String())
 	}
+}
+
+// FuzzDecodeVetConfig fuzzes the go vet config decoder, the one disk
+// input torhsvet reads in vettool mode. The seed corpus under
+// testdata/fuzz holds a config the go command wrote for a real
+// `go vet -vettool` run (paths rewritten). No input may panic, and an
+// accepted config must re-marshal to JSON that decodes to an equal
+// config: whatever the decoder keeps survives a round trip.
+func FuzzDecodeVetConfig(f *testing.F) {
+	f.Add([]byte(`{"ID":"torhs/internal/stats","ImportPath":"torhs/internal/stats","GoFiles":["stats.go"]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := decodeVetConfig(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("accepted config does not re-marshal: %v", err)
+		}
+		again, err := decodeVetConfig(out)
+		if err != nil {
+			t.Fatalf("re-marshalled config %s is refused: %v", out, err)
+		}
+		if !reflect.DeepEqual(again, cfg) {
+			t.Fatalf("round trip changed the config:\n%+v\nvs\n%+v", cfg, again)
+		}
+	})
 }

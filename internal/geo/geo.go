@@ -76,6 +76,22 @@ func NewDB(shares []CountryShare) (*DB, error) {
 // AllocateIP draws a client IP: a country sampled by weight, an address
 // within its /8.
 func (db *DB) AllocateIP(rng *rand.Rand) (ip, country string) {
+	country, octets := db.DrawIP(rng)
+	// The string is the one fmt.Sprintf("%d.%d.%d.%d", ...) would build,
+	// without its cost.
+	var buf [len("255.255.255.255")]byte
+	b := strconv.AppendInt(buf[:0], int64(octets[0]), 10)
+	for _, o := range octets[1:] {
+		b = strconv.AppendInt(append(b, '.'), int64(o), 10)
+	}
+	return string(b), country
+}
+
+// DrawIP makes AllocateIP's draws and returns them unformatted: the
+// country, then the address's octets, drawn in address order. A caller
+// that needs only to keep a shared RNG in step with AllocateIP calls
+// this and formats nothing.
+func (db *DB) DrawIP(rng *rand.Rand) (country string, octets [4]int) {
 	r := rng.Float64() * db.total
 	acc := 0.0
 	country = db.shares[len(db.shares)-1].Code
@@ -86,15 +102,7 @@ func (db *DB) AllocateIP(rng *rand.Rand) (ip, country string) {
 			break
 		}
 	}
-	// The octets are drawn in address order; the string is the one
-	// fmt.Sprintf("%d.%d.%d.%d", ...) would build, without its cost.
-	octets := [4]int{db.prefixes[country], rng.Intn(256), rng.Intn(256), 1 + rng.Intn(254)}
-	var buf [len("255.255.255.255")]byte
-	b := strconv.AppendInt(buf[:0], int64(octets[0]), 10)
-	for _, o := range octets[1:] {
-		b = strconv.AppendInt(append(b, '.'), int64(o), 10)
-	}
-	return string(b), country
+	return country, [4]int{db.prefixes[country], rng.Intn(256), rng.Intn(256), 1 + rng.Intn(254)}
 }
 
 // Lookup resolves an IP to its country code.

@@ -134,10 +134,92 @@ func NumChunks(workers, n int) int {
 // pure function of (base, idx), so shard layouts and worker counts never
 // change the random stream an index sees.
 func SeedFor(base, idx int64) int64 {
-	z := uint64(base) + uint64(idx+1)*0x9e3779b97f4a7c15
+	z := uint64(base) + uint64(idx+1)*golden
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
+}
+
+// golden is splitmix64's state increment (2^64 over the golden ratio).
+const golden = 0x9e3779b97f4a7c15
+
+// Stream reads the stream of NewRNG(seed) without a rand.Rand. A
+// splitmix64 state is a plain counter (Steele, Lea and Flood, "Fast
+// splittable pseudorandom number generators", OOPSLA 2014): the k-th
+// output of the stream seeded with s is SeedFor(s, k-1), so a Stream is
+// a seed and a count of outputs read. Int63 and Float64 return what the
+// *rand.Rand methods of the same name return at the same stream
+// position, and Draw what Int63n or Intn does, redraws included; Seed
+// hands the rest of the stream to a NewRNG. The zero value reads the
+// stream of seed 0.
+type Stream struct {
+	seed int64
+	read uint64
+}
+
+// StreamAt returns a Stream at the start of NewRNG(seed)'s stream.
+func StreamAt(seed int64) Stream { return Stream{seed: seed} }
+
+// Seed returns the seed whose NewRNG continues the stream after the
+// outputs s has read.
+func (s *Stream) Seed() int64 { return int64(uint64(s.seed) + s.read*golden) }
+
+// Int63 is rand.Rand.Int63.
+func (s *Stream) Int63() int64 {
+	s.read++
+	return int64(uint64(SeedFor(s.seed, int64(s.read-1))) >> 1)
+}
+
+// Draw is rand.Rand.Int63n(n) or rand.Rand.Intn(n), as b was made.
+func (s *Stream) Draw(b Bound) int64 {
+	for {
+		v := s.Int63() >> b.shift
+		if b.n&(b.n-1) == 0 {
+			return v & (b.n - 1)
+		}
+		if v <= b.max {
+			return v % b.n
+		}
+	}
+}
+
+// Bound is the range [0, n) of one bounded draw, with math/rand's
+// rejection threshold precomputed: a loop that draws from one range many
+// times pays one division per draw instead of two.
+type Bound struct {
+	n     int64
+	max   int64 // the largest output (shifted) the draw accepts
+	shift uint  // 32 when the draw takes an Int31, as Intn's Int31n does
+}
+
+// Int63nBound is the range of rand.Rand.Int63n(n).
+func Int63nBound(n int64) Bound {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	return Bound{n: n, max: int64((1 << 63) - 1 - (1<<63)%uint64(n))}
+}
+
+// IntnBound is the range of rand.Rand.Intn(n), which draws through
+// Int31n below 2^31.
+func IntnBound(n int) Bound {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n > 1<<31-1 {
+		return Int63nBound(int64(n))
+	}
+	return Bound{n: int64(n), max: int64((1 << 31) - 1 - (1<<31)%uint32(n)), shift: 32}
+}
+
+// Float64 is rand.Rand.Float64: it draws again when the quotient
+// rounds to 1.
+func (s *Stream) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
 }
 
 // splitmixSource is a splitmix64 stream implementing rand.Source64.
@@ -149,7 +231,7 @@ type splitmixSource struct {
 }
 
 func (s *splitmixSource) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
+	s.state += golden
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -59,7 +60,13 @@ type Network struct {
 	geoDB   *geo.DB
 	clients []*Client
 
+	// hosts holds an unrestricted network's hosts; a restricted network
+	// builds none. Both keep the introduction points of the population
+	// PublishAll last swept (introSvcs), introPoints per service in
+	// order: all a restricted network's stores can hold of a host.
 	hosts           map[onion.Address]*Host
+	intros          []onion.Fingerprint
+	introSvcs       []*hspop.Service
 	uploadObservers []func(UploadEvent)
 }
 
@@ -107,8 +114,9 @@ type Config struct {
 	// answered; an unrestricted network keeps none. TotalRequests and
 	// PhantomRequests are unchanged, but ResolvedHits counts hits at
 	// observed directories only. A restricted network takes no fetch or
-	// upload observers. Fingerprints that are not on the HSDir ring are
-	// ignored.
+	// upload observers, builds no hosts (Host, Connect and PublishService
+	// panic) and gives its clients no location. Fingerprints that are
+	// not on the HSDir ring are ignored.
 	Observed []onion.Fingerprint
 }
 
@@ -150,7 +158,6 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		ring:       doc.Ring(),
 		guards:     guards,
 		geoDB:      db,
-		hosts:      make(map[onion.Address]*Host),
 		dirFailure: cfg.DirFailureProb,
 		workers:    cfg.Workers,
 		maxSkew:    cfg.MaxSkew,
@@ -166,6 +173,7 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 			}
 		}
 	} else {
+		n.hosts = make(map[onion.Address]*Host)
 		for i, fp := range n.ringFPs {
 			n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
 		}
@@ -182,10 +190,18 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		n.pool = newGuardPool(guards, nil)
 	}
 
+	// A restricted network's clients make the same draws but carry no
+	// location: nothing it counts reads one.
+	clients := make([]Client, cfg.Clients)
 	n.clients = make([]*Client, cfg.Clients)
 	for i := range n.clients {
-		ip, country := db.AllocateIP(n.rng)
-		c := &Client{ID: i, IP: ip, Country: country}
+		c := &clients[i]
+		c.ID = i
+		if n.restricted() {
+			db.DrawIP(n.rng)
+		} else {
+			c.IP, c.Country = db.AllocateIP(n.rng)
+		}
 		if n.rng.Float64() < cfg.SkewedClientFraction {
 			skew := time.Duration(n.rng.Int63n(int64(2*cfg.MaxSkew))) - cfg.MaxSkew
 			c.ClockSkew = skew
@@ -250,8 +266,10 @@ type publishScratch struct {
 // responsible directories at instant now. The upload travels a
 // guard-anchored circuit from the service's host; every upload is
 // announced to registered upload observers (the tap the [8]-style
-// service deanonymisation uses).
+// service deanonymisation uses). It panics on a restricted network,
+// which builds no hosts.
 func (n *Network) PublishService(svc *hspop.Service, now time.Time) {
+	n.mustBeUnrestricted("PublishService")
 	var sc publishScratch
 	n.publishService(svc, n.ensureHost(svc), n.descriptorIDs(svc.PermID, now), now, &sc)
 }
@@ -296,16 +314,6 @@ func (n *Network) publishService(svc *hspop.Service, host *Host, ids [onion.Repl
 	}
 }
 
-// storedReplica is one descriptor replica a publish shard found stored
-// by at least one observed directory: its ID, the service's index in the
-// sweep, the replica, and how many placements the shard staged for it.
-type storedReplica struct {
-	id      onion.DescriptorID
-	svc     int32
-	replica uint8
-	placed  uint8
-}
-
 // PublishAll uploads descriptors for every descriptor-bearing service in
 // the population and returns the number published. Every path reads the
 // descriptor IDs from the population's per-period cache
@@ -316,124 +324,103 @@ type storedReplica struct {
 // Observer-tapped networks (the service-deanon tap) draw a guard pick
 // from the network RNG per upload, between one host's setup draws and
 // the next, and must announce events in service order, so they publish
-// one service at a time. Every other sweep first sets up all hosts and
-// intro points in one sequential pass in service order — the only RNG
-// draws of an untapped sweep (see hostsFor) — and then places the
-// descriptors. Workers==1 places them service by service; otherwise the
-// placement is sharded: each worker resolves the responsible sets of
-// the cached IDs of a contiguous span of services into private
-// staging buffers, and a merge phase builds exactly one Descriptor per
-// replica that an observed directory stores and applies the staged
-// placements per directory in shard-then-service order — which is
-// service order, so every directory's store sees the exact insertion
-// sequence of a sequential sweep. On a restricted network every path
-// places descriptors on observed directories only.
+// one service at a time. Every other sweep first makes the hosts' set-up
+// draws in one sequential pass in service order (sweepIntros) — the only
+// RNG draws of an untapped sweep — and then places the descriptors by
+// directory arc (placeByArc). On a restricted network every path places
+// descriptors on observed directories only.
 func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 	svcs := pop.WithDescriptor()
 	ids := pop.DescriptorIDsAt(now)
-	var sc publishScratch
 	if len(n.uploadObservers) > 0 {
+		var sc publishScratch
 		for i, svc := range svcs {
 			n.publishService(svc, n.ensureHost(svc), ids.Of(i), now, &sc)
 		}
 		return len(svcs)
 	}
-	hosts := n.hostsFor(svcs)
-	shards := parallel.NumChunks(n.workers, len(svcs))
-	if shards <= 1 {
-		for i, svc := range svcs {
-			n.publishService(svc, hosts[i], ids.Of(i), now, &sc)
-		}
-		return len(svcs)
-	}
+	n.placeByArc(&ids, svcs, n.sweepIntros(svcs), now)
+	return len(svcs)
+}
 
-	// Phase 2 (parallel): resolve and stage. Each shard owns a span of
-	// services, a private responsible-set scratch, and private staging
-	// buffers + counts — zero cross-shard synchronization. The buffers
-	// are sized for the network's observed share of the ring.
-	nd := len(n.dirs)
-	share := n.observedShare()
-	type staged struct {
-		dirs   []int32         // placement target ring positions, service order
-		stored []storedReplica // the placed replicas, service order
-		base   int             // index of stored[0] in the sweep's descriptors
-	}
-	stage := make([]staged, shards)
-	countsPtr := grabZeroed[int32](&i32Pool, shards*nd)
-	defer i32Pool.Put(countsPtr)
-	counts := *countsPtr
-	parallel.Chunks(shards, len(svcs), func(shard, lo, hi int) {
-		var sc publishScratch
-		replicas := (hi - lo) * onion.Replicas
-		placements := stagingCap(replicas*onion.SpreadPerReplica, share)
-		st := staged{
-			dirs:   make([]int32, 0, placements),
-			stored: make([]storedReplica, 0, stagingCap(replicas, min(1, onion.SpreadPerReplica*share))),
-		}
-		cnt := counts[shard*nd : (shard+1)*nd]
-		for si := lo; si < hi; si++ {
-			for replica, descID := range ids.Of(si) {
-				placed := uint8(0)
-				sc.pos = n.ring.ResponsibleIndicesInto(sc.pos[:0], descID, onion.SpreadPerReplica)
-				for _, pos := range sc.pos {
-					if n.dirs[pos] == nil {
-						continue // unobserved: stage nothing
-					}
-					st.dirs = append(st.dirs, pos)
-					cnt[pos]++
-					placed++
-				}
-				if placed > 0 {
-					st.stored = append(st.stored, storedReplica{id: descID, svc: int32(si), replica: uint8(replica), placed: placed})
-				}
+// placeByArc publishes, at instant now, each service's replica IDs that
+// ids holds for now on the observed directories responsible for them,
+// visiting only the IDs some observed directory stores.
+//
+// The ring's fingerprints cut the ID space into segments: segment q is
+// the circular interval [fps[q-1], fps[q]), and ring positions q to
+// q+span-1 store its IDs, span being min(ring size, SpreadPerReplica).
+// So position p stores exactly the IDs in [fps[p-span], fps[p]) — every
+// ID when span is the ring size — and the sweep reads each segment an
+// observed directory stores from the population's ID-sorted copies
+// (hspop.DescriptorIDs.EachIn). Each ID found gets one Descriptor,
+// shared by every directory that stores it, and each directory publishes
+// its descriptors in (service, replica) order: the insertion order of a
+// service-by-service sweep.
+func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, intros []onion.Fingerprint, now time.Time) {
+	nd, span := len(n.dirs), min(len(n.dirs), onion.SpreadPerReplica)
+	// Segment q's IDs are hits[segOff[q]:segOff[q+1]].
+	segOffPtr, hitsPtr := grabZeroed[int32](&i32Pool, nd+1), grabSlice[*hspop.SortedID](&hitPool, 0)
+	defer i32Pool.Put(segOffPtr)
+	defer hitPool.Put(hitsPtr)
+	segOff, hits := *segOffPtr, *hitsPtr
+	for q := range nd {
+		for j := range span {
+			if n.dirs[(q+j)%nd] != nil { // an observed directory stores segment q
+				lo := onion.DescriptorID(n.ringFPs[(q-1+nd)%nd])
+				ids.EachIn(lo, onion.DescriptorID(n.ringFPs[q]), func(e *hspop.SortedID) { hits = append(hits, e) })
+				break
 			}
 		}
-		stage[shard] = st
-	})
-
-	// Phase 3 (merge): size the descriptors exactly, cursor the staged
-	// counts into one placement arena ordered directory-major then
-	// shard-then-service, and apply each directory's span independently
-	// (each Directory has its own lock and sees its placements in exact
-	// service order).
-	stored := 0
-	for i := range stage {
-		stage[i].base = stored
-		stored += len(stage[i].stored)
+		segOff[q+1] = int32(len(hits))
 	}
-	descs := make([]onion.Descriptor, stored)
-	dirOffsPtr := grabZeroed[int32](&i32Pool, nd+1)
-	defer i32Pool.Put(dirOffsPtr)
-	dirOffs := *dirOffsPtr
-	arena := make([]*onion.Descriptor, shardFillCursors(counts, dirOffs, shards, nd))
-	parallel.ForEach(shards, shards, func(shard int) {
-		st := &stage[shard]
-		cur := counts[shard*nd : (shard+1)*nd]
-		dirs := st.dirs
-		for k, r := range st.stored {
-			svc := svcs[r.svc]
-			desc := &descs[st.base+k]
-			*desc = onion.Descriptor{
-				DescID:      r.id,
+	*hitsPtr = hits
+
+	descs := make([]onion.Descriptor, len(hits))
+	parallel.Chunks(n.workers, len(hits), func(_, lo, hi int) {
+		for j, e := range hits[lo:hi] {
+			svc, in := svcs[e.Svc], int(e.Svc)*introPoints
+			descs[lo+j] = onion.Descriptor{
+				DescID:      e.ID,
 				Address:     svc.Address,
 				PermID:      svc.PermID,
-				Replica:     r.replica,
+				Replica:     e.Replica,
 				PublishedAt: now,
-				IntroPoints: hosts[r.svc].intros, // shared, as in publishService
+				IntroPoints: intros[in : in+introPoints : in+introPoints], // shared, as in publishService
 			}
-			for _, pos := range dirs[:r.placed] {
-				arena[cur[pos]] = desc
-				cur[pos]++
-			}
-			dirs = dirs[r.placed:]
 		}
 	})
-	parallel.ForEach(n.workers, nd, func(d int) {
-		for _, desc := range arena[dirOffs[d]:dirOffs[d+1]] {
-			n.dirs[d].Publish(desc, now)
+
+	// Each observed directory gathers its segments' descriptors, sorts
+	// them by (service, replica) and publishes them in that order.
+	dirOffPtr := grabZeroed[int32](&i32Pool, nd+1)
+	defer i32Pool.Put(dirOffPtr)
+	dirOff := *dirOffPtr
+	for p := range nd {
+		dirOff[p+1] = dirOff[p]
+		for j := 0; j < span && n.dirs[p] != nil; j++ {
+			q := (p - j + nd) % nd
+			dirOff[p+1] += segOff[q+1] - segOff[q]
+		}
+	}
+	arenaPtr := grabSlice[uint64](&u64Pool, int(dirOff[nd]))
+	defer u64Pool.Put(arenaPtr)
+	arena := (*arenaPtr)[:dirOff[nd]]
+	parallel.ForEach(n.workers, nd, func(p int) {
+		run := arena[dirOff[p]:dirOff[p]:dirOff[p+1]]
+		for j := 0; j < span && n.dirs[p] != nil; j++ {
+			q := (p - j + nd) % nd
+			for i := segOff[q]; i < segOff[q+1]; i++ {
+				rank := uint64(hits[i].Svc)*onion.Replicas + uint64(hits[i].Replica)
+				run = append(run, rank<<32|uint64(i))
+			}
+		}
+		slices.Sort(run)
+		for _, v := range run {
+			n.dirs[p].Publish(&descs[uint32(v)], now)
 		}
 	})
-	return len(svcs)
+	clear(hits) // the pooled buffer must not pin the sorted copies
 }
 
 // FetchEvent describes one descriptor fetch as the network executed it.
@@ -610,7 +597,7 @@ func (n *Network) event(rec *fetchRec) FetchEvent {
 // false and is counted nowhere.
 func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.Time) FetchEvent {
 	var sc fetchScratch
-	rec := n.fetchDescriptor(n.rng, c, permID, now, &sc, false)
+	rec := n.fetchDescriptor(n.rng, c, permID, now, &sc)
 	n.logAnswered(&rec)
 	return n.event(&rec)
 }
@@ -620,7 +607,7 @@ func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.
 // serialization contract of FetchDescriptor applies.
 func (n *Network) FetchRawID(c *Client, descID onion.DescriptorID, now time.Time) FetchEvent {
 	set := n.resolve(descID)
-	rec := n.fetchResolved(n.rng, c, descID, &set, now, false)
+	rec := n.fetchResolved(n.rng, c, descID, &set, now)
 	n.logAnswered(&rec)
 	return n.event(&rec)
 }
@@ -634,37 +621,26 @@ func (n *Network) logAnswered(rec *fetchRec) {
 }
 
 // fetchDescriptor is FetchDescriptor with the randomness source and the
-// service memo made explicit so DriveWindow can run fetches concurrently
-// on per-request RNGs; skip is fetchResolved's. The caller owns
-// request counting.
+// service memo made explicit. The caller owns request counting.
 //
 //torhs:hotpath
-func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch, skip bool) fetchRec {
-	local := c.LocalTime(now)
+func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch) fetchRec {
 	replica := uint8(rng.Intn(onion.Replicas))
-	id, set := sc.lookup(n, permID, onion.TimePeriod(permID, local), replica)
-	return n.fetchResolved(rng, c, id, set, now, skip)
+	id, set := sc.lookup(n, permID, onion.TimePeriod(permID, c.LocalTime(now)), replica)
+	return n.fetchResolved(rng, c, id, set, now)
 }
 
 // fetchResolved runs one fetch of descID over its resolved responsible
 // set: the guard pick, the random contact order, failover past
-// unreachable directories, and the probe. With skip set, a request that
-// no observed directory is responsible for stops before it draws
-// anything more. Only DriveWindow sets it: there every request draws from
-// its own reseeded RNG, so a skipped request's draws cannot shift any
-// other request. The shared-RNG fetches (FetchDescriptor, FetchRawID)
-// keep every draw.
+// unreachable directories, and the probe.
 //
 //torhs:hotpath
-func (n *Network) fetchResolved(rng *rand.Rand, c *Client, descID onion.DescriptorID, set *respSet, now time.Time, skip bool) fetchRec {
+func (n *Network) fetchResolved(rng *rand.Rand, c *Client, descID onion.DescriptorID, set *respSet, now time.Time) fetchRec {
 	rec := fetchRec{
 		descID:   descID,
 		atNanos:  now.UnixNano(),
 		clientID: int32(c.ID),
 		answered: -1,
-	}
-	if skip && !set.observed {
-		return rec // no observed directory could answer it
 	}
 	rec.guard = c.gs.pickPool(n.pool, rng, now)
 	k := int(set.n)
@@ -749,6 +725,7 @@ var (
 	phantomPool = sync.Pool{New: func() any { return new([]phantom) }}
 	i32Pool     = sync.Pool{New: func() any { return new([]int32) }}
 	u64Pool     = sync.Pool{New: func() any { return new([]uint64) }}
+	hitPool     = sync.Pool{New: func() any { return new([]*hspop.SortedID) }}
 )
 
 // grabSlice returns a zero-length slice with capacity >= n from the
@@ -886,10 +863,11 @@ func (n *Network) DriveWindow(
 	n.warmGuardSets(start, end)
 	n.ensureSecrets(start, end)
 
-	// Phase 2: execute the fetches concurrently. Each request derives
-	// its RNG from (planSeed, index) — one reseeded RNG per worker, not
-	// one allocation per request — probes the descriptor stores without
-	// taking any lock, and notes which directory answered. Every shard
+	// Phase 2: execute the fetches concurrently. Each request draws from
+	// the stream seeded by (planSeed, index) — its first draws straight
+	// from the counter, the rest from one reseeded RNG per worker —
+	// probes the descriptor stores without taking any lock, and notes
+	// which directory answered. Every shard
 	// is fully private: its own plan cursor, service memo, RNG stream,
 	// stats tally and answer buffer — zero cross-shard synchronization
 	// until the merge. Warmed guard sets are only read: warming refreshed
@@ -927,6 +905,8 @@ func (n *Network) DriveWindow(
 		phantoms.deadBuckets(cuts, dead)
 	}
 	ph := phantomSampler{table: phantoms, cuts: cuts, dead: dead}
+	// The ranges of each request's bounded draws, as Int63n and Intn take them.
+	offsets, clients, replicas := parallel.Int63nBound(int64(window)), parallel.IntnBound(len(n.clients)), parallel.IntnBound(onion.Replicas)
 	var recs []fetchRec // pointer-free: never GC-scanned
 	if observer != nil {
 		recsPtr := grabSlice[fetchRec](&recsPool, total)
@@ -953,24 +933,36 @@ func (n *Network) DriveWindow(
 			ans = presized(answers[shard], hi-lo, observedShare)
 		}
 		for i := lo; i < hi; i++ {
-			rng.Seed(parallel.SeedFor(planSeed, int64(i)))
-			offset := time.Duration(rng.Int63n(int64(window)))
-			c := rng.Intn(len(n.clients))
+			// The request's first draws — its offset, its client, then
+			// its phantom's draw or its replica — read its stream as a
+			// counter; rng takes the stream over only for a request that
+			// goes on to a directory.
+			draws := parallel.StreamAt(parallel.SeedFor(planSeed, int64(i)))
+			offset := time.Duration(draws.Draw(offsets))
+			c := n.clients[draws.Draw(clients)]
 			st.TotalRequests++
-			var rec fetchRec
+			var id onion.DescriptorID
+			var set *respSet
 			if s := cur.service(i); s < 0 {
 				st.PhantomRequests++
-				p := ph.draw(rng)
+				p := ph.pick(draws.Float64())
 				if p == nil {
-					// A dead bucket: skipped, as every phantom it can pick
-					// would be. Only a skipping window has dead buckets,
-					// and it keeps no records and stages no answer.
-					continue
+					continue // a dead bucket: every phantom it can pick is skipped
 				}
-				rec = n.fetchResolved(rng, n.clients[c], p.id, &p.set, start.Add(offset), skip)
+				id, set = p.id, &p.set
 			} else {
-				rec = n.fetchDescriptor(rng, n.clients[c], svcs[s].PermID, start.Add(offset), &sc, skip)
+				replica := uint8(draws.Draw(replicas))
+				permID := svcs[s].PermID
+				id, set = sc.lookup(n, permID, onion.TimePeriod(permID, c.LocalTime(start.Add(offset))), replica)
 			}
+			if skip && !set.observed {
+				// No observed directory could answer it. A skipping window
+				// keeps no records, and the request draws from its own
+				// stream, so its other draws cannot shift any request.
+				continue
+			}
+			rng.Seed(draws.Seed())
+			rec := n.fetchResolved(rng, c, id, set, start.Add(offset))
 			if rec.found {
 				st.ResolvedHits++
 			}
@@ -1014,18 +1006,13 @@ func (n *Network) observedShare() float64 {
 	return float64(observed) / float64(len(n.dirs))
 }
 
-// stagingCap is the capacity a staging buffer for up to n entries gets
-// when each is kept with probability share: the expected count with
-// headroom for skew (phantom popularity, ring clustering), so that a
-// fresh buffer rarely grows, and never more than n.
-func stagingCap(n int, share float64) int {
-	return min(n, int(float64(n)*share*1.25)+64)
-}
-
-// presized empties a shard's pooled answer buffer, growing it first to
-// the stagingCap of a span of the given length at the observed share.
+// presized empties a shard's pooled answer buffer, first growing it to
+// hold a span of the given length's answers at the observed share: the
+// expected count with headroom for skew (phantom popularity, ring
+// clustering), so that a fresh buffer rarely grows, and never more than
+// the span.
 func presized(buf []hsdir.Answer, span int, share float64) []hsdir.Answer {
-	if want := stagingCap(span, share); cap(buf) < want {
+	if want := min(span, int(float64(span)*share*1.25)+64); cap(buf) < want {
 		return make([]hsdir.Answer, 0, want)
 	}
 	return buf[:0]
@@ -1055,27 +1042,4 @@ func mergeWindowStats(shards []TrafficStats) TrafficStats {
 		out.ResolvedHits += shards[i].ResolvedHits
 	}
 	return out
-}
-
-// shardFillCursors turns staged per-shard per-directory counts
-// (counts[shard*nd+d]) into arena fill cursors, in place: after the call
-// counts[shard*nd+d] is the arena index where that shard writes its
-// first record for directory d, spans ordered directory-major then shard
-// — so concatenation reproduces plan order exactly. dirOffs (len nd+1)
-// receives each directory's [dirOffs[d], dirOffs[d+1]) arena span; the
-// return value is the total record count.
-//
-//torhs:hotpath
-func shardFillCursors(counts, dirOffs []int32, shards, nd int) int32 {
-	pos := int32(0)
-	for d := 0; d < nd; d++ {
-		dirOffs[d] = pos
-		for s := 0; s < shards; s++ {
-			c := counts[s*nd+d]
-			counts[s*nd+d] = pos
-			pos += c
-		}
-	}
-	dirOffs[nd] = pos
-	return pos
 }

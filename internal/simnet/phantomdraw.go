@@ -3,7 +3,6 @@ package simnet
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 )
@@ -203,12 +202,11 @@ type phantomSampler struct {
 	dead  []uint64 // nil unless the window skips
 }
 
-// draw consumes exactly one rng.Float64 and returns the phantom it
-// picks, or nil when the draw lies in a dead bucket.
+// pick returns the phantom that draw u (one Float64 from the request's
+// stream) picks, or nil when u lies in a dead bucket.
 //
 //torhs:hotpath
-func (s *phantomSampler) draw(rng *rand.Rand) *phantom {
-	u := rng.Float64()
+func (s *phantomSampler) pick(u float64) *phantom {
 	if s.dead != nil {
 		if b := s.cuts.bucket(u); s.dead[b>>6]&(1<<(b&63)) != 0 {
 			return nil

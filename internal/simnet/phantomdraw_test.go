@@ -112,7 +112,7 @@ func TestPhantomDrawConsumesOneFloat64(t *testing.T) {
 			a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 			skipped := 0
 			for i := 0; i < 1000; i++ {
-				p := s.draw(a)
+				p := s.pick(a.Float64())
 				if want := powIndex(n, b.Float64()); p == nil && bitmap != nil {
 					skipped++
 				} else if p != &s.table[want] {
@@ -184,7 +184,7 @@ func TestDeadBucketsReachOnlyUnobserved(t *testing.T) {
 				draws := rand.New(rand.NewSource(int64(n)))
 				oracle := rand.New(rand.NewSource(int64(n)))
 				for i := 0; i < 1_000_000; i++ {
-					p := s.draw(draws)
+					p := s.pick(draws.Float64())
 					idx := powIndex(n, oracle.Float64())
 					switch {
 					case p == nil && s.table[idx].set.observed:
@@ -227,7 +227,7 @@ func BenchmarkPhantomDraw(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.Run("table", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.draw(rng)
+			s.pick(rng.Float64())
 		}
 	})
 	b.Run("pow", func(b *testing.B) {

@@ -77,18 +77,26 @@ var errNoRelays = errors.New("simnet: not enough relays for circuit building")
 
 // Host returns the host running the service with the given address, if
 // the network has materialised one (hosts are created on first publish).
+// It panics on a restricted network, which builds no hosts.
 func (n *Network) Host(addr onion.Address) (*Host, bool) {
+	n.mustBeUnrestricted("Host")
 	h, ok := n.hosts[addr]
 	return h, ok
+}
+
+// mustBeUnrestricted panics on a restricted network, which builds no
+// hosts and publishes to its observed directories only.
+func (n *Network) mustBeUnrestricted(method string) {
+	if n.restricted() {
+		panic("simnet: " + method + " on a restricted network")
+	}
 }
 
 // OnUpload registers an observer for descriptor-upload events. It panics
 // on a restricted network (Config.Observed), which publishes to observed
 // directories only and so cannot announce every upload.
 func (n *Network) OnUpload(fn func(UploadEvent)) {
-	if n.restricted() {
-		panic("simnet: OnUpload on a restricted network")
-	}
+	n.mustBeUnrestricted("OnUpload")
 	n.uploadObservers = append(n.uploadObservers, fn)
 }
 
@@ -105,33 +113,43 @@ func (n *Network) ensureHost(svc *hspop.Service) *Host {
 	return h
 }
 
-// hostsFor returns the host of every service in svcs, in order. It
-// materialises the missing ones exactly as ensureHost would one service
-// at a time — the same draws in the same order — but sized for the
-// sweep: an empty hosts map is presized, and the new hosts and their
-// introduction points come from one []Host and one []onion.Fingerprint.
-func (n *Network) hostsFor(svcs []*hspop.Service) []*Host {
-	if len(n.hosts) == 0 {
+// sweepIntros returns the introduction points of every service in
+// svcs, introPoints per service in order, first making the set-up draws
+// of each service that has none yet, in service order, exactly as
+// ensureHost would one service at a time. An unrestricted network
+// materialises and registers the new hosts, their points runs of the
+// returned slice; a restricted one formats no location and builds no
+// Host. The network keeps the slice, so a later sweep of the same
+// population draws nothing. A restricted network, which keeps no hosts
+// to look services up in, publishes one population only.
+func (n *Network) sweepIntros(svcs []*hspop.Service) []onion.Fingerprint {
+	if len(svcs) == len(n.introSvcs) && (len(svcs) == 0 || &svcs[0] == &n.introSvcs[0]) {
+		return n.intros
+	}
+	if n.restricted() && n.introSvcs != nil {
+		panic("simnet: a restricted network publishes one population")
+	}
+	if len(n.hosts) == 0 && !n.restricted() {
 		n.hosts = make(map[onion.Address]*Host, len(svcs))
 	}
-	out := make([]*Host, len(svcs))
+	n.introSvcs, n.intros = svcs, make([]onion.Fingerprint, introPoints*len(svcs))
 	var hosts []Host
-	var intros []onion.Fingerprint
 	for i, svc := range svcs {
-		h, ok := n.hosts[svc.Address]
-		if !ok {
+		intros := n.intros[i*introPoints : (i+1)*introPoints : (i+1)*introPoints]
+		if n.restricted() {
+			n.geoDB.DrawIP(n.rng)
+			n.pickIntros(intros)
+		} else if h, ok := n.hosts[svc.Address]; ok {
+			copy(intros, h.intros)
+		} else {
 			if len(hosts) == 0 {
-				// Sized for every service left, so a sweep allocates once.
-				hosts = make([]Host, len(svcs)-i)
-				intros = make([]onion.Fingerprint, introPoints*(len(svcs)-i))
+				hosts = make([]Host, len(svcs)-i) // sized for every service left
 			}
-			h = &hosts[0]
-			n.initHost(h, svc, intros[:introPoints:introPoints])
-			hosts, intros = hosts[1:], intros[introPoints:]
+			n.initHost(&hosts[0], svc, intros)
+			hosts = hosts[1:]
 		}
-		out[i] = h
 	}
-	return out
+	return n.intros
 }
 
 // initHost materialises svc's host in h and registers it: its location,
@@ -139,11 +157,16 @@ func (n *Network) hostsFor(svcs []*hspop.Service) []*Host {
 // RNG in that order.
 func (n *Network) initHost(h *Host, svc *hspop.Service, intros []onion.Fingerprint) {
 	ip, country := n.geoDB.AllocateIP(n.rng)
+	n.pickIntros(intros)
+	*h = Host{Service: svc, IP: ip, Country: country, intros: intros}
+	n.hosts[svc.Address] = h
+}
+
+// pickIntros draws one introduction point per slot of intros.
+func (n *Network) pickIntros(intros []onion.Fingerprint) {
 	for i := range intros {
 		intros[i] = n.pickRelay()
 	}
-	*h = Host{Service: svc, IP: ip, Country: country, intros: intros}
-	n.hosts[svc.Address] = h
 }
 
 // pickRelay draws a random relay fingerprint from the consensus HSDir
@@ -168,8 +191,10 @@ func (n *Network) buildCircuit(gs *guardSet, last onion.Fingerprint, now time.Ti
 // (through a directory, observed in the request log), extract an
 // introduction point, set up a rendezvous point, and join the two circuit
 // halves. The returned result reports every relay involved, which is what
-// the attacks in this repository observe.
+// the attacks in this repository observe. It panics on a restricted
+// network, which builds no hosts.
 func (n *Network) Connect(c *Client, addr onion.Address, now time.Time) (*RendezvousResult, error) {
+	n.mustBeUnrestricted("Connect")
 	if n.ring.Len() < 3 {
 		return nil, errNoRelays
 	}

@@ -121,19 +121,17 @@ func TestServiceMemoMatchesDirectResolution(t *testing.T) {
 	net.PublishAll(f.pop, start)
 	net.warmGuardSets(start, start.Add(2*time.Hour))
 	memoRNG, directRNG := rand.New(rand.NewSource(0)), rand.New(rand.NewSource(0))
-	for _, skip := range []bool{false, true} {
-		var sc fetchScratch
-		for i := 0; i < 600; i++ {
-			svc := svcs[i/200]
-			at := start.Add(time.Duration(i%200) * 36 * time.Second)
-			c := net.clients[i%len(net.clients)]
-			memoRNG.Seed(int64(i))
-			directRNG.Seed(int64(i))
-			var direct fetchScratch
-			got := net.fetchDescriptor(memoRNG, c, svc.PermID, at, &sc, skip)
-			if want := net.fetchDescriptor(directRNG, c, svc.PermID, at, &direct, skip); got != want {
-				t.Fatalf("skip=%v request %d: memo %+v, direct %+v", skip, i, got, want)
-			}
+	var sc fetchScratch
+	for i := 0; i < 600; i++ {
+		svc := svcs[i/200]
+		at := start.Add(time.Duration(i%200) * 36 * time.Second)
+		c := net.clients[i%len(net.clients)]
+		memoRNG.Seed(int64(i))
+		directRNG.Seed(int64(i))
+		var direct fetchScratch
+		got := net.fetchDescriptor(memoRNG, c, svc.PermID, at, &sc)
+		if want := net.fetchDescriptor(directRNG, c, svc.PermID, at, &direct); got != want {
+			t.Fatalf("request %d: memo %+v, direct %+v", i, got, want)
 		}
 	}
 }
@@ -223,7 +221,7 @@ func referenceWindow(net *Network, pop *hspop.Population, start time.Time, windo
 			id = onion.DescriptorIDForPeriod(perm, onion.TimePeriod(perm, c.LocalTime(at)), replica)
 		}
 		set := net.resolve(id) // itself checked against naiveRespSet above
-		rec := net.fetchResolved(rng, c, id, &set, at, false)
+		rec := net.fetchResolved(rng, c, id, &set, at)
 		st.TotalRequests++
 		if rec.found {
 			st.ResolvedHits++

@@ -433,7 +433,8 @@ func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 }
 
 // TestRestrictedNetworkRejectsObservers pins that a restricted network
-// refuses the taps it cannot serve.
+// refuses the taps it cannot serve, and the host methods: it builds no
+// hosts.
 func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	f := newRestrictFixture(t, 43)
 	net := f.network(t, 43, 1, 0, []onion.Fingerprint{})
@@ -441,12 +442,52 @@ func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	if _, err := net.DriveWindow(context.Background(), f.pop, now, time.Hour, func(FetchEvent) {}); err == nil {
 		t.Fatal("restricted network accepted a fetch observer")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("restricted network accepted an upload observer")
-		}
-	}()
-	net.OnUpload(func(UploadEvent) {})
+	net.PublishAll(f.pop, now)
+	svc := f.pop.WithDescriptor()[0]
+	for name, call := range map[string]func(){
+		"an upload observer": func() { net.OnUpload(func(UploadEvent) {}) },
+		"Host":               func() { net.Host(svc.Address) },
+		"Connect":            func() { net.Connect(net.Clients()[0], svc.Address, now) },
+		"PublishService":     func() { net.PublishService(svc, now) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("restricted network accepted %s", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// TestRestrictedPublishAllocations pins a restricted PublishAll's
+// allocations: a repeat sweep allocates as often over a population four
+// times the size, so it makes no per-host or per-service allocation.
+func TestRestrictedPublishAllocations(t *testing.T) {
+	const seed = 71
+	f := newRestrictFixture(t, seed)
+	cfg := f.pop.Config
+	cfg.Scale *= 4
+	big, err := hspop.Generate(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, m := len(f.pop.WithDescriptor()), len(big.WithDescriptor()); m < 3*n {
+		t.Fatalf("populations of %d and %d services", n, m)
+	}
+	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
+	now := f.doc.ValidAfter
+	var allocs []float64
+	for _, pop := range []*hspop.Population{f.pop, big} {
+		net := f.network(t, seed, 1, 0, observed)
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { net.PublishAll(pop, now) }))
+	}
+	// The descriptors take one allocation; the rest are the sweep's
+	// closures and its view of the ID cache.
+	if allocs[0] != allocs[1] || allocs[0] > 10 {
+		t.Fatalf("a restricted sweep allocates %v times over N services and %v over 4N; want equal, at most 10", allocs[0], allocs[1])
+	}
 }
 
 // TestNetworkLogOnlyWhenRestricted pins which networks keep a request
@@ -503,10 +544,10 @@ func TestCancelledWindowLeavesLogUnchanged(t *testing.T) {
 }
 
 // TestFetchPathsDoNotAllocate pins the hot path's zero-allocation
-// contract on a restricted network, for skipped and probed requests, on
-// both fetch paths of a driven window: a phantom request (a table draw,
-// then fetchResolved) and a service request (fetchDescriptor and its
-// memo).
+// contract on a restricted network, for requests observed and unobserved
+// directories answer, on both fetch paths of a driven window: a phantom
+// request (a table draw, then fetchResolved) and a service request
+// (fetchDescriptor and its memo).
 func TestFetchPathsDoNotAllocate(t *testing.T) {
 	f := newRestrictFixture(t, 47)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"]
@@ -522,37 +563,35 @@ func TestFetchPathsDoNotAllocate(t *testing.T) {
 	phantoms.resolve(net, 1)
 	ps := phantomSampler{table: phantoms, cuts: cutsFor(len(phantoms))}
 	svcs := f.pop.PopularServices()
-	for _, skip := range []bool{false, true} {
-		var sc fetchScratch
-		i := 0
-		paths := []struct {
-			name  string
-			fetch func() fetchRec
-		}{
-			{"phantom", func() fetchRec {
-				p := ps.draw(rng)
-				return net.fetchResolved(rng, net.clients[i%len(net.clients)], p.id, &p.set, now, skip)
-			}},
-			// Eight requests per service, as a plan groups them.
-			{"service", func() fetchRec {
-				return net.fetchDescriptor(rng, net.clients[i%len(net.clients)], svcs[i/8%len(svcs)].PermID, now, &sc, skip)
-			}},
+	var sc fetchScratch
+	i := 0
+	paths := []struct {
+		name  string
+		fetch func() fetchRec
+	}{
+		{"phantom", func() fetchRec {
+			p := ps.pick(rng.Float64())
+			return net.fetchResolved(rng, net.clients[i%len(net.clients)], p.id, &p.set, now)
+		}},
+		// Eight requests per service, as a plan groups them.
+		{"service", func() fetchRec {
+			return net.fetchDescriptor(rng, net.clients[i%len(net.clients)], svcs[i/8%len(svcs)].PermID, now, &sc)
+		}},
+	}
+	for _, p := range paths {
+		unobserved, answered := 0, 0
+		if avg := testing.AllocsPerRun(500, func() {
+			if rec := p.fetch(); rec.answered < 0 {
+				unobserved++
+			} else {
+				answered++
+			}
+			i++
+		}); avg != 0 {
+			t.Fatalf("%s fetch allocates %.1f times per call", p.name, avg)
 		}
-		for _, p := range paths {
-			skipped, probed := 0, 0
-			if avg := testing.AllocsPerRun(500, func() {
-				if rec := p.fetch(); rec.attempts == 0 {
-					skipped++
-				} else {
-					probed++
-				}
-				i++
-			}); avg != 0 {
-				t.Fatalf("%s fetch (skip=%v) allocates %.1f times per call", p.name, skip, avg)
-			}
-			if probed == 0 || skip && skipped == 0 {
-				t.Fatalf("%s fetch (skip=%v): %d skipped, %d probed; want both kinds", p.name, skip, skipped, probed)
-			}
+		if answered == 0 || unobserved == 0 {
+			t.Fatalf("%s fetch: %d answered by observed directories, %d not; want both kinds", p.name, answered, unobserved)
 		}
 	}
 }
