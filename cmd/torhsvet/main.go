@@ -1,8 +1,7 @@
 // Command torhsvet runs torhs's static-analysis suite (see
-// internal/analysis): detorder, detrand, hotalloc, cachekey, faultsite,
-// shardmerge, and ctxflow — the compile-time proofs of the determinism,
-// hot-path, cache-key, fault-site-registry, shard-merge-order, and
-// cancellation-plumbing contracts.
+// internal/analysis): detorder, detrand, ctxflow and windowring — the
+// compile-time proofs of the determinism, cancellation-plumbing and
+// streaming-retention contracts.
 //
 // Standalone (the CI entry point; exits 0 only when every package is
 // clean):

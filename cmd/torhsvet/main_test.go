@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,16 +27,38 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestListNamesEveryAnalyzer pins the -list contract the CI step and
-// README rely on.
+// README rely on, and requires README's torhsvet table to list exactly
+// the analyzers the suite runs.
 func TestListNamesEveryAnalyzer(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exited %d\n%s", code, stderr.String())
 	}
+	var want []string
 	for _, a := range analysis.All() {
+		want = append(want, a.Name)
 		if !strings.Contains(stdout.String(), a.Name) {
 			t.Errorf("-list output misses analyzer %q:\n%s", a.Name, stdout.String())
 		}
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "## Static guarantees: `torhsvet`")
+	if !ok {
+		t.Fatal("README has no torhsvet section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var table []string
+	for _, line := range strings.Split(section, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ = strings.Cut(name, "`")
+			table = append(table, name)
+		}
+	}
+	if !slices.Equal(table, want) {
+		t.Errorf("README's torhsvet table lists %v; the suite runs %v", table, want)
 	}
 }
 

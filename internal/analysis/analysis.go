@@ -10,21 +10,9 @@
 //   - detrand: deterministic packages draw randomness only from
 //     seed-derived sources (parallel.SeedFor / parallel.NewRNG) and
 //     never read ambient state (time.Now, os.Getenv, global math/rand).
-//   - hotalloc: functions annotated //torhs:hotpath avoid
-//     allocation-forcing constructs, giving the AllocsPerRun tests
-//     line-level attribution.
-//   - cachekey: every field of a struct with a CacheKey() string method
-//     is either consumed by CacheKey or carries an audited
-//     //torhs:nocachekey exemption, so a new knob can never silently
-//     alias result-store cache entries.
-//   - faultsite: every //torhs:faultsite name is unique, matches its
-//     constant's value, and is registered in the fault package's sites
-//     map; fault.Hit / fault.MustHit calls pass named site constants,
-//     never inline strings.
-//   - shardmerge: functions annotated //torhs:shardmerge <param> fold
-//     their per-shard partial-result slice in ascending shard index
-//     order — the order that makes a contiguous-chunk merge reproduce
-//     the sequential result byte for byte.
+//   - ctxflow: context.Context is the first parameter and never a
+//     struct field, and every //torhs:cancelpoint function checks its
+//     context inside its outermost loop.
 //   - windowring: deterministic packages never let a long-lived struct
 //     field accumulate consensus documents without an audited
 //     //torhs:retained exemption — the streaming pipeline's bounded
@@ -38,10 +26,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -100,7 +90,7 @@ func (p *Pass) Position(pos token.Pos) token.Position {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{DetOrder, DetRand, HotAlloc, CacheKey, FaultSite, ShardMerge, CtxFlow, WindowRing}
+	return []*Analyzer{DetOrder, DetRand, CtxFlow, WindowRing}
 }
 
 // byName resolves an analyzer name; used to validate ignore directives.
@@ -160,30 +150,10 @@ func Run(pkg *Package, as []*Analyzer) ([]Diagnostic, error) {
 			kept = append(kept, d)
 		}
 	}
-	sortDiagnostics(pkg.Fset, kept)
+	slices.SortStableFunc(kept, func(a, b Diagnostic) int {
+		pa, pb := pkg.Fset.Position(a.Pos), pkg.Fset.Position(b.Pos)
+		return cmp.Or(cmp.Compare(pa.Filename, pb.Filename), cmp.Compare(pa.Line, pb.Line),
+			cmp.Compare(pa.Column, pb.Column), cmp.Compare(a.Analyzer, b.Analyzer))
+	})
 	return kept, nil
-}
-
-func sortDiagnostics(fset *token.FileSet, ds []Diagnostic) {
-	// Insertion sort: diagnostic counts are tiny and this avoids
-	// importing sort for a slice of unexported state.
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && less(fset, ds[j], ds[j-1]); j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-}
-
-func less(fset *token.FileSet, a, b Diagnostic) bool {
-	pa, pb := fset.Position(a.Pos), fset.Position(b.Pos)
-	if pa.Filename != pb.Filename {
-		return pa.Filename < pb.Filename
-	}
-	if pa.Line != pb.Line {
-		return pa.Line < pb.Line
-	}
-	if pa.Column != pb.Column {
-		return pa.Column < pb.Column
-	}
-	return a.Analyzer < b.Analyzer
 }

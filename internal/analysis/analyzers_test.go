@@ -13,66 +13,6 @@ func TestDetRandGolden(t *testing.T) {
 	testAnalyzer(t, DetRand, "./testdata/src/detrand")
 }
 
-func TestHotAllocGolden(t *testing.T) {
-	testAnalyzer(t, HotAlloc, "./testdata/src/hotalloc")
-}
-
-func TestCacheKeyGolden(t *testing.T) {
-	testAnalyzer(t, CacheKey, "./testdata/src/cachekey")
-}
-
-func TestFaultSiteGolden(t *testing.T) {
-	testAnalyzer(t, FaultSite, "./testdata/src/faultsite")
-}
-
-func TestFaultSiteRegistryGolden(t *testing.T) {
-	testAnalyzer(t, FaultSite, "./testdata/src/faultsitereg")
-}
-
-// TestFaultSiteMisplaced covers the one faultsite diagnostic the golden
-// harness cannot express: a directive that attaches to no constant is
-// reported on the comment's own line, where a want comment cannot sit.
-func TestFaultSiteMisplaced(t *testing.T) {
-	pkgs, err := Load(".", "./testdata/src/faultsitebad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	diags, err := Run(pkgs[0], []*Analyzer{FaultSite})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "must document a string constant") {
-		t.Fatalf("diagnostics = %+v, want one misplaced-directive finding", diags)
-	}
-}
-
-func TestShardMergeGolden(t *testing.T) {
-	testAnalyzer(t, ShardMerge, "./testdata/src/shardmerge")
-}
-
-// TestShardMergeMisplaced covers the diagnostic the golden harness
-// cannot express: a shardmerge directive that documents anything but a
-// function declaration is reported on the comment's own line.
-func TestShardMergeMisplaced(t *testing.T) {
-	pkgs, err := Load(".", "./testdata/src/shardmergebad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) != 1 {
-		t.Fatalf("got %d packages, want 1", len(pkgs))
-	}
-	diags, err := Run(pkgs[0], []*Analyzer{ShardMerge})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "must document a function declaration") {
-		t.Fatalf("diagnostics = %+v, want one misplaced-directive finding", diags)
-	}
-}
-
 func TestCtxFlowGolden(t *testing.T) {
 	testAnalyzer(t, CtxFlow, "./testdata/src/ctxflow")
 }

@@ -8,24 +8,13 @@ import (
 )
 
 // The suite's comment directives. All of them are audited: ignore and
-// nocachekey require a reason, unknown or unused directives are
+// retained require a reason, unknown or unused directives are
 // themselves diagnostics, so a suppression can never silently rot.
 //
 //	//torhs:ignore <analyzer> <reason>   suppress <analyzer> findings on
 //	                                     this line or the line below
-//	//torhs:hotpath                      (func doc) hotalloc analyzes this
-//	                                     function's body
-//	//torhs:nocachekey <reason>          (struct field) exempt the field
-//	                                     from the cachekey contract
 //	//torhs:orderinsensitive <reason>    (func doc) calls to this function
 //	                                     are accepted inside map ranges
-//	//torhs:faultsite <name>             (const doc) the string constant
-//	                                     names a registered fault-injection
-//	                                     site (see internal/fault)
-//	//torhs:shardmerge <param>           (func doc) the function folds the
-//	                                     named shard-slice parameter and
-//	                                     must visit it in ascending index
-//	                                     order
 //	//torhs:cancelpoint                  (func doc) the function is a
 //	                                     kernel cancellation boundary: it
 //	                                     takes a context and must check
@@ -38,11 +27,7 @@ import (
 //	                                     retention is bounded
 const (
 	dirIgnore           = "ignore"
-	dirHotPath          = "hotpath"
-	dirNoCacheKey       = "nocachekey"
 	dirOrderInsensitive = "orderinsensitive"
-	dirFaultSite        = "faultsite"
-	dirShardMerge       = "shardmerge"
 	dirCancelPoint      = "cancelpoint"
 	dirRetained         = "retained"
 )
@@ -97,7 +82,7 @@ func lineKey(pos token.Position) string {
 // parseDirectives scans every comment of the package, building the
 // suppression index and reporting malformed directives: unknown kinds,
 // ignores naming unknown analyzers, and ignores without a reason.
-// hotpath / nocachekey / orderinsensitive directives are validated
+// orderinsensitive / cancelpoint / retained directives are validated
 // where they are consumed (they are positional: their meaning depends
 // on the declaration they document).
 func parseDirectives(fset *token.FileSet, files []*ast.File) (*directiveIndex, []Diagnostic) {
@@ -114,9 +99,8 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) (*directiveIndex, [
 					continue
 				}
 				switch d.kind {
-				case dirHotPath, dirNoCacheKey, dirOrderInsensitive, dirFaultSite, dirShardMerge, dirCancelPoint, dirRetained:
-					// Positional; consumed by hotalloc / cachekey /
-					// detorder / faultsite / shardmerge / ctxflow /
+				case dirOrderInsensitive, dirCancelPoint, dirRetained:
+					// Positional; consumed by detorder / ctxflow /
 					// windowring respectively.
 				case dirIgnore:
 					analyzer, reason, _ := strings.Cut(d.args, " ")
@@ -190,6 +174,17 @@ func hasDirective(cg *ast.CommentGroup, kind string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// directivePos finds the comment position of the given directive kind
+// within the group (the group is known to carry it).
+func directivePos(cg *ast.CommentGroup, kind string) token.Pos {
+	for _, c := range cg.List {
+		if d, ok := parseDirective(c); ok && d.kind == kind {
+			return d.pos
+		}
+	}
+	return cg.Pos()
 }
 
 // fieldDirective looks for kind on a struct field's doc or trailing

@@ -86,7 +86,7 @@ func declaredWithin(obj types.Object, n ast.Node) bool {
 
 // funcDeclIndex maps each declared function/method object of the
 // package to its declaration, so analyzers can chase same-package
-// calls (directive lookup, cachekey recursion).
+// calls (directive lookup).
 func funcDeclIndex(files []*ast.File, info *types.Info) map[*types.Func]*ast.FuncDecl {
 	ix := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range files {

@@ -101,8 +101,15 @@ func checkRetention(pass *Pass, typeName string, st *ast.StructType, consumed ma
 // fieldLabel names a field for diagnostics: the first declared name, or
 // the embedded type's name.
 func fieldLabel(pass *Pass, field *ast.Field) string {
-	if names := fieldNames(pass, field); len(names) > 0 {
-		return names[0]
+	if len(field.Names) > 0 {
+		return field.Names[0].Name
+	}
+	t := pass.TypesInfo.TypeOf(field.Type)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
 	}
 	return "(anonymous)"
 }

@@ -121,8 +121,6 @@ func (r *requested) add(id onion.DescriptorID, n int) {
 }
 
 // find returns id's entry index, or -1.
-//
-//torhs:hotpath
 func (r *requested) find(id *onion.DescriptorID) int {
 	tag, slot := r.probeKey(id)
 	for {

@@ -158,6 +158,26 @@ func TestRequestedSetFindsEveryID(t *testing.T) {
 	}
 }
 
+// TestRequestedFindDoesNotAllocate pins the resolver's inner probe: the
+// resolution calls find once per derived window ID, so a hit or a miss
+// must allocate nothing.
+func TestRequestedFindDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	req := newRequested(64)
+	for i := 0; i < 64; i++ {
+		req.add(onion.DescriptorID(onion.RandomFingerprint(rng)), i)
+	}
+	hit := req.ids[17]
+	miss := onion.DescriptorID(onion.RandomFingerprint(rng))
+	if avg := testing.AllocsPerRun(100, func() {
+		if req.find(&hit) != 17 || req.find(&miss) >= 0 {
+			t.Fatal("find answers wrongly")
+		}
+	}); avg != 0 {
+		t.Fatalf("find allocates %v times per hit and miss, want 0", avg)
+	}
+}
+
 // TestResolveForcedCollisions gives several addresses one permanent ID,
 // so every ID they derive collides, and checks the resolver against the
 // brute-force oracle and the later-address-wins rule at several worker

@@ -492,8 +492,6 @@ func newSweep(a *Analyzer) sweep {
 // accumulator — the tracking pipeline's hot loop over a multi-month
 // History — and stays allocation-free in steady state (everything grows
 // amortized or reuses scratch).
-//
-//torhs:hotpath
 func (sw *sweep) observeDoc(doc *consensus.Document, target onion.PermanentID) {
 	// Window bounds are captured before the empty-HSDir early return:
 	// every folded document widens the report's [From, To], whether or
@@ -528,7 +526,6 @@ func (sw *sweep) observeDoc(doc *consensus.Document, target onion.PermanentID) {
 		}
 		if e.Fingerprint != st.lastFP {
 			if st.fps == nil {
-				//torhs:ignore hotalloc cold path: runs once per relay, on its first observed fingerprint switch
 				st.fps = append(make([]onion.Fingerprint, 0, 4), st.lastFP)
 			}
 			st.fps = appendFPAbsent(st.fps, e.Fingerprint)

@@ -3,10 +3,12 @@ package tracking
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"torhs/internal/fault"
+	"torhs/internal/onion"
 	"torhs/internal/relay"
 )
 
@@ -259,6 +261,35 @@ func TestReportBasicAccounting(t *testing.T) {
 		if len(r.Occurrences) < r.TimesResponsible {
 			t.Fatal("occurrences fewer than responsible days")
 		}
+	}
+}
+
+// TestObserveDocDoesNotAllocate pins the sweep's per-document fold: once
+// a sweep has met every relay and its occurrence lists have room, one
+// more fold allocates nothing.
+func TestObserveDocDoesNotAllocate(t *testing.T) {
+	sc := mustScenario(t, DefaultScenarioConfig(1))
+	an, err := NewAnalyzer(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := sc.History.Range(sc.Start, sc.Start.Add(30*24*time.Hour))
+	sw := newSweep(an)
+	for _, doc := range docs {
+		sw.observeDoc(doc, sc.Target)
+	}
+	// Room for one document's occurrences, reused by every fold below.
+	const perDoc = onion.Replicas * onion.SpreadPerReplica
+	occs, occStates := slices.Grow(sw.occs, perDoc), slices.Grow(sw.occStates, perDoc)
+	doc := docs[len(docs)-1]
+	if avg := testing.AllocsPerRun(100, func() {
+		sw.occs, sw.occStates = occs, occStates
+		sw.observeDoc(doc, sc.Target)
+	}); avg != 0 {
+		t.Fatalf("observeDoc allocates %v times per document, want 0", avg)
+	}
+	if len(sw.occs) == len(occs) {
+		t.Fatal("the folded document made the target no occurrence")
 	}
 }
 

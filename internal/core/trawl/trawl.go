@@ -418,14 +418,10 @@ func (t *Trawler) readStep(net *simnet.Network, attacker []onion.Fingerprint) []
 }
 
 // mergeReadouts folds the per-shard read-out partials into the harvest
-// accumulators, iterating shards in index order — shard spans are
-// contiguous ascending directory ranges, so shard-then-directory order
-// is directory order. Every scalar is a sum and every map a set union.
-// Most descriptors a step reads belong to services an earlier step
-// already harvested, so one lookup settles each of those.
-//
-//torhs:shardmerge shards
-//torhs:hotpath
+// accumulators. Every scalar is a sum and every map a set union, so the
+// order of the shards is immaterial. Most descriptors a step reads
+// belong to services an earlier step already harvested, so one lookup
+// settles each of those.
 func (t *Trawler) mergeReadouts(
 	h *Harvest,
 	publishedIDs, requestedPublished map[onion.DescriptorID]bool,

@@ -173,6 +173,48 @@ func TestRunStudyCacheKeyedByInputs(t *testing.T) {
 	}
 }
 
+// TestCacheKeyCoversEveryField perturbs, one at a time, every field of
+// the two structs whose CacheKey addresses the result store, and
+// requires the key to change exactly when the field is not exempt on
+// purpose. A knob added to either struct without reaching its CacheKey
+// would silently alias store entries; it fails here instead.
+func TestCacheKeyCoversEveryField(t *testing.T) {
+	cases := []struct {
+		base   any
+		key    func(any) string
+		exempt string // the one field deliberately left out of the key
+	}{
+		{DefaultConfig(1), func(v any) string { return v.(Config).CacheKey() }, "Workers"},
+		{resultstore.Key{Experiment: ExpScan, Scenario: "laptop", Params: "seed=1", CodeVersion: "v1"},
+			func(v any) string { return v.(resultstore.Key).CacheKey() }, "Scenario"},
+	}
+	for _, tc := range cases {
+		base := reflect.ValueOf(tc.base)
+		want := tc.key(tc.base)
+		for i := range base.NumField() {
+			v := reflect.New(base.Type()).Elem()
+			v.Set(base)
+			f, name := v.Field(i), base.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(2*f.Float() + 1)
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			default:
+				t.Fatalf("%s.%s: no perturbation for kind %s", base.Type(), name, f.Kind())
+			}
+			switch changed := tc.key(v.Interface()) != want; {
+			case !changed && name != tc.exempt:
+				t.Errorf("%s.%s does not reach CacheKey: runs that differ in it share a store entry", base.Type(), name)
+			case changed && name == tc.exempt:
+				t.Errorf("%s.%s is exempt but changes CacheKey", base.Type(), name)
+			}
+		}
+	}
+}
+
 // TestRunStudyJSONRoundTrips: the combined JSON encoding decodes back
 // to the same document (the acceptance round-trip on real study data),
 // and the per-experiment stored documents round-trip too.

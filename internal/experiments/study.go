@@ -48,9 +48,8 @@ type Config struct {
 	// and each experiment shards its own hot loop across Workers
 	// goroutines, so the study's peak goroutine count can exceed the
 	// knob when experiments overlap. For a fixed Seed the rendered
-	// output is byte-identical at every worker count.
-	//
-	//torhs:nocachekey output is byte-identical at every worker count (pinned by the determinism tests), so runs at different parallelism deliberately share cache entries
+	// output is byte-identical at every worker count, so CacheKey leaves
+	// it out and runs at different parallelism share cache entries.
 	Workers int
 	// BotFactor scales the Skynet bot population relative to the
 	// paper's calibrated count (0 means 1.0, the paper's mix).

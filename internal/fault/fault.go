@@ -10,7 +10,7 @@
 // byte-identically.
 //
 // Injection is off unless an Injector is installed. Production code
-// calls Hit (or MustHit at sites with no error return) with a constant
+// calls Hit (or MustHit at sites with no error return) with a site
 // from sites.go; with no active injector that is one atomic load.
 //
 // The TORHS_FAULT environment variable installs an injector at process
@@ -43,11 +43,14 @@ import (
 	"time"
 )
 
-// Site names one injection point. The registry in sites.go is the
-// single source of truth; Parse and Set reject unregistered names, and
-// the faultsite analyzer proves every //torhs:faultsite constant is
-// unique and registered.
-type Site string
+// Site names one injection point. Its values are the sites registered
+// in sites.go and the zero Site, which names none: no other package can
+// make a Site from a name, so a call site cannot name an unregistered
+// one, and Parse rejects unknown names.
+type Site struct{ name string }
+
+// String returns the site's name.
+func (s Site) String() string { return s.name }
 
 // Mode is what happens when a rule fires.
 type Mode int
@@ -220,7 +223,7 @@ func (in *Injector) hit(site Site) (*armedRule, int) {
 // import graph, so it cannot borrow parallel.SeedFor.
 func chance(seed int64, site Site, n int) float64 {
 	h := uint64(seed)
-	for _, b := range []byte(site) {
+	for _, b := range []byte(site.name) {
 		h = (h ^ uint64(b)) * 0x100000001b3
 	}
 	h += uint64(n) * 0x9e3779b97f4a7c15
@@ -309,7 +312,7 @@ func Parse(spec string) (*Injector, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fault: clause %q: %v", clause, err)
 			}
-			rules = append(rules, armed{site: Site(strings.TrimSpace(site)), rule: r})
+			rules = append(rules, armed{site: Site{name: strings.TrimSpace(site)}, rule: r})
 		}
 	}
 	in := New(seed)
@@ -493,7 +496,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 func SiteNames() []string {
 	names := make([]string, 0, len(sites))
 	for s := range sites {
-		names = append(names, string(s))
+		names = append(names, s.name)
 	}
 	sort.Strings(names)
 	return names
@@ -504,4 +507,4 @@ func SiteNames() []string {
 func SiteCanErr(site Site) bool { return sites[site].errOK }
 
 // IsSite reports whether name is registered.
-func IsSite(name string) bool { _, ok := sites[Site(name)]; return ok }
+func IsSite(name string) bool { _, ok := sites[Site{name: name}]; return ok }

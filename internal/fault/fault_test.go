@@ -232,3 +232,18 @@ func TestSiteRegistryShape(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// TestRegisterRefusesDuplicateName pins the registry's one invariant a
+// type cannot carry: two sites never share a name.
+func TestRegisterRefusesDuplicateName(t *testing.T) {
+	before := len(sites)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering trawl.step twice did not panic")
+		}
+		if len(sites) != before || !SiteCanErr(SiteTrawlStep) {
+			t.Fatal("the refused registration changed the registry")
+		}
+	}()
+	register(SiteTrawlStep.String(), false)
+}

