@@ -871,25 +871,6 @@ func BenchmarkRingIntSubMod(b *testing.B) {
 	}
 }
 
-// BenchmarkHistoryFirstAppearance measures the per-relay first-sighting
-// query tracking rule 5 depends on (cached first-seen map after the
-// first call).
-func BenchmarkHistoryFirstAppearance(b *testing.B) {
-	e := benchSetup(b)
-	h := e.scenario.History
-	doc := h.All()[h.Len()-1]
-	fps := make([]onion.Fingerprint, 0, 256)
-	for i := 0; i < len(doc.Entries) && i < 256; i++ {
-		fps = append(fps, doc.Entries[i].Fingerprint)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := h.FirstAppearance(fps[i%len(fps)]); !ok {
-			b.Fatal("fingerprint not found")
-		}
-	}
-}
-
 // BenchmarkDescriptorID measures the rend-spec-v2 descriptor-ID
 // derivation.
 func BenchmarkDescriptorID(b *testing.B) {

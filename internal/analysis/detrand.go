@@ -10,7 +10,7 @@ import (
 // math/rand top-level functions, and runtime-seeded hashing. The only
 // sanctioned randomness is seed-derived — parallel.SeedFor /
 // parallel.NewRNG (or an explicit *rand.Rand built from them) — and the
-// only sanctioned clock is simclock / config-threaded times.
+// only sanctioned clock is a time threaded through config.
 var DetRand = &Analyzer{
 	Name: "detrand",
 	Doc: "forbid time.Now, os.Getenv, global math/rand and runtime-seeded hashing " +
@@ -22,9 +22,9 @@ var DetRand = &Analyzer{
 // instead. An empty name key means every package-level function.
 var forbiddenCalls = map[string]map[string]string{
 	"time": {
-		"Now":   "thread an explicit time through config (or use simclock)",
-		"Since": "thread an explicit time through config (or use simclock)",
-		"Until": "thread an explicit time through config (or use simclock)",
+		"Now":   "thread an explicit time through config",
+		"Since": "thread an explicit time through config",
+		"Until": "thread an explicit time through config",
 	},
 	"os": {
 		"Getenv":    "thread configuration explicitly",

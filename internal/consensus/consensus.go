@@ -228,9 +228,6 @@ func (a *Authority) Register(r *relay.Relay) {
 	a.byID[r.ID()] = r
 }
 
-// Registered returns the number of watched relays.
-func (a *Authority) Registered() int { return len(a.relays) }
-
 // flagsFor computes the flags a relay earns from its probe status.
 func (a *Authority) flagsFor(s relay.Status) Flag {
 	f := FlagRunning
@@ -297,22 +294,4 @@ func (a *Authority) Publish(now time.Time) *Document {
 		return doc.Entries[i].Fingerprint.Less(doc.Entries[j].Fingerprint)
 	})
 	return doc
-}
-
-// ShadowCount reports how many running, reachable relays were *excluded*
-// from the given consensus by the per-IP cap — i.e. the size of the shadow
-// population an attacker could be hiding.
-func (a *Authority) ShadowCount(now time.Time, doc *Document) int {
-	inDoc := make(map[onion.Fingerprint]bool, len(doc.Entries))
-	for _, e := range doc.Entries {
-		inDoc[e.Fingerprint] = true
-	}
-	n := 0
-	for _, r := range a.relays {
-		s := r.StatusAt(now)
-		if s.Running && s.Reachable && !inDoc[s.Fingerprint] {
-			n++
-		}
-	}
-	return n
 }

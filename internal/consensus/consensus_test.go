@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"torhs/internal/onion"
 	"torhs/internal/relay"
 )
 
@@ -71,9 +72,6 @@ func TestPublishTwoPerIPByBandwidth(t *testing.T) {
 	if !got[400] || !got[300] {
 		t.Fatalf("wrong relays selected: %+v", doc.Entries)
 	}
-	if n := auth.ShadowCount(at(1), doc); n != 3 {
-		t.Fatalf("shadow count = %d, want 3", n)
-	}
 }
 
 func TestShadowPromotionOnUnreachability(t *testing.T) {
@@ -131,7 +129,7 @@ func TestFingerprintSwitchResetsHSDirFlag(t *testing.T) {
 	if e := auth.Publish(at(30)).Entries[0]; !e.Flags.Has(FlagHSDir) {
 		t.Fatal("HSDir flag missing at 30h")
 	}
-	r.SwitchFingerprint(rng, at(30))
+	r.AdoptMinedFingerprint(onion.RandomFingerprint(rng), at(30))
 	if e := auth.Publish(at(31)).Entries[0]; e.Flags.Has(FlagHSDir) {
 		t.Fatal("HSDir flag survived identity switch")
 	}
@@ -179,10 +177,11 @@ func TestRegisterIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	auth := NewAuthority(DefaultThresholds())
 	r := newRelay(rng, 1, "10.0.0.1", 100)
+	r.Start(at(0))
 	auth.Register(r)
 	auth.Register(r)
-	if auth.Registered() != 1 {
-		t.Fatalf("registered = %d, want 1", auth.Registered())
+	if doc := auth.Publish(at(1)); len(doc.Entries) != 1 {
+		t.Fatalf("entries = %d, want 1", len(doc.Entries))
 	}
 }
 

@@ -3,10 +3,7 @@ package consensus
 import (
 	"errors"
 	"sort"
-	"sync"
 	"time"
-
-	"torhs/internal/onion"
 )
 
 // ErrNoDocument is returned when the archive has no consensus covering the
@@ -18,12 +15,6 @@ var ErrNoDocument = errors.New("consensus: no document for instant")
 // consensus history around Silk Road).
 type History struct {
 	docs []*Document // sorted by ValidAfter
-
-	// firstSeen caches fingerprint → first ValidAfter. The archive is
-	// append-only, so the map is built once on first FirstAppearance call
-	// and invalidated whenever Append grows the archive.
-	mu        sync.Mutex
-	firstSeen map[onion.Fingerprint]time.Time
 }
 
 // NewHistory returns an empty archive.
@@ -36,9 +27,6 @@ func (h *History) Append(doc *Document) error {
 		return errors.New("consensus: out-of-order append")
 	}
 	h.docs = append(h.docs, doc)
-	h.mu.Lock()
-	h.firstSeen = nil // the new document may introduce fingerprints
-	h.mu.Unlock()
 	return nil
 }
 
@@ -72,29 +60,3 @@ func (h *History) Range(from, to time.Time) []*Document {
 // All returns every archived document in order. The returned slice aliases
 // the archive; callers must not mutate it.
 func (h *History) All() []*Document { return h.docs }
-
-// FirstAppearance returns the ValidAfter of the first document containing
-// fingerprint f, or false if f never appeared. Tracking detection uses
-// this for the "became responsible HSDir 25 hours after appearing in the
-// consensus" rule; the per-relay calls it makes made the old
-// scan-the-whole-archive implementation O(docs · log n) per call. The
-// first-seen map is built once per archive state (one linear pass over
-// every entry) and each call is then a single map lookup.
-func (h *History) FirstAppearance(f onion.Fingerprint) (time.Time, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.firstSeen == nil {
-		m := make(map[onion.Fingerprint]time.Time)
-		for _, doc := range h.docs {
-			for i := range doc.Entries {
-				fp := doc.Entries[i].Fingerprint
-				if _, ok := m[fp]; !ok {
-					m[fp] = doc.ValidAfter
-				}
-			}
-		}
-		h.firstSeen = m
-	}
-	t, ok := h.firstSeen[f]
-	return t, ok
-}

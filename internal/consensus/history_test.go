@@ -109,78 +109,6 @@ func TestHistoryRange(t *testing.T) {
 	}
 }
 
-func TestHistoryFirstAppearance(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	r := relay.New(relay.Config{ID: 1, Nickname: "late", IP: "10.9.9.9", ORPort: 9001, Bandwidth: 100}, rng)
-
-	auth := NewAuthority(DefaultThresholds())
-	auth.Register(r)
-	h := NewHistory()
-
-	if err := h.Append(auth.Publish(at(0))); err != nil {
-		t.Fatal(err)
-	}
-	r.Start(at(10))
-	if err := h.Append(auth.Publish(at(24))); err != nil {
-		t.Fatal(err)
-	}
-
-	first, ok := h.FirstAppearance(r.Fingerprint())
-	if !ok {
-		t.Fatal("relay never found")
-	}
-	if !first.Equal(at(24)) {
-		t.Fatalf("first appearance = %v, want %v", first, at(24))
-	}
-
-	var never [20]byte
-	if _, ok := h.FirstAppearance(never); ok {
-		t.Fatal("phantom fingerprint found")
-	}
-}
-
-// TestHistoryFirstAppearanceInvalidatedOnAppend checks that the cached
-// first-seen map picks up fingerprints introduced by documents appended
-// after the first query.
-func TestHistoryFirstAppearanceInvalidatedOnAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	early := relay.New(relay.Config{ID: 1, Nickname: "early", IP: "10.9.9.1", ORPort: 9001, Bandwidth: 100}, rng)
-	late := relay.New(relay.Config{ID: 2, Nickname: "late", IP: "10.9.9.2", ORPort: 9001, Bandwidth: 100}, rng)
-
-	auth := NewAuthority(DefaultThresholds())
-	auth.Register(early)
-	auth.Register(late)
-	h := NewHistory()
-
-	early.Start(at(-1))
-	if err := h.Append(auth.Publish(at(0))); err != nil {
-		t.Fatal(err)
-	}
-	// First query builds the cached map — before the late relay exists.
-	if _, ok := h.FirstAppearance(early.Fingerprint()); !ok {
-		t.Fatal("early relay not found")
-	}
-	if _, ok := h.FirstAppearance(late.Fingerprint()); ok {
-		t.Fatal("late relay found before it appeared")
-	}
-
-	late.Start(at(10))
-	if err := h.Append(auth.Publish(at(24))); err != nil {
-		t.Fatal(err)
-	}
-	first, ok := h.FirstAppearance(late.Fingerprint())
-	if !ok {
-		t.Fatal("late relay not found after append")
-	}
-	if !first.Equal(at(24)) {
-		t.Fatalf("late first appearance = %v, want %v", first, at(24))
-	}
-	// The earlier fingerprint keeps its original first sighting.
-	if first, _ := h.FirstAppearance(early.Fingerprint()); !first.Equal(at(0)) {
-		t.Fatalf("early first appearance = %v, want %v", first, at(0))
-	}
-}
-
 func TestCodecRoundTrip(t *testing.T) {
 	doc := buildDoc(t, 11, at(0), 40)
 	var buf bytes.Buffer

@@ -1,6 +1,10 @@
 package deanon
 
-import "testing"
+import (
+	"testing"
+
+	"torhs/internal/simnet"
+)
 
 func TestRunServiceSideValidation(t *testing.T) {
 	net, pop, now := setup(t, 20)
@@ -19,6 +23,12 @@ func TestRunServiceSideValidation(t *testing.T) {
 func TestServiceSideFullGuardControlSucceedsImmediately(t *testing.T) {
 	net, pop, now := setup(t, 21)
 	target := pop.WithDescriptor()[0]
+	var hostIP string
+	net.OnUpload(func(ev simnet.UploadEvent) {
+		if ev.Host.Service == target {
+			hostIP = ev.Host.IP
+		}
+	})
 	cfg := ServiceConfig{GuardControlFraction: 1.0, Days: 3, Seed: 21}
 	rep, err := RunServiceSide(net, target, now, cfg)
 	if err != nil {
@@ -30,12 +40,11 @@ func TestServiceSideFullGuardControlSucceedsImmediately(t *testing.T) {
 	if rep.DaysToFirstDetection != 0 {
 		t.Fatalf("first detection on day %d, want 0", rep.DaysToFirstDetection)
 	}
-	host, ok := net.Host(target.Address)
-	if !ok {
-		t.Fatal("no host")
+	if hostIP == "" {
+		t.Fatal("the target never uploaded")
 	}
-	if rep.RevealedIP != host.IP {
-		t.Fatalf("revealed %q, host IP %q", rep.RevealedIP, host.IP)
+	if rep.RevealedIP != hostIP {
+		t.Fatalf("revealed %q, host IP %q", rep.RevealedIP, hostIP)
 	}
 }
 

@@ -103,9 +103,8 @@ func assertHarvestsEqual(t *testing.T, want, got *Harvest) {
 	}
 }
 
-// TestHarvestStateRoundTrip pins the intermediate-artefact encoding: a
-// harvest must survive State → gob → HarvestFromState with every
-// aggregate intact.
+// TestHarvestStateRoundTrip pins the snapshot's harvest encoding: a
+// harvest must survive State → gob → unpack with every aggregate intact.
 func TestHarvestStateRoundTrip(t *testing.T) {
 	tr, sim, pop, db, start := setupTrawl(t, 22, 3, true)
 	h, err := tr.Run(context.Background(), sim, pop, db, start)
@@ -120,9 +119,9 @@ func TestHarvestStateRoundTrip(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	back, ok := HarvestFromState(&st)
-	if !ok {
-		t.Fatal("HarvestFromState refused a compact state")
+	back, err := st.unpack()
+	if err != nil {
+		t.Fatalf("unpack refused a compact state: %v", err)
 	}
 	assertHarvestsEqual(t, h, back)
 }
@@ -135,9 +134,8 @@ type rawRequest struct {
 	Found  bool
 }
 
-// rawHarvestState is the harvest intermediate as materialized runs
-// spilled it before compact logs: raw request records and no compact
-// aggregate.
+// rawHarvestState is the harvest state as materialized runs wrote it
+// before compact logs: raw request records and no compact aggregate.
 type rawHarvestState struct {
 	Addresses       map[onion.Address]bool
 	DescriptorsSeen int
@@ -147,7 +145,7 @@ type rawHarvestState struct {
 }
 
 // TestHarvestStateWithoutCompactIsRefused: a raw-form state decodes
-// into HarvestState with an empty log, so HarvestFromState must refuse
+// into HarvestState with an empty log, so unpack must refuse
 // it rather than hand back a harvest with no requests.
 func TestHarvestStateWithoutCompactIsRefused(t *testing.T) {
 	var addr onion.Address
@@ -168,7 +166,7 @@ func TestHarvestStateWithoutCompactIsRefused(t *testing.T) {
 	if st.DescriptorsSeen != 7 {
 		t.Fatalf("raw state decoded DescriptorsSeen %d, want 7", st.DescriptorsSeen)
 	}
-	if h, ok := HarvestFromState(&st); ok {
+	if h, err := st.unpack(); err == nil {
 		t.Fatalf("raw state restored as a harvest with %d logged requests", h.Log.Total())
 	}
 }

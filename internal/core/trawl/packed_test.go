@@ -9,6 +9,7 @@ import (
 
 	"torhs/internal/hsdir"
 	"torhs/internal/onion"
+	"torhs/internal/race"
 	"torhs/internal/resultstore"
 )
 
@@ -94,7 +95,7 @@ func TestResumeIgnoresMapFormSnapshot(t *testing.T) {
 // TestResumeRefusesBrokenColumns: a hash-valid packed snapshot whose
 // columns do not hold together is treated as missing, never restored
 // and never a panic; the run starts over and matches an uninterrupted
-// run. HarvestFromState refuses a harvest state broken the same way.
+// run. HarvestState.unpack refuses a harvest state broken the same way.
 func TestResumeRefusesBrokenColumns(t *testing.T) {
 	ref, err := ckptRun(t, nil)
 	if err != nil {
@@ -124,8 +125,8 @@ func TestResumeRefusesBrokenColumns(t *testing.T) {
 			if _, _, _, err := snap.unpack(); err == nil {
 				t.Fatal("unpack accepted the broken snapshot")
 			}
-			if _, ok := HarvestFromState(&snap.Harvest); ok == c.harvestBreak {
-				t.Fatalf("HarvestFromState ok=%v on the broken snapshot's harvest state", ok)
+			if _, err := snap.Harvest.unpack(); (err != nil) != c.harvestBreak {
+				t.Fatalf("HarvestState.unpack err=%v on the broken snapshot's harvest state", err)
 			}
 			if err := set.Save(4, &snap); err != nil {
 				t.Fatal(err)
@@ -172,6 +173,9 @@ func syntheticHarvest(n int) (*Harvest, map[onion.DescriptorID]bool, map[onion.D
 // TestPackAllocsIndependentOfSize: packing a snapshot allocates one
 // buffer per column, however many IDs it holds.
 func TestPackAllocsIndependentOfSize(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts vary under -race")
+	}
 	allocs := func(n int) float64 {
 		h, pub, req := syntheticHarvest(n)
 		return testing.AllocsPerRun(5, func() {

@@ -48,8 +48,7 @@ type Checkpointer interface {
 type Snapshot struct {
 	// Step is the last completed step (0-based).
 	Step int
-	// Harvest holds the harvest accumulators in the packed form harvest
-	// intermediates share.
+	// Harvest holds the harvest accumulators in packed form.
 	Harvest HarvestState
 	// PublishedCol / RequestedCol pack the cross-step descriptor-ID sets
 	// behind PublishedIDsSeen / RequestedPublishedIDs.
@@ -457,8 +456,8 @@ type readout struct {
 }
 
 // readDirectory harvests one attacker-operated directory into the shard
-// tally, iterating the store in place (no snapshot copies: the visitor
-// variants of All/PublishedIDs/RequestedPublishedIDs).
+// tally, iterating the store in place through its visitors (no snapshot
+// copies).
 func (t *Trawler) readDirectory(net *simnet.Network, fp onion.Fingerprint, out *readout) {
 	dir, ok := net.Directory(fp)
 	if !ok {
@@ -486,10 +485,8 @@ func (h *Harvest) RequestedPublishedFraction() float64 {
 	return float64(h.RequestedPublishedIDs) / float64(h.PublishedIDsSeen)
 }
 
-// HarvestState is the serializable (gob) form of a Harvest — the
-// intermediate artefact the experiments layer spills to the result store
-// so re-runs and sweeps sharing a harvest stage are cache hits, and the
-// harvest half of every trawl Snapshot. Identifiers are packed into
+// HarvestState is the serializable (gob) form of a Harvest: the harvest
+// half of every trawl Snapshot. Identifiers are packed into
 // columns (onion.AppendPacked); Addresses is not stored, because every
 // address is onion.AddressFromID of its permanent ID. Round-tripping
 // through it reconstructs every aggregate the downstream pipelines read.
@@ -581,15 +578,6 @@ func (st *HarvestState) unpack() (*Harvest, error) {
 		return nil, err
 	}
 	return h, nil
-}
-
-// HarvestFromState reconstructs a Harvest from its serializable form.
-// ok is false for a state unpack refuses — one from before packed
-// columns, or one whose columns do not hold together — which callers
-// treat as absent.
-func HarvestFromState(st *HarvestState) (h *Harvest, ok bool) {
-	h, err := st.unpack()
-	return h, err == nil
 }
 
 // pack writes the run's accumulators after step into s, reusing s's

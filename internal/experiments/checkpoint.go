@@ -75,63 +75,6 @@ func (e *Env) clearCheckpoints() {
 	e.ckptSets = nil
 }
 
-// EnableIntermediates arms the environment's intermediate-artefact
-// plane: pipelines that spill expensive mid-study artefacts (the trawl
-// harvests) persist them into store under the run's cache key, and later
-// runs with the identical key rehydrate them instead of recomputing.
-// Keyed exactly like documents and checkpoints — experiment-namespaced
-// reserved names ("int-trawl-<seed offset>"), the scenario label, the
-// Config cache key, and the code version — so an intermediate is only
-// ever served to a run whose inputs and pipeline code match the writer's.
-func (e *Env) EnableIntermediates(store *resultstore.Store, scenario string) {
-	e.intMu.Lock()
-	defer e.intMu.Unlock()
-	e.intStore = store
-	e.intScen = scenario
-}
-
-// intermediates returns the named pipeline's intermediate set, or nil
-// when the plane is off.
-func (e *Env) intermediates(name string) (*resultstore.IntermediateSet, error) {
-	e.intMu.Lock()
-	defer e.intMu.Unlock()
-	if e.intStore == nil {
-		return nil, nil
-	}
-	set, ok := e.intSets[name]
-	if !ok {
-		var err error
-		set, err = e.intStore.Intermediates(storeKey(e.cfg, e.intScen, name))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: intermediate set %q: %w", name, err)
-		}
-		if e.intSets == nil {
-			e.intSets = make(map[string]*resultstore.IntermediateSet)
-		}
-		e.intSets[name] = set
-	}
-	return set, nil
-}
-
-// intGetRetry reads one intermediate artefact, absorbing transient store
-// faults before they can latch into an artefact memo.
-func intGetRetry(ctx context.Context, set *resultstore.IntermediateSet, stage string, state any) (ok bool, err error) {
-	err = fault.RetryCtx(ctx, fault.DefaultRetry, func() error {
-		var inner error
-		ok, inner = set.Get(stage, state)
-		return inner
-	})
-	return ok, err
-}
-
-// intPutRetry spills one intermediate artefact, absorbing transient
-// store faults.
-func intPutRetry(ctx context.Context, set *resultstore.IntermediateSet, stage string, state any) error {
-	return fault.RetryCtx(ctx, fault.DefaultRetry, func() error {
-		return set.Put(stage, state)
-	})
-}
-
 // retryCheckpointer adapts a resultstore.CheckpointSet to the
 // trawl.Checkpointer interface with the transient-fault retry policy
 // wrapped around every store operation. The retry must live here, at

@@ -75,15 +75,6 @@ type Env struct {
 	ckptEvery  int
 	ckptResume bool
 	ckptSets   map[string]*resultstore.CheckpointSet
-
-	// Intermediate-artefact plane (see checkpoint.go). Armed by RunStudy
-	// when the invocation both persists and consults the store: expensive
-	// mid-pipeline artefacts (the trawl harvests) spill under the run's
-	// cache key and are rehydrated by later runs with identical inputs.
-	intMu    sync.Mutex
-	intStore *resultstore.Store
-	intScen  string
-	intSets  map[string]*resultstore.IntermediateSet
 }
 
 // NewEnv validates the configuration and returns an empty environment.

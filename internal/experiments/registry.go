@@ -318,9 +318,6 @@ func (r *Registry) RunStudy(ctx context.Context, env *Env, opts RunOptions, w io
 	if opts.Store != nil && (opts.CheckpointEvery > 0 || opts.Resume) {
 		env.EnableCheckpoints(opts.Store, scenario, opts.CheckpointEvery, opts.Resume)
 	}
-	if opts.Store != nil && opts.UseCache {
-		env.EnableIntermediates(opts.Store, scenario)
-	}
 
 	exps, err := r.Resolve(opts.Names)
 	if err != nil {

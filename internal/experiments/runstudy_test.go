@@ -24,7 +24,8 @@ func newStudyEnv(t *testing.T, seed int64) *Env {
 // TestRunStudyCacheSkipsExecution is the caching acceptance contract: a
 // second run with UseCache against the same store executes nothing
 // (observable via RunResult's scheduling report) yet renders
-// byte-identical text.
+// byte-identical text, also after a GC pass, which must find no orphan
+// in a store one study wrote.
 func TestRunStudyCacheSkipsExecution(t *testing.T) {
 	store, err := resultstore.Open(t.TempDir())
 	if err != nil {
@@ -39,6 +40,10 @@ func TestRunStudyCacheSkipsExecution(t *testing.T) {
 	}
 	if len(res1.Executed) != len(Paper().Names()) || len(res1.Cached) != 0 {
 		t.Fatalf("first run executed=%v cached=%v, want all executed", res1.Executed, res1.Cached)
+	}
+
+	if st, err := store.GC(); err != nil || st.Removed != 0 {
+		t.Fatalf("GC over one study's store: removed %d objects, err %v", st.Removed, err)
 	}
 
 	var second bytes.Buffer

@@ -216,29 +216,6 @@ func (e *Env) runCollectionComparison(ctx context.Context) (*CollectionCompariso
 // which also keys the checkpoint set: two trawls in one study snapshot
 // into disjoint sets ("ckpt-trawl-1", "ckpt-trawl-4").
 func (e *Env) runTrawl(ctx context.Context, seedOffset int64, driveTraffic bool) (*trawl.Harvest, error) {
-	// Intermediate plane: a previous run under the identical cache key
-	// already spilled this harvest — rehydrate it instead of re-running
-	// the fleet (the sim at this offset stays untouched; the trawl was
-	// its only mutator).
-	ints, err := e.intermediates(fmt.Sprintf("int-trawl-%d", seedOffset))
-	if err != nil {
-		return nil, err
-	}
-	if ints != nil {
-		var st trawl.HarvestState
-		ok, err := intGetRetry(ctx, ints, "harvest", &st)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			// A state from before packed columns, or one whose columns
-			// do not hold together, does not restore; the trawl re-runs
-			// and its spill replaces it.
-			if h, ok := trawl.HarvestFromState(&st); ok {
-				return h, nil
-			}
-		}
-	}
 	sim, err := e.RelaySim(seedOffset)
 	if err != nil {
 		return nil, err
@@ -276,16 +253,7 @@ func (e *Env) runTrawl(ctx context.Context, seedOffset int64, driveTraffic bool)
 	}
 	start := relaynet.DefaultFleetConfig(e.cfg.Seed).Start.Add(trawlLead)
 	tr.Deploy(sim, start)
-	h, err := tr.Run(ctx, sim, pop, geoDB, start)
-	if err != nil {
-		return nil, err
-	}
-	if ints != nil {
-		if err := intPutRetry(ctx, ints, "harvest", h.State()); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
+	return tr.Run(ctx, sim, pop, geoDB, start)
 }
 
 // PrefixCluster is a group of onion addresses sharing a vanity prefix —

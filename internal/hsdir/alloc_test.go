@@ -13,7 +13,7 @@ import (
 // rotation steps — performs zero heap allocations.
 func TestPublishSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	dir := NewDirectory(onion.RandomFingerprint(rng), 24*time.Hour)
+	dir := NewDirectory(24 * time.Hour)
 	descs := make([]*onion.Descriptor, 64)
 	for i := range descs {
 		descs[i] = makeDescriptor(rng, at(0))
@@ -33,7 +33,7 @@ func TestPublishSteadyStateAllocFree(t *testing.T) {
 // misses, and expired entries alike) performs zero heap allocations.
 func TestProbeAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	dir := NewDirectory(onion.RandomFingerprint(rng), 24*time.Hour)
+	dir := NewDirectory(24 * time.Hour)
 	descs := make([]*onion.Descriptor, 64)
 	for i := range descs {
 		descs[i] = makeDescriptor(rng, at(0))

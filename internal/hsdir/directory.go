@@ -22,22 +22,20 @@ import (
 // bytes (the same scheme as the popularity probe set): descriptor IDs are
 // SHA-1 outputs, already uniformly distributed, so lookups need no hash
 // function and no map. Each distinct ID ever published owns exactly one
-// arena entry for the directory's lifetime; expiry tombstones the entry
-// in place and republication revives it. The arena doubles as the
-// "published ever" set of the paper's 10% statistic, and the IDs ever
+// arena entry for the directory's lifetime; an expired entry reads as
+// absent until republication refreshes its expiry. The arena doubles as
+// the "published ever" set of the paper's 10% statistic, and the IDs ever
 // fetched are a bitset over arena indexes — replacing the two
 // map[DescriptorID]bool sets of the map-based store.
 type Directory struct {
 	mu sync.Mutex
 
-	fingerprint onion.Fingerprint
-	ttl         time.Duration
+	ttl time.Duration
 
 	slots   []int32 // 1-based indexes into entries; 0 = empty
 	mask    uint64
 	entries []dirEntry
 	descs   []*onion.Descriptor // descs[i] belongs to entries[i]
-	live    int
 
 	// requested marks arena indexes whose descriptor was ever fetched
 	// while stored — the numerator of the paper's "only 10% of published
@@ -48,28 +46,21 @@ type Directory struct {
 }
 
 // dirEntry is one arena slot: a descriptor ID ever published here and its
-// current expiry (unix nanoseconds; 0 = tombstoned, not currently
-// stored). The entry array holds no pointers, so the garbage collector
-// never scans it.
+// current expiry (unix nanoseconds). The entry array holds no pointers,
+// so the garbage collector never scans it.
 type dirEntry struct {
 	id        onion.DescriptorID
 	expiresAt int64
 }
 
-// NewDirectory creates a directory for the relay with fingerprint fp.
-// ttl <= 0 defaults to 24 hours.
-func NewDirectory(fp onion.Fingerprint, ttl time.Duration) *Directory {
+// NewDirectory creates an empty directory whose descriptors expire ttl
+// after publication; ttl <= 0 defaults to 24 hours.
+func NewDirectory(ttl time.Duration) *Directory {
 	if ttl <= 0 {
 		ttl = 24 * time.Hour
 	}
-	return &Directory{
-		fingerprint: fp,
-		ttl:         ttl,
-	}
+	return &Directory{ttl: ttl}
 }
-
-// Fingerprint returns the operating relay's fingerprint.
-func (d *Directory) Fingerprint() onion.Fingerprint { return d.fingerprint }
 
 // lookup returns the arena index of id, or -1.
 func (d *Directory) lookup(id onion.DescriptorID) int32 {
@@ -134,9 +125,6 @@ func (d *Directory) Publish(desc *onion.Descriptor, now time.Time) {
 	defer d.mu.Unlock()
 	expires := now.Add(d.ttl).UnixNano()
 	if i := d.lookup(desc.DescID); i >= 0 {
-		if d.entries[i].expiresAt == 0 {
-			d.live++
-		}
 		d.entries[i].expiresAt = expires
 		d.descs[i] = desc
 		return
@@ -149,7 +137,6 @@ func (d *Directory) Publish(desc *onion.Descriptor, now time.Time) {
 	if w := (len(d.entries) + 31) / 32; w > len(d.requested) {
 		d.requested = append(d.requested, 0)
 	}
-	d.live++
 	slot := binary.BigEndian.Uint64(desc.DescID[0:8]) & d.mask
 	for d.slots[slot] != 0 {
 		slot = (slot + 1) & d.mask
@@ -168,97 +155,33 @@ func (d *Directory) isRequested(i int32) bool {
 	return atomic.LoadUint32(&d.requested[i/32])&(1<<uint(i%32)) != 0
 }
 
-// Fetch looks up a descriptor by ID at instant now, marking it as
-// requested on a hit. Expired descriptors are treated as absent (and
-// reaped).
-func (d *Directory) Fetch(id onion.DescriptorID, now time.Time) (*onion.Descriptor, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var desc *onion.Descriptor
-	found := false
-	if i := d.lookup(id); i >= 0 && d.entries[i].expiresAt != 0 {
-		if now.UnixNano() > d.entries[i].expiresAt {
-			d.entries[i].expiresAt = 0 // reap in place
-			d.live--
-		} else {
-			found = true
-			desc = d.descs[i]
-			d.markRequested(i)
-		}
-	}
-	return desc, found
-}
-
 // Probe is the lock-free fetch used on the driven-traffic hot path: it
 // looks up a descriptor by ID and marks it as requested on a hit.
-// Expired descriptors are treated as absent but not reaped. Probe
+// Expired descriptors are treated as absent. Probe
 // performs zero heap allocations and may run concurrently with other
-// Probe calls; callers must not run it concurrently with Publish, Fetch,
-// or Expire.
+// Probe calls; callers must not run it concurrently with Publish.
 func (d *Directory) Probe(id onion.DescriptorID, now time.Time) (*onion.Descriptor, bool) {
 	i := d.lookup(id)
 	if i < 0 {
 		return nil, false
 	}
-	exp := d.entries[i].expiresAt
-	if exp == 0 || now.UnixNano() > exp {
+	if now.UnixNano() > d.entries[i].expiresAt {
 		return nil, false
 	}
 	d.markRequested(i)
 	return d.descs[i], true
 }
 
-// Expire reaps all descriptors that have expired as of now and returns the
-// number removed.
-func (d *Directory) Expire(now time.Time) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	nowN := now.UnixNano()
-	n := 0
-	for i := range d.entries {
-		if e := &d.entries[i]; e.expiresAt != 0 && nowN > e.expiresAt {
-			e.expiresAt = 0
-			d.live--
-			n++
-		}
-	}
-	return n
-}
-
-// All returns the currently stored descriptors in publication order. This
-// is the harvesting vantage point: an attacker operating the directory
-// reads out every descriptor uploaded to it. Callers that only iterate
-// should prefer the zero-copy Each.
-func (d *Directory) All() []*onion.Descriptor {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*onion.Descriptor, 0, d.live)
-	for i := range d.entries {
-		if d.entries[i].expiresAt != 0 {
-			out = append(out, d.descs[i])
-		}
-	}
-	return out
-}
-
-// Each visits the currently stored descriptors in publication order
-// without copying a snapshot. The directory's lock is held for the whole
-// iteration; fn must not call back into the directory.
+// Each visits the stored descriptors, the latest published under each ID
+// whether expired or not, in publication order without copying a
+// snapshot. The directory's lock is held for the whole iteration; fn
+// must not call back into the directory.
 func (d *Directory) Each(fn func(*onion.Descriptor)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for i := range d.entries {
-		if d.entries[i].expiresAt != 0 {
-			fn(d.descs[i])
-		}
+	for _, desc := range d.descs {
+		fn(desc)
 	}
-}
-
-// Stored returns the number of live descriptors.
-func (d *Directory) Stored() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.live
 }
 
 // PublishedEver returns how many distinct descriptor IDs were ever stored.
@@ -266,31 +189,6 @@ func (d *Directory) PublishedEver() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.entries)
-}
-
-// RequestedPublishedEver returns how many distinct *published* descriptor
-// IDs were ever fetched — numerator of the paper's 10% statistic.
-func (d *Directory) RequestedPublishedEver() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for i := range d.requested {
-		n += bits.OnesCount32(atomic.LoadUint32(&d.requested[i]))
-	}
-	return n
-}
-
-// PublishedIDs returns every descriptor ID ever stored on this directory,
-// in publication order. Callers that only iterate should prefer the
-// zero-copy EachPublishedID.
-func (d *Directory) PublishedIDs() []onion.DescriptorID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]onion.DescriptorID, len(d.entries))
-	for i := range d.entries {
-		out[i] = d.entries[i].id
-	}
-	return out
 }
 
 // EachPublishedID visits every descriptor ID ever stored on this
@@ -303,21 +201,6 @@ func (d *Directory) EachPublishedID(fn func(onion.DescriptorID)) {
 	for i := range d.entries {
 		fn(d.entries[i].id)
 	}
-}
-
-// RequestedPublishedIDs returns the stored descriptor IDs that were ever
-// fetched by a client. Callers that only iterate should prefer the
-// zero-copy EachRequestedPublishedID.
-func (d *Directory) RequestedPublishedIDs() []onion.DescriptorID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]onion.DescriptorID, 0, len(d.entries))
-	for i := range d.entries {
-		if d.isRequested(int32(i)) {
-			out = append(out, d.entries[i].id)
-		}
-	}
-	return out
 }
 
 // EachRequestedPublishedID visits the stored descriptor IDs that were

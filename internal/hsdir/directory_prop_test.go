@@ -10,10 +10,9 @@ import (
 )
 
 // refDirectory is the map-based reference store the probe-table Directory
-// replaced (PR 4): a map of stored descriptors plus two "ever" sets. The
+// replaced: a map of stored descriptors plus two "ever" sets. The
 // property suite drives both implementations through the same random
-// publish/expire/fetch/probe interleavings and requires every observable
-// to agree.
+// publish/probe interleavings and requires every observable to agree.
 type refDirectory struct {
 	ttl       time.Duration
 	store     map[onion.DescriptorID]refStored
@@ -40,20 +39,7 @@ func (r *refDirectory) publish(desc *onion.Descriptor, now time.Time) {
 	r.published[desc.DescID] = true
 }
 
-func (r *refDirectory) fetch(id onion.DescriptorID, now time.Time) (*onion.Descriptor, bool) {
-	sd, ok := r.store[id]
-	if ok && now.After(sd.expiresAt) {
-		delete(r.store, id)
-		ok = false
-	}
-	if ok {
-		r.requested[id] = true
-		return sd.desc, true
-	}
-	return nil, false
-}
-
-// probe mirrors Directory.Probe: no reap.
+// probe mirrors Directory.Probe.
 func (r *refDirectory) probe(id onion.DescriptorID, now time.Time) (*onion.Descriptor, bool) {
 	sd, ok := r.store[id]
 	if !ok || now.After(sd.expiresAt) {
@@ -61,17 +47,6 @@ func (r *refDirectory) probe(id onion.DescriptorID, now time.Time) (*onion.Descr
 	}
 	r.requested[id] = true
 	return sd.desc, true
-}
-
-func (r *refDirectory) expire(now time.Time) int {
-	n := 0
-	for id, sd := range r.store {
-		if now.After(sd.expiresAt) {
-			delete(r.store, id)
-			n++
-		}
-	}
-	return n
 }
 
 func sortedIDs(ids []onion.DescriptorID) []onion.DescriptorID {
@@ -83,14 +58,8 @@ func sortedIDs(ids []onion.DescriptorID) []onion.DescriptorID {
 
 func (r *refDirectory) check(t *testing.T, dir *Directory, step int) {
 	t.Helper()
-	if got, want := dir.Stored(), len(r.store); got != want {
-		t.Fatalf("step %d: Stored = %d, want %d", step, got, want)
-	}
 	if got, want := dir.PublishedEver(), len(r.published); got != want {
 		t.Fatalf("step %d: PublishedEver = %d, want %d", step, got, want)
-	}
-	if got, want := dir.RequestedPublishedEver(), len(r.requested); got != want {
-		t.Fatalf("step %d: RequestedPublishedEver = %d, want %d", step, got, want)
 	}
 
 	// Stored descriptor set (by ID).
@@ -135,13 +104,13 @@ func (r *refDirectory) check(t *testing.T, dir *Directory, step int) {
 
 // TestDirectoryMatchesMapReference drives the compact probe-table store
 // and the old map-based semantics through identical random interleavings
-// of publish, republish, expire, fetch, and probe, and requires every
-// observable statistic and set to stay equal throughout.
+// of publish, republish and probe, and requires every observable
+// statistic and set to stay equal throughout.
 func TestDirectoryMatchesMapReference(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ttl := 24 * time.Hour
-		dir := NewDirectory(onion.RandomFingerprint(rng), ttl)
+		dir := NewDirectory(ttl)
 		ref := newRefDirectory(ttl)
 
 		// A fixed pool of descriptors (so republication and repeated
@@ -166,30 +135,17 @@ func TestDirectoryMatchesMapReference(t *testing.T) {
 				}
 				return descs[rng.Intn(len(descs))].DescID
 			}
-			switch op := rng.Intn(10); {
-			case op < 4: // publish / republish
+			if rng.Intn(10) < 4 { // publish / republish
 				d := descs[rng.Intn(len(descs))]
 				dir.Publish(d, now)
 				ref.publish(d, now)
-			case op < 7: // locked fetch (reaps)
-				id := pick()
-				gd, gok := dir.Fetch(id, now)
-				wd, wok := ref.fetch(id, now)
-				if gok != wok || gd != wd {
-					t.Fatalf("seed %d step %d: Fetch(%x) = (%v,%v), want (%v,%v)",
-						seed, step, id, gd, gok, wd, wok)
-				}
-			case op < 9: // lock-free probe (no reap)
+			} else {
 				id := pick()
 				gd, gok := dir.Probe(id, now)
 				wd, wok := ref.probe(id, now)
 				if gok != wok || gd != wd {
 					t.Fatalf("seed %d step %d: Probe(%x) = (%v,%v), want (%v,%v)",
 						seed, step, id, gd, gok, wd, wok)
-				}
-			default: // bulk expiry
-				if got, want := dir.Expire(now), ref.expire(now); got != want {
-					t.Fatalf("seed %d step %d: Expire = %d, want %d", seed, step, got, want)
 				}
 			}
 			if step%97 == 0 {

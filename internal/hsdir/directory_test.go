@@ -26,76 +26,55 @@ func makeDescriptor(rng *rand.Rand, now time.Time) *onion.Descriptor {
 
 func TestPublishAndFetch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	dir := NewDirectory(onion.RandomFingerprint(rng), 0)
+	dir := NewDirectory(0)
 	desc := makeDescriptor(rng, at(0))
 
 	dir.Publish(desc, at(0))
-	got, ok := dir.Fetch(desc.DescID, at(1))
+	got, ok := dir.Probe(desc.DescID, at(1))
 	if !ok {
-		t.Fatal("fetch failed for stored descriptor")
+		t.Fatal("probe failed for stored descriptor")
 	}
 	if got.Address != desc.Address {
-		t.Fatal("fetched wrong descriptor")
+		t.Fatal("probed wrong descriptor")
 	}
 }
 
 func TestFetchMissing(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	dir := NewDirectory(onion.RandomFingerprint(rng), 0)
+	dir := NewDirectory(0)
 	var id onion.DescriptorID
-	if _, ok := dir.Fetch(id, at(0)); ok {
-		t.Fatal("fetch of absent descriptor succeeded")
+	if _, ok := dir.Probe(id, at(0)); ok {
+		t.Fatal("probe of absent descriptor succeeded")
 	}
 }
 
 func TestDescriptorExpiresAfterTTL(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	dir := NewDirectory(onion.RandomFingerprint(rng), 24*time.Hour)
+	dir := NewDirectory(24 * time.Hour)
 	desc := makeDescriptor(rng, at(0))
 	dir.Publish(desc, at(0))
 
-	if _, ok := dir.Fetch(desc.DescID, at(23)); !ok {
+	if _, ok := dir.Probe(desc.DescID, at(23)); !ok {
 		t.Fatal("descriptor gone before TTL")
 	}
-	if _, ok := dir.Fetch(desc.DescID, at(25)); ok {
+	if _, ok := dir.Probe(desc.DescID, at(25)); ok {
 		t.Fatal("descriptor alive after TTL")
-	}
-	if dir.Stored() != 0 {
-		t.Fatal("expired descriptor not reaped on fetch")
 	}
 }
 
 func TestRepublishRefreshesExpiry(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	dir := NewDirectory(onion.RandomFingerprint(rng), 24*time.Hour)
+	dir := NewDirectory(24 * time.Hour)
 	desc := makeDescriptor(rng, at(0))
 	dir.Publish(desc, at(0))
 	dir.Publish(desc, at(20))
-	if _, ok := dir.Fetch(desc.DescID, at(30)); !ok {
+	if _, ok := dir.Probe(desc.DescID, at(30)); !ok {
 		t.Fatal("republished descriptor expired early")
-	}
-}
-
-func TestExpireReapsInBulk(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	dir := NewDirectory(onion.RandomFingerprint(rng), 24*time.Hour)
-	for i := 0; i < 10; i++ {
-		dir.Publish(makeDescriptor(rng, at(0)), at(0))
-	}
-	for i := 0; i < 5; i++ {
-		dir.Publish(makeDescriptor(rng, at(20)), at(20))
-	}
-	if n := dir.Expire(at(30)); n != 10 {
-		t.Fatalf("expired %d, want 10", n)
-	}
-	if dir.Stored() != 5 {
-		t.Fatalf("stored = %d, want 5", dir.Stored())
 	}
 }
 
 func TestPublishedAndRequestedStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	dir := NewDirectory(onion.RandomFingerprint(rng), 0)
+	dir := NewDirectory(0)
 
 	descs := make([]*onion.Descriptor, 10)
 	for i := range descs {
@@ -103,19 +82,21 @@ func TestPublishedAndRequestedStatistics(t *testing.T) {
 		dir.Publish(descs[i], at(0))
 	}
 	// Only one published descriptor is requested (the paper saw ~10%).
-	dir.Fetch(descs[0].DescID, at(1))
+	dir.Probe(descs[0].DescID, at(1))
 	// Plus requests for never-published IDs.
 	for i := 0; i < 4; i++ {
 		var bogus onion.DescriptorID
 		bogus[0] = byte(i + 1)
-		dir.Fetch(bogus, at(1))
+		dir.Probe(bogus, at(1))
 	}
 
 	if got := dir.PublishedEver(); got != 10 {
 		t.Fatalf("PublishedEver = %d, want 10", got)
 	}
-	if got := dir.RequestedPublishedEver(); got != 1 {
-		t.Fatalf("RequestedPublishedEver = %d, want 1", got)
+	var requested []onion.DescriptorID
+	dir.EachRequestedPublishedID(func(id onion.DescriptorID) { requested = append(requested, id) })
+	if len(requested) != 1 || requested[0] != descs[0].DescID {
+		t.Fatalf("requested published IDs = %x, want only %x", requested, descs[0].DescID)
 	}
 }
 

@@ -123,7 +123,7 @@ func (l *RequestLog) CompactState() (counts map[onion.DescriptorID]int, total, f
 // Pack appends the log's per-ID counts to two packed columns — ids, the
 // descriptor IDs end to end, and counts, one entry per ID in the same
 // order — and returns them with the total and found tallies. This is the
-// form trawl checkpoints and harvest intermediates persist; it is read
+// form trawl checkpoints persist; it is read
 // under one lock acquisition and copies no map. The order is unspecified.
 func (l *RequestLog) Pack(ids []byte, counts []int) ([]byte, []int, int, int) {
 	l.mu.Lock()

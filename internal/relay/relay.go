@@ -1,8 +1,8 @@
 // Package relay models Tor relays as the directory authorities see them:
-// an identity key (hence fingerprint), a network location, self-advertised
-// bandwidth, and an uptime history. Relays can restart, become unreachable,
-// and — crucially for the paper's Section VII — switch identity keys, which
-// is how trackers reposition themselves on the HSDir ring.
+// an identity fingerprint, a network location, self-advertised bandwidth,
+// and an uptime history. Relays can stop, become unreachable, and —
+// crucially for the paper's Section VII — adopt a mined fingerprint,
+// which is how trackers reposition themselves on the HSDir ring.
 package relay
 
 import (
@@ -20,13 +20,6 @@ import (
 // the paper answers via shared nicknames and IP addresses.
 type ID int64
 
-// FingerprintChange records one identity-key switch.
-type FingerprintChange struct {
-	At   time.Time
-	From onion.Fingerprint
-	To   onion.Fingerprint
-}
-
 // Relay is a mutable relay instance. All methods are safe for concurrent
 // use.
 type Relay struct {
@@ -37,7 +30,6 @@ type Relay struct {
 	ip       string
 	orPort   int
 
-	key         onion.IdentityKey
 	fingerprint onion.Fingerprint
 
 	bandwidth int // self-advertised bandwidth, KB/s
@@ -45,8 +37,6 @@ type Relay struct {
 	running   bool
 	reachable bool
 	upSince   time.Time // start of the current continuous run (zero if down)
-
-	fingerprintHistory []FingerprintChange
 }
 
 // Config describes a new relay.
@@ -60,54 +50,18 @@ type Config struct {
 
 // New creates a stopped relay with a fresh identity drawn from rng.
 func New(cfg Config, rng *rand.Rand) *Relay {
-	key := onion.GenerateKey(rng)
 	return &Relay{
 		id:          cfg.ID,
 		nickname:    cfg.Nickname,
 		ip:          cfg.IP,
 		orPort:      cfg.ORPort,
-		key:         key,
-		fingerprint: onion.FingerprintFromKey(key),
+		fingerprint: onion.FingerprintFromKey(onion.GenerateKey(rng)),
 		bandwidth:   cfg.Bandwidth,
 	}
 }
 
 // ID returns the stable instance identifier.
 func (r *Relay) ID() ID { return r.id }
-
-// Nickname returns the operator-chosen nickname.
-func (r *Relay) Nickname() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nickname
-}
-
-// SetNickname renames the relay (trackers in the paper shared name parts).
-func (r *Relay) SetNickname(n string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nickname = n
-}
-
-// IP returns the relay's IP address.
-func (r *Relay) IP() string { return r.ip }
-
-// ORPort returns the relay's OR port.
-func (r *Relay) ORPort() int { return r.orPort }
-
-// Bandwidth returns the advertised bandwidth in KB/s.
-func (r *Relay) Bandwidth() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bandwidth
-}
-
-// SetBandwidth updates the advertised bandwidth.
-func (r *Relay) SetBandwidth(bw int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bandwidth = bw
-}
 
 // Running reports whether the relay process is up.
 func (r *Relay) Running() bool {
@@ -124,8 +78,7 @@ func (r *Relay) Fingerprint() onion.Fingerprint {
 }
 
 // Start brings the relay up (running and reachable) at instant now. A
-// relay that is already running keeps its original upSince; restart with
-// Restart to reset uptime.
+// relay that is already running keeps its original upSince.
 func (r *Relay) Start(now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -147,15 +100,6 @@ func (r *Relay) Stop() {
 	r.upSince = time.Time{}
 }
 
-// Restart stops and immediately starts the relay, resetting uptime.
-func (r *Relay) Restart(now time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.running = true
-	r.reachable = true
-	r.upSince = now
-}
-
 // SetReachable toggles whether directory authorities can reach the relay.
 // The shadowing attack works by making *active* relays unreachable so that
 // shadow relays (same IP, lower bandwidth) take their consensus slots.
@@ -169,20 +113,6 @@ func (r *Relay) SetReachable(v bool) {
 	}
 }
 
-// SwitchFingerprint replaces the relay's identity key with a fresh one
-// from rng at instant now, recording the change. In Tor, a new identity is
-// a brand-new relay to the authorities, so uptime restarts from now.
-func (r *Relay) SwitchFingerprint(rng *rand.Rand, now time.Time) onion.Fingerprint {
-	key := onion.GenerateKey(rng)
-	return r.adoptKey(key, now)
-}
-
-// SwitchFingerprintTo installs a specific identity key (used by trackers
-// that mine keys to land near a target descriptor ID) at instant now.
-func (r *Relay) SwitchFingerprintTo(key onion.IdentityKey, now time.Time) onion.Fingerprint {
-	return r.adoptKey(key, now)
-}
-
 // AdoptMinedFingerprint installs an identity whose fingerprint is exactly
 // fp, modelling the result of the key-mining a real tracker performs to
 // position itself on the ring (brute-forcing RSA keys until the SHA-1
@@ -191,43 +121,10 @@ func (r *Relay) SwitchFingerprintTo(key onion.IdentityKey, now time.Time) onion.
 func (r *Relay) AdoptMinedFingerprint(fp onion.Fingerprint, now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.fingerprint
-	r.key = nil
 	r.fingerprint = fp
-	r.fingerprintHistory = append(r.fingerprintHistory, FingerprintChange{
-		At:   now,
-		From: old,
-		To:   fp,
-	})
 	if r.running {
 		r.upSince = now
 	}
-}
-
-func (r *Relay) adoptKey(key onion.IdentityKey, now time.Time) onion.Fingerprint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	old := r.fingerprint
-	r.key = key
-	r.fingerprint = onion.FingerprintFromKey(key)
-	r.fingerprintHistory = append(r.fingerprintHistory, FingerprintChange{
-		At:   now,
-		From: old,
-		To:   r.fingerprint,
-	})
-	if r.running {
-		r.upSince = now
-	}
-	return r.fingerprint
-}
-
-// FingerprintHistory returns a copy of all recorded identity switches.
-func (r *Relay) FingerprintHistory() []FingerprintChange {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]FingerprintChange, len(r.fingerprintHistory))
-	copy(out, r.fingerprintHistory)
-	return out
 }
 
 // Status is an immutable snapshot of the relay as the authority probes it.

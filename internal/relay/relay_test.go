@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"torhs/internal/onion"
 )
 
 func newTestRelay(t *testing.T) (*Relay, *rand.Rand) {
@@ -61,7 +63,8 @@ func TestStopResetsUptime(t *testing.T) {
 func TestRestartResetsUptime(t *testing.T) {
 	r, _ := newTestRelay(t)
 	r.Start(at(0))
-	r.Restart(at(20))
+	r.Stop()
+	r.Start(at(20))
 	if got := r.StatusAt(at(30)).Uptime; got != 10*time.Hour {
 		t.Fatalf("uptime after restart = %v, want 10h", got)
 	}
@@ -99,9 +102,10 @@ func TestSwitchFingerprintChangesIdentityAndResetsUptime(t *testing.T) {
 	r, rng := newTestRelay(t)
 	r.Start(at(0))
 	old := r.Fingerprint()
-	nw := r.SwitchFingerprint(rng, at(30))
+	nw := onion.RandomFingerprint(rng)
+	r.AdoptMinedFingerprint(nw, at(30))
 	if nw == old {
-		t.Fatal("fingerprint unchanged after switch")
+		t.Fatal("new fingerprint equals the old one")
 	}
 	if got := r.Fingerprint(); got != nw {
 		t.Fatal("Fingerprint() does not reflect switch")
@@ -109,38 +113,12 @@ func TestSwitchFingerprintChangesIdentityAndResetsUptime(t *testing.T) {
 	if got := r.StatusAt(at(40)).Uptime; got != 10*time.Hour {
 		t.Fatalf("uptime after switch = %v, want 10h", got)
 	}
-	hist := r.FingerprintHistory()
-	if len(hist) != 1 {
-		t.Fatalf("history length = %d, want 1", len(hist))
-	}
-	if hist[0].From != old || hist[0].To != nw || !hist[0].At.Equal(at(30)) {
-		t.Fatal("history record wrong")
-	}
 }
 
 func TestSwitchFingerprintWhileDownDoesNotStartClock(t *testing.T) {
 	r, rng := newTestRelay(t)
-	r.SwitchFingerprint(rng, at(5))
+	r.AdoptMinedFingerprint(onion.RandomFingerprint(rng), at(5))
 	if got := r.StatusAt(at(10)).Uptime; got != 0 {
 		t.Fatalf("uptime = %v, want 0 for stopped relay", got)
-	}
-}
-
-func TestFingerprintHistoryIsACopy(t *testing.T) {
-	r, rng := newTestRelay(t)
-	r.SwitchFingerprint(rng, at(1))
-	h := r.FingerprintHistory()
-	h[0].At = at(99)
-	if r.FingerprintHistory()[0].At.Equal(at(99)) {
-		t.Fatal("history leaked internal slice")
-	}
-}
-
-func TestSetNicknameAndBandwidth(t *testing.T) {
-	r, _ := newTestRelay(t)
-	r.SetNickname("tracker01")
-	r.SetBandwidth(999)
-	if r.Nickname() != "tracker01" || r.Bandwidth() != 999 {
-		t.Fatal("setters did not take effect")
 	}
 }

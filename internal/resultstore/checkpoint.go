@@ -11,11 +11,12 @@ import (
 	"torhs/internal/fault"
 )
 
-// Checkpoints extend the store's keying from final reports to
-// intermediate per-window state: a CheckpointSet holds the snapshots of
-// one (experiment, params, code-version) cache key, each file one
-// window index, so a killed study folds forward from the latest valid
-// snapshot instead of starting over.
+// Checkpoints extend the store's keying from final reports to the
+// mid-run state of a trawl: a CheckpointSet holds the snapshots of one
+// (experiment, params, code-version) cache key, each file one step
+// index, so a killed study folds forward from the latest valid snapshot
+// instead of starting over. A snapshot is the only durable copy of a
+// harvest before its experiment's document is stored.
 //
 // Layout under the store root:
 //
@@ -73,7 +74,7 @@ func (c *CheckpointSet) Save(window int, state any) error {
 	if err := fault.Hit(fault.SiteCheckpoint); err != nil {
 		return err
 	}
-	data, err := encodeFrame(ckptMagic, state)
+	data, err := encodeFrame(state)
 	if err != nil {
 		return fmt.Errorf("resultstore: encode checkpoint: %w", err)
 	}
@@ -116,7 +117,7 @@ func (c *CheckpointSet) load(window int, state any) error {
 	if err != nil {
 		return err
 	}
-	return decodeFrame(ckptMagic, data, state)
+	return decodeFrame(data, state)
 }
 
 // Clear removes the whole set — called after the run completes, so

@@ -10,22 +10,22 @@ import (
 	"strings"
 )
 
-// A frame is the on-disk form of checkpoints and intermediates: a
-// one-line integrity header — the format magic and the hex SHA-256 of
-// the payload — followed by the gob-encoded state.
+// A frame is the on-disk form of a checkpoint: a one-line integrity
+// header — ckptMagic and the hex SHA-256 of the payload — followed by
+// the gob-encoded state.
 
-// encodeFrame gob-encodes state behind an integrity header carrying
-// magic. The payload is encoded after room left for the header, which is
-// filled in once the hash is known, so the frame is never copied.
-func encodeFrame(magic string, state any) ([]byte, error) {
-	hdr := len(magic) + 2 + 2*sha256.Size
+// encodeFrame gob-encodes state behind an integrity header. The payload
+// is encoded after room left for the header, which is filled in once the
+// hash is known, so the frame is never copied.
+func encodeFrame(state any) ([]byte, error) {
+	hdr := len(ckptMagic) + 2 + 2*sha256.Size
 	buf := bytes.NewBuffer(make([]byte, hdr, 4096))
 	if err := gob.NewEncoder(buf).Encode(state); err != nil {
 		return nil, err
 	}
 	data := buf.Bytes()
 	sum := sha256.Sum256(data[hdr:])
-	n := copy(data, magic)
+	n := copy(data, ckptMagic)
 	data[n] = ' '
 	hex.Encode(data[n+1:], sum[:])
 	data[hdr-1] = '\n'
@@ -34,13 +34,13 @@ func encodeFrame(magic string, state any) ([]byte, error) {
 
 // decodeFrame verifies data's header magic and payload hash, then
 // gob-decodes the payload into state.
-func decodeFrame(magic string, data []byte, state any) error {
+func decodeFrame(data []byte, state any) error {
 	header, payload, found := bytes.Cut(data, []byte{'\n'})
 	if !found {
 		return fmt.Errorf("missing header")
 	}
 	got, wantHex, found := strings.Cut(string(header), " ")
-	if !found || got != magic {
+	if !found || got != ckptMagic {
 		return fmt.Errorf("bad magic %q", got)
 	}
 	sum := sha256.Sum256(payload)

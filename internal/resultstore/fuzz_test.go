@@ -16,8 +16,7 @@ func signFrame(payload []byte) []byte {
 	return append([]byte(ckptMagic+" "+hex.EncodeToString(sum[:])+"\n"), payload...)
 }
 
-// FuzzDecodeFrame fuzzes the frame decoder that checkpoints and
-// intermediates share: raw file bytes (header included) when sign is
+// FuzzDecodeFrame fuzzes the checkpoint frame decoder: raw file bytes (header included) when sign is
 // false, a payload signed inside the target when it is true. Property:
 // decodeFrame rejects the input with an error, never a panic, or the
 // state it accepts re-encodes stably — encoding it gives a frame that
@@ -31,51 +30,46 @@ func FuzzDecodeFrame(f *testing.F) {
 			data = signFrame(data)
 		}
 		var st ckptState
-		if err := decodeFrame(ckptMagic, data, &st); err != nil {
+		if err := decodeFrame(data, &st); err != nil {
 			return
 		}
-		first, err := encodeFrame(ckptMagic, &st)
+		first, err := encodeFrame(&st)
 		if err != nil {
 			t.Fatalf("accepted state does not encode: %v\n%+v", err, st)
 		}
 		var again ckptState
-		if err := decodeFrame(ckptMagic, first, &again); err != nil {
+		if err := decodeFrame(first, &again); err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 		if !maps.Equal(st.Counts, again.Counts) {
 			t.Fatalf("re-encoding moved the map: %v vs %v", st.Counts, again.Counts)
 		}
 		st.Counts, again.Counts = nil, nil
-		first, _ = encodeFrame(ckptMagic, &st)
-		second, err := encodeFrame(ckptMagic, &again)
+		first, _ = encodeFrame(&st)
+		second, err := encodeFrame(&again)
 		if err != nil || !bytes.Equal(first, second) {
 			t.Fatalf("re-encoding is unstable (%v):\nfirst:  %q\nsecond: %q", err, first, second)
 		}
 	})
 }
 
-// TestFrameRoundTrip checks both frame kinds decode what they encode and
-// reject each other's magic.
+// TestFrameRoundTrip checks a frame decodes what it encodes and rejects
+// a header carrying any other magic.
 func TestFrameRoundTrip(t *testing.T) {
-	for _, magic := range []string{ckptMagic, intMagic} {
-		data, err := encodeFrame(magic, testState(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got ckptState
-		if err := decodeFrame(magic, data, &got); err != nil {
-			t.Fatalf("%s: %v", magic, err)
-		}
-		if got.Window != 3 || got.Counts["descriptors"] != 68 || !got.At.Equal(testState(3).At) {
-			t.Fatalf("%s: round trip gave %+v", magic, got)
-		}
-		other := ckptMagic
-		if magic == ckptMagic {
-			other = intMagic
-		}
-		if err := decodeFrame(other, data, &got); err == nil {
-			t.Fatalf("%s frame accepted as %s", magic, other)
-		}
+	data, err := encodeFrame(testState(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got ckptState
+	if err := decodeFrame(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Window != 3 || got.Counts["descriptors"] != 68 || !got.At.Equal(testState(3).At) {
+		t.Fatalf("round trip gave %+v", got)
+	}
+	other := append([]byte("torhs-int/2"), data[len(ckptMagic):]...)
+	if err := decodeFrame(other, &got); err == nil {
+		t.Fatal("frame with a foreign magic accepted")
 	}
 }
 

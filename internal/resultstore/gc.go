@@ -22,13 +22,13 @@ type GCStats struct {
 // GC removes orphaned objects/ entries: documents no longer reachable
 // from any keys/ or index/ reference. Orphans accumulate when a key is
 // rebound to a new content hash (a code-version bump re-runs every
-// experiment) or when entries are quarantined — long sweep sessions with
-// intermediate artefacts would otherwise grow the store unboundedly.
-// Checkpoint and intermediate files never reference objects (they are
-// self-contained blobs under their own cache key, removed by
-// Clear/prune), so the reachable set is exactly the union of the entry
-// planes. Unparseable entries are skipped conservatively — a corrupt
-// reference must not turn into a deleted object.
+// experiment) or when entries are quarantined, and a long sweep session
+// would otherwise grow the store unboundedly. Checkpoint files never
+// reference objects (they are self-contained blobs under their own cache
+// key, removed by Clear/prune), so the reachable set is exactly the
+// union of the entry planes. Unparseable entries are skipped
+// conservatively — a corrupt reference must not turn into a deleted
+// object.
 //
 // GC is safe against concurrent readers (objects vanish atomically; a
 // reader holding a dangling entry sees a clean miss) but not against a

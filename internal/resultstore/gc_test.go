@@ -58,7 +58,7 @@ func TestGCRemovesOrphansKeepsReachable(t *testing.T) {
 	}
 }
 
-func TestGCSparesCheckpointsAndIntermediates(t *testing.T) {
+func TestGCSparesCheckpoints(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -67,18 +67,11 @@ func TestGCSparesCheckpointsAndIntermediates(t *testing.T) {
 	if _, err := s.Put(k, testDoc("gamma")); err != nil {
 		t.Fatal(err)
 	}
-	ints, err := s.Intermediates(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ints.Put("harvest", testArtefact()); err != nil {
-		t.Fatal(err)
-	}
 	ck, err := s.Checkpoints(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Save(3, testArtefact()); err != nil {
+	if err := ck.Save(3, testState(3)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,11 +79,8 @@ func TestGCSparesCheckpointsAndIntermediates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var art intArtefact
-	if ok, err := ints.Get("harvest", &art); err != nil || !ok {
-		t.Fatalf("GC swept an intermediate artefact (ok=%v err=%v)", ok, err)
-	}
-	if w, ok, err := ck.Latest(&art); err != nil || !ok || w != 3 {
+	var st ckptState
+	if w, ok, err := ck.Latest(&st); err != nil || !ok || w != 3 {
 		t.Fatalf("GC swept a checkpoint (w=%d ok=%v err=%v)", w, ok, err)
 	}
 }

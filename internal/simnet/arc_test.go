@@ -24,9 +24,9 @@ func arcNetwork(db *geo.DB, fps []onion.Fingerprint, observe func(pos, size int)
 	n := &Network{rng: rand.New(rand.NewSource(seed)), ring: hsdir.NewRing(fps), geoDB: db, workers: workers}
 	n.ringFPs = n.ring.Fingerprints()
 	n.dirs = make([]*hsdir.Directory, len(n.ringFPs))
-	for i, fp := range n.ringFPs {
+	for i := range n.ringFPs {
 		if observe(i, len(n.ringFPs)) {
-			n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
+			n.dirs[i] = hsdir.NewDirectory(24 * time.Hour)
 		}
 	}
 	if restricted {

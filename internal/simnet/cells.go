@@ -37,17 +37,6 @@ func NormalFetchTrace(rng *rand.Rand) CellTrace {
 	return trace
 }
 
-// NormalBulkTrace synthesises a busier circuit (page loads) — the hard
-// negative for the detector.
-func NormalBulkTrace(rng *rand.Rand) CellTrace {
-	bins := 6 + rng.Intn(8)
-	trace := make(CellTrace, bins)
-	for i := range trace {
-		trace[i] = 2 + rng.Intn(30)
-	}
-	return trace
-}
-
 // InjectSignature appends the marker pattern to a trace, as the malicious
 // directory does when answering the descriptor request.
 func InjectSignature(trace CellTrace) CellTrace {
@@ -68,25 +57,4 @@ func DetectSignature(trace CellTrace) bool {
 		}
 	}
 	return false
-}
-
-// SignatureFalsePositiveRate estimates how often the detector fires on n
-// normal traces (mixing fetch and bulk traffic).
-func SignatureFalsePositiveRate(rng *rand.Rand, n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	fp := 0
-	for i := 0; i < n; i++ {
-		var trace CellTrace
-		if i%2 == 0 {
-			trace = NormalFetchTrace(rng)
-		} else {
-			trace = NormalBulkTrace(rng)
-		}
-		if DetectSignature(trace) {
-			fp++
-		}
-	}
-	return float64(fp) / float64(n)
 }

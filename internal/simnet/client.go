@@ -8,8 +8,6 @@ package simnet
 import (
 	"math/rand"
 	"time"
-
-	"torhs/internal/onion"
 )
 
 // Client is one Tor client.
@@ -36,15 +34,6 @@ const minGuardLifetime = 30 * 24 * time.Hour
 func guardLifetime(rng *rand.Rand) time.Duration {
 	return minGuardLifetime + time.Duration(rng.Intn(30))*24*time.Hour
 }
-
-// PickGuard returns the entry guard for a new circuit at instant now,
-// rotating expired guards first.
-func (c *Client) PickGuard(pool []onion.Fingerprint, rng *rand.Rand, now time.Time) onion.Fingerprint {
-	return c.gs.pick(pool, rng, now)
-}
-
-// Guards returns a copy of the client's current guard set.
-func (c *Client) Guards() [3]onion.Fingerprint { return c.gs.guards }
 
 // LocalTime returns the client's skewed notion of now.
 func (c *Client) LocalTime(now time.Time) time.Time { return now.Add(c.ClockSkew) }

@@ -71,7 +71,3 @@ func (g *guardSet) pickPool(pool *guardPool, rng *rand.Rand, now time.Time) onio
 	g.refreshPool(pool, rng, now)
 	return g.guards[rng.Intn(len(g.guards))]
 }
-
-func (g *guardSet) pick(pool []onion.Fingerprint, rng *rand.Rand, now time.Time) onion.Fingerprint {
-	return g.pickPool(&guardPool{fps: pool}, rng, now)
-}

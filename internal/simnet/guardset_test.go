@@ -82,7 +82,7 @@ func TestWeightedGuardsBiasClientSelection(t *testing.T) {
 	// Tally guard usage over one circuit per client.
 	now := doc.ValidAfter
 	usage := map[onion.Fingerprint]int{}
-	for _, c := range net.Clients() {
+	for _, c := range net.clients {
 		usage[c.gs.pickPool(net.pool, net.rng, now)]++
 	}
 

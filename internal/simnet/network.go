@@ -114,9 +114,9 @@ type Config struct {
 	// answered; an unrestricted network keeps none. TotalRequests and
 	// PhantomRequests are unchanged, but ResolvedHits counts hits at
 	// observed directories only. A restricted network takes no fetch or
-	// upload observers, builds no hosts (Host, Connect and PublishService
-	// panic) and gives its clients no location. Fingerprints that are
-	// not on the HSDir ring are ignored.
+	// upload observers, builds no hosts (PublishService panics) and gives
+	// its clients no location. Fingerprints that are not on the HSDir
+	// ring are ignored.
 	Observed []onion.Fingerprint
 }
 
@@ -169,13 +169,13 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		n.log = hsdir.NewRequestLog()
 		for _, fp := range cfg.Observed {
 			if i, ok := doc.HSDirRingPos(fp); ok && n.dirs[i] == nil {
-				n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
+				n.dirs[i] = hsdir.NewDirectory(24 * time.Hour)
 			}
 		}
 	} else {
 		n.hosts = make(map[onion.Address]*Host)
-		for i, fp := range n.ringFPs {
-			n.dirs[i] = hsdir.NewDirectory(fp, 24*time.Hour)
+		for i := range n.dirs {
+			n.dirs[i] = hsdir.NewDirectory(24 * time.Hour)
 		}
 	}
 	if cfg.WeightedGuards {
@@ -234,19 +234,10 @@ func (n *Network) restricted() bool { return n.log != nil }
 // is nil on an unrestricted network.
 func (n *Network) Log() *hsdir.RequestLog { return n.log }
 
-// Directories returns all descriptor stores in ring order: Directories()[i]
-// serves Ring().Fingerprints()[i], and is nil at the unobserved positions
-// of a restricted network. The slice aliases the network; callers must
-// not mutate it.
-func (n *Network) Directories() []*hsdir.Directory { return n.dirs }
-
 // GuardPool returns the Guard-flagged fingerprints. The slice aliases the
 // consensus document's shared cache; callers must not mutate it (copy
 // first, as the deanon pipelines do).
 func (n *Network) GuardPool() []onion.Fingerprint { return n.guards }
-
-// Clients returns the client population.
-func (n *Network) Clients() []*Client { return n.clients }
 
 // descriptorIDs derives both replica IDs at instant at, through the
 // shared secret table when one is available.
@@ -582,53 +573,6 @@ func (n *Network) event(rec *fetchRec) FetchEvent {
 	}
 }
 
-// FetchDescriptor performs one client descriptor fetch for the service
-// with permanent ID permID: the client computes the descriptor ID with
-// its *local* clock, picks a replica, and queries one of the responsible
-// directories through one of its guards.
-//
-// Like every Network method that draws from the network RNG, single
-// fetches must be externally serialized with publishes and other
-// fetches (DriveWindow is the concurrency-safe path: it executes an
-// entire window's fetches on per-request RNGs against read-only
-// stores). Expired descriptors read as absent but are reaped by the
-// next Publish or Expire rather than on the fetch itself. On a restricted
-// network a fetch answered by an observed directory is counted in the
-// network's log; one answered by an unobserved directory reports Found
-// false and is counted nowhere.
-func (n *Network) FetchDescriptor(c *Client, permID onion.PermanentID, now time.Time) FetchEvent {
-	var sc fetchScratch
-	rec := n.fetchDescriptor(n.rng, c, permID, now, &sc)
-	n.logAnswered(&rec)
-	return n.event(&rec)
-}
-
-// FetchRawID performs one fetch for an arbitrary descriptor ID (used for
-// the phantom requests to never-published descriptors). The
-// serialization contract of FetchDescriptor applies.
-func (n *Network) FetchRawID(c *Client, descID onion.DescriptorID, now time.Time) FetchEvent {
-	set := n.resolve(descID)
-	rec := n.fetchResolved(n.rng, c, descID, &set, now)
-	n.logAnswered(&rec)
-	return n.event(&rec)
-}
-
-// logAnswered counts a single fetch in the network's log when an
-// observed directory answered it.
-func (n *Network) logAnswered(rec *fetchRec) {
-	if n.restricted() && rec.answered >= 0 {
-		n.log.Record(rec.descID, rec.found)
-	}
-}
-
-// fetchDescriptor is FetchDescriptor with the randomness source and the
-// service memo made explicit. The caller owns request counting.
-func (n *Network) fetchDescriptor(rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch) fetchRec {
-	replica := uint8(rng.Intn(onion.Replicas))
-	id, set := sc.lookup(n, permID, onion.TimePeriod(permID, c.LocalTime(now)), replica)
-	return n.fetchResolved(rng, c, id, set, now)
-}
-
 // fetchResolved runs one fetch of descID over its resolved responsible
 // set: the guard pick, the random contact order, failover past
 // unreachable directories, and the probe.
@@ -799,11 +743,14 @@ func (n *Network) ensureSecrets(start, end time.Time) {
 // bitmap moves no count and no byte of output.
 //
 // The window is the cancellation unit: ctx is checked on entry and
-// while the counts are drawn, before any descriptor store or the network
-// log mutates. Once the fetch fan-out starts the window runs to
-// completion, so a nil error means the window's effects are fully
-// applied and a ctx.Err() return means the network state is exactly as
-// it was — cancelled windows can always be replayed.
+// before each service's count is drawn, before any descriptor store or
+// the network log mutates. Once the fetch fan-out starts the window runs
+// to completion, so a nil error means the window's effects are fully
+// applied and a ctx.Err() return means no store and no log changed. A
+// window cancelled before its first count leaves the network exactly as
+// it was and can be replayed; one cancelled between counts has advanced
+// the network RNG by the counts drawn, so its network cannot replay it
+// (callers drop the network of a cancelled window).
 //
 //torhs:cancelpoint
 func (n *Network) DriveWindow(

@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"torhs/internal/hspop"
@@ -10,10 +8,10 @@ import (
 )
 
 // This file implements the server side of the v2 hidden-service protocol
-// and the rendezvous connection establishment the paper's Section II-A
-// summarises: the service maintains introduction points and entry guards,
-// uploads descriptors through a guard-anchored circuit, and clients reach
-// it by joining circuits at a rendezvous point.
+// the paper's Section II-A summarises: each service's host draws its
+// introduction points and entry guards and uploads its descriptors
+// through a guard-anchored circuit, where the [8]-style guard attack
+// observes it. The client side, the descriptor fetch, is DriveWindow's.
 
 // Host is the machine operating a hidden service: the thing whose
 // location the protocol protects and the [8]-style guard attack reveals.
@@ -28,23 +26,6 @@ type Host struct {
 	intros []onion.Fingerprint
 }
 
-// Guards returns the host's current guard set.
-func (h *Host) Guards() [3]onion.Fingerprint { return h.gs.guards }
-
-// IntroPoints returns the host's current introduction points.
-func (h *Host) IntroPoints() []onion.Fingerprint {
-	out := make([]onion.Fingerprint, len(h.intros))
-	copy(out, h.intros)
-	return out
-}
-
-// Circuit is a three-hop path; the first hop is always an entry guard.
-type Circuit struct {
-	Guard  onion.Fingerprint
-	Middle onion.Fingerprint
-	Last   onion.Fingerprint
-}
-
 // UploadEvent is one descriptor upload as observed on the wire: the host
 // pushed a descriptor to a directory through a guard-anchored circuit.
 // The [8] attack taps here: a malicious directory answers the upload with
@@ -56,32 +37,6 @@ type UploadEvent struct {
 	Dir    onion.Fingerprint
 	DescID onion.DescriptorID
 	At     time.Time
-}
-
-// RendezvousResult describes one completed (or failed) client connection.
-type RendezvousResult struct {
-	// Found reports whether the descriptor lookup succeeded.
-	Found bool
-	// IntroPoint and RendezvousPoint are the relays used.
-	IntroPoint      onion.Fingerprint
-	RendezvousPoint onion.Fingerprint
-	// ClientCircuit / ServiceCircuit are the two halves joined at the
-	// rendezvous point.
-	ClientCircuit  Circuit
-	ServiceCircuit Circuit
-}
-
-// errNoRelays is returned when the consensus lacks enough relays to build
-// circuits.
-var errNoRelays = errors.New("simnet: not enough relays for circuit building")
-
-// Host returns the host running the service with the given address, if
-// the network has materialised one (hosts are created on first publish).
-// It panics on a restricted network, which builds no hosts.
-func (n *Network) Host(addr onion.Address) (*Host, bool) {
-	n.mustBeUnrestricted("Host")
-	h, ok := n.hosts[addr]
-	return h, ok
 }
 
 // mustBeUnrestricted panics on a restricted network, which builds no
@@ -175,57 +130,4 @@ func (n *Network) pickIntros(intros []onion.Fingerprint) {
 func (n *Network) pickRelay() onion.Fingerprint {
 	fps := n.ring.Fingerprints()
 	return fps[n.rng.Intn(len(fps))]
-}
-
-// buildCircuit assembles a guard-anchored three-hop circuit ending at
-// last.
-func (n *Network) buildCircuit(gs *guardSet, last onion.Fingerprint, now time.Time) Circuit {
-	return Circuit{
-		Guard:  gs.pickPool(n.pool, n.rng, now),
-		Middle: n.pickRelay(),
-		Last:   last,
-	}
-}
-
-// Connect performs the full client-side rendezvous: fetch the descriptor
-// (through a directory, observed in the request log), extract an
-// introduction point, set up a rendezvous point, and join the two circuit
-// halves. The returned result reports every relay involved, which is what
-// the attacks in this repository observe. It panics on a restricted
-// network, which builds no hosts.
-func (n *Network) Connect(c *Client, addr onion.Address, now time.Time) (*RendezvousResult, error) {
-	n.mustBeUnrestricted("Connect")
-	if n.ring.Len() < 3 {
-		return nil, errNoRelays
-	}
-	host, ok := n.hosts[addr]
-	if !ok {
-		return nil, fmt.Errorf("simnet: no host for %s", addr)
-	}
-
-	// 1. Descriptor fetch (with the client's possibly-skewed clock).
-	ev := n.FetchDescriptor(c, host.Service.PermID, now)
-	if !ev.Found {
-		return &RendezvousResult{Found: false}, nil
-	}
-	if len(host.intros) == 0 {
-		return nil, fmt.Errorf("simnet: host %s has no introduction points", addr)
-	}
-
-	// 2. Client picks a rendezvous point and builds a circuit to it.
-	rp := n.pickRelay()
-	clientCirc := n.buildCircuit(&c.gs, rp, now)
-
-	// 3. INTRODUCE1 via an introduction point; the service answers by
-	//    building its own circuit to the rendezvous point.
-	intro := host.intros[n.rng.Intn(len(host.intros))]
-	serviceCirc := n.buildCircuit(&host.gs, rp, now)
-
-	return &RendezvousResult{
-		Found:           true,
-		IntroPoint:      intro,
-		RendezvousPoint: rp,
-		ClientCircuit:   clientCirc,
-		ServiceCircuit:  serviceCirc,
-	}, nil
 }

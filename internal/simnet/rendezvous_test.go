@@ -12,21 +12,21 @@ func TestPublishMaterialisesHostsWithIntroPoints(t *testing.T) {
 	net.PublishAll(pop, now)
 
 	svc := pop.WithDescriptor()[0]
-	host, ok := net.Host(svc.Address)
+	host, ok := net.hosts[svc.Address]
 	if !ok {
 		t.Fatal("no host materialised")
 	}
 	if host.IP == "" || host.Country == "" {
 		t.Fatal("host without location")
 	}
-	if len(host.IntroPoints()) != 3 {
-		t.Fatalf("intro points = %d, want 3", len(host.IntroPoints()))
+	if len(host.intros) != 3 {
+		t.Fatalf("intro points = %d, want 3", len(host.intros))
 	}
 	// Descriptors carry the intro points.
 	ids := onion.DescriptorIDs(svc.PermID, now)
 	dirFP := net.Ring().Responsible(ids[0], onion.SpreadPerReplica)[0]
 	dir, _ := net.Directory(dirFP)
-	desc, found := dir.Fetch(ids[0], now)
+	desc, found := dir.Probe(ids[0], now)
 	if !found {
 		t.Fatal("descriptor missing")
 	}
@@ -39,71 +39,11 @@ func TestHostStableAcrossRepublish(t *testing.T) {
 	net, pop, now := buildNetwork(t, 21)
 	svc := pop.WithDescriptor()[0]
 	net.PublishService(svc, now)
-	h1, _ := net.Host(svc.Address)
+	h1 := net.hosts[svc.Address]
 	net.PublishService(svc, now.Add(24*time.Hour))
-	h2, _ := net.Host(svc.Address)
+	h2 := net.hosts[svc.Address]
 	if h1 != h2 {
 		t.Fatal("republish created a new host")
-	}
-}
-
-func TestConnectEndToEnd(t *testing.T) {
-	net, pop, now := buildNetwork(t, 22)
-	net.PublishAll(pop, now)
-	svc := pop.WithDescriptor()[0]
-
-	var c *Client
-	for _, cand := range net.Clients() {
-		if cand.ClockSkew == 0 {
-			c = cand
-			break
-		}
-	}
-	if c == nil {
-		t.Fatal("no skew-free client")
-	}
-
-	res, err := net.Connect(c, svc.Address, now.Add(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found {
-		t.Fatal("descriptor not found during connect")
-	}
-	host, _ := net.Host(svc.Address)
-
-	// The intro point must come from the host's advertised set.
-	okIntro := false
-	for _, ip := range host.IntroPoints() {
-		if ip == res.IntroPoint {
-			okIntro = true
-		}
-	}
-	if !okIntro {
-		t.Fatal("intro point not from host's set")
-	}
-	// Both circuit halves end at the same rendezvous point.
-	if res.ClientCircuit.Last != res.RendezvousPoint ||
-		res.ServiceCircuit.Last != res.RendezvousPoint {
-		t.Fatal("circuits do not join at the rendezvous point")
-	}
-	// Guards anchor each half and belong to the respective guard sets.
-	cg := c.Guards()
-	if res.ClientCircuit.Guard != cg[0] && res.ClientCircuit.Guard != cg[1] && res.ClientCircuit.Guard != cg[2] {
-		t.Fatal("client circuit guard not from client guard set")
-	}
-	hg := host.Guards()
-	if res.ServiceCircuit.Guard != hg[0] && res.ServiceCircuit.Guard != hg[1] && res.ServiceCircuit.Guard != hg[2] {
-		t.Fatal("service circuit guard not from host guard set")
-	}
-}
-
-func TestConnectUnknownHost(t *testing.T) {
-	net, pop, now := buildNetwork(t, 23)
-	net.PublishAll(pop, now)
-	c := net.Clients()[0]
-	if _, err := net.Connect(c, "aaaaaaaaaaaaaaaa", now); err == nil {
-		t.Fatal("connect to unknown host succeeded")
 	}
 }
 
@@ -126,7 +66,7 @@ func TestServiceSignatureAttackTargeted(t *testing.T) {
 	if len(dets) != attack.SignaturesSent() {
 		t.Fatal("full guard control must detect every signature")
 	}
-	host, _ := net.Host(target.Address)
+	host := net.hosts[target.Address]
 	deanon := attack.DeanonymisedServices()
 	if ip, ok := deanon[target.Address]; !ok || ip != host.IP {
 		t.Fatalf("target not deanonymised correctly: %v", deanon)

@@ -36,7 +36,7 @@ func TestPhantomTableMatchesNaiveOracle(t *testing.T) {
 			for _, fp := range observed {
 				for i, r := range ring.Fingerprints() {
 					if r == fp {
-						n.dirs[i] = hsdir.NewDirectory(fp, time.Hour)
+						n.dirs[i] = hsdir.NewDirectory(time.Hour)
 					}
 				}
 			}
@@ -96,11 +96,7 @@ func naiveRespSet(n *Network, id onion.DescriptorID) respSet {
 		for i, r := range n.ring.Fingerprints() {
 			if r == fp {
 				want.pos[k] = int32(i)
-			}
-		}
-		for _, d := range n.dirs {
-			if d != nil && d.Fingerprint() == fp {
-				want.observed = true
+				want.observed = want.observed || n.dirs[i] != nil
 			}
 		}
 	}
@@ -129,8 +125,8 @@ func TestServiceMemoMatchesDirectResolution(t *testing.T) {
 		memoRNG.Seed(int64(i))
 		directRNG.Seed(int64(i))
 		var direct fetchScratch
-		got := net.fetchDescriptor(memoRNG, c, svc.PermID, at, &sc)
-		if want := net.fetchDescriptor(directRNG, c, svc.PermID, at, &direct); got != want {
+		got := fetchService(net, memoRNG, c, svc.PermID, at, &sc)
+		if want := fetchService(net, directRNG, c, svc.PermID, at, &direct); got != want {
 			t.Fatalf("request %d: memo %+v, direct %+v", i, got, want)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"torhs/internal/hsdir"
 	"torhs/internal/hspop"
 	"torhs/internal/onion"
+	"torhs/internal/race"
 	"torhs/internal/relaynet"
 )
 
@@ -374,11 +375,11 @@ func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fi
 	}
 }
 
-// TestRestrictedSharedRNGFetchesKeepEveryDraw pins that FetchDescriptor
-// and FetchRawID draw exactly as on an unrestricted network: both
-// networks leave their shared RNG in the same state and report the same
-// guards, directories and attempts. The restricted network counts the
-// fetches its observed directories answered, at both failure rates.
+// TestRestrictedSharedRNGFetchesKeepEveryDraw pins that a fetch on a
+// restricted network draws exactly as on an unrestricted one: from one
+// RNG state, both report the same guards, directories and attempts and
+// leave the RNG in the same state, and an observed directory answers as
+// the unrestricted network's does, at both failure rates.
 func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 	const seed = 41
 	f := newRestrictFixture(t, seed)
@@ -387,54 +388,54 @@ func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
 			full := f.network(t, seed, 1, fail, nil)
 			net := f.network(t, seed, 1, fail, observed)
-			oracle := newLogOracle(observed)
 			now := f.doc.ValidAfter
 			full.PublishAll(f.pop, now)
 			net.PublishAll(f.pop, now)
+			full.warmGuardSets(now, now.Add(time.Hour))
+			net.warmGuardSets(now, now.Add(time.Hour))
 			svcs := f.pop.WithDescriptor()
+			rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			var scA, scB fetchScratch
+			answered, found := 0, 0
 			for i := 0; i < 200; i++ {
 				at := now.Add(time.Duration(i) * time.Second)
-				var a, b FetchEvent
+				ca, cb := full.clients[i%len(full.clients)], net.clients[i%len(net.clients)]
+				var a, b fetchRec
 				if i%2 == 0 {
 					svc := svcs[i%len(svcs)]
-					a = full.FetchDescriptor(full.Clients()[i%len(full.Clients())], svc.PermID, at)
-					b = net.FetchDescriptor(net.Clients()[i%len(net.Clients())], svc.PermID, at)
+					a = fetchService(full, rngA, ca, svc.PermID, at, &scA)
+					b = fetchService(net, rngB, cb, svc.PermID, at, &scB)
 				} else {
 					id := onion.DescriptorID(onion.RandomFingerprint(rand.New(rand.NewSource(int64(i)))))
-					a = full.FetchRawID(full.Clients()[i%len(full.Clients())], id, at)
-					b = net.FetchRawID(net.Clients()[i%len(net.Clients())], id, at)
+					setA, setB := full.resolve(id), net.resolve(id)
+					a = full.fetchResolved(rngA, ca, id, &setA, at)
+					b = net.fetchResolved(rngB, cb, id, &setB, at)
 				}
-				if a.Guard != b.Guard || a.Dir != b.Dir || a.DescID != b.DescID || a.Attempts != b.Attempts {
+				if a.guard != b.guard || a.lastDir != b.lastDir || a.descID != b.descID || a.attempts != b.attempts {
 					t.Fatalf("fetch %d differs:\n%+v\nvs\n%+v", i, a, b)
 				}
-				oracle.add(a)
-				if _, ok := net.Directory(b.Dir); ok && a.Found != b.Found {
-					t.Fatalf("fetch %d answered by an observed directory: found %v, oracle %v", i, b.Found, a.Found)
+				if b.answered >= 0 {
+					answered++
+					if b.found {
+						found++
+					}
+					if a.answered != b.answered || a.found != b.found {
+						t.Fatalf("fetch %d answered by an observed directory: found %v, unrestricted %v", i, b.found, a.found)
+					}
+				}
+				if x, y := rngA.Int63(), rngB.Int63(); x != y {
+					t.Fatalf("fetch %d left the RNGs apart: %d vs %d", i, x, y)
 				}
 			}
-			if x, y := full.rng.Int63(), net.rng.Int63(); x != y {
-				t.Fatalf("shared RNG diverged: %d vs %d", x, y)
-			}
-			if oracle.nFound == 0 || oracle.nAll == oracle.nFound {
-				t.Fatalf("observed directories answered %d fetches, %d found; want hits and misses", oracle.nAll, oracle.nFound)
-			}
-			oracle.check(t, net.Log(), fail == 0)
-			for _, fp := range observed {
-				d, ok := net.Directory(fp)
-				if !ok {
-					continue // the off-ring fingerprint
-				}
-				ref, _ := full.Directory(fp)
-				if diff := diffDir(stateOf(ref), stateOf(d)); diff != "" {
-					t.Fatalf("observed directory %x: %s", fp[:4], diff)
-				}
+			if found == 0 || answered == found {
+				t.Fatalf("observed directories answered %d fetches, %d found; want hits and misses", answered, found)
 			}
 		})
 	}
 }
 
 // TestRestrictedNetworkRejectsObservers pins that a restricted network
-// refuses the taps it cannot serve, and the host methods: it builds no
+// refuses the taps it cannot serve, and PublishService: it builds no
 // hosts.
 func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	f := newRestrictFixture(t, 43)
@@ -447,8 +448,6 @@ func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	svc := f.pop.WithDescriptor()[0]
 	for name, call := range map[string]func(){
 		"an upload observer": func() { net.OnUpload(func(UploadEvent) {}) },
-		"Host":               func() { net.Host(svc.Address) },
-		"Connect":            func() { net.Connect(net.Clients()[0], svc.Address, now) },
 		"PublishService":     func() { net.PublishService(svc, now) },
 	} {
 		func() {
@@ -466,6 +465,9 @@ func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 // allocations: a repeat sweep allocates as often over a population four
 // times the size, so it makes no per-host or per-service allocation.
 func TestRestrictedPublishAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts of the pooled sweep vary under -race")
+	}
 	const seed = 71
 	f := newRestrictFixture(t, seed)
 	cfg := f.pop.Config
@@ -497,7 +499,7 @@ func TestRestrictedPublishAllocations(t *testing.T) {
 // four times the size instead of growing every store one doubling at a
 // time.
 func TestFirstRestrictedPublishAllocations(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts of the pooled sweep vary under -race")
 	}
 	const seed = 73
@@ -534,7 +536,7 @@ func TestFirstRestrictedPublishAllocations(t *testing.T) {
 		for _, net := range nets {
 			for _, d := range net.dirs {
 				if d != nil && d.PublishedEver() == 0 {
-					t.Fatalf("observed directory %x stores nothing; the sweep would not reserve it", d.Fingerprint())
+					t.Fatal("an observed directory stores nothing; the sweep would not reserve it")
 				}
 			}
 		}
@@ -545,18 +547,15 @@ func TestFirstRestrictedPublishAllocations(t *testing.T) {
 }
 
 // TestNetworkLogOnlyWhenRestricted pins which networks keep a request
-// log: an unrestricted network none, through driven windows and single
-// fetches alike, and a restricted network always, even when it observes
-// no directory (its log then stays empty).
+// log: an unrestricted network none, through driven windows, and a
+// restricted network always, even when it observes no directory (its log
+// then stays empty).
 func TestNetworkLogOnlyWhenRestricted(t *testing.T) {
 	const seed = 59
 	f := newRestrictFixture(t, seed)
 	for name, observed := range map[string][]onion.Fingerprint{"unrestricted": nil, "none": {}} {
 		net := f.network(t, seed, 1, 0, observed)
 		f.run(t, net, time.Hour, nil)
-		svc := f.pop.WithDescriptor()[0]
-		net.FetchDescriptor(net.Clients()[0], svc.PermID, f.doc.ValidAfter)
-		net.FetchRawID(net.Clients()[1], onion.DescriptorID{1}, f.doc.ValidAfter)
 		switch l := net.Log(); {
 		case observed == nil && l != nil:
 			t.Fatalf("%s network keeps a log of %d requests", name, l.Total())
@@ -626,7 +625,7 @@ func TestResolveDoesNotAllocate(t *testing.T) {
 // contract on a restricted network, for requests observed and unobserved
 // directories answer, on both fetch paths of a driven window: a phantom
 // request (a table draw, then fetchResolved) and a service request
-// (fetchDescriptor and its memo).
+// (the service memo, then fetchResolved).
 func TestFetchPathsDoNotAllocate(t *testing.T) {
 	f := newRestrictFixture(t, 47)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"]
@@ -654,7 +653,7 @@ func TestFetchPathsDoNotAllocate(t *testing.T) {
 		}},
 		// Eight requests per service, as a plan groups them.
 		{"service", func() fetchRec {
-			return net.fetchDescriptor(rng, net.clients[i%len(net.clients)], svcs[i/8%len(svcs)].PermID, now, &sc)
+			return fetchService(net, rng, net.clients[i%len(net.clients)], svcs[i/8%len(svcs)].PermID, now, &sc)
 		}},
 	}
 	for _, p := range paths {

@@ -27,8 +27,8 @@ type SignatureAttack struct {
 	detections     []Detection
 	// countryHist caches the per-country detection tally, built on first
 	// CountryHistogram call and invalidated whenever a detection is
-	// appended (the History.FirstAppearance pattern), so renderers that
-	// query the histogram repeatedly never rescan the detection list.
+	// appended, so renderers that query the histogram repeatedly never
+	// rescan the detection list.
 	countryHist map[string]int
 
 	// Cell-level mode: instead of flagging marked responses directly,

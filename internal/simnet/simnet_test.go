@@ -82,7 +82,7 @@ func TestPublishAllStoresDescriptorsOnResponsibleDirs(t *testing.T) {
 			if !ok {
 				t.Fatal("responsible directory missing")
 			}
-			desc, found := dir.Fetch(descID, now)
+			desc, found := dir.Probe(descID, now)
 			if !found {
 				t.Fatal("descriptor not stored on responsible directory")
 			}
@@ -93,33 +93,80 @@ func TestPublishAllStoresDescriptorsOnResponsibleDirs(t *testing.T) {
 	}
 }
 
+// fetchService runs one fetch of the service's descriptor the way a
+// driven window's shard does: the client's own clock picks the time
+// period, a replica is drawn, sc resolves the ID and fetchResolved
+// contacts the directories.
+func fetchService(n *Network, rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch) fetchRec {
+	replica := uint8(rng.Intn(onion.Replicas))
+	id, set := sc.lookup(n, permID, onion.TimePeriod(permID, c.LocalTime(now)), replica)
+	return n.fetchResolved(rng, c, id, set, now)
+}
+
+// skewFreeClient returns the network's first client with a correct clock.
+func skewFreeClient(t *testing.T, n *Network) *Client {
+	t.Helper()
+	for _, c := range n.clients {
+		if c.ClockSkew == 0 {
+			return c
+		}
+	}
+	t.Fatal("no skew-free client")
+	return nil
+}
+
 func TestFetchDescriptorFindsPublished(t *testing.T) {
 	net, pop, now := buildNetwork(t, 3)
 	net.PublishAll(pop, now)
-	client := net.Clients()[0]
+	client := skewFreeClient(t, net)
 	svc := pop.WithDescriptor()[0]
 
 	found := 0
+	var sc fetchScratch
 	for i := 0; i < 20; i++ {
-		ev := net.FetchDescriptor(client, svc.PermID, now.Add(time.Minute))
-		if ev.Found {
+		if fetchService(net, net.rng, client, svc.PermID, now.Add(time.Minute), &sc).found {
 			found++
 		}
 	}
 	// A client with a correct clock must almost always succeed.
-	if client.ClockSkew == 0 && found < 15 {
+	if found < 15 {
 		t.Fatalf("found %d/20 fetches for published descriptor", found)
+	}
+}
+
+// TestSkewedClockFetchesAnotherPeriod: a client whose clock runs a day or
+// more off derives the descriptor ID of another time period, which no
+// directory stores, so its fetches of a published descriptor miss.
+func TestSkewedClockFetchesAnotherPeriod(t *testing.T) {
+	net, pop, now := buildNetwork(t, 3)
+	net.PublishAll(pop, now)
+	svc := pop.WithDescriptor()[0]
+	at := now.Add(time.Minute)
+	c := *skewFreeClient(t, net)
+	c.ClockSkew = 48 * time.Hour
+	if onion.TimePeriod(svc.PermID, c.LocalTime(at)) == onion.TimePeriod(svc.PermID, at) {
+		t.Fatal("a two-day skew left the client in the true period")
+	}
+	var sc fetchScratch
+	for i := 0; i < 20; i++ {
+		rec := fetchService(net, net.rng, &c, svc.PermID, at, &sc)
+		if rec.found {
+			t.Fatalf("fetch %d with a skewed clock found the descriptor", i)
+		}
+		if ids := onion.DescriptorIDs(svc.PermID, at); rec.descID == ids[0] || rec.descID == ids[1] {
+			t.Fatalf("fetch %d with a skewed clock asked for the current period's ID", i)
+		}
 	}
 }
 
 func TestFetchRawIDNeverPublished(t *testing.T) {
 	net, pop, now := buildNetwork(t, 4)
 	net.PublishAll(pop, now)
-	client := net.Clients()[0]
+	client := net.clients[0]
 	var phantom onion.DescriptorID
 	phantom[0] = 0xAB
-	ev := net.FetchRawID(client, phantom, now)
-	if ev.Found {
+	set := net.resolve(phantom)
+	if rec := net.fetchResolved(net.rng, client, phantom, &set, now); rec.found {
 		t.Fatal("phantom descriptor found")
 	}
 }
@@ -199,23 +246,18 @@ func TestDirFailureRetriesKeepFetchesWorking(t *testing.T) {
 	now := doc.ValidAfter
 	net.PublishAll(pop, now)
 
-	var c *Client
-	for _, cand := range net.Clients() {
-		if cand.ClockSkew == 0 {
-			c = cand
-			break
-		}
-	}
+	c := skewFreeClient(t, net)
 	svc := pop.WithDescriptor()[0]
 
 	found, retried := 0, 0
 	const trials = 200
+	var sc fetchScratch
 	for i := 0; i < trials; i++ {
-		ev := net.FetchDescriptor(c, svc.PermID, now.Add(time.Minute))
-		if ev.Found {
+		rec := fetchService(net, net.rng, c, svc.PermID, now.Add(time.Minute), &sc)
+		if rec.found {
 			found++
 		}
-		if ev.Attempts > 1 {
+		if rec.attempts > 1 {
 			retried++
 		}
 	}
@@ -236,20 +278,21 @@ func TestGuardRotationAndStability(t *testing.T) {
 		pool[i] = onion.RandomFingerprint(rng)
 	}
 	c := &Client{ID: 1}
+	gp := &guardPool{fps: pool}
 	now := time.Date(2013, 2, 1, 0, 0, 0, 0, time.UTC)
 
-	c.PickGuard(pool, rng, now)
-	before := c.Guards()
+	c.gs.pickPool(gp, rng, now)
+	before := c.gs.guards
 	// Within the 30-day minimum lifetime, the set must not change.
 	for i := 0; i < 50; i++ {
-		c.PickGuard(pool, rng, now.Add(time.Duration(i)*time.Hour))
+		c.gs.pickPool(gp, rng, now.Add(time.Duration(i)*time.Hour))
 	}
-	if c.Guards() != before {
+	if c.gs.guards != before {
 		t.Fatal("guard set changed within lifetime")
 	}
 	// After 61 days every guard has expired.
-	c.PickGuard(pool, rng, now.Add(61*24*time.Hour))
-	after := c.Guards()
+	c.gs.pickPool(gp, rng, now.Add(61*24*time.Hour))
+	after := c.gs.guards
 	same := 0
 	for i := range after {
 		if after[i] == before[i] {
@@ -269,8 +312,8 @@ func TestPickGuardReturnsMemberOfSet(t *testing.T) {
 	}
 	c := &Client{ID: 2}
 	now := time.Unix(0, 0)
-	g := c.PickGuard(pool, rng, now)
-	set := c.Guards()
+	g := c.gs.pickPool(&guardPool{fps: pool}, rng, now)
+	set := c.gs.guards
 	if g != set[0] && g != set[1] && g != set[2] {
 		t.Fatal("picked guard not in guard set")
 	}

@@ -64,8 +64,8 @@ func TestDriveWindowIdenticalAcrossWorkerCounts(t *testing.T) {
 	if baseStats.TotalRequests == 0 {
 		t.Fatal("no traffic driven")
 	}
-	baseDirs := make([]dirState, len(baseNet.Directories()))
-	for i, d := range baseNet.Directories() {
+	baseDirs := make([]dirState, len(baseNet.dirs))
+	for i, d := range baseNet.dirs {
 		baseDirs[i] = stateOf(d)
 	}
 	for _, workers := range []int{2, 3, 4, 8} {
@@ -85,7 +85,7 @@ func TestDriveWindowIdenticalAcrossWorkerCounts(t *testing.T) {
 				t.Fatalf("event %d differs at workers=%d:\n%+v\nvs\n%+v", i, workers, a, b)
 			}
 		}
-		for i, d := range net.Directories() {
+		for i, d := range net.dirs {
 			if diff := diffDir(baseDirs[i], stateOf(d)); diff != "" {
 				t.Fatalf("directory %d differs at workers=%d: %s", i, workers, diff)
 			}
