@@ -594,9 +594,9 @@ func benchHarvest(services, ids int) *trawl.Harvest {
 
 // simnetBenchRuns are the two network shapes the simnet layer rows
 // measure, over the first consensus of a one-day fleet: observed=all
-// simulates every ring directory, as the deanonymisation networks do,
-// and observed=fleet restricts the network to an attacker-sized ninth of
-// the ring, as each trawl step does (simnet.Config.Observed).
+// simulates every ring directory, as the service-deanonymisation network
+// does, and observed=fleet restricts the network to an attacker-sized
+// ninth of the ring, as each trawl step does (simnet.Config.Observed).
 func simnetBenchRuns(b *testing.B) (*consensus.Document, []simnetBenchRun) {
 	b.Helper()
 	fleet := relaynet.DefaultFleetConfig(6)
@@ -628,20 +628,27 @@ type simnetBenchRun struct {
 // published population: the simnet hot path underneath both the trawl and
 // the deanonymisation experiments. observed=all keeps no request log;
 // observed=fleet counts the requests its directories answer in the
-// network's log (see simnetBenchRuns). Every iteration drives the first
-// window of a freshly published network, built with the timer stopped,
-// after two collections have emptied simnet's window-buffer pools (as
-// happens between trawl steps), so B/op and allocs/op are the same in
-// every iteration and do not depend on b.N.
+// network's log (see simnetBenchRuns); observed=target is the Fig. 3
+// campaign's network, restricted to one service's attacker directories
+// (deanon.AttackerDirs) with a fetch observer tapped in. Every iteration
+// drives the first window of a freshly published network, built with the
+// timer stopped, after two collections have emptied simnet's
+// window-buffer pools (as happens between trawl steps), so B/op and
+// allocs/op are the same in every iteration and do not depend on b.N.
 func BenchmarkDriveWindow(b *testing.B) {
 	e := benchSetup(b)
 	doc, runs := simnetBenchRuns(b)
-	for _, bc := range runs {
+	target := simnetBenchRun{"observed=target", deanon.AttackerDirs(doc.Ring(), e.pop.Services[0], doc.ValidAfter)}
+	for _, bc := range append(runs, target) {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := simnet.DefaultConfig(6)
 			cfg.Clients = 1000
 			cfg.Observed = bc.observed
 			now := doc.ValidAfter
+			var observer func(simnet.FetchEvent)
+			if bc.name == target.name {
+				observer = func(simnet.FetchEvent) {}
+			}
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				net, err := simnet.NewNetwork(doc, e.geoDB, cfg)
@@ -652,7 +659,7 @@ func BenchmarkDriveWindow(b *testing.B) {
 				runtime.GC()
 				runtime.GC()
 				b.StartTimer()
-				st, _ := net.DriveWindow(context.Background(), e.pop, now, 2*time.Hour, nil)
+				st, _ := net.DriveWindow(context.Background(), e.pop, now, 2*time.Hour, observer)
 				if st.TotalRequests == 0 {
 					b.Fatal("no traffic driven")
 				}

@@ -9,11 +9,13 @@ package deanon
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"time"
 
+	"torhs/internal/hsdir"
 	"torhs/internal/hspop"
 	"torhs/internal/onion"
 	"torhs/internal/simnet"
@@ -64,10 +66,35 @@ type Report struct {
 	CellFalsePositives int
 }
 
+// AttackerDirs returns the directories the attacker occupies against
+// target from instant start on, sorted: the target's responsible
+// directories for the current and, against clock-skewed clients, the
+// adjacent time periods.
+func AttackerDirs(ring *hsdir.Ring, target *hspop.Service, start time.Time) []onion.Fingerprint {
+	dirSet := make(map[onion.Fingerprint]bool)
+	for _, off := range []time.Duration{-24 * time.Hour, 0, 24 * time.Hour} {
+		for _, fp := range ring.ResponsibleForServiceAt(target.PermID, start.Add(off)) {
+			dirSet[fp] = true
+		}
+	}
+	dirs := make([]onion.Fingerprint, 0, len(dirSet))
+	for fp := range dirSet {
+		dirs = append(dirs, fp)
+	}
+	sort.Slice(dirs, func(i, j int) bool { return dirs[i].Less(dirs[j]) })
+	return dirs
+}
+
 // Run executes the campaign on an already-published network, driving one
-// measurement window of traffic. Cancellation propagates into the
-// window drive; a cancelled campaign abandons the whole window (no
-// partial report) and returns ctx.Err().
+// measurement window of traffic. The attacker reads only its own
+// directories' fetch events, so the network may be restricted
+// (simnet.Config.Observed) to AttackerDirs(ring, target, start), or to
+// any superset of them: the report is the one an unrestricted network
+// yields, and the window simulates only the requests those directories
+// can answer. A cell-level campaign also reads every event that passes
+// through an attacker guard, so it needs an unrestricted network.
+// Cancellation propagates into the window drive; a cancelled campaign
+// abandons the whole window (no partial report) and returns ctx.Err().
 func Run(
 	ctx context.Context,
 	net *simnet.Network,
@@ -83,19 +110,17 @@ func Run(
 		return nil, fmt.Errorf("deanon: window %v must be positive", cfg.Window)
 	}
 
-	// The attacker occupies the target's responsible directories for the
-	// current (and, against clock-skewed clients, adjacent) periods.
-	dirSet := make(map[onion.Fingerprint]bool)
-	for _, off := range []time.Duration{-24 * time.Hour, 0, 24 * time.Hour} {
-		for _, fp := range net.Ring().ResponsibleForServiceAt(target.PermID, start.Add(off)) {
-			dirSet[fp] = true
+	dirs := AttackerDirs(net.Ring(), target, start)
+	if net.Restricted() {
+		if cfg.CellLevel {
+			return nil, errors.New("deanon: a cell-level campaign watches every circuit through an attacker guard; it needs an unrestricted network")
+		}
+		for _, fp := range dirs {
+			if _, ok := net.Directory(fp); !ok {
+				return nil, fmt.Errorf("deanon: the network does not observe attacker directory %s", fp.Hex())
+			}
 		}
 	}
-	dirs := make([]onion.Fingerprint, 0, len(dirSet))
-	for fp := range dirSet {
-		dirs = append(dirs, fp)
-	}
-	sort.Slice(dirs, func(i, j int) bool { return dirs[i].Less(dirs[j]) })
 
 	// Attacker guards: a random but deterministic subset of the pool.
 	pool := append([]onion.Fingerprint(nil), net.GuardPool()...)

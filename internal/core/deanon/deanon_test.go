@@ -2,17 +2,30 @@ package deanon
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"torhs/internal/consensus"
 	"torhs/internal/geo"
 	"torhs/internal/hspop"
+	"torhs/internal/onion"
 	"torhs/internal/relaynet"
 	"torhs/internal/simnet"
 )
 
-func setup(t *testing.T, seed int64) (*simnet.Network, *hspop.Population, time.Time) {
+// fixture is one consensus, geo database and population: the substrate
+// of networks that make the same draws.
+type fixture struct {
+	doc *consensus.Document
+	db  *geo.DB
+	pop *hspop.Population
+	now time.Time
+}
+
+func newFixture(t *testing.T, seed int64) fixture {
 	t.Helper()
 	fleet := relaynet.DefaultFleetConfig(seed)
 	fleet.Days = 1
@@ -28,19 +41,33 @@ func setup(t *testing.T, seed int64) (*simnet.Network, *hspop.Population, time.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := simnet.DefaultConfig(seed)
-	cfg.Clients = 800
-	net, err := simnet.NewNetwork(h.All()[0], db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pop, err := hspop.Generate(context.Background(), hspop.TestConfig(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := h.All()[0].ValidAfter
-	net.PublishAll(pop, now)
-	return net, pop, now
+	return fixture{doc: h.All()[0], db: db, pop: pop, now: h.All()[0].ValidAfter}
+}
+
+// network builds an 800-client network over the fixture, restricted to
+// observed unless that is nil, and publishes the population on it.
+func (f fixture) network(t *testing.T, seed int64, fail float64, observed []onion.Fingerprint) *simnet.Network {
+	t.Helper()
+	cfg := simnet.DefaultConfig(seed)
+	cfg.Clients = 800
+	cfg.DirFailureProb = fail
+	cfg.Observed = observed
+	net, err := simnet.NewNetwork(f.doc, f.db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.PublishAll(f.pop, f.now)
+	return net
+}
+
+func setup(t *testing.T, seed int64) (*simnet.Network, *hspop.Population, time.Time) {
+	t.Helper()
+	f := newFixture(t, seed)
+	return f.network(t, seed, 0, nil), f.pop, f.now
 }
 
 func TestRunValidation(t *testing.T) {
@@ -149,6 +176,63 @@ func TestCellLevelCampaignMatchesBooleanMode(t *testing.T) {
 	}
 	if cell.CellFalsePositives > cell.SignaturesSent/50+1 {
 		t.Fatalf("false positives = %d", cell.CellFalsePositives)
+	}
+}
+
+// TestRestrictedCampaignMatchesUnrestricted runs one campaign on an
+// unrestricted network and on a twin restricted to AttackerDirs: the
+// reports must be identical, detections (client IPs included) and all,
+// also when directories fail. Every detection names its client's IP,
+// which geolocates to its country.
+func TestRestrictedCampaignMatchesUnrestricted(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		fail float64
+	}{{2, 0}, {5, 0}, {8, 0.3}} {
+		t.Run(fmt.Sprintf("seed=%d/fail=%v", tc.seed, tc.fail), func(t *testing.T) {
+			f := newFixture(t, tc.seed)
+			target := f.pop.Services[0]
+			cfg := DefaultConfig(tc.seed)
+			cfg.GuardControlFraction = 0.25
+			want, err := Run(context.Background(), f.network(t, tc.seed, tc.fail, nil), f.pop, target, f.now, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Detections) == 0 {
+				t.Fatal("no detections to compare")
+			}
+			for _, d := range want.Detections {
+				if c, err := f.db.Lookup(d.IP); err != nil || c != d.Country {
+					t.Fatalf("client %d detected at IP %q in %s: %v", d.ClientID, d.IP, d.Country, err)
+				}
+			}
+			restricted := f.network(t, tc.seed, tc.fail, AttackerDirs(f.doc.Ring(), target, f.now))
+			got, err := Run(context.Background(), restricted, f.pop, target, f.now, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("restricted network's report differs:\n%+v\nunrestricted:\n%+v", got, want)
+			}
+		})
+	}
+}
+
+// TestRestrictedNetworkRefusals: a cell-level campaign, which watches
+// every circuit through an attacker guard, refuses a restricted network,
+// and so does any campaign on a network that does not observe every
+// attacker directory.
+func TestRestrictedNetworkRefusals(t *testing.T) {
+	f := newFixture(t, 6)
+	target := f.pop.Services[0]
+	dirs := AttackerDirs(f.doc.Ring(), target, f.now)
+	cfg := DefaultConfig(6)
+	cfg.CellLevel = true
+	if _, err := Run(context.Background(), f.network(t, 6, 0, dirs), f.pop, target, f.now, cfg); err == nil {
+		t.Fatal("a cell-level campaign ran on a restricted network")
+	}
+	if _, err := Run(context.Background(), f.network(t, 6, 0, dirs[1:]), f.pop, target, f.now, DefaultConfig(6)); err == nil {
+		t.Fatal("a campaign ran on a network missing an attacker directory")
 	}
 }
 

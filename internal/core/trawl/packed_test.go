@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -176,6 +177,14 @@ func TestPackAllocsIndependentOfSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts vary under -race")
 	}
+	// AllocsPerRun counts every malloc in the process and truncates their
+	// mean, so five foreign ones flip a count. A collection inside the
+	// measurement brings them: the unique package's post-collection map
+	// cleanup and the threads the runtime starts for its mark workers
+	// allocate too, and packing 50k IDs allocates enough to trigger
+	// collections (at GOGC=10 every 50k measurement counted 6 to 9). With
+	// collection off, packing's own allocations are all that is counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(n int) float64 {
 		h, pub, req := syntheticHarvest(n)
 		return testing.AllocsPerRun(5, func() {

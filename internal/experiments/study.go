@@ -437,17 +437,6 @@ func (e *Env) runDeanon(ctx context.Context) (*deanon.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	netCfg := simnet.DefaultConfig(e.cfg.Seed)
-	netCfg.Clients = e.cfg.Clients
-	netCfg.Workers = e.cfg.Workers
-	netCfg.SecretTable = e.studySecretTable()
-	net, err := simnet.NewNetwork(doc, geoDB, netCfg)
-	if err != nil {
-		return nil, err
-	}
-	now := doc.ValidAfter
-	net.PublishAll(pop, now)
-
 	// The paper targets the most popular hidden service, the rank-1
 	// Goldnet C&C front — the first Goldnet-labelled Table II head
 	// entry, not whatever happens to sit at index 0.
@@ -461,8 +450,20 @@ func (e *Env) runDeanon(ctx context.Context) (*deanon.Report, error) {
 	if target == nil {
 		return nil, fmt.Errorf("experiments: no Goldnet front in population (Table II head missing)")
 	}
-	cfg := deanon.DefaultConfig(e.cfg.Seed)
-	return deanon.Run(ctx, net, pop, target, now, cfg)
+	// The attacker sees only its own directories (and guards), so the
+	// network simulates only those directories (Section VI).
+	now := doc.ValidAfter
+	netCfg := simnet.DefaultConfig(e.cfg.Seed)
+	netCfg.Clients = e.cfg.Clients
+	netCfg.Workers = e.cfg.Workers
+	netCfg.SecretTable = e.studySecretTable()
+	netCfg.Observed = deanon.AttackerDirs(doc.Ring(), target, now)
+	net, err := simnet.NewNetwork(doc, geoDB, netCfg)
+	if err != nil {
+		return nil, err
+	}
+	net.PublishAll(pop, now)
+	return deanon.Run(ctx, net, pop, target, now, deanon.DefaultConfig(e.cfg.Seed))
 }
 
 // RunServiceDeanon executes the Section II-B dependency experiment: the

@@ -44,11 +44,18 @@ type DB struct {
 	byOctet  map[int]string
 }
 
+// firstOctet is the first octet of the first country's /8.
+const firstOctet = 11
+
 // NewDB builds a database over the given country mix. Each country is
-// assigned a synthetic /8; allocation draws countries by weight.
+// assigned a synthetic /8, from firstOctet up, so a mix holds at most
+// 256-firstOctet countries; allocation draws countries by weight.
 func NewDB(shares []CountryShare) (*DB, error) {
 	if len(shares) == 0 {
 		return nil, fmt.Errorf("geo: empty country mix")
+	}
+	if len(shares) > 256-firstOctet {
+		return nil, fmt.Errorf("geo: %d countries, but only %d /8 prefixes", len(shares), 256-firstOctet)
 	}
 	db := &DB{
 		shares:   make([]CountryShare, len(shares)),
@@ -57,7 +64,7 @@ func NewDB(shares []CountryShare) (*DB, error) {
 	}
 	copy(db.shares, shares)
 	sort.Slice(db.shares, func(i, j int) bool { return db.shares[i].Code < db.shares[j].Code })
-	octet := 11 // start in public-ish space, one /8 per country
+	octet := firstOctet // start in public-ish space, one /8 per country
 	for _, s := range db.shares {
 		if s.Weight <= 0 {
 			return nil, fmt.Errorf("geo: country %s has non-positive weight", s.Code)
@@ -77,21 +84,25 @@ func NewDB(shares []CountryShare) (*DB, error) {
 // within its /8.
 func (db *DB) AllocateIP(rng *rand.Rand) (ip, country string) {
 	country, octets := db.DrawIP(rng)
-	// The string is the one fmt.Sprintf("%d.%d.%d.%d", ...) would build,
-	// without its cost.
+	return FormatIP(octets), country
+}
+
+// FormatIP returns the dotted-quad form of an address's octets: the
+// string fmt.Sprintf("%d.%d.%d.%d", ...) would build, without its cost.
+func FormatIP(octets [4]byte) string {
 	var buf [len("255.255.255.255")]byte
 	b := strconv.AppendInt(buf[:0], int64(octets[0]), 10)
 	for _, o := range octets[1:] {
 		b = strconv.AppendInt(append(b, '.'), int64(o), 10)
 	}
-	return string(b), country
+	return string(b)
 }
 
 // DrawIP makes AllocateIP's draws and returns them unformatted: the
 // country, then the address's octets, drawn in address order. A caller
 // that needs only to keep a shared RNG in step with AllocateIP calls
 // this and formats nothing.
-func (db *DB) DrawIP(rng *rand.Rand) (country string, octets [4]int) {
+func (db *DB) DrawIP(rng *rand.Rand) (country string, octets [4]byte) {
 	r := rng.Float64() * db.total
 	acc := 0.0
 	country = db.shares[len(db.shares)-1].Code
@@ -102,7 +113,7 @@ func (db *DB) DrawIP(rng *rand.Rand) (country string, octets [4]int) {
 			break
 		}
 	}
-	return country, [4]int{db.prefixes[country], rng.Intn(256), rng.Intn(256), 1 + rng.Intn(254)}
+	return country, [4]byte{byte(db.prefixes[country]), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1 + rng.Intn(254))}
 }
 
 // Lookup resolves an IP to its country code.

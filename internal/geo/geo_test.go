@@ -16,6 +16,16 @@ func TestNewDBRejectsBadInput(t *testing.T) {
 	if _, err := NewDB([]CountryShare{{Code: "US", Weight: 1}, {Code: "US", Weight: 2}}); err == nil {
 		t.Fatal("duplicate country accepted")
 	}
+	many := make([]CountryShare, 256-firstOctet+1)
+	for i := range many {
+		many[i] = CountryShare{Code: fmt.Sprintf("C%d", i), Weight: 1}
+	}
+	if _, err := NewDB(many[1:]); err != nil {
+		t.Fatalf("a country per /8 refused: %v", err)
+	}
+	if _, err := NewDB(many); err == nil {
+		t.Fatal("more countries than /8 prefixes accepted")
+	}
 }
 
 func TestAllocateLookupRoundTrip(t *testing.T) {

@@ -147,11 +147,10 @@ const golden = 0x9e3779b97f4a7c15
 // splitmix64 state is a plain counter (Steele, Lea and Flood, "Fast
 // splittable pseudorandom number generators", OOPSLA 2014): the k-th
 // output of the stream seeded with s is SeedFor(s, k-1), so a Stream is
-// a seed and a count of outputs read. Int63 and Float64 return what the
-// *rand.Rand methods of the same name return at the same stream
-// position, and Draw what Int63n or Intn does, redraws included; Seed
-// hands the rest of the stream to a NewRNG. The zero value reads the
-// stream of seed 0.
+// a seed and a count of outputs read. Int63, Intn, Int63n and Float64
+// return what the *rand.Rand methods of the same name return at the same
+// stream position, redraws included, and Draw what Int63n or Intn does
+// over a precomputed Bound. The zero value reads the stream of seed 0.
 type Stream struct {
 	seed int64
 	read uint64
@@ -159,10 +158,6 @@ type Stream struct {
 
 // StreamAt returns a Stream at the start of NewRNG(seed)'s stream.
 func StreamAt(seed int64) Stream { return Stream{seed: seed} }
-
-// Seed returns the seed whose NewRNG continues the stream after the
-// outputs s has read.
-func (s *Stream) Seed() int64 { return int64(uint64(s.seed) + s.read*golden) }
 
 // Int63 is rand.Rand.Int63.
 func (s *Stream) Int63() int64 {
@@ -211,6 +206,13 @@ func IntnBound(n int) Bound {
 	}
 	return Bound{n: int64(n), max: int64((1 << 31) - 1 - (1<<31)%uint32(n)), shift: 32}
 }
+
+// Intn is rand.Rand.Intn. A loop drawing one range many times should
+// make its Bound once and call Draw.
+func (s *Stream) Intn(n int) int { return int(s.Draw(IntnBound(n))) }
+
+// Int63n is rand.Rand.Int63n.
+func (s *Stream) Int63n(n int64) int64 { return s.Draw(Int63nBound(n)) }
 
 // Float64 is rand.Rand.Float64: it draws again when the quotient
 // rounds to 1.

@@ -6,10 +6,13 @@ import (
 )
 
 // TestStreamMatchesRand pins Stream against NewRNG(seed) over 10^6 seeds
-// per shape, drawing what a driven request draws first: Int63n of its
-// window, Intn of its client count, then a Float64 (a phantom's target)
-// or an Intn(2) (a replica). Every draw must equal the rand.Rand's, and
-// NewRNG(Seed()) must continue where the rand.Rand stands. A 2^62+1
+// per shape, drawing what a driven request draws: Int63n of its window,
+// Intn of its client count, then a Float64 (a phantom's target) or an
+// Intn(2) (a replica), and then its fetch's draws: Intn(3) for the guard
+// (through the Intn method, as a guard rotation's draws go), Intn(1),
+// Intn(2) and Intn(3) for the contact order, and a Float64 per
+// directory tried. Every draw must equal the rand.Rand's, and
+// the stream's next output must be the rand.Rand's next. A 2^62+1
 // window and 2^30+1 clients make Int63n and Int31n reject about half
 // their first outputs, so the redraw paths run too.
 func TestStreamMatchesRand(t *testing.T) {
@@ -51,8 +54,24 @@ func TestStreamMatchesRand(t *testing.T) {
 					if s.read > 3 {
 						redrawn++
 					}
-					if a, b := NewRNG(s.Seed()).Int63(), rng.Int63(); a != b {
-						t.Fatalf("seed %d: the stream after %d outputs goes on with %d, rand.Rand with %d", seed, s.read, a, b)
+					if a, b := s.Intn(3), rng.Intn(3); a != b {
+						t.Fatalf("seed %d: guard Intn(3) %d, rand.Rand %d", seed, a, b)
+					}
+					for k := 1; k <= 3; k++ {
+						if a, b := s.Draw(IntnBound(k)), int64(rng.Intn(k)); a != b {
+							t.Fatalf("seed %d: contact-order Intn(%d) %d, rand.Rand %d", seed, k, a, b)
+						}
+					}
+					for range 3 {
+						if a, b := s.Float64(), rng.Float64(); a != b {
+							t.Fatalf("seed %d: failure Float64 %v, rand.Rand %v", seed, a, b)
+						}
+					}
+					if a, b := s.Int63n(sh.window), rng.Int63n(sh.window); a != b {
+						t.Fatalf("seed %d: Int63n method %d, rand.Rand %d", seed, a, b)
+					}
+					if a, b := s.Int63(), rng.Int63(); a != b {
+						t.Fatalf("seed %d: the stream goes on with %d, rand.Rand with %d", seed, a, b)
 					}
 				}
 				if forced := sh.window == 1<<62+1 && sh.n < 1<<31; forced && redrawn < seeds/2 {
@@ -88,7 +107,7 @@ func TestStreamFloat64RedrawsOne(t *testing.T) {
 		if s.read != want {
 			t.Fatalf("third output %#x: %d outputs read, want %d", x, s.read, want)
 		}
-		if NewRNG(s.Seed()).Int63() != rng.Int63() {
+		if s.Int63() != rng.Int63() {
 			t.Fatalf("third output %#x: stream position differs from rand.Rand's", x)
 		}
 	}

@@ -5,16 +5,15 @@
 // the guard-based traffic-signature attack of Section VI.
 package simnet
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Client is one Tor client.
 type Client struct {
 	// ID is a stable identifier.
 	ID int
-	// IP is the client's real address; Country its geolocation.
+	// IP is the client's real address; Country its geolocation. The
+	// network formats IP when it materialises the client's first
+	// FetchEvent: nothing else reads it.
 	IP      string
 	Country string
 	// ClockSkew offsets the client's wall clock. Clients with skewed
@@ -22,7 +21,8 @@ type Client struct {
 	// why the paper resolves requests over a ±days window.
 	ClockSkew time.Duration
 
-	gs guardSet
+	octets [4]byte // IP's, drawn when the client is made
+	gs     guardSet
 }
 
 // minGuardLifetime is the shortest guard rotation lifetime; a freshly
@@ -31,7 +31,7 @@ const minGuardLifetime = 30 * 24 * time.Hour
 
 // guardLifetime draws a guard rotation lifetime uniform in [30,60) days,
 // as the Tor client does.
-func guardLifetime(rng *rand.Rand) time.Duration {
+func guardLifetime(rng guardRNG) time.Duration {
 	return minGuardLifetime + time.Duration(rng.Intn(30))*24*time.Hour
 }
 

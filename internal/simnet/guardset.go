@@ -1,12 +1,20 @@
 package simnet
 
 import (
-	"math/rand"
 	"sort"
 	"time"
 
 	"torhs/internal/onion"
+	"torhs/internal/parallel"
 )
+
+// guardRNG is what a guard draw reads: the network's *rand.Rand while
+// warming or publishing, a request's *parallel.Stream (which draws what
+// a parallel.NewRNG of its seed would) inside a fetch.
+type guardRNG interface {
+	Intn(n int) int
+	Int63n(n int64) int64
+}
 
 // guardPool is the set of Guard-flagged relays clients choose from,
 // optionally weighted by consensus bandwidth (as the real client does).
@@ -32,7 +40,7 @@ func newGuardPool(fps []onion.Fingerprint, weights []int) *guardPool {
 	return p
 }
 
-func (p *guardPool) sample(rng *rand.Rand) onion.Fingerprint {
+func (p *guardPool) sample(rng guardRNG) onion.Fingerprint {
 	if p.cum == nil {
 		return p.fps[rng.Intn(len(p.fps))]
 	}
@@ -50,24 +58,46 @@ type guardSet struct {
 	expiry [3]time.Time
 }
 
-func (g *guardSet) refreshPool(pool *guardPool, rng *rand.Rand, now time.Time) {
-	g.refreshPoolUntil(pool, rng, now, now)
+// guardIndex is the range of a circuit's guard draw.
+var guardIndex = parallel.IntnBound(len(guardSet{}.guards))
+
+// stale reports whether guard i is (or will be by horizon) expired.
+func (g *guardSet) stale(i int, horizon time.Time) bool {
+	return g.expiry[i].IsZero() || horizon.After(g.expiry[i])
 }
 
 // refreshPoolUntil rotates every guard that is (or will be by horizon)
 // expired. Refreshing up to a horizon lets DriveWindow guarantee that no
 // guard expires inside a driven window, so concurrent fetches only read
 // guard state.
-func (g *guardSet) refreshPoolUntil(pool *guardPool, rng *rand.Rand, now, horizon time.Time) {
+func (g *guardSet) refreshPoolUntil(pool *guardPool, rng guardRNG, now, horizon time.Time) {
 	for i := range g.guards {
-		if g.expiry[i].IsZero() || horizon.After(g.expiry[i]) {
+		if g.stale(i, horizon) {
 			g.guards[i] = pool.sample(rng)
 			g.expiry[i] = now.Add(guardLifetime(rng))
 		}
 	}
 }
 
-func (g *guardSet) pickPool(pool *guardPool, rng *rand.Rand, now time.Time) onion.Fingerprint {
-	g.refreshPool(pool, rng, now)
+// pickPool rotates the guards expired at now, then draws one circuit's
+// guard.
+func (g *guardSet) pickPool(pool *guardPool, rng guardRNG, now time.Time) onion.Fingerprint {
+	g.refreshPoolUntil(pool, rng, now, now)
 	return g.guards[rng.Intn(len(g.guards))]
+}
+
+// pick is pickPool on a request's stream. Only a window of a guard
+// lifetime or more rotates a guard mid-window; the rotation reads a copy
+// of the stream, since a stream passed as a guardRNG lives on the heap,
+// and the per-request stream must not.
+func (g *guardSet) pick(pool *guardPool, draws *parallel.Stream, now time.Time) onion.Fingerprint {
+	for i := range g.guards {
+		if g.stale(i, now) {
+			s := *draws
+			g.refreshPoolUntil(pool, &s, now, now)
+			*draws = s
+			break
+		}
+	}
+	return g.guards[draws.Draw(guardIndex)]
 }

@@ -82,8 +82,8 @@ func TestWeightedGuardsBiasClientSelection(t *testing.T) {
 	// Tally guard usage over one circuit per client.
 	now := doc.ValidAfter
 	usage := map[onion.Fingerprint]int{}
-	for _, c := range net.clients {
-		usage[c.gs.pickPool(net.pool, net.rng, now)]++
+	for i := range net.clients {
+		usage[net.clients[i].gs.pickPool(net.pool, net.rng, now)]++
 	}
 
 	// Selections must correlate with bandwidth: the top-bandwidth

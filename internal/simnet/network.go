@@ -58,7 +58,7 @@ type Network struct {
 	secrets *onion.SecretIDTable
 
 	geoDB   *geo.DB
-	clients []*Client
+	clients []Client
 
 	// hosts holds an unrestricted network's hosts; a restricted network
 	// builds none. Both keep the introduction points of the population
@@ -104,18 +104,20 @@ type Config struct {
 	// means the network builds a table per driven window on its own.
 	SecretTable *onion.SecretIDTable
 	// Observed restricts the network to the directories its caller
-	// reads (the trawl passes its step's attacker HSDirs); nil observes
-	// every directory. An unobserved ring position holds no store:
-	// Directory reports false for it, publishes skip it, and a request it
-	// would answer is neither probed nor counted. Every observed
-	// directory's store is exactly that of an unrestricted network. A
-	// restricted network also keeps one request log (Network.Log) that
-	// counts, per descriptor ID, the requests its observed directories
-	// answered; an unrestricted network keeps none. TotalRequests and
-	// PhantomRequests are unchanged, but ResolvedHits counts hits at
-	// observed directories only. A restricted network takes no fetch or
-	// upload observers, builds no hosts (PublishService panics) and gives
-	// its clients no location. Fingerprints that are not on the HSDir
+	// reads (the trawl passes its step's attacker HSDirs, the Fig. 3
+	// campaign its target's); nil observes every directory. An
+	// unobserved ring position holds no store: Directory reports false
+	// for it, publishes skip it, and a request it would answer is neither
+	// probed nor counted. Every observed directory's store is exactly
+	// that of an unrestricted network. A restricted network also keeps
+	// one request log (Network.Log) that counts, per descriptor ID, the
+	// requests its observed directories answered; an unrestricted network
+	// keeps none. TotalRequests and PhantomRequests are unchanged, but
+	// ResolvedHits counts hits at observed directories only. A fetch
+	// observer sees exactly the unrestricted network's events whose Dir
+	// is observed, in the same order (see DriveWindow). A restricted
+	// network takes no upload observers and builds no hosts
+	// (PublishService panics). Fingerprints that are not on the HSDir
 	// ring are ignored.
 	Observed []onion.Fingerprint
 }
@@ -190,23 +192,17 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		n.pool = newGuardPool(guards, nil)
 	}
 
-	// A restricted network's clients make the same draws but carry no
-	// location: nothing it counts reads one.
-	clients := make([]Client, cfg.Clients)
-	n.clients = make([]*Client, cfg.Clients)
+	// A client's address is formatted only for the events that name it
+	// (see event): most networks, the trawl's among them, never read one.
+	n.clients = make([]Client, cfg.Clients)
 	for i := range n.clients {
-		c := &clients[i]
+		c := &n.clients[i]
 		c.ID = i
-		if n.restricted() {
-			db.DrawIP(n.rng)
-		} else {
-			c.IP, c.Country = db.AllocateIP(n.rng)
-		}
+		c.Country, c.octets = db.DrawIP(n.rng)
 		if n.rng.Float64() < cfg.SkewedClientFraction {
 			skew := time.Duration(n.rng.Int63n(int64(2*cfg.MaxSkew))) - cfg.MaxSkew
 			c.ClockSkew = skew
 		}
-		n.clients[i] = c
 	}
 	return n, nil
 }
@@ -225,9 +221,9 @@ func (n *Network) Directory(fp onion.Fingerprint) (*hsdir.Directory, bool) {
 	return nil, false
 }
 
-// restricted reports whether Config.Observed restricted the network,
+// Restricted reports whether Config.Observed restricted the network,
 // which is exactly when it keeps a request log.
-func (n *Network) restricted() bool { return n.log != nil }
+func (n *Network) Restricted() bool { return n.log != nil }
 
 // Log returns the request log of a restricted network: per descriptor
 // ID, the requests its observed directories answered, found or not. It
@@ -542,9 +538,9 @@ func (sc *fetchScratch) lookup(n *Network, permID onion.PermanentID, period uint
 }
 
 // fetchRec is the compact, pointer-free record of one fetch. When an
-// observer is tapped in, DriveWindow buffers one per planned request (the
-// garbage collector never scans the buffer) and materialises FetchEvents
-// from them during the sequential replay.
+// observer is tapped in, each DriveWindow shard buffers one per request
+// whose last directory is observed (the garbage collector never scans the
+// buffers) and the sequential replay materialises FetchEvents from them.
 type fetchRec struct {
 	descID   onion.DescriptorID
 	guard    onion.Fingerprint
@@ -560,10 +556,16 @@ type fetchRec struct {
 	found    bool
 }
 
-// event materialises the FetchEvent a record describes.
+// event materialises the FetchEvent a record describes, formatting its
+// client's address the first time an event names the client. It runs in
+// the sequential replay only.
 func (n *Network) event(rec *fetchRec) FetchEvent {
+	c := &n.clients[rec.clientID]
+	if c.IP == "" {
+		c.IP = geo.FormatIP(c.octets)
+	}
 	return FetchEvent{
-		Client:   n.clients[rec.clientID],
+		Client:   c,
 		Guard:    rec.guard,
 		Dir:      n.ringFPs[rec.lastDir],
 		DescID:   rec.descID,
@@ -573,17 +575,32 @@ func (n *Network) event(rec *fetchRec) FetchEvent {
 	}
 }
 
+// orderBounds[i] is the range of the i-th draw of a fetch's contact
+// order, rand.Rand.Intn(i+1).
+var orderBounds = func() (b [onion.SpreadPerReplica]parallel.Bound) {
+	for i := range b {
+		b[i] = parallel.IntnBound(i + 1)
+	}
+	return b
+}()
+
 // fetchResolved runs one fetch of descID over its resolved responsible
-// set: the guard pick, the random contact order, failover past
-// unreachable directories, and the probe.
-func (n *Network) fetchResolved(rng *rand.Rand, c *Client, descID onion.DescriptorID, set *respSet, now time.Time) fetchRec {
+// set, every draw read from the request's stream: the guard pick, the
+// random contact order, failover past unreachable directories, and the
+// probe. gs is the requesting client's guard set, or nil when nothing
+// reads the guard and none can rotate: the guard draw is then made and
+// its guard left unread. The record's clientID is the caller's to fill.
+func (n *Network) fetchResolved(draws *parallel.Stream, gs *guardSet, descID onion.DescriptorID, set *respSet, now time.Time) fetchRec {
 	rec := fetchRec{
 		descID:   descID,
 		atNanos:  now.UnixNano(),
-		clientID: int32(c.ID),
 		answered: -1,
 	}
-	rec.guard = c.gs.pickPool(n.pool, rng, now)
+	if gs != nil {
+		rec.guard = gs.pick(n.pool, draws, now)
+	} else {
+		draws.Draw(guardIndex)
+	}
 	k := int(set.n)
 	// Contact the responsible directories in random order, falling back
 	// on unreachable ones, as the Tor client does. The permutation
@@ -591,11 +608,11 @@ func (n *Network) fetchResolved(rng *rand.Rand, c *Client, descID onion.Descript
 	// (rand.Perm would heap-allocate per fetch); k never exceeds
 	// onion.SpreadPerReplica, and the i=0 iteration swaps order[0] with
 	// itself but still consumes one Intn draw — math/rand.Perm does the
-	// same, and the RNG stream (and with it every driven window) must
-	// not shift.
+	// same, and the stream (and with it every driven window) must not
+	// shift.
 	var order [onion.SpreadPerReplica]int32
 	for i := 0; i < k; i++ {
-		j := rng.Intn(i + 1)
+		j := draws.Draw(orderBounds[i])
 		order[i] = order[j]
 		order[j] = int32(i)
 	}
@@ -603,7 +620,7 @@ func (n *Network) fetchResolved(rng *rand.Rand, c *Client, descID onion.Descript
 		pos := set.pos[oi]
 		rec.attempts++
 		rec.lastDir = pos
-		if n.dirFailure > 0 && rng.Float64() < n.dirFailure {
+		if n.dirFailure > 0 && draws.Float64() < n.dirFailure {
 			continue // this directory was unreachable; try the next
 		}
 		if d := n.dirs[pos]; d != nil {
@@ -657,9 +674,10 @@ func (c *planCursor) service(i int) int {
 // across the per-step networks of a trawl): every slot is overwritten
 // before it is read, so reuse can never change an outcome — it only
 // stops each window from allocating and zeroing megabytes of record,
-// answer, phantom and dead-bucket buffers.
+// answer, phantom and dead-bucket buffers. The record and answer pools
+// hold one buffer per shard.
 var (
-	recsPool    = sync.Pool{New: func() any { return new([]fetchRec) }}
+	recsPool    = sync.Pool{New: func() any { return new([][]fetchRec) }}
 	answersPool = sync.Pool{New: func() any { return new([][]hsdir.Answer) }}
 	phantomPool = sync.Pool{New: func() any { return new([]phantom) }}
 	i32Pool     = sync.Pool{New: func() any { return new([]int32) }}
@@ -698,8 +716,8 @@ func grabZeroed[T any](pool *sync.Pool, n int) *[]T {
 // concurrent fetches only *read* guard state: after warming, every
 // guard's expiry lies beyond the window's end.
 func (n *Network) warmGuardSets(now, horizon time.Time) {
-	for _, c := range n.clients {
-		c.gs.refreshPoolUntil(n.pool, n.rng, now, horizon)
+	for i := range n.clients {
+		n.clients[i].gs.refreshPoolUntil(n.pool, n.rng, now, horizon)
 	}
 }
 
@@ -718,29 +736,33 @@ func (n *Network) ensureSecrets(start, end time.Time) {
 // window of the given duration starting at start: Poisson counts around
 // each popular service's expected rate, plus phantom requests for
 // never-published descriptor IDs at the configured fraction. The observer
-// callback (optional) sees every fetch event — this is where the
-// signature attack taps in. A restricted network rejects a non-nil
-// observer: it skips the requests no observed directory is responsible
-// for, so it has no complete event stream to replay.
+// callback (optional) sees the fetch events — this is where the
+// signature attack taps in. On an unrestricted network it sees every
+// event; on a restricted one, exactly the unrestricted network's events
+// whose Dir is observed, in the same order.
 //
 // Execution is three-phase so cfg.Workers never changes the outcome:
 // the per-service request counts are drawn sequentially from the network
-// RNG; the fetches execute concurrently, each on an RNG derived from its
+// RNG; the fetches execute concurrently, each on the stream seeded by its
 // plan index, probing the descriptor stores lock-free; and the shards'
 // results merge sequentially in plan order. Per-request memory is kept
-// only where something reads it: one record per request when an observer
-// is tapped in (replayed to it in plan order), and on a restricted
-// network the (ID, found) pairs its observed directories answered
-// (folded into its log in one locked pass). An unrestricted window with
-// no observer keeps only per-shard tallies.
+// only where something reads it: when an observer is tapped in, each
+// shard keeps one record per request whose last directory is observed
+// (replayed to the observer in plan order), and a restricted network
+// keeps the (ID, found) pairs its observed directories answered (folded
+// into its log in one locked pass). A window with no observer keeps only
+// per-shard tallies and reads no guard state: a request draws its guard
+// and leaves it unread, and reads its client only for a popular
+// service's clock skew.
 //
 // A restricted window skips every request no observed directory is
-// responsible for, right after the draws that pick its target. Most of
-// those are phantoms, and a per-window bitmap over the cut table's
-// buckets lets a phantom whose draw can only pick unobserved entries
-// stop before the table is even scanned: it is a request the window
-// would skip anyway, at the same point in its draw sequence, so the
-// bitmap moves no count and no byte of output.
+// responsible for, right after the draws that pick its target: none of
+// its events can name an observed directory. Most of those are phantoms,
+// and a per-window bitmap over the cut table's buckets lets a phantom
+// whose draw can only pick unobserved entries stop before the table is
+// even scanned: it is a request the window would skip anyway, at the
+// same point in its draw sequence, so the bitmap moves no count and no
+// byte of output.
 //
 // The window is the cancellation unit: ctx is checked on entry and
 // before each service's count is drawn, before any descriptor store or
@@ -767,9 +789,6 @@ func (n *Network) DriveWindow(
 	var out TrafficStats
 	if err := ctx.Err(); err != nil {
 		return out, err
-	}
-	if n.restricted() && observer != nil {
-		return out, errors.New("simnet: a restricted network takes no fetch observer")
 	}
 
 	// Phase 1: draw one Poisson count per popular service, in service
@@ -805,21 +824,22 @@ func (n *Network) DriveWindow(
 	n.warmGuardSets(start, end)
 	n.ensureSecrets(start, end)
 
-	// Phase 2: execute the fetches concurrently. Each request draws from
-	// the stream seeded by (planSeed, index) — its first draws straight
-	// from the counter, the rest from one reseeded RNG per worker —
-	// probes the descriptor stores without taking any lock, and notes
-	// which directory answered. Every shard
-	// is fully private: its own plan cursor, service memo, RNG stream,
-	// stats tally and answer buffer — zero cross-shard synchronization
-	// until the merge. Warmed guard sets are only read: warming refreshed
-	// every guard that would expire before end. A freshly refreshed guard
-	// is stable for minGuardLifetime, so for windows that long or longer
-	// the no-mid-window-rotation guarantee cannot hold and we fall back to
-	// serial execution (identical results at every Workers value either
-	// way, since the plan index already fixes each request's RNG).
+	// Phase 2: execute the fetches concurrently. Each request draws only
+	// from the stream seeded by (planSeed, index), probes the descriptor
+	// stores without taking any lock, and notes which directory answered.
+	// Every shard is fully private: its own plan cursor, service memo,
+	// stats tally, record and answer buffers — zero cross-shard
+	// synchronization until the merge. Warmed guard sets are only read:
+	// warming refreshed every guard that would expire before end. A
+	// freshly refreshed guard is stable for minGuardLifetime, so for
+	// windows that long or longer the no-mid-window-rotation guarantee
+	// cannot hold: every request then reads its guard set, and we fall
+	// back to serial execution (identical results at every Workers value
+	// either way, since the plan index already fixes each request's
+	// stream).
+	rotating := window >= minGuardLifetime
 	workers := n.workers
-	if window >= minGuardLifetime {
+	if rotating {
 		workers = 1
 	}
 	shards := parallel.NumChunks(workers, total)
@@ -831,12 +851,12 @@ func (n *Network) DriveWindow(
 	// fetches read it from the table.
 	phantoms.resolve(n, workers)
 	// A restricted network skips the requests that no observed directory
-	// is responsible for. That needs the per-request RNGs to be the only
-	// source of each request's draws, which holds only while no guard
-	// rotates mid-window (the same condition as the fan-out). A window
-	// that skips also marks the cut-table buckets whose draws can only
-	// pick such phantoms, so most skipped phantoms stop at their draw.
-	skip := n.restricted() && window < minGuardLifetime
+	// is responsible for. That needs each request's stream to be the only
+	// source of its draws, which holds only while no guard rotates
+	// mid-window (the same condition as the fan-out). A window that skips
+	// also marks the cut-table buckets whose draws can only pick such
+	// phantoms, so most skipped phantoms stop at their draw.
+	skip := n.Restricted() && !rotating
 	cuts := cutsFor(len(phantoms))
 	var dead []uint64
 	if skip {
@@ -849,39 +869,42 @@ func (n *Network) DriveWindow(
 	ph := phantomSampler{table: phantoms, cuts: cuts, dead: dead}
 	// The ranges of each request's bounded draws, as Int63n and Intn take them.
 	offsets, clients, replicas := parallel.Int63nBound(int64(window)), parallel.IntnBound(len(n.clients)), parallel.IntnBound(onion.Replicas)
-	var recs []fetchRec // pointer-free: never GC-scanned
+	share := 1.0
+	if n.Restricted() {
+		share = n.observedShare()
+	}
+	var recs [][]fetchRec // pointer-free: never GC-scanned
 	if observer != nil {
-		recsPtr := grabSlice[fetchRec](&recsPool, total)
+		recsPtr := grabSlice[[]fetchRec](&recsPool, shards)
 		defer recsPool.Put(recsPtr)
-		recs = (*recsPtr)[:total]
+		recs = (*recsPtr)[:shards] // keeps each slot's pooled buffer
 	}
 	var answers [][]hsdir.Answer
-	observedShare := 0.0
-	if n.restricted() {
+	if n.Restricted() {
 		answersPtr := grabSlice[[]hsdir.Answer](&answersPool, shards)
 		defer answersPool.Put(answersPtr)
-		answers = (*answersPtr)[:shards] // keeps each slot's pooled buffer
-		observedShare = n.observedShare()
+		answers = (*answersPtr)[:shards]
 	}
 	shardStats := make([]TrafficStats, shards)
 	parallel.Chunks(shards, total, func(shard, lo, hi int) {
 		var sc fetchScratch
 		ph := ph // a shard-local copy keeps the shared sampler off the heap
-		rng := parallel.NewRNG(0)
 		st := &shardStats[shard]
 		cur := seekPlan(offs, lo)
+		var kept []fetchRec
+		if recs != nil {
+			kept = presized(recs[shard], hi-lo, share)
+		}
 		var ans []hsdir.Answer
 		if answers != nil {
-			ans = presized(answers[shard], hi-lo, observedShare)
+			ans = presized(answers[shard], hi-lo, share)
 		}
 		for i := lo; i < hi; i++ {
-			// The request's first draws — its offset, its client, then
-			// its phantom's draw or its replica — read its stream as a
-			// counter; rng takes the stream over only for a request that
-			// goes on to a directory.
+			// Every draw of the request reads its stream: its offset, its
+			// client, its phantom's draw or its replica, then its fetch's.
 			draws := parallel.StreamAt(parallel.SeedFor(planSeed, int64(i)))
-			offset := time.Duration(draws.Draw(offsets))
-			c := n.clients[draws.Draw(clients)]
+			at := start.Add(time.Duration(draws.Draw(offsets)))
+			ci := int32(draws.Draw(clients))
 			st.TotalRequests++
 			var id onion.DescriptorID
 			var set *respSet
@@ -895,25 +918,32 @@ func (n *Network) DriveWindow(
 			} else {
 				replica := uint8(draws.Draw(replicas))
 				permID := svcs[s].PermID
-				id, set = sc.lookup(n, permID, onion.TimePeriod(permID, c.LocalTime(start.Add(offset))), replica)
+				id, set = sc.lookup(n, permID, onion.TimePeriod(permID, n.clients[ci].LocalTime(at)), replica)
 			}
 			if skip && !set.observed {
-				// No observed directory could answer it. A skipping window
-				// keeps no records, and the request draws from its own
+				// No observed directory could answer it, so no event it
+				// makes names one, and the request draws from its own
 				// stream, so its other draws cannot shift any request.
 				continue
 			}
-			rng.Seed(draws.Seed())
-			rec := n.fetchResolved(rng, c, id, set, start.Add(offset))
+			var gs *guardSet
+			if recs != nil || rotating {
+				gs = &n.clients[ci].gs
+			}
+			rec := n.fetchResolved(&draws, gs, id, set, at)
 			if rec.found {
 				st.ResolvedHits++
 			}
-			if recs != nil {
-				recs[i] = rec
+			if recs != nil && n.dirs[rec.lastDir] != nil {
+				rec.clientID = ci
+				kept = append(kept, rec)
 			}
 			if answers != nil && rec.answered >= 0 {
 				ans = append(ans, hsdir.Answer{ID: rec.descID, Found: rec.found})
 			}
+		}
+		if recs != nil {
+			recs[shard] = kept
 		}
 		if answers != nil {
 			answers[shard] = ans
@@ -921,13 +951,15 @@ func (n *Network) DriveWindow(
 	})
 
 	// Phase 3: merge. Stats fold in shard index order; the observer —
-	// when one is tapped in — replays the records sequentially in plan
-	// order, and a restricted network, which takes no observer, counts
-	// its shards' answers in shard order (chunk spans are contiguous and
-	// ascending, so both orders are plan order).
+	// when one is tapped in — replays the shards' records sequentially,
+	// and a restricted network counts its shards' answers, both in shard
+	// order (chunk spans are contiguous and ascending, so that is plan
+	// order).
 	out = mergeWindowStats(shardStats)
-	for i := range recs {
-		observer(n.event(&recs[i]))
+	for _, kept := range recs {
+		for i := range kept {
+			observer(n.event(&kept[i]))
+		}
 	}
 	if answers != nil {
 		n.log.RecordEach(answers)
@@ -948,14 +980,13 @@ func (n *Network) observedShare() float64 {
 	return float64(observed) / float64(len(n.dirs))
 }
 
-// presized empties a shard's pooled answer buffer, first growing it to
-// hold a span of the given length's answers at the observed share: the
-// expected count with headroom for skew (phantom popularity, ring
-// clustering), so that a fresh buffer rarely grows, and never more than
-// the span.
-func presized(buf []hsdir.Answer, span int, share float64) []hsdir.Answer {
+// presized empties a shard's pooled buffer, first growing it to hold a
+// span of the given length's entries at the observed share: the expected
+// count with headroom for skew (phantom popularity, ring clustering), so
+// that a fresh buffer rarely grows, and never more than the span.
+func presized[T any](buf []T, span int, share float64) []T {
 	if want := min(span, int(float64(span)*share*1.25)+64); cap(buf) < want {
-		return make([]hsdir.Answer, 0, want)
+		return make([]T, 0, want)
 	}
 	return buf[:0]
 }

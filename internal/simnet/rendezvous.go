@@ -42,7 +42,7 @@ type UploadEvent struct {
 // mustBeUnrestricted panics on a restricted network, which builds no
 // hosts and publishes to its observed directories only.
 func (n *Network) mustBeUnrestricted(method string) {
-	if n.restricted() {
+	if n.Restricted() {
 		panic("simnet: " + method + " on a restricted network")
 	}
 }
@@ -81,17 +81,17 @@ func (n *Network) sweepIntros(svcs []*hspop.Service) []onion.Fingerprint {
 	if len(svcs) == len(n.introSvcs) && (len(svcs) == 0 || &svcs[0] == &n.introSvcs[0]) {
 		return n.intros
 	}
-	if n.restricted() && n.introSvcs != nil {
+	if n.Restricted() && n.introSvcs != nil {
 		panic("simnet: a restricted network publishes one population")
 	}
-	if len(n.hosts) == 0 && !n.restricted() {
+	if len(n.hosts) == 0 && !n.Restricted() {
 		n.hosts = make(map[onion.Address]*Host, len(svcs))
 	}
 	n.introSvcs, n.intros = svcs, make([]onion.Fingerprint, introPoints*len(svcs))
 	var hosts []Host
 	for i, svc := range svcs {
 		intros := n.intros[i*introPoints : (i+1)*introPoints : (i+1)*introPoints]
-		if n.restricted() {
+		if n.Restricted() {
 			n.geoDB.DrawIP(n.rng)
 			n.pickIntros(intros)
 		} else if h, ok := n.hosts[svc.Address]; ok {

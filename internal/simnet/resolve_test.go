@@ -116,17 +116,15 @@ func TestServiceMemoMatchesDirectResolution(t *testing.T) {
 	start := nextPeriodStart(svcs[0].PermID, f.doc.ValidAfter).Add(-time.Hour)
 	net.PublishAll(f.pop, start)
 	net.warmGuardSets(start, start.Add(2*time.Hour))
-	memoRNG, directRNG := rand.New(rand.NewSource(0)), rand.New(rand.NewSource(0))
 	var sc fetchScratch
 	for i := 0; i < 600; i++ {
 		svc := svcs[i/200]
 		at := start.Add(time.Duration(i%200) * 36 * time.Second)
-		c := net.clients[i%len(net.clients)]
-		memoRNG.Seed(int64(i))
-		directRNG.Seed(int64(i))
+		c := &net.clients[i%len(net.clients)]
+		memo, fresh := parallel.StreamAt(int64(i)), parallel.StreamAt(int64(i))
 		var direct fetchScratch
-		got := fetchService(net, memoRNG, c, svc.PermID, at, &sc)
-		if want := fetchService(net, directRNG, c, svc.PermID, at, &direct); got != want {
+		got := fetchService(net, &memo, c, svc.PermID, at, &sc)
+		if want := fetchService(net, &fresh, c, svc.PermID, at, &direct); got != want {
 			t.Fatalf("request %d: memo %+v, direct %+v", i, got, want)
 		}
 	}
@@ -174,13 +172,36 @@ func TestServiceMemoLookupMatchesDirect(t *testing.T) {
 	}
 }
 
+// referenceFetch is fetchResolved the obvious way, on a math/rand RNG:
+// the client's guard pick (rotation included), math/rand's own Perm for
+// the contact order, then one Float64 per directory tried.
+func referenceFetch(net *Network, rng *rand.Rand, c *Client, id onion.DescriptorID, set *respSet, now time.Time) fetchRec {
+	rec := fetchRec{descID: id, atNanos: now.UnixNano(), clientID: int32(c.ID), answered: -1}
+	rec.guard = c.gs.pickPool(net.pool, rng, now)
+	for _, oi := range rng.Perm(int(set.n)) {
+		pos := set.pos[oi]
+		rec.attempts++
+		rec.lastDir = pos
+		if net.dirFailure > 0 && rng.Float64() < net.dirFailure {
+			continue
+		}
+		if d := net.dirs[pos]; d != nil {
+			_, rec.found = d.Probe(id, now)
+			rec.answered = pos
+		}
+		break
+	}
+	return rec
+}
+
 // referenceWindow replays a driven window the slow, obvious way on net:
 // it draws the plan exactly as DriveWindow does, then runs every request
-// in plan order with no fast path — no cut table, dead buckets, phantom
-// table, service memo or skip: each phantom index comes from powIndex,
-// and each ID is derived without the secret table and resolved afresh.
-// It returns the stats and the counts the observed directories' answers
-// add to a restricted network's log.
+// in plan order with no fast path — no stream, cut table, dead buckets,
+// phantom table, service memo or skip: each request draws from its own
+// math/rand RNG and fetches with referenceFetch, each phantom index
+// comes from powIndex, and each ID is derived without the secret table
+// and resolved afresh. It returns the stats and the counts the observed
+// directories' answers add to a restricted network's log.
 func referenceWindow(net *Network, pop *hspop.Population, start time.Time, window time.Duration) (TrafficStats, logState) {
 	svcs := pop.PopularServices()
 	var plan []int // service index per real request, then -1 per phantom
@@ -206,7 +227,7 @@ func referenceWindow(net *Network, pop *hspop.Population, start time.Time, windo
 	for i, s := range plan {
 		rng := parallel.NewRNG(parallel.SeedFor(planSeed, int64(i)))
 		at := start.Add(time.Duration(rng.Int63n(int64(window))))
-		c := net.clients[rng.Intn(len(net.clients))]
+		c := &net.clients[rng.Intn(len(net.clients))]
 		var id onion.DescriptorID
 		if s < 0 {
 			id = ids[powIndex(len(ids), rng.Float64())]
@@ -217,7 +238,7 @@ func referenceWindow(net *Network, pop *hspop.Population, start time.Time, windo
 			id = onion.DescriptorIDForPeriod(perm, onion.TimePeriod(perm, c.LocalTime(at)), replica)
 		}
 		set := net.resolve(id) // itself checked against naiveRespSet above
-		rec := net.fetchResolved(rng, c, id, &set, at)
+		rec := referenceFetch(net, rng, c, id, &set, at)
 		st.TotalRequests++
 		if rec.found {
 			st.ResolvedHits++
@@ -231,6 +252,83 @@ func referenceWindow(net *Network, pop *hspop.Population, start time.Time, windo
 		}
 	}
 	return st, log
+}
+
+// TestFetchResolvedMatchesReference pins fetchResolved's stream draws
+// against referenceFetch on a math/rand RNG of the same seed, request by
+// request: uniform and bandwidth-weighted guard pools, both failure
+// rates, and clients whose guards are fresh, expired (a mid-fetch
+// rotation, as in windows of a guard lifetime or more) or never drawn.
+// Each pair must agree on the record and leave its source at the same
+// position, and a fetch that leaves the guard unread (gs nil) must make
+// the same draws and differ only in the guard.
+func TestFetchResolvedMatchesReference(t *testing.T) {
+	const seed = 79
+	f := newRestrictFixture(t, seed)
+	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["half"]
+	for _, weighted := range []bool{false, true} {
+		for _, fail := range []float64{0, 0.3} {
+			t.Run(fmt.Sprintf("weighted=%v/fail=%v", weighted, fail), func(t *testing.T) {
+				cfg := DefaultConfig(seed)
+				cfg.Clients = 200
+				cfg.WeightedGuards = weighted
+				cfg.DirFailureProb = fail
+				cfg.Observed = observed
+				net, err := NewNetwork(f.doc, f.db, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				now := f.doc.ValidAfter
+				net.PublishAll(f.pop, now)
+				net.warmGuardSets(now, now.Add(time.Hour))
+				svcs := f.pop.WithDescriptor()
+				rotated, found := 0, 0
+				for i := 0; i < 600; i++ {
+					at := now.Add(time.Duration(i) * time.Minute)
+					if i%3 == 2 {
+						at = at.Add(90 * 24 * time.Hour) // every guard has expired
+					}
+					c := &net.clients[i%len(net.clients)]
+					if i%7 == 0 {
+						c.gs = guardSet{} // never drawn
+					}
+					id := svcs[i%len(svcs)].PermID
+					ids := onion.DescriptorIDs(id, at)
+					set := net.resolve(ids[i%onion.Replicas])
+
+					ref := *c
+					rng := parallel.NewRNG(int64(i))
+					want := referenceFetch(net, rng, &ref, ids[i%onion.Replicas], &set, at)
+					unread := parallel.StreamAt(int64(i))
+					blind := net.fetchResolved(&unread, nil, ids[i%onion.Replicas], &set, at)
+					before := c.gs
+					draws := parallel.StreamAt(int64(i))
+					got := fetchAs(net, &draws, c, ids[i%onion.Replicas], &set, at)
+					if got != want || c.gs != ref.gs {
+						t.Fatalf("request %d: stream fetch %+v, reference %+v", i, got, want)
+					}
+					pos := draws
+					if a, b := draws.Int63(), rng.Int63(); a != b {
+						t.Fatalf("request %d: the stream goes on with %d, the reference RNG with %d", i, a, b)
+					}
+					if c.gs != before {
+						rotated++
+						continue // the rotation's draws came before the unread guard's
+					}
+					blind.guard, blind.clientID = got.guard, got.clientID
+					if blind != got || unread != pos {
+						t.Fatalf("request %d: guard-unread fetch %+v, %+v", i, blind, got)
+					}
+					if got.found {
+						found++
+					}
+				}
+				if rotated == 0 || found == 0 {
+					t.Fatalf("%d rotations, %d hits; want both", rotated, found)
+				}
+			})
+		}
+	}
 }
 
 // TestRestrictedWindowMatchesReferenceLoop drives restricted windows —

@@ -14,6 +14,7 @@ import (
 	"torhs/internal/hsdir"
 	"torhs/internal/hspop"
 	"torhs/internal/onion"
+	"torhs/internal/parallel"
 	"torhs/internal/race"
 	"torhs/internal/relaynet"
 )
@@ -125,18 +126,55 @@ func diffDir(a, b dirState) string {
 }
 
 // logOracle folds the fetch events of an unrestricted network into what
-// a restricted network's log must count. An event names the last
-// directory the client tried, not whether it answered: a found event was
-// answered there, while a miss was answered there or found every
-// responsible directory unreachable. So the oracle keeps two counts per
-// descriptor ID, found events and all events at observed directories,
-// which bound the log's count; at DirFailureProb 0 the first directory
-// tried always answers and the two bounds meet.
+// a restricted network's log must count and its observer must see. An
+// event names the last directory the client tried, not whether it
+// answered: a found event was answered there, while a miss was answered
+// there or found every responsible directory unreachable. So the oracle
+// keeps two counts per descriptor ID, found events and all events at
+// observed directories, which bound the log's count; at DirFailureProb 0
+// the first directory tried always answers and the two bounds meet. It
+// also keeps those events themselves, in order: exactly the stream a
+// restricted network's observer must see.
 type logOracle struct {
 	observed   map[onion.Fingerprint]bool
 	found, all map[onion.DescriptorID]int
 	nFound     int
 	nAll       int
+	events     []eventRow
+}
+
+// eventRow is one fetch event by value, its client's state at the event
+// included (guard set and all), so that events of two networks compare
+// field for field.
+type eventRow struct {
+	FetchEvent
+	client Client
+}
+
+func rowOf(ev FetchEvent) eventRow {
+	r := eventRow{FetchEvent: ev, client: *ev.Client}
+	r.Client = nil
+	return r
+}
+
+// eventRecorder returns an observer that appends every event it sees
+// to *rows.
+func eventRecorder(rows *[]eventRow) func(FetchEvent) {
+	return func(ev FetchEvent) { *rows = append(*rows, rowOf(ev)) }
+}
+
+// checkEvents compares a restricted network's observed event stream
+// with the oracle's, field for field and in order.
+func (o *logOracle) checkEvents(t *testing.T, got []eventRow) {
+	t.Helper()
+	for i := range min(len(got), len(o.events)) {
+		if !reflect.DeepEqual(got[i], o.events[i]) {
+			t.Fatalf("observed event %d of %d:\n%+v\nunrestricted network's:\n%+v", i, len(o.events), got[i], o.events[i])
+		}
+	}
+	if len(got) != len(o.events) {
+		t.Fatalf("observer saw %d events, unrestricted network %d at observed directories", len(got), len(o.events))
+	}
 }
 
 func newLogOracle(observed []onion.Fingerprint) *logOracle {
@@ -155,6 +193,7 @@ func (o *logOracle) add(ev FetchEvent) {
 	if !o.observed[ev.Dir] {
 		return
 	}
+	o.events = append(o.events, rowOf(ev))
 	o.all[ev.DescID]++
 	o.nAll++
 	if ev.Found {
@@ -234,7 +273,9 @@ func observedSubsets(ring []onion.Fingerprint, seed int64) map[string][]onion.Fi
 // are unchanged, and the network's log counts what the unrestricted
 // network's event stream says its observed directories answered, across
 // failure rates and worker counts. The log is also identical at every
-// worker count.
+// worker count. A restricted network with an observer tapped in passes
+// the same checks, and its observer sees exactly the unrestricted
+// network's events whose Dir is observed, field for field and in order.
 func TestRestrictedNetworkMatchesFullOracle(t *testing.T) {
 	const seed = 31
 	f := newRestrictFixture(t, seed)
@@ -263,6 +304,12 @@ func TestRestrictedNetworkMatchesFullOracle(t *testing.T) {
 					st := f.run(t, net, 2*time.Hour, nil)
 					checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name], fail == 0)
 					logs[name] = append(logs[name], logStateOf(net.Log()))
+
+					tapped := f.network(t, seed, workers, fail, observed)
+					var rows []eventRow
+					st = f.run(t, tapped, 2*time.Hour, eventRecorder(&rows))
+					checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name], fail == 0)
+					oracles[name].checkEvents(t, rows)
 				})
 			}
 		}
@@ -286,7 +333,8 @@ func TestRestrictedNetworkMatchesFullOracle(t *testing.T) {
 // TestRestrictedNetworkAcrossTimePeriod drives windows that cross a
 // popular service's time-period boundary, so its requests switch to the
 // next period's descriptor IDs mid-window: the service memo must follow,
-// and every observed directory must still match the full-ring oracle.
+// every observed directory must still match the full-ring oracle, and an
+// observer must still see exactly the full ring's observed events.
 func TestRestrictedNetworkAcrossTimePeriod(t *testing.T) {
 	const seed = 53
 	f := newRestrictFixture(t, seed)
@@ -314,6 +362,12 @@ func TestRestrictedNetworkAcrossTimePeriod(t *testing.T) {
 				net := f.network(t, seed, workers, 0.3, observed)
 				st := f.runAt(t, net, start, window, nil)
 				checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name], false)
+
+				tapped := f.network(t, seed, workers, 0.3, observed)
+				var rows []eventRow
+				st = f.runAt(t, tapped, start, window, eventRecorder(&rows))
+				checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name], false)
+				oracles[name].checkEvents(t, rows)
 			})
 		}
 	}
@@ -321,18 +375,39 @@ func TestRestrictedNetworkAcrossTimePeriod(t *testing.T) {
 
 // TestRestrictedNetworkLongWindow covers windows of a guard lifetime or
 // more, where guards may rotate mid-window: the restricted network then
-// keeps every request's draws, and its observed directories still match.
+// keeps every request's draws, its observed directories still match, and
+// an observer still sees exactly the full ring's observed events, every
+// subset at both failure rates.
 func TestRestrictedNetworkLongWindow(t *testing.T) {
 	const seed = 37
 	f := newRestrictFixture(t, seed)
 	ring := f.doc.Ring().Fingerprints()
-	observed := observedSubsets(ring, seed)["tenth"]
-	full := f.network(t, seed, 2, 0.3, nil)
-	oracle := newLogOracle(observed)
-	fullStats := f.run(t, full, 3*minGuardLifetime, oracle.add)
-	net := f.network(t, seed, 2, 0.3, observed)
-	st := f.run(t, net, 3*minGuardLifetime, nil)
-	checkRestricted(t, full, net, ring, observed, fullStats, st, oracle, false)
+	subsets := observedSubsets(ring, seed)
+	for _, fail := range []float64{0, 0.3} {
+		full := f.network(t, seed, 2, fail, nil)
+		oracles := make(map[string]*logOracle, len(subsets))
+		for name, observed := range subsets {
+			oracles[name] = newLogOracle(observed)
+		}
+		fullStats := f.run(t, full, 3*minGuardLifetime, func(ev FetchEvent) {
+			for _, o := range oracles {
+				o.add(ev)
+			}
+		})
+		for name, observed := range subsets {
+			t.Run(fmt.Sprintf("fail=%v/observed=%s", fail, name), func(t *testing.T) {
+				net := f.network(t, seed, 2, fail, observed)
+				st := f.run(t, net, 3*minGuardLifetime, nil)
+				checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name], fail == 0)
+
+				tapped := f.network(t, seed, 2, fail, observed)
+				var rows []eventRow
+				st = f.run(t, tapped, 3*minGuardLifetime, eventRecorder(&rows))
+				checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name], fail == 0)
+				oracles[name].checkEvents(t, rows)
+			})
+		}
+	}
 }
 
 // checkRestricted compares a restricted network with the unrestricted
@@ -377,9 +452,10 @@ func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fi
 
 // TestRestrictedSharedRNGFetchesKeepEveryDraw pins that a fetch on a
 // restricted network draws exactly as on an unrestricted one: from one
-// RNG state, both report the same guards, directories and attempts and
-// leave the RNG in the same state, and an observed directory answers as
-// the unrestricted network's does, at both failure rates.
+// stream position, both report the same guards, directories and attempts
+// and leave their streams at the same position, and an observed
+// directory answers as the unrestricted network's does, at both failure
+// rates.
 func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 	const seed = 41
 	f := newRestrictFixture(t, seed)
@@ -394,22 +470,22 @@ func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 			full.warmGuardSets(now, now.Add(time.Hour))
 			net.warmGuardSets(now, now.Add(time.Hour))
 			svcs := f.pop.WithDescriptor()
-			rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			drawsA, drawsB := parallel.StreamAt(seed), parallel.StreamAt(seed)
 			var scA, scB fetchScratch
 			answered, found := 0, 0
 			for i := 0; i < 200; i++ {
 				at := now.Add(time.Duration(i) * time.Second)
-				ca, cb := full.clients[i%len(full.clients)], net.clients[i%len(net.clients)]
+				ca, cb := &full.clients[i%len(full.clients)], &net.clients[i%len(net.clients)]
 				var a, b fetchRec
 				if i%2 == 0 {
 					svc := svcs[i%len(svcs)]
-					a = fetchService(full, rngA, ca, svc.PermID, at, &scA)
-					b = fetchService(net, rngB, cb, svc.PermID, at, &scB)
+					a = fetchService(full, &drawsA, ca, svc.PermID, at, &scA)
+					b = fetchService(net, &drawsB, cb, svc.PermID, at, &scB)
 				} else {
 					id := onion.DescriptorID(onion.RandomFingerprint(rand.New(rand.NewSource(int64(i)))))
 					setA, setB := full.resolve(id), net.resolve(id)
-					a = full.fetchResolved(rngA, ca, id, &setA, at)
-					b = net.fetchResolved(rngB, cb, id, &setB, at)
+					a = fetchAs(full, &drawsA, ca, id, &setA, at)
+					b = fetchAs(net, &drawsB, cb, id, &setB, at)
 				}
 				if a.guard != b.guard || a.lastDir != b.lastDir || a.descID != b.descID || a.attempts != b.attempts {
 					t.Fatalf("fetch %d differs:\n%+v\nvs\n%+v", i, a, b)
@@ -423,8 +499,8 @@ func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 						t.Fatalf("fetch %d answered by an observed directory: found %v, unrestricted %v", i, b.found, a.found)
 					}
 				}
-				if x, y := rngA.Int63(), rngB.Int63(); x != y {
-					t.Fatalf("fetch %d left the RNGs apart: %d vs %d", i, x, y)
+				if drawsA != drawsB {
+					t.Fatalf("fetch %d left the streams apart: %+v vs %+v", i, drawsA, drawsB)
 				}
 			}
 			if found == 0 || answered == found {
@@ -435,15 +511,13 @@ func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 }
 
 // TestRestrictedNetworkRejectsObservers pins that a restricted network
-// refuses the taps it cannot serve, and PublishService: it builds no
-// hosts.
+// refuses upload observers, which it cannot serve, and PublishService:
+// it builds no hosts. (It takes fetch observers; the oracle tests above
+// check what they see.)
 func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	f := newRestrictFixture(t, 43)
 	net := f.network(t, 43, 1, 0, []onion.Fingerprint{})
 	now := f.doc.ValidAfter
-	if _, err := net.DriveWindow(context.Background(), f.pop, now, time.Hour, func(FetchEvent) {}); err == nil {
-		t.Fatal("restricted network accepted a fetch observer")
-	}
 	net.PublishAll(f.pop, now)
 	svc := f.pop.WithDescriptor()[0]
 	for name, call := range map[string]func(){
@@ -623,9 +697,11 @@ func TestResolveDoesNotAllocate(t *testing.T) {
 
 // TestFetchPathsDoNotAllocate pins the hot path's zero-allocation
 // contract on a restricted network, for requests observed and unobserved
-// directories answer, on both fetch paths of a driven window: a phantom
-// request (a table draw, then fetchResolved) and a service request
-// (the service memo, then fetchResolved).
+// directories answer, on the fetch paths of a driven window: a phantom
+// request (a table draw, then fetchResolved) with its guard read or
+// left unread, and a service request (the service memo, then
+// fetchResolved). Every fetch reads a stream on the stack, as a window's
+// request does: the stream must not move to the heap.
 func TestFetchPathsDoNotAllocate(t *testing.T) {
 	f := newRestrictFixture(t, 47)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"]
@@ -649,11 +725,18 @@ func TestFetchPathsDoNotAllocate(t *testing.T) {
 	}{
 		{"phantom", func() fetchRec {
 			p := ps.pick(rng.Float64())
-			return net.fetchResolved(rng, net.clients[i%len(net.clients)], p.id, &p.set, now)
+			draws := parallel.StreamAt(int64(i))
+			return fetchAs(net, &draws, &net.clients[i%len(net.clients)], p.id, &p.set, now)
+		}},
+		{"phantom, guard unread", func() fetchRec {
+			p := ps.pick(rng.Float64())
+			draws := parallel.StreamAt(int64(i))
+			return net.fetchResolved(&draws, nil, p.id, &p.set, now)
 		}},
 		// Eight requests per service, as a plan groups them.
 		{"service", func() fetchRec {
-			return fetchService(net, rng, net.clients[i%len(net.clients)], svcs[i/8%len(svcs)].PermID, now, &sc)
+			draws := parallel.StreamAt(int64(i))
+			return fetchService(net, &draws, &net.clients[i%len(net.clients)], svcs[i/8%len(svcs)].PermID, now, &sc)
 		}},
 	}
 	for _, p := range paths {

@@ -9,6 +9,7 @@ import (
 	"torhs/internal/geo"
 	"torhs/internal/hspop"
 	"torhs/internal/onion"
+	"torhs/internal/parallel"
 	"torhs/internal/relaynet"
 )
 
@@ -94,21 +95,29 @@ func TestPublishAllStoresDescriptorsOnResponsibleDirs(t *testing.T) {
 }
 
 // fetchService runs one fetch of the service's descriptor the way a
-// driven window's shard does: the client's own clock picks the time
-// period, a replica is drawn, sc resolves the ID and fetchResolved
-// contacts the directories.
-func fetchService(n *Network, rng *rand.Rand, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch) fetchRec {
-	replica := uint8(rng.Intn(onion.Replicas))
+// driven window's shard that keeps records does: the client's own clock
+// picks the time period, a replica is drawn, sc resolves the ID and
+// fetchResolved picks the client's guard and contacts the directories.
+func fetchService(n *Network, draws *parallel.Stream, c *Client, permID onion.PermanentID, now time.Time, sc *fetchScratch) fetchRec {
+	replica := uint8(draws.Intn(onion.Replicas))
 	id, set := sc.lookup(n, permID, onion.TimePeriod(permID, c.LocalTime(now)), replica)
-	return n.fetchResolved(rng, c, id, set, now)
+	return fetchAs(n, draws, c, id, set, now)
+}
+
+// fetchAs is fetchResolved for client c, with the record's client
+// filled in.
+func fetchAs(n *Network, draws *parallel.Stream, c *Client, id onion.DescriptorID, set *respSet, now time.Time) fetchRec {
+	rec := n.fetchResolved(draws, &c.gs, id, set, now)
+	rec.clientID = int32(c.ID)
+	return rec
 }
 
 // skewFreeClient returns the network's first client with a correct clock.
 func skewFreeClient(t *testing.T, n *Network) *Client {
 	t.Helper()
-	for _, c := range n.clients {
-		if c.ClockSkew == 0 {
-			return c
+	for i := range n.clients {
+		if n.clients[i].ClockSkew == 0 {
+			return &n.clients[i]
 		}
 	}
 	t.Fatal("no skew-free client")
@@ -123,8 +132,9 @@ func TestFetchDescriptorFindsPublished(t *testing.T) {
 
 	found := 0
 	var sc fetchScratch
+	draws := parallel.StreamAt(3)
 	for i := 0; i < 20; i++ {
-		if fetchService(net, net.rng, client, svc.PermID, now.Add(time.Minute), &sc).found {
+		if fetchService(net, &draws, client, svc.PermID, now.Add(time.Minute), &sc).found {
 			found++
 		}
 	}
@@ -148,8 +158,9 @@ func TestSkewedClockFetchesAnotherPeriod(t *testing.T) {
 		t.Fatal("a two-day skew left the client in the true period")
 	}
 	var sc fetchScratch
+	draws := parallel.StreamAt(3)
 	for i := 0; i < 20; i++ {
-		rec := fetchService(net, net.rng, &c, svc.PermID, at, &sc)
+		rec := fetchService(net, &draws, &c, svc.PermID, at, &sc)
 		if rec.found {
 			t.Fatalf("fetch %d with a skewed clock found the descriptor", i)
 		}
@@ -162,11 +173,11 @@ func TestSkewedClockFetchesAnotherPeriod(t *testing.T) {
 func TestFetchRawIDNeverPublished(t *testing.T) {
 	net, pop, now := buildNetwork(t, 4)
 	net.PublishAll(pop, now)
-	client := net.clients[0]
 	var phantom onion.DescriptorID
 	phantom[0] = 0xAB
 	set := net.resolve(phantom)
-	if rec := net.fetchResolved(net.rng, client, phantom, &set, now); rec.found {
+	draws := parallel.StreamAt(4)
+	if rec := fetchAs(net, &draws, &net.clients[0], phantom, &set, now); rec.found {
 		t.Fatal("phantom descriptor found")
 	}
 }
@@ -252,8 +263,9 @@ func TestDirFailureRetriesKeepFetchesWorking(t *testing.T) {
 	found, retried := 0, 0
 	const trials = 200
 	var sc fetchScratch
+	draws := parallel.StreamAt(41)
 	for i := 0; i < trials; i++ {
-		rec := fetchService(net, net.rng, c, svc.PermID, now.Add(time.Minute), &sc)
+		rec := fetchService(net, &draws, c, svc.PermID, now.Add(time.Minute), &sc)
 		if rec.found {
 			found++
 		}
