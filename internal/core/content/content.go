@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"torhs/internal/corpus"
 	"torhs/internal/darknet"
@@ -151,7 +153,7 @@ func (c *Crawler) crawlSpan(dests []Destination, res *Result) {
 		}
 
 		text := StripHTML(body)
-		words := len(strings.Fields(text))
+		words := wordCount(text)
 
 		switch {
 		case words < c.cfg.MinWords:
@@ -318,18 +320,70 @@ func StripHTML(body string) string {
 	return sb.String()
 }
 
-// IsErrorPage detects an error message embedded in an HTML page.
-func IsErrorPage(body string) bool {
-	lower := strings.ToLower(body)
-	for _, marker := range []string{
-		"<h1>404 not found</h1>",
-		"503 service temporarily unavailable",
-		"<h1>500 internal server error</h1>",
-		"<h1>403 forbidden</h1>",
-	} {
-		if strings.Contains(lower, marker) {
-			return true
+// wordCount returns len(strings.Fields(text)) without building the
+// fields: the number of runs of runes that are not white space
+// (unicode.IsSpace).
+func wordCount(text string) int {
+	n, inWord := 0, false
+	for _, r := range text {
+		space := unicode.IsSpace(r)
+		if !space && !inWord {
+			n++
 		}
+		inWord = !space
+	}
+	return n
+}
+
+// errorMarkers are the lowercase ASCII snippets that mark an error page.
+var errorMarkers = [...]string{
+	"<h1>404 not found</h1>",
+	"503 service temporarily unavailable",
+	"<h1>500 internal server error</h1>",
+	"<h1>403 forbidden</h1>",
+}
+
+// IsErrorPage detects an error message embedded in an HTML page: a
+// marker in the lowercased body (strings.ToLower). It lowers each rune as
+// it compares, so it copies nothing; U+0130 and U+212A lower to the ASCII
+// 'i' and 'k', so a marker can match across them.
+func IsErrorPage(body string) bool {
+	for i := 0; i < len(body); {
+		r, w := lowerRune(body[i:])
+		if r < utf8.RuneSelf {
+			for _, m := range errorMarkers {
+				if m[0] == byte(r) && hasLowerPrefix(body[i+w:], m[1:]) {
+					return true
+				}
+			}
+		}
+		i += w
 	}
 	return false
+}
+
+// hasLowerPrefix reports whether strings.ToLower(s) starts with the ASCII
+// string prefix.
+func hasLowerPrefix(s, prefix string) bool {
+	for j := 0; j < len(prefix); j++ {
+		if len(s) == 0 {
+			return false
+		}
+		r, w := lowerRune(s)
+		if r != rune(prefix[j]) {
+			return false
+		}
+		s = s[w:]
+	}
+	return true
+}
+
+// lowerRune decodes the first rune of the non-empty s, as ranging over it
+// would, and returns it lowercased with its width in s.
+func lowerRune(s string) (rune, int) {
+	r, w := rune(s[0]), 1
+	if r >= utf8.RuneSelf {
+		r, w = utf8.DecodeRuneInString(s)
+	}
+	return unicode.ToLower(r), w
 }

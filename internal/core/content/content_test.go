@@ -2,6 +2,7 @@ package content
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"torhs/internal/core/scan"
@@ -224,11 +225,49 @@ func splitFields(s string) []string {
 	return out
 }
 
+// TestIsErrorPage: a marker matches wherever it matches in
+// strings.ToLower of the body, also across the non-ASCII runes that lower
+// to ASCII (U+0130 to 'i', U+212A to 'k'), and nowhere else.
 func TestIsErrorPage(t *testing.T) {
-	if !IsErrorPage("<html><body><h1>404 Not Found</h1></body></html>") {
-		t.Fatal("404 page not detected")
+	for body, want := range map[string]bool{
+		"<html><body><h1>404 Not Found</h1></body></html>":                  true,
+		"<html><body><p>all about 404 recovery tutorials</p></body></html>": false,
+		"<H1>403 FORB\u0130DDEN</H1>":                                       true,
+		"503 SERV\u0130CE TEMPORAR\u0130LY UNAVA\u0130LABLE":                true,
+		"<h1>403 forb\u0131dden</h1>":                                       false, // dotless i stays non-ASCII
+		"<h1>404 not found</h1\xff>":                                        false,
+		"\u212a<h1>404 NOT FOUND</h1>":                                      true,
+		"<h1>500 internal server error</h":                                  false,
+	} {
+		if got := IsErrorPage(body); got != want || got != referenceIsErrorPage(body) {
+			t.Errorf("IsErrorPage(%q) = %v, want %v", body, got, want)
+		}
 	}
-	if IsErrorPage("<html><body><p>all about 404 recovery tutorials</p></body></html>") {
-		t.Fatal("false positive on page mentioning 404")
+}
+
+// referenceIsErrorPage is the copying test IsErrorPage replaces.
+func referenceIsErrorPage(body string) bool {
+	lower := strings.ToLower(body)
+	for _, m := range errorMarkers {
+		if strings.Contains(lower, m) {
+			return true
+		}
 	}
+	return false
+}
+
+// FuzzPageFilters checks the crawl's copy-free page filters against
+// their copying references on arbitrary bytes: wordCount must equal
+// len(strings.Fields) and IsErrorPage must equal ToLower plus Contains.
+// The seed corpus lives in testdata/fuzz/FuzzPageFilters.
+func FuzzPageFilters(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body := string(data)
+		if got, want := wordCount(body), len(strings.Fields(body)); got != want {
+			t.Fatalf("wordCount(%q) = %d, strings.Fields finds %d", body, got, want)
+		}
+		if got, want := IsErrorPage(body), referenceIsErrorPage(body); got != want {
+			t.Fatalf("IsErrorPage(%q) = %v, ToLower+Contains says %v", body, got, want)
+		}
+	})
 }

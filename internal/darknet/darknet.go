@@ -10,8 +10,10 @@ package darknet
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"torhs/internal/corpus"
 	"torhs/internal/hspop"
@@ -233,18 +235,28 @@ func (f *Fabric) ServerStatusPage(addr onion.Address, phase Phase) (*ServerStatu
 	}, nil
 }
 
-// renderPage produces the deterministic page body for a service.
+// pageRNGs pools the RNGs pages are rendered with. Each render reseeds
+// the one it takes (hspop.Service.SeedPageRNG), which restarts it on
+// exactly the stream a new source would draw, so pooling changes no byte
+// and a page allocates no 4.9 KB source.
+var pageRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// renderPage produces the deterministic page body for a service. Only
+// the pages that draw text seed an RNG.
 func renderPage(s *hspop.Service) (string, error) {
 	p := s.Page
 	if p == nil {
 		return "", nil
 	}
-	rng := s.NewPageRNG()
+	if s.Kind != hspop.KindSSH && p.TorhostDefault {
+		return torhostDefaultPage, nil
+	}
+	rng := pageRNGs.Get().(*rand.Rand)
+	defer pageRNGs.Put(rng)
+	s.SeedPageRNG(rng)
 	switch {
 	case s.Kind == hspop.KindSSH:
-		return sshBanner(s), nil
-	case p.TorhostDefault:
-		return torhostDefaultPage(), nil
+		return sshBanner(s, rng), nil
 	case p.ErrorPage:
 		text, err := corpus.SampleText(rng, corpus.LangEnglish, p.WordCount-6, nil, 0)
 		if err != nil {
@@ -303,15 +315,15 @@ func ExtractOnionLinks(body string) []onion.Address {
 	}
 }
 
-// sshBanner renders an SSH version banner. Long-banner services append a
-// verbose MOTD (the two ≥20-word oddities the paper classified).
-func sshBanner(s *hspop.Service) string {
+// sshBanner renders an SSH version banner from the service's seeded page
+// RNG. Long-banner services append a verbose MOTD (the two ≥20-word
+// oddities the paper classified).
+func sshBanner(s *hspop.Service, rng *rand.Rand) string {
 	versions := []string{
 		"SSH-2.0-OpenSSH_5.9p1 Debian-5ubuntu1",
 		"SSH-2.0-OpenSSH_6.0p1 Debian-4",
 		"SSH-2.0-dropbear_2012.55",
 	}
-	rng := s.NewPageRNG()
 	banner := versions[rng.Intn(len(versions))]
 	if s.Page != nil && s.Page.WordCount >= 20 {
 		motd, err := corpus.SampleText(rng, corpus.LangEnglish, s.Page.WordCount, nil, 0)
@@ -324,13 +336,11 @@ func sshBanner(s *hspop.Service) string {
 
 // torhostDefaultPage is the TorHost free-hosting default page; every
 // TorHost-hosted site that never uploaded content serves this same text.
-func torhostDefaultPage() string {
-	return "<html><body><h1>torhost.onion free anonymous hosting</h1><p>" +
-		strings.Repeat("welcome to torhost free anonymous hidden service hosting "+
-			"your site is ready upload your content to get started this page is the default page ", 3) +
-		"</p></body></html>"
-}
+var torhostDefaultPage = "<html><body><h1>torhost.onion free anonymous hosting</h1><p>" +
+	strings.Repeat("welcome to torhost free anonymous hidden service hosting "+
+		"your site is ready upload your content to get started this page is the default page ", 3) +
+	"</p></body></html>"
 
 // TorhostDefaultBody exposes the default page for detector training in
 // the crawler.
-func TorhostDefaultBody() string { return torhostDefaultPage() }
+func TorhostDefaultBody() string { return torhostDefaultPage }

@@ -1,8 +1,10 @@
 package hspop
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"torhs/internal/corpus"
@@ -295,10 +297,24 @@ func TestPageRNGStable(t *testing.T) {
 	if svc == nil {
 		t.Fatal("no page-bearing service")
 	}
-	a := svc.NewPageRNG().Int63()
-	b := svc.NewPageRNG().Int63()
-	if a != b {
-		t.Fatal("page RNG not stable per service")
+	// A reseeded RNG, whatever it drew before (Read keeps a partial
+	// draw), draws the stream of a fresh source of the page seed.
+	r := rand.New(rand.NewSource(99))
+	for round := 0; round < 2; round++ {
+		r.Read(make([]byte, 3))
+		svc.SeedPageRNG(r)
+		fresh := rand.New(rand.NewSource(svc.pageSeed()))
+		a, b := make([]byte, 5), make([]byte, 5)
+		r.Read(a)
+		fresh.Read(b)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("round %d: reseeded page RNG reads %x, a fresh one %x", round, a, b)
+		}
+		for i := 0; i < 1000; i++ {
+			if a, b := r.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("round %d, draw %d: reseeded page RNG gives %d, a fresh one %d", round, i, a, b)
+			}
+		}
 	}
 }
 

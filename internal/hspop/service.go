@@ -219,8 +219,10 @@ func (s *Service) pageSeed() int64 {
 	return seed
 }
 
-// NewPageRNG returns a deterministic RNG for rendering this service's
-// page.
-func (s *Service) NewPageRNG() *rand.Rand {
-	return rand.New(rand.NewSource(s.pageSeed()))
+// SeedPageRNG reseeds r to render this service's page. A reseeded
+// math/rand RNG draws exactly the stream a new one of the same seed would,
+// so a renderer can reuse one RNG across pages instead of allocating a
+// source per page.
+func (s *Service) SeedPageRNG(r *rand.Rand) {
+	r.Seed(s.pageSeed())
 }

@@ -352,12 +352,8 @@ func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, in
 	defer hitPool.Put(hitsPtr)
 	segOff, hits := *segOffPtr, *hitsPtr
 	for q := range nd {
-		for j := range span {
-			if n.dirs[(q+j)%nd] != nil { // an observed directory stores segment q
-				lo := onion.DescriptorID(n.ringFPs[(q-1+nd)%nd])
-				ids.EachIn(lo, onion.DescriptorID(n.ringFPs[q]), func(e *hspop.SortedID) { hits = append(hits, e) })
-				break
-			}
+		if lo, hi, ok := n.observedSegment(q); ok {
+			ids.EachIn(lo, hi, func(e *hspop.SortedID) { hits = append(hits, e) })
 		}
 		segOff[q+1] = int32(len(hits))
 	}
@@ -413,6 +409,18 @@ func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, in
 		}
 	})
 	clear(hits) // the pooled buffer must not pin the sorted copies
+}
+
+// observedSegment returns ring segment q's ID interval [lo, hi) (see
+// placeByArc) and whether an observed directory stores it.
+func (n *Network) observedSegment(q int) (lo, hi onion.DescriptorID, ok bool) {
+	nd := len(n.dirs)
+	for j := range min(nd, onion.SpreadPerReplica) {
+		if n.dirs[(q+j)%nd] != nil {
+			return onion.DescriptorID(n.ringFPs[(q-1+nd)%nd]), onion.DescriptorID(n.ringFPs[q]), true
+		}
+	}
+	return lo, hi, false
 }
 
 // FetchEvent describes one descriptor fetch as the network executed it.
@@ -869,9 +877,18 @@ func (n *Network) DriveWindow(
 	ph := phantomSampler{table: phantoms, cuts: cuts, dead: dead}
 	// The ranges of each request's bounded draws, as Int63n and Intn take them.
 	offsets, clients, replicas := parallel.Int63nBound(int64(window)), parallel.IntnBound(len(n.clients)), parallel.IntnBound(onion.Replicas)
-	share := 1.0
+	// Each shard's record and answer buffers are presized to the
+	// requests an observed directory is expected to answer: on a
+	// restricted network, the observed share of the ring, plus every
+	// request of a hot service — one whose descriptor an observed
+	// directory stores at the window's start (the Fig. 3 target's
+	// requests all are).
+	share, hot := 1.0, []int(nil)
 	if n.Restricted() {
 		share = n.observedShare()
+		if observer != nil {
+			hot = n.hotServices(pop, svcs, offs, start)
+		}
 	}
 	var recs [][]fetchRec // pointer-free: never GC-scanned
 	if observer != nil {
@@ -885,19 +902,23 @@ func (n *Network) DriveWindow(
 		defer answersPool.Put(answersPtr)
 		answers = (*answersPtr)[:shards]
 	}
-	shardStats := make([]TrafficStats, shards)
+	// Both counts are fixed by the plan; only the hits are tallied, in a
+	// shard-local count stored once per shard.
+	out = TrafficStats{TotalRequests: total, PhantomRequests: total - realTotal}
+	shardHits := make([]int, shards)
 	parallel.Chunks(shards, total, func(shard, lo, hi int) {
 		var sc fetchScratch
 		ph := ph // a shard-local copy keeps the shared sampler off the heap
-		st := &shardStats[shard]
+		hits := 0
 		cur := seekPlan(offs, lo)
+		want := expectedAnswers(lo, hi, share, offs, hot)
 		var kept []fetchRec
 		if recs != nil {
-			kept = presized(recs[shard], hi-lo, share)
+			kept = presized(recs[shard], want)
 		}
 		var ans []hsdir.Answer
 		if answers != nil {
-			ans = presized(answers[shard], hi-lo, share)
+			ans = presized(answers[shard], want)
 		}
 		for i := lo; i < hi; i++ {
 			// Every draw of the request reads its stream: its offset, its
@@ -905,11 +926,9 @@ func (n *Network) DriveWindow(
 			draws := parallel.StreamAt(parallel.SeedFor(planSeed, int64(i)))
 			at := start.Add(time.Duration(draws.Draw(offsets)))
 			ci := int32(draws.Draw(clients))
-			st.TotalRequests++
 			var id onion.DescriptorID
 			var set *respSet
 			if s := cur.service(i); s < 0 {
-				st.PhantomRequests++
 				p := ph.pick(draws.Float64())
 				if p == nil {
 					continue // a dead bucket: every phantom it can pick is skipped
@@ -932,7 +951,7 @@ func (n *Network) DriveWindow(
 			}
 			rec := n.fetchResolved(&draws, gs, id, set, at)
 			if rec.found {
-				st.ResolvedHits++
+				hits++
 			}
 			if recs != nil && n.dirs[rec.lastDir] != nil {
 				rec.clientID = ci
@@ -942,6 +961,7 @@ func (n *Network) DriveWindow(
 				ans = append(ans, hsdir.Answer{ID: rec.descID, Found: rec.found})
 			}
 		}
+		shardHits[shard] = hits
 		if recs != nil {
 			recs[shard] = kept
 		}
@@ -950,12 +970,13 @@ func (n *Network) DriveWindow(
 		}
 	})
 
-	// Phase 3: merge. Stats fold in shard index order; the observer —
-	// when one is tapped in — replays the shards' records sequentially,
-	// and a restricted network counts its shards' answers, both in shard
-	// order (chunk spans are contiguous and ascending, so that is plan
-	// order).
-	out = mergeWindowStats(shardStats)
+	// Phase 3: merge. The hits sum; the observer — when one is tapped
+	// in — replays the shards' records sequentially, and a restricted
+	// network counts its shards' answers, both in shard order (chunk
+	// spans are contiguous and ascending, so that is plan order).
+	for _, h := range shardHits {
+		out.ResolvedHits += h
+	}
 	for _, kept := range recs {
 		for i := range kept {
 			observer(n.event(&kept[i]))
@@ -980,12 +1001,44 @@ func (n *Network) observedShare() float64 {
 	return float64(observed) / float64(len(n.dirs))
 }
 
-// presized empties a shard's pooled buffer, first growing it to hold a
-// span of the given length's entries at the observed share: the expected
-// count with headroom for skew (phantom popularity, ring clustering), so
-// that a fresh buffer rarely grows, and never more than the span.
-func presized[T any](buf []T, span int, share float64) []T {
-	if want := min(span, int(float64(span)*share*1.25)+64); cap(buf) < want {
+// hotServices returns, in plan order, the indices of the services of
+// svcs with requests in the plan (offs) that have a descriptor ID at
+// instant at stored on an observed directory.
+func (n *Network) hotServices(pop *hspop.Population, svcs []*hspop.Service, offs []int32, at time.Time) []int {
+	ids := pop.DescriptorIDsAt(at)
+	stored := make(map[*hspop.Service]bool)
+	withDesc := pop.WithDescriptor()
+	for q := range n.dirs {
+		if lo, hi, ok := n.observedSegment(q); ok {
+			ids.EachIn(lo, hi, func(e *hspop.SortedID) { stored[withDesc[e.Svc]] = true })
+		}
+	}
+	var hot []int
+	for s, svc := range svcs {
+		if offs[s+1] > offs[s] && stored[svc] {
+			hot = append(hot, s)
+		}
+	}
+	return hot
+}
+
+// expectedAnswers is the number of plan indices [lo, hi) that an observed
+// directory is expected to answer, with headroom for skew (phantom
+// popularity, ring clustering), so that a fresh buffer of that size
+// rarely grows, and never more than the span: every request to a hot
+// service (see hotServices) and the observed share of the rest.
+func expectedAnswers(lo, hi int, share float64, offs []int32, hot []int) int {
+	inHot := 0
+	for _, s := range hot {
+		inHot += max(0, min(hi, int(offs[s+1]))-max(lo, int(offs[s])))
+	}
+	return min(hi-lo, inHot+int(float64(hi-lo-inHot)*share*1.25)+64)
+}
+
+// presized empties a shard's pooled buffer, first growing it to hold
+// want entries.
+func presized[T any](buf []T, want int) []T {
+	if cap(buf) < want {
 		return make([]T, 0, want)
 	}
 	return buf[:0]
@@ -999,16 +1052,4 @@ func phantomRequests(pop *hspop.Population, realTotal int) int {
 		return 0
 	}
 	return int(float64(realTotal) * frac / (1 - frac))
-}
-
-// mergeWindowStats folds the per-shard traffic tallies of a driven
-// window. Every field is a sum, so the order of the shards is immaterial.
-func mergeWindowStats(shards []TrafficStats) TrafficStats {
-	var out TrafficStats
-	for i := range shards {
-		out.TotalRequests += shards[i].TotalRequests
-		out.PhantomRequests += shards[i].PhantomRequests
-		out.ResolvedHits += shards[i].ResolvedHits
-	}
-	return out
 }

@@ -3,27 +3,20 @@ package textclass
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"torhs/internal/corpus"
 )
 
 // Confusion is a confusion matrix over string labels.
 type Confusion struct {
-	labels []string
 	counts map[string]map[string]int // truth -> predicted -> count
 	total  int
 	hits   int
 }
 
-// NewConfusion creates an empty matrix over the given label set.
-func NewConfusion(labels []string) *Confusion {
-	sorted := append([]string(nil), labels...)
-	sort.Strings(sorted)
-	return &Confusion{
-		labels: sorted,
-		counts: make(map[string]map[string]int, len(sorted)),
-	}
+// NewConfusion creates an empty matrix.
+func NewConfusion() *Confusion {
+	return &Confusion{counts: make(map[string]map[string]int)}
 }
 
 // Add records one (truth, predicted) observation.
@@ -39,13 +32,6 @@ func (c *Confusion) Add(truth, predicted string) {
 		c.hits++
 	}
 }
-
-// Labels returns the label set in sorted order.
-func (c *Confusion) Labels() []string { return c.labels }
-
-// Count returns the number of observations with the given truth predicted
-// as the given label.
-func (c *Confusion) Count(truth, predicted string) int { return c.counts[truth][predicted] }
 
 // Accuracy returns overall accuracy (0 when empty).
 func (c *Confusion) Accuracy() float64 {
@@ -79,7 +65,7 @@ func EvaluateLanguageDetector(det *LanguageDetector, samples, words int, seed in
 		return nil, fmt.Errorf("textclass: samples %d / words %d must be positive", samples, words)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	conf := NewConfusion(corpus.Languages())
+	conf := NewConfusion()
 	for _, lang := range corpus.Languages() {
 		for i := 0; i < samples; i++ {
 			text, err := corpus.SampleText(rng, lang, words, nil, 0)
@@ -103,11 +89,7 @@ func EvaluateTopicClassifier(cls *TopicClassifier, samples, words int, seed int6
 		return nil, fmt.Errorf("textclass: samples %d / words %d must be positive", samples, words)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	labels := make([]string, 0, corpus.NumTopics)
-	for _, t := range corpus.AllTopics() {
-		labels = append(labels, t.String())
-	}
-	conf := NewConfusion(labels)
+	conf := NewConfusion()
 	for _, topic := range corpus.AllTopics() {
 		keywords, err := corpus.TopicKeywords(topic)
 		if err != nil {

@@ -7,16 +7,10 @@ import (
 )
 
 func TestConfusionBasics(t *testing.T) {
-	c := NewConfusion([]string{"b", "a"})
-	if got := c.Labels(); got[0] != "a" || got[1] != "b" {
-		t.Fatal("labels not sorted")
-	}
+	c := NewConfusion()
 	c.Add("a", "a")
 	c.Add("a", "b")
 	c.Add("b", "b")
-	if c.Count("a", "b") != 1 || c.Count("a", "a") != 1 {
-		t.Fatal("counts wrong")
-	}
 	if acc := c.Accuracy(); acc < 0.66 || acc > 0.67 {
 		t.Fatalf("accuracy = %v, want 2/3", acc)
 	}
@@ -27,7 +21,7 @@ func TestConfusionBasics(t *testing.T) {
 }
 
 func TestConfusionEmptyAccuracy(t *testing.T) {
-	c := NewConfusion(nil)
+	c := NewConfusion()
 	if c.Accuracy() != 0 {
 		t.Fatal("empty accuracy not 0")
 	}

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"torhs/internal/corpus"
 )
@@ -34,30 +36,91 @@ func TrainLanguageDetector(order int) (*LanguageDetector, error) {
 		return nil, fmt.Errorf("textclass: n-gram order %d out of range [1,4]", order)
 	}
 	langs := corpus.Languages()
-	docs := make([][]gram, len(langs))
+	train := newTrainer[gram](len(langs))
 	rng := rand.New(rand.NewSource(0x7a9))
 	for i, lang := range langs {
 		text, err := corpus.SampleText(rng, lang, 4000, nil, 0)
 		if err != nil {
 			return nil, fmt.Errorf("textclass: train %s: %w", lang, err)
 		}
-		docs[i] = ngrams(text, order)
+		for g := (grams{text: normText{s: text}, order: order}); g.next(); {
+			train.count(i, train.row(g.g))
+		}
 	}
-	return &LanguageDetector{order: order, langs: langs, table: trainTable(docs)}, nil
+	return &LanguageDetector{order: order, langs: langs, table: train.table()}, nil
 }
 
-// ngrams extracts rune-level n-grams from text, lowercased, with spaces
-// collapsed so layout does not affect detection.
-func ngrams(text string, order int) []gram {
-	runes := []rune(strings.ToLower(strings.Join(strings.Fields(text), " ")))
-	if len(runes) < order {
-		return nil
+// normText reads a text as both classifiers see it, in one pass and
+// without a copy: rune by rune, each rune lowercased (unicode.ToLower),
+// each run of white space (unicode.IsSpace) read as one ' ', and leading
+// and trailing white space dropped. An invalid UTF-8 byte reads as
+// utf8.RuneError, as ranging over a string decodes it. No rune lowers to
+// white space and white space lowers to itself, so this is the text's
+// words (strings.Fields) joined by ' ' and lowercased, in either order.
+type normText struct {
+	s       string
+	i       int  // byte offset of the next rune to decode
+	started bool // a rune has been read
+	space   bool // white space lies between the last rune read and s[i:]
+}
+
+// next returns the next rune, or -1 at the end of the text.
+func (t *normText) next() rune {
+	for t.i < len(t.s) {
+		r, w := rune(t.s[t.i]), 1
+		var space bool
+		if r < utf8.RuneSelf { // unicode's own ASCII rules, inline
+			space = r == ' ' || '\t' <= r && r <= '\r'
+			if 'A' <= r && r <= 'Z' {
+				r += 'a' - 'A'
+			}
+		} else {
+			r, w = utf8.DecodeRuneInString(t.s[t.i:])
+			space, r = unicode.IsSpace(r), unicode.ToLower(r)
+		}
+		if space {
+			t.i += w
+			t.space = t.started
+			continue
+		}
+		if t.space {
+			t.space = false
+			return ' '
+		}
+		t.i += w
+		t.started = true
+		return r
 	}
-	out := make([]gram, len(runes)-order+1)
-	for i := range out {
-		copy(out[i][:], runes[i:i+order])
+	return -1
+}
+
+// grams slides an n-gram window over a normalised text.
+type grams struct {
+	text  normText
+	order int
+	g     gram // the current n-gram once n == order
+	n     int  // runes in g, up to order
+}
+
+// next moves to the next n-gram and reports whether there is one.
+func (w *grams) next() bool {
+	for {
+		r := w.text.next()
+		if r < 0 {
+			return false
+		}
+		if w.n < w.order {
+			w.n++
+		} else {
+			// Shift left by one: the zero shifted into g[3] keeps g
+			// zero-padded past order.
+			w.g = gram{w.g[1], w.g[2], w.g[3]}
+		}
+		w.g[w.n-1] = r
+		if w.n == w.order {
+			return true
+		}
 	}
-	return out
 }
 
 // Score is one language's log-likelihood for a text.
@@ -78,15 +141,26 @@ func (d *LanguageDetector) Detect(text string) (string, float64, error) {
 }
 
 // Scores returns all languages ranked by descending mean log-likelihood
-// per n-gram.
+// per n-gram. It reads the text once and allocates only the returned
+// slice.
 func (d *LanguageDetector) Scores(text string) ([]Score, error) {
-	grams := ngrams(text, d.order)
-	if len(grams) == 0 {
+	var out []Score
+	n := 0
+	for g := (grams{text: normText{s: text}, order: d.order}); g.next(); n++ {
+		if out == nil {
+			out = make([]Score, len(d.langs))
+		}
+		row := d.table.row(d.table.index[g.g])[:len(out)]
+		for c := range out {
+			out[c].LogProb += row[c]
+		}
+	}
+	if n == 0 {
 		return nil, fmt.Errorf("textclass: text too short for order-%d detection", d.order)
 	}
-	out := make([]Score, len(d.langs))
-	for i, sum := range d.table.sums(grams) {
-		out[i] = Score{Language: d.langs[i], LogProb: sum / float64(len(grams))}
+	for i := range out {
+		out[i].Language = d.langs[i]
+		out[i].LogProb /= float64(n)
 	}
 	slices.SortFunc(out, func(a, b Score) int {
 		return cmp.Or(cmp.Compare(b.LogProb, a.LogProb), strings.Compare(a.Language, b.Language))

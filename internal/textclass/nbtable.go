@@ -14,44 +14,62 @@ type nbTable[K comparable] struct {
 	rows    []float64
 }
 
-// trainTable fits one class per training document, smoothing each class
-// with V = its distinct features + 1. Rows number features in first-seen
-// order, so training is deterministic.
-func trainTable[K comparable](docs [][]K) *nbTable[K] {
-	n := len(docs)
-	t := &nbTable[K]{classes: n, index: make(map[K]int32)}
-	counts := make([]int, n) // row-major, like rows; row 0 counts nothing
-	distinct := make([]int, n)
-	for c, doc := range docs {
-		for _, k := range doc {
-			r, ok := t.index[k]
-			if !ok {
-				r = int32(len(t.index) + 1)
-				t.index[k] = r
-				counts = append(counts, make([]int, n)...)
-			}
-			if counts[int(r)*n+c]++; counts[int(r)*n+c] == 1 {
-				distinct[c]++
-			}
-		}
-	}
-	t.rows = make([]float64, len(counts))
-	for i, cnt := range counts {
-		c := i % n
-		t.rows[i] = math.Log((float64(cnt) + 1) / (float64(len(docs[c])) + float64(distinct[c]+1)))
-	}
-	return t
+// nbTrainer counts training features class by class, as the classifiers
+// read them, so no training document is kept. Rows number features in
+// first-seen order, so training is deterministic.
+type nbTrainer[K comparable] struct {
+	t        nbTable[K]
+	counts   []int32 // row-major, like rows; row 0 counts nothing
+	total    []int   // features counted per class
+	distinct []int   // distinct features per class
 }
 
-// sums returns each class's log-probability summed over keys in order.
-func (t *nbTable[K]) sums(keys []K) []float64 {
-	n := t.classes
-	sums := make([]float64, n)
-	for _, k := range keys {
-		r := int(t.index[k])
-		for c, lp := range t.rows[r*n : r*n+n] {
-			sums[c] += lp
-		}
+func newTrainer[K comparable](classes int) *nbTrainer[K] {
+	return &nbTrainer[K]{
+		t:        nbTable[K]{classes: classes, index: make(map[K]int32)},
+		counts:   make([]int32, classes),
+		total:    make([]int, classes),
+		distinct: make([]int, classes),
 	}
-	return sums
+}
+
+// row returns feature k's row, adding a row for a feature not seen
+// before.
+func (b *nbTrainer[K]) row(k K) int32 {
+	r, ok := b.t.index[k]
+	if !ok {
+		r = int32(len(b.t.index) + 1)
+		b.t.index[k] = r
+		b.counts = append(b.counts, make([]int32, b.t.classes)...)
+	}
+	return r
+}
+
+// count counts one occurrence in class c of the feature in row r.
+func (b *nbTrainer[K]) count(c int, r int32) {
+	i := int(r)*b.t.classes + c
+	if b.counts[i]++; b.counts[i] == 1 {
+		b.distinct[c]++
+	}
+	b.total[c]++
+}
+
+// table fits the model on the counts, smoothing each class with V = its
+// distinct features + 1.
+func (b *nbTrainer[K]) table() *nbTable[K] {
+	n := b.t.classes
+	b.t.rows = make([]float64, len(b.counts))
+	for i, cnt := range b.counts {
+		c := i % n
+		b.t.rows[i] = math.Log((float64(cnt) + 1) / (float64(b.total[c]) + float64(b.distinct[c]+1)))
+	}
+	return &b.t
+}
+
+// row returns the log-probabilities, one per class, of the feature in
+// row r of rows (index's value for it; 0, the unseen row, for a feature
+// never trained).
+func (t *nbTable[K]) row(r int32) []float64 {
+	n := t.classes
+	return t.rows[int(r)*n : int(r)*n+n]
 }

@@ -72,6 +72,20 @@ func oracleNgrams(text string, order int) []string {
 	return out
 }
 
+// tokenize is the reference word tokenizer normText.nextWord replaces:
+// lowercase, split on white space, strip basic punctuation.
+func tokenize(text string) []string {
+	fields := strings.Fields(strings.ToLower(text))
+	out := fields[:0]
+	for _, f := range fields {
+		f = strings.Trim(f, ".,;:!?\"'()[]<>")
+		if f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 // oracleLang is the reference language detector, trained on the same
 // seeded samples as TrainLanguageDetector.
 type oracleLang struct {
@@ -187,19 +201,36 @@ func TestTopicScoresMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cls.Scores(text)
-			if err != nil {
-				t.Fatal(err)
+			if len(tokenize(text)) == 0 {
+				t.Fatalf("%v, %d words: no tokens in %q", topic, words, text)
 			}
-			want := oracleTopicScores(ref, text)
-			if len(got) != len(want) {
-				t.Fatalf("%v, %d words: %d scores, want %d", topic, words, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Topic != want[i].Topic || got[i].LogProb != want[i].LogProb {
-					t.Fatalf("%v, %d words: dense scores\n%v\nwant oracle\n%v", topic, words, got, want)
-				}
-			}
+			matchTopicOracle(t, cls, ref, text)
+		}
+	}
+}
+
+// matchTopicOracle requires cls to fail on text exactly when the
+// reference tokenizer finds no token in it, and otherwise to return the
+// reference's scores, bit-identical and in the same order.
+func matchTopicOracle(t *testing.T, cls *TopicClassifier, ref *oracle, text string) {
+	t.Helper()
+	got, err := cls.Scores(text)
+	if len(tokenize(text)) == 0 {
+		if err == nil {
+			t.Fatalf("%q: no reference tokens, but scored %v", text, got)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%q: %v", text, err)
+	}
+	want := oracleTopicScores(ref, text)
+	if len(got) != len(want) {
+		t.Fatalf("%q: %d scores, want %d", text, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Topic != want[i].Topic || got[i].LogProb != want[i].LogProb {
+			t.Fatalf("%q: dense scores\n%v\nwant oracle\n%v", text, got, want)
 		}
 	}
 }
@@ -241,5 +272,21 @@ func FuzzLanguageScores(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, order uint8) {
 		i := int(order % 4)
 		matchLangOracle(t, dets[i], refs[i], string(data))
+	})
+}
+
+// FuzzTopicScores feeds arbitrary bytes (invalid UTF-8, bare
+// punctuation, runes whose case mapping changes their width) to the
+// streaming topic scorer and the reference: both must find no token, or
+// return bit-identical scores. The seed corpus lives in
+// testdata/fuzz/FuzzTopicScores.
+func FuzzTopicScores(f *testing.F) {
+	cls, err := TrainTopicClassifier()
+	if err != nil {
+		f.Fatal(err)
+	}
+	ref := trainOracleTopic(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		matchTopicOracle(t, cls, ref, string(data))
 	})
 }

@@ -2,9 +2,13 @@ package textclass
 
 import (
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
+	"unicode"
 
 	"torhs/internal/corpus"
+	"torhs/internal/race"
 )
 
 func TestTrainLanguageDetectorBadOrder(t *testing.T) {
@@ -141,14 +145,73 @@ func TestTopicClassifierEmptyText(t *testing.T) {
 }
 
 func TestTokenizeStripsPunctuation(t *testing.T) {
-	got := tokenize("Hello, World! (test)")
 	want := []string{"hello", "world", "test"}
-	if len(got) != len(want) {
-		t.Fatalf("tokenize = %v, want %v", got, want)
+	for name, got := range map[string][]string{
+		"reference": tokenize("Hello, World! (test)"),
+		"streaming": streamWords("Hello, World! (test)"),
+	} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s tokens = %q, want %q", name, got, want)
+		}
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tokenize = %v, want %v", got, want)
+}
+
+// streamWords collects the tokens normText.nextWord cuts.
+func streamWords(text string) []string {
+	var out []string
+	t := normText{s: text}
+	for tok, ok := t.nextWord(nil); ok; tok, ok = t.nextWord(nil) {
+		out = append(out, string(tok))
+	}
+	return out
+}
+
+// TestNormTextOneWayForEveryRune: normText may test white space before
+// or after lowering, as strings.Fields and strings.ToLower compose either
+// way, only if no rune lowers to white space and white space lowers to
+// itself. Every rune is checked.
+func TestNormTextOneWayForEveryRune(t *testing.T) {
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if l := unicode.ToLower(r); unicode.IsSpace(l) != unicode.IsSpace(r) || unicode.IsSpace(r) && l != r {
+			t.Fatalf("%U lowers to %U: white space %v, then %v", r, l, unicode.IsSpace(r), unicode.IsSpace(l))
+		}
+	}
+}
+
+// TestScoresAllocateOnlyTheResult: Detect and Classify read a page
+// without a copy of it, so the returned score slice is their one
+// allocation, whatever the page's length. Collection is off while
+// measuring: AllocsPerRun counts every malloc in the process, and a
+// collection brings foreign ones.
+func TestScoresAllocateOnlyTheResult(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts vary under -race")
+	}
+	det, err := TrainLanguageDetector(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cls, err := TrainTopicClassifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keywords, err := corpus.TopicKeywords(corpus.AllTopics()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, n := range []int{20, 2000} {
+		text, err := corpus.SampleText(rng, corpus.LangEnglish, n, keywords, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = "Ünïcödé  TEXT\t" + text + " \u0130STANBUL"
+		if got := testing.AllocsPerRun(20, func() { _, _, _ = det.Detect(text) }); got != 1 {
+			t.Fatalf("Detect of %d words allocates %v times, want 1", n, got)
+		}
+		if got := testing.AllocsPerRun(20, func() { _, _, _ = cls.Classify(text) }); got != 1 {
+			t.Fatalf("Classify of %d words allocates %v times, want 1", n, got)
 		}
 	}
 }
