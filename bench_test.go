@@ -890,21 +890,67 @@ func BenchmarkDescriptorID(b *testing.B) {
 	}
 }
 
-// BenchmarkConsensusPublish measures one authority voting round over a
-// realistic relay population.
+// BenchmarkConsensusPublish measures one authority voting round. honest
+// is a realistic relay population; trawl adds a 58-IP shadow fleet of
+// 2×12 relays per IP, one pair per IP reachable, as in a trawl step.
 func BenchmarkConsensusPublish(b *testing.B) {
-	fleet := relaynet.DefaultFleetConfig(11)
-	fleet.Days = 1
+	for _, fleetIPs := range []int{0, 58} {
+		name := "honest"
+		if fleetIPs > 0 {
+			name = "trawl"
+		}
+		b.Run(name, func(b *testing.B) {
+			fleet := relaynet.DefaultFleetConfig(11)
+			fleet.Days = 1
+			sim, err := relaynet.NewSim(fleet)
+			if err != nil {
+				b.Fatal(err)
+			}
+			now := fleet.Start
+			if fleetIPs > 0 {
+				cfg := trawl.DefaultConfig(11)
+				cfg.IPs = fleetIPs
+				tr, err := trawl.NewTrawler(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				now = fleet.Start.Add(48 * time.Hour)
+				tr.Deploy(sim, now)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				doc := sim.Authority().Publish(now)
+				if len(doc.Entries) == 0 {
+					b.Fatal("empty consensus")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStepDay measures one simulated day (churn and the consensus
+// round) of a 400-relay network already stepped to day 3,000, by which
+// point it has started about 30 relays for every one still running.
+func BenchmarkStepDay(b *testing.B) {
+	const late = 3000
+	fleet := relaynet.DefaultFleetConfig(12)
+	fleet.Days = late + b.N
+	fleet.FinalRelays = fleet.InitialRelays
 	sim, err := relaynet.NewSim(fleet)
 	if err != nil {
 		b.Fatal(err)
 	}
-	now := fleet.Start
+	for day := 0; day < late; day++ {
+		if _, err := sim.StepDay(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		doc := sim.Authority().Publish(now)
-		if len(doc.Entries) == 0 {
-			b.Fatal("empty consensus")
+		if _, err := sim.StepDay(nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

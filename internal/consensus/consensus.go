@@ -16,7 +16,8 @@
 package consensus
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -112,6 +113,17 @@ type docIndex struct {
 func (d *Document) index() *docIndex {
 	d.idxOnce.Do(func() {
 		ix := &d.idx
+		nHSDir, nGuard := 0, 0
+		for i := range d.Entries {
+			if d.Entries[i].Flags.Has(FlagHSDir) {
+				nHSDir++
+			}
+			if d.Entries[i].Flags.Has(FlagGuard) {
+				nGuard++
+			}
+		}
+		ix.hsdirs = make([]onion.Fingerprint, 0, nHSDir)
+		ix.guards = make([]onion.Fingerprint, 0, nGuard)
 		ix.byFP = make(map[onion.Fingerprint]int32, len(d.Entries))
 		for i, e := range d.Entries {
 			if _, dup := ix.byFP[e.Fingerprint]; !dup {
@@ -203,11 +215,18 @@ func DefaultThresholds() Thresholds {
 }
 
 // Authority is a (collapsed) set of directory authorities: it monitors
-// registered relays and periodically publishes consensus documents.
+// registered relays and periodically publishes consensus documents. It
+// watches only live relays: a relay found stopped at a Publish is
+// forgotten, because nothing in a simulation restarts a stopped relay.
+// An Authority is not safe for concurrent use.
 type Authority struct {
 	thresholds Thresholds
 	relays     []*relay.Relay
 	byID       map[relay.ID]*relay.Relay
+	// probe and order are the status and ranking buffers every Publish
+	// reuses.
+	probe []relay.Status
+	order []int32
 }
 
 // NewAuthority creates an authority with the given thresholds.
@@ -219,7 +238,9 @@ func NewAuthority(th Thresholds) *Authority {
 }
 
 // Register adds a self-advertised relay to the authority's watch list.
-// Registering the same relay twice is a no-op.
+// Registering the same relay twice is a no-op. A relay the authority has
+// forgotten (it was found stopped) must be registered again after a
+// restart to be listed.
 func (a *Authority) Register(r *relay.Relay) {
 	if _, ok := a.byID[r.ID()]; ok {
 		return
@@ -229,7 +250,7 @@ func (a *Authority) Register(r *relay.Relay) {
 }
 
 // flagsFor computes the flags a relay earns from its probe status.
-func (a *Authority) flagsFor(s relay.Status) Flag {
+func (a *Authority) flagsFor(s *relay.Status) Flag {
 	f := FlagRunning
 	if s.Bandwidth >= a.thresholds.FastBandwidth {
 		f |= FlagFast
@@ -246,52 +267,76 @@ func (a *Authority) flagsFor(s relay.Status) Flag {
 	return f
 }
 
-// Publish probes every registered relay and produces the consensus valid
-// from now. Per IP address, only the MaxPerIP highest-bandwidth reachable
-// relays are admitted (ties broken by fingerprint for determinism); the
-// rest are the "shadow relays" of Section II-A.
+// Publish probes every reachable registered relay and produces the
+// consensus valid from now. Per IP address, only the MaxPerIP
+// highest-bandwidth reachable relays are admitted (ties broken by
+// fingerprint for determinism); the rest are the "shadow relays" of
+// Section II-A. A stopped relay is dropped from the watch list, and an
+// unreachable one is skipped before it is probed, so a round costs the
+// live relays, not every relay ever registered.
 func (a *Authority) Publish(now time.Time) *Document {
-	statuses := make([]relay.Status, 0, len(a.relays))
+	probe := a.probe[:0]
+	live := a.relays[:0]
 	for _, r := range a.relays {
-		s := r.StatusAt(now)
-		if s.Running && s.Reachable {
-			statuses = append(statuses, s)
+		running, reachable := r.State()
+		if !running {
+			delete(a.byID, r.ID())
+			continue
+		}
+		live = append(live, r)
+		if reachable {
+			probe = append(probe, r.StatusAt(now))
 		}
 	}
+	clear(a.relays[len(live):])
+	a.relays = live
+	a.probe = probe
 
-	byIP := make(map[string][]relay.Status, len(statuses))
-	for _, s := range statuses {
-		byIP[s.IP] = append(byIP[s.IP], s)
+	// Rank each IP's relays together (IP, then bandwidth descending,
+	// then fingerprint) and keep the first MaxPerIP of each IP's run.
+	// The sorts move indexes, not statuses.
+	order := a.order[:0]
+	for i := range probe {
+		order = append(order, int32(i))
 	}
-
-	doc := &Document{ValidAfter: now}
-	for _, group := range byIP {
-		sort.Slice(group, func(i, j int) bool {
-			if group[i].Bandwidth != group[j].Bandwidth {
-				return group[i].Bandwidth > group[j].Bandwidth
-			}
-			return group[i].Fingerprint.Less(group[j].Fingerprint)
-		})
-		n := a.thresholds.MaxPerIP
-		if n > len(group) {
-			n = len(group)
+	a.order = order
+	slices.SortFunc(order, func(i, j int32) int {
+		x, y := &probe[i], &probe[j]
+		if c := strings.Compare(x.IP, y.IP); c != 0 {
+			return c
 		}
-		for _, s := range group[:n] {
-			doc.Entries = append(doc.Entries, Entry{
-				Fingerprint: s.Fingerprint,
-				RelayID:     s.ID,
-				Nickname:    s.Nickname,
-				IP:          s.IP,
-				ORPort:      s.ORPort,
-				Bandwidth:   s.Bandwidth,
-				Flags:       a.flagsFor(s),
-				Uptime:      s.Uptime,
-			})
+		if c := cmp.Compare(y.Bandwidth, x.Bandwidth); c != 0 {
+			return c
 		}
-	}
-
-	sort.Slice(doc.Entries, func(i, j int) bool {
-		return doc.Entries[i].Fingerprint.Less(doc.Entries[j].Fingerprint)
+		return x.Fingerprint.Compare(y.Fingerprint)
 	})
+	n := 0
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && probe[order[j]].IP == probe[order[i]].IP {
+			j++
+		}
+		n += copy(order[n:], order[i:min(j, i+a.thresholds.MaxPerIP)])
+		i = j
+	}
+	admitted := order[:n]
+	slices.SortFunc(admitted, func(i, j int32) int {
+		return probe[i].Fingerprint.Compare(probe[j].Fingerprint)
+	})
+
+	doc := &Document{ValidAfter: now, Entries: make([]Entry, n)}
+	for k, i := range admitted {
+		s := &probe[i]
+		doc.Entries[k] = Entry{
+			Fingerprint: s.Fingerprint,
+			RelayID:     s.ID,
+			Nickname:    s.Nickname,
+			IP:          s.IP,
+			ORPort:      s.ORPort,
+			Bandwidth:   s.Bandwidth,
+			Flags:       a.flagsFor(s),
+			Uptime:      s.Uptime,
+		}
+	}
 	return doc
 }

@@ -2,6 +2,7 @@ package tracking
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"torhs/internal/consensus"
@@ -109,8 +110,18 @@ func newScenarioRun(cfg ScenarioConfig) (*Scenario, *relaynet.Sim, relaynet.DayH
 	if cfg.BandStart <= 0 || cfg.BandEnd <= cfg.BandStart {
 		return nil, nil, nil, fmt.Errorf("tracking: band [%d,%d) invalid", cfg.BandStart, cfg.BandEnd)
 	}
+	fleet := scenarioFleet(cfg)
+	sim, err := relaynet.NewSim(fleet)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("tracking: %w", err)
+	}
+	sc, hook := plantTrackers(cfg, fleet.Start, sim)
+	return sc, sim, hook, nil
+}
 
-	fleet := relaynet.FleetConfig{
+// scenarioFleet is the honest relay network behind a scenario.
+func scenarioFleet(cfg ScenarioConfig) relaynet.FleetConfig {
+	return relaynet.FleetConfig{
 		Seed:          cfg.Seed,
 		Start:         time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC),
 		Days:          cfg.Days,
@@ -119,22 +130,32 @@ func newScenarioRun(cfg ScenarioConfig) (*Scenario, *relaynet.Sim, relaynet.DayH
 		DailyChurn:    0.01,
 		Thresholds:    consensus.DefaultThresholds(),
 	}
-	sim, err := relaynet.NewSim(fleet)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("tracking: %w", err)
-	}
+}
+
+// relayHost is what planting the trackers needs from a simulation; the
+// oracle test plants the same trackers in a reference simulation.
+type relayHost interface {
+	RNG() *rand.Rand
+	NewRelayID() relay.ID
+	AddAttackerRelay(r *relay.Relay)
+}
+
+// plantTrackers draws the target and registers the three tracker fleets
+// with sim, whose first consensus is at start. It returns the ground
+// truth (History nil) and the day hook that repositions the trackers.
+func plantTrackers(cfg ScenarioConfig, start time.Time, sim relayHost) (*Scenario, relaynet.DayHook) {
 	rng := sim.RNG()
 
 	targetKey := onion.GenerateKey(rng)
 	sc := &Scenario{
 		Target:        targetKey.PermanentID(),
 		TargetAddress: onion.AddressFromKey(targetKey),
-		Start:         fleet.Start,
-		End:           fleet.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour),
+		Start:         start,
+		End:           start.Add(time.Duration(cfg.Days) * 24 * time.Hour),
 	}
 
 	dayTime := func(day int) time.Time {
-		return fleet.Start.Add(time.Duration(day) * 24 * time.Hour)
+		return start.Add(time.Duration(day) * 24 * time.Hour)
 	}
 	// The attacker's ring-size estimate; precision is irrelevant, only
 	// the order of magnitude of the resulting ratio matters.
@@ -218,7 +239,7 @@ func newScenarioRun(cfg ScenarioConfig) (*Scenario, *relaynet.Sim, relaynet.DayH
 		}
 	}
 
-	return sc, sim, hook, nil
+	return sc, hook
 }
 
 // DefaultWindowRing is the sliding-ring capacity a streaming tracking

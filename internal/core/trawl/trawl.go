@@ -151,6 +151,9 @@ type Trawler struct {
 	cfg    Config
 	fleet  [][]*relay.Relay // fleet[ip][i]
 	allFPs map[onion.Fingerprint]bool
+	// active is the pair reachable on every IP: Deploy's pair 0 until
+	// the first rotate, also on a run resumed at a later step.
+	active int
 }
 
 // NewTrawler validates the configuration.
@@ -177,6 +180,7 @@ func (t *Trawler) Deploy(sim *relaynet.Sim, attackStart time.Time) {
 	startAt := attackStart.Add(-t.cfg.DeployLead)
 	relaysPerIP := 2 * t.cfg.Steps
 	t.fleet = make([][]*relay.Relay, t.cfg.IPs)
+	t.active = 0
 	for ip := 0; ip < t.cfg.IPs; ip++ {
 		addr := fmt.Sprintf("203.0.%d.%d", ip/250, ip%250+1)
 		t.fleet[ip] = make([]*relay.Relay, relaysPerIP)
@@ -205,12 +209,19 @@ func (t *Trawler) Deploy(sim *relaynet.Sim, attackStart time.Time) {
 }
 
 // rotate makes exactly the pair for the given step reachable on every IP.
+// Only the outgoing and the incoming pair change, so it touches at most
+// four relays per IP.
 func (t *Trawler) rotate(step int) {
+	if step == t.active {
+		return
+	}
 	for _, relays := range t.fleet {
-		for i, r := range relays {
-			r.SetReachable(i/2 == step)
+		for i := 0; i < 2; i++ {
+			relays[2*t.active+i].SetReachable(false)
+			relays[2*step+i].SetReachable(true)
 		}
 	}
+	t.active = step
 }
 
 // ActiveFingerprints returns the fingerprints of the pair active in the

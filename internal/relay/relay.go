@@ -63,11 +63,13 @@ func New(cfg Config, rng *rand.Rand) *Relay {
 // ID returns the stable instance identifier.
 func (r *Relay) ID() ID { return r.id }
 
-// Running reports whether the relay process is up.
-func (r *Relay) Running() bool {
+// State reports whether the relay process is up and whether directory
+// authorities can reach it, under one lock: the cheap check an authority
+// makes before it probes the relay.
+func (r *Relay) State() (running, reachable bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.running
+	return r.running, r.reachable
 }
 
 // Fingerprint returns the current identity fingerprint.

@@ -9,6 +9,7 @@ package relaynet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"torhs/internal/consensus"
@@ -49,9 +50,13 @@ func DefaultFleetConfig(seed int64) FleetConfig {
 
 // Sim is a running relay-network simulation.
 type Sim struct {
-	cfg     FleetConfig
-	rng     *rand.Rand
-	auth    *consensus.Authority
+	cfg  FleetConfig
+	rng  *rand.Rand
+	auth *consensus.Authority
+	// relays holds the running honest relays in ascending creation
+	// order. A stopped relay leaves it, and the authority forgets it at
+	// its next Publish: nothing restarts a stopped relay, so a day costs
+	// the live relays, not every relay ever started.
 	relays  []*relay.Relay
 	history *consensus.History
 	nextID  relay.ID
@@ -135,9 +140,6 @@ func (s *Sim) NewRelayID() relay.ID {
 // Authority exposes the directory authority.
 func (s *Sim) Authority() *consensus.Authority { return s.auth }
 
-// History exposes the consensus archive built so far.
-func (s *Sim) History() *consensus.History { return s.history }
-
 // RNG exposes the simulation's random source for scenario scripts.
 func (s *Sim) RNG() *rand.Rand { return s.rng }
 
@@ -167,12 +169,12 @@ func (s *Sim) StepDay(hook DayHook) (*consensus.Document, error) {
 	if cfg.Days > 1 {
 		target += (cfg.FinalRelays - cfg.InitialRelays) * day / (cfg.Days - 1)
 	}
-	for s.liveCount() < target {
+	for len(s.relays) < target {
 		s.addRelay(now.Add(-time.Duration(s.rng.Intn(48)) * time.Hour))
 	}
 
 	// Churn: replace a random fraction of live relays.
-	nChurn := int(float64(s.liveCount()) * cfg.DailyChurn)
+	nChurn := int(float64(len(s.relays)) * cfg.DailyChurn)
 	for i := 0; i < nChurn; i++ {
 		s.stopRandomLive()
 		s.addRelay(now.Add(-time.Duration(s.rng.Intn(12)) * time.Hour))
@@ -184,13 +186,6 @@ func (s *Sim) StepDay(hook DayHook) (*consensus.Document, error) {
 	s.day++
 	return s.auth.Publish(now), nil
 }
-
-// Day returns the next day StepDay will simulate (0 before the first
-// step, cfg.Days once the run is exhausted).
-func (s *Sim) Day() int { return s.day }
-
-// Days returns the configured number of daily consensuses.
-func (s *Sim) Days() int { return s.cfg.Days }
 
 // Run publishes one consensus per day for cfg.Days days, applying growth
 // and churn, and invoking hook (if non-nil) before each publication.
@@ -209,26 +204,13 @@ func (s *Sim) Run(hook DayHook) (*consensus.History, error) {
 	return s.history, nil
 }
 
-func (s *Sim) liveCount() int {
-	n := 0
-	for _, r := range s.relays {
-		if r.Running() {
-			n++
-		}
-	}
-	return n
-}
-
+// stopRandomLive stops a uniformly drawn running relay and drops it from
+// the live list, which keeps its creation order.
 func (s *Sim) stopRandomLive() {
-	// Collect indexes of running relays and stop one at random.
-	live := make([]int, 0, len(s.relays))
-	for i, r := range s.relays {
-		if r.Running() {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
+	if len(s.relays) == 0 {
 		return
 	}
-	s.relays[live[s.rng.Intn(len(live))]].Stop()
+	i := s.rng.Intn(len(s.relays))
+	s.relays[i].Stop()
+	s.relays = slices.Delete(s.relays, i, i+1)
 }

@@ -190,3 +190,37 @@ func TestConsensusRespectsPerIPCap(t *testing.T) {
 		}
 	}
 }
+
+// TestSimHoldsOnlyRunningRelays checks, at every day of a long churned
+// run, that the sim's relay list is exactly as long as the day's growth
+// target and holds only running relays, in creation order.
+func TestSimHoldsOnlyRunningRelays(t *testing.T) {
+	cfg := DefaultFleetConfig(8)
+	cfg.Days = 3000
+	cfg.InitialRelays, cfg.FinalRelays = 100, 160
+	cfg.DailyChurn = 0.05
+	sim, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < cfg.Days; day++ {
+		if _, err := sim.StepDay(nil); err != nil {
+			t.Fatal(err)
+		}
+		target := cfg.InitialRelays + (cfg.FinalRelays-cfg.InitialRelays)*day/(cfg.Days-1)
+		if len(sim.relays) != target {
+			t.Fatalf("day %d: sim holds %d relays, want %d", day, len(sim.relays), target)
+		}
+		for i, r := range sim.relays {
+			if running, _ := r.State(); !running {
+				t.Fatalf("day %d: stopped relay %v still held", day, r)
+			}
+			if i > 0 && r.ID() <= sim.relays[i-1].ID() {
+				t.Fatalf("day %d: relays out of creation order at %d", day, i)
+			}
+		}
+	}
+	if int(sim.nextID) < cfg.Days*5 {
+		t.Fatalf("only %d relays started over the run", sim.nextID)
+	}
+}
