@@ -252,13 +252,14 @@ func table2Setup(b *testing.B) *table2Fixture {
 // the resolution window, rank.
 func BenchmarkTable2Popularity(b *testing.B) {
 	fx := table2Setup(b)
+	log := countsLog(fx.counts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix, err := popularity.BuildIndexTable(fx.services, fx.from, fx.to, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := popularity.Resolve(fx.counts, ix)
+		res := popularity.ResolveLog(log, ix)
 		ranking := popularity.Rank(res, nil)
 		if len(ranking) == 0 {
 			b.Fatal("empty ranking")
@@ -586,7 +587,7 @@ func benchHarvest(services, ids int) *trawl.Harvest {
 		var id onion.DescriptorID
 		rng.Read(id[:])
 		for n := 1 + rng.Intn(30); n > 0; n-- {
-			h.Log.Record(id, n%5 == 0)
+			h.Log.RecordEach([][]hsdir.Answer{{{ID: id, Found: n%5 == 0}}})
 		}
 	}
 	return h
@@ -813,16 +814,30 @@ func resolveFixture() (map[onion.DescriptorID]int, map[onion.Address]onion.Perma
 // over the requested IDs.
 func BenchmarkResolveIndexed(b *testing.B) {
 	counts, services, from, to := resolveFixture()
+	log := countsLog(counts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix, err := popularity.BuildIndexTable(services, from, to, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res := popularity.Resolve(counts, ix); res.ResolvedIDs == 0 {
+		if res := popularity.ResolveLog(log, ix); res.ResolvedIDs == 0 {
 			b.Fatal("nothing resolved")
 		}
 	}
+}
+
+// countsLog is a request log holding the given per-ID request counts.
+func countsLog(counts map[onion.DescriptorID]int) *hsdir.RequestLog {
+	var batch []hsdir.Answer
+	for id, n := range counts {
+		for ; n > 0; n-- {
+			batch = append(batch, hsdir.Answer{ID: id})
+		}
+	}
+	log := hsdir.NewRequestLog()
+	log.RecordEach([][]hsdir.Answer{batch})
+	return log
 }
 
 // BenchmarkResolveBruteForce: per-ID re-derivation over every service and
@@ -873,7 +888,7 @@ func BenchmarkRingIntSubMod(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sink = x.SubMod(y)
 	}
-	if sink.IsZero() {
+	if sink == (onion.RingInt{}) {
 		b.Fatal("unexpected zero difference")
 	}
 }

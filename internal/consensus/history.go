@@ -6,10 +6,6 @@ import (
 	"time"
 )
 
-// ErrNoDocument is returned when the archive has no consensus covering the
-// requested instant.
-var ErrNoDocument = errors.New("consensus: no document for instant")
-
 // History is an append-only archive of consensus documents, the raw
 // material of the paper's Section VII tracking detection (three years of
 // consensus history around Silk Road).
@@ -32,18 +28,6 @@ func (h *History) Append(doc *Document) error {
 
 // Len returns the number of archived documents.
 func (h *History) Len() int { return len(h.docs) }
-
-// At returns the document valid at instant t: the latest document whose
-// ValidAfter is not after t.
-func (h *History) At(t time.Time) (*Document, error) {
-	i := sort.Search(len(h.docs), func(i int) bool {
-		return h.docs[i].ValidAfter.After(t)
-	})
-	if i == 0 {
-		return nil, ErrNoDocument
-	}
-	return h.docs[i-1], nil
-}
 
 // Range returns all documents with ValidAfter in [from, to], in order.
 // The returned slice aliases the archive; callers must not mutate it.

@@ -2,7 +2,6 @@ package consensus
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -44,43 +43,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return digits
-}
-
-func TestHistoryAtPicksLatestNotAfter(t *testing.T) {
-	h := NewHistory()
-	d1 := &Document{ValidAfter: at(0)}
-	d2 := &Document{ValidAfter: at(24)}
-	if err := h.Append(d1); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Append(d2); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := h.At(at(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != d1 {
-		t.Fatal("At(12h) returned wrong document")
-	}
-	got, err = h.At(at(24))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != d2 {
-		t.Fatal("At(24h) returned wrong document")
-	}
-}
-
-func TestHistoryAtBeforeFirst(t *testing.T) {
-	h := NewHistory()
-	if err := h.Append(&Document{ValidAfter: at(10)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.At(at(5)); !errors.Is(err, ErrNoDocument) {
-		t.Fatalf("err = %v, want ErrNoDocument", err)
-	}
 }
 
 func TestHistoryAppendOutOfOrderRejected(t *testing.T) {

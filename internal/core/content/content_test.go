@@ -271,3 +271,49 @@ func FuzzPageFilters(f *testing.F) {
 		}
 	})
 }
+
+// referenceStripHTML is StripHTML written the obvious way: a tag runs
+// from a '<' to the next '>' or to the end of the body and leaves one
+// space per '<' in it, a '>' outside a tag is dropped, and text outside
+// tags is kept, with each invalid UTF-8 byte read as U+FFFD.
+func referenceStripHTML(body string) string {
+	text := string([]rune(body))
+	var out strings.Builder
+	for {
+		before, rest, found := strings.Cut(text, "<")
+		out.WriteString(strings.ReplaceAll(before, ">", ""))
+		if !found {
+			return out.String()
+		}
+		tag, after, closed := strings.Cut(rest, ">")
+		out.WriteString(strings.Repeat(" ", 1+strings.Count(tag, "<")))
+		if !closed {
+			return out.String()
+		}
+		text = after
+	}
+}
+
+// FuzzStripHTML checks StripHTML byte for byte against its reference on
+// arbitrary bytes.
+func FuzzStripHTML(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"plain text",
+		"<html><body><h1>Title</h1><p>hello world</p></body></html>",
+		"<p>unterminated <b",
+		"a > b >> c",
+		"<<nested> tag>",
+		"<>",
+		"\xff<b>\xfe\x80x</b>\xc3",
+		"caf\xc3\xa9 <i>\xe2\x82</i>",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		body := string(data)
+		if got, want := StripHTML(body), referenceStripHTML(body); got != want {
+			t.Fatalf("StripHTML(%q) = %q, reference %q", body, got, want)
+		}
+	})
+}

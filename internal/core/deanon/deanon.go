@@ -9,7 +9,6 @@ package deanon
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -31,10 +30,6 @@ type Config struct {
 	Window time.Duration
 	// Seed selects which guards the attacker controls.
 	Seed int64
-	// CellLevel runs the attack at cell-trace granularity: guards
-	// recover the signature from circuit cell counts (the [8]
-	// mechanism) instead of being told which responses were marked.
-	CellLevel bool
 }
 
 // DefaultConfig returns a campaign with a realistic minority guard share.
@@ -60,10 +55,6 @@ type Report struct {
 	// DetectionRate is detections over signatures sent; its expectation
 	// is the attacker's guard-pool share.
 	DetectionRate float64
-	// CellMisses / CellFalsePositives report the cell-level detector's
-	// errors (zero unless CellLevel was enabled).
-	CellMisses         int
-	CellFalsePositives int
 }
 
 // AttackerDirs returns the directories the attacker occupies against
@@ -91,10 +82,9 @@ func AttackerDirs(ring *hsdir.Ring, target *hspop.Service, start time.Time) []on
 // (simnet.Config.Observed) to AttackerDirs(ring, target, start), or to
 // any superset of them: the report is the one an unrestricted network
 // yields, and the window simulates only the requests those directories
-// can answer. A cell-level campaign also reads every event that passes
-// through an attacker guard, so it needs an unrestricted network.
-// Cancellation propagates into the window drive; a cancelled campaign
-// abandons the whole window (no partial report) and returns ctx.Err().
+// can answer. Cancellation propagates into the window drive; a cancelled
+// campaign abandons the whole window (no partial report) and returns
+// ctx.Err().
 func Run(
 	ctx context.Context,
 	net *simnet.Network,
@@ -112,9 +102,6 @@ func Run(
 
 	dirs := AttackerDirs(net.Ring(), target, start)
 	if net.Restricted() {
-		if cfg.CellLevel {
-			return nil, errors.New("deanon: a cell-level campaign watches every circuit through an attacker guard; it needs an unrestricted network")
-		}
 		for _, fp := range dirs {
 			if _, ok := net.Directory(fp); !ok {
 				return nil, fmt.Errorf("deanon: the network does not observe attacker directory %s", fp.Hex())
@@ -133,9 +120,6 @@ func Run(
 	attackerGuards := pool[:nGuards]
 
 	attack := simnet.NewSignatureAttack(target.PermID, dirs, attackerGuards)
-	if cfg.CellLevel {
-		attack.EnableCellLevel(cfg.Seed)
-	}
 	if _, err := net.DriveWindow(ctx, pop, start, cfg.Window, attack.Observe); err != nil {
 		return nil, err
 	}
@@ -149,7 +133,6 @@ func Run(
 		UniqueClients:    attack.UniqueClients(),
 		CountryHistogram: attack.CountryHistogram(),
 	}
-	rep.CellMisses, rep.CellFalsePositives = attack.CellStats()
 	if rep.SignaturesSent > 0 {
 		rep.DetectionRate = float64(len(rep.Detections)) / float64(rep.SignaturesSent)
 	}

@@ -148,37 +148,6 @@ func TestDetectionRateScalesWithGuardControl(t *testing.T) {
 	}
 }
 
-func TestCellLevelCampaignMatchesBooleanMode(t *testing.T) {
-	netA, popA, nowA := setup(t, 30)
-	plain, err := Run(context.Background(), netA, popA, popA.Services[0], nowA, Config{
-		GuardControlFraction: 0.3, Window: 2 * time.Hour, Seed: 30,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	netB, popB, nowB := setup(t, 30)
-	cell, err := Run(context.Background(), netB, popB, popB.Services[0], nowB, Config{
-		GuardControlFraction: 0.3, Window: 2 * time.Hour, Seed: 30, CellLevel: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same seeds → same traffic; the cell detector recovers every
-	// marked circuit, so the two modes agree.
-	if cell.SignaturesSent != plain.SignaturesSent {
-		t.Fatalf("signatures differ: %d vs %d", cell.SignaturesSent, plain.SignaturesSent)
-	}
-	if len(cell.Detections) != len(plain.Detections) {
-		t.Fatalf("detections differ: %d vs %d", len(cell.Detections), len(plain.Detections))
-	}
-	if cell.CellMisses != 0 {
-		t.Fatalf("cell detector missed %d circuits", cell.CellMisses)
-	}
-	if cell.CellFalsePositives > cell.SignaturesSent/50+1 {
-		t.Fatalf("false positives = %d", cell.CellFalsePositives)
-	}
-}
-
 // TestRestrictedCampaignMatchesUnrestricted runs one campaign on an
 // unrestricted network and on a twin restricted to AttackerDirs: the
 // reports must be identical, detections (client IPs included) and all,
@@ -218,19 +187,12 @@ func TestRestrictedCampaignMatchesUnrestricted(t *testing.T) {
 	}
 }
 
-// TestRestrictedNetworkRefusals: a cell-level campaign, which watches
-// every circuit through an attacker guard, refuses a restricted network,
-// and so does any campaign on a network that does not observe every
-// attacker directory.
+// TestRestrictedNetworkRefusals: a campaign refuses a restricted network
+// that does not observe every attacker directory.
 func TestRestrictedNetworkRefusals(t *testing.T) {
 	f := newFixture(t, 6)
 	target := f.pop.Services[0]
 	dirs := AttackerDirs(f.doc.Ring(), target, f.now)
-	cfg := DefaultConfig(6)
-	cfg.CellLevel = true
-	if _, err := Run(context.Background(), f.network(t, 6, 0, dirs), f.pop, target, f.now, cfg); err == nil {
-		t.Fatal("a cell-level campaign ran on a restricted network")
-	}
 	if _, err := Run(context.Background(), f.network(t, 6, 0, dirs[1:]), f.pop, target, f.now, DefaultConfig(6)); err == nil {
 		t.Fatal("a campaign ran on a network missing an attacker directory")
 	}

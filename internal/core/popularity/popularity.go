@@ -208,18 +208,8 @@ type Resolution struct {
 	PerAddress map[onion.Address]int
 }
 
-// Resolve joins per-descriptor-ID request counts with the index.
-func Resolve(counts map[onion.DescriptorID]int, ix *Index) *Resolution {
-	req := newRequested(len(counts))
-	for id, n := range counts {
-		req.add(id, n)
-	}
-	return ix.resolve(req)
-}
-
 // ResolveLog joins a request log with the index, reading the log's
 // per-ID counts in place instead of copying them into a map first.
-// Output is identical to Resolve over the log's counts.
 func ResolveLog(log *hsdir.RequestLog, ix *Index) *Resolution {
 	req := newRequested(log.UniqueIDs())
 	log.EachCount(req.add)
@@ -228,7 +218,7 @@ func ResolveLog(log *hsdir.RequestLog, ix *Index) *Resolution {
 
 // ResolveBruteForce is the ablation baseline and the resolver's oracle:
 // every requested ID is checked against every service by re-deriving
-// that service's IDs over the window. Identical output to Resolve over
+// that service's IDs over the window. Identical output to ResolveLog over
 // BuildIndexTable, at O(ids × services × days) cost.
 func ResolveBruteForce(
 	counts map[onion.DescriptorID]int,
@@ -239,7 +229,7 @@ func ResolveBruteForce(
 	// Check services in descending address order: the first match wins,
 	// so an ID two services share (never in practice, but the baseline
 	// must be deterministic even then) resolves to the higher address, as
-	// in Resolve.
+	// in ResolveLog.
 	addrs := make([]onion.Address, 0, len(services))
 	for addr := range services {
 		addrs = append(addrs, addr)
@@ -302,14 +292,4 @@ func Rank(res *Resolution, labeler func(onion.Address) string) []RankEntry {
 		}
 	}
 	return out
-}
-
-// FindLabel returns the first entry carrying the label, if any.
-func FindLabel(ranking []RankEntry, label string) (RankEntry, bool) {
-	for _, e := range ranking {
-		if e.Label == label {
-			return e, true
-		}
-	}
-	return RankEntry{}, false
 }

@@ -85,7 +85,7 @@ func TestBuildIndexCoversWindow(t *testing.T) {
 			}
 		}
 	}
-	res := Resolve(counts, build(t, services, from, to, 0))
+	res := resolveCounts(counts, build(t, services, from, to, 0))
 	if res.ResolvedIDs != len(counts) || res.UniqueIDs != len(counts) {
 		t.Fatalf("resolved %d of %d IDs (unique %d)", res.ResolvedIDs, len(counts), res.UniqueIDs)
 	}
@@ -101,12 +101,12 @@ func TestBuildIndexWorkersIdenticalAcrossCounts(t *testing.T) {
 	services := makeServices(30, 2)
 	counts, _ := windowCounts(services, from, to)
 	phantoms(counts, 40, 3)
-	base := Resolve(counts, build(t, services, from, to, 1))
+	base := resolveCounts(counts, build(t, services, from, to, 1))
 	if base.ResolvedIDs != len(counts)-40 {
 		t.Fatalf("resolved %d IDs, want %d", base.ResolvedIDs, len(counts)-40)
 	}
 	for _, workers := range []int{2, 3, 7, 0} {
-		if got := Resolve(counts, build(t, services, from, to, workers)); !reflect.DeepEqual(got, base) {
+		if got := resolveCounts(counts, build(t, services, from, to, workers)); !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d: resolution %+v, want %+v", workers, got, base)
 		}
 	}
@@ -118,7 +118,7 @@ func TestBuildIndexEmptyServices(t *testing.T) {
 	from, to := window()
 	counts, _ := windowCounts(makeServices(3, 4), from, to)
 	for _, workers := range []int{1, 2, 0} {
-		res := Resolve(counts, build(t, nil, from, to, workers))
+		res := resolveCounts(counts, build(t, nil, from, to, workers))
 		if res.ResolvedIDs != 0 || res.ResolvedAddresses != 0 || res.ResolvedRequests != 0 {
 			t.Fatalf("workers=%d: empty index resolved %+v", workers, res)
 		}
@@ -203,7 +203,7 @@ func TestResolveForcedCollisions(t *testing.T) {
 	log := hsdir.NewRequestLog()
 	for id, n := range counts {
 		for ; n > 0; n-- {
-			log.Record(id, false)
+			log.RecordEach([][]hsdir.Answer{{{ID: id}}})
 		}
 	}
 	oracle := ResolveBruteForce(counts, services, from, to)
@@ -219,7 +219,7 @@ func TestResolveForcedCollisions(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		ix := build(t, services, from, to, workers)
-		if got := Resolve(counts, ix); !reflect.DeepEqual(got, oracle) {
+		if got := resolveCounts(counts, ix); !reflect.DeepEqual(got, oracle) {
 			t.Fatalf("workers=%d: Resolve %+v, oracle %+v", workers, got, oracle)
 		}
 		if got := ResolveLog(log, ix); !reflect.DeepEqual(got, oracle) {
@@ -259,7 +259,7 @@ func TestResolveRoundTrip(t *testing.T) {
 		phantomTotal += 7
 	}
 
-	res := Resolve(counts, ix)
+	res := resolveCounts(counts, ix)
 	if res.ResolvedAddresses != 10 {
 		t.Fatalf("resolved addresses = %d, want 10", res.ResolvedAddresses)
 	}
@@ -293,7 +293,7 @@ func TestResolveBruteForceMatchesIndexed(t *testing.T) {
 		t.Fatalf("oracle resolved %d IDs, want %d", slow.ResolvedIDs, len(counts)-10)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		if fast := Resolve(counts, build(t, services, from, to, workers)); !reflect.DeepEqual(fast, slow) {
+		if fast := resolveCounts(counts, build(t, services, from, to, workers)); !reflect.DeepEqual(fast, slow) {
 			t.Fatalf("workers=%d: brute force diverges: fast=%+v slow=%+v", workers, fast, slow)
 		}
 	}
@@ -317,13 +317,8 @@ func TestRankOrderingAndLabels(t *testing.T) {
 	if ranking[1].Requests != 200 || ranking[2].Requests != 100 {
 		t.Fatal("ordering wrong")
 	}
-
-	e, ok := FindLabel(ranking, "Goldnet")
-	if !ok || e.Rank != 1 {
-		t.Fatal("FindLabel broken")
-	}
-	if _, ok := FindLabel(ranking, "nope"); ok {
-		t.Fatal("FindLabel found phantom label")
+	if ranking[1].Label != "" || ranking[2].Label != "" {
+		t.Fatal("unlabelled addresses labelled")
 	}
 }
 
@@ -364,8 +359,8 @@ func TestResolutionWindowAblation(t *testing.T) {
 		i++
 	}
 
-	narrow := Resolve(counts, build(t, services, day, day, 0))
-	wide := Resolve(counts, build(t, services, day.Add(-4*24*time.Hour), day.Add(4*24*time.Hour), 0))
+	narrow := resolveCounts(counts, build(t, services, day, day, 0))
+	wide := resolveCounts(counts, build(t, services, day.Add(-4*24*time.Hour), day.Add(4*24*time.Hour), 0))
 
 	if narrow.ResolvedIDs >= wide.ResolvedIDs {
 		t.Fatalf("narrow window resolved %d, wide %d — skew handling broken",
@@ -384,11 +379,21 @@ func TestResolutionWindowAblation(t *testing.T) {
 func TestResolveEmptyLog(t *testing.T) {
 	from, to := window()
 	ix := build(t, makeServices(3, 6), from, to, 0)
-	res := Resolve(nil, ix)
+	res := resolveCounts(nil, ix)
 	if res.TotalRequests != 0 || res.ResolvedAddresses != 0 {
 		t.Fatalf("empty log resolution = %+v", res)
 	}
 	if got := ResolveLog(hsdir.NewRequestLog(), ix); !reflect.DeepEqual(got, res) {
 		t.Fatalf("empty request log resolution = %+v", got)
 	}
+}
+
+// resolveCounts joins per-descriptor-ID request counts with the index,
+// as ResolveLog joins a log's counts.
+func resolveCounts(counts map[onion.DescriptorID]int, ix *Index) *Resolution {
+	req := newRequested(len(counts))
+	for id, n := range counts {
+		req.add(id, n)
+	}
+	return ix.resolve(req)
 }

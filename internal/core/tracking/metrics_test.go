@@ -4,7 +4,81 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"torhs/internal/relay"
 )
+
+// Metrics quantifies detector performance against scenario ground truth.
+type Metrics struct {
+	// TruePositives / FalseNegatives partition the planted trackers.
+	TruePositives  int
+	FalseNegatives int
+	// FalsePositives counts honest relays flagged suspicious.
+	FalsePositives int
+	// HonestRelays is the number of non-planted relays in the report.
+	HonestRelays int
+	// MissedRelayIDs lists planted trackers the detector did not flag.
+	MissedRelayIDs []relay.ID
+}
+
+// Precision returns TP / (TP + FP); 0 when nothing was flagged.
+func (m Metrics) Precision() float64 {
+	flagged := m.TruePositives + m.FalsePositives
+	if flagged == 0 {
+		return 0
+	}
+	return float64(m.TruePositives) / float64(flagged)
+}
+
+// Recall returns TP / (TP + FN); 0 when nothing was planted.
+func (m Metrics) Recall() float64 {
+	planted := m.TruePositives + m.FalseNegatives
+	if planted == 0 {
+		return 0
+	}
+	return float64(m.TruePositives) / float64(planted)
+}
+
+// FalsePositiveRate returns FP over the honest population.
+func (m Metrics) FalsePositiveRate() float64 {
+	if m.HonestRelays == 0 {
+		return 0
+	}
+	return float64(m.FalsePositives) / float64(m.HonestRelays)
+}
+
+// EvaluateDetection scores a report against the scenario's planted
+// trackers. Only trackers that appear in the report's window count as
+// ground truth (a tracker outside the analysed slice cannot be found).
+func EvaluateDetection(sc *Scenario, rep *Report) Metrics {
+	planted := make(map[relay.ID]bool)
+	for _, ids := range [][]relay.ID{sc.OwnRelayIDs, sc.BandRelayIDs, sc.TakeoverRelayIDs} {
+		for _, id := range ids {
+			planted[id] = true
+		}
+	}
+	flagged := make(map[relay.ID]bool, len(rep.Suspicious))
+	for _, idx := range rep.Suspicious {
+		flagged[rep.Relays[idx].RelayID] = true
+	}
+
+	var m Metrics
+	for _, r := range rep.Relays {
+		switch {
+		case planted[r.RelayID] && flagged[r.RelayID]:
+			m.TruePositives++
+		case planted[r.RelayID]:
+			m.FalseNegatives++
+			m.MissedRelayIDs = append(m.MissedRelayIDs, r.RelayID)
+		case flagged[r.RelayID]:
+			m.FalsePositives++
+			m.HonestRelays++
+		default:
+			m.HonestRelays++
+		}
+	}
+	return m
+}
 
 func analyzeWith(t *testing.T, sc *Scenario, cfg Config) *Report {
 	t.Helper()

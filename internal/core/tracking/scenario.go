@@ -289,9 +289,6 @@ func NewScenarioSource(cfg ScenarioConfig, ring int) (*Scenario, *ScenarioSource
 // Len returns the number of documents in the window (one per day).
 func (s *ScenarioSource) Len() int { return s.cfg.Days }
 
-// Ring returns the ring capacity (the live-document bound K).
-func (s *ScenarioSource) Ring() int { return s.ring }
-
 // rebuild re-derives the simulation from seed and empties the ring.
 func (s *ScenarioSource) rebuild() error {
 	_, sim, hook, err := newScenarioRun(s.cfg)

@@ -48,8 +48,8 @@ func TestScenarioSourceMatchesHistory(t *testing.T) {
 	if !reflect.DeepEqual(doc0, docs[0]) {
 		t.Fatal("document 0 diverged after a rewind-by-rebuild")
 	}
-	if src.Ring() != 3 {
-		t.Fatalf("Ring() = %d, want 3", src.Ring())
+	if src.ring != 3 {
+		t.Fatalf("Ring() = %d, want 3", src.ring)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestHarvestLogMatchesNaiveOracle(t *testing.T) {
 		}
 		net.PublishAll(pop, now)
 		if _, err := net.DriveWindow(context.Background(), pop, now, tr.cfg.StepLen, func(ev simnet.FetchEvent) {
-			if !tr.Owns(ev.Dir) {
+			if !tr.allFPs[ev.Dir] {
 				return
 			}
 			counts[ev.DescID]++

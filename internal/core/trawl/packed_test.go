@@ -161,7 +161,7 @@ func syntheticHarvest(n int) (*Harvest, map[onion.DescriptorID]bool, map[onion.D
 		h.Addresses[addr], h.PermIDs[addr] = true, pid
 		var id onion.DescriptorID
 		binary.BigEndian.PutUint32(id[:], uint32(i))
-		h.Log.Record(id, i%3 == 0)
+		h.Log.RecordEach([][]hsdir.Answer{{{ID: id, Found: i%3 == 0}}})
 		pub[id] = true
 		if i%10 == 0 {
 			req[id] = true

@@ -37,8 +37,8 @@ func TestStepReadoutSameOnRestrictedNetwork(t *testing.T) {
 		var observer func(simnet.FetchEvent)
 		if observed == nil {
 			observer = func(ev simnet.FetchEvent) {
-				if tr.Owns(ev.Dir) {
-					oracle.Record(ev.DescID, ev.Found)
+				if tr.allFPs[ev.Dir] {
+					oracle.RecordEach([][]hsdir.Answer{{{ID: ev.DescID, Found: ev.Found}}})
 				}
 			}
 		}

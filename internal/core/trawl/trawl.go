@@ -224,21 +224,6 @@ func (t *Trawler) rotate(step int) {
 	t.active = step
 }
 
-// ActiveFingerprints returns the fingerprints of the pair active in the
-// given step across all IPs.
-func (t *Trawler) ActiveFingerprints(step int) []onion.Fingerprint {
-	out := make([]onion.Fingerprint, 0, 2*len(t.fleet))
-	for _, relays := range t.fleet {
-		for i := 2 * step; i < 2*step+2 && i < len(relays); i++ {
-			out = append(out, relays[i].Fingerprint())
-		}
-	}
-	return out
-}
-
-// Owns reports whether the fingerprint belongs to the trawling fleet.
-func (t *Trawler) Owns(fp onion.Fingerprint) bool { return t.allFPs[fp] }
-
 // Run executes the attack: for each step it rotates the fleet, lets the
 // authority publish a consensus, re-publishes all service descriptors
 // onto the resulting ring, optionally drives client traffic, and reads

@@ -7,6 +7,7 @@ import (
 
 	"torhs/internal/geo"
 	"torhs/internal/hspop"
+	"torhs/internal/onion"
 	"torhs/internal/relaynet"
 )
 
@@ -200,8 +201,8 @@ func TestTrawlCoverageScalesWithFleetSize(t *testing.T) {
 
 func TestRotationActivatesFreshPairs(t *testing.T) {
 	tr, _, _, _, _ := setupTrawl(t, 5, 3, false)
-	s0 := tr.ActiveFingerprints(0)
-	s1 := tr.ActiveFingerprints(1)
+	s0 := activeFingerprints(tr, 0)
+	s1 := activeFingerprints(tr, 1)
 	if len(s0) == 0 || len(s1) == 0 {
 		t.Fatal("no active fingerprints")
 	}
@@ -215,9 +216,20 @@ func TestRotationActivatesFreshPairs(t *testing.T) {
 		}
 	}
 	for _, f := range s0 {
-		var fp = f
-		if !tr.Owns(fp) {
+		if !tr.allFPs[f] {
 			t.Fatal("fleet fingerprint not owned")
 		}
 	}
+}
+
+// activeFingerprints returns the fingerprints of the pair active in the
+// given step across all IPs.
+func activeFingerprints(tr *Trawler, step int) []onion.Fingerprint {
+	out := make([]onion.Fingerprint, 0, 2*len(tr.fleet))
+	for _, relays := range tr.fleet {
+		for i := 2 * step; i < 2*step+2 && i < len(relays); i++ {
+			out = append(out, relays[i].Fingerprint())
+		}
+	}
+	return out
 }

@@ -104,22 +104,6 @@ type Fabric struct {
 // New creates a fabric over the population.
 func New(pop *hspop.Population) *Fabric { return &Fabric{pop: pop} }
 
-// HasDescriptor reports whether a descriptor for the address is fetchable
-// in the given phase.
-func (f *Fabric) HasDescriptor(addr onion.Address, phase Phase) bool {
-	s, ok := f.pop.ByAddress(addr)
-	if !ok {
-		return false
-	}
-	if !s.DescriptorAtScan {
-		return false
-	}
-	if phase == PhaseCrawl && !s.OpenAtCrawl {
-		return false
-	}
-	return true
-}
-
 // Probe performs a TCP probe of addr:port in the given phase.
 func (f *Fabric) Probe(addr onion.Address, port int, phase Phase) ProbeResult {
 	s, ok := f.pop.ByAddress(addr)

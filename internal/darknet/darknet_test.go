@@ -43,9 +43,6 @@ func TestProbeDeadService(t *testing.T) {
 	if got := f.Probe(dead.Address, 80, PhaseScan); got != ProbeNoDescriptor {
 		t.Fatalf("probe dead = %v, want no-descriptor", got)
 	}
-	if f.HasDescriptor(dead.Address, PhaseScan) {
-		t.Fatal("dead service has descriptor")
-	}
 }
 
 func TestProbeSkynetAbnormal(t *testing.T) {

@@ -84,6 +84,15 @@ func NewEnv(cfg Config) (*Env, error) {
 	if cfg.Scale <= 0 || cfg.Scale > 1 {
 		return nil, fmt.Errorf("experiments: scale %v out of (0,1]", cfg.Scale)
 	}
+	if cfg.Clients <= 0 {
+		return nil, fmt.Errorf("experiments: clients %d not positive", cfg.Clients)
+	}
+	if cfg.TrawlIPs <= 0 || cfg.TrawlSteps <= 0 {
+		return nil, fmt.Errorf("experiments: trawl fleet %dx%d not positive", cfg.TrawlIPs, cfg.TrawlSteps)
+	}
+	if cfg.Relays <= 0 {
+		return nil, fmt.Errorf("experiments: relays %d not positive", cfg.Relays)
+	}
 	if cfg.BotFactor < 0 {
 		return nil, fmt.Errorf("experiments: bot factor %v negative", cfg.BotFactor)
 	}
@@ -101,9 +110,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		secrets:   make(map[[2]int64]*memo[*onion.SecretIDTable]),
 	}, nil
 }
-
-// Config returns the configuration the environment was built from.
-func (e *Env) Config() Config { return e.cfg }
 
 // Population returns the memoized synthetic hidden-service landscape.
 // The first caller's ctx governs the build; a cancelled build latches

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"torhs/internal/corpus"
 	"torhs/internal/hspop"
 	"torhs/internal/report"
+	"torhs/internal/scenario"
 )
 
 func newStudy(t *testing.T, seed int64) *Study {
@@ -25,6 +27,17 @@ func newStudy(t *testing.T, seed int64) *Study {
 	return s
 }
 
+// artefactOf runs the named experiment, and what it needs, on s and
+// returns its artefact.
+func artefactOf[T Artefact](t *testing.T, s *Study, name string) T {
+	t.Helper()
+	a, err := paperRegistry.artefact(context.Background(), s.env, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.(T)
+}
+
 // sectionText text-encodes sections the way the study prints them.
 func sectionText(t *testing.T, sections ...*report.Section) string {
 	t.Helper()
@@ -36,19 +49,38 @@ func sectionText(t *testing.T, sections ...*report.Section) string {
 }
 
 func TestNewStudyValidation(t *testing.T) {
-	cfg := DefaultConfig(1)
-	cfg.Scale = 0
-	if _, err := NewStudy(cfg); err == nil {
-		t.Fatal("scale 0 accepted")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"zero scale", func(c *Config) { c.Scale = 0 }},
+		{"overscale", func(c *Config) { c.Scale = 1.5 }},
+		{"no clients", func(c *Config) { c.Clients = 0 }},
+		{"no fleet", func(c *Config) { c.TrawlIPs = 0 }},
+		{"no trawl steps", func(c *Config) { c.TrawlSteps = 0 }},
+		{"no relays", func(c *Config) { c.Relays = 0 }},
+		{"negative bot factor", func(c *Config) { c.BotFactor = -1 }},
+		{"negative tracking days", func(c *Config) { c.TrackingDays = -1 }},
+		{"negative popularity topN", func(c *Config) { c.PopularityTopN = -1 }},
+	} {
+		cfg := DefaultConfig(1)
+		tc.mutate(&cfg)
+		if _, err := NewStudy(cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+	// Every preset is a valid study configuration.
+	for _, sp := range scenario.Presets() {
+		if _, err := NewEnv(ConfigFromSpec(sp, 1)); err != nil {
+			t.Errorf("preset %q: %v", sp.Name, err)
+		}
 	}
 }
 
 func TestE1ScanShape(t *testing.T) {
 	s := newStudy(t, 1)
-	res, audit, err := s.RunScan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sa := artefactOf[*scanArtefact](t, s, ExpScan)
+	res, audit := sa.res, sa.audit
 	rows := res.Fig1(50)
 	if rows[0].Label != "55080-Skynet" {
 		t.Fatalf("dominant port = %s, want Skynet", rows[0].Label)
@@ -67,14 +99,7 @@ func TestE1ScanShape(t *testing.T) {
 
 func TestE3E5ContentShape(t *testing.T) {
 	s := newStudy(t, 2)
-	scanRes, _, err := s.RunScan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunContent(scanRes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := artefactOf[*contentArtefact](t, s, ExpContent).res
 	if res.Classified == 0 || res.EnglishTotal == 0 {
 		t.Fatalf("empty content result: %+v", res)
 	}
@@ -144,10 +169,7 @@ func TestE6PopularityShape(t *testing.T) {
 
 func TestE7DeanonShape(t *testing.T) {
 	s := newStudy(t, 4)
-	rep, err := s.RunDeanon()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := artefactOf[*deanonArtefact](t, s, ExpDeanon).rep
 	if rep.SignaturesSent == 0 || len(rep.Detections) == 0 {
 		t.Fatalf("deanon produced nothing: %+v", rep)
 	}
@@ -162,10 +184,7 @@ func TestE7DeanonShape(t *testing.T) {
 
 func TestServiceDeanonShape(t *testing.T) {
 	s := newStudy(t, 7)
-	rep, err := s.RunServiceDeanon()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := artefactOf[*serviceDeanonArtefact](t, s, ExpServiceDeanon).rep
 	if rep.SignaturesSent == 0 {
 		t.Fatal("no upload signatures observed")
 	}
@@ -180,10 +199,7 @@ func TestServiceDeanonShape(t *testing.T) {
 
 func TestE8TrackingShape(t *testing.T) {
 	s := newStudy(t, 5)
-	res, err := s.RunTracking()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := artefactOf[*trackingArtefact](t, s, ExpTracking).res
 	if len(res.Report.Suspicious) < 10 {
 		t.Fatalf("suspicious relays = %d, want the planted trackers", len(res.Report.Suspicious))
 	}
@@ -206,16 +222,14 @@ func TestE8TrackingShape(t *testing.T) {
 
 func TestPrefixAuditFindsSilkroadCluster(t *testing.T) {
 	s := newStudy(t, 9)
-	if _, err := s.RunPrefixAudit(0, 3); err == nil {
+	ctx := context.Background()
+	if _, err := s.env.runPrefixAudit(ctx, 0, 3); err == nil {
 		t.Fatal("prefix length 0 accepted")
 	}
-	if _, err := s.RunPrefixAudit(7, 1); err == nil {
+	if _, err := s.env.runPrefixAudit(ctx, 7, 1); err == nil {
 		t.Fatal("cluster size 1 accepted")
 	}
-	clusters, err := s.RunPrefixAudit(7, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clusters := artefactOf[*prefixArtefact](t, s, ExpPrefixAudit).clusters
 	if len(clusters) == 0 {
 		t.Fatal("no prefix clusters found")
 	}
@@ -267,10 +281,16 @@ func TestCollectionComparisonShape(t *testing.T) {
 
 func TestStudyExposesPopulation(t *testing.T) {
 	s := newStudy(t, 6)
-	if s.Population() == nil || s.Fabric() == nil {
-		t.Fatal("accessors broken")
+	if s.Population() == nil {
+		t.Fatal("accessor broken")
 	}
-	if s.Population().CountByKind()[hspop.KindGoldnetCC] != 9 {
+	goldnet := 0
+	for _, svc := range s.Population().Services {
+		if svc.Kind == hspop.KindGoldnetCC {
+			goldnet++
+		}
+	}
+	if goldnet != 9 {
 		t.Fatal("population malformed")
 	}
 }

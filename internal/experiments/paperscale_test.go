@@ -1,27 +1,36 @@
-package torhs
+package experiments
 
 // Paper-scale integration test: regenerates the study at the paper's full
 // population size (39,824 services, 1,400 relays, 4,000 clients) and
-// checks the headline numbers against the paper's bands. Its three tests
-// take about 3 s together on a 2-vCPU Xeon (2.8 s measured), so they run
-// with the default suite.
+// checks the headline numbers against the paper's bands. The three
+// tests share one study, so the scan that both the scan and the content
+// checks read runs once.
 
 import (
+	"sync"
 	"testing"
 
-	"torhs/internal/experiments"
 	"torhs/internal/hspop"
 	"torhs/internal/scenario"
 )
 
-func paperScaleStudy(t *testing.T) *experiments.Study {
+var paperScale struct {
+	once  sync.Once
+	study *Study
+	err   error
+}
+
+// paperScaleStudy returns the shared paper-scale study, built on first
+// use.
+func paperScaleStudy(t *testing.T) *Study {
 	t.Helper()
-	cfg := experiments.ConfigFromSpec(scenario.MustLookup(scenario.PaperScale), 42)
-	s, err := experiments.NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
+	paperScale.once.Do(func() {
+		paperScale.study, paperScale.err = NewStudy(ConfigFromSpec(scenario.MustLookup(scenario.PaperScale), 42))
+	})
+	if paperScale.err != nil {
+		t.Fatal(paperScale.err)
 	}
-	return s
+	return paperScale.study
 }
 
 func within(t *testing.T, name string, got, want, tolerance float64) {
@@ -34,10 +43,8 @@ func within(t *testing.T, name string, got, want, tolerance float64) {
 
 func TestPaperScaleScanAndCerts(t *testing.T) {
 	s := paperScaleStudy(t)
-	res, audit, err := s.RunScan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sa := artefactOf[*scanArtefact](t, s, ExpScan)
+	res, audit := sa.res, sa.audit
 	within(t, "addresses", float64(res.TotalAddresses), 39824, 0.02)
 	within(t, "with descriptor", float64(res.WithDescriptor), 24511, 0.03)
 	within(t, "port 55080", float64(res.OpenPortCount[hspop.PortSkynet]), 13854, 0.10)
@@ -51,14 +58,7 @@ func TestPaperScaleScanAndCerts(t *testing.T) {
 
 func TestPaperScaleContentFunnel(t *testing.T) {
 	s := paperScaleStudy(t)
-	scanRes, _, err := s.RunScan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunContent(scanRes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := artefactOf[*contentArtefact](t, s, ExpContent).res
 	within(t, "connected", float64(res.Connected), 6579, 0.10)
 	within(t, "port 80 connected", float64(res.ConnectedByPort[hspop.PortHTTP]), 3741, 0.10)
 	within(t, "short excluded", float64(res.ExcludedShort), 2348, 0.15)

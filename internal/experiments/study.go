@@ -20,7 +20,6 @@ import (
 	"torhs/internal/core/tracking"
 	"torhs/internal/core/trawl"
 	"torhs/internal/core/webcrawl"
-	"torhs/internal/darknet"
 	"torhs/internal/hspop"
 	"torhs/internal/onion"
 	"torhs/internal/relaynet"
@@ -107,12 +106,13 @@ func ConfigFromSpec(sp scenario.Spec, seed int64) Config {
 	}
 }
 
-// Study is the typed facade over the paper registry: it owns one Env and
-// exposes each registered experiment as a RunX method returning concrete
-// result types. Results are memoized per Study — a second call returns
-// the first call's (deterministic) artefact. The facade runs without
-// cancellation (context.Background); callers that need deadlines or
-// graceful interruption drive the registry via RunStudy instead.
+// Study is the library facade over the paper registry: it owns one Env,
+// renders every experiment (RunAll), and returns the typed results of
+// the collection comparison and the popularity measurement. Results are
+// memoized per Study — a second call returns the first call's
+// (deterministic) artefact. The facade runs without cancellation
+// (context.Background); callers that need deadlines or graceful
+// interruption drive the registry via RunStudy instead.
 type Study struct {
 	env *Env
 }
@@ -141,12 +141,6 @@ func (s *Study) Env() *Env { return s.env }
 func (s *Study) Population() *hspop.Population {
 	pop, _ := s.env.Population(context.Background()) // built by NewStudy
 	return pop
-}
-
-// Fabric exposes the reachability fabric.
-func (s *Study) Fabric() *darknet.Fabric {
-	f, _ := s.env.Fabric(context.Background()) // built by NewStudy
-	return f
 }
 
 // CollectionComparison quantifies the paper's motivating gap: link-graph
@@ -265,13 +259,9 @@ type PrefixCluster struct {
 	Labels    []string
 }
 
-// RunPrefixAudit groups the collected addresses by their first prefixLen
+// runPrefixAudit groups the collected addresses by their first prefixLen
 // characters and reports clusters of at least minSize addresses. The
 // registered experiment uses (7, 3), the paper's parameters.
-func (s *Study) RunPrefixAudit(prefixLen, minSize int) ([]PrefixCluster, error) {
-	return s.env.runPrefixAudit(context.Background(), prefixLen, minSize)
-}
-
 func (e *Env) runPrefixAudit(ctx context.Context, prefixLen, minSize int) ([]PrefixCluster, error) {
 	if prefixLen <= 0 || prefixLen >= 16 {
 		return nil, fmt.Errorf("experiments: prefix length %d out of (0,16)", prefixLen)
@@ -312,16 +302,7 @@ func (e *Env) runPrefixAudit(ctx context.Context, prefixLen, minSize int) ([]Pre
 	return out, nil
 }
 
-// RunScan executes E1 (Fig. 1) and the certificate audit (E2).
-func (s *Study) RunScan() (*scan.Result, *scan.CertAudit, error) {
-	a, err := paperRegistry.artefact(context.Background(), s.env, ExpScan)
-	if err != nil {
-		return nil, nil, err
-	}
-	sa := a.(*scanArtefact)
-	return sa.res, sa.audit, nil
-}
-
+// runScan executes E1 (Fig. 1) and the certificate audit (E2).
 func (e *Env) runScan(ctx context.Context) (*scan.Result, *scan.CertAudit, error) {
 	fabric, err := e.Fabric(ctx)
 	if err != nil {
@@ -341,12 +322,8 @@ func (e *Env) runScan(ctx context.Context) (*scan.Result, *scan.CertAudit, error
 	return res, sc.AuditCertificates(res), nil
 }
 
-// RunContent executes E3–E5 (Table I, language mix, Fig. 2), feeding the
+// runContent executes E3–E5 (Table I, language mix, Fig. 2), feeding the
 // crawl with the scan's destinations.
-func (s *Study) RunContent(scanRes *scan.Result) (*content.Result, error) {
-	return s.env.runContent(context.Background(), scanRes)
-}
-
 func (e *Env) runContent(ctx context.Context, scanRes *scan.Result) (*content.Result, error) {
 	fabric, err := e.Fabric(ctx)
 	if err != nil {
@@ -414,16 +391,8 @@ func (e *Env) runPopularity(ctx context.Context) (*PopularityResult, error) {
 	}, nil
 }
 
-// RunDeanon executes E7 (Fig. 3): deanonymise the clients of the most
+// runDeanon executes E7 (Fig. 3): deanonymise the clients of the most
 // popular Goldnet front.
-func (s *Study) RunDeanon() (*deanon.Report, error) {
-	a, err := paperRegistry.artefact(context.Background(), s.env, ExpDeanon)
-	if err != nil {
-		return nil, err
-	}
-	return a.(*deanonArtefact).rep, nil
-}
-
 func (e *Env) runDeanon(ctx context.Context) (*deanon.Report, error) {
 	doc, err := e.Consensus(2)
 	if err != nil {
@@ -466,17 +435,9 @@ func (e *Env) runDeanon(ctx context.Context) (*deanon.Report, error) {
 	return deanon.Run(ctx, net, pop, target, now, deanon.DefaultConfig(e.cfg.Seed))
 }
 
-// RunServiceDeanon executes the Section II-B dependency experiment: the
+// runServiceDeanon executes the Section II-B dependency experiment: the
 // original [8] guard attack against the hidden service itself, applied to
 // the Silk Road stand-in over a month of daily descriptor uploads.
-func (s *Study) RunServiceDeanon() (*deanon.ServiceReport, error) {
-	a, err := paperRegistry.artefact(context.Background(), s.env, ExpServiceDeanon)
-	if err != nil {
-		return nil, err
-	}
-	return a.(*serviceDeanonArtefact).rep, nil
-}
-
 func (e *Env) runServiceDeanon(ctx context.Context) (*deanon.ServiceReport, error) {
 	doc, err := e.Consensus(3)
 	if err != nil {
@@ -518,16 +479,8 @@ type TrackingResult struct {
 	Report   *tracking.Report
 }
 
-// RunTracking executes E8: build the Silk Road consensus history with
+// runTracking executes E8: build the Silk Road consensus history with
 // planted trackers and detect them.
-func (s *Study) RunTracking() (*TrackingResult, error) {
-	a, err := paperRegistry.artefact(context.Background(), s.env, ExpTracking)
-	if err != nil {
-		return nil, err
-	}
-	return a.(*trackingArtefact).res, nil
-}
-
 func (e *Env) runTracking(ctx context.Context) (*TrackingResult, error) {
 	// One config for both the scenario build and the analysis window, so
 	// the two can never silently diverge.

@@ -409,7 +409,7 @@ func init() {
 	Install(in)
 }
 
-// RetryPolicy bounds Retry: Attempts total tries with exponential
+// RetryPolicy bounds RetryCtx: Attempts total tries with exponential
 // backoff starting at Backoff (doubling per retry).
 type RetryPolicy struct {
 	// Attempts is the total number of tries (minimum 1).
@@ -439,19 +439,14 @@ func (e *exhaustedError) Error() string {
 	return fmt.Sprintf("giving up after %d attempts: %v", e.attempts, e.last)
 }
 
-// Retry runs fn until it succeeds, fails permanently, or exhausts the
+// RetryCtx runs fn until it succeeds, fails permanently, or exhausts the
 // policy. Only errors classified transient (errors.Is(err, Transient))
 // are retried; anything else returns immediately. Exhaustion returns a
-// permanent error that no longer matches Transient.
-func Retry(p RetryPolicy, fn func() error) error {
-	return RetryCtx(context.Background(), p, fn)
-}
-
-// RetryCtx is Retry with a cancellation escape hatch: a cancelled
-// context is permanent — ctx.Err() is returned before the next attempt
-// and is never retried (cancellation is a decision, not weather) — and
-// the backoff sleep aborts the moment ctx is cancelled instead of
-// serving out its exponential wait.
+// permanent error that no longer matches Transient. A cancelled context
+// is permanent too — ctx.Err() is returned before the next attempt and
+// is never retried (cancellation is a decision, not weather) — and the
+// backoff sleep aborts the moment ctx is cancelled instead of serving
+// out its exponential wait.
 func RetryCtx(ctx context.Context, p RetryPolicy, fn func() error) error {
 	if p.Attempts < 1 {
 		p.Attempts = 1
@@ -501,10 +496,3 @@ func SiteNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// SiteCanErr reports whether the registered site may surface ModeErr
-// (false for sites on paths with no error return).
-func SiteCanErr(site Site) bool { return sites[site].errOK }
-
-// IsSite reports whether name is registered.
-func IsSite(name string) bool { _, ok := sites[Site{name: name}]; return ok }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -158,7 +159,7 @@ func TestSlowProceeds(t *testing.T) {
 
 func TestRetryRecoversTransient(t *testing.T) {
 	calls := 0
-	err := Retry(RetryPolicy{Attempts: 3}, func() error {
+	err := RetryCtx(context.Background(), RetryPolicy{Attempts: 3}, func() error {
 		calls++
 		if calls < 3 {
 			return &injectedError{site: SiteStoreWrite, hit: calls}
@@ -173,7 +174,7 @@ func TestRetryRecoversTransient(t *testing.T) {
 func TestRetryPermanentPassesThrough(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	err := Retry(RetryPolicy{Attempts: 5}, func() error { calls++; return boom })
+	err := RetryCtx(context.Background(), RetryPolicy{Attempts: 5}, func() error { calls++; return boom })
 	if err != boom || calls != 1 {
 		t.Fatalf("err = %v, calls = %d; want boom after 1 call", err, calls)
 	}
@@ -187,7 +188,7 @@ func TestRetryExhaustionIsPermanent(t *testing.T) {
 		Sleep:    func(d time.Duration) { slept = append(slept, d) },
 	}
 	calls := 0
-	err := Retry(p, func() error {
+	err := RetryCtx(context.Background(), p, func() error {
 		calls++
 		return &injectedError{site: SiteStoreWrite, hit: calls}
 	})
@@ -205,19 +206,22 @@ func TestRetryExhaustionIsPermanent(t *testing.T) {
 
 func TestRetryNoDoubleExecutionOnSuccess(t *testing.T) {
 	calls := 0
-	if err := Retry(DefaultRetry, func() error { calls++; return nil }); err != nil || calls != 1 {
+	if err := RetryCtx(context.Background(), DefaultRetry, func() error { calls++; return nil }); err != nil || calls != 1 {
 		t.Fatalf("err = %v, calls = %d; want nil, 1", err, calls)
 	}
 }
 
 func TestSiteRegistryShape(t *testing.T) {
-	if !IsSite("trawl.step") || IsSite("nosuch.site") {
-		t.Fatal("IsSite misclassifies")
+	if _, ok := sites[Site{name: "trawl.step"}]; !ok {
+		t.Fatal("trawl.step not registered")
 	}
-	if SiteCanErr(SiteSimWindow) {
+	if _, ok := sites[Site{name: "nosuch.site"}]; ok {
+		t.Fatal("nosuch.site registered")
+	}
+	if sites[SiteSimWindow].errOK {
 		t.Fatal("simnet.window must be crash/slow only")
 	}
-	if !SiteCanErr(SiteStoreWrite) {
+	if !sites[SiteStoreWrite].errOK {
 		t.Fatal("resultstore.write must allow err mode")
 	}
 	names := SiteNames()
@@ -241,7 +245,7 @@ func TestRegisterRefusesDuplicateName(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("registering trawl.step twice did not panic")
 		}
-		if len(sites) != before || !SiteCanErr(SiteTrawlStep) {
+		if len(sites) != before || !sites[SiteTrawlStep].errOK {
 			t.Fatal("the refused registration changed the registry")
 		}
 	}()

@@ -135,12 +135,3 @@ func (db *DB) Lookup(ip string) (string, error) {
 	}
 	return country, nil
 }
-
-// Countries returns the country codes in the database, sorted.
-func (db *DB) Countries() []string {
-	out := make([]string, 0, len(db.shares))
-	for _, s := range db.shares {
-		out = append(out, s.Code)
-	}
-	return out
-}

@@ -52,7 +52,7 @@ func (r *refDirectory) probe(id onion.DescriptorID, now time.Time) (*onion.Descr
 func sortedIDs(ids []onion.DescriptorID) []onion.DescriptorID {
 	out := make([]onion.DescriptorID, len(ids))
 	copy(out, ids)
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	sort.Slice(out, func(i, j int) bool { return onion.Fingerprint(out[i]).Less(onion.Fingerprint(out[j])) })
 	return out
 }
 

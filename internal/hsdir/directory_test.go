@@ -106,9 +106,9 @@ func TestRequestLogCountsAndMerge(t *testing.T) {
 	var id1, id2 onion.DescriptorID
 	id1[0], id2[0] = 1, 2
 
-	a.Record(id1, true)
-	a.Record(id1, false)
-	b.Record(id2, false)
+	record(a, id1, true)
+	record(a, id1, false)
+	record(b, id2, false)
 
 	a.MergeAll([]*RequestLog{b})
 	if a.Total() != 3 {

@@ -40,14 +40,6 @@ func (l *RequestLog) addLocked(id onion.DescriptorID, found bool) {
 	}
 }
 
-// Record counts one request for id; found reports whether a live
-// descriptor was stored under it.
-func (l *RequestLog) Record(id onion.DescriptorID, found bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.addLocked(id, found)
-}
-
 // Answer is one request a directory answered, as a log counts it: the
 // requested descriptor ID and whether a live descriptor was stored under
 // it.

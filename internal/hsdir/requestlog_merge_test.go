@@ -18,10 +18,10 @@ func idWithByte(b byte) onion.DescriptorID {
 func TestMergeBulkSemantics(t *testing.T) {
 	src := NewRequestLog()
 	for i := 0; i < 10; i++ {
-		src.Record(idWithByte(byte(i%3)), i%2 == 0)
+		record(src, idWithByte(byte(i%3)), i%2 == 0)
 	}
 	dst := NewRequestLog()
-	dst.Record(idWithByte(0), true)
+	record(dst, idWithByte(0), true)
 
 	dst.MergeAll([]*RequestLog{src})
 	if got := dst.Total(); got != 11 {
@@ -47,7 +47,7 @@ func TestMergeBulkSemantics(t *testing.T) {
 // TestMergeSelfAndNilNoop guards the degenerate inputs.
 func TestMergeSelfAndNilNoop(t *testing.T) {
 	l := NewRequestLog()
-	l.Record(idWithByte(1), true)
+	record(l, idWithByte(1), true)
 	l.MergeAll([]*RequestLog{nil, l})
 	if l.Total() != 1 || l.UniqueIDs() != 1 {
 		t.Fatalf("self/nil merge corrupted log: total=%d unique=%d", l.Total(), l.UniqueIDs())
@@ -65,7 +65,7 @@ func TestMergeConcurrent(t *testing.T) {
 	for s := 0; s < sources; s++ {
 		src := NewRequestLog()
 		for i := 0; i < perSource; i++ {
-			src.Record(idWithByte(byte(s)), true)
+			record(src, idWithByte(byte(s)), true)
 		}
 		wg.Add(2)
 		go func() {
@@ -74,7 +74,7 @@ func TestMergeConcurrent(t *testing.T) {
 		}()
 		go func(s int) {
 			defer wg.Done()
-			dst.Record(idWithByte(byte(s)), false)
+			record(dst, idWithByte(byte(s)), false)
 		}(s)
 	}
 	wg.Wait()

@@ -84,7 +84,7 @@ func TestRequestLogMatchesPlainMap(t *testing.T) {
 	reqs := testRequests(1, 5000, 60)
 	l := NewRequestLog()
 	for _, q := range reqs[:100] {
-		l.Record(q.ID, q.Found)
+		record(l, q.ID, q.Found)
 	}
 	recordAll(l, reqs[100:])
 	assertMatchesRef(t, l, newRefLog(reqs))
@@ -124,7 +124,7 @@ func TestCompactStateRoundTrip(t *testing.T) {
 			recordAll(src, reqs)
 			ids, counts, total, found := src.Pack(nil, nil)
 			back := NewRequestLog()
-			back.Record(onion.DescriptorID{0xFF}, true) // replaced by the unpack
+			record(back, onion.DescriptorID{0xFF}, true) // replaced by the unpack
 			if err := back.Unpack(ids, counts, total, found); err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestUnpackRefusesBrokenColumns(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := NewRequestLog()
-			l.Record(onion.DescriptorID{0xFF}, true)
+			record(l, onion.DescriptorID{0xFF}, true)
 			if err := l.Unpack(args.ids, args.counts, args.total, args.found); err == nil {
 				t.Fatal("Unpack accepted broken columns")
 			}
@@ -200,4 +200,9 @@ func TestMergeAllMatchesOneLog(t *testing.T) {
 	assertMatchesRef(t, dst, newRefLog(reqs))
 	assertMatchesRef(t, a, newRefLog(reqs[:1000]))
 	assertMatchesRef(t, b, newRefLog(reqs[1000:2000]))
+}
+
+// record counts one request for id, as a window of one answer would.
+func record(l *RequestLog, id onion.DescriptorID, found bool) {
+	l.RecordEach([][]Answer{{{ID: id, Found: found}}})
 }

@@ -123,7 +123,7 @@ func TestAverageGapApproximatesUniformSpacing(t *testing.T) {
 
 func TestAverageGapTinyRing(t *testing.T) {
 	ring := NewRing(nil)
-	if !ring.AverageGap().IsZero() {
+	if ring.AverageGap() != (onion.RingInt{}) {
 		t.Fatal("average gap of empty ring not zero")
 	}
 }

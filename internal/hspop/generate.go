@@ -709,15 +709,6 @@ func (p *Population) ByAddress(a onion.Address) (*Service, bool) {
 // Len returns the population size.
 func (p *Population) Len() int { return len(p.Services) }
 
-// CountByKind tallies services per kind.
-func (p *Population) CountByKind() map[Kind]int {
-	out := make(map[Kind]int, 12)
-	for _, s := range p.Services {
-		out[s.Kind]++
-	}
-	return out
-}
-
 // WithDescriptor returns all services that publish descriptors during the
 // scan window, in Services order. The list is computed once per
 // population (every publish sweep starts from it, and DescriptorIDsAt

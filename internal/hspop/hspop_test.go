@@ -128,9 +128,14 @@ func TestSkynetClusterShape(t *testing.T) {
 	if cc != 10 {
 		t.Fatalf("Skynet C&C count = %d, want 10", cc)
 	}
-	counts := pop.CountByKind()
-	if counts[KindSkynetBot] < 100 {
-		t.Fatalf("Skynet bots = %d, want scaled thousands", counts[KindSkynetBot])
+	bots := 0
+	for _, s := range pop.Services {
+		if s.Kind == KindSkynetBot {
+			bots++
+		}
+	}
+	if bots < 100 {
+		t.Fatalf("Skynet bots = %d, want scaled thousands", bots)
 	}
 }
 

@@ -200,7 +200,7 @@ func TestHTTPEventStream(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	_, srv := newTestAPI(t, Options{Run: func(ctx context.Context, j *Job, progress func(experiments.ProgressEvent)) error {
-		started <- j.ID()
+		started <- j.id
 		<-release
 		progress(experiments.ProgressEvent{Experiment: experiments.ExpScan, Stage: "done"})
 		return nil

@@ -98,17 +98,6 @@ type Job struct {
 	done   chan struct{}
 }
 
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
-
-// Key returns the dedupe key: the scenario label, the full config cache
-// key, and the sorted experiment selection — exactly the inputs that
-// determine the store documents the job would produce.
-func (j *Job) Key() string { return j.key }
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
 // Status snapshots the job.
 func (j *Job) Status() Status {
 	j.mu.Lock()

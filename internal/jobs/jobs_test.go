@@ -17,7 +17,7 @@ import (
 func blockingRun(started chan<- string, release <-chan struct{}) RunFunc {
 	return func(ctx context.Context, j *Job, progress func(experiments.ProgressEvent)) error {
 		if started != nil {
-			started <- j.ID()
+			started <- j.id
 		}
 		select {
 		case <-ctx.Done():
@@ -49,11 +49,11 @@ func waitState(t *testing.T, j *Job, want State) {
 		if s := j.Status().State; s == want {
 			return
 		} else if s.Terminal() {
-			t.Fatalf("job %s reached terminal state %q, want %q", j.ID(), s, want)
+			t.Fatalf("job %s reached terminal state %q, want %q", j.id, s, want)
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("job %s stuck in %q, want %q", j.ID(), j.Status().State, want)
+			t.Fatalf("job %s stuck in %q, want %q", j.id, j.Status().State, want)
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -75,8 +75,8 @@ func TestSubmitDedupesOnCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dedupe submit: %v", err)
 	}
-	if !dup || j2.ID() != j1.ID() {
-		t.Fatalf("got job %s dup=%v, want dedupe onto %s", j2.ID(), dup, j1.ID())
+	if !dup || j2.id != j1.id {
+		t.Fatalf("got job %s dup=%v, want dedupe onto %s", j2.id, dup, j1.id)
 	}
 
 	// A different seed is different store keys → a new job.
@@ -84,8 +84,8 @@ func TestSubmitDedupesOnCacheKey(t *testing.T) {
 	if err != nil || dup {
 		t.Fatalf("different-seed submit: dup=%v err=%v", dup, err)
 	}
-	if j3.ID() == j1.ID() {
-		t.Fatalf("different seed deduped onto the same job %s", j1.ID())
+	if j3.id == j1.id {
+		t.Fatalf("different seed deduped onto the same job %s", j1.id)
 	}
 
 	close(release)
@@ -98,7 +98,7 @@ func TestSubmitDedupesOnCacheKey(t *testing.T) {
 	if err != nil || dup {
 		t.Fatalf("post-terminal submit: dup=%v err=%v", dup, err)
 	}
-	if j4.ID() == j1.ID() {
+	if j4.id == j1.id {
 		t.Fatal("terminal job still occupies the dedupe slot")
 	}
 }
@@ -205,7 +205,7 @@ func TestDrainGraceExceeded(t *testing.T) {
 	started := make(chan string, 1)
 	// A runner that ignores cancellation simulates a wedged kernel.
 	m := NewManager(Options{Run: func(ctx context.Context, j *Job, _ func(experiments.ProgressEvent)) error {
-		started <- j.ID()
+		started <- j.id
 		time.Sleep(500 * time.Millisecond)
 		return ctx.Err()
 	}})
@@ -227,7 +227,7 @@ func TestEventsReplayAndStream(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	m := newTestManager(t, Options{Run: func(ctx context.Context, j *Job, progress func(experiments.ProgressEvent)) error {
-		started <- j.ID()
+		started <- j.id
 		progress(experiments.ProgressEvent{Experiment: experiments.ExpScan, Stage: "start"})
 		<-release
 		progress(experiments.ProgressEvent{Experiment: experiments.ExpScan, Stage: "done"})
@@ -303,9 +303,9 @@ func TestNoGoroutineLeakAfterCancelledJobs(t *testing.T) {
 		jobs = append(jobs, j)
 	}
 	for _, j := range jobs {
-		<-j.Done()
+		<-j.done
 		if s := j.Status().State; s != StateDeadline {
-			t.Fatalf("job %s state = %q, want deadline-exceeded", j.ID(), s)
+			t.Fatalf("job %s state = %q, want deadline-exceeded", j.id, s)
 		}
 	}
 	if err := m.Drain(5 * time.Second); err != nil {

@@ -52,9 +52,6 @@ const (
 	// store one replica, so Replicas*SpreadPerReplica directories are
 	// responsible for a service in each time period.
 	SpreadPerReplica = 3
-
-	// PeriodLength is the duration of one descriptor time period.
-	PeriodLength = 24 * time.Hour
 )
 
 var b32 = base32.StdEncoding.WithPadding(base32.NoPadding)
@@ -143,17 +140,6 @@ func asciiLower(r rune) rune {
 // it.
 func (a Address) String() string { return string(a) + ".onion" }
 
-// ID decodes the address back to its permanent identifier. The address is
-// assumed valid (constructed by this package); invalid input yields the
-// zero ID and false.
-func (a Address) ID() (PermanentID, bool) {
-	_, id, err := ParseAddress(string(a))
-	if err != nil {
-		return PermanentID{}, false
-	}
-	return id, true
-}
-
 // VanityPermanentID constructs a permanent identifier whose onion
 // address begins with the given base32 prefix, filling the remaining
 // characters randomly. It models the result of vanity-address mining
@@ -187,12 +173,6 @@ type DescriptorID [sha1.Size]byte
 
 // Hex returns the lowercase hex form of the descriptor ID.
 func (d DescriptorID) Hex() string { return hex.EncodeToString(d[:]) }
-
-// Less reports whether d sorts before other when descriptor IDs and
-// fingerprints are compared as big-endian integers.
-func (d DescriptorID) Less(other DescriptorID) bool {
-	return compare160(d, other) < 0
-}
 
 // compare160 compares two 20-byte big-endian values word-wise: three
 // 8/8/4-byte big-endian loads instead of a byte-at-a-time loop.
@@ -399,20 +379,6 @@ func (t *SecretIDTable) secretFor(period uint32) *[Replicas][sha1.Size]byte {
 		return nil
 	}
 	return &t.secrets[period-t.first]
-}
-
-// DescriptorID derives the descriptor ID of one replica of service id in
-// the time period containing at, reusing the table's precomputed secret
-// part when the period lies inside the table (halving the SHA-1 work of
-// every derivation on the fetch hot path) and falling back to direct
-// derivation otherwise. The result is always identical to
-// ComputeDescriptorID.
-func (t *SecretIDTable) DescriptorID(id PermanentID, at time.Time, replica uint8) DescriptorID {
-	period := TimePeriod(id, at)
-	if s := t.secretFor(period); s != nil {
-		return descriptorIDFromParts(id, &s[replica])
-	}
-	return descriptorIDForPeriod(id, period, replica)
 }
 
 // DescriptorIDsAt returns the descriptor IDs of all replicas of service id

@@ -319,8 +319,8 @@ func TestSecretIDTableDerivationsMatchDirect(t *testing.T) {
 		id := GenerateKey(rng).PermanentID()
 		for _, at := range instants {
 			for r := uint8(0); r < Replicas; r++ {
-				if got, want := table.DescriptorID(id, at, r), ComputeDescriptorID(id, at, r); got != want {
-					t.Fatalf("DescriptorID(%v, replica %d) diverges from direct derivation", at, r)
+				if got, want := table.DescriptorIDsAt(id, at)[r], ComputeDescriptorID(id, at, r); got != want {
+					t.Fatalf("DescriptorIDsAt(%v)[%d] diverges from direct derivation", at, r)
 				}
 			}
 			if got, want := table.DescriptorIDsAt(id, at), DescriptorIDs(id, at); got != want {

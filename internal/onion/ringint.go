@@ -2,7 +2,6 @@ package onion
 
 import (
 	"encoding/binary"
-	"encoding/hex"
 	"math"
 	"math/bits"
 )
@@ -108,22 +107,6 @@ func MaxRingAvgGap(n uint64) RingInt {
 	return RingInt{l: [3]uint64{q0 & hiMask, q1, q2}}
 }
 
-// Cmp compares r with other: -1 if r < other, 0 if equal, 1 if r > other.
-func (r RingInt) Cmp(other RingInt) int {
-	for i := 0; i < 3; i++ {
-		switch {
-		case r.l[i] < other.l[i]:
-			return -1
-		case r.l[i] > other.l[i]:
-			return 1
-		}
-	}
-	return 0
-}
-
-// IsZero reports whether r is zero.
-func (r RingInt) IsZero() bool { return r.l == [3]uint64{} }
-
 // Float64 returns an approximation of r as a float64. 160-bit values far
 // exceed float64 precision; the approximation is used only for distance
 // *ratios* (average gap / observed gap), where relative error is
@@ -136,13 +119,6 @@ func (r RingInt) Float64() float64 {
 		out = out*256 + float64(b[i])
 	}
 	return out
-}
-
-// Hex returns the lowercase hex representation, without leading-zero
-// trimming.
-func (r RingInt) Hex() string {
-	b := r.bytes20()
-	return hex.EncodeToString(b[:])
 }
 
 // RingRatio computes avgDist/dist as a float64, returning +Inf for a zero

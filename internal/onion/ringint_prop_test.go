@@ -164,9 +164,6 @@ func TestRingIntMatchesByteReference(t *testing.T) {
 			if got, want := ra.Add(rb).bytes20(), refAdd(a, b); got != want {
 				t.Fatalf("Add(%x, %x) = %x, want %x", a, b, got, want)
 			}
-			if got, want := ra.Cmp(rb), refCmp(a, b); got != want {
-				t.Fatalf("Cmp(%x, %x) = %d, want %d", a, b, got, want)
-			}
 		}
 		for _, n := range scalars {
 			if got, want := ra.DivScalar(n).bytes20(), refDivScalar(a, n); got != want {
@@ -232,10 +229,6 @@ func TestCompare160MatchesByteLoop(t *testing.T) {
 			}
 			if got, want := fa.Less(fb), refCmp(a, b) < 0; got != want {
 				t.Fatalf("Less(%x, %x) = %v, want %v", a, b, got, want)
-			}
-			da, db := DescriptorID(a), DescriptorID(b)
-			if got, want := da.Less(db), refCmp(a, b) < 0; got != want {
-				t.Fatalf("DescriptorID.Less(%x, %x) = %v, want %v", a, b, got, want)
 			}
 		}
 	}

@@ -31,28 +31,9 @@ func TestRingIntAddSubInverse(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a := RingIntFromFingerprint(RandomFingerprint(rng))
 		b := RingIntFromFingerprint(RandomFingerprint(rng))
-		if got := a.Add(b).SubMod(b); got.Cmp(a) != 0 {
-			t.Fatalf("(a+b)-b != a: %s vs %s", got.Hex(), a.Hex())
+		if got := a.Add(b).SubMod(b); got != a {
+			t.Fatalf("(a+b)-b != a: %x vs %x", got.bytes20(), a.bytes20())
 		}
-	}
-}
-
-func TestRingIntCmp(t *testing.T) {
-	small := ringIntFromBytes([]byte{1})
-	big := ringIntFromBytes([]byte{2, 0})
-	if small.Cmp(big) != -1 || big.Cmp(small) != 1 || small.Cmp(small) != 0 {
-		t.Fatal("Cmp ordering wrong")
-	}
-}
-
-func TestRingIntIsZero(t *testing.T) {
-	zero := ringIntFromBytes(nil)
-	if !zero.IsZero() {
-		t.Fatal("zero not recognised")
-	}
-	one := ringIntFromBytes([]byte{1})
-	if one.IsZero() {
-		t.Fatal("one reported as zero")
 	}
 }
 
@@ -78,7 +59,7 @@ func TestDistanceForwardOnRing(t *testing.T) {
 		var d DescriptorID
 		copy(d[:], f[:])
 		// Distance from an ID to the identical fingerprint is zero.
-		if !Distance(d, f).IsZero() {
+		if Distance(d, f) != (RingInt{}) {
 			t.Fatal("distance to self not zero")
 		}
 	}
@@ -94,7 +75,7 @@ func TestQuickDistanceConsistent(t *testing.T) {
 		copy(id[:], id2[:])
 		dist := Distance(id, fp)
 		back := RingIntFromDescriptorID(id).Add(dist)
-		return back.Cmp(RingIntFromFingerprint(fp)) == 0
+		return back == RingIntFromFingerprint(fp)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

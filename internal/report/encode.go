@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -355,11 +354,4 @@ func (e *errWriter) printf(format string, args ...any) {
 		return
 	}
 	_, e.err = fmt.Fprintf(e.w, format, args...)
-}
-
-// TextString is EncodeText into a string.
-func TextString(d *Document) string {
-	var buf bytes.Buffer
-	_ = EncodeText(&buf, d) // bytes.Buffer writes cannot fail
-	return buf.String()
 }

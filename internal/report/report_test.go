@@ -37,7 +37,11 @@ func sampleDocument() *Document {
 }
 
 func TestEncodeTextMatchesFormats(t *testing.T) {
-	got := TextString(sampleDocument())
+	var buf bytes.Buffer
+	if err := EncodeText(&buf, sampleDocument()); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.String()
 	want := "== Fig. 1: open-ports distribution ==\n" +
 		"addresses scanned: 1245, coverage 97%\n" +
 		"  80-http             155\n" +

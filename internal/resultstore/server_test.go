@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -90,7 +91,11 @@ func TestReportFormatsAndETag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := report.TextString(doc); body != want {
+	var text bytes.Buffer
+	if err := report.EncodeText(&text, doc); err != nil {
+		t.Fatal(err)
+	}
+	if want := text.String(); body != want {
 		t.Fatalf("served text differs from local encoding:\n--- http ---\n%q\n--- local ---\n%q", body, want)
 	}
 	etag := resp.Header.Get("ETag")

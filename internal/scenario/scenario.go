@@ -78,29 +78,6 @@ func (s Spec) TrackingWindow(def int) int {
 	return def
 }
 
-// Validate reports the first structurally invalid field.
-func (s Spec) Validate() error {
-	switch {
-	case s.Name == "" || strings.ContainsAny(s.Name, ", \t\n"):
-		return fmt.Errorf("scenario: invalid name %q", s.Name)
-	case s.Scale <= 0 || s.Scale > 1:
-		return fmt.Errorf("scenario %s: scale %v out of (0,1]", s.Name, s.Scale)
-	case s.Clients <= 0:
-		return fmt.Errorf("scenario %s: clients %d not positive", s.Name, s.Clients)
-	case s.TrawlIPs <= 0 || s.TrawlSteps <= 0:
-		return fmt.Errorf("scenario %s: trawl fleet %dx%d not positive", s.Name, s.TrawlIPs, s.TrawlSteps)
-	case s.Relays <= 0:
-		return fmt.Errorf("scenario %s: relays %d not positive", s.Name, s.Relays)
-	case s.BotFactor < 0:
-		return fmt.Errorf("scenario %s: bot factor %v negative", s.Name, s.BotFactor)
-	case s.TrackingDays < 0:
-		return fmt.Errorf("scenario %s: tracking days %d negative", s.Name, s.TrackingDays)
-	case s.PopularityTopN < 0:
-		return fmt.Errorf("scenario %s: popularity topN %d negative", s.Name, s.PopularityTopN)
-	}
-	return nil
-}
-
 // Presets returns every named scenario, in listing order. The slice and
 // its Specs are fresh copies; callers may tweak them freely.
 func Presets() []Spec {

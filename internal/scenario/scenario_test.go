@@ -8,8 +8,9 @@ import (
 func TestPresetsAreValidAndUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for _, s := range Presets() {
-		if err := s.Validate(); err != nil {
-			t.Errorf("preset %q invalid: %v", s.Name, err)
+		// The name is a -scenario value and a store-key label.
+		if s.Name == "" || strings.ContainsAny(s.Name, ", \t\n") {
+			t.Errorf("invalid preset name %q", s.Name)
 		}
 		if s.Description == "" {
 			t.Errorf("preset %q has no description", s.Name)
@@ -44,29 +45,5 @@ func TestPresetsAreCopies(t *testing.T) {
 	a.Clients = -1
 	if b := MustLookup(Smoke); b.Clients == -1 {
 		t.Fatal("Lookup returned a shared Spec")
-	}
-}
-
-func TestValidateRejectsBadFields(t *testing.T) {
-	good := MustLookup(Laptop)
-	for _, tc := range []struct {
-		name   string
-		mutate func(*Spec)
-	}{
-		{"empty name", func(s *Spec) { s.Name = "" }},
-		{"comma name", func(s *Spec) { s.Name = "a,b" }},
-		{"zero scale", func(s *Spec) { s.Scale = 0 }},
-		{"overscale", func(s *Spec) { s.Scale = 1.5 }},
-		{"no clients", func(s *Spec) { s.Clients = 0 }},
-		{"no fleet", func(s *Spec) { s.TrawlIPs = 0 }},
-		{"no relays", func(s *Spec) { s.Relays = 0 }},
-		{"negative bot factor", func(s *Spec) { s.BotFactor = -1 }},
-		{"negative tracking days", func(s *Spec) { s.TrackingDays = -1 }},
-	} {
-		s := good
-		tc.mutate(&s)
-		if s.Validate() == nil {
-			t.Errorf("%s accepted", tc.name)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
@@ -30,13 +29,6 @@ type SignatureAttack struct {
 	// appended, so renderers that query the histogram repeatedly never
 	// rescan the detection list.
 	countryHist map[string]int
-
-	// Cell-level mode: instead of flagging marked responses directly,
-	// the guard counts cells per circuit and runs the burst detector on
-	// the trace (the mechanism of [8]).
-	cellRNG        *rand.Rand
-	cellMisses     int
-	falsePositives int
 }
 
 // Detection is one deanonymised client observation.
@@ -66,39 +58,11 @@ func NewSignatureAttack(target onion.PermanentID, dirs, guards []onion.Fingerpri
 	return a
 }
 
-// EnableCellLevel switches the attack to cell-trace detection: attacker
-// guards synthesise the cell counts they would observe for each circuit
-// and run the burst detector, instead of being told directly which
-// responses were marked. Deterministic in seed.
-func (a *SignatureAttack) EnableCellLevel(seed int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.cellRNG = rand.New(rand.NewSource(seed))
-}
-
-// CellStats reports cell-level counters: marked responses the detector
-// missed and unmarked circuits it flagged.
-func (a *SignatureAttack) CellStats() (misses, falsePositives int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cellMisses, a.falsePositives
-}
-
 // Observe inspects one fetch event. If the fetch is for the target's
 // descriptor, hits an attacker directory, and transits an attacker guard,
 // the client is deanonymised.
 func (a *SignatureAttack) Observe(ev FetchEvent) {
 	if !a.attackerDirs[ev.Dir] {
-		// In cell-level mode, attacker guards still watch every circuit
-		// through them; unmarked traffic measures the false-positive
-		// rate.
-		a.mu.Lock()
-		if a.cellRNG != nil && a.attackerGuards[ev.Guard] {
-			if DetectSignature(NormalFetchTrace(a.cellRNG)) {
-				a.falsePositives++
-			}
-		}
-		a.mu.Unlock()
 		return
 	}
 	a.mu.Lock()
@@ -109,15 +73,6 @@ func (a *SignatureAttack) Observe(ev FetchEvent) {
 	a.signaturesSent++
 	if !a.attackerGuards[ev.Guard] {
 		return
-	}
-	if a.cellRNG != nil {
-		// The guard sees the marked circuit's cell trace and must
-		// recover the burst pattern from it.
-		trace := InjectSignature(NormalFetchTrace(a.cellRNG))
-		if !DetectSignature(trace) {
-			a.cellMisses++
-			return
-		}
 	}
 	a.detections = append(a.detections, Detection{
 		ClientID: ev.Client.ID,
