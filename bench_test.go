@@ -74,10 +74,7 @@ func benchSetup(b *testing.B) *benchEnv {
 			panic(err)
 		}
 
-		sc, err := scan.New(fabric, scan.DefaultConfig(1))
-		if err != nil {
-			panic(err)
-		}
+		sc := scan.New(fabric, scan.DefaultConfig(1))
 		scanRes := sc.ScanAll(addrs)
 
 		crawler, err := content.New(fabric, content.DefaultConfig())
@@ -110,10 +107,7 @@ func BenchmarkFig1PortScan(b *testing.B) {
 	e := benchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc, err := scan.New(e.fabric, scan.DefaultConfig(int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
+		sc := scan.New(e.fabric, scan.DefaultConfig(int64(i)))
 		res := sc.ScanAll(e.addrs)
 		if res.TotalOpenPorts == 0 {
 			b.Fatal("empty scan")
@@ -125,10 +119,7 @@ func BenchmarkFig1PortScan(b *testing.B) {
 // (E2).
 func BenchmarkHTTPSCertAudit(b *testing.B) {
 	e := benchSetup(b)
-	sc, err := scan.New(e.fabric, scan.DefaultConfig(1))
-	if err != nil {
-		b.Fatal(err)
-	}
+	sc := scan.New(e.fabric, scan.DefaultConfig(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		audit := sc.AuditCertificates(e.scanRes)

@@ -48,10 +48,7 @@ func run() error {
 	}
 
 	// 1. Scan everything; count the Skynet fingerprint.
-	sc, err := scan.New(fabric, scan.DefaultConfig(7))
-	if err != nil {
-		return err
-	}
+	sc := scan.New(fabric, scan.DefaultConfig(7))
 	addrs := make([]onion.Address, 0, pop.Len())
 	for _, s := range pop.Services {
 		addrs = append(addrs, s.Address)

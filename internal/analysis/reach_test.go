@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -50,22 +51,7 @@ var stdlibDispatched = map[string]bool{
 // and implements an interface declaring it, and an iota constant when its
 // type is reached (deleting one would renumber the rest).
 func TestReachability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module through go list -export")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := Load(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench, err := Load(filepath.Join(root, "perfbench"), "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	mod, bench := loadTree(t)
 	g := newReachGraph()
 	for _, p := range mod {
 		g.addPackage(p, true)
@@ -96,6 +82,38 @@ func TestReachability(t *testing.T) {
 	for _, k := range dead {
 		t.Errorf("%s: %s is reached by no program; delete it, or allowlist it with a reason", g.decls[k].pos, k)
 	}
+}
+
+// loadedTree type-checks the module and perfbench (its own module) once
+// per test binary; TestReachability and TestKnobs read the same load.
+var loadedTree = sync.OnceValues(func() (tree, error) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		return tree{}, err
+	}
+	mod, err := Load(root, "./...")
+	if err != nil {
+		return tree{}, err
+	}
+	bench, err := Load(filepath.Join(root, "perfbench"), "./...")
+	return tree{mod, bench}, err
+})
+
+// tree is the loaded module and perfbench.
+type tree struct{ mod, bench []*Package }
+
+// loadTree returns the loaded module and perfbench packages. It skips
+// under -short.
+func loadTree(t *testing.T) (mod, bench []*Package) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module through go list -export")
+	}
+	tr, err := loadedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr.mod, tr.bench
 }
 
 // reachDecl is one package-level declaration or method.

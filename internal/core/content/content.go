@@ -29,11 +29,6 @@ type Destination struct {
 
 // Config parameterises the crawler.
 type Config struct {
-	// MinWords is the classification threshold; pages with fewer words
-	// are excluded (20 in the paper).
-	MinWords int
-	// LangOrder is the language detector's n-gram order.
-	LangOrder int
 	// Workers shards the crawl across goroutines (<= 0: one per CPU).
 	// Destinations for the same address always stay on one shard, so
 	// duplicate-443 detection and the final tallies are identical at
@@ -42,7 +37,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's parameters.
-func DefaultConfig() Config { return Config{MinWords: 20, LangOrder: 3} }
+func DefaultConfig() Config { return Config{} }
+
+// minWords is the classification threshold; pages with fewer words are
+// excluded (20 in the paper).
+const minWords = 20
+
+// langOrder is the language detector's n-gram order.
+const langOrder = 3
 
 // Crawler drives the content analysis.
 type Crawler struct {
@@ -54,10 +56,7 @@ type Crawler struct {
 
 // New builds a crawler, training both classifiers.
 func New(fabric *darknet.Fabric, cfg Config) (*Crawler, error) {
-	if cfg.MinWords <= 0 {
-		return nil, fmt.Errorf("content: min words %d must be positive", cfg.MinWords)
-	}
-	lang, err := textclass.TrainLanguageDetector(cfg.LangOrder)
+	lang, err := textclass.TrainLanguageDetector(langOrder)
 	if err != nil {
 		return nil, fmt.Errorf("content: %w", err)
 	}
@@ -81,7 +80,7 @@ type Result struct {
 	ConnectedByPort map[int]int
 
 	// Exclusions, in the paper's order.
-	ExcludedShort      int // <MinWords words (2,348)
+	ExcludedShort      int // <20 words (2,348)
 	ExcludedSSHBanners int // subset of ExcludedShort from port 22 (1,092)
 	ExcludedDup443     int // 443 copies of port-80 content (1,108)
 	ExcludedError      int // error messages in HTML (73)
@@ -156,7 +155,7 @@ func (c *Crawler) crawlSpan(dests []Destination, res *Result) {
 		words := wordCount(text)
 
 		switch {
-		case words < c.cfg.MinWords:
+		case words < minWords:
 			res.ExcludedShort++
 			if d.Port == hspop.PortSSH {
 				res.ExcludedSSHBanners++

@@ -20,10 +20,7 @@ func runPipeline(t *testing.T, seed int64) (*Crawler, *Result) {
 	}
 	fabric := darknet.New(pop)
 
-	sc, err := scan.New(fabric, scan.DefaultConfig(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := scan.New(fabric, scan.DefaultConfig(seed))
 	addrs := make([]onion.Address, 0, pop.Len())
 	for _, s := range pop.Services {
 		addrs = append(addrs, s.Address)
@@ -40,18 +37,6 @@ func runPipeline(t *testing.T, seed int64) (*Crawler, *Result) {
 		t.Fatal(err)
 	}
 	return cr, res
-}
-
-func TestNewValidation(t *testing.T) {
-	pop, err := hspop.Generate(context.Background(), hspop.TestConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.MinWords = 0
-	if _, err := New(darknet.New(pop), cfg); err == nil {
-		t.Fatal("min words 0 accepted")
-	}
 }
 
 func TestDestinationsExcludeSkynetPort(t *testing.T) {

@@ -21,10 +21,7 @@ func TestCrawlIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	fabric := darknet.New(pop)
-	sc, err := scan.New(fabric, scan.DefaultConfig(13))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := scan.New(fabric, scan.DefaultConfig(13))
 	addrs := make([]onion.Address, 0, pop.Len())
 	for _, s := range pop.Services {
 		addrs = append(addrs, s.Address)

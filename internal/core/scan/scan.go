@@ -17,13 +17,6 @@ import (
 
 // Config parameterises the scan campaign.
 type Config struct {
-	// Days is the number of scan days; the port space is partitioned
-	// into Days chunks scanned on different days (as the paper did
-	// between 14 and 21 Feb 2013).
-	Days int
-	// DailyOfflineProb is the chance a service is unreachable on any
-	// given scan day, producing the paper's partial coverage (~87%).
-	DailyOfflineProb float64
 	// Seed drives the per-day availability draws.
 	Seed int64
 	// Workers shards the sweep across goroutines (<= 0: one per CPU).
@@ -34,7 +27,7 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's campaign shape.
 func DefaultConfig(seed int64) Config {
-	return Config{Days: 4, DailyOfflineProb: 0.045, Seed: seed}
+	return Config{Seed: seed}
 }
 
 // Result aggregates a scan campaign — the data behind Fig. 1.
@@ -72,20 +65,23 @@ type Scanner struct {
 }
 
 // New builds a scanner.
-func New(fabric *darknet.Fabric, cfg Config) (*Scanner, error) {
-	if cfg.Days <= 0 {
-		return nil, fmt.Errorf("scan: days %d must be positive", cfg.Days)
-	}
-	if cfg.DailyOfflineProb < 0 || cfg.DailyOfflineProb >= 1 {
-		return nil, fmt.Errorf("scan: offline probability %v out of [0,1)", cfg.DailyOfflineProb)
-	}
-	return &Scanner{cfg: cfg, fabric: fabric}, nil
+func New(fabric *darknet.Fabric, cfg Config) *Scanner {
+	return &Scanner{cfg: cfg, fabric: fabric}
 }
+
+// days is the number of scan days; the port space is partitioned into
+// days chunks scanned on different days (as the paper did between 14 and
+// 21 Feb 2013).
+const days = 4
+
+// dailyOfflineProb is the chance a service is unreachable on any given
+// scan day, producing the paper's partial coverage (~87%).
+const dailyOfflineProb = 0.045
 
 // portDay assigns each port to the scan day on which its range chunk is
 // swept.
-func (s *Scanner) portDay(port int) int {
-	return port * s.cfg.Days / 65536
+func portDay(port int) int {
+	return port * days / 65536
 }
 
 // shardResult is one worker's partial campaign tally.
@@ -117,13 +113,13 @@ func (s *Scanner) scanOne(idx int, addr onion.Address, out *shardResult) {
 	// Per-day availability: a chunk's ports are missed if the service
 	// was offline on that chunk's scan day.
 	rng := parallel.NewRNG(parallel.SeedFor(s.cfg.Seed, int64(idx)))
-	offline := make([]bool, s.cfg.Days)
+	var offline [days]bool
 	for d := range offline {
-		offline[d] = rng.Float64() < s.cfg.DailyOfflineProb
+		offline[d] = rng.Float64() < dailyOfflineProb
 	}
 	var found []int
 	for _, p := range ports {
-		if offline[s.portDay(p)] {
+		if offline[portDay(p)] {
 			continue
 		}
 		found = append(found, p)

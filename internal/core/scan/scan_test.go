@@ -17,33 +17,12 @@ func setupScan(t *testing.T, seed int64) (*Scanner, *hspop.Population, []onion.A
 		t.Fatal(err)
 	}
 	fabric := darknet.New(pop)
-	sc, err := New(fabric, DefaultConfig(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := New(fabric, DefaultConfig(seed))
 	addrs := make([]onion.Address, 0, pop.Len())
 	for _, s := range pop.Services {
 		addrs = append(addrs, s.Address)
 	}
 	return sc, pop, addrs
-}
-
-func TestNewValidation(t *testing.T) {
-	pop, err := hspop.Generate(context.Background(), hspop.TestConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fabric := darknet.New(pop)
-	cfg := DefaultConfig(1)
-	cfg.Days = 0
-	if _, err := New(fabric, cfg); err == nil {
-		t.Fatal("days=0 accepted")
-	}
-	cfg = DefaultConfig(1)
-	cfg.DailyOfflineProb = 1.0
-	if _, err := New(fabric, cfg); err == nil {
-		t.Fatal("offline prob 1.0 accepted")
-	}
 }
 
 func TestScanAllFig1Shape(t *testing.T) {

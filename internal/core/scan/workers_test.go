@@ -31,10 +31,7 @@ func TestScanAllIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		cfg := DefaultConfig(11)
 		cfg.Workers = workers
-		sc, err := New(fabric, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc := New(fabric, cfg)
 		res := sc.ScanAll(addrs)
 		if base == nil {
 			base = res

@@ -31,8 +31,6 @@ import (
 
 // Config parameterises the detector; defaults follow the paper.
 type Config struct {
-	// SigmaK is the binomial outlier multiplier (3 in the paper).
-	SigmaK float64
 	// RatioSuspicious / RatioStrong are the distance-ratio thresholds
 	// (the paper calls >100 "close" and singles out relays crossing
 	// 10,000).
@@ -46,9 +44,6 @@ type Config struct {
 	SwitchLead time.Duration
 	// MinSwitches is the switch count considered unusual (rule 4).
 	MinSwitches int
-	// HSDirUptime is the flag threshold (for rule 5's minimum-uptime
-	// check).
-	HSDirUptime time.Duration
 	// Workers is ignored: the sweep is one sequential fold, which a
 	// streamed source cannot outrun by sharding (each shard would replay
 	// its prefix from seed). The field stays only for callers that still
@@ -56,16 +51,21 @@ type Config struct {
 	Workers int
 }
 
+// sigmaK is the binomial outlier multiplier (3 in the paper).
+const sigmaK float64 = 3
+
+// hsdirUptime is the HSDir flag's uptime threshold, for rule 5's
+// minimum-uptime check.
+var hsdirUptime = consensus.DefaultThresholds().HSDirUptime
+
 // DefaultConfig returns the paper's thresholds.
 func DefaultConfig() Config {
 	return Config{
-		SigmaK:          3,
 		RatioSuspicious: 100,
 		RatioStrong:     10000,
 		FreshFlagWindow: 24 * time.Hour,
 		SwitchLead:      72 * time.Hour,
 		MinSwitches:     2,
-		HSDirUptime:     25 * time.Hour,
 	}
 }
 
@@ -147,7 +147,8 @@ type Analyzer struct {
 	// secrets optionally shares precomputed rend-spec secret-id-parts
 	// for the target's per-day descriptor-ID derivations (set via
 	// SetSecretTable; the experiments Env passes its shared table).
-	// Derivations outside the table fall back to direct computation.
+	// Derivations outside the table, or with none, are computed
+	// directly.
 	secrets *onion.SecretIDTable
 }
 
@@ -159,9 +160,6 @@ func (a *Analyzer) SetSecretTable(t *onion.SecretIDTable) { a.secrets = t }
 
 // NewAnalyzer validates the configuration.
 func NewAnalyzer(cfg Config) (*Analyzer, error) {
-	if cfg.SigmaK <= 0 {
-		return nil, fmt.Errorf("tracking: sigma multiplier %v must be positive", cfg.SigmaK)
-	}
 	if cfg.RatioSuspicious <= 1 || cfg.RatioStrong < cfg.RatioSuspicious {
 		return nil, fmt.Errorf("tracking: ratio thresholds %v/%v invalid",
 			cfg.RatioSuspicious, cfg.RatioStrong)
@@ -399,7 +397,7 @@ func (a *Analyzer) report(sw *sweep, n int) *Report {
 		N: n,
 		P: float64(onion.Replicas*onion.SpreadPerReplica) / meanHSDirs,
 	}
-	threshold := binom.OutlierThreshold(a.cfg.SigmaK)
+	threshold := binom.OutlierThreshold(sigmaK)
 
 	rep := &Report{
 		From:       sw.firstVA,
@@ -542,13 +540,7 @@ func (sw *sweep) observeDoc(doc *consensus.Document, target onion.PermanentID) {
 	}
 
 	day := doc.ValidAfter.Unix() / 86400
-	var ids [onion.Replicas]onion.DescriptorID
-	if sw.a.secrets != nil {
-		ids = sw.a.secrets.DescriptorIDsAt(target, doc.ValidAfter)
-	} else {
-		ids = onion.DescriptorIDs(target, doc.ValidAfter)
-	}
-	for replica, descID := range ids {
+	for replica, descID := range sw.a.secrets.DescriptorIDsAt(target, doc.ValidAfter) {
 		sw.respBuf = ring.ResponsibleInto(sw.respBuf[:0], descID, onion.SpreadPerReplica)
 		for _, fp := range sw.respBuf {
 			entry, ok := doc.Lookup(fp)
@@ -569,8 +561,8 @@ func (sw *sweep) observeDoc(doc *consensus.Document, target onion.PermanentID) {
 			if ratio > st.report.MaxRatio {
 				st.report.MaxRatio = ratio
 			}
-			if entry.Uptime >= sw.a.cfg.HSDirUptime &&
-				entry.Uptime < sw.a.cfg.HSDirUptime+sw.a.cfg.FreshFlagWindow {
+			if entry.Uptime >= hsdirUptime &&
+				entry.Uptime < hsdirUptime+sw.a.cfg.FreshFlagWindow {
 				st.report.FreshFlagResponsible++
 			}
 			st.markResponsible(day)
@@ -583,7 +575,7 @@ func (a *Analyzer) judge(r *RelayReport) {
 	if float64(r.TimesResponsible) > r.Threshold {
 		r.Reasons = append(r.Reasons,
 			fmt.Sprintf("responsible %d times, above mu+%.0fsigma=%.2f",
-				r.TimesResponsible, a.cfg.SigmaK, r.Threshold))
+				r.TimesResponsible, sigmaK, r.Threshold))
 	}
 	if r.SwitchesIntoPosition > 0 {
 		r.Reasons = append(r.Reasons,

@@ -17,7 +17,6 @@ func TestNewAnalyzerValidation(t *testing.T) {
 		name string
 		mod  func(*Config)
 	}{
-		{"zero sigma", func(c *Config) { c.SigmaK = 0 }},
 		{"ratio below one", func(c *Config) { c.RatioSuspicious = 0.5 }},
 		{"strong below suspicious", func(c *Config) { c.RatioStrong = c.RatioSuspicious - 1 }},
 		{"zero switches", func(c *Config) { c.MinSwitches = 0 }},

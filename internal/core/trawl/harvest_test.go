@@ -15,8 +15,7 @@ import (
 // TestHarvestLogMatchesNaiveOracle checks the harvest log against a
 // naive read-out: every step rebuilt as a full-ring network, and every
 // fetch event a fleet directory answered counted per descriptor ID in a
-// plain map. With the trawl's DirFailureProb of 0 no directory is ever
-// unreachable, so an event's Dir is the directory that answered it.
+// plain map. An event's Dir is the directory that answered it.
 func TestHarvestLogMatchesNaiveOracle(t *testing.T) {
 	const seed, steps = 21, 3
 	tr, sim, pop, db, start := setupTrawl(t, seed, steps, true)
@@ -27,13 +26,10 @@ func TestHarvestLogMatchesNaiveOracle(t *testing.T) {
 
 	// The oracle replays the same steps on a fresh sim and fleet.
 	tr, sim, pop, db, start = setupTrawl(t, seed, steps, true)
-	if tr.cfg.ClientConfig.DirFailureProb != 0 {
-		t.Fatal("the oracle needs every first-tried directory to answer")
-	}
 	counts := make(map[onion.DescriptorID]int)
 	total, found := 0, 0
 	for step := 0; step < steps; step++ {
-		now := start.Add(time.Duration(step) * tr.cfg.StepLen)
+		now := start.Add(time.Duration(step) * StepLen)
 		tr.rotate(step)
 		doc := sim.Authority().Publish(now)
 		net, err := simnet.NewNetwork(doc, db, tr.stepConfig(step, nil))
@@ -41,7 +37,7 @@ func TestHarvestLogMatchesNaiveOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		net.PublishAll(pop, now)
-		if _, err := net.DriveWindow(context.Background(), pop, now, tr.cfg.StepLen, func(ev simnet.FetchEvent) {
+		if _, err := net.DriveWindow(context.Background(), pop, now, StepLen, func(ev simnet.FetchEvent) {
 			if !tr.allFPs[ev.Dir] {
 				return
 			}

@@ -14,8 +14,8 @@ import (
 // simnet.Config.Observed: one step read out from a network restricted to
 // the attacker directories equals the read-out from a full-ring network,
 // and the restricted network's log counts exactly the fetch events the
-// full-ring network's attacker directories answered (DirFailureProb is
-// 0, so an event's Dir answered it).
+// full-ring network's attacker directories answered (an event's Dir
+// answered it).
 func TestStepReadoutSameOnRestrictedNetwork(t *testing.T) {
 	tr, sim, pop, db, start := setupTrawl(t, 61, 1, true)
 	tr.cfg.Workers = 2
@@ -42,7 +42,7 @@ func TestStepReadoutSameOnRestrictedNetwork(t *testing.T) {
 				}
 			}
 		}
-		if _, err := net.DriveWindow(context.Background(), pop, start, tr.cfg.StepLen, observer); err != nil {
+		if _, err := net.DriveWindow(context.Background(), pop, start, StepLen, observer); err != nil {
 			t.Fatal(err)
 		}
 		h := &Harvest{

@@ -56,6 +56,18 @@ type Snapshot struct {
 	RequestedCol []byte
 }
 
+// StepLen is the duration of one rotation step.
+const StepLen = 2 * time.Hour
+
+// bandwidth is the advertised bandwidth of attacker relays. It must be
+// high: the per-IP consensus slots go to the two fastest relays.
+const bandwidth = 99999
+
+// deployLead is how long before the attack the fleet starts running. It
+// must exceed the consensus's HSDir uptime threshold (25 hours), so that
+// every attacker relay holds the flag when the attack starts.
+const deployLead = 26 * time.Hour
+
 // Config parameterises the trawling fleet. The paper used 58 Amazon EC2
 // instances (IP addresses).
 type Config struct {
@@ -65,14 +77,6 @@ type Config struct {
 	// attack window; each step activates a fresh pair of relays per IP,
 	// so RelaysPerIP = 2*Steps.
 	Steps int
-	// StepLen is the duration of one rotation step.
-	StepLen time.Duration
-	// Bandwidth is the advertised bandwidth of attacker relays. It must
-	// be high: the per-IP consensus slots go to the two fastest relays.
-	Bandwidth int
-	// DeployLead is how long before the attack the fleet starts running
-	// (must exceed the 25-hour HSDir threshold).
-	DeployLead time.Duration
 	// DriveTraffic also simulates client descriptor-request traffic in
 	// each step and aggregates the attacker's request logs.
 	DriveTraffic bool
@@ -106,9 +110,6 @@ func DefaultConfig(seed int64) Config {
 	return Config{
 		IPs:          58,
 		Steps:        12,
-		StepLen:      2 * time.Hour,
-		Bandwidth:    99999,
-		DeployLead:   26 * time.Hour,
 		DriveTraffic: true,
 		ClientConfig: simnet.DefaultConfig(seed),
 	}
@@ -164,20 +165,14 @@ func NewTrawler(cfg Config) (*Trawler, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("trawl: steps %d must be positive", cfg.Steps)
 	}
-	if cfg.StepLen <= 0 {
-		return nil, fmt.Errorf("trawl: step length %v must be positive", cfg.StepLen)
-	}
-	if cfg.DeployLead < 25*time.Hour {
-		return nil, fmt.Errorf("trawl: deploy lead %v below the 25h HSDir threshold", cfg.DeployLead)
-	}
 	return &Trawler{cfg: cfg, allFPs: make(map[onion.Fingerprint]bool)}, nil
 }
 
-// Deploy starts the fleet at attackStart-DeployLead and registers it with
+// Deploy starts the fleet at attackStart-deployLead and registers it with
 // the simulation's authority: cfg.IPs addresses × 2*Steps relays each.
 // Initially only the first pair per IP is reachable.
 func (t *Trawler) Deploy(sim *relaynet.Sim, attackStart time.Time) {
-	startAt := attackStart.Add(-t.cfg.DeployLead)
+	startAt := attackStart.Add(-deployLead)
 	relaysPerIP := 2 * t.cfg.Steps
 	t.fleet = make([][]*relay.Relay, t.cfg.IPs)
 	t.active = 0
@@ -190,7 +185,7 @@ func (t *Trawler) Deploy(sim *relaynet.Sim, attackStart time.Time) {
 				Nickname:  fmt.Sprintf("trawler%02d-%02d", ip, i),
 				IP:        addr,
 				ORPort:    9001 + i,
-				Bandwidth: t.cfg.Bandwidth,
+				Bandwidth: bandwidth,
 			}, sim.RNG())
 			r.Start(startAt)
 			// Shadow relays stay reachable (they accrue uptime and
@@ -255,7 +250,7 @@ func (t *Trawler) Run(
 		PermIDs:   make(map[onion.Address]onion.PermanentID),
 		Log:       hsdir.NewRequestLog(),
 		Start:     attackStart,
-		End:       attackStart.Add(time.Duration(t.cfg.Steps) * t.cfg.StepLen),
+		End:       attackStart.Add(time.Duration(t.cfg.Steps) * StepLen),
 	}
 
 	published := pop.WithDescriptor()
@@ -322,7 +317,7 @@ func (t *Trawler) Run(
 		if err := fault.Hit(fault.SiteTrawlStep); err != nil {
 			return nil, fmt.Errorf("trawl: step %d: %w", step, err)
 		}
-		now := attackStart.Add(time.Duration(step) * t.cfg.StepLen)
+		now := attackStart.Add(time.Duration(step) * StepLen)
 		t.rotate(step)
 		doc := sim.Authority().Publish(now)
 		hsdirs := doc.HSDirs()
@@ -340,7 +335,7 @@ func (t *Trawler) Run(
 		net.PublishAll(pop, now)
 
 		if t.cfg.DriveTraffic {
-			if _, err := net.DriveWindow(ctx, pop, now, t.cfg.StepLen, nil); err != nil {
+			if _, err := net.DriveWindow(ctx, pop, now, StepLen, nil); err != nil {
 				// Cancelled mid-step: the step's per-step network is
 				// abandoned wholesale (nothing merged into the harvest),
 				// so the completed prefix is still exactly [0, step).

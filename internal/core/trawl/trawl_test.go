@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"torhs/internal/consensus"
 	"torhs/internal/geo"
 	"torhs/internal/hspop"
 	"torhs/internal/onion"
@@ -18,8 +19,6 @@ func TestNewTrawlerValidation(t *testing.T) {
 	}{
 		{"zero IPs", func(c *Config) { c.IPs = 0 }},
 		{"zero steps", func(c *Config) { c.Steps = 0 }},
-		{"zero step length", func(c *Config) { c.StepLen = 0 }},
-		{"short lead", func(c *Config) { c.DeployLead = 10 * time.Hour }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -29,6 +28,14 @@ func TestNewTrawlerValidation(t *testing.T) {
 				t.Fatal("bad config accepted")
 			}
 		})
+	}
+}
+
+// TestDeployLeadExceedsHSDirUptime pins that the fleet starts early
+// enough for every relay to hold the HSDir flag when the attack starts.
+func TestDeployLeadExceedsHSDirUptime(t *testing.T) {
+	if threshold := consensus.DefaultThresholds().HSDirUptime; deployLead <= threshold {
+		t.Fatalf("deploy lead %v does not exceed the HSDir uptime threshold %v", deployLead, threshold)
 	}
 }
 

@@ -18,13 +18,14 @@ import (
 type Config struct {
 	// MaxPages caps fetched pages (a politeness/time budget).
 	MaxPages int
-	// MaxDepth caps BFS depth from the seeds.
-	MaxDepth int
 }
+
+// maxDepth caps BFS depth from the seeds.
+const maxDepth = 20
 
 // DefaultConfig returns a generous budget: the baseline's weakness is
 // graph sparsity, not budget.
-func DefaultConfig() Config { return Config{MaxPages: 100000, MaxDepth: 20} }
+func DefaultConfig() Config { return Config{MaxPages: 100000} }
 
 // Result summarises a link crawl.
 type Result struct {
@@ -53,9 +54,6 @@ func New(fabric *darknet.Fabric, cfg Config) (*Crawler, error) {
 	if cfg.MaxPages <= 0 {
 		return nil, fmt.Errorf("webcrawl: page budget %d must be positive", cfg.MaxPages)
 	}
-	if cfg.MaxDepth <= 0 {
-		return nil, fmt.Errorf("webcrawl: depth %d must be positive", cfg.MaxDepth)
-	}
 	return &Crawler{cfg: cfg, fabric: fabric}, nil
 }
 
@@ -81,7 +79,7 @@ func (c *Crawler) Crawl(seeds []onion.Address) *Result {
 	for len(queue) > 0 && res.Fetched < c.cfg.MaxPages {
 		cur := queue[0]
 		queue = queue[1:]
-		if cur.depth >= c.cfg.MaxDepth {
+		if cur.depth >= maxDepth {
 			continue
 		}
 

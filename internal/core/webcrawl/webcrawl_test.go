@@ -44,11 +44,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(fabric, cfg); err == nil {
 		t.Fatal("zero page budget accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.MaxDepth = 0
-	if _, err := New(fabric, cfg); err == nil {
-		t.Fatal("zero depth accepted")
-	}
 }
 
 func TestCrawlDiscoversDirectoryNeighbourhoodOnly(t *testing.T) {
@@ -92,7 +87,7 @@ func TestCrawlRespectsPageBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	fabric := darknet.New(pop)
-	c, err := New(fabric, Config{MaxPages: 3, MaxDepth: 20})
+	c, err := New(fabric, Config{MaxPages: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"torhs/internal/onion"
 	"torhs/internal/relaynet"
 	"torhs/internal/resultstore"
+	"torhs/internal/simnet"
 )
 
 // memo is a lazily built, single-flight value: the first get builds it,
@@ -243,9 +244,8 @@ const (
 func (e *Env) studySecretTable() *onion.SecretIDTable {
 	base := relaynet.DefaultFleetConfig(e.cfg.Seed).Start
 	start := base.Add(trawlLead)
-	tc := trawl.DefaultConfig(e.cfg.Seed)
-	end := start.Add(time.Duration(e.cfg.TrawlSteps) * tc.StepLen)
-	skew := tc.ClientConfig.MaxSkew // every traffic network's client config
+	end := start.Add(time.Duration(e.cfg.TrawlSteps) * trawl.StepLen)
+	skew := simnet.MaxSkew
 	from := start.Add(-popularityWindow)
 	if d := base.Add(-deanonReach - skew); d.Before(from) {
 		from = d

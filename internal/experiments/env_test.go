@@ -8,15 +8,15 @@ import (
 	"torhs/internal/onion"
 	"torhs/internal/relaynet"
 	"torhs/internal/scenario"
+	"torhs/internal/simnet"
 )
 
 // trawlSpan returns the first and last instants a study's trawls publish
 // at, and the maximum clock skew of their clients.
 func trawlSpan(cfg Config) (first, last time.Time, skew time.Duration) {
-	tc := trawl.DefaultConfig(cfg.Seed)
 	first = relaynet.DefaultFleetConfig(cfg.Seed).Start.Add(trawlLead)
-	last = first.Add(time.Duration(cfg.TrawlSteps-1) * tc.StepLen)
-	return first, last, tc.ClientConfig.MaxSkew
+	last = first.Add(time.Duration(cfg.TrawlSteps-1) * trawl.StepLen)
+	return first, last, simnet.MaxSkew
 }
 
 // TestStudySecretTableCoversX100Axis checks, without running a study,
@@ -32,9 +32,8 @@ func TestStudySecretTableCoversX100Axis(t *testing.T) {
 	}
 	table := env.studySecretTable()
 	first, last, skew := trawlSpan(cfg)
-	stepLen := trawl.DefaultConfig(cfg.Seed).StepLen
-	if !table.Covers(first.Add(-skew), last.Add(stepLen+skew)) {
-		t.Fatalf("table misses part of the skewed trawl span %v .. %v", first, last.Add(stepLen))
+	if !table.Covers(first.Add(-skew), last.Add(trawl.StepLen+skew)) {
+		t.Fatalf("table misses part of the skewed trawl span %v .. %v", first, last.Add(trawl.StepLen))
 	}
 	if !table.Covers(first.Add(-popularityWindow), first.Add(popularityWindow)) {
 		t.Fatal("table misses part of the popularity window")

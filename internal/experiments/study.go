@@ -314,10 +314,7 @@ func (e *Env) runScan(ctx context.Context) (*scan.Result, *scan.CertAudit, error
 	}
 	scCfg := scan.DefaultConfig(e.cfg.Seed)
 	scCfg.Workers = e.cfg.Workers
-	sc, err := scan.New(fabric, scCfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	sc := scan.New(fabric, scCfg)
 	res := sc.ScanAll(addrs)
 	return res, sc.AuditCertificates(res), nil
 }

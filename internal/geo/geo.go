@@ -38,10 +38,9 @@ func DefaultBotnetMix() []CountryShare {
 
 // DB allocates client IPs by country and resolves them back.
 type DB struct {
-	shares   []CountryShare
+	shares   []CountryShare // by code; shares[i] holds the /8 firstOctet+i
 	total    float64
 	prefixes map[string]int // country -> first octet of its /8
-	byOctet  map[int]string
 }
 
 // firstOctet is the first octet of the first country's /8.
@@ -60,7 +59,6 @@ func NewDB(shares []CountryShare) (*DB, error) {
 	db := &DB{
 		shares:   make([]CountryShare, len(shares)),
 		prefixes: make(map[string]int, len(shares)),
-		byOctet:  make(map[int]string, len(shares)),
 	}
 	copy(db.shares, shares)
 	sort.Slice(db.shares, func(i, j int) bool { return db.shares[i].Code < db.shares[j].Code })
@@ -73,7 +71,6 @@ func NewDB(shares []CountryShare) (*DB, error) {
 			return nil, fmt.Errorf("geo: duplicate country %s", s.Code)
 		}
 		db.prefixes[s.Code] = octet
-		db.byOctet[octet] = s.Code
 		db.total += s.Weight
 		octet++
 	}
@@ -119,7 +116,7 @@ func (db *DB) DrawIP(rng *rand.Rand) (country string, octets [4]byte) {
 // Lookup resolves an IP to its country code.
 func (db *DB) Lookup(ip string) (string, error) {
 	dot := strings.IndexByte(ip, '.')
-	if dot <= 0 {
+	if dot <= 0 || dot > 3 { // a longer first octet could overflow into range
 		return "", fmt.Errorf("geo: malformed IP %q", ip)
 	}
 	var o1 int
@@ -129,9 +126,8 @@ func (db *DB) Lookup(ip string) (string, error) {
 		}
 		o1 = o1*10 + int(c-'0')
 	}
-	country, ok := db.byOctet[o1]
-	if !ok {
-		return "", fmt.Errorf("geo: IP %q outside allocated space", ip)
+	if i := o1 - firstOctet; i >= 0 && i < len(db.shares) {
+		return db.shares[i].Code, nil
 	}
-	return country, nil
+	return "", fmt.Errorf("geo: IP %q outside allocated space", ip)
 }

@@ -68,7 +68,7 @@ func TestLookupErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ip := range []string{"", "notanip", "999.1.1.1", ".1.2.3", "5.1.1.1"} {
+	for _, ip := range []string{"", "notanip", "999.1.1.1", ".1.2.3", "5.1.1.1", "18446744073709551627.0.0.1"} {
 		if _, err := db.Lookup(ip); err == nil {
 			t.Fatalf("Lookup(%q) succeeded, want error", ip)
 		}

@@ -248,7 +248,8 @@ func DescriptorIDForPeriod(id PermanentID, period uint32, replica uint8) Descrip
 }
 
 // DescriptorIDForPeriod is the table-backed variant of the free function:
-// periods inside the table reuse the precomputed secret part.
+// periods inside the table reuse the precomputed secret part. A nil
+// table derives every ID directly.
 func (t *SecretIDTable) DescriptorIDForPeriod(id PermanentID, period uint32, replica uint8) DescriptorID {
 	if s := t.secretFor(period); s != nil {
 		return descriptorIDFromParts(id, &s[replica])
@@ -373,9 +374,9 @@ func (t *SecretIDTable) Covers(from, to time.Time) bool {
 }
 
 // secretFor returns the precomputed secret parts for the given period, or
-// nil when the period lies outside the table.
+// nil when the period lies outside the table or the table is nil.
 func (t *SecretIDTable) secretFor(period uint32) *[Replicas][sha1.Size]byte {
-	if period < t.first || int(period-t.first) >= len(t.secrets) {
+	if t == nil || period < t.first || int(period-t.first) >= len(t.secrets) {
 		return nil
 	}
 	return &t.secrets[period-t.first]
@@ -383,7 +384,8 @@ func (t *SecretIDTable) secretFor(period uint32) *[Replicas][sha1.Size]byte {
 
 // DescriptorIDsAt returns the descriptor IDs of all replicas of service id
 // in the time period containing at, in replica order. Identical output to
-// DescriptorIDs, sharing the table's secret parts when possible.
+// DescriptorIDs, sharing the table's secret parts when possible. A nil
+// table derives every ID directly.
 func (t *SecretIDTable) DescriptorIDsAt(id PermanentID, at time.Time) [Replicas]DescriptorID {
 	var out [Replicas]DescriptorID
 	period := TimePeriod(id, at)

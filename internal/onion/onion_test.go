@@ -299,7 +299,8 @@ func TestQuickAddressInjective(t *testing.T) {
 
 // TestSecretIDTableDerivationsMatchDirect pins the table-backed
 // descriptor-ID derivations (inside and outside the table's window, where
-// they fall back to direct computation) to ComputeDescriptorID.
+// they fall back to direct computation, and on a nil table, which always
+// does) to ComputeDescriptorID.
 func TestSecretIDTableDerivationsMatchDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	from := time.Date(2013, 2, 1, 0, 0, 0, 0, time.UTC)
@@ -317,14 +318,19 @@ func TestSecretIDTableDerivationsMatchDirect(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		id := GenerateKey(rng).PermanentID()
-		for _, at := range instants {
-			for r := uint8(0); r < Replicas; r++ {
-				if got, want := table.DescriptorIDsAt(id, at)[r], ComputeDescriptorID(id, at, r); got != want {
-					t.Fatalf("DescriptorIDsAt(%v)[%d] diverges from direct derivation", at, r)
+		for _, tab := range []*SecretIDTable{table, nil} {
+			for _, at := range instants {
+				for r := uint8(0); r < Replicas; r++ {
+					if got, want := tab.DescriptorIDsAt(id, at)[r], ComputeDescriptorID(id, at, r); got != want {
+						t.Fatalf("table %v: DescriptorIDsAt(%v)[%d] diverges from direct derivation", tab != nil, at, r)
+					}
+					if got, want := tab.DescriptorIDForPeriod(id, TimePeriod(id, at), r), ComputeDescriptorID(id, at, r); got != want {
+						t.Fatalf("table %v: DescriptorIDForPeriod at %v, replica %d diverges from direct derivation", tab != nil, at, r)
+					}
 				}
-			}
-			if got, want := table.DescriptorIDsAt(id, at), DescriptorIDs(id, at); got != want {
-				t.Fatalf("DescriptorIDsAt(%v) diverges from DescriptorIDs", at)
+				if got, want := tab.DescriptorIDsAt(id, at), DescriptorIDs(id, at); got != want {
+					t.Fatalf("table %v: DescriptorIDsAt(%v) diverges from DescriptorIDs", tab != nil, at)
+				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sort"
 	"time"
 
 	"torhs/internal/onion"
@@ -13,41 +12,16 @@ import (
 // a parallel.NewRNG of its seed would) inside a fetch.
 type guardRNG interface {
 	Intn(n int) int
-	Int63n(n int64) int64
 }
 
 // guardPool is the set of Guard-flagged relays clients choose from,
-// optionally weighted by consensus bandwidth (as the real client does).
+// uniformly.
 type guardPool struct {
 	fps []onion.Fingerprint
-	// cum holds cumulative bandwidth weights; nil means uniform.
-	cum []int64
-}
-
-func newGuardPool(fps []onion.Fingerprint, weights []int) *guardPool {
-	p := &guardPool{fps: fps}
-	if len(weights) == len(fps) && len(fps) > 0 {
-		p.cum = make([]int64, len(fps))
-		var acc int64
-		for i, w := range weights {
-			if w < 1 {
-				w = 1
-			}
-			acc += int64(w)
-			p.cum[i] = acc
-		}
-	}
-	return p
 }
 
 func (p *guardPool) sample(rng guardRNG) onion.Fingerprint {
-	if p.cum == nil {
-		return p.fps[rng.Intn(len(p.fps))]
-	}
-	total := p.cum[len(p.cum)-1]
-	r := rng.Int63n(total)
-	i := sort.Search(len(p.cum), func(i int) bool { return p.cum[i] > r })
-	return p.fps[i]
+	return p.fps[rng.Intn(len(p.fps))]
 }
 
 // guardSet is the entry-guard state shared by clients and hidden-service

@@ -43,18 +43,16 @@ type Network struct {
 	// log counts the requests the observed directories answered. It is
 	// non-nil exactly when Config.Observed was set (see restricted):
 	// nothing reads the counts of an unrestricted network.
-	log        *hsdir.RequestLog
-	guards     []onion.Fingerprint
-	pool       *guardPool
-	dirFailure float64
-	workers    int
-	maxSkew    time.Duration
+	log     *hsdir.RequestLog
+	guards  []onion.Fingerprint
+	pool    *guardPool
+	workers int
 
 	// secrets shares the window's precomputed secret-id-parts across
 	// every descriptor-ID derivation (fetches and PublishService).
 	// Either injected via Config.SecretTable (the experiments Env shares
 	// one table across simnet, trawl, and tracking) or built lazily per
-	// driven window.
+	// driven window; nil until then, deriving every ID directly.
 	secrets *onion.SecretIDTable
 
 	geoDB   *geo.DB
@@ -70,23 +68,19 @@ type Network struct {
 	uploadObservers []func(UploadEvent)
 }
 
-// Config parameterises client synthesis.
+// MaxSkew bounds the absolute clock skew of a client with a wrong clock.
+const MaxSkew = 72 * time.Hour
+
+// skewedClientFraction of clients have wrong clocks.
+const skewedClientFraction = 0.1
+
+// Config parameterises client synthesis. Clients pick entry guards
+// uniformly, so an attacker's guard share equals its guard count, which
+// the analytical checks in the experiments rely on; every directory
+// answers the first request sent to it.
 type Config struct {
 	// Clients is the number of simulated clients.
 	Clients int
-	// SkewedClientFraction of clients have wrong clocks.
-	SkewedClientFraction float64
-	// MaxSkew bounds the absolute clock skew of skewed clients.
-	MaxSkew time.Duration
-	// WeightedGuards selects entry guards weighted by consensus
-	// bandwidth, as the real Tor client does. Off by default: uniform
-	// selection makes attacker guard share equal attacker guard count,
-	// which the analytical checks in the experiments rely on.
-	WeightedGuards bool
-	// DirFailureProb is the probability that contacting one directory
-	// fails (relay overloaded or unreachable); the client falls back to
-	// the remaining responsible directories, as the Tor client does.
-	DirFailureProb float64
 	// Seed drives the network's randomness.
 	Seed int64
 	// Workers shards DriveWindow's fetch execution across goroutines
@@ -124,12 +118,7 @@ type Config struct {
 
 // DefaultConfig returns a client population sized for tests and examples.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Clients:              2000,
-		SkewedClientFraction: 0.1,
-		MaxSkew:              72 * time.Hour,
-		Seed:                 seed,
-	}
+	return Config{Clients: 2000, Seed: seed}
 }
 
 // NewNetwork builds the network from a consensus snapshot: one descriptor
@@ -149,21 +138,17 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		return nil, errors.New("simnet: no Guard-flagged relays in consensus")
 	}
 
-	if cfg.DirFailureProb < 0 || cfg.DirFailureProb >= 1 {
-		return nil, fmt.Errorf("simnet: directory failure probability %v out of [0,1)", cfg.DirFailureProb)
-	}
 	n := &Network{
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 		doc: doc,
 		// The ring is cached on the document: every network (and analysis)
 		// over the same consensus shares one sorted ring.
-		ring:       doc.Ring(),
-		guards:     guards,
-		geoDB:      db,
-		dirFailure: cfg.DirFailureProb,
-		workers:    cfg.Workers,
-		maxSkew:    cfg.MaxSkew,
-		secrets:    cfg.SecretTable,
+		ring:    doc.Ring(),
+		guards:  guards,
+		pool:    &guardPool{fps: guards},
+		geoDB:   db,
+		workers: cfg.Workers,
+		secrets: cfg.SecretTable,
 	}
 	n.ringFPs = n.ring.Fingerprints()
 	n.dirs = make([]*hsdir.Directory, len(n.ringFPs))
@@ -180,17 +165,6 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 			n.dirs[i] = hsdir.NewDirectory(24 * time.Hour)
 		}
 	}
-	if cfg.WeightedGuards {
-		weights := make([]int, len(guards))
-		for i, fp := range guards {
-			if e, ok := doc.Lookup(fp); ok {
-				weights[i] = e.Bandwidth
-			}
-		}
-		n.pool = newGuardPool(guards, weights)
-	} else {
-		n.pool = newGuardPool(guards, nil)
-	}
 
 	// A client's address is formatted only for the events that name it
 	// (see event): most networks, the trawl's among them, never read one.
@@ -199,9 +173,8 @@ func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, erro
 		c := &n.clients[i]
 		c.ID = i
 		c.Country, c.octets = db.DrawIP(n.rng)
-		if n.rng.Float64() < cfg.SkewedClientFraction {
-			skew := time.Duration(n.rng.Int63n(int64(2*cfg.MaxSkew))) - cfg.MaxSkew
-			c.ClockSkew = skew
+		if n.rng.Float64() < skewedClientFraction {
+			c.ClockSkew = time.Duration(n.rng.Int63n(int64(2*MaxSkew))) - MaxSkew
 		}
 	}
 	return n, nil
@@ -235,15 +208,6 @@ func (n *Network) Log() *hsdir.RequestLog { return n.log }
 // first, as the deanon pipelines do).
 func (n *Network) GuardPool() []onion.Fingerprint { return n.guards }
 
-// descriptorIDs derives both replica IDs at instant at, through the
-// shared secret table when one is available.
-func (n *Network) descriptorIDs(permID onion.PermanentID, at time.Time) [onion.Replicas]onion.DescriptorID {
-	if n.secrets != nil {
-		return n.secrets.DescriptorIDsAt(permID, at)
-	}
-	return onion.DescriptorIDs(permID, at)
-}
-
 // publishScratch carries the reusable buffers of a publish sweep.
 type publishScratch struct {
 	pos []int32
@@ -258,7 +222,7 @@ type publishScratch struct {
 func (n *Network) PublishService(svc *hspop.Service, now time.Time) {
 	n.mustBeUnrestricted("PublishService")
 	var sc publishScratch
-	n.publishService(svc, n.ensureHost(svc), n.descriptorIDs(svc.PermID, now), now, &sc)
+	n.publishService(svc, n.ensureHost(svc), n.secrets.DescriptorIDsAt(svc.PermID, now), now, &sc)
 }
 
 // publishService uploads svc's replicas, whose descriptor IDs at now are
@@ -428,15 +392,13 @@ type FetchEvent struct {
 	Client *Client
 	// Guard is the entry guard the circuit used.
 	Guard onion.Fingerprint
-	// Dir is the directory that finally answered.
+	// Dir is the directory the request was sent to: the first of the
+	// responsible directories in a random contact order.
 	Dir onion.Fingerprint
 	// DescID is the requested descriptor ID.
 	DescID onion.DescriptorID
 	// Found reports whether the directory had the descriptor.
 	Found bool
-	// Attempts is how many directories the client contacted (retries on
-	// unreachable directories included).
-	Attempts int
 	// At is the (true) request instant.
 	At time.Time
 }
@@ -488,7 +450,7 @@ func (t phantomTable) resolve(n *Network, workers int) {
 }
 
 // memoPeriods is how many time periods a fetch worker's service memo
-// keeps for the current service. A client clock skewed by up to ±72 h
+// keeps for the current service. A client clock skewed by up to ±MaxSkew
 // reaches seven daily periods around the true one, so skewed and
 // unskewed clients of one service no longer evict each other's period.
 const memoPeriods = 8
@@ -535,11 +497,7 @@ func (sc *fetchScratch) lookup(n *Network, permID onion.PermanentID, period uint
 	}
 	if !sl.ok[replica] {
 		sl.ok[replica] = true
-		if n.secrets != nil {
-			sl.id[replica] = n.secrets.DescriptorIDForPeriod(permID, period, replica)
-		} else {
-			sl.id[replica] = onion.DescriptorIDForPeriod(permID, period, replica)
-		}
+		sl.id[replica] = n.secrets.DescriptorIDForPeriod(permID, period, replica)
 		sl.set[replica] = n.resolve(sl.id[replica])
 	}
 	return sl.id[replica], &sl.set[replica]
@@ -547,20 +505,18 @@ func (sc *fetchScratch) lookup(n *Network, permID onion.PermanentID, period uint
 
 // fetchRec is the compact, pointer-free record of one fetch. When an
 // observer is tapped in, each DriveWindow shard buffers one per request
-// whose last directory is observed (the garbage collector never scans the
+// whose directory is observed (the garbage collector never scans the
 // buffers) and the sequential replay materialises FetchEvents from them.
 type fetchRec struct {
 	descID   onion.DescriptorID
 	guard    onion.Fingerprint
 	atNanos  int64
 	clientID int32
-	// lastDir is the ring position of the last directory tried (the
-	// event's Dir field); answered is the position of the directory that
-	// actually took the request, -1 when every responsible directory was
-	// unreachable or the one that answered is unobserved.
-	lastDir  int32
-	answered int32
-	attempts int32
+	// dir is the ring position of the directory that took the request
+	// (the event's Dir field); observed reports whether that directory
+	// is observed, which it always is on an unrestricted network.
+	dir      int32
+	observed bool
 	found    bool
 }
 
@@ -573,13 +529,12 @@ func (n *Network) event(rec *fetchRec) FetchEvent {
 		c.IP = geo.FormatIP(c.octets)
 	}
 	return FetchEvent{
-		Client:   c,
-		Guard:    rec.guard,
-		Dir:      n.ringFPs[rec.lastDir],
-		DescID:   rec.descID,
-		Found:    rec.found,
-		Attempts: int(rec.attempts),
-		At:       time.Unix(0, rec.atNanos).UTC(),
+		Client: c,
+		Guard:  rec.guard,
+		Dir:    n.ringFPs[rec.dir],
+		DescID: rec.descID,
+		Found:  rec.found,
+		At:     time.Unix(0, rec.atNanos).UTC(),
 	}
 }
 
@@ -594,50 +549,37 @@ var orderBounds = func() (b [onion.SpreadPerReplica]parallel.Bound) {
 
 // fetchResolved runs one fetch of descID over its resolved responsible
 // set, every draw read from the request's stream: the guard pick, the
-// random contact order, failover past unreachable directories, and the
-// probe. gs is the requesting client's guard set, or nil when nothing
-// reads the guard and none can rotate: the guard draw is then made and
-// its guard left unread. The record's clientID is the caller's to fill.
+// random contact order, and the probe of the first directory in that
+// order, which an unobserved directory skips. gs is the requesting
+// client's guard set, or nil when nothing reads the guard and none can
+// rotate: the guard draw is then made and its guard left unread. The
+// record's clientID is the caller's to fill.
 func (n *Network) fetchResolved(draws *parallel.Stream, gs *guardSet, descID onion.DescriptorID, set *respSet, now time.Time) fetchRec {
-	rec := fetchRec{
-		descID:   descID,
-		atNanos:  now.UnixNano(),
-		answered: -1,
-	}
+	rec := fetchRec{descID: descID, atNanos: now.UnixNano()}
 	if gs != nil {
 		rec.guard = gs.pick(n.pool, draws, now)
 	} else {
 		draws.Draw(guardIndex)
 	}
-	k := int(set.n)
-	// Contact the responsible directories in random order, falling back
-	// on unreachable ones, as the Tor client does. The permutation
-	// replays math/rand.Perm's exact draw sequence into a stack buffer
-	// (rand.Perm would heap-allocate per fetch); k never exceeds
-	// onion.SpreadPerReplica, and the i=0 iteration swaps order[0] with
-	// itself but still consumes one Intn draw — math/rand.Perm does the
-	// same, and the stream (and with it every driven window) must not
-	// shift.
+	// Order the responsible directories at random, as the Tor client
+	// does. The permutation replays math/rand.Perm's exact draw sequence
+	// into a stack buffer (rand.Perm would heap-allocate per fetch);
+	// set.n never exceeds onion.SpreadPerReplica, and the i=0 iteration
+	// swaps order[0] with itself but still consumes one Intn draw —
+	// math/rand.Perm does the same, and the stream (and with it every
+	// driven window) must not shift. Only order[0] is read, but every
+	// draw is made.
 	var order [onion.SpreadPerReplica]int32
-	for i := 0; i < k; i++ {
+	for i := range int(set.n) {
 		j := draws.Draw(orderBounds[i])
 		order[i] = order[j]
 		order[j] = int32(i)
 	}
-	for _, oi := range order[:k] {
-		pos := set.pos[oi]
-		rec.attempts++
-		rec.lastDir = pos
-		if n.dirFailure > 0 && draws.Float64() < n.dirFailure {
-			continue // this directory was unreachable; try the next
-		}
-		if d := n.dirs[pos]; d != nil {
-			_, rec.found = d.Probe(descID, now)
-			rec.answered = pos
-		}
-		return rec
+	rec.dir = set.pos[order[0]]
+	if d := n.dirs[rec.dir]; d != nil {
+		_, rec.found = d.Probe(descID, now)
+		rec.observed = true
 	}
-	// Every responsible directory was unreachable.
 	return rec
 }
 
@@ -733,8 +675,8 @@ func (n *Network) warmGuardSets(now, horizon time.Time) {
 // clock a client may use inside [start, end]. Called from the sequential
 // planning phase only; phase-2 workers read the table immutably.
 func (n *Network) ensureSecrets(start, end time.Time) {
-	lo := start.Add(-n.maxSkew - 24*time.Hour)
-	hi := end.Add(n.maxSkew + 24*time.Hour)
+	lo := start.Add(-MaxSkew - 24*time.Hour)
+	hi := end.Add(MaxSkew + 24*time.Hour)
 	if n.secrets == nil || !n.secrets.Covers(lo, hi) {
 		n.secrets = onion.NewSecretIDTable(lo, hi)
 	}
@@ -755,7 +697,7 @@ func (n *Network) ensureSecrets(start, end time.Time) {
 // plan index, probing the descriptor stores lock-free; and the shards'
 // results merge sequentially in plan order. Per-request memory is kept
 // only where something reads it: when an observer is tapped in, each
-// shard keeps one record per request whose last directory is observed
+// shard keeps one record per request whose directory is observed
 // (replayed to the observer in plan order), and a restricted network
 // keeps the (ID, found) pairs its observed directories answered (folded
 // into its log in one locked pass). A window with no observer keeps only
@@ -953,11 +895,11 @@ func (n *Network) DriveWindow(
 			if rec.found {
 				hits++
 			}
-			if recs != nil && n.dirs[rec.lastDir] != nil {
+			if recs != nil && rec.observed {
 				rec.clientID = ci
 				kept = append(kept, rec)
 			}
-			if answers != nil && rec.answered >= 0 {
+			if answers != nil && rec.observed {
 				ans = append(ans, hsdir.Answer{ID: rec.descID, Found: rec.found})
 			}
 		}

@@ -104,8 +104,8 @@ func TestPlanWalkMatchesAppendOracle(t *testing.T) {
 		{"small-no-phantoms", smallPopulation(0), true, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := f.network(t, 53, 1, 0, nil)
-			b := f.network(t, 53, 1, 0, nil)
+			a := f.network(t, 53, 1, nil)
+			b := f.network(t, 53, 1, nil)
 			svcs := tc.pop.PopularServices()
 			zeroBetween, zeroLast, phantoms := false, false, false
 			for w := 0; w < tc.windows; w++ {
@@ -153,50 +153,44 @@ func TestPlanWalkMatchesAppendOracle(t *testing.T) {
 // TestDriveWindowGolden pins one driven window — its stats, a digest of
 // its full event stream (which fixes every planned request) and the
 // network RNG state it leaves — to the values the append-grown plan
-// produced.
+// produced. Each event's hash ends with the number of directories the
+// request contacted, which is always one.
 func TestDriveWindowGolden(t *testing.T) {
-	cases := []struct {
-		fail    float64
-		stats   TrafficStats
-		digest  uint64
-		nextRNG int64
-	}{
-		{0, TrafficStats{TotalRequests: 591800, PhantomRequests: 473440, ResolvedHits: 102918}, 0xa688f8a43f2fbe0e, 3799598708457923893},
-		{0.3, TrafficStats{TotalRequests: 591800, PhantomRequests: 473440, ResolvedHits: 100184}, 0xd83651ef25d10446, 3799598708457923893},
+	const (
+		digest  = 0xa688f8a43f2fbe0e
+		nextRNG = 3799598708457923893
+	)
+	stats := TrafficStats{TotalRequests: 591800, PhantomRequests: 473440, ResolvedHits: 102918}
+	net, pop, now := buildNetwork(t, 5)
+	net.PublishAll(pop, now)
+	h := fnv.New64a()
+	var b [8]byte
+	st, err := net.DriveWindow(context.Background(), pop, now.Add(time.Hour), 2*time.Hour, func(ev FetchEvent) {
+		binary.LittleEndian.PutUint64(b[:], uint64(ev.Client.ID))
+		h.Write(b[:])
+		h.Write(ev.Guard[:])
+		h.Write(ev.Dir[:])
+		h.Write(ev.DescID[:])
+		binary.LittleEndian.PutUint64(b[:], uint64(ev.At.UnixNano()))
+		h.Write(b[:])
+		if ev.Found {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+		binary.LittleEndian.PutUint64(b[:], uint64(1))
+		h.Write(b[:])
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		net, pop, now := buildNetwork(t, 5)
-		net.dirFailure = tc.fail
-		net.PublishAll(pop, now)
-		h := fnv.New64a()
-		var b [8]byte
-		st, err := net.DriveWindow(context.Background(), pop, now.Add(time.Hour), 2*time.Hour, func(ev FetchEvent) {
-			binary.LittleEndian.PutUint64(b[:], uint64(ev.Client.ID))
-			h.Write(b[:])
-			h.Write(ev.Guard[:])
-			h.Write(ev.Dir[:])
-			h.Write(ev.DescID[:])
-			binary.LittleEndian.PutUint64(b[:], uint64(ev.At.UnixNano()))
-			h.Write(b[:])
-			if ev.Found {
-				h.Write([]byte{1})
-			} else {
-				h.Write([]byte{0})
-			}
-			binary.LittleEndian.PutUint64(b[:], uint64(ev.Attempts))
-			h.Write(b[:])
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st != tc.stats {
-			t.Fatalf("fail=%v: stats %+v, want %+v", tc.fail, st, tc.stats)
-		}
-		if got := h.Sum64(); got != tc.digest {
-			t.Fatalf("fail=%v: event digest %#x, want %#x", tc.fail, got, tc.digest)
-		}
-		if got := net.rng.Int63(); got != tc.nextRNG {
-			t.Fatalf("fail=%v: network RNG left at %d, want %d", tc.fail, got, tc.nextRNG)
-		}
+	if st != stats {
+		t.Fatalf("stats %+v, want %+v", st, stats)
+	}
+	if got := h.Sum64(); got != digest {
+		t.Fatalf("event digest %#x, want %#x", got, uint64(digest))
+	}
+	if got := net.rng.Int63(); got != nextRNG {
+		t.Fatalf("network RNG left at %d, want %d", got, int64(nextRNG))
 	}
 }

@@ -111,7 +111,7 @@ func TestServiceMemoMatchesDirectResolution(t *testing.T) {
 	const seed = 67
 	f := newRestrictFixture(t, seed)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
-	net := f.network(t, seed, 1, 0.3, observed)
+	net := f.network(t, seed, 1, observed)
 	svcs := f.pop.PopularServices()[:3]
 	start := nextPeriodStart(svcs[0].PermID, f.doc.ValidAfter).Add(-time.Hour)
 	net.PublishAll(f.pop, start)
@@ -139,7 +139,7 @@ func TestServiceMemoLookupMatchesDirect(t *testing.T) {
 	const seed = 71
 	f := newRestrictFixture(t, seed)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
-	net := f.network(t, seed, 1, 0, observed)
+	net := f.network(t, seed, 1, observed)
 	svcs := f.pop.PopularServices()[:4]
 	start := f.doc.ValidAfter
 	rng := rand.New(rand.NewSource(seed))
@@ -173,23 +173,15 @@ func TestServiceMemoLookupMatchesDirect(t *testing.T) {
 }
 
 // referenceFetch is fetchResolved the obvious way, on a math/rand RNG:
-// the client's guard pick (rotation included), math/rand's own Perm for
-// the contact order, then one Float64 per directory tried.
+// the client's guard pick (rotation included), then math/rand's own Perm
+// for the contact order, whose first directory takes the request.
 func referenceFetch(net *Network, rng *rand.Rand, c *Client, id onion.DescriptorID, set *respSet, now time.Time) fetchRec {
-	rec := fetchRec{descID: id, atNanos: now.UnixNano(), clientID: int32(c.ID), answered: -1}
+	rec := fetchRec{descID: id, atNanos: now.UnixNano(), clientID: int32(c.ID)}
 	rec.guard = c.gs.pickPool(net.pool, rng, now)
-	for _, oi := range rng.Perm(int(set.n)) {
-		pos := set.pos[oi]
-		rec.attempts++
-		rec.lastDir = pos
-		if net.dirFailure > 0 && rng.Float64() < net.dirFailure {
-			continue
-		}
-		if d := net.dirs[pos]; d != nil {
-			_, rec.found = d.Probe(id, now)
-			rec.answered = pos
-		}
-		break
+	rec.dir = set.pos[rng.Perm(int(set.n))[0]]
+	if d := net.dirs[rec.dir]; d != nil {
+		_, rec.found = d.Probe(id, now)
+		rec.observed = true
 	}
 	return rec
 }
@@ -243,7 +235,7 @@ func referenceWindow(net *Network, pop *hspop.Population, start time.Time, windo
 		if rec.found {
 			st.ResolvedHits++
 		}
-		if rec.answered >= 0 {
+		if rec.observed {
 			log.counts[id]++
 			log.total++
 			if rec.found {
@@ -256,8 +248,7 @@ func referenceWindow(net *Network, pop *hspop.Population, start time.Time, windo
 
 // TestFetchResolvedMatchesReference pins fetchResolved's stream draws
 // against referenceFetch on a math/rand RNG of the same seed, request by
-// request: uniform and bandwidth-weighted guard pools, both failure
-// rates, and clients whose guards are fresh, expired (a mid-fetch
+// request, for clients whose guards are fresh, expired (a mid-fetch
 // rotation, as in windows of a guard lifetime or more) or never drawn.
 // Each pair must agree on the record and leave its source at the same
 // position, and a fetch that leaves the guard unread (gs nil) must make
@@ -266,116 +257,104 @@ func TestFetchResolvedMatchesReference(t *testing.T) {
 	const seed = 79
 	f := newRestrictFixture(t, seed)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["half"]
-	for _, weighted := range []bool{false, true} {
-		for _, fail := range []float64{0, 0.3} {
-			t.Run(fmt.Sprintf("weighted=%v/fail=%v", weighted, fail), func(t *testing.T) {
-				cfg := DefaultConfig(seed)
-				cfg.Clients = 200
-				cfg.WeightedGuards = weighted
-				cfg.DirFailureProb = fail
-				cfg.Observed = observed
-				net, err := NewNetwork(f.doc, f.db, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				now := f.doc.ValidAfter
-				net.PublishAll(f.pop, now)
-				net.warmGuardSets(now, now.Add(time.Hour))
-				svcs := f.pop.WithDescriptor()
-				rotated, found := 0, 0
-				for i := 0; i < 600; i++ {
-					at := now.Add(time.Duration(i) * time.Minute)
-					if i%3 == 2 {
-						at = at.Add(90 * 24 * time.Hour) // every guard has expired
-					}
-					c := &net.clients[i%len(net.clients)]
-					if i%7 == 0 {
-						c.gs = guardSet{} // never drawn
-					}
-					id := svcs[i%len(svcs)].PermID
-					ids := onion.DescriptorIDs(id, at)
-					set := net.resolve(ids[i%onion.Replicas])
+	// The subtest name states the model: uniform guards, no directory
+	// failures.
+	t.Run("weighted=false/fail=0", func(t *testing.T) {
+		net := f.network(t, seed, 0, observed)
+		now := f.doc.ValidAfter
+		net.PublishAll(f.pop, now)
+		net.warmGuardSets(now, now.Add(time.Hour))
+		svcs := f.pop.WithDescriptor()
+		rotated, found := 0, 0
+		for i := 0; i < 600; i++ {
+			at := now.Add(time.Duration(i) * time.Minute)
+			if i%3 == 2 {
+				at = at.Add(90 * 24 * time.Hour) // every guard has expired
+			}
+			c := &net.clients[i%len(net.clients)]
+			if i%7 == 0 {
+				c.gs = guardSet{} // never drawn
+			}
+			id := svcs[i%len(svcs)].PermID
+			ids := onion.DescriptorIDs(id, at)
+			set := net.resolve(ids[i%onion.Replicas])
 
-					ref := *c
-					rng := parallel.NewRNG(int64(i))
-					want := referenceFetch(net, rng, &ref, ids[i%onion.Replicas], &set, at)
-					unread := parallel.StreamAt(int64(i))
-					blind := net.fetchResolved(&unread, nil, ids[i%onion.Replicas], &set, at)
-					before := c.gs
-					draws := parallel.StreamAt(int64(i))
-					got := fetchAs(net, &draws, c, ids[i%onion.Replicas], &set, at)
-					if got != want || c.gs != ref.gs {
-						t.Fatalf("request %d: stream fetch %+v, reference %+v", i, got, want)
-					}
-					pos := draws
-					if a, b := draws.Int63(), rng.Int63(); a != b {
-						t.Fatalf("request %d: the stream goes on with %d, the reference RNG with %d", i, a, b)
-					}
-					if c.gs != before {
-						rotated++
-						continue // the rotation's draws came before the unread guard's
-					}
-					blind.guard, blind.clientID = got.guard, got.clientID
-					if blind != got || unread != pos {
-						t.Fatalf("request %d: guard-unread fetch %+v, %+v", i, blind, got)
-					}
-					if got.found {
-						found++
-					}
-				}
-				if rotated == 0 || found == 0 {
-					t.Fatalf("%d rotations, %d hits; want both", rotated, found)
-				}
-			})
+			ref := *c
+			rng := parallel.NewRNG(int64(i))
+			want := referenceFetch(net, rng, &ref, ids[i%onion.Replicas], &set, at)
+			unread := parallel.StreamAt(int64(i))
+			blind := net.fetchResolved(&unread, nil, ids[i%onion.Replicas], &set, at)
+			before := c.gs
+			draws := parallel.StreamAt(int64(i))
+			got := fetchAs(net, &draws, c, ids[i%onion.Replicas], &set, at)
+			if got != want || c.gs != ref.gs {
+				t.Fatalf("request %d: stream fetch %+v, reference %+v", i, got, want)
+			}
+			pos := draws
+			if a, b := draws.Int63(), rng.Int63(); a != b {
+				t.Fatalf("request %d: the stream goes on with %d, the reference RNG with %d", i, a, b)
+			}
+			if c.gs != before {
+				rotated++
+				continue // the rotation's draws came before the unread guard's
+			}
+			blind.guard, blind.clientID = got.guard, got.clientID
+			if blind != got || unread != pos {
+				t.Fatalf("request %d: guard-unread fetch %+v, %+v", i, blind, got)
+			}
+			if got.found {
+				found++
+			}
 		}
-	}
+		if rotated == 0 || found == 0 {
+			t.Fatalf("%d rotations, %d hits; want both", rotated, found)
+		}
+	})
 }
 
 // TestRestrictedWindowMatchesReferenceLoop drives restricted windows —
 // which skip unobserved requests, most phantoms at their dead-bucket
 // test — at workers 1, 2 and 8, and replays each on a twin network with
 // referenceWindow: the stats and the log counts must be identical, for
-// several observed subsets and failure rates, over two consecutive
-// windows.
+// several observed subsets, over two consecutive windows. The fail=0
+// segment of each subtest name states that no directory fails.
 func TestRestrictedWindowMatchesReferenceLoop(t *testing.T) {
 	const seed = 73
 	f := newRestrictFixture(t, seed)
 	subsets := observedSubsets(f.doc.Ring().Fingerprints(), seed)
 	for _, name := range []string{"none", "tenth", "half"} {
-		for _, fail := range []float64{0, 0.3} {
-			for _, workers := range []int{1, 2, 8} {
-				t.Run(fmt.Sprintf("observed=%s/fail=%v/workers=%d", name, fail, workers), func(t *testing.T) {
-					net := f.network(t, seed, workers, fail, subsets[name])
-					ref := f.network(t, seed, workers, fail, subsets[name])
-					now := f.doc.ValidAfter
-					net.PublishAll(f.pop, now)
-					ref.PublishAll(f.pop, now)
-					want := logState{counts: make(map[onion.DescriptorID]int)}
-					for w := 0; w < 2; w++ {
-						at := now.Add(time.Duration(w) * time.Hour)
-						got, err := net.DriveWindow(context.Background(), f.pop, at, time.Hour, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						refStats, refLog := referenceWindow(ref, f.pop, at, time.Hour)
-						if got != refStats {
-							t.Fatalf("window %d: stats %+v, reference %+v", w, got, refStats)
-						}
-						for id, k := range refLog.counts {
-							want.counts[id] += k
-						}
-						want.total += refLog.total
-						want.found += refLog.found
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("observed=%s/fail=0/workers=%d", name, workers), func(t *testing.T) {
+				net := f.network(t, seed, workers, subsets[name])
+				ref := f.network(t, seed, workers, subsets[name])
+				now := f.doc.ValidAfter
+				net.PublishAll(f.pop, now)
+				ref.PublishAll(f.pop, now)
+				want := logState{counts: make(map[onion.DescriptorID]int)}
+				for w := 0; w < 2; w++ {
+					at := now.Add(time.Duration(w) * time.Hour)
+					got, err := net.DriveWindow(context.Background(), f.pop, at, time.Hour, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if got := logStateOf(net.Log()); !reflect.DeepEqual(got, want) {
-						t.Fatalf("log counts %d requests (%d found) over %d IDs, reference %d (%d) over %d",
-							got.total, got.found, len(got.counts), want.total, want.found, len(want.counts))
+					refStats, refLog := referenceWindow(ref, f.pop, at, time.Hour)
+					if got != refStats {
+						t.Fatalf("window %d: stats %+v, reference %+v", w, got, refStats)
 					}
-					if name != "none" && want.total == 0 {
-						t.Fatal("no request reached an observed directory")
+					for id, k := range refLog.counts {
+						want.counts[id] += k
 					}
-				})
-			}
+					want.total += refLog.total
+					want.found += refLog.found
+				}
+				if got := logStateOf(net.Log()); !reflect.DeepEqual(got, want) {
+					t.Fatalf("log counts %d requests (%d found) over %d IDs, reference %d (%d) over %d",
+						got.total, got.found, len(got.counts), want.total, want.found, len(want.counts))
+				}
+				if name != "none" && want.total == 0 {
+					t.Fatal("no request reached an observed directory")
+				}
+			})
 		}
 	}
 }

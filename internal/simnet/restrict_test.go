@@ -58,12 +58,11 @@ func newRestrictFixture(t *testing.T, seed int64) restrictFixture {
 }
 
 // network builds a 200-client network over the fixture.
-func (f restrictFixture) network(t *testing.T, seed int64, workers int, fail float64, observed []onion.Fingerprint) *Network {
+func (f restrictFixture) network(t *testing.T, seed int64, workers int, observed []onion.Fingerprint) *Network {
 	t.Helper()
 	cfg := DefaultConfig(seed)
 	cfg.Clients = 200
 	cfg.Workers = workers
-	cfg.DirFailureProb = fail
 	cfg.Observed = observed
 	net, err := NewNetwork(f.doc, f.db, cfg)
 	if err != nil {
@@ -127,20 +126,15 @@ func diffDir(a, b dirState) string {
 
 // logOracle folds the fetch events of an unrestricted network into what
 // a restricted network's log must count and its observer must see. An
-// event names the last directory the client tried, not whether it
-// answered: a found event was answered there, while a miss was answered
-// there or found every responsible directory unreachable. So the oracle
-// keeps two counts per descriptor ID, found events and all events at
-// observed directories, which bound the log's count; at DirFailureProb 0
-// the first directory tried always answers and the two bounds meet. It
-// also keeps those events themselves, in order: exactly the stream a
-// restricted network's observer must see.
+// event names the directory that answered it, so the oracle counts, per
+// descriptor ID, the events at observed directories, and keeps those
+// events themselves, in order: exactly the stream a restricted network's
+// observer must see.
 type logOracle struct {
-	observed   map[onion.Fingerprint]bool
-	found, all map[onion.DescriptorID]int
-	nFound     int
-	nAll       int
-	events     []eventRow
+	observed     map[onion.Fingerprint]bool
+	counts       map[onion.DescriptorID]int
+	total, found int
+	events       []eventRow
 }
 
 // eventRow is one fetch event by value, its client's state at the event
@@ -180,8 +174,7 @@ func (o *logOracle) checkEvents(t *testing.T, got []eventRow) {
 func newLogOracle(observed []onion.Fingerprint) *logOracle {
 	o := &logOracle{
 		observed: make(map[onion.Fingerprint]bool, len(observed)),
-		found:    make(map[onion.DescriptorID]int),
-		all:      make(map[onion.DescriptorID]int),
+		counts:   make(map[onion.DescriptorID]int),
 	}
 	for _, fp := range observed {
 		o.observed[fp] = true
@@ -194,41 +187,23 @@ func (o *logOracle) add(ev FetchEvent) {
 		return
 	}
 	o.events = append(o.events, rowOf(ev))
-	o.all[ev.DescID]++
-	o.nAll++
+	o.counts[ev.DescID]++
+	o.total++
 	if ev.Found {
-		o.found[ev.DescID]++
-		o.nFound++
+		o.found++
 	}
 }
 
 // check compares a restricted network's log with the oracle: the found
-// count always exactly, the per-ID counts and the total exactly when
-// exact and within the oracle's bounds otherwise.
-func (o *logOracle) check(t *testing.T, log *hsdir.RequestLog, exact bool) {
+// count, the total and the per-ID counts, exactly.
+func (o *logOracle) check(t *testing.T, log *hsdir.RequestLog) {
 	t.Helper()
 	counts, total, found := log.CompactState()
-	if found != o.nFound {
-		t.Fatalf("log counts %d found requests, oracle %d", found, o.nFound)
+	if found != o.found {
+		t.Fatalf("log counts %d found requests, oracle %d", found, o.found)
 	}
-	if exact {
-		if total != o.nAll || !reflect.DeepEqual(counts, o.all) {
-			t.Fatalf("log counts %d requests over %d IDs, oracle %d over %d", total, len(counts), o.nAll, len(o.all))
-		}
-		return
-	}
-	if total < o.nFound || total > o.nAll {
-		t.Fatalf("log counts %d requests, oracle bounds [%d, %d]", total, o.nFound, o.nAll)
-	}
-	for id, n := range counts {
-		if n < o.found[id] || n > o.all[id] {
-			t.Fatalf("log counts %d requests for %x, oracle bounds [%d, %d]", n, id[:4], o.found[id], o.all[id])
-		}
-	}
-	for id, n := range o.found {
-		if counts[id] < n {
-			t.Fatalf("log counts %d requests for %x, oracle saw %d found", counts[id], id[:4], n)
-		}
+	if total != o.total || !reflect.DeepEqual(counts, o.counts) {
+		t.Fatalf("log counts %d requests over %d IDs, oracle %d over %d", total, len(counts), o.total, len(o.counts))
 	}
 }
 
@@ -272,61 +247,60 @@ func observedSubsets(ring []onion.Fingerprint, seed int64) map[string][]onion.Fi
 // the same store and the same requested-ID bitset, the request totals
 // are unchanged, and the network's log counts what the unrestricted
 // network's event stream says its observed directories answered, across
-// failure rates and worker counts. The log is also identical at every
-// worker count. A restricted network with an observer tapped in passes
-// the same checks, and its observer sees exactly the unrestricted
-// network's events whose Dir is observed, field for field and in order.
+// worker counts. The log is also identical at every worker count. A
+// restricted network with an observer tapped in passes the same checks,
+// and its observer sees exactly the unrestricted network's events whose
+// Dir is observed, field for field and in order. The fail=0 segment of
+// each subtest name states that no directory fails.
 func TestRestrictedNetworkMatchesFullOracle(t *testing.T) {
 	const seed = 31
 	f := newRestrictFixture(t, seed)
 	ring := f.doc.Ring().Fingerprints()
 	subsets := observedSubsets(ring, seed)
 	workerCounts := []int{1, 2, 8}
-	for _, fail := range []float64{0, 0.3} {
-		logs := make(map[string][]logState, len(subsets)) // per subset, per worker count
-		for _, workers := range workerCounts {
-			full := f.network(t, seed, workers, fail, nil)
-			oracles := make(map[string]*logOracle, len(subsets))
-			for name, observed := range subsets {
-				oracles[name] = newLogOracle(observed)
+	logs := make(map[string][]logState, len(subsets)) // per subset, per worker count
+	for _, workers := range workerCounts {
+		full := f.network(t, seed, workers, nil)
+		oracles := make(map[string]*logOracle, len(subsets))
+		for name, observed := range subsets {
+			oracles[name] = newLogOracle(observed)
+		}
+		fullStats := f.run(t, full, 2*time.Hour, func(ev FetchEvent) {
+			for _, o := range oracles {
+				o.add(ev)
 			}
-			fullStats := f.run(t, full, 2*time.Hour, func(ev FetchEvent) {
-				for _, o := range oracles {
-					o.add(ev)
-				}
-			})
-			if fullStats.TotalRequests == 0 {
-				t.Fatal("no traffic driven")
-			}
-			for name, observed := range subsets {
-				t.Run(fmt.Sprintf("fail=%v/workers=%d/observed=%s", fail, workers, name), func(t *testing.T) {
-					net := f.network(t, seed, workers, fail, observed)
-					st := f.run(t, net, 2*time.Hour, nil)
-					checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name], fail == 0)
-					logs[name] = append(logs[name], logStateOf(net.Log()))
+		})
+		if fullStats.TotalRequests == 0 {
+			t.Fatal("no traffic driven")
+		}
+		for name, observed := range subsets {
+			t.Run(fmt.Sprintf("fail=0/workers=%d/observed=%s", workers, name), func(t *testing.T) {
+				net := f.network(t, seed, workers, observed)
+				st := f.run(t, net, 2*time.Hour, nil)
+				checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name])
+				logs[name] = append(logs[name], logStateOf(net.Log()))
 
-					tapped := f.network(t, seed, workers, fail, observed)
-					var rows []eventRow
-					st = f.run(t, tapped, 2*time.Hour, eventRecorder(&rows))
-					checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name], fail == 0)
-					oracles[name].checkEvents(t, rows)
-				})
-			}
-		}
-		for name := range subsets {
-			t.Run(fmt.Sprintf("fail=%v/observed=%s/workers-agree", fail, name), func(t *testing.T) {
-				got := logs[name]
-				if len(got) != len(workerCounts) {
-					t.Fatalf("%d of %d worker counts left a log", len(got), len(workerCounts))
-				}
-				for i := 1; i < len(got); i++ {
-					if !reflect.DeepEqual(got[i], got[0]) {
-						t.Fatalf("log at workers=%d differs from workers=%d: total %d vs %d",
-							workerCounts[i], workerCounts[0], got[i].total, got[0].total)
-					}
-				}
+				tapped := f.network(t, seed, workers, observed)
+				var rows []eventRow
+				st = f.run(t, tapped, 2*time.Hour, eventRecorder(&rows))
+				checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name])
+				oracles[name].checkEvents(t, rows)
 			})
 		}
+	}
+	for name := range subsets {
+		t.Run(fmt.Sprintf("fail=0/observed=%s/workers-agree", name), func(t *testing.T) {
+			got := logs[name]
+			if len(got) != len(workerCounts) {
+				t.Fatalf("%d of %d worker counts left a log", len(got), len(workerCounts))
+			}
+			for i := 1; i < len(got); i++ {
+				if !reflect.DeepEqual(got[i], got[0]) {
+					t.Fatalf("log at workers=%d differs from workers=%d: total %d vs %d",
+						workerCounts[i], workerCounts[0], got[i].total, got[0].total)
+				}
+			}
+		})
 	}
 }
 
@@ -347,7 +321,7 @@ func TestRestrictedNetworkAcrossTimePeriod(t *testing.T) {
 	}
 	subsets := observedSubsets(ring, seed)
 	for _, workers := range []int{1, 2} {
-		full := f.network(t, seed, workers, 0.3, nil)
+		full := f.network(t, seed, workers, nil)
 		oracles := make(map[string]*logOracle, len(subsets))
 		for name, observed := range subsets {
 			oracles[name] = newLogOracle(observed)
@@ -359,14 +333,14 @@ func TestRestrictedNetworkAcrossTimePeriod(t *testing.T) {
 		})
 		for name, observed := range subsets {
 			t.Run(fmt.Sprintf("workers=%d/observed=%s", workers, name), func(t *testing.T) {
-				net := f.network(t, seed, workers, 0.3, observed)
+				net := f.network(t, seed, workers, observed)
 				st := f.runAt(t, net, start, window, nil)
-				checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name], false)
+				checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name])
 
-				tapped := f.network(t, seed, workers, 0.3, observed)
+				tapped := f.network(t, seed, workers, observed)
 				var rows []eventRow
 				st = f.runAt(t, tapped, start, window, eventRecorder(&rows))
-				checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name], false)
+				checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name])
 				oracles[name].checkEvents(t, rows)
 			})
 		}
@@ -376,37 +350,36 @@ func TestRestrictedNetworkAcrossTimePeriod(t *testing.T) {
 // TestRestrictedNetworkLongWindow covers windows of a guard lifetime or
 // more, where guards may rotate mid-window: the restricted network then
 // keeps every request's draws, its observed directories still match, and
-// an observer still sees exactly the full ring's observed events, every
-// subset at both failure rates.
+// an observer still sees exactly the full ring's observed events, for
+// every subset. The fail=0 segment of each subtest name states that no
+// directory fails.
 func TestRestrictedNetworkLongWindow(t *testing.T) {
 	const seed = 37
 	f := newRestrictFixture(t, seed)
 	ring := f.doc.Ring().Fingerprints()
 	subsets := observedSubsets(ring, seed)
-	for _, fail := range []float64{0, 0.3} {
-		full := f.network(t, seed, 2, fail, nil)
-		oracles := make(map[string]*logOracle, len(subsets))
-		for name, observed := range subsets {
-			oracles[name] = newLogOracle(observed)
+	full := f.network(t, seed, 2, nil)
+	oracles := make(map[string]*logOracle, len(subsets))
+	for name, observed := range subsets {
+		oracles[name] = newLogOracle(observed)
+	}
+	fullStats := f.run(t, full, 3*minGuardLifetime, func(ev FetchEvent) {
+		for _, o := range oracles {
+			o.add(ev)
 		}
-		fullStats := f.run(t, full, 3*minGuardLifetime, func(ev FetchEvent) {
-			for _, o := range oracles {
-				o.add(ev)
-			}
-		})
-		for name, observed := range subsets {
-			t.Run(fmt.Sprintf("fail=%v/observed=%s", fail, name), func(t *testing.T) {
-				net := f.network(t, seed, 2, fail, observed)
-				st := f.run(t, net, 3*minGuardLifetime, nil)
-				checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name], fail == 0)
+	})
+	for name, observed := range subsets {
+		t.Run("fail=0/observed="+name, func(t *testing.T) {
+			net := f.network(t, seed, 2, observed)
+			st := f.run(t, net, 3*minGuardLifetime, nil)
+			checkRestricted(t, full, net, ring, observed, fullStats, st, oracles[name])
 
-				tapped := f.network(t, seed, 2, fail, observed)
-				var rows []eventRow
-				st = f.run(t, tapped, 3*minGuardLifetime, eventRecorder(&rows))
-				checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name], fail == 0)
-				oracles[name].checkEvents(t, rows)
-			})
-		}
+			tapped := f.network(t, seed, 2, observed)
+			var rows []eventRow
+			st = f.run(t, tapped, 3*minGuardLifetime, eventRecorder(&rows))
+			checkRestricted(t, full, tapped, ring, observed, fullStats, st, oracles[name])
+			oracles[name].checkEvents(t, rows)
+		})
 	}
 }
 
@@ -414,7 +387,7 @@ func TestRestrictedNetworkLongWindow(t *testing.T) {
 // one as its oracle: the request totals, every observed directory's
 // store, and the network's log against the oracle folded from the
 // unrestricted network's events.
-func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fingerprint, fullStats, st TrafficStats, oracle *logOracle, exact bool) {
+func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fingerprint, fullStats, st TrafficStats, oracle *logOracle) {
 	t.Helper()
 	if st.TotalRequests != fullStats.TotalRequests || st.PhantomRequests != fullStats.PhantomRequests {
 		t.Fatalf("request totals %+v, oracle %+v", st, fullStats)
@@ -431,7 +404,7 @@ func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fi
 	if _, _, found := net.Log().CompactState(); found != st.ResolvedHits {
 		t.Fatalf("log counts %d found requests, stats %d resolved hits", found, st.ResolvedHits)
 	}
-	oracle.check(t, net.Log(), exact)
+	oracle.check(t, net.Log())
 	for _, fp := range ring {
 		d, ok := net.Directory(fp)
 		if !oracle.observed[fp] {
@@ -452,62 +425,60 @@ func checkRestricted(t *testing.T, full, net *Network, ring, observed []onion.Fi
 
 // TestRestrictedSharedRNGFetchesKeepEveryDraw pins that a fetch on a
 // restricted network draws exactly as on an unrestricted one: from one
-// stream position, both report the same guards, directories and attempts
-// and leave their streams at the same position, and an observed
-// directory answers as the unrestricted network's does, at both failure
-// rates.
+// stream position, both report the same guards and directories and
+// leave their streams at the same position, and an observed directory
+// answers as the unrestricted network's does. The subtest name states
+// that no directory fails.
 func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 	const seed = 41
 	f := newRestrictFixture(t, seed)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
-	for _, fail := range []float64{0, 0.3} {
-		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
-			full := f.network(t, seed, 1, fail, nil)
-			net := f.network(t, seed, 1, fail, observed)
-			now := f.doc.ValidAfter
-			full.PublishAll(f.pop, now)
-			net.PublishAll(f.pop, now)
-			full.warmGuardSets(now, now.Add(time.Hour))
-			net.warmGuardSets(now, now.Add(time.Hour))
-			svcs := f.pop.WithDescriptor()
-			drawsA, drawsB := parallel.StreamAt(seed), parallel.StreamAt(seed)
-			var scA, scB fetchScratch
-			answered, found := 0, 0
-			for i := 0; i < 200; i++ {
-				at := now.Add(time.Duration(i) * time.Second)
-				ca, cb := &full.clients[i%len(full.clients)], &net.clients[i%len(net.clients)]
-				var a, b fetchRec
-				if i%2 == 0 {
-					svc := svcs[i%len(svcs)]
-					a = fetchService(full, &drawsA, ca, svc.PermID, at, &scA)
-					b = fetchService(net, &drawsB, cb, svc.PermID, at, &scB)
-				} else {
-					id := onion.DescriptorID(onion.RandomFingerprint(rand.New(rand.NewSource(int64(i)))))
-					setA, setB := full.resolve(id), net.resolve(id)
-					a = fetchAs(full, &drawsA, ca, id, &setA, at)
-					b = fetchAs(net, &drawsB, cb, id, &setB, at)
+	t.Run("fail=0", func(t *testing.T) {
+		full := f.network(t, seed, 1, nil)
+		net := f.network(t, seed, 1, observed)
+		now := f.doc.ValidAfter
+		full.PublishAll(f.pop, now)
+		net.PublishAll(f.pop, now)
+		full.warmGuardSets(now, now.Add(time.Hour))
+		net.warmGuardSets(now, now.Add(time.Hour))
+		svcs := f.pop.WithDescriptor()
+		drawsA, drawsB := parallel.StreamAt(seed), parallel.StreamAt(seed)
+		var scA, scB fetchScratch
+		answered, found := 0, 0
+		for i := 0; i < 200; i++ {
+			at := now.Add(time.Duration(i) * time.Second)
+			ca, cb := &full.clients[i%len(full.clients)], &net.clients[i%len(net.clients)]
+			var a, b fetchRec
+			if i%2 == 0 {
+				svc := svcs[i%len(svcs)]
+				a = fetchService(full, &drawsA, ca, svc.PermID, at, &scA)
+				b = fetchService(net, &drawsB, cb, svc.PermID, at, &scB)
+			} else {
+				id := onion.DescriptorID(onion.RandomFingerprint(rand.New(rand.NewSource(int64(i)))))
+				setA, setB := full.resolve(id), net.resolve(id)
+				a = fetchAs(full, &drawsA, ca, id, &setA, at)
+				b = fetchAs(net, &drawsB, cb, id, &setB, at)
+			}
+			if a.guard != b.guard || a.dir != b.dir || a.descID != b.descID {
+				t.Fatalf("fetch %d differs:\n%+v\nvs\n%+v", i, a, b)
+			}
+			if b.observed {
+				answered++
+				if b.found {
+					found++
 				}
-				if a.guard != b.guard || a.lastDir != b.lastDir || a.descID != b.descID || a.attempts != b.attempts {
-					t.Fatalf("fetch %d differs:\n%+v\nvs\n%+v", i, a, b)
-				}
-				if b.answered >= 0 {
-					answered++
-					if b.found {
-						found++
-					}
-					if a.answered != b.answered || a.found != b.found {
-						t.Fatalf("fetch %d answered by an observed directory: found %v, unrestricted %v", i, b.found, a.found)
-					}
-				}
-				if drawsA != drawsB {
-					t.Fatalf("fetch %d left the streams apart: %+v vs %+v", i, drawsA, drawsB)
+				if a.found != b.found {
+					t.Fatalf("fetch %d answered by an observed directory: found %v, unrestricted %v", i, b.found, a.found)
 				}
 			}
-			if found == 0 || answered == found {
-				t.Fatalf("observed directories answered %d fetches, %d found; want hits and misses", answered, found)
+			if drawsA != drawsB {
+				t.Fatalf("fetch %d left the streams apart: %+v vs %+v", i, drawsA, drawsB)
 			}
-		})
-	}
+		}
+		if found == 0 || answered == found {
+			t.Fatalf("observed directories answered %d fetches, %d found; want hits and misses", answered, found)
+		}
+	})
 }
 
 // TestRestrictedNetworkRejectsObservers pins that a restricted network
@@ -516,7 +487,7 @@ func TestRestrictedSharedRNGFetchesKeepEveryDraw(t *testing.T) {
 // check what they see.)
 func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 	f := newRestrictFixture(t, 43)
-	net := f.network(t, 43, 1, 0, []onion.Fingerprint{})
+	net := f.network(t, 43, 1, []onion.Fingerprint{})
 	now := f.doc.ValidAfter
 	net.PublishAll(f.pop, now)
 	svc := f.pop.WithDescriptor()[0]
@@ -557,7 +528,7 @@ func TestRestrictedPublishAllocations(t *testing.T) {
 	now := f.doc.ValidAfter
 	var allocs []float64
 	for _, pop := range []*hspop.Population{f.pop, big} {
-		net := f.network(t, seed, 1, 0, observed)
+		net := f.network(t, seed, 1, observed)
 		allocs = append(allocs, testing.AllocsPerRun(20, func() { net.PublishAll(pop, now) }))
 	}
 	// The descriptors take one allocation; the rest are the sweep's
@@ -600,7 +571,7 @@ func TestFirstRestrictedPublishAllocations(t *testing.T) {
 		// AllocsPerRun makes one warm-up call before its runs.
 		nets := make([]*Network, runs+1)
 		for i := range nets {
-			nets[i] = f.network(t, seed, 1, 0, observed)
+			nets[i] = f.network(t, seed, 1, observed)
 		}
 		i := 0
 		allocs = append(allocs, testing.AllocsPerRun(runs, func() {
@@ -628,7 +599,7 @@ func TestNetworkLogOnlyWhenRestricted(t *testing.T) {
 	const seed = 59
 	f := newRestrictFixture(t, seed)
 	for name, observed := range map[string][]onion.Fingerprint{"unrestricted": nil, "none": {}} {
-		net := f.network(t, seed, 1, 0, observed)
+		net := f.network(t, seed, 1, observed)
 		f.run(t, net, time.Hour, nil)
 		switch l := net.Log(); {
 		case observed == nil && l != nil:
@@ -649,7 +620,7 @@ func TestCancelledWindowLeavesLogUnchanged(t *testing.T) {
 	f := newRestrictFixture(t, seed)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
 	now := f.doc.ValidAfter
-	net, ref := f.network(t, seed, 2, 0.3, observed), f.network(t, seed, 2, 0.3, observed)
+	net, ref := f.network(t, seed, 2, observed), f.network(t, seed, 2, observed)
 	net.PublishAll(f.pop, now)
 	ref.PublishAll(f.pop, now)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -675,7 +646,7 @@ func TestCancelledWindowLeavesLogUnchanged(t *testing.T) {
 // IDs that observed directories store and IDs that none does.
 func TestResolveDoesNotAllocate(t *testing.T) {
 	f := newRestrictFixture(t, 47)
-	net := f.network(t, 47, 1, 0, observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"])
+	net := f.network(t, 47, 1, observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"])
 	rng := rand.New(rand.NewSource(2))
 	ids := make([]onion.DescriptorID, 64)
 	for i := range ids {
@@ -705,7 +676,7 @@ func TestResolveDoesNotAllocate(t *testing.T) {
 func TestFetchPathsDoNotAllocate(t *testing.T) {
 	f := newRestrictFixture(t, 47)
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), 47)["tenth"]
-	net := f.network(t, 47, 1, 0.3, observed)
+	net := f.network(t, 47, 1, observed)
 	now := f.doc.ValidAfter
 	net.PublishAll(f.pop, now)
 	net.warmGuardSets(now, now.Add(time.Hour))
@@ -742,7 +713,7 @@ func TestFetchPathsDoNotAllocate(t *testing.T) {
 	for _, p := range paths {
 		unobserved, answered := 0, 0
 		if avg := testing.AllocsPerRun(500, func() {
-			if rec := p.fetch(); rec.answered < 0 {
+			if rec := p.fetch(); !rec.observed {
 				unobserved++
 			} else {
 				answered++

@@ -205,84 +205,6 @@ func TestDriveWindowStats(t *testing.T) {
 	}
 }
 
-func TestDirFailureValidation(t *testing.T) {
-	fleet := relaynet.DefaultFleetConfig(40)
-	fleet.Days = 1
-	sim, err := relaynet.NewSim(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sim.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := geo.NewDB(geo.DefaultBotnetMix())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(40)
-	cfg.DirFailureProb = 1.0
-	if _, err := NewNetwork(h.All()[0], db, cfg); err == nil {
-		t.Fatal("failure probability 1.0 accepted")
-	}
-}
-
-func TestDirFailureRetriesKeepFetchesWorking(t *testing.T) {
-	fleet := relaynet.DefaultFleetConfig(41)
-	fleet.Days = 1
-	sim, err := relaynet.NewSim(fleet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := sim.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := h.All()[0]
-	db, err := geo.NewDB(geo.DefaultBotnetMix())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(41)
-	cfg.Clients = 200
-	cfg.DirFailureProb = 0.3
-	net, err := NewNetwork(doc, db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop, err := hspop.Generate(context.Background(), hspop.TestConfig(41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := doc.ValidAfter
-	net.PublishAll(pop, now)
-
-	c := skewFreeClient(t, net)
-	svc := pop.WithDescriptor()[0]
-
-	found, retried := 0, 0
-	const trials = 200
-	var sc fetchScratch
-	draws := parallel.StreamAt(41)
-	for i := 0; i < trials; i++ {
-		rec := fetchService(net, &draws, c, svc.PermID, now.Add(time.Minute), &sc)
-		if rec.found {
-			found++
-		}
-		if rec.attempts > 1 {
-			retried++
-		}
-	}
-	// With 30% per-directory failure and up to 3 fallbacks, nearly every
-	// fetch still succeeds (P(all 3 fail) = 2.7%).
-	if float64(found)/trials < 0.9 {
-		t.Fatalf("found %d/%d fetches with retries enabled", found, trials)
-	}
-	if retried == 0 {
-		t.Fatal("no retries observed at 30% failure probability")
-	}
-}
-
 func TestGuardRotationAndStability(t *testing.T) {
 	pool := make([]onion.Fingerprint, 50)
 	rng := rand.New(rand.NewSource(6))

@@ -80,8 +80,7 @@ func TestDriveWindowIdenticalAcrossWorkerCounts(t *testing.T) {
 			a, b := events[i], baseEvents[i]
 			// Client pointers differ across networks; compare by ID.
 			if a.Client.ID != b.Client.ID || a.Guard != b.Guard || a.Dir != b.Dir ||
-				a.DescID != b.DescID || a.Found != b.Found || a.Attempts != b.Attempts ||
-				!a.At.Equal(b.At) {
+				a.DescID != b.DescID || a.Found != b.Found || !a.At.Equal(b.At) {
 				t.Fatalf("event %d differs at workers=%d:\n%+v\nvs\n%+v", i, workers, a, b)
 			}
 		}
@@ -105,8 +104,8 @@ func TestNilObserverMatchesCountingObserver(t *testing.T) {
 	now := f.doc.ValidAfter
 	for _, workers := range []int{1, 2, 8} {
 		for _, fail := range []float64{0, 0.3} {
-			counted := f.network(t, 61, workers, fail, nil)
-			plain := f.network(t, 61, workers, fail, nil)
+			counted := f.network(t, 61, workers, nil)
+			plain := f.network(t, 61, workers, nil)
 			counted.PublishAll(f.pop, now)
 			plain.PublishAll(f.pop, now)
 			for w := 0; w < 3; w++ {
