@@ -29,6 +29,7 @@ var knobAllowlist = map[string]string{
 	"torhs/internal/core/tracking.ScenarioConfig.TakeoverDay":       "episode day: TestScenarioMatchesScanningOracle moves the episodes across a 2,000-day history",
 	"torhs/internal/core/tracking.ScenarioConfig.InitialRelays":     "network growth: TestScenarioMatchesScanningOracle grows a smaller network over its 2,000-day history",
 	"torhs/internal/core/tracking.ScenarioConfig.FinalRelays":       "network growth: TestScenarioMatchesScanningOracle grows a smaller network over its 2,000-day history",
+	"torhs/internal/core/tracking.ScenarioConfig.OwnProbeDays":      "episode days: TestScenarioMatchesScanningOracle moves the own-server probes across a 2,000-day history",
 	"torhs/internal/core/webcrawl.Config.MaxPages":                  "page budget: TestCrawlRespectsPageBudget cuts the crawl short with it",
 }
 
@@ -36,9 +37,10 @@ var knobAllowlist = map[string]string{
 // of the module that no program sets: a constant in disguise, which
 // every reader must still check for a second value. A field is set when
 // non-test code of the module or of perfbench writes it from outside its
-// declaring package, or writes it a value that is not a constant. A
-// write is a composite-literal element, an assignment or increment, or
-// taking the field's address.
+// declaring package, or writes it a value that is not a constant (a
+// composite literal of constants counts as one). A write is a
+// composite-literal element, an assignment or increment, or taking the
+// field's address.
 func TestKnobs(t *testing.T) {
 	mod, bench := loadTree(t)
 
@@ -179,10 +181,29 @@ func (w knobWriter) write(named *types.Named, field string, value ast.Expr) {
 	}
 }
 
-// constantValue reports whether e is a constant or nil.
+// constantValue reports whether e is a constant, nil, or a composite
+// literal whose elements (and, outside a struct literal, keys) are all
+// constant values themselves.
 func constantValue(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	return ok && (tv.Value != nil || tv.IsNil())
+	e = ast.Unparen(e)
+	lit, ok := e.(*ast.CompositeLit)
+	if !ok {
+		tv, ok := info.Types[e]
+		return ok && (tv.Value != nil || tv.IsNil())
+	}
+	_, isStruct := info.TypeOf(lit).Underlying().(*types.Struct)
+	for _, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			if !isStruct && !constantValue(info, kv.Key) {
+				return false
+			}
+			elt = kv.Value
+		}
+		if !constantValue(info, elt) {
+			return false
+		}
+	}
+	return true
 }
 
 // namedStruct returns t's named type and struct, through one pointer.

@@ -51,8 +51,8 @@ func TestStepReadoutSameOnRestrictedNetwork(t *testing.T) {
 			Log:       hsdir.NewRequestLog(),
 		}
 		pub, req := make(map[onion.DescriptorID]bool), make(map[onion.DescriptorID]bool)
-		tr.mergeReadouts(h, pub, req, tr.readStep(net, attacker))
-		h.Log.MergeAll([]*hsdir.RequestLog{net.Log()})
+		tr.readOut(h, pub, req, net, attacker)
+		h.Log.Merge(net.Log())
 		return h, pub, req
 	}
 	full, fullPub, fullReq := readout(nil)

@@ -19,7 +19,6 @@ import (
 	"torhs/internal/hsdir"
 	"torhs/internal/hspop"
 	"torhs/internal/onion"
-	"torhs/internal/parallel"
 	"torhs/internal/relay"
 	"torhs/internal/relaynet"
 	"torhs/internal/simnet"
@@ -83,9 +82,9 @@ type Config struct {
 	// ClientConfig configures the client population when DriveTraffic is
 	// set.
 	ClientConfig simnet.Config
-	// Workers shards the per-step traffic drive and the attacker
-	// directory read-out across goroutines (<= 0: one per CPU). Results
-	// are identical at every worker count.
+	// Workers shards the per-step descriptor placement and traffic
+	// drive across goroutines (<= 0: one per CPU). Results are identical
+	// at every worker count.
 	Workers int
 	// SecretTable optionally shares precomputed rend-spec
 	// secret-id-parts across every per-step network's fetch-traffic
@@ -346,8 +345,8 @@ func (t *Trawler) Run(
 			}
 		}
 
-		t.mergeReadouts(h, publishedIDs, requestedPublished, t.readStep(net, attacker))
-		h.Log.MergeAll([]*hsdir.RequestLog{net.Log()})
+		t.readOut(h, publishedIDs, requestedPublished, net, attacker)
+		h.Log.Merge(net.Log())
 		h.StepCoverage = append(h.StepCoverage, float64(len(attacker))/float64(len(hsdirs)))
 
 		// Snapshot after the step's accumulators are complete. The final
@@ -392,78 +391,37 @@ func (t *Trawler) stepConfig(step int, observed []onion.Fingerprint) simnet.Conf
 	return cfg
 }
 
-// readStep reads out every attacker-operated directory of a step's
-// network, fanned out across workers; per-shard partials merge into the
-// harvest in shard order, and every harvest field is a set union or a
-// sum, so the read-out is identical at every worker count.
-func (t *Trawler) readStep(net *simnet.Network, attacker []onion.Fingerprint) []readout {
-	shards := make([]readout, parallel.NumChunks(t.cfg.Workers, len(attacker)))
-	parallel.Chunks(t.cfg.Workers, len(attacker), func(shard, lo, hi int) {
-		out := &shards[shard]
-		for _, fp := range attacker[lo:hi] {
-			t.readDirectory(net, fp, out)
-		}
-	})
-	return shards
-}
-
-// mergeReadouts folds the per-shard read-out partials into the harvest
-// accumulators. Every scalar is a sum and every map a set union, so the
-// order of the shards is immaterial. Most descriptors a step reads
-// belong to services an earlier step already harvested, so one lookup
-// settles each of those.
-func (t *Trawler) mergeReadouts(
+// readOut folds every attacker-operated directory of a step's network
+// into the harvest accumulators in place, in consensus order, through
+// the stores' visitors (no copies). A directory's Each visits one
+// descriptor per descriptor ID it ever stored, so its DescIDs are the
+// published IDs. Every field is a sum or a set union, so the order is
+// immaterial. Most descriptors a step reads belong to services an
+// earlier step already harvested, so one lookup settles each of those.
+func (t *Trawler) readOut(
 	h *Harvest,
 	publishedIDs, requestedPublished map[onion.DescriptorID]bool,
-	shards []readout,
+	net *simnet.Network,
+	attacker []onion.Fingerprint,
 ) {
-	for i := range shards {
-		sh := &shards[i]
-		h.DescriptorsSeen += len(sh.descs)
-		for _, desc := range sh.descs {
+	for _, fp := range attacker {
+		dir, ok := net.Directory(fp)
+		if !ok {
+			continue
+		}
+		dir.Each(func(desc *onion.Descriptor) {
+			h.DescriptorsSeen++
+			publishedIDs[desc.DescID] = true
 			if _, ok := h.PermIDs[desc.Address]; !ok {
 				h.Addresses[desc.Address] = true
 				h.PermIDs[desc.Address] = desc.PermID
 			}
-		}
-		for _, id := range sh.publishedIDs {
-			publishedIDs[id] = true
-		}
-		for _, id := range sh.requestedPublished {
-			requestedPublished[id] = true
-		}
-	}
-}
-
-// readout is one worker's partial read of the attacker directories, in
-// directory order: the live descriptors, the descriptor IDs ever
-// published, and those ever requested. They are lists, not sets, so a
-// repeat costs nothing here; the merge folds them into the harvest's
-// sets.
-type readout struct {
-	descs              []*onion.Descriptor
-	publishedIDs       []onion.DescriptorID
-	requestedPublished []onion.DescriptorID
-}
-
-// readDirectory harvests one attacker-operated directory into the shard
-// tally, iterating the store in place through its visitors (no snapshot
-// copies).
-func (t *Trawler) readDirectory(net *simnet.Network, fp onion.Fingerprint, out *readout) {
-	dir, ok := net.Directory(fp)
-	if !ok {
-		return
-	}
-	dir.Each(func(desc *onion.Descriptor) {
-		out.descs = append(out.descs, desc)
-	})
-	dir.EachPublishedID(func(id onion.DescriptorID) {
-		out.publishedIDs = append(out.publishedIDs, id)
-	})
-	if t.cfg.DriveTraffic {
-		dir.EachRequestedPublishedID(func(id onion.DescriptorID) {
-			out.requestedPublished = append(out.requestedPublished, id)
 		})
+		if t.cfg.DriveTraffic {
+			dir.EachRequestedPublishedID(func(id onion.DescriptorID) {
+				requestedPublished[id] = true
+			})
+		}
 	}
 }
 

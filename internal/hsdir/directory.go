@@ -174,8 +174,10 @@ func (d *Directory) Probe(id onion.DescriptorID, now time.Time) (*onion.Descript
 
 // Each visits the stored descriptors, the latest published under each ID
 // whether expired or not, in publication order without copying a
-// snapshot. The directory's lock is held for the whole iteration; fn
-// must not call back into the directory.
+// snapshot. It visits exactly one descriptor per descriptor ID ever
+// published here, so their DescIDs are the "published ever" set. The
+// directory's lock is held for the whole iteration; fn must not call
+// back into the directory.
 func (d *Directory) Each(fn func(*onion.Descriptor)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -189,18 +191,6 @@ func (d *Directory) PublishedEver() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.entries)
-}
-
-// EachPublishedID visits every descriptor ID ever stored on this
-// directory, in publication order, without copying a snapshot. The lock
-// is held for the whole iteration; fn must not call back into the
-// directory.
-func (d *Directory) EachPublishedID(fn func(onion.DescriptorID)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for i := range d.entries {
-		fn(d.entries[i].id)
-	}
 }
 
 // EachRequestedPublishedID visits the stored descriptor IDs that were

@@ -79,13 +79,20 @@ func (r *refDirectory) check(t *testing.T, dir *Directory, step int) {
 		t.Fatalf("step %d: stored descriptor sets diverge in size", step)
 	}
 
-	// Ever-published and ever-requested sets.
-	var gotPub []onion.DescriptorID
-	dir.EachPublishedID(func(id onion.DescriptorID) { gotPub = append(gotPub, id) })
+	// Ever-published and ever-requested sets. Each's DescIDs, one per
+	// descriptor it visits, are the ever-published set: distinct, and as
+	// many as the reference holds.
+	gotPub := make(map[onion.DescriptorID]bool)
+	dir.Each(func(d *onion.Descriptor) {
+		if gotPub[d.DescID] {
+			t.Fatalf("step %d: Each visits ID %x twice", step, d.DescID)
+		}
+		gotPub[d.DescID] = true
+	})
 	if len(gotPub) != len(r.published) {
 		t.Fatalf("step %d: published set size = %d, want %d", step, len(gotPub), len(r.published))
 	}
-	for _, id := range gotPub {
+	for id := range gotPub {
 		if !r.published[id] {
 			t.Fatalf("step %d: unexpected published ID %x", step, id)
 		}

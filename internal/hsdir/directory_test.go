@@ -110,7 +110,7 @@ func TestRequestLogCountsAndMerge(t *testing.T) {
 	record(a, id1, false)
 	record(b, id2, false)
 
-	a.MergeAll([]*RequestLog{b})
+	a.Merge(b)
 	if a.Total() != 3 {
 		t.Fatalf("merged total = %d, want 3", a.Total())
 	}

@@ -161,32 +161,25 @@ func (l *RequestLog) Unpack(ids []byte, counts []int, total, found int) error {
 	return nil
 }
 
-// MergeAll folds the per-descriptor-ID counts, totals and found tallies
-// of every log in others into l. This is the once-per-step merge of the
-// trawl read-out: each source is read under its own lock only, then l is
-// updated under its lock only, so the two locks are never held together
-// and there is no lock order to deadlock on. Count sums are
-// order-insensitive, so the merge preserves the shard-merge determinism
-// contract. Nil sources and l itself are skipped; the sources are left
-// unchanged.
-func (l *RequestLog) MergeAll(others []*RequestLog) {
-	counts := make(map[onion.DescriptorID]int)
-	total, found := 0, 0
-	for _, o := range others {
-		if o == nil || o == l {
-			continue
-		}
-		o.mu.Lock()
-		for id, n := range o.perID {
-			counts[id] += n
-		}
-		total += o.total
-		found += o.found
-		o.mu.Unlock()
+// Merge folds o's per-descriptor-ID counts, total and found tally into
+// l. This is the once-per-step merge of the trawl read-out. o's state is
+// read under o's lock only and then added straight into l under l's lock
+// only, so the two locks are never held together and there is no lock
+// order to deadlock on. o must not be recorded into while Merge runs (a
+// step network's log is complete once its window has been driven).
+// Count sums are order-insensitive, so the merge preserves the
+// shard-merge determinism contract. A nil o and l itself are skipped; o
+// is left unchanged.
+func (l *RequestLog) Merge(o *RequestLog) {
+	if o == nil || o == l {
+		return
 	}
+	o.mu.Lock()
+	perID, total, found := o.perID, o.total, o.found
+	o.mu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for id, n := range counts {
+	for id, n := range perID {
 		l.perID[id] += n
 	}
 	l.total += total

@@ -23,7 +23,7 @@ func TestMergeBulkSemantics(t *testing.T) {
 	dst := NewRequestLog()
 	record(dst, idWithByte(0), true)
 
-	dst.MergeAll([]*RequestLog{src})
+	dst.Merge(src)
 	if got := dst.Total(); got != 11 {
 		t.Fatalf("Total = %d, want 11", got)
 	}
@@ -48,7 +48,8 @@ func TestMergeBulkSemantics(t *testing.T) {
 func TestMergeSelfAndNilNoop(t *testing.T) {
 	l := NewRequestLog()
 	record(l, idWithByte(1), true)
-	l.MergeAll([]*RequestLog{nil, l})
+	l.Merge(nil)
+	l.Merge(l)
 	if l.Total() != 1 || l.UniqueIDs() != 1 {
 		t.Fatalf("self/nil merge corrupted log: total=%d unique=%d", l.Total(), l.UniqueIDs())
 	}
@@ -70,7 +71,7 @@ func TestMergeConcurrent(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			dst.MergeAll([]*RequestLog{src})
+			dst.Merge(src)
 		}()
 		go func(s int) {
 			defer wg.Done()

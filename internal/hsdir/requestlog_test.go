@@ -185,10 +185,10 @@ func TestCompactStateReturnsCopy(t *testing.T) {
 	assertMatchesRef(t, l, newRefLog(reqs))
 }
 
-// TestMergeAllMatchesOneLog is the trawl read-out's merge: logs folded
+// TestMergeMatchesOneLog is the trawl read-out's merge: logs folded
 // into a non-empty harvest log agree with one log that counted every
 // request, and the sources are left unchanged.
-func TestMergeAllMatchesOneLog(t *testing.T) {
+func TestMergeMatchesOneLog(t *testing.T) {
 	reqs := testRequests(4, 3000, 50)
 	a, b := NewRequestLog(), NewRequestLog()
 	recordAll(a, reqs[:1000])
@@ -196,10 +196,68 @@ func TestMergeAllMatchesOneLog(t *testing.T) {
 	dst := NewRequestLog()
 	recordAll(dst, reqs[2000:])
 
-	dst.MergeAll([]*RequestLog{a, b})
+	dst.Merge(a)
+	dst.Merge(b)
 	assertMatchesRef(t, dst, newRefLog(reqs))
 	assertMatchesRef(t, a, newRefLog(reqs[:1000]))
 	assertMatchesRef(t, b, newRefLog(reqs[1000:2000]))
+}
+
+// mergeAllOracle is the copy-then-fold merge Merge replaced: every
+// source's counts are first summed into a fresh map under that source's
+// lock, and the map is then folded into l under l's lock.
+func mergeAllOracle(l *RequestLog, others []*RequestLog) {
+	counts := make(map[onion.DescriptorID]int)
+	total, found := 0, 0
+	for _, o := range others {
+		if o == nil || o == l {
+			continue
+		}
+		o.mu.Lock()
+		for id, n := range o.perID {
+			counts[id] += n
+		}
+		total += o.total
+		found += o.found
+		o.mu.Unlock()
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for id, n := range counts {
+		l.perID[id] += n
+	}
+	l.total += total
+	l.found += found
+}
+
+// TestMergeMatchesCopyThenFoldOracle folds the same sources, nil and
+// the destination itself among them, into two equal logs: one source at
+// a time through Merge and all at once through the copy-then-fold
+// oracle. Both must end in the same per-ID counts, total and found tally.
+func TestMergeMatchesCopyThenFoldOracle(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		reqs := testRequests(seed, 4000, 40+int(seed)*30)
+		got, want := NewRequestLog(), NewRequestLog()
+		recordAll(got, reqs[:500])
+		recordAll(want, reqs[:500])
+		sources := []*RequestLog{nil, got}
+		for lo := 500; lo < len(reqs); lo += 700 {
+			src := NewRequestLog()
+			recordAll(src, reqs[lo:min(lo+700, len(reqs))])
+			sources = append(sources, src)
+		}
+		for _, src := range sources {
+			got.Merge(src)
+		}
+		sources[1] = want
+		mergeAllOracle(want, sources)
+		gc, gt, gf := got.CompactState()
+		wc, wt, wf := want.CompactState()
+		if !maps.Equal(gc, wc) || gt != wt || gf != wf {
+			t.Fatalf("seed %d: Merge gives %d IDs, total %d, found %d; oracle %d, %d, %d", seed, len(gc), gt, gf, len(wc), wt, wf)
+		}
+		assertMatchesRef(t, got, newRefLog(reqs))
+	}
 }
 
 // record counts one request for id, as a window of one answer would.

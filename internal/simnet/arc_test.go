@@ -181,3 +181,56 @@ func diffPlacement(net, oracle *Network) (int, string) {
 	}
 	return stored, ""
 }
+
+// TestRestrictedIntroStateIsRingPositions pins what a restricted network
+// keeps of its services' introduction points. After each sweep at the
+// arc test's instants it holds introPoints ring positions (int32) per
+// swept service, and its fingerprint arena holds introPoints points for
+// each distinct service whose descriptor from that sweep an observed
+// directory stores, and no more. Every such descriptor's points are the
+// ring fingerprints at its service's positions.
+func TestRestrictedIntroStateIsRingPositions(t *testing.T) {
+	const seed = 67
+	f := newRestrictFixture(t, seed)
+	svcs := f.pop.WithDescriptor()
+	start := f.doc.ValidAfter
+	instants := []time.Time{start.Truncate(24 * time.Hour).Add(time.Minute), start, nextPeriodStart(svcs[0].PermID, start)}
+	slices.SortFunc(instants, time.Time.Compare)
+	index := make(map[onion.Address]int, len(svcs))
+	for i, svc := range svcs {
+		index[svc.Address] = i
+	}
+	for name, observed := range observedSubsets(f.doc.Ring().Fingerprints(), seed) {
+		net := f.network(t, seed, 2, observed)
+		for _, at := range instants {
+			net.PublishAll(f.pop, at)
+			if len(net.introPos) != introPoints*len(svcs) || cap(net.introPos) != len(net.introPos) {
+				t.Fatalf("%s at %v: %d ring positions (cap %d) for %d services", name, at, len(net.introPos), cap(net.introPos), len(svcs))
+			}
+			placed := make(map[onion.Address]bool)
+			for _, d := range net.dirs {
+				if d == nil {
+					continue
+				}
+				d.Each(func(desc *onion.Descriptor) {
+					if !desc.PublishedAt.Equal(at) {
+						return
+					}
+					placed[desc.Address] = true
+					in := index[desc.Address] * introPoints
+					for j, fp := range desc.IntroPoints {
+						if fp != net.ringFPs[net.introPos[in+j]] {
+							t.Fatalf("%s at %v: %s's intro point %d is not its ring position's relay", name, at, desc.Address, j)
+						}
+					}
+				})
+			}
+			if len(net.intros) != introPoints*len(placed) || cap(net.intros) != len(net.intros) {
+				t.Fatalf("%s at %v: arena of %d points (cap %d) for %d placed services", name, at, len(net.intros), cap(net.intros), len(placed))
+			}
+			if len(placed) == 0 && name != "none" {
+				t.Fatalf("%s at %v: no observed directory stores a descriptor", name, at)
+			}
+		}
+	}
+}

@@ -61,9 +61,13 @@ type Network struct {
 	// hosts holds an unrestricted network's hosts; a restricted network
 	// builds none. Both keep the introduction points of the population
 	// PublishAll last swept (introSvcs), introPoints per service in
-	// order: all a restricted network's stores can hold of a host.
+	// order: all a restricted network's stores can hold of a host. An
+	// unrestricted network keeps them in intros; a restricted one keeps
+	// them as ring positions in introPos, and intros holds the points of
+	// just the services its last sweep placed (see placeByArc).
 	hosts           map[onion.Address]*Host
 	intros          []onion.Fingerprint
+	introPos        []int32
 	introSvcs       []*hspop.Service
 	uploadObservers []func(UploadEvent)
 }
@@ -290,7 +294,8 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 		}
 		return len(svcs)
 	}
-	n.placeByArc(&ids, svcs, n.sweepIntros(svcs), now)
+	n.sweepIntros(svcs)
+	n.placeByArc(&ids, svcs, now)
 	return len(svcs)
 }
 
@@ -307,8 +312,11 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 // (hspop.DescriptorIDs.EachIn). Each ID found gets one Descriptor,
 // shared by every directory that stores it, and each directory publishes
 // its descriptors in (service, replica) order: the insertion order of a
-// service-by-service sweep.
-func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, intros []onion.Fingerprint, now time.Time) {
+// service-by-service sweep. A restricted network turns the ring
+// positions of its placed services' introduction points into
+// fingerprints, once per service, in one arena per sweep (n.intros); the
+// descriptors of earlier sweeps keep theirs.
+func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, now time.Time) {
 	nd, span := len(n.dirs), min(len(n.dirs), onion.SpreadPerReplica)
 	// Segment q's IDs are hits[segOff[q]:segOff[q+1]].
 	segOffPtr, hitsPtr := grabZeroed[int32](&i32Pool, nd+1), grabSlice[*hspop.SortedID](&hitPool, 0)
@@ -323,10 +331,37 @@ func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, in
 	}
 	*hitsPtr = hits
 
+	// slot[s] is the 1-based arena position of placed service s.
+	var slot []int32
+	if n.Restricted() {
+		slotPtr := grabZeroed[int32](&i32Pool, len(svcs))
+		defer i32Pool.Put(slotPtr)
+		slot = *slotPtr
+		placed := int32(0)
+		for _, e := range hits {
+			if slot[e.Svc] == 0 {
+				placed++
+				slot[e.Svc] = placed
+			}
+		}
+		n.intros = make([]onion.Fingerprint, introPoints*int(placed))
+		for s, at := range slot {
+			if at == 0 {
+				continue
+			}
+			for j := range introPoints {
+				n.intros[int(at-1)*introPoints+j] = n.ringFPs[n.introPos[s*introPoints+j]]
+			}
+		}
+	}
+	intros := n.intros
 	descs := make([]onion.Descriptor, len(hits))
 	parallel.Chunks(n.workers, len(hits), func(_, lo, hi int) {
 		for j, e := range hits[lo:hi] {
 			svc, in := svcs[e.Svc], int(e.Svc)*introPoints
+			if slot != nil {
+				in = int(slot[e.Svc]-1) * introPoints
+			}
 			descs[lo+j] = onion.Descriptor{
 				DescID:      e.ID,
 				Address:     svc.Address,

@@ -68,33 +68,41 @@ func (n *Network) ensureHost(svc *hspop.Service) *Host {
 	return h
 }
 
-// sweepIntros returns the introduction points of every service in
-// svcs, introPoints per service in order, first making the set-up draws
-// of each service that has none yet, in service order, exactly as
-// ensureHost would one service at a time. An unrestricted network
-// materialises and registers the new hosts, their points runs of the
-// returned slice; a restricted one formats no location and builds no
-// Host. The network keeps the slice, so a later sweep of the same
-// population draws nothing. A restricted network, which keeps no hosts
-// to look services up in, publishes one population only.
-func (n *Network) sweepIntros(svcs []*hspop.Service) []onion.Fingerprint {
+// sweepIntros makes the set-up draws of every service in svcs that has
+// none yet, in service order, exactly as ensureHost would one service at
+// a time. An unrestricted network materialises and registers the new
+// hosts and keeps every service's points in n.intros, introPoints per
+// service in order. A restricted one formats no location, builds no
+// Host and keeps the points as ring positions in n.introPos; placeByArc
+// turns into fingerprints only those of the services it places. The
+// network keeps what it drew, so a later sweep of the same population
+// draws nothing. A restricted network, which keeps no hosts to look
+// services up in, publishes one population only.
+func (n *Network) sweepIntros(svcs []*hspop.Service) {
 	if len(svcs) == len(n.introSvcs) && (len(svcs) == 0 || &svcs[0] == &n.introSvcs[0]) {
-		return n.intros
+		return
 	}
-	if n.Restricted() && n.introSvcs != nil {
-		panic("simnet: a restricted network publishes one population")
+	if n.Restricted() {
+		if n.introSvcs != nil {
+			panic("simnet: a restricted network publishes one population")
+		}
+		n.introSvcs, n.introPos = svcs, make([]int32, introPoints*len(svcs))
+		for i := range svcs {
+			n.geoDB.DrawIP(n.rng)
+			for j := range introPoints {
+				n.introPos[i*introPoints+j] = n.pickRelay()
+			}
+		}
+		return
 	}
-	if len(n.hosts) == 0 && !n.Restricted() {
+	if len(n.hosts) == 0 {
 		n.hosts = make(map[onion.Address]*Host, len(svcs))
 	}
 	n.introSvcs, n.intros = svcs, make([]onion.Fingerprint, introPoints*len(svcs))
 	var hosts []Host
 	for i, svc := range svcs {
 		intros := n.intros[i*introPoints : (i+1)*introPoints : (i+1)*introPoints]
-		if n.Restricted() {
-			n.geoDB.DrawIP(n.rng)
-			n.pickIntros(intros)
-		} else if h, ok := n.hosts[svc.Address]; ok {
+		if h, ok := n.hosts[svc.Address]; ok {
 			copy(intros, h.intros)
 		} else {
 			if len(hosts) == 0 {
@@ -104,7 +112,6 @@ func (n *Network) sweepIntros(svcs []*hspop.Service) []onion.Fingerprint {
 			hosts = hosts[1:]
 		}
 	}
-	return n.intros
 }
 
 // initHost materialises svc's host in h and registers it: its location,
@@ -112,22 +119,16 @@ func (n *Network) sweepIntros(svcs []*hspop.Service) []onion.Fingerprint {
 // RNG in that order.
 func (n *Network) initHost(h *Host, svc *hspop.Service, intros []onion.Fingerprint) {
 	ip, country := n.geoDB.AllocateIP(n.rng)
-	n.pickIntros(intros)
+	for i := range intros {
+		intros[i] = n.ringFPs[n.pickRelay()]
+	}
 	*h = Host{Service: svc, IP: ip, Country: country, intros: intros}
 	n.hosts[svc.Address] = h
 }
 
-// pickIntros draws one introduction point per slot of intros.
-func (n *Network) pickIntros(intros []onion.Fingerprint) {
-	for i := range intros {
-		intros[i] = n.pickRelay()
-	}
-}
-
-// pickRelay draws a random relay fingerprint from the consensus HSDir
-// ring (any relay can serve as middle, intro, or rendezvous point at this
-// abstraction level).
-func (n *Network) pickRelay() onion.Fingerprint {
-	fps := n.ring.Fingerprints()
-	return fps[n.rng.Intn(len(fps))]
+// pickRelay draws the ring position of a random relay on the consensus
+// HSDir ring (any relay can serve as middle, intro, or rendezvous point
+// at this abstraction level).
+func (n *Network) pickRelay() int32 {
+	return int32(n.rng.Intn(len(n.ringFPs)))
 }
