@@ -623,9 +623,9 @@ type simnetBenchRun struct {
 // network's log (see simnetBenchRuns); observed=target is the Fig. 3
 // campaign's network, restricted to one service's attacker directories
 // (deanon.AttackerDirs) with a fetch observer tapped in. Every iteration
-// drives the first window of a freshly published network, built with the
-// timer stopped, after two collections have emptied simnet's
-// window-buffer pools (as happens between trawl steps), so B/op and
+// drives the first window of a fresh network, built and published with
+// the timer stopped. A network owns its window buffers, so each
+// iteration's window allocates them inside the timer, and B/op and
 // allocs/op are the same in every iteration and do not depend on b.N.
 func BenchmarkDriveWindow(b *testing.B) {
 	e := benchSetup(b)
@@ -665,8 +665,9 @@ func BenchmarkDriveWindow(b *testing.B) {
 // ID derivation and placement on the responsible directories, which each
 // trawl step and each deanonymisation network pays once (see
 // simnetBenchRuns for the two shapes). Every iteration publishes on a
-// network built with the timer stopped, after two collections have
-// emptied simnet's pools, so B/op and allocs/op do not depend on b.N.
+// fresh network built with the timer stopped. A network owns its sweep
+// buffers, so each iteration's sweep allocates them inside the timer,
+// and B/op and allocs/op do not depend on b.N.
 func BenchmarkPublishAll(b *testing.B) {
 	e := benchSetup(b)
 	doc, runs := simnetBenchRuns(b)

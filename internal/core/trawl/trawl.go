@@ -225,7 +225,8 @@ func (t *Trawler) rotate(step int) {
 // attacker directories (simnet.Config.Observed): it publishes to, probes
 // and counts requests at only what the read-out sees, which leaves every
 // harvest field exactly as a full-ring simulation would. The step
-// network's request log merges into the harvest log once per step.
+// network's request log merges into the harvest log once per step; one
+// network, rebuilt in place per step (simnet.Network.Rebuild), serves all.
 //
 // The step is the cancellation unit: ctx is observed at every step
 // boundary (and inside the step through the traffic drive). A cancelled
@@ -244,6 +245,7 @@ func (t *Trawler) Run(
 	if t.fleet == nil {
 		return nil, fmt.Errorf("trawl: fleet not deployed")
 	}
+	var net simnet.Network
 	h := &Harvest{
 		Addresses: make(map[onion.Address]bool),
 		PermIDs:   make(map[onion.Address]onion.PermanentID),
@@ -327,17 +329,16 @@ func (t *Trawler) Run(
 		// The step reads only the attacker-operated directories, so its
 		// network publishes to, probes and counts requests at only those.
 		attacker := t.attackerDirs(hsdirs)
-		net, err := simnet.NewNetwork(doc, db, t.stepConfig(step, attacker))
-		if err != nil {
+		if err := net.Rebuild(doc, db, t.stepConfig(step, attacker)); err != nil {
 			return nil, fmt.Errorf("trawl: step %d: %w", step, err)
 		}
 		net.PublishAll(pop, now)
 
 		if t.cfg.DriveTraffic {
 			if _, err := net.DriveWindow(ctx, pop, now, StepLen, nil); err != nil {
-				// Cancelled mid-step: the step's per-step network is
-				// abandoned wholesale (nothing merged into the harvest),
-				// so the completed prefix is still exactly [0, step).
+				// Cancelled mid-step: the step's network is abandoned
+				// wholesale (nothing merged into the harvest), so the
+				// completed prefix is still exactly [0, step).
 				if ferr := flush(step - 1); ferr != nil {
 					return nil, ferr
 				}
@@ -345,7 +346,7 @@ func (t *Trawler) Run(
 			}
 		}
 
-		t.readOut(h, publishedIDs, requestedPublished, net, attacker)
+		t.readOut(h, publishedIDs, requestedPublished, &net, attacker)
 		h.Log.Merge(net.Log())
 		h.StepCoverage = append(h.StepCoverage, float64(len(attacker))/float64(len(hsdirs)))
 

@@ -34,6 +34,8 @@ func cancelCells() []cancelCell {
 	return []cancelCell{
 		// deanon drives exactly one traffic window; cancel as it starts.
 		{fault.SiteSimWindow, "deanon", 1},
+		// The second trawl step's window, the first on a rebuilt network.
+		{fault.SiteSimWindow, "popularity", 2},
 		{fault.SiteTrawlStep, "popularity", 2},
 		{fault.SiteTrackingWindow, "tracking", 40},
 		{fault.SiteTask, "popularity,tracking", 2},

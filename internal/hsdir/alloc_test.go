@@ -29,6 +29,40 @@ func TestPublishSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestResetRefillAllocFree locks in what a rebuilt trawl step relies
+// on: Reset empties a directory, and refilling it with as many
+// descriptors as it held, fetched or not, performs zero heap
+// allocations.
+func TestResetRefillAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	dir := NewDirectory(24 * time.Hour)
+	descs := make([]*onion.Descriptor, 64)
+	for i := range descs {
+		descs[i] = makeDescriptor(rng, at(0))
+		dir.Publish(descs[i], at(0))
+		dir.Probe(descs[i].DescID, at(0))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		dir.Reset()
+		for _, d := range descs[:len(descs)/2] {
+			dir.Publish(d, at(1))
+		}
+		dir.Reset()
+		for _, d := range descs {
+			dir.Publish(d, at(1))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset and refill allocate %v times per op, want 0", allocs)
+	}
+	dir.Reset()
+	if _, ok := dir.Probe(descs[0].DescID, at(1)); ok || dir.PublishedEver() != 0 {
+		t.Fatalf("a reset directory finds a descriptor or counts %d published", dir.PublishedEver())
+	}
+	dir.Publish(descs[1], at(1))
+	dir.EachRequestedPublishedID(func(id onion.DescriptorID) { t.Fatalf("a reset directory reports %s requested", id.Hex()) })
+}
+
 // TestProbeAllocFree locks in that the lock-free fetch path (hits,
 // misses, and expired entries alike) performs zero heap allocations.
 func TestProbeAllocFree(t *testing.T) {

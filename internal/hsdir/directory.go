@@ -62,6 +62,17 @@ func NewDirectory(ttl time.Duration) *Directory {
 	return &Directory{ttl: ttl}
 }
 
+// Reset empties the directory, unpinning its descriptors, but keeps the
+// room its tables have grown: refilling it allocates nothing (Publish
+// zeroes each requested-bitset word it regrows).
+func (d *Directory) Reset() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	clear(d.slots)
+	clear(d.descs)
+	d.entries, d.descs, d.requested = d.entries[:0], d.descs[:0], d.requested[:0]
+}
+
 // lookup returns the arena index of id, or -1.
 func (d *Directory) lookup(id onion.DescriptorID) int32 {
 	if len(d.slots) == 0 {

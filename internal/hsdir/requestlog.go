@@ -31,6 +31,14 @@ func NewRequestLog() *RequestLog {
 	return &RequestLog{perID: make(map[onion.DescriptorID]int)}
 }
 
+// Reset empties the log but keeps the room its map has grown.
+func (l *RequestLog) Reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	clear(l.perID)
+	l.total, l.found = 0, 0
+}
+
 // addLocked counts one request. Callers hold l.mu.
 func (l *RequestLog) addLocked(id onion.DescriptorID, found bool) {
 	l.perID[id]++
@@ -49,9 +57,9 @@ type Answer struct {
 }
 
 // RecordEach counts every answer of every batch, batch by batch, under
-// one lock acquisition. This is how DriveWindow folds a window's
-// per-shard answers into its network's log. Counting IDs the log already
-// holds performs zero heap allocations.
+// one lock acquisition. This is how DriveWindow counts its shards'
+// answers into its network's log, a batch at a time. Counting IDs the log
+// already holds performs zero heap allocations.
 func (l *RequestLog) RecordEach(batches [][]Answer) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"torhs/internal/consensus"
@@ -32,10 +31,10 @@ type Network struct {
 	rng *rand.Rand
 
 	// doc is the single consensus snapshot this network simulates; the
-	// network *is* that window, so the document lives exactly as long as
-	// the per-step network does (the trawl drops both together).
+	// network *is* that window, so the document lives until the next
+	// Rebuild (a trawl's next step) or as long as the network does.
 	//
-	//torhs:retained the network's own consensus window; dropped with the per-step network
+	//torhs:retained the network's own consensus window; replaced by the next Rebuild, dropped with the network
 	doc     *consensus.Document
 	ring    *hsdir.Ring
 	ringFPs []onion.Fingerprint // ring.Fingerprints(), cached
@@ -44,9 +43,9 @@ type Network struct {
 	// non-nil exactly when Config.Observed was set (see restricted):
 	// nothing reads the counts of an unrestricted network.
 	log     *hsdir.RequestLog
-	guards  []onion.Fingerprint
-	pool    *guardPool
+	pool    guardPool
 	workers int
+	free    []*hsdir.Directory // directories a Rebuild took back, reset, and has not handed out
 
 	// secrets shares the window's precomputed secret-id-parts across
 	// every descriptor-ID derivation (fetches and PublishService).
@@ -70,6 +69,26 @@ type Network struct {
 	introPos        []int32
 	introSvcs       []*hspop.Service
 	uploadObservers []func(UploadEvent)
+
+	// descArena and introArena hold the first sweep's descriptors and intro
+	// points since the last Rebuild, free if arenasFree (see arenas).
+	descArena  []onion.Descriptor
+	introArena []onion.Fingerprint
+	arenasFree bool
+	buf        scratch
+}
+
+// scratch holds the buffers of the network's publish sweeps and driven
+// windows (records and answers one per shard), reused by its later ones
+// and across rebuilds. Every slot is written before it is read, so reuse
+// never changes an outcome.
+type scratch struct {
+	segOff, dirOff, slot, offs []int32
+	hits                       []*hspop.SortedID
+	runs, dead                 []uint64
+	phantoms                   phantomTable
+	recs                       [][]fetchRec // pointer-free: never GC-scanned
+	answers                    [][]hsdir.Answer
 }
 
 // MaxSkew bounds the absolute clock skew of a client with a wrong clock.
@@ -127,61 +146,98 @@ func DefaultConfig(seed int64) Config {
 
 // NewNetwork builds the network from a consensus snapshot: one descriptor
 // directory per HSDir-flagged relay, the guard pool, and cfg.Clients
-// clients with geo-allocated IPs.
+// clients with geo-allocated IPs. It is Rebuild on a new Network.
 func NewNetwork(doc *consensus.Document, db *geo.DB, cfg Config) (*Network, error) {
+	n := new(Network)
+	if err := n.Rebuild(doc, db, cfg); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Rebuild turns n, in place, into the network NewNetwork(doc, db, cfg)
+// builds, reusing its client slice, directories, request log, descriptor
+// and intro-point arenas and sweep and window buffers, so a trawl step
+// that needs no more room than the one before allocates none of them. A
+// zero Network is ready to Rebuild; on error n is left as it was. A
+// rebuild invalidates every *hsdir.Directory, stored *onion.Descriptor
+// and Log the network handed out before it, and the Clients of its fetch
+// events: callers must be done reading them.
+func (n *Network) Rebuild(doc *consensus.Document, db *geo.DB, cfg Config) error {
 	if cfg.Clients <= 0 {
-		return nil, fmt.Errorf("simnet: client count %d must be positive", cfg.Clients)
+		return fmt.Errorf("simnet: client count %d must be positive", cfg.Clients)
 	}
 	hsdirs := doc.HSDirs()
 	if len(hsdirs) < onion.Replicas*onion.SpreadPerReplica {
-		return nil, fmt.Errorf("simnet: only %d HSDirs in consensus, need >= %d",
+		return fmt.Errorf("simnet: only %d HSDirs in consensus, need >= %d",
 			len(hsdirs), onion.Replicas*onion.SpreadPerReplica)
 	}
 	guards := doc.Guards()
 	if len(guards) == 0 {
-		return nil, errors.New("simnet: no Guard-flagged relays in consensus")
+		return errors.New("simnet: no Guard-flagged relays in consensus")
 	}
 
-	n := &Network{
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		doc: doc,
-		// The ring is cached on the document: every network (and analysis)
-		// over the same consensus shares one sorted ring.
-		ring:    doc.Ring(),
-		guards:  guards,
-		pool:    &guardPool{fps: guards},
-		geoDB:   db,
-		workers: cfg.Workers,
-		secrets: cfg.SecretTable,
+	if n.rng == nil {
+		n.rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		n.rng.Seed(cfg.Seed)
 	}
-	n.ringFPs = n.ring.Fingerprints()
-	n.dirs = make([]*hsdir.Directory, len(n.ringFPs))
+	// The ring is cached on the document: every network (and analysis)
+	// over the same consensus shares one sorted ring.
+	n.doc, n.ring, n.ringFPs = doc, doc.Ring(), doc.Ring().Fingerprints()
+	n.pool = guardPool{fps: guards}
+	n.geoDB, n.workers, n.secrets = db, cfg.Workers, cfg.SecretTable
+	n.hosts, n.intros, n.introSvcs, n.uploadObservers, n.arenasFree = nil, nil, nil, nil, true
+
+	for _, d := range n.dirs {
+		if d != nil {
+			d.Reset()
+			n.free = append(n.free, d)
+		}
+	}
+	n.dirs = resized(n.dirs, len(n.ringFPs))
+	clear(n.dirs)
 	if cfg.Observed != nil {
-		n.log = hsdir.NewRequestLog()
+		if n.log == nil {
+			n.log = hsdir.NewRequestLog()
+		}
+		n.log.Reset()
 		for _, fp := range cfg.Observed {
 			if i, ok := doc.HSDirRingPos(fp); ok && n.dirs[i] == nil {
-				n.dirs[i] = hsdir.NewDirectory(24 * time.Hour)
+				n.dirs[i] = n.takeDirectory()
 			}
 		}
 	} else {
+		n.log = nil
 		n.hosts = make(map[onion.Address]*Host)
 		for i := range n.dirs {
-			n.dirs[i] = hsdir.NewDirectory(24 * time.Hour)
+			n.dirs[i] = n.takeDirectory()
 		}
 	}
 
 	// A client's address is formatted only for the events that name it
 	// (see event): most networks, the trawl's among them, never read one.
-	n.clients = make([]Client, cfg.Clients)
+	n.clients = resized(n.clients, cfg.Clients)
 	for i := range n.clients {
 		c := &n.clients[i]
-		c.ID = i
+		*c = Client{ID: i}
 		c.Country, c.octets = db.DrawIP(n.rng)
 		if n.rng.Float64() < skewedClientFraction {
 			c.ClockSkew = time.Duration(n.rng.Int63n(int64(2*MaxSkew))) - MaxSkew
 		}
 	}
-	return n, nil
+	return nil
+}
+
+// takeDirectory returns a directory a Rebuild took back and reset, or a
+// new one when none is left. Any reset directory serves any position.
+func (n *Network) takeDirectory() *hsdir.Directory {
+	if k := len(n.free) - 1; k >= 0 {
+		d := n.free[k]
+		n.free = n.free[:k]
+		return d
+	}
+	return hsdir.NewDirectory(24 * time.Hour)
 }
 
 // Ring returns the HSDir ring.
@@ -210,7 +266,7 @@ func (n *Network) Log() *hsdir.RequestLog { return n.log }
 // GuardPool returns the Guard-flagged fingerprints. The slice aliases the
 // consensus document's shared cache; callers must not mutate it (copy
 // first, as the deanon pipelines do).
-func (n *Network) GuardPool() []onion.Fingerprint { return n.guards }
+func (n *Network) GuardPool() []onion.Fingerprint { return n.pool.fps }
 
 // publishScratch carries the reusable buffers of a publish sweep.
 type publishScratch struct {
@@ -256,7 +312,7 @@ func (n *Network) publishService(svc *hspop.Service, host *Host, ids [onion.Repl
 			if len(n.uploadObservers) > 0 {
 				ev := UploadEvent{
 					Host:   host,
-					Guard:  host.gs.pickPool(n.pool, n.rng, now),
+					Guard:  host.gs.pickPool(&n.pool, n.rng, now),
 					Dir:    n.ringFPs[pos],
 					DescID: descID,
 					At:     now,
@@ -315,47 +371,47 @@ func (n *Network) PublishAll(pop *hspop.Population, now time.Time) int {
 // service-by-service sweep. A restricted network turns the ring
 // positions of its placed services' introduction points into
 // fingerprints, once per service, in one arena per sweep (n.intros); the
-// descriptors of earlier sweeps keep theirs.
+// descriptors of earlier sweeps keep theirs (see arenas).
 func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, now time.Time) {
 	nd, span := len(n.dirs), min(len(n.dirs), onion.SpreadPerReplica)
-	// Segment q's IDs are hits[segOff[q]:segOff[q+1]].
-	segOffPtr, hitsPtr := grabZeroed[int32](&i32Pool, nd+1), grabSlice[*hspop.SortedID](&hitPool, 0)
-	defer i32Pool.Put(segOffPtr)
-	defer hitPool.Put(hitsPtr)
-	segOff, hits := *segOffPtr, *hitsPtr
+	// Segment q's IDs are hits[segOff[q]:segOff[q+1]]. Segments are
+	// disjoint, so no sweep finds more IDs than the population has.
+	segOff := resized(n.buf.segOff, nd+1)
+	clear(segOff)
+	hits := resized(n.buf.hits, onion.Replicas*len(svcs))[:0]
 	for q := range nd {
 		if lo, hi, ok := n.observedSegment(q); ok {
 			ids.EachIn(lo, hi, func(e *hspop.SortedID) { hits = append(hits, e) })
 		}
 		segOff[q+1] = int32(len(hits))
 	}
-	*hitsPtr = hits
 
 	// slot[s] is the 1-based arena position of placed service s.
 	var slot []int32
+	placed := 0
 	if n.Restricted() {
-		slotPtr := grabZeroed[int32](&i32Pool, len(svcs))
-		defer i32Pool.Put(slotPtr)
-		slot = *slotPtr
-		placed := int32(0)
+		slot = resized(n.buf.slot, len(svcs))
+		clear(slot)
 		for _, e := range hits {
 			if slot[e.Svc] == 0 {
 				placed++
-				slot[e.Svc] = placed
-			}
-		}
-		n.intros = make([]onion.Fingerprint, introPoints*int(placed))
-		for s, at := range slot {
-			if at == 0 {
-				continue
-			}
-			for j := range introPoints {
-				n.intros[int(at-1)*introPoints+j] = n.ringFPs[n.introPos[s*introPoints+j]]
+				slot[e.Svc] = int32(placed)
 			}
 		}
 	}
-	intros := n.intros
-	descs := make([]onion.Descriptor, len(hits))
+	descs, intros := n.arenas(len(hits), introPoints*placed)
+	for s, at := range slot {
+		if at == 0 {
+			continue
+		}
+		for j := range introPoints {
+			intros[int(at-1)*introPoints+j] = n.ringFPs[n.introPos[s*introPoints+j]]
+		}
+	}
+	if slot == nil {
+		intros = n.intros // sweepIntros's
+	}
+	n.intros = intros
 	parallel.Chunks(n.workers, len(hits), func(_, lo, hi int) {
 		for j, e := range hits[lo:hi] {
 			svc, in := svcs[e.Svc], int(e.Svc)*introPoints
@@ -375,9 +431,8 @@ func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, no
 
 	// Each observed directory gathers its segments' descriptors, sorts
 	// them by (service, replica) and publishes them in that order.
-	dirOffPtr := grabZeroed[int32](&i32Pool, nd+1)
-	defer i32Pool.Put(dirOffPtr)
-	dirOff := *dirOffPtr
+	dirOff := resized(n.buf.dirOff, nd+1)
+	clear(dirOff)
 	for p := range nd {
 		dirOff[p+1] = dirOff[p]
 		for j := 0; j < span && n.dirs[p] != nil; j++ {
@@ -385,11 +440,9 @@ func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, no
 			dirOff[p+1] += segOff[q+1] - segOff[q]
 		}
 	}
-	arenaPtr := grabSlice[uint64](&u64Pool, int(dirOff[nd]))
-	defer u64Pool.Put(arenaPtr)
-	arena := (*arenaPtr)[:dirOff[nd]]
+	runs := resized(n.buf.runs, int(dirOff[nd]))
 	parallel.ForEach(n.workers, nd, func(p int) {
-		run := arena[dirOff[p]:dirOff[p]:dirOff[p+1]]
+		run := runs[dirOff[p]:dirOff[p]:dirOff[p+1]]
 		for j := 0; j < span && n.dirs[p] != nil; j++ {
 			q := (p - j + nd) % nd
 			for i := segOff[q]; i < segOff[q+1]; i++ {
@@ -407,7 +460,29 @@ func (n *Network) placeByArc(ids *hspop.DescriptorIDs, svcs []*hspop.Service, no
 			n.dirs[p].Publish(&descs[uint32(v)], now)
 		}
 	})
-	clear(hits) // the pooled buffer must not pin the sorted copies
+	clear(hits) // the kept buffer must not pin the sorted copies
+	n.buf.segOff, n.buf.hits, n.buf.slot, n.buf.dirOff, n.buf.runs = segOff, hits, slot, dirOff, runs
+}
+
+// arenas returns a sweep's arenas of nDescs descriptors and nIntros intro
+// points: the previous step's for the first sweep after a Rebuild, fresh
+// ones after that, since the stores keep the descriptors of earlier sweeps.
+func (n *Network) arenas(nDescs, nIntros int) ([]onion.Descriptor, []onion.Fingerprint) {
+	if !n.arenasFree {
+		return make([]onion.Descriptor, nDescs), make([]onion.Fingerprint, nIntros)
+	}
+	n.arenasFree = false
+	n.descArena, n.introArena = resized(n.descArena, nDescs), resized(n.introArena, nIntros)
+	return n.descArena, n.introArena
+}
+
+// resized returns buf at length n, reusing its array (unzeroed) when that
+// has room and allocating exactly n otherwise.
+func resized[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		return make(S, n)
+	}
+	return buf[:n]
 }
 
 // observedSegment returns ring segment q's ID interval [lo, hi) (see
@@ -592,7 +667,7 @@ var orderBounds = func() (b [onion.SpreadPerReplica]parallel.Bound) {
 func (n *Network) fetchResolved(draws *parallel.Stream, gs *guardSet, descID onion.DescriptorID, set *respSet, now time.Time) fetchRec {
 	rec := fetchRec{descID: descID, atNanos: now.UnixNano()}
 	if gs != nil {
-		rec.guard = gs.pick(n.pool, draws, now)
+		rec.guard = gs.pick(&n.pool, draws, now)
 	} else {
 		draws.Draw(guardIndex)
 	}
@@ -655,46 +730,6 @@ func (c *planCursor) service(i int) int {
 	return c.s
 }
 
-// Window-sized scratch buffers are pooled across DriveWindow calls (and
-// across the per-step networks of a trawl): every slot is overwritten
-// before it is read, so reuse can never change an outcome — it only
-// stops each window from allocating and zeroing megabytes of record,
-// answer, phantom and dead-bucket buffers. The record and answer pools
-// hold one buffer per shard.
-var (
-	recsPool    = sync.Pool{New: func() any { return new([][]fetchRec) }}
-	answersPool = sync.Pool{New: func() any { return new([][]hsdir.Answer) }}
-	phantomPool = sync.Pool{New: func() any { return new([]phantom) }}
-	i32Pool     = sync.Pool{New: func() any { return new([]int32) }}
-	u64Pool     = sync.Pool{New: func() any { return new([]uint64) }}
-	hitPool     = sync.Pool{New: func() any { return new([]*hspop.SortedID) }}
-)
-
-// grabSlice returns a zero-length slice with capacity >= n from the
-// pooled backing array, growing it if needed.
-func grabSlice[T any](pool *sync.Pool, n int) *[]T {
-	p := pool.Get().(*[]T)
-	if cap(*p) < n {
-		*p = make([]T, 0, n)
-	}
-	*p = (*p)[:0]
-	return p
-}
-
-// grabZeroed returns a length-n zeroed slice from the pooled backing
-// array (grabSlice hands out dirty capacity; counting buffers need
-// zeroes).
-func grabZeroed[T any](pool *sync.Pool, n int) *[]T {
-	p := grabSlice[T](pool, n)
-	var zero T
-	s := (*p)[:n]
-	for i := range s {
-		s[i] = zero
-	}
-	*p = s
-	return p
-}
-
 // warmGuardSets rotates-in the guard set of every client, using the
 // network RNG sequentially, refreshing any guard that would expire
 // before horizon. DriveWindow calls it before fanning out so that
@@ -702,7 +737,7 @@ func grabZeroed[T any](pool *sync.Pool, n int) *[]T {
 // guard's expiry lies beyond the window's end.
 func (n *Network) warmGuardSets(now, horizon time.Time) {
 	for i := range n.clients {
-		n.clients[i].gs.refreshPoolUntil(n.pool, n.rng, now, horizon)
+		n.clients[i].gs.refreshPoolUntil(&n.pool, n.rng, now, horizon)
 	}
 }
 
@@ -784,9 +819,9 @@ func (n *Network) DriveWindow(
 	// cancellation is observed between services, before the plan seed is
 	// drawn and any state below is touched.
 	svcs := pop.PopularServices()
-	offsPtr := grabZeroed[int32](&i32Pool, len(svcs)+1)
-	defer i32Pool.Put(offsPtr)
-	offs := *offsPtr
+	offs := resized(n.buf.offs, len(svcs)+1)
+	clear(offs)
+	n.buf.offs = offs
 	for i, svc := range svcs {
 		if err := ctx.Err(); err != nil {
 			return out, err
@@ -798,9 +833,8 @@ func (n *Network) DriveWindow(
 
 	// Phantom pool: never-published descriptor IDs, power-law weighted.
 	nPhantomIDs := pop.Config.ScaledPhantomIDs()
-	phantomPtr := grabSlice[phantom](&phantomPool, nPhantomIDs)
-	defer phantomPool.Put(phantomPtr)
-	phantoms := phantomTable((*phantomPtr)[:nPhantomIDs])
+	phantoms := resized(n.buf.phantoms, nPhantomIDs)
+	n.buf.phantoms = phantoms
 	for i := range phantoms {
 		phantoms[i].id = onion.DescriptorID(onion.RandomFingerprint(n.rng))
 	}
@@ -846,9 +880,8 @@ func (n *Network) DriveWindow(
 	var dead []uint64
 	if skip {
 		words := (len(cuts.first) + 63) / 64
-		deadPtr := grabSlice[uint64](&u64Pool, words)
-		defer u64Pool.Put(deadPtr)
-		dead = (*deadPtr)[:words]
+		dead = resized(n.buf.dead, words)
+		n.buf.dead = dead
 		phantoms.deadBuckets(cuts, dead)
 	}
 	ph := phantomSampler{table: phantoms, cuts: cuts, dead: dead}
@@ -867,17 +900,15 @@ func (n *Network) DriveWindow(
 			hot = n.hotServices(pop, svcs, offs, start)
 		}
 	}
-	var recs [][]fetchRec // pointer-free: never GC-scanned
+	var recs [][]fetchRec
 	if observer != nil {
-		recsPtr := grabSlice[[]fetchRec](&recsPool, shards)
-		defer recsPool.Put(recsPtr)
-		recs = (*recsPtr)[:shards] // keeps each slot's pooled buffer
+		recs = resized(n.buf.recs, shards) // keeps each slot's buffer
+		n.buf.recs = recs
 	}
 	var answers [][]hsdir.Answer
 	if n.Restricted() {
-		answersPtr := grabSlice[[]hsdir.Answer](&answersPool, shards)
-		defer answersPool.Put(answersPtr)
-		answers = (*answersPtr)[:shards]
+		answers = resized(n.buf.answers, shards)
+		n.buf.answers = answers
 	}
 	// Both counts are fixed by the plan; only the hits are tallied, in a
 	// shard-local count stored once per shard.
@@ -891,11 +922,11 @@ func (n *Network) DriveWindow(
 		want := expectedAnswers(lo, hi, share, offs, hot)
 		var kept []fetchRec
 		if recs != nil {
-			kept = presized(recs[shard], want)
+			kept = resized(recs[shard], want)[:0]
 		}
 		var ans []hsdir.Answer
 		if answers != nil {
-			ans = presized(answers[shard], want)
+			ans = resized(answers[shard], min(want, answerBatch))[:0]
 		}
 		for i := lo; i < hi; i++ {
 			// Every draw of the request reads its stream: its offset, its
@@ -935,6 +966,11 @@ func (n *Network) DriveWindow(
 				kept = append(kept, rec)
 			}
 			if answers != nil && rec.observed {
+				if len(ans) == answerBatch {
+					answers[shard] = ans
+					n.log.RecordEach(answers[shard : shard+1])
+					ans = ans[:0]
+				}
 				ans = append(ans, hsdir.Answer{ID: rec.descID, Found: rec.found})
 			}
 		}
@@ -944,13 +980,13 @@ func (n *Network) DriveWindow(
 		}
 		if answers != nil {
 			answers[shard] = ans
+			n.log.RecordEach(answers[shard : shard+1])
 		}
 	})
 
 	// Phase 3: merge. The hits sum; the observer — when one is tapped
-	// in — replays the shards' records sequentially, and a restricted
-	// network counts its shards' answers, both in shard order (chunk
-	// spans are contiguous and ascending, so that is plan order).
+	// in — replays the shards' records sequentially, in shard order
+	// (chunk spans are contiguous and ascending, so that is plan order).
 	for _, h := range shardHits {
 		out.ResolvedHits += h
 	}
@@ -958,9 +994,6 @@ func (n *Network) DriveWindow(
 		for i := range kept {
 			observer(n.event(&kept[i]))
 		}
-	}
-	if answers != nil {
-		n.log.RecordEach(answers)
 	}
 	return out, nil
 }
@@ -999,6 +1032,10 @@ func (n *Network) hotServices(pop *hspop.Population, svcs []*hspop.Service, offs
 	return hot
 }
 
+// answerBatch is how many answers a restricted window's shard stages per
+// count into the log, which only sums, so batches in any order agree.
+const answerBatch = 1 << 12
+
 // expectedAnswers is the number of plan indices [lo, hi) that an observed
 // directory is expected to answer, with headroom for skew (phantom
 // popularity, ring clustering), so that a fresh buffer of that size
@@ -1010,15 +1047,6 @@ func expectedAnswers(lo, hi int, share float64, offs []int32, hot []int) int {
 		inHot += max(0, min(hi, int(offs[s+1]))-max(lo, int(offs[s])))
 	}
 	return min(hi-lo, inHot+int(float64(hi-lo-inHot)*share*1.25)+64)
-}
-
-// presized empties a shard's pooled buffer, first growing it to hold
-// want entries.
-func presized[T any](buf []T, want int) []T {
-	if cap(buf) < want {
-		return make([]T, 0, want)
-	}
-	return buf[:0]
 }
 
 // phantomRequests is the number of phantom requests that accompany

@@ -86,7 +86,7 @@ func (n *Network) sweepIntros(svcs []*hspop.Service) {
 		if n.introSvcs != nil {
 			panic("simnet: a restricted network publishes one population")
 		}
-		n.introSvcs, n.introPos = svcs, make([]int32, introPoints*len(svcs))
+		n.introSvcs, n.introPos = svcs, resized(n.introPos, introPoints*len(svcs))
 		for i := range svcs {
 			n.geoDB.DrawIP(n.rng)
 			for j := range introPoints {

@@ -177,7 +177,7 @@ func TestServiceMemoLookupMatchesDirect(t *testing.T) {
 // for the contact order, whose first directory takes the request.
 func referenceFetch(net *Network, rng *rand.Rand, c *Client, id onion.DescriptorID, set *respSet, now time.Time) fetchRec {
 	rec := fetchRec{descID: id, atNanos: now.UnixNano(), clientID: int32(c.ID)}
-	rec.guard = c.gs.pickPool(net.pool, rng, now)
+	rec.guard = c.gs.pickPool(&net.pool, rng, now)
 	rec.dir = set.pos[rng.Perm(int(set.n))[0]]
 	if d := net.dirs[rec.dir]; d != nil {
 		_, rec.found = d.Probe(id, now)

@@ -508,7 +508,7 @@ func TestRestrictedNetworkRejectsObservers(t *testing.T) {
 // times the size, so it makes no per-host or per-service allocation.
 func TestRestrictedPublishAllocations(t *testing.T) {
 	if race.Enabled {
-		t.Skip("allocation counts of the pooled sweep vary under -race")
+		t.Skip("allocation counts of the sweep vary under -race")
 	}
 	const seed = 71
 	f := newRestrictFixture(t, seed)
@@ -542,7 +542,7 @@ func TestRestrictedPublishAllocations(t *testing.T) {
 // time.
 func TestFirstRestrictedPublishAllocations(t *testing.T) {
 	if race.Enabled {
-		t.Skip("allocation counts of the pooled sweep vary under -race")
+		t.Skip("allocation counts of the sweep vary under -race")
 	}
 	const seed = 73
 	f := newRestrictFixture(t, seed)
@@ -560,7 +560,7 @@ func TestFirstRestrictedPublishAllocations(t *testing.T) {
 	}
 	observed := observedSubsets(f.doc.Ring().Fingerprints(), seed)["tenth"]
 	now := f.doc.ValidAfter
-	// A collection would empty the sweep's buffer pools mid-measurement.
+	// No collection may run mid-measurement.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const runs = 5
 	var allocs []float64

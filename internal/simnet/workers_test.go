@@ -135,8 +135,7 @@ func TestNilObserverMatchesCountingObserver(t *testing.T) {
 
 // TestNilObserverWindowAllocBounded: an unrestricted window with no
 // observer allocates under a fixed bound however many requests it
-// drives, even with simnet's window pools emptied (as between trawl
-// steps): it keeps nothing per request. One record per request alone
+// drives: it keeps nothing per request. One record per request alone
 // would take several times the bound here.
 func TestNilObserverWindowAllocBounded(t *testing.T) {
 	const bound = 1 << 20
